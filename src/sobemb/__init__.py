@@ -11,7 +11,6 @@ Layers:
 """
 
 from .bounds import (
-    ClassicalParams,
     EnclosureResult,
     best_enclosure,
     corollary_bound,
@@ -24,7 +23,6 @@ from .certify import (
     KantorovichData,
     certify_ball,
     defect_bounds,
-    first_eigenvalue_lower,
     inverse_bound,
     kantorovich_radius,
     linf_embedding_constant,
@@ -38,17 +36,11 @@ from .ivarray import IArray
 from .pipeline import RunConfig, RunReport, classical_table, emit_plot_data, run_pipeline
 from .series import (
     DomainRect,
-    MixedSeries2D,
     PositivityHint,
     Series2D,
     SineSeries2D,
-    grad_sup_bound,
-    h01_norm,
-    inf_enclosure,
-    l2_norm,
     lp_norm,
     power_expand,
-    sup_abs_bound,
 )
 from .solver import (
     SolverConfig,
@@ -62,18 +54,16 @@ from .symeig import SymMatrix, iv_sym_eig_min
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassicalParams", "EnclosureResult", "best_enclosure", "corollary_bound",
+    "EnclosureResult", "best_enclosure", "corollary_bound",
     "enclosure_from_ball", "plum_bound", "talenti_constant",
     "CertifiedBall", "KantorovichData", "certify_ball", "defect_bounds",
-    "first_eigenvalue_lower", "inverse_bound", "kantorovich_radius",
-    "linf_embedding_constant", "linf_radius", "lipschitz_bound",
-    "positiveness_certificate",
+    "inverse_bound", "kantorovich_radius", "linf_embedding_constant",
+    "linf_radius", "lipschitz_bound", "positiveness_certificate",
     "SobembError", "Interval", "iv_arith", "iv_elem", "iv_gamma", "iv_pi",
     "IArray", "RunConfig", "RunReport", "classical_table", "emit_plot_data",
     "run_pipeline",
-    "DomainRect", "MixedSeries2D", "PositivityHint", "Series2D",
-    "SineSeries2D", "grad_sup_bound", "h01_norm", "inf_enclosure", "l2_norm",
-    "lp_norm", "power_expand", "sup_abs_bound",
+    "DomainRect", "PositivityHint", "Series2D", "SineSeries2D", "lp_norm",
+    "power_expand",
     "SolverConfig", "galerkin_jacobian", "galerkin_residual", "initial_guess",
     "newton_solve", "SymMatrix", "iv_sym_eig_min",
 ]

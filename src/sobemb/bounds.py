@@ -11,15 +11,12 @@ certified approximate extremizer with its certified error radius.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 from .errors import CertificateMissing, DomainError, HypothesisFailure, SoundnessViolation
 from .intervals import Interval, iv_gamma, iv_pi, iv_pow_real, iv_sqrt
-from .series import PositivityHint, Series2D, lp_norm
-
-UNIQUE_RADIUS_CAP = 1e300
+from .series import Series2D, lp_norm
 
 
 def talenti_constant(n: int, q) -> Interval:
@@ -102,31 +99,6 @@ def plum_bound(n: int, p, rho: Interval) -> Interval:
 
 
 @dataclass(frozen=True)
-class ClassicalParams:
-    """Derived parameters of the closed-form upper bounds."""
-
-    n: int
-    p: float
-    q: Interval
-    measure: Interval
-    rho: Interval
-    s: Interval | None
-    nu: int
-
-    @staticmethod
-    def derive(n: int, p: float, measure, rho: Interval) -> "ClassicalParams":
-        pi_ = Interval._coerce(p)
-        ni = Interval(float(n))
-        one = Interval(1.0)
-        q = ni * pi_ / (ni + pi_)
-        s = None if n == 2 else ni * (one / pi_ - Interval(0.5) + one / ni)
-        return ClassicalParams(
-            n=n, p=float(p), q=q, measure=Interval._coerce(measure),
-            rho=rho, s=s, nu=int(p // 2),
-        )
-
-
-@dataclass(frozen=True)
 class EnclosureResult:
     """Two-sided enclosure of the best embedding constant."""
 
@@ -140,8 +112,7 @@ class EnclosureResult:
         return self.upper - self.lower
 
 
-def enclosure_from_ball(u: Series2D, r_h1: Interval, p: int, positive: bool,
-                        cert: PositivityHint | None = None) -> tuple:
+def enclosure_from_ball(u: Series2D, r_h1: Interval, p: int, positive: bool) -> tuple:
     """Two-sided bounds on C_{p+1} from a certified extremizer ball.
 
     lower = lp.lo / h01.hi and upper = lp.hi / (h01.lo - 2 r_h1.hi); valid
@@ -157,7 +128,7 @@ def enclosure_from_ball(u: Series2D, r_h1: Interval, p: int, positive: bool,
         raise HypothesisFailure(
             f"norm lower bound {h01.lo:.6e} must exceed 2 r_h1 = {two_r:.6e}"
         )
-    lp = lp_norm(u, float(p + 1), cert)
+    lp = lp_norm(u, float(p + 1))
     lower = (Interval(lp.lo) / Interval(h01.hi)).lo
     denom = Interval(h01.lo) - Interval(two_r)
     upper = (Interval(lp.hi) / denom).hi

@@ -30,7 +30,7 @@ from .errors import (
     GapFailure,
     NotInvertible,
 )
-from .intervals import PI, Interval, iv_pow_int, iv_pow_real, iv_sqrt
+from .intervals import PI, Interval, iv_pow_int, iv_sqrt
 from .ivarray import IArray, _dn, _up, imatmul, isum
 from .series import (
     COS,
@@ -44,11 +44,6 @@ from .series import (
 from .symeig import SymMatrix, min_abs_eig_lower
 
 UNIQUE_RADIUS_CAP = 1e300
-
-
-def first_eigenvalue_lower(domain: DomainRect) -> Interval:
-    """Enclosure of lambda_1 = pi^2 (1/L1^2 + 1/L2^2) on the rectangle."""
-    return domain.lambda1()
 
 
 # -- defect ---------------------------------------------------------------------
@@ -91,7 +86,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     eta = negative_part_sup(u).neg_sup
     slack = Interval(2.0) * iv_pow_int(Interval(eta), p) * iv_sqrt(dom.measure())
     l2 = Interval(l2.lo, (l2 + slack).hi)
-    hm1 = l2 / iv_sqrt(first_eigenvalue_lower(dom))
+    hm1 = l2 / iv_sqrt(dom.lambda1())
     return Interval(0.0, hm1.hi), Interval(0.0, l2.hi)
 
 
@@ -338,7 +333,7 @@ def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
         eps_pert = (
             Interval(2.0 * p)
             * iv_pow_int(Interval(eta), p - 1)
-            / first_eigenvalue_lower(dom)
+            / dom.lambda1()
         ).hi
 
     m = (Interval(m_lo) - Interval(coupling) - Interval(eps_pert)).lo
@@ -448,7 +443,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval, domain=None,
     if delta_l2 is None:
         _, delta_l2 = defect_bounds(u, p)
     c_inf = linf_embedding_constant(dom)
-    lam1 = first_eigenvalue_lower(dom)
+    lam1 = dom.lambda1()
     r = Interval(max(0.0, r_h1.lo), r_h1.hi)
     norm_u = u.h01_norm()
     sup_u = Interval(0.0, u.sup_abs_bound().hi)
@@ -517,22 +512,16 @@ def positiveness_certificate(u: Series2D, r_inf: Interval, p: int,
     (b) (r_inf + sup u_-)^{p-1} < lambda_1 rigorously and strictly.
     """
     dom = domain if domain is not None else u.domain
-    lam1_lo = first_eigenvalue_lower(dom).lo
+    lam1_lo = dom.lambda1().lo
 
-    best_margin = -math.inf
-    best_point = None
-    best_lo = -math.inf
-    fracs = (0.5, 0.25, 0.75)
-    for fx in fracs:
-        for fy in fracs:
-            x0 = fx * dom.L1
-            y0 = fy * dom.L2
-            val = u.eval(x0, y0)
-            margin = (Interval(val.lo) - Interval(r_inf.hi)).lo
-            if margin > best_margin:
-                best_margin = margin
-                best_point = (x0, y0)
-                best_lo = val.lo
+    fracs = np.array([0.5, 0.25, 0.75])
+    xs, ys = fracs * dom.L1, fracs * dom.L2
+    vals_lo = u.values_on_grid(xs, ys).lo.ravel()
+    margins = [(Interval(v) - Interval(r_inf.hi)).lo for v in vals_lo]
+    k = int(np.argmax(margins))  # first of the 3 x 3 points with the best margin
+    best_margin = margins[k]
+    best_point = (float(xs[k // 3]), float(ys[k % 3]))
+    best_lo = float(vals_lo[k])
     point_ok = best_margin > 0.0
 
     eta = negative_part_sup(u).neg_sup

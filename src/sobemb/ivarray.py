@@ -57,10 +57,6 @@ class IArray:
         z = np.zeros(shape)
         return IArray(z, z.copy(), _unsafe=True)
 
-    @staticmethod
-    def from_scalar(iv: Interval, shape=()) -> "IArray":
-        return IArray(np.full(shape, iv.lo), np.full(shape, iv.hi), _unsafe=True)
-
     def copy(self) -> "IArray":
         return IArray(self.lo.copy(), self.hi.copy(), _unsafe=True)
 
@@ -81,9 +77,6 @@ class IArray:
         self.lo[idx] = value.lo
         self.hi[idx] = value.hi
 
-    def item(self, *idx) -> Interval:
-        return Interval(float(self.lo[idx]), float(self.hi[idx]))
-
     def reshape(self, *shape):
         return IArray(self.lo.reshape(*shape), self.hi.reshape(*shape), _unsafe=True)
 
@@ -95,8 +88,10 @@ class IArray:
         return self.lo + 0.5 * (self.hi - self.lo)
 
     def rad(self):
+        """Radius about mid(); exactly 0 where lo == hi, since mid is then lo."""
         m = self.mid()
-        return _up(np.maximum(_up(m - self.lo), _up(self.hi - m)))
+        r = _up(np.maximum(_up(m - self.lo), _up(self.hi - m)))
+        return np.where(self.lo == self.hi, 0.0, r)
 
     def mag(self):
         return np.maximum(np.abs(self.lo), np.abs(self.hi))

@@ -24,10 +24,10 @@ from .bounds import (
     outward_decimal,
     plum_bound,
 )
-from .certify import certify_ball, first_eigenvalue_lower
+from .certify import certify_ball
 from .errors import SobembError, SoundnessViolation
 from .intervals import Interval
-from .series import DomainRect, PositivityHint, Series2D
+from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
 REPORT_FORMAT = "sobemb-report/1"
@@ -44,7 +44,6 @@ class RunConfig:
     max_iter: int = 50
     symmetry: bool | None = None
     nprime: int | None = None
-    quad_cells: int = 512
     rho_max: float = 1e3
     out: str | None = None
     format: str = "json"
@@ -69,7 +68,6 @@ class RunConfig:
             "max_iter": self.max_iter,
             "symmetry": self.symmetry,
             "nprime": self.nprime,
-            "quad_cells": self.quad_cells,
             "rho_max": self.rho_max.hex(),
             "out": self.out,
             "format": self.format,
@@ -89,7 +87,6 @@ class RunConfig:
             max_iter=d["max_iter"],
             symmetry=d["symmetry"],
             nprime=d["nprime"],
-            quad_cells=d["quad_cells"],
             rho_max=float.fromhex(d["rho_max"]),
             out=d["out"],
             format=d["format"],
@@ -199,7 +196,7 @@ def classical_uppers(p: int, domain: DomainRect, rho: Interval | None = None,
                      unchecked: bool = False) -> list:
     """[(tag, Interval)] of classical upper bounds for C_{p+1}."""
     if rho is None:
-        rho = first_eigenvalue_lower(domain)
+        rho = domain.lambda1()
     elif not unchecked:
         raise ValueError(
             "a user-supplied rho requires unchecked=True; validity of the "
@@ -241,10 +238,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             row.r_inf = ball.r_inf
             row.neg_sup = ball.audit.neg_sup
             row.positive = ball.positive
-            hint = PositivityHint(ball.audit.neg_sup)
-            lower, upper = enclosure_from_ball(
-                u, ball.r_h1, cfg.p, positive=ball.positive, cert=hint
-            )
+            lower, upper = enclosure_from_ball(u, ball.r_h1, cfg.p,
+                                               positive=ball.positive)
             row.lower, row.upper = lower, upper
             row.status = "certified"
             best_lower = lower if best_lower is None else max(best_lower, lower)
@@ -279,7 +274,7 @@ def classical_table(n: int, p_list, domain: DomainRect,
                     rho: Interval | None = None, unchecked: bool = False) -> list:
     """Rows [{p, corollary, plum}] of classical upper bounds for C_p."""
     if rho is None:
-        rho = first_eigenvalue_lower(domain)
+        rho = domain.lambda1()
     elif not unchecked:
         raise ValueError("a user-supplied rho requires unchecked=True")
     table = []

@@ -68,7 +68,7 @@ def integrate_abs_power(u, q: float, cells: int = 512) -> Interval:
     halfdiag = _up(
         0.5 * math.hypot(hx, hy) * (1.0 + 1e-12) + 1e-12 * (dom.L1 + dom.L2)
     )
-    corr = float(lip) * float(halfdiag)
+    corr = _up(lip * halfdiag)
 
     # the m x m cells tile the rectangle exactly, so the integral equals
     # (sum of per-cell means) * (L1*L2/m^2) with each mean enclosed by the

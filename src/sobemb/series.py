@@ -90,9 +90,15 @@ def _mode_to_index(parity: str, mode: int) -> int:
 
 
 class Series2D:
-    """Tensor trig series with interval coefficients."""
+    """Tensor trig series with interval coefficients.
 
-    __slots__ = ("domain", "parity_x", "parity_y", "coeffs")
+    Coefficients are never mutated after construction: every operation
+    returns a new instance.  Facts derived from them (exact powers, the
+    negative-part bound, the sup bound) are therefore computed on first use
+    and kept in ``_facts`` for every later caller.
+    """
+
+    __slots__ = ("domain", "parity_x", "parity_y", "coeffs", "_facts")
 
     def __init__(self, domain: DomainRect, coeffs: IArray, parity_x=SIN, parity_y=SIN):
         if parity_x not in (SIN, COS) or parity_y not in (SIN, COS):
@@ -103,12 +109,7 @@ class Series2D:
         self.parity_x = parity_x
         self.parity_y = parity_y
         self.coeffs = coeffs
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero(domain: DomainRect, n: int = 1) -> "Series2D":
-        return Series2D(domain, IArray.zeros((n, n)))
+        self._facts = {}
 
     @property
     def is_sine(self) -> bool:
@@ -127,12 +128,6 @@ class Series2D:
     def scale(self, c) -> "Series2D":
         return Series2D(self.domain, self.coeffs * IArray._coerce(c),
                         self.parity_x, self.parity_y)
-
-    def pad_to(self, nx: int, ny: int) -> "Series2D":
-        out = IArray.zeros((nx, ny))
-        sx, sy = self.coeffs.shape
-        out[:sx, :sy] = self.coeffs
-        return Series2D(self.domain, out, self.parity_x, self.parity_y)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -227,23 +222,24 @@ class Series2D:
         base = IArray(np.where(odd, 2.0 * L, 0.0)) / IArray(
             modes.astype(np.float64)
         )
-        zero = np.zeros(modes.shape)
         pi_arr = IArray._coerce(PI)
         out = base / pi_arr
         out.lo[~odd] = 0.0
         out.hi[~odd] = 0.0
-        _ = zero
         return out
 
     # -- pointwise bounds ----------------------------------------------------------
 
-    def sup_abs_bound(self, sample_grid: int = 17) -> Interval:
-        ub = isum(abs(self.coeffs)).hi
-        xs = np.linspace(0.0, self.domain.L1, sample_grid + 2)[1:-1]
-        ys = np.linspace(0.0, self.domain.L2, sample_grid + 2)[1:-1]
-        vals = self.values_on_grid(xs, ys)
-        lb = float(np.max(abs(vals).lo))
-        return Interval(min(lb, ub), ub)
+    def sup_abs_bound(self) -> Interval:
+        """Enclosure of sup |u|: coefficient sum above, 17 x 17 samples below."""
+        s = self._facts.get("sup_abs")
+        if s is None:
+            ub = isum(abs(self.coeffs)).hi
+            xs = np.linspace(0.0, self.domain.L1, 19)[1:-1]
+            ys = np.linspace(0.0, self.domain.L2, 19)[1:-1]
+            lb = float(np.max(abs(self.values_on_grid(xs, ys)).lo))
+            s = self._facts["sup_abs"] = Interval(min(lb, ub), ub)
+        return s
 
     def grad_sup_bound(self) -> Interval:
         gx = IArray(self.modes_x().astype(np.float64)) / IArray._coerce(
@@ -346,9 +342,6 @@ def SineSeries2D(domain: DomainRect, coeffs) -> Series2D:
     if not isinstance(coeffs, IArray):
         coeffs = IArray(np.asarray(coeffs, dtype=np.float64))
     return Series2D(domain, coeffs, SIN, SIN)
-
-
-MixedSeries2D = Series2D
 
 
 # -- rigorous products ------------------------------------------------------------
@@ -544,7 +537,10 @@ def multiply(u: Series2D, v: Series2D) -> Series2D:
 
 
 def power_expand(u: Series2D, p: int) -> Series2D:
-    """Exact expansion of u^p (integer 1 <= p <= 5, sine/sine input)."""
+    """Exact expansion of u^p (integer 1 <= p <= 5, sine/sine input).
+
+    The result is kept on u and shared with every later expansion of u.
+    """
     if not u.is_sine:
         raise DomainError("power_expand expects a sine/sine series")
     if not 1 <= p <= 5:
@@ -553,17 +549,22 @@ def power_expand(u: Series2D, p: int) -> Series2D:
         raise CapacityError(
             f"expansion order {p * u.N} exceeds maximum {MAX_EXPANSION_ORDER}"
         )
-    if p == 1:
-        return Series2D(u.domain, u.coeffs.copy(), SIN, SIN)
-    u2 = multiply(u, u)
-    if p == 2:
-        return u2
-    if p == 3:
-        return multiply(u2, u)
-    u4 = multiply(u2, u2)
-    if p == 4:
-        return u4
-    return multiply(u4, u)
+    return _power(u, p)
+
+
+# u^k = u^a * u^b: the chain u^2, u^3 = u^2 u, u^4 = u^2 u^2, u^5 = u^4 u
+_POWER_SPLIT = {2: (1, 1), 3: (2, 1), 4: (2, 2), 5: (4, 1)}
+
+
+def _power(u: Series2D, k: int) -> Series2D:
+    """u^k along the chain above, each power built once and kept on u."""
+    if k == 1:
+        return u
+    v = u._facts.get(("power", k))
+    if v is None:
+        a, b = _POWER_SPLIT[k]
+        v = u._facts[("power", k)] = multiply(_power(u, a), _power(u, b))
+    return v
 
 
 # -- cross-parity L2 inner products --------------------------------------------------
@@ -643,18 +644,20 @@ def factor_boundary(u: Series2D) -> Series2D:
     return Series2D(u.domain, c, COS, COS)
 
 
-def negative_part_sup(u: Series2D, m: int = 64) -> PositivityHint:
-    """Rigorous upper bound on sup u_-.
+def negative_part_sup(u: Series2D) -> PositivityHint:
+    """Rigorous upper bound on sup u_- of a sine/sine series, kept on u.
 
     A grid infimum bound applied to u itself cannot beat grad_sup * cell size
     near the boundary (u vanishes there), so the bound is taken on the
     boundary-factored profile w instead: sup u_- <= max(0, -inf w).
     """
-    if u.is_sine:
-        inf_w = factor_boundary(u).inf_enclosure(max(m, 128))
-        return PositivityHint(max(0.0, -inf_w.lo))
-    inf_u = u.inf_enclosure(m)
-    return PositivityHint(max(0.0, -inf_u.lo))
+    if not u.is_sine:
+        raise DomainError("negative_part_sup expects a sine/sine series")
+    hint = u._facts.get("neg_sup")
+    if hint is None:
+        inf_w = factor_boundary(u).inf_enclosure(128)
+        hint = u._facts["neg_sup"] = PositivityHint(max(0.0, -inf_w.lo))
+    return hint
 
 
 def _iv_root(x: Interval, q: float) -> Interval:
@@ -670,13 +673,12 @@ def _iv_root(x: Interval, q: float) -> Interval:
     return Interval(max(lo, 0.0), hi)
 
 
-def lp_norm(u: Series2D, q: float, cert: PositivityHint | None = None,
-            cells: int = 512) -> Interval:
+def lp_norm(u: Series2D, q: float) -> Interval:
     """Enclosure of the L^q norm of u.
 
     Even integer q: exact power expansion + term-by-term integration.
     Odd integer q: exact expansion of u^q, with the |u|^q - u^q discrepancy
-    bounded by 2 * neg_sup^q * |domain| from a positivity hint.
+    bounded by 2 * neg_sup^q * |domain| from the negative-part bound.
     Other q: rigorous midpoint quadrature with a Lipschitz remainder.
     """
     if not q > 1.0:
@@ -689,42 +691,14 @@ def lp_norm(u: Series2D, q: float, cert: PositivityHint | None = None,
         base = v.integral()
         if qi % 2 == 0:
             return _iv_root(Interval(max(base.lo, 0.0), base.hi), q)
-        if cert is None:
-            cert = negative_part_sup(u)
+        eta = negative_part_sup(u).neg_sup
         area = u.domain.measure()
-        slack = Interval(2.0) * Interval(cert.neg_sup) ** qi * area
+        slack = Interval(2.0) * Interval(eta) ** qi * area
         total = Interval(max(base.lo, 0.0), (base + slack).hi)
         return _iv_root(total, q)
     from .quadrature import integrate_abs_power
 
-    return _iv_root(integrate_abs_power(u, q, cells), q)
-
-
-# spec-level free functions over series -----------------------------------------
-
-
-def eval_series(u: Series2D, x, y) -> Interval:
-    return u.eval(x, y)
-
-
-def h01_norm(u: Series2D) -> Interval:
-    return u.h01_norm()
-
-
-def l2_norm(u: Series2D) -> Interval:
-    return u.l2_norm()
-
-
-def sup_abs_bound(u: Series2D) -> Interval:
-    return u.sup_abs_bound()
-
-
-def grad_sup_bound(u: Series2D) -> Interval:
-    return u.grad_sup_bound()
-
-
-def inf_enclosure(u: Series2D, m: int = 256) -> Interval:
-    return u.inf_enclosure(m)
+    return _iv_root(integrate_abs_power(u, q), q)
 
 
 def l2_inner(u: Series2D, v: Series2D) -> Interval:

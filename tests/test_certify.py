@@ -18,10 +18,12 @@ from sobemb.certify import (
     lipschitz_bound,
     positiveness_certificate,
 )
-from sobemb.bounds import corollary_bound
+from sobemb import series
+from sobemb.bounds import corollary_bound, enclosure_from_ball
 from sobemb.errors import ConditionFailure, GapFailure
 from sobemb.intervals import Interval
 from sobemb.series import DomainRect, SineSeries2D, multiply, power_expand
+from sobemb.solver import SolverConfig, initial_guess, newton_solve
 
 SQ = DomainRect(1.0, 1.0)
 
@@ -229,3 +231,44 @@ def test_certify_ball_small_case():
     b = certify_ball(u, 3)
     assert b.r_h1.hi < 1e-3
     assert not b.positive  # the enclosed solution is (near) zero
+
+
+# -- each derived fact about a center is built once -----------------------------------
+
+
+def _fresh(u):
+    """A copy of u with none of its derived facts computed yet."""
+    return SineSeries2D(u.domain, u.coeffs.copy())
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    orig = getattr(series, name)
+
+    def counted(*args):
+        calls.append(name)
+        return orig(*args)
+
+    monkeypatch.setattr(series, name, counted)
+    return calls
+
+
+def test_certify_and_enclose_share_powers(u_p3_n10, monkeypatch):
+    """The defect needs u^3, the potential u^2 and the L^4 norm u^4: three
+    products in all (u^2, u^3 = u^2 u, u^4 = u^2 u^2)."""
+    u = _fresh(u_p3_n10)
+    calls = _count_calls(monkeypatch, "multiply")
+    ball = certify_ball(u, 3)
+    enclosure_from_ball(u, ball.r_h1, 3, ball.positive)
+    assert len(calls) == 3
+
+
+def test_even_p_negative_part_bound_built_once(monkeypatch):
+    """For even p the defect, the inverse bound and the positiveness audit
+    all use sup u_-; the boundary factorisation behind it runs once."""
+    u = newton_solve(SolverConfig(p=2, N=6), initial_guess(2, SQ))
+    calls = _count_calls(monkeypatch, "factor_boundary")
+    defect_bounds(u, 2)
+    inverse_bound(u, 2)
+    positiveness_certificate(u, Interval(0.0, 1e-3), 2)
+    assert len(calls) == 1

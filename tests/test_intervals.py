@@ -127,7 +127,8 @@ def test_containment_arith(a_lo, a_w, b_lo, b_w, op, ta, tb):
 def test_containment_div(a_lo, a_w, b_lo, b_w, ta, tb):
     b = _iv(b_lo, b_w)
     if b.lo <= 0.0 <= b.hi or abs(b).mig() < 1e-3:
-        b = Interval(abs(b.lo) + 1.0, abs(b.hi) + 2.0)
+        # shift away from 0; mig <= mag keeps the replacement well-formed
+        b = Interval(b.mig() + 1.0, b.mag() + 2.0)
     a = _iv(a_lo, a_w)
     xa = Fraction(a.lo) + Fraction(ta) * (Fraction(a.hi) - Fraction(a.lo))
     xb = Fraction(b.lo) + Fraction(tb) * (Fraction(b.hi) - Fraction(b.lo))

@@ -119,6 +119,28 @@ def test_values_on_grid_matches_eval():
             assert grid.lo[i, j] <= pt.hi and pt.lo <= grid.hi[i, j]
 
 
+# -- interval-array radii ----------------------------------------------------------
+
+
+def test_thin_array_has_zero_radius():
+    a = IArray(np.array([[1.0, -3.5e-300], [0.0, 7.25e12]]))
+    assert np.all(a.rad() == 0.0)
+
+
+def test_radius_encloses_array(rng):
+    from fractions import Fraction
+
+    lo = rng.normal(size=(6, 7)) * 10.0 ** rng.integers(-20, 20, size=(6, 7))
+    hi = lo + np.abs(lo) * rng.uniform(0.0, 1e-10, size=lo.shape)
+    hi[0, 0] = lo[0, 0]  # one thin entry among thick ones
+    a = IArray(lo, hi)
+    mid, rad = a.mid(), a.rad()
+    for m, r, lo_, hi_ in zip(mid.ravel(), rad.ravel(), lo.ravel(), hi.ravel()):
+        m, r = Fraction(float(m)), Fraction(float(r))
+        assert m - r <= Fraction(float(lo_)) and Fraction(float(hi_)) <= m + r
+    assert rad[0, 0] == 0.0 and np.all(rad.ravel()[1:] > 0.0)
+
+
 # -- exact powers -----------------------------------------------------------------
 
 
@@ -243,6 +265,11 @@ def test_negative_part_sup_detects_sign_change():
     # the bound goes through the boundary-factored profile 4 cos cos, so it
     # is a valid but conservative upper bound: 1 <= sup u_- <= bound <= ~4.1
     assert 1.0 - 1e-9 <= hint.neg_sup <= 4.5
+
+
+def test_negative_part_sup_rejects_cosine_series():
+    with pytest.raises(DomainError):
+        negative_part_sup(power_expand(_one_mode(), 2))
 
 
 # -- boundary factorization --------------------------------------------------------
