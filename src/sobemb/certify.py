@@ -37,7 +37,7 @@ from .series import (
     SIN,
     DomainRect,
     Series2D,
-    l2_inner,
+    _axis_overlap,
     negative_part_sup,
     power_expand,
 )
@@ -53,9 +53,11 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     """(delta_hminus1, delta_l2) bounding the defect Lap u + |u|^{p-1} u.
 
     Odd p: the defect is an exact finite sine series, measured coefficient-
-    wise.  Even p: u^p is a cosine-parity series; the L2 norm is integrated
-    exactly and |u|^{p-1}u - u^p is absorbed via the negative-part bound;
-    H^-1 is then bounded by L2/sqrt(lambda_1).
+    wise.  Even p: u^p is a cosine-parity series, so f = Lap u + u^p has an
+    infinite sine expansion.  ||f||_L2 is integrated exactly; ||f||_H^-1 is
+    exact on the sine modes up to M, the length of u^p, and the rest of f
+    lies above lambda_tail(M) with L2 mass ||f||^2 - ||P_M f||^2.
+    |u|^{p-1}u - u^p is absorbed in both norms via the negative-part bound.
     """
     if p not in (2, 3, 4, 5):
         raise ValueError(f"exponent p must be in 2..5, got {p}")
@@ -63,11 +65,11 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     quarter = dom.measure() * Interval(0.25)
     v = power_expand(u, p)
     lam_u = dom.lambda_grid(u.modes_x(), u.modes_y())
+    sx, sy = u.coeffs.shape
 
     if p % 2 == 1:
         nx, ny = v.coeffs.shape
         d = IArray.zeros((nx, ny))
-        sx, sy = u.coeffs.shape
         d[:sx, :sy] = u.coeffs * lam_u
         d = v.coeffs - d
         lam_big = dom.lambda_grid(v.modes_x(), v.modes_y())
@@ -76,17 +78,29 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
         hm1 = iv_sqrt(_nonneg(isum(d2 / lam_big)) * quarter)
         return hm1, l2
 
-    lap = Series2D(dom, -(u.coeffs * lam_u), SIN, SIN)
-    sq = (
-        _nonneg(isum(lap.coeffs.square()) * quarter)
-        + Interval(2.0) * l2_inner(lap, v)
+    # P_M f has the sine coefficients s = (4/|Omega|) Wx v Wy^T plus lap
+    lap = -(u.coeffs * lam_u)
+    m = v.coeffs.shape[0]
+    wx = _axis_overlap(SIN, m, COS, v.coeffs.shape[0], dom.L1)
+    wy = _axis_overlap(SIN, m, COS, v.coeffs.shape[1], dom.L2)
+    s = imatmul(imatmul(wx, v.coeffs), wy.T) * IArray._coerce(
+        Interval(4.0) / dom.measure())
+    sq = _nonneg(
+        _nonneg(isum(lap.square()) * quarter)
+        + Interval(2.0) * isum(lap * s[:sx, :sy]) * quarter
         + _nonneg(isum(v.coeffs.square() * _l2_weight_grid(v)))
     )
-    l2 = iv_sqrt(_nonneg(sq))
     eta = negative_part_sup(u).neg_sup
     slack = Interval(2.0) * iv_pow_int(Interval(eta), p) * iv_sqrt(dom.measure())
-    l2 = Interval(l2.lo, (l2 + slack).hi)
-    hm1 = l2 / iv_sqrt(dom.lambda1())
+    l2 = iv_sqrt(sq) + slack
+
+    s[:sx, :sy] = s[:sx, :sy] + lap
+    s2 = s.square()
+    modes = np.arange(1, m + 1)
+    head_l2 = _nonneg(isum(s2) * quarter)
+    head_hm1 = _nonneg(isum(s2 / dom.lambda_grid(modes, modes)) * quarter)
+    tail = _nonneg(Interval(sq.hi) - Interval(head_l2.lo)) / _tail_lambda(dom, m)
+    hm1 = iv_sqrt(head_hm1 + tail) + slack / iv_sqrt(dom.lambda1())
     return Interval(0.0, hm1.hi), Interval(0.0, l2.hi)
 
 
@@ -179,23 +193,20 @@ def _triple_overlap(L: float, mi: np.ndarray, mk: np.ndarray,
 
 
 def _sin_potential_matrix(w: IArray, dom: DomainRect,
-                          rows_x, cols_x, rows_y, cols_y) -> IArray:
-    """Mode-basis matrix of a sine-parity potential between two mode sets."""
-    ma_x = np.arange(1, w.shape[0] + 1)
-    ma_y = np.arange(1, w.shape[1] + 1)
-    px = _triple_overlap(dom.L1, rows_x, cols_x, ma_x)
-    py = _triple_overlap(dom.L2, rows_y, cols_y, ma_y)
+                          mx: np.ndarray, my: np.ndarray) -> IArray:
+    """Mode-basis matrix of a sine-parity potential on given sine modes."""
+    px = _triple_overlap(dom.L1, mx, mx, np.arange(1, w.shape[0] + 1))
+    py = _triple_overlap(dom.L2, my, my, np.arange(1, w.shape[1] + 1))
     t = imatmul(imatmul(px, w), py.T)  # ((i,k),(j,l))
-    t = t.reshape(len(rows_x), len(cols_x), len(rows_y), len(cols_y))
+    a, b = len(mx), len(my)
+    t = t.reshape(a, a, b, b)
     t = IArray(
         np.ascontiguousarray(t.lo.transpose(0, 2, 1, 3)),
         np.ascontiguousarray(t.hi.transpose(0, 2, 1, 3)),
         _unsafe=True,
     )
-    n_row = len(rows_x) * len(rows_y)
-    n_col = len(cols_x) * len(cols_y)
     scale = Interval(4.0) / dom.measure()
-    return t.reshape(n_row, n_col) * IArray._coerce(scale)
+    return t.reshape(a * b, a * b) * IArray._coerce(scale)
 
 
 def _b_matrix(m2: IArray, lam_flat: IArray) -> SymMatrix:
@@ -208,8 +219,13 @@ def _b_matrix(m2: IArray, lam_flat: IArray) -> SymMatrix:
 def _inverse_blocks(u: Series2D, p: int, nprime: int):
     """Yield preconditioned blocks B = I - Lam^{-1/2} M Lam^{-1/2}.
 
-    When the potential's parity structure permits (solution supported on
-    odd-odd modes), the finite section decouples into parity blocks.
+    The potential p u^{p-1} is a cosine series for odd p and a sine series
+    for even p.  Per dimension, the integral of cos(a) sin(i) sin(k)
+    vanishes unless a + i + k is even, that of sin(a) sin(i) sin(k) unless
+    it is odd.  A potential with only even cosine or only odd sine modes
+    (its entries at even array indices, all an odd-odd solution gives)
+    thus couples only modes of equal parity, and the finite section splits
+    into the four parity blocks.
     """
     dom = u.domain
     w = power_expand(u, p - 1)
@@ -218,53 +234,25 @@ def _inverse_blocks(u: Series2D, p: int, nprime: int):
     odd = np.arange(1, nprime + 1, 2)
     even = np.arange(2, nprime + 1, 2)
 
-    def lam_flat(mx, my):
-        return dom.lambda_grid(mx, my).reshape(-1)
-
     if w.parity_x == COS:  # odd p: even-power potential
-        cos_modes = np.arange(0, wc.shape[0])
-        has_odd = bool(
-            np.any(wc.mag()[cos_modes % 2 == 1, :] > 0)
-            or np.any(wc.mag()[:, np.arange(wc.shape[1]) % 2 == 1] > 0)
-        )
-        groups = (
-            [(all_modes, all_modes)]
-            if has_odd
-            else [(odd, odd), (odd, even), (even, odd), (even, even)]
-        )
-        for mx, my in groups:
-            if len(mx) == 0 or len(my) == 0:
-                continue
-            m2 = _cos_potential_matrix(wc, mx, my)
-            yield _b_matrix(m2, lam_flat(mx, my))
-        return
+        def potential(mx, my):
+            return _cos_potential_matrix(wc, mx, my)
+    else:  # even p: odd-power potential
+        def potential(mx, my):
+            return _sin_potential_matrix(wc, dom, mx, my)
 
-    # even p: odd-power sine potential
-    sin_modes = np.arange(1, wc.shape[0] + 1)
-    has_even = bool(
-        np.any(wc.mag()[sin_modes % 2 == 0, :] > 0)
-        or np.any(wc.mag()[:, np.arange(1, wc.shape[1] + 1) % 2 == 0] > 0)
+    mag = wc.mag()
+    mixes_parity = bool(np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0))
+    groups = (
+        [(all_modes, all_modes)]
+        if mixes_parity
+        else [(odd, odd), (odd, even), (even, odd), (even, even)]
     )
-    if has_even or len(even) == 0:
-        m2 = _sin_potential_matrix(wc, dom, all_modes, all_modes,
-                                   all_modes, all_modes)
-        yield _b_matrix(m2, lam_flat(all_modes, all_modes))
-        return
-    # potential flips parity in both dimensions: two invariant subspaces
-    for rx, ry, cx, cy in (
-        (odd, odd, even, even),
-        (odd, even, even, odd),
-    ):
-        cross = _sin_potential_matrix(wc, dom, rx, cx, ry, cy)
-        n1 = len(rx) * len(ry)
-        n2 = len(cx) * len(cy)
-        big = IArray.zeros((n1 + n2, n1 + n2))
-        big[:n1, n1:] = cross
-        big[n1:, :n1] = cross.T
-        lam = IArray.zeros((n1 + n2,))
-        lam[:n1] = lam_flat(rx, ry)
-        lam[n1:] = lam_flat(cx, cy)
-        yield _b_matrix(big, lam)
+    for mx, my in groups:
+        if len(mx) == 0 or len(my) == 0:
+            continue
+        lam = dom.lambda_grid(mx, my).reshape(-1)
+        yield _b_matrix(potential(mx, my), lam)
 
 
 def _tail_lambda(dom: DomainRect, nprime: int) -> Interval:
@@ -294,7 +282,8 @@ def default_split_order(u: Series2D, p: int) -> int:
 def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
     """K >= norm of (-Lap - p|u|^{p-1})^{-1} as an operator H^-1 -> H^1_0.
 
-    Combines (i) eigenvalue enclosures of the preconditioned finite block,
+    Combines (i) eigenvalue enclosures of the preconditioned finite section,
+    one parity block at a time where the potential allows the split,
     (ii) the tail bound 1 - Wbar/lambda_tail, and (iii) an off-diagonal
     coupling correction.  The potential has trigonometric degree (p-1)*N per
     dimension, so only finite modes with a component above nprime - (p-1)*N

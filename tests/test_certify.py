@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dstn
 
 from sobemb.certify import (
     KantorovichData,
+    _b_matrix,
+    _inverse_blocks,
+    _sin_potential_matrix,
     certify_ball,
     default_split_order,
     defect_bounds,
@@ -22,6 +26,7 @@ from sobemb import series
 from sobemb.bounds import corollary_bound, enclosure_from_ball
 from sobemb.errors import ConditionFailure, GapFailure
 from sobemb.intervals import Interval
+from sobemb.ivarray import IArray
 from sobemb.series import DomainRect, SineSeries2D, multiply, power_expand
 from sobemb.solver import SolverConfig, initial_guess, newton_solve
 
@@ -81,6 +86,46 @@ def test_inverse_bound_necessary_condition(u_p3_n20, ball_p3_n20):
         assert hm1 * k_hi >= vnorm * (1.0 - 1e-9)
 
 
+def _solve(p, n):
+    return newton_solve(SolverConfig(p=p, N=n), initial_guess(p, SQ))
+
+
+def _block_spectrum(u, p, nprime):
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(b.entries.mid()) for b in _inverse_blocks(u, p, nprime)
+    ]))
+
+
+@pytest.mark.parametrize("p, n", [(2, 16), (4, 14)])
+def test_even_p_blocks_hold_the_morse_direction(p, n):
+    """-Lap u = u^p makes the potential p u^{p-1} act on u as p Lap, so
+    x = Lam^{1/2} u satisfies B x = (1 - p) x up to the defect: some parity
+    block has an eigenvalue at 1 - p, and K bounds the inverse on it."""
+    u = _solve(p, n)
+    nprime = default_split_order(u, p)
+    eigs = _block_spectrum(u, p, nprime)
+    assert np.min(np.abs(eigs - (1 - p))) < 1e-6
+    k = inverse_bound(u, p, nprime)
+    assert k.hi * np.min(np.abs(eigs)) >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_even_p_blocks_split_the_unsplit_spectrum(p):
+    """The four parity blocks carry every eigenvalue of the all-modes block."""
+    u = _solve(p, 6)
+    nprime = 16
+    wc = power_expand(u, p - 1).coeffs * IArray._coerce(Interval(float(p)))
+    modes = np.arange(1, nprime + 1)
+    whole = _b_matrix(_sin_potential_matrix(wc, SQ, modes, modes),
+                      SQ.lambda_grid(modes, modes).reshape(-1))
+    assert len(list(_inverse_blocks(u, p, nprime))) == 4
+    np.testing.assert_allclose(
+        _block_spectrum(u, p, nprime),
+        np.linalg.eigvalsh(whole.entries.mid()),
+        atol=1e-12,
+    )
+
+
 # -- defect bounds ------------------------------------------------------------------
 
 
@@ -107,6 +152,31 @@ def test_defect_even_power_nonnegative(u_p3_n10):
     assert 0.0 <= hm1.lo <= hm1.hi
     assert 0.0 <= l2.lo <= l2.hi
     assert hm1.hi <= l2.hi / math.sqrt(2.0) / math.pi * (1.0 + 1e-12)
+
+
+def _dst_hm1_estimate(u, p, n=2048):
+    """Floating ||Lap u + |u|^{p-1} u||_{H^-1} on the unit square from the
+    DST-I of its samples on the interior points of the n x n grid."""
+    c = u.coeffs.mid()
+    modes = np.arange(1, c.shape[0] + 1)
+    lam = math.pi ** 2 * (modes[:, None] ** 2 + modes[None, :] ** 2)
+    s = np.sin(math.pi * np.arange(1, n)[:, None] * modes[None, :] / n)
+    vals = s @ c @ s.T
+    f = s @ (-lam * c) @ s.T + np.abs(vals) ** (p - 1) * vals
+    coef = dstn(f, type=1) / float(n * n)
+    m = np.arange(1, n)
+    lam_all = math.pi ** 2 * (m[:, None] ** 2 + m[None, :] ** 2)
+    return math.sqrt(0.25 * np.sum(coef * coef / lam_all))
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_defect_even_p_hm1_between_estimate_and_l2_route(p):
+    """The H^-1 bound is never above ||defect||_L2 / sqrt(lambda_1), which
+    bounds every H^-1 norm, and never below a fine-grid estimate of it."""
+    u = _solve(p, 12)
+    hm1, l2 = defect_bounds(u, p)
+    assert hm1.hi <= l2.hi / math.sqrt(SQ.lambda1().lo)
+    assert hm1.hi >= _dst_hm1_estimate(u, p)
 
 
 def test_defect_rejects_bad_exponent():
