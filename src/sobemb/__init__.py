@@ -3,7 +3,7 @@ H^1_0 -> L^p on axis-aligned rectangles.
 
 Layers:
   intervals / ivarray / symeig   outward-rounded validated arithmetic
-  series / quadrature            rigorous calculus for double trig series
+  series                         rigorous calculus for double trig series
   solver                         non-rigorous spectral Galerkin-Newton
   certify                        Newton-Kantorovich + positiveness proofs
   bounds                         closed-form constants and the enclosure
@@ -36,7 +36,6 @@ from .ivarray import IArray
 from .pipeline import RunConfig, RunReport, classical_table, emit_plot_data, run_pipeline
 from .series import (
     DomainRect,
-    PositivityHint,
     Series2D,
     SineSeries2D,
     lp_norm,
@@ -62,7 +61,7 @@ __all__ = [
     "SobembError", "Interval", "iv_arith", "iv_elem", "iv_gamma", "iv_pi",
     "IArray", "RunConfig", "RunReport", "classical_table", "emit_plot_data",
     "run_pipeline",
-    "DomainRect", "PositivityHint", "Series2D", "SineSeries2D", "lp_norm",
+    "DomainRect", "Series2D", "SineSeries2D", "lp_norm",
     "power_expand",
     "SolverConfig", "galerkin_jacobian", "galerkin_residual", "initial_guess",
     "newton_solve", "SymMatrix", "iv_sym_eig_min",

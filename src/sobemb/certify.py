@@ -90,7 +90,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
         + Interval(2.0) * isum(lap * s[:sx, :sy]) * quarter
         + _nonneg(isum(v.coeffs.square() * _l2_weight_grid(v)))
     )
-    eta = negative_part_sup(u).neg_sup
+    eta = negative_part_sup(u)
     slack = Interval(2.0) * iv_pow_int(Interval(eta), p) * iv_sqrt(dom.measure())
     l2 = iv_sqrt(sq) + slack
 
@@ -122,82 +122,22 @@ def _inv_sqrt_arr(lam: IArray) -> IArray:
     return IArray(np.ones(lam.shape)) / s
 
 
-def _lookup(c: IArray, ix, iy) -> IArray:
-    """Gather c[ix, iy] treating out-of-range mode indices as zero."""
-    bx, by = np.broadcast_arrays(ix, iy)
-    nx, ny = c.shape
-    valid = (bx < nx) & (by < ny)
-    cx = np.minimum(bx, nx - 1)
-    cy = np.minimum(by, ny - 1)
-    lo = np.where(valid, c.lo[cx, cy], 0.0)
-    hi = np.where(valid, c.hi[cx, cy], 0.0)
-    return IArray(lo, hi, _unsafe=True)
+def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray) -> IArray:
+    """X[(i,k), a] = int_0^L b_a sin_i sin_k over one side, for the first n
+    basis functions b_a of the given parity, by sin i sin k = (cos|i-k| -
+    cos(i+k))/2 and the exact cosine overlaps of b_a."""
+    w = _axis_overlap(COS, 2 * int(modes.max()) + 1, parity, n, L)
+    x = w[np.abs(modes[:, None] - modes[None, :])] - w[modes[:, None] + modes[None, :]]
+    return (x * IArray._coerce(Interval(0.5))).reshape(len(modes) ** 2, n)
 
 
-def _cos_potential_matrix(c: IArray, mx: np.ndarray, my: np.ndarray) -> IArray:
-    """Mode-basis matrix of a cosine-parity potential on given sine modes.
-
-    M[(i,j),(k,l)] = (4/|Omega|) int W phi_ij phi_kl for W with cosine
-    coefficients c (mode = array index), using
-    sin i sin k = (cos|i-k| - cos(i+k))/2 per dimension.
-    """
-    a, b = len(mx), len(my)
-    dx = np.abs(mx[:, None] - mx[None, :])
-    sx = mx[:, None] + mx[None, :]
-    ex = 1.0 + (dx == 0)
-    dy = np.abs(my[:, None] - my[None, :])
-    sy = my[:, None] + my[None, :]
-    ey = 1.0 + (dy == 0)
-
-    def br_x(m):
-        return m[:, None, :, None]
-
-    def br_y(m):
-        return m[None, :, None, :]
-
-    t_dd = _lookup(c, br_x(dx), br_y(dy))
-    t_ds = _lookup(c, br_x(dx), br_y(sy))
-    t_sd = _lookup(c, br_x(sx), br_y(dy))
-    t_ss = _lookup(c, br_x(sx), br_y(sy))
-    m4 = (
-        t_dd * (0.25 * br_x(ex) * br_y(ey))
-        - t_ds * (0.25 * br_x(ex) * np.ones((1, b, 1, b)))
-        - t_sd * (0.25 * np.ones((a, 1, a, 1)) * br_y(ey))
-        + t_ss * 0.25
-    )
-    return m4.reshape(a * b, a * b)
-
-
-def _triple_overlap(L: float, mi: np.ndarray, mk: np.ndarray,
-                    ma: np.ndarray) -> IArray:
-    """X[(i,k), a] = (2/L) * L/2 ... the raw integral
-    int_0^L sin(a pi x/L) sin(i pi x/L) sin(k pi x/L) dx,
-    nonzero iff a+i+k is odd, via int sin a cos b = 2La/(pi(a^2-b^2))."""
-
-    def part(b):
-        aa = ma[None, None, :].astype(np.float64)
-        bb = b[:, :, None].astype(np.float64)
-        odd = (ma[None, None, :] + b[:, :, None]) % 2 == 1
-        denom = aa * aa - bb * bb
-        denom = np.where(odd, denom, 1.0)
-        num = IArray(np.where(odd, 2.0 * aa, 0.0)) * IArray._coerce(Interval(L))
-        val = num / IArray(denom) / IArray._coerce(PI)
-        val.lo[~odd] = 0.0
-        val.hi[~odd] = 0.0
-        return val
-
-    b1 = np.abs(mi[:, None] - mk[None, :])
-    b2 = mi[:, None] + mk[None, :]
-    x = (part(b1) - part(b2)) * IArray._coerce(Interval(0.5))
-    return x.reshape(len(mi) * len(mk), len(ma))
-
-
-def _sin_potential_matrix(w: IArray, dom: DomainRect,
-                          mx: np.ndarray, my: np.ndarray) -> IArray:
-    """Mode-basis matrix of a sine-parity potential on given sine modes."""
-    px = _triple_overlap(dom.L1, mx, mx, np.arange(1, w.shape[0] + 1))
-    py = _triple_overlap(dom.L2, my, my, np.arange(1, w.shape[1] + 1))
-    t = imatmul(imatmul(px, w), py.T)  # ((i,k),(j,l))
+def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> IArray:
+    """Mode-basis matrix M[(i,j),(k,l)] = (4/|Omega|) int W phi_ij phi_kl of
+    the potential W = w on the sine modes mx x my, as X w Y^T per axis."""
+    dom = w.domain
+    px = _triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)
+    py = _triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)
+    t = imatmul(imatmul(px, w.coeffs), py.T)  # ((i,k),(j,l))
     a, b = len(mx), len(my)
     t = t.reshape(a, a, b, b)
     t = IArray(
@@ -219,29 +159,22 @@ def _b_matrix(m2: IArray, lam_flat: IArray) -> SymMatrix:
 def _inverse_blocks(u: Series2D, p: int, nprime: int):
     """Yield preconditioned blocks B = I - Lam^{-1/2} M Lam^{-1/2}.
 
-    The potential p u^{p-1} is a cosine series for odd p and a sine series
-    for even p.  Per dimension, the integral of cos(a) sin(i) sin(k)
-    vanishes unless a + i + k is even, that of sin(a) sin(i) sin(k) unless
-    it is odd.  A potential with only even cosine or only odd sine modes
-    (its entries at even array indices, all an odd-odd solution gives)
+    M is the Galerkin matrix of the potential p u^{p-1}, a cosine series for
+    odd p and a sine series for even p, built the same way for both
+    (`_potential_matrix`).  Per dimension, the integral of cos(a) sin(i)
+    sin(k) vanishes unless a + i + k is even, that of sin(a) sin(i) sin(k)
+    unless it is odd.  A potential with only even cosine or only odd sine
+    modes (its entries at even array indices, all an odd-odd solution gives)
     thus couples only modes of equal parity, and the finite section splits
     into the four parity blocks.
     """
     dom = u.domain
-    w = power_expand(u, p - 1)
-    wc = w.coeffs * IArray._coerce(Interval(float(p)))
+    w = power_expand(u, p - 1).scale(Interval(float(p)))
     all_modes = np.arange(1, nprime + 1)
     odd = np.arange(1, nprime + 1, 2)
     even = np.arange(2, nprime + 1, 2)
 
-    if w.parity_x == COS:  # odd p: even-power potential
-        def potential(mx, my):
-            return _cos_potential_matrix(wc, mx, my)
-    else:  # even p: odd-power potential
-        def potential(mx, my):
-            return _sin_potential_matrix(wc, dom, mx, my)
-
-    mag = wc.mag()
+    mag = w.coeffs.mag()
     mixes_parity = bool(np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0))
     groups = (
         [(all_modes, all_modes)]
@@ -252,7 +185,7 @@ def _inverse_blocks(u: Series2D, p: int, nprime: int):
         if len(mx) == 0 or len(my) == 0:
             continue
         lam = dom.lambda_grid(mx, my).reshape(-1)
-        yield _b_matrix(potential(mx, my), lam)
+        yield _b_matrix(_potential_matrix(w, mx, my), lam)
 
 
 def _tail_lambda(dom: DomainRect, nprime: int) -> Interval:
@@ -282,8 +215,10 @@ def default_split_order(u: Series2D, p: int) -> int:
 def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
     """K >= norm of (-Lap - p|u|^{p-1})^{-1} as an operator H^-1 -> H^1_0.
 
-    Combines (i) eigenvalue enclosures of the preconditioned finite section,
-    one parity block at a time where the potential allows the split,
+    Combines (i) eigenvalue enclosures of the preconditioned finite section
+    (the potential's Galerkin matrix from exact one-dimensional overlaps,
+    the same for either parity), one parity block at a time where the
+    potential allows the split,
     (ii) the tail bound 1 - Wbar/lambda_tail, and (iii) an off-diagonal
     coupling correction.  The potential has trigonometric degree (p-1)*N per
     dimension, so only finite modes with a component above nprime - (p-1)*N
@@ -318,7 +253,7 @@ def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
     coupling = (wbar / iv_sqrt(lam_tail * lam_cut)).hi
     eps_pert = 0.0
     if p % 2 == 0:
-        eta = negative_part_sup(u).neg_sup
+        eta = negative_part_sup(u)
         eps_pert = (
             Interval(2.0 * p)
             * iv_pow_int(Interval(eta), p - 1)
@@ -417,7 +352,7 @@ def linf_embedding_constant(domain: DomainRect, box: int = 400) -> Interval:
     return iv_sqrt(c2)
 
 
-def linf_radius(u: Series2D, p: int, r_h1: Interval, domain=None,
+def linf_radius(u: Series2D, p: int, r_h1: Interval,
                 delta_l2: Interval | None = None, rho_max: float = 1e3,
                 iterations: int = 60) -> Interval:
     """r_inf >= L-infinity distance of the true solution from u.
@@ -428,7 +363,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval, domain=None,
     embedding constants, no sup norm) seeds rho; the monotone map is then
     iterated downward, every iterate being a valid bound.
     """
-    dom = domain if domain is not None else u.domain
+    dom = u.domain
     if delta_l2 is None:
         _, delta_l2 = defect_bounds(u, p)
     c_inf = linf_embedding_constant(dom)
@@ -493,14 +428,13 @@ class PositivenessAudit:
     reason: str
 
 
-def positiveness_certificate(u: Series2D, r_inf: Interval, p: int,
-                             domain: DomainRect | None = None) -> PositivenessAudit:
+def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> PositivenessAudit:
     """Verify the hypotheses forcing positivity of the true solution.
 
     (a) some point x0 with u(x0) - r_inf > 0 rigorously, and
     (b) (r_inf + sup u_-)^{p-1} < lambda_1 rigorously and strictly.
     """
-    dom = domain if domain is not None else u.domain
+    dom = u.domain
     lam1_lo = dom.lambda1().lo
 
     fracs = np.array([0.5, 0.25, 0.75])
@@ -513,7 +447,7 @@ def positiveness_certificate(u: Series2D, r_inf: Interval, p: int,
     best_lo = float(vals_lo[k])
     point_ok = best_margin > 0.0
 
-    eta = negative_part_sup(u).neg_sup
+    eta = negative_part_sup(u)
     neg_power = iv_pow_int(Interval(r_inf.hi) + Interval(eta), p - 1).hi
     spectral_margin = (Interval(lam1_lo) - Interval(neg_power)).lo
     spectral_ok = neg_power < lam1_lo
@@ -621,8 +555,8 @@ def certify_ball(u: Series2D, p: int, nprime: int | None = None,
     else:
         raise ConditionFailure("no trial radius R with certified r <= R found")
 
-    r_inf = linf_radius(u, p, r_h1, u.domain, delta_l2=d_l2, rho_max=rho_max)
-    audit = positiveness_certificate(u, r_inf, p, u.domain)
+    r_inf = linf_radius(u, p, r_h1, delta_l2=d_l2, rho_max=rho_max)
+    audit = positiveness_certificate(u, r_inf, p)
     return CertifiedBall(
         center=u,
         r_h1=r_h1,

@@ -25,10 +25,6 @@ class CapacityError(SobembError):
     """A series expansion would exceed the configured maximum order."""
 
 
-class QuadratureError(SobembError):
-    """Requested quadrature accuracy unattainable at the cell budget."""
-
-
 class NoConvergence(SobembError):
     """Newton iteration did not reach the residual tolerance."""
 

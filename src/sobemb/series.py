@@ -27,7 +27,7 @@ import numpy as np
 from scipy.signal import convolve2d
 
 from .errors import CapacityError, DomainError
-from .intervals import PI, PI_HALF, Interval, iv_sin, iv_sqrt
+from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
 from .ivarray import IArray, _dn, _up, _gamma_fac, imatmul, isum, sin_points
 
 MAX_EXPANSION_ORDER = 1024
@@ -537,14 +537,14 @@ def multiply(u: Series2D, v: Series2D) -> Series2D:
 
 
 def power_expand(u: Series2D, p: int) -> Series2D:
-    """Exact expansion of u^p (integer 1 <= p <= 5, sine/sine input).
+    """Exact expansion of u^p (integer 1 <= p <= 6, sine/sine input).
 
     The result is kept on u and shared with every later expansion of u.
     """
     if not u.is_sine:
         raise DomainError("power_expand expects a sine/sine series")
-    if not 1 <= p <= 5:
-        raise DomainError(f"power_expand supports p in 1..5, got {p}")
+    if not 1 <= p <= 6:
+        raise DomainError(f"power_expand supports p in 1..6, got {p}")
     if p * u.N > MAX_EXPANSION_ORDER:
         raise CapacityError(
             f"expansion order {p * u.N} exceeds maximum {MAX_EXPANSION_ORDER}"
@@ -552,8 +552,9 @@ def power_expand(u: Series2D, p: int) -> Series2D:
     return _power(u, p)
 
 
-# u^k = u^a * u^b: the chain u^2, u^3 = u^2 u, u^4 = u^2 u^2, u^5 = u^4 u
-_POWER_SPLIT = {2: (1, 1), 3: (2, 1), 4: (2, 2), 5: (4, 1)}
+# u^k = u^a * u^b: the chain u^2, u^3 = u^2 u, u^4 = u^2 u^2, u^5 = u^4 u,
+# u^6 = u^4 u^2
+_POWER_SPLIT = {2: (1, 1), 3: (2, 1), 4: (2, 2), 5: (4, 1), 6: (4, 2)}
 
 
 def _power(u: Series2D, k: int) -> Series2D:
@@ -567,7 +568,7 @@ def _power(u: Series2D, k: int) -> Series2D:
     return v
 
 
-# -- cross-parity L2 inner products --------------------------------------------------
+# -- one-dimensional overlaps ------------------------------------------------------
 
 
 def _axis_overlap(pa: str, na: int, pb: str, nb: int, L: float) -> IArray:
@@ -594,22 +595,12 @@ def _axis_overlap(pa: str, na: int, pb: str, nb: int, L: float) -> IArray:
     parity_odd = ((m + k) % 2) == 1
     denom = m * m - k * k
     denom_safe = np.where(denom == 0.0, 1.0, denom)
-    num = IArray(np.where(parity_odd, 2.0 * m * L, 0.0))
+    # 2m is exact; the product 2mL is not for a non-dyadic side, so round it
+    num = IArray(np.where(parity_odd, 2.0 * m, 0.0)) * IArray._coerce(Interval(L))
     val = num / IArray(denom_safe) / IArray._coerce(PI)
     val.lo[~parity_odd] = 0.0
     val.hi[~parity_odd] = 0.0
     return val
-
-
-@dataclass(frozen=True)
-class PositivityHint:
-    """Certified bound neg_sup >= sup of the negative part of u."""
-
-    neg_sup: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.neg_sup) and self.neg_sup >= 0.0):
-            raise DomainError("neg_sup must be finite and nonnegative")
 
 
 def _dirichlet_kernel_matrix(n: int) -> np.ndarray:
@@ -644,7 +635,7 @@ def factor_boundary(u: Series2D) -> Series2D:
     return Series2D(u.domain, c, COS, COS)
 
 
-def negative_part_sup(u: Series2D) -> PositivityHint:
+def negative_part_sup(u: Series2D) -> float:
     """Rigorous upper bound on sup u_- of a sine/sine series, kept on u.
 
     A grid infimum bound applied to u itself cannot beat grad_sup * cell size
@@ -653,17 +644,15 @@ def negative_part_sup(u: Series2D) -> PositivityHint:
     """
     if not u.is_sine:
         raise DomainError("negative_part_sup expects a sine/sine series")
-    hint = u._facts.get("neg_sup")
-    if hint is None:
+    eta = u._facts.get("neg_sup")
+    if eta is None:
         inf_w = factor_boundary(u).inf_enclosure(128)
-        hint = u._facts["neg_sup"] = PositivityHint(max(0.0, -inf_w.lo))
-    return hint
+        eta = u._facts["neg_sup"] = max(0.0, -inf_w.lo)
+    return eta
 
 
 def _iv_root(x: Interval, q: float) -> Interval:
     """Enclosure of x^(1/q) for x >= 0 (lo clamped at 0)."""
-    from .intervals import iv_pow_real
-
     if x.hi <= 0.0:
         return Interval(0.0)
     hi = iv_pow_real(Interval(x.hi), Interval(1.0) / Interval(q)).hi
@@ -674,40 +663,22 @@ def _iv_root(x: Interval, q: float) -> Interval:
 
 
 def lp_norm(u: Series2D, q: float) -> Interval:
-    """Enclosure of the L^q norm of u.
+    """Enclosure of the L^q norm of a sine/sine series, integer 2 <= q <= 6.
 
-    Even integer q: exact power expansion + term-by-term integration.
-    Odd integer q: exact expansion of u^q, with the |u|^q - u^q discrepancy
-    bounded by 2 * neg_sup^q * |domain| from the negative-part bound.
-    Other q: rigorous midpoint quadrature with a Lipschitz remainder.
+    q = 2: orthogonality.  Other even q: exact power expansion and
+    term-by-term integration.  Odd q: exact expansion of u^q, with the
+    |u|^q - u^q discrepancy bounded by 2 * neg_sup^q * |domain| from the
+    negative-part bound.
     """
-    if not q > 1.0:
-        raise DomainError(f"lp_norm requires q > 1, got {q}")
-    qi = int(round(q))
-    if q == qi and 2 <= qi <= 5 and u.is_sine:
-        if qi == 2:
-            return u.l2_norm()
-        v = power_expand(u, qi)
-        base = v.integral()
-        if qi % 2 == 0:
-            return _iv_root(Interval(max(base.lo, 0.0), base.hi), q)
-        eta = negative_part_sup(u).neg_sup
-        area = u.domain.measure()
-        slack = Interval(2.0) * Interval(eta) ** qi * area
-        total = Interval(max(base.lo, 0.0), (base + slack).hi)
-        return _iv_root(total, q)
-    from .quadrature import integrate_abs_power
-
-    return _iv_root(integrate_abs_power(u, q), q)
-
-
-def l2_inner(u: Series2D, v: Series2D) -> Interval:
-    """Rigorous L2 inner product of two series on the same rectangle."""
-    if u.domain != v.domain:
-        raise DomainError("series domains differ")
-    wx = _axis_overlap(u.parity_x, u.coeffs.shape[0], v.parity_x, v.coeffs.shape[0],
-                       u.domain.L1)
-    wy = _axis_overlap(u.parity_y, u.coeffs.shape[1], v.parity_y, v.coeffs.shape[1],
-                       u.domain.L2)
-    t = imatmul(imatmul(wx.T, u.coeffs), wy)  # (m_v_x, m_v_y) weights
-    return isum(t * v.coeffs)
+    if not u.is_sine or q not in (2, 3, 4, 5, 6):
+        raise DomainError(
+            f"lp_norm requires a sine/sine series and integer q in 2..6, got {q}"
+        )
+    qi = int(q)
+    if qi == 2:
+        return u.l2_norm()
+    base = power_expand(u, qi).integral()
+    if qi % 2 == 0:
+        return _iv_root(Interval(max(base.lo, 0.0), base.hi), q)
+    slack = Interval(2.0) * Interval(negative_part_sup(u)) ** qi * u.domain.measure()
+    return _iv_root(Interval(max(base.lo, 0.0), (base + slack).hi), q)

@@ -3,6 +3,7 @@ bounds, and boundary factorization, validated against closed-form values,
 high-precision mpmath oracles, and dense floating-point sampling."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,8 +20,8 @@ from sobemb.series import (
     DomainRect,
     Series2D,
     SineSeries2D,
+    _axis_overlap,
     factor_boundary,
-    l2_inner,
     lp_norm,
     multiply,
     negative_part_sup,
@@ -177,6 +178,27 @@ def test_l4_norm_single_mode():
     assert n.width() < 1e-12
 
 
+def test_l6_norm_single_mode():
+    # [DERIVED] integral sin^6 over (0,1) = 5/16, so the L6 norm of
+    # a sin sin on the unit square is a (5/16)^{1/3}
+    a = 1.5
+    n = lp_norm(_one_mode(a), 6)
+    with mpmath.workdps(40):
+        want = a * mpmath.cbrt(mpmath.mpf(5) / 16)
+    assert mpmath.mpf(n.lo) <= want <= mpmath.mpf(n.hi)
+    assert n.width() < 1e-12
+
+
+def test_lp_norm_rejects_unsupported_input():
+    """Only integer 2 <= q <= 6 on sine/sine series has an exact route."""
+    u = _seeded_series(3, 5)
+    for q in (2.5, 1, 7, float("nan")):
+        with pytest.raises(DomainError):
+            lp_norm(u, q)
+    with pytest.raises(DomainError):
+        lp_norm(power_expand(u, 2), 4)
+
+
 def test_power_expand_rejects_bad_orders():
     u = _one_mode()
     with pytest.raises(DomainError):
@@ -254,17 +276,16 @@ def test_inf_enclosure_contains_dense_sample_inf():
 
 def test_negative_part_sup_zero_for_positive_series():
     # sin(pi x) sin(pi y) is nonnegative on the unit square
-    hint = negative_part_sup(_one_mode())
-    assert hint.neg_sup == 0.0
+    assert negative_part_sup(_one_mode()) == 0.0
 
 
 def test_negative_part_sup_detects_sign_change():
     c = np.zeros((2, 2))
     c[1, 1] = 1.0  # sin(2 pi x) sin(2 pi y) dips to -1
-    hint = negative_part_sup(SineSeries2D(SQ, c))
+    eta = negative_part_sup(SineSeries2D(SQ, c))
     # the bound goes through the boundary-factored profile 4 cos cos, so it
     # is a valid but conservative upper bound: 1 <= sup u_- <= bound <= ~4.1
-    assert 1.0 - 1e-9 <= hint.neg_sup <= 4.5
+    assert 1.0 - 1e-9 <= eta <= 4.5
 
 
 def test_negative_part_sup_rejects_cosine_series():
@@ -296,33 +317,32 @@ def test_factor_boundary_single_mode_is_constant_one():
     assert np.all(w.coeffs.lo[1:, :] == 0.0) and np.all(w.coeffs.hi[:, 1:][1:] == 0.0)
 
 
-# -- inner products ----------------------------------------------------------------
+# -- one-dimensional overlaps -----------------------------------------------------
 
 
-def test_l2_inner_orthogonality():
-    a = np.zeros((3, 3))
-    a[0, 0] = 1.0
-    b = np.zeros((3, 3))
-    b[1, 2] = 1.0
-    assert l2_inner(SineSeries2D(SQ, a), SineSeries2D(SQ, b)).contains(0.0)
-    same = l2_inner(SineSeries2D(SQ, a), SineSeries2D(SQ, a))
-    assert same.contains(0.25)  # (1/2)*(1/2)
-
-
-def test_l2_inner_matches_norm_squared():
-    u = _seeded_series(4, 17)
-    ip = l2_inner(u, u)
-    n2 = u.l2_norm() * u.l2_norm()
-    assert ip.intersects(n2)
-
-
-def test_l2_inner_cross_parity():
-    # [DERIVED] integral sin(pi x) dx over (0,1) = 2/pi; constant cos mode
-    s = SineSeries2D(SQ, np.array([[1.0]]))
-    c = Series2D(SQ, IArray(np.array([[1.0]])), COS, COS)
-    val = l2_inner(s, c)
-    want = (2.0 / math.pi) ** 2
-    assert val.contains(want)
+def test_axis_overlap_sin_cos_contains_exact_value():
+    """On both non-dyadic sides of the 0.1 x 0.3 rectangle, every sin x cos
+    overlap contains int_0^L sin(m pi x/L) cos(k pi x/L) dx =
+    2mL/(pi(m^2 - k^2)) for odd m + k (else it is 0), evaluated to 60 digits
+    with the exact binary value of L."""
+    dom = DomainRect(0.1, 0.3)
+    n = 9
+    for L in (dom.L1, dom.L2):
+        sc = _axis_overlap(SIN, n, COS, n + 1, L)
+        cs = _axis_overlap(COS, n + 1, SIN, n, L)
+        assert np.array_equal(cs.lo, sc.lo.T) and np.array_equal(cs.hi, sc.hi.T)
+        exact_l = Fraction(L)
+        with mpmath.workdps(60):
+            l_mp = mpmath.mpf(exact_l.numerator) / exact_l.denominator
+            for m in range(1, n + 1):
+                for k in range(0, n + 1):
+                    lo, hi = sc.lo[m - 1, k], sc.hi[m - 1, k]
+                    if (m + k) % 2 == 0:
+                        assert lo == hi == 0.0
+                        continue
+                    want = 2 * m * l_mp / (mpmath.pi * (m * m - k * k))
+                    assert mpmath.mpf(lo) <= want <= mpmath.mpf(hi), (L, m, k)
+                    assert hi - lo < 1e-15
 
 
 # -- serialization -----------------------------------------------------------------
