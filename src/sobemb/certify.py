@@ -26,6 +26,7 @@ import numpy as np
 from .bounds import corollary_bound
 from .errors import (
     ConditionFailure,
+    DomainError,
     FixedPointFailure,
     GapFailure,
     NotInvertible,
@@ -157,31 +158,23 @@ def _b_matrix(m2: IArray, lam_flat: IArray) -> SymMatrix:
 
 
 def _inverse_blocks(u: Series2D, p: int, nprime: int):
-    """Yield preconditioned blocks B = I - Lam^{-1/2} M Lam^{-1/2}.
+    """Yield the four parity blocks of B = I - Lam^{-1/2} M Lam^{-1/2}.
 
     M is the Galerkin matrix of the potential p u^{p-1}, a cosine series for
     odd p and a sine series for even p, built the same way for both
     (`_potential_matrix`).  Per dimension, the integral of cos(a) sin(i)
     sin(k) vanishes unless a + i + k is even, that of sin(a) sin(i) sin(k)
-    unless it is odd.  A potential with only even cosine or only odd sine
-    modes (its entries at even array indices, all an odd-odd solution gives)
-    thus couples only modes of equal parity, and the finite section splits
-    into the four parity blocks.
+    unless it is odd.  An odd-odd center u gives a potential with only even
+    cosine or only odd sine modes (its entries at even array indices), which
+    couples only modes of equal parity, so the finite section on all modes
+    up to nprime splits exactly into the (odd, odd), (odd, even),
+    (even, odd) and (even, even) blocks.
     """
     dom = u.domain
     w = power_expand(u, p - 1).scale(Interval(float(p)))
-    all_modes = np.arange(1, nprime + 1)
     odd = np.arange(1, nprime + 1, 2)
     even = np.arange(2, nprime + 1, 2)
-
-    mag = w.coeffs.mag()
-    mixes_parity = bool(np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0))
-    groups = (
-        [(all_modes, all_modes)]
-        if mixes_parity
-        else [(odd, odd), (odd, even), (even, odd), (even, even)]
-    )
-    for mx, my in groups:
+    for mx, my in [(odd, odd), (odd, even), (even, odd), (even, even)]:
         if len(mx) == 0 or len(my) == 0:
             continue
         lam = dom.lambda_grid(mx, my).reshape(-1)
@@ -217,8 +210,7 @@ def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
 
     Combines (i) eigenvalue enclosures of the preconditioned finite section
     (the potential's Galerkin matrix from exact one-dimensional overlaps,
-    the same for either parity), one parity block at a time where the
-    potential allows the split,
+    the same for either parity), one parity block at a time,
     (ii) the tail bound 1 - Wbar/lambda_tail, and (iii) an off-diagonal
     coupling correction.  The potential has trigonometric degree (p-1)*N per
     dimension, so only finite modes with a component above nprime - (p-1)*N
@@ -227,8 +219,16 @@ def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
     to lambda_1 when the split order is within the potential bandwidth).
     For even p the exactly-expanded potential p*u^{p-1} differs from
     p|u|^{p-1} only on {u < 0}; that perturbation is absorbed via the
-    negative-part bound.
+    negative-part bound.  K bounds the inverse on all modes, not only the
+    odd-odd ones; the parity split needs an odd-odd center, so any other
+    center raises DomainError.
     """
+    mag = u.coeffs.mag()
+    if np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0):
+        raise DomainError(
+            "center has a nonzero even-mode coefficient; the positive "
+            "solution is odd-odd (symmetric about both mid-lines)"
+        )
     dom = u.domain
     wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
     if nprime is None:

@@ -79,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", default=None,
                    help="series JSON produced by 'solve' (otherwise re-solve)")
     s.add_argument("--nprime", type=int, default=None,
-                   help="split order of the inverse bound (default N)")
+                   help="split order of the inverse bound (default: "
+                        "certify.default_split_order, the smallest order "
+                        "with a negligible tail coupling)")
 
     s = sp.add_parser("enclose", help="full pipeline with an N sweep")
     _add_common(s)
@@ -133,17 +135,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_enclose(args) -> int:
-    cfg = RunConfig(p=args.p, domain=args.domain, N=args.N,
-                    out=args.out, format=args.format,
-                    emit_plot_data=args.plot_grid >= 2,
-                    plot_grid=max(args.plot_grid, 2))
-    report = run_pipeline(cfg)
-    text = report.to_json() if cfg.format == "json" else report_csv(report)
+    report = run_pipeline(RunConfig(p=args.p, domain=args.domain, N=args.N))
+    text = report.to_json() if args.format == "json" else report_csv(report)
     _emit(text, args.out)
-    if cfg.emit_plot_data and report.solutions:
+    if args.plot_grid >= 2 and report.solutions:
         best_n = max(report.solutions)
         target = (args.out or "sobemb") + ".plot.csv"
-        emit_plot_data(report.solutions[best_n], cfg.plot_grid, target)
+        emit_plot_data(report.solutions[best_n], args.plot_grid, target)
     if report.fully_certified and report.final is not None:
         return EXIT_OK
     return EXIT_PARTIAL if (report.any_certified or report.final) else EXIT_HARD

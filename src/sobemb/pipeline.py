@@ -40,39 +40,17 @@ class RunConfig:
     p: int
     domain: DomainRect
     N: list = field(default_factory=lambda: [10, 20, 30, 34])
-    newton_tol: float = 1e-13
-    max_iter: int = 50
-    symmetry: bool | None = None
-    nprime: int | None = None
-    rho_max: float = 1e3
-    out: str | None = None
-    format: str = "json"
-    emit_plot_data: bool = False
-    plot_grid: int = 64
 
     def __post_init__(self):
         if isinstance(self.N, int):
             self.N = [self.N]
         self.N = [int(n) for n in self.N]
-        self.newton_tol = float(self.newton_tol)
-        self.rho_max = float(self.rho_max)
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be 'json' or 'csv'")
 
     def to_dict(self) -> dict:
         return {
             "p": self.p,
             "domain": {"L1": self.domain.L1.hex(), "L2": self.domain.L2.hex()},
             "N": self.N,
-            "newton_tol": self.newton_tol.hex(),
-            "max_iter": self.max_iter,
-            "symmetry": self.symmetry,
-            "nprime": self.nprime,
-            "rho_max": self.rho_max.hex(),
-            "out": self.out,
-            "format": self.format,
-            "emit_plot_data": self.emit_plot_data,
-            "plot_grid": self.plot_grid,
         }
 
     @staticmethod
@@ -83,15 +61,6 @@ class RunConfig:
                 float.fromhex(d["domain"]["L1"]), float.fromhex(d["domain"]["L2"])
             ),
             N=d["N"],
-            newton_tol=float.fromhex(d["newton_tol"]),
-            max_iter=d["max_iter"],
-            symmetry=d["symmetry"],
-            nprime=d["nprime"],
-            rho_max=float.fromhex(d["rho_max"]),
-            out=d["out"],
-            format=d["format"],
-            emit_plot_data=d["emit_plot_data"],
-            plot_grid=d["plot_grid"],
         )
 
     def digest(self) -> str:
@@ -224,13 +193,10 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         t0 = time.perf_counter()
         row = RunRow(N=n, status="pending")
         try:
-            scfg = SolverConfig(p=cfg.p, N=n, newton_tol=cfg.newton_tol,
-                                max_iter=cfg.max_iter, symmetry=cfg.symmetry)
-            u = newton_solve(scfg, guess)
+            u = newton_solve(SolverConfig(p=cfg.p, N=n), guess)
             guess = u  # warm start for the next N
             solutions[n] = u
-            ball = certify_ball(u, cfg.p, nprime=cfg.nprime,
-                                rho_max=cfg.rho_max)
+            ball = certify_ball(u, cfg.p)
             row.defect_hm1 = ball.kantorovich.delta
             row.defect_l2 = ball.delta_l2
             row.K = ball.kantorovich.K

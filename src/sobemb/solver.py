@@ -3,6 +3,11 @@
 Non-rigorous by design: it produces approximate sine coefficients; every
 claim about them is re-derived rigorously by the certification module.
 
+The positive solution on any rectangle is symmetric about both mid-lines
+(Gidas-Ni-Nirenberg 1979), so only the odd-odd sine modes are nonzero.
+Newton works in that mode space on every rectangle; the even modes of the
+result are exact zeros.
+
 Nonlinear terms are evaluated pseudo-spectrally on an oversampled tensor
 sine grid with G = (p+1)N + 1 points per dimension, which integrates the
 trigonometric degree (p+1)N exactly (no aliasing into the first N modes).
@@ -28,14 +33,13 @@ MAX_GRID = 4096
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for the Galerkin-Newton iteration."""
+    """Settings for the Galerkin-Newton iteration on the odd-odd sine modes
+    up to N in each dimension."""
 
     p: int
     N: int
     newton_tol: float = 1e-13
     max_iter: int = 50
-    damping: float = 1.0
-    symmetry: bool | None = None  # None: reduce to odd-odd modes iff square
 
     def __post_init__(self):
         if self.p not in (2, 3, 4, 5):
@@ -87,10 +91,6 @@ def _lambda_grid(domain: DomainRect, mx: np.ndarray, my: np.ndarray, dtype):
     lx = (mx.astype(dtype) / dtype(domain.L1)) ** 2
     ly = (my.astype(dtype) / dtype(domain.L2)) ** 2
     return dtype(math.pi) ** 2 * (lx.reshape(-1, 1) + ly.reshape(1, -1))
-
-
-def _modes_for(n: int, reduced: bool) -> np.ndarray:
-    return np.arange(1, n + 1, 2) if reduced else np.arange(1, n + 1)
 
 
 def _residual_array(a: np.ndarray, p: int, domain: DomainRect,
@@ -146,32 +146,17 @@ def galerkin_jacobian(u: Series2D, p: int) -> np.ndarray:
 
 
 def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
-    """Damped Newton iteration on the Galerkin system; returns a point series."""
+    """Damped Newton iteration on the odd-odd Galerkin system; returns a point
+    series whose even modes are exact zeros.  Even-mode content of the guess
+    is dropped."""
     domain = guess.domain
     n = cfg.N
-    reduced = cfg.symmetry
-    if reduced is None:
-        reduced = domain.L1 == domain.L2
-    mx = _modes_for(n, reduced)
-    my = _modes_for(n, reduced)
+    mx = my = np.arange(1, n + 1, 2)
     g = _grid_order(cfg.p, n)
 
     a = np.zeros((len(mx), len(my)))
-    src = guess.coeffs.mid()
-    for i, mi in enumerate(mx):
-        for j, mj in enumerate(my):
-            if mi <= src.shape[0] and mj <= src.shape[1]:
-                a[i, j] = src[mi - 1, mj - 1]
-    if reduced:
-        even_rows = np.arange(1, src.shape[0] + 1) % 2 == 0
-        even_cols = np.arange(1, src.shape[1] + 1) % 2 == 0
-        if np.any(np.abs(src[even_rows, :]) > 0) or np.any(
-            np.abs(src[:, even_cols]) > 0
-        ):
-            # guess has even-mode content; fall back to the full system
-            return newton_solve(
-                SolverConfig(cfg.p, cfg.N, cfg.newton_tol, cfg.max_iter,
-                             cfg.damping, symmetry=False), guess)
+    src = guess.coeffs.mid()[::2, ::2][: len(mx), : len(my)]
+    a[: src.shape[0], : src.shape[1]] = src
     if not np.any(a):
         raise ValueError("newton_solve requires a nonzero initial guess")
 
@@ -188,7 +173,7 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
         step = step.reshape(a.shape)
-        t = cfg.damping
+        t = 1.0
         for _ in range(40):
             trial = a + t * step
             rt = _residual_array(trial, cfg.p, domain, mx, my, g)
@@ -210,7 +195,5 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         raise NoConvergence("iteration collapsed to the zero series")
 
     full = np.zeros((n, n))
-    for i, mi in enumerate(mx):
-        for j, mj in enumerate(my):
-            full[mi - 1, mj - 1] = a[i, j]
+    full[::2, ::2] = a
     return SineSeries2D(domain, full)

@@ -126,6 +126,30 @@ def test_even_p_blocks_split_the_unsplit_spectrum(p):
     )
 
 
+def test_rectangle_center_splits_into_parity_blocks():
+    """On 2 x 1 the solver's center is odd-odd, so the finite section splits
+    into four parity blocks of at most ceil(nprime/2)^2 rows each."""
+    u = newton_solve(SolverConfig(p=3, N=8), initial_guess(3, DomainRect(2.0, 1.0)))
+    nprime = default_split_order(u, 3)
+    sizes = [b.entries.shape[0] for b in _inverse_blocks(u, 3, nprime)]
+    assert len(sizes) == 4
+    assert max(sizes) <= math.ceil(nprime / 2) ** 2
+
+
+def test_transposed_rectangle_gives_transposed_solution():
+    """Swapping the sides of the rectangle transposes the solution: the
+    2 x 1 and 1 x 2 coefficients agree to 1e-12 under transposition, and
+    their sound defect enclosures (H^-1 and L2) intersect."""
+    wide, tall = (
+        newton_solve(SolverConfig(p=3, N=8), initial_guess(3, dom))
+        for dom in (DomainRect(2.0, 1.0), DomainRect(1.0, 2.0))
+    )
+    np.testing.assert_allclose(tall.coeffs.mid(), wide.coeffs.mid().T,
+                               rtol=0.0, atol=1e-12)
+    for a, b in zip(defect_bounds(wide, 3), defect_bounds(tall, 3)):
+        assert a.intersects(b)
+
+
 def _basis(parity, n, L, x):
     """Values b_a(x) of the first n basis functions of one axis, (x, a)."""
     if parity == "sin":

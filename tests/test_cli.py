@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sobemb.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, main
-from sobemb.series import Series2D
+from sobemb.series import Series2D, SineSeries2D
 
 
 def test_solve_emits_loadable_series(tmp_path):
@@ -29,6 +29,20 @@ def test_certify_roundtrip_through_file(tmp_path):
     assert float.fromhex(d["r_h1"][1]) < 0.2
 
 
+def test_certify_rejects_center_with_even_mode(tmp_path, capsys):
+    """A loaded center must be odd-odd, as every positive solution is; one
+    nonzero even-mode coefficient is a DomainError, exit code 1."""
+    series = str(tmp_path / "u.json")
+    assert main(["solve", "--p", "3", "--N", "6", "--out", series]) == EXIT_OK
+    u = Series2D.from_json(open(series).read())
+    c = u.coeffs.mid()
+    c[1, 0] = 1e-3
+    with open(series, "w") as f:
+        f.write(SineSeries2D(u.domain, c).to_json())
+    assert main(["certify", "--p", "3", "--in", series]) == EXIT_HARD
+    assert "error: DomainError" in capsys.readouterr().err
+
+
 def test_enclose_json_and_csv(tmp_path):
     out = str(tmp_path / "report.json")
     rc = main(["enclose", "--p", "3", "--N", "8", "--out", out])
@@ -41,6 +55,9 @@ def test_enclose_json_and_csv(tmp_path):
                "--out", csv_out])
     assert rc == EXIT_OK
     assert open(csv_out).read().startswith("N,status")
+    with pytest.raises(SystemExit) as exc:
+        main(["enclose", "--N", "8", "--format", "xml"])
+    assert exc.value.code == 2
 
 
 def test_enclose_plot_data(tmp_path):
