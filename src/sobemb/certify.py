@@ -6,12 +6,16 @@ module derives, entirely in interval arithmetic:
   * defect bounds  delta >= ||Lap u-hat + |u-hat|^{p-1} u-hat||  (H^-1 and L2),
   * an inverse-linearization bound K >= ||(-Lap - p|u-hat|^{p-1})^{-1}||
     as an operator H^-1 -> H^1_0, via eigenvalue enclosures of a finite
-    preconditioned block plus explicit tail and coupling corrections,
+    preconditioned section and a tail bound, joined through the Schur
+    complement of the section-tail coupling,
   * a Lipschitz bound g for the derivative on a trial ball,
   * a Newton-Kantorovich existence/uniqueness ball (radius r_h1),
   * an L-infinity error radius by elliptic bootstrap (radius r_inf),
   * a positiveness certificate: a point where the true solution is provably
     positive together with sup(u_-)^{p-1} < lambda_1.
+
+Certification is a function of the center and p alone: the split order is
+`default_split_order(u, p)` and nothing else is settable.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from .series import (
 from .symeig import SymMatrix, min_abs_eig_lower
 
 UNIQUE_RADIUS_CAP = 1e300
+LINF_RHO_MAX = 1e3  # largest L-infinity radius worth reporting
+LINF_ITERATIONS = 60  # cap on the downward bootstrap iterations
 
 
 # -- defect ---------------------------------------------------------------------
@@ -205,25 +211,60 @@ def default_split_order(u: Series2D, p: int) -> int:
     return max(p * u.N, 1)
 
 
-def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
+def _coupled_gap(m: float, t: float, c: float) -> Interval:
+    """Enclosure of s*, the smaller root of (m - s)(t - s) = c^2, in the
+    stable form min(m, t) - 2c^2 / (|m - t| + sqrt((m - t)^2 + 4c^2)).
+    The correction never exceeds c; that bound stands in where the
+    denominator underflows to 0 (m == t and c ~ 0)."""
+    d = abs(Interval(m) - Interval(t))
+    c2 = Interval(c) * Interval(c)
+    den = d + iv_sqrt(_nonneg(d * d + Interval(4.0) * c2))
+    corr = Interval(2.0) * c2 / den if den.lo > 0.0 else Interval(c)
+    return Interval(min(m, t)) - corr
+
+
+def inverse_bound(u: Series2D, p: int) -> Interval:
     """K >= norm of (-Lap - p|u|^{p-1})^{-1} as an operator H^-1 -> H^1_0.
 
-    Combines (i) eigenvalue enclosures of the preconditioned finite section
-    (the potential's Galerkin matrix from exact one-dimensional overlaps,
-    the same for either parity), one parity block at a time,
-    (ii) the tail bound 1 - Wbar/lambda_tail, and (iii) an off-diagonal
-    coupling correction.  The potential has trigonometric degree (p-1)*N per
-    dimension, so only finite modes with a component above nprime - (p-1)*N
-    couple to the tail at all; the correction Wbar/sqrt(lambda_tail *
-    lambda_cut) uses the smallest eigenvalue over those rows (falling back
-    to lambda_1 when the split order is within the potential bandwidth).
+    In the H^1_0-orthonormal basis Lam^{-1/2} phi the operator is
+    B = I - Lam^{-1/2} M Lam^{-1/2}, self-adjoint and equal to I minus a
+    compact operator.  Split the modes at n' = default_split_order(u, p)
+    into the finite section F and the tail T:
+
+      (i)   m <= min |eig(B_FF)|, from verified eigenvalue enclosures of the
+            four parity blocks of B_FF (`_inverse_blocks`);
+      (ii)  t = 1 - Wbar/lambda_tail <= min eig(B_TT), Wbar >= p sup|u|^{p-1};
+      (iii) c = Wbar/sqrt(lambda_tail * lambda_cut) >= ||B_FT||.  The
+            potential has trigonometric degree (p-1)N per dimension, so only
+            finite modes with a component above n' - (p-1)N couple to the
+            tail, and n' > (p-1)N always.
+
+    Lemma: every eigenvalue mu of B satisfies |mu| >= s*, the smaller root
+    of (m - s)(t - s) = c^2.  Proof: the spectrum of B outside {1} consists
+    of eigenvalues, and min(m, t) <= t <= 1.  Take an eigenvalue mu with
+    |mu| < min(m, t).  B_TT - mu >= t - |mu| > 0 is invertible, so the Schur
+    complement B_FF - mu - B_FT (B_TT - mu)^{-1} B_TF is singular; as
+    min |eig(B_FF - mu)| >= m - |mu|, this gives
+    m - |mu| <= c^2 / (t - |mu|), i.e. (m - |mu|)(t - |mu|) <= c^2, and
+    the left side decreases on [0, min(m, t)), so |mu| >= s*.  Eigenvalues
+    with |mu| >= min(m, t) >= s* need nothing.  Since
+    s* >= min(m, t) - c, this never exceeds the linear correction.  s*
+    rises with m and t and falls with c, so the lower bounds m, t and the
+    upper bound c give a lower bound on s* (`_coupled_gap`).
+
     For even p the exactly-expanded potential p*u^{p-1} differs from
-    p|u|^{p-1} only on {u < 0}; that perturbation is absorbed via the
-    negative-part bound.  K bounds the inverse on all modes, not only the
-    odd-odd ones; the parity split needs an odd-odd center, so any other
-    center raises DomainError.
+    p|u|^{p-1} only on {u < 0}; that perturbation, eps_pert, is absorbed
+    via the negative-part bound, and K = 1/(s* - eps_pert).  K bounds the
+    inverse on all modes, not only the odd-odd ones; the parity split and
+    the bandwidth need a square odd-odd center, so any other center raises
+    DomainError.
     """
     mag = u.coeffs.mag()
+    if mag.shape[0] != mag.shape[1]:
+        raise DomainError(
+            f"center coefficient array is {mag.shape[0]} x {mag.shape[1]}; "
+            "the split order assumes a square N x N array"
+        )
     if np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0):
         raise DomainError(
             "center has a nonzero even-mode coefficient; the positive "
@@ -231,8 +272,7 @@ def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
         )
     dom = u.domain
     wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
-    if nprime is None:
-        nprime = default_split_order(u, p)
+    nprime = default_split_order(u, p)
     lam_tail = _tail_lambda(dom, nprime)
     if not lam_tail.lo > wbar.hi:
         raise GapFailure(
@@ -240,16 +280,9 @@ def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
             f"bound {wbar.hi:.4e} at split order {nprime}"
         )
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
+    block_lo = min(min_abs_eig_lower(b) for b in _inverse_blocks(u, p, nprime))
 
-    m_lo = tail_lo
-    for block in _inverse_blocks(u, p, nprime):
-        m_lo = min(m_lo, min_abs_eig_lower(block))
-
-    bandwidth = (p - 1) * u.N
-    if nprime > bandwidth:
-        lam_cut = _tail_lambda(dom, nprime - bandwidth)
-    else:
-        lam_cut = dom.lambda1()
+    lam_cut = _tail_lambda(dom, nprime - (p - 1) * u.N)
     coupling = (wbar / iv_sqrt(lam_tail * lam_cut)).hi
     eps_pert = 0.0
     if p % 2 == 0:
@@ -260,13 +293,13 @@ def inverse_bound(u: Series2D, p: int, nprime: int | None = None) -> Interval:
             / dom.lambda1()
         ).hi
 
-    m = (Interval(m_lo) - Interval(coupling) - Interval(eps_pert)).lo
+    gap = _coupled_gap(block_lo, tail_lo, coupling)
+    m = (Interval(gap.lo) - Interval(eps_pert)).lo
     if not m > 0.0:
         raise NotInvertible(
             f"inverse bound denominator {m:.4e} <= 0 at split order {nprime}"
         )
-    k = Interval(1.0) / Interval(m)
-    return Interval(k.lo, k.hi)
+    return Interval(1.0) / Interval(m)
 
 
 # -- Newton-Kantorovich ---------------------------------------------------------
@@ -353,8 +386,7 @@ def linf_embedding_constant(domain: DomainRect, box: int = 400) -> Interval:
 
 
 def linf_radius(u: Series2D, p: int, r_h1: Interval,
-                delta_l2: Interval | None = None, rho_max: float = 1e3,
-                iterations: int = 60) -> Interval:
+                delta_l2: Interval) -> Interval:
     """r_inf >= L-infinity distance of the true solution from u.
 
     Bootstrap: e = u_true - u solves -Lap e = w, so ||e||_inf <= c * ||w||_L2
@@ -364,8 +396,6 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
     iterated downward, every iterate being a valid bound.
     """
     dom = u.domain
-    if delta_l2 is None:
-        _, delta_l2 = defect_bounds(u, p)
     c_inf = linf_embedding_constant(dom)
     lam1 = dom.lambda1()
     r = Interval(max(0.0, r_h1.lo), r_h1.hi)
@@ -387,7 +417,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
         raise FixedPointFailure("a-priori L-infinity seed is not finite")
 
     best = t
-    for _ in range(iterations):
+    for _ in range(LINF_ITERATIONS):
         ft = (
             c_inf
             * (
@@ -403,9 +433,9 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
         best = min(best, ft)
         if ft >= best * (1.0 - 1e-15):
             break
-    if best > rho_max:
+    if best > LINF_RHO_MAX:
         raise FixedPointFailure(
-            f"L-infinity radius {best:.4e} exceeds rho_max = {rho_max:.4e}"
+            f"L-infinity radius {best:.4e} exceeds {LINF_RHO_MAX:.4e}"
         )
     return Interval(0.0, best)
 
@@ -524,22 +554,10 @@ class CertifiedBall:
         return json.dumps(self.to_dict(p))
 
 
-def certify_ball(u: Series2D, p: int, nprime: int | None = None,
-                 rho_max: float = 1e3, max_gap_retries: int = 3) -> CertifiedBall:
+def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     """Full certification pipeline for one approximate solution."""
-    if nprime is None:
-        nprime = default_split_order(u, p)
     d_hm1, d_l2 = defect_bounds(u, p)
-
-    k = None
-    for attempt in range(max_gap_retries + 1):
-        try:
-            k = inverse_bound(u, p, nprime)
-            break
-        except (GapFailure, NotInvertible):
-            if attempt == max_gap_retries:
-                raise
-            nprime *= 2
+    k = inverse_bound(u, p)
 
     # trial-radius loop: g is evaluated on a ball of radius R; the certified
     # radius must satisfy r <= R for the Lipschitz bound to apply
@@ -555,7 +573,7 @@ def certify_ball(u: Series2D, p: int, nprime: int | None = None,
     else:
         raise ConditionFailure("no trial radius R with certified r <= R found")
 
-    r_inf = linf_radius(u, p, r_h1, delta_l2=d_l2, rho_max=rho_max)
+    r_inf = linf_radius(u, p, r_h1, d_l2)
     audit = positiveness_certificate(u, r_inf, p)
     return CertifiedBall(
         center=u,
@@ -566,5 +584,5 @@ def certify_ball(u: Series2D, p: int, nprime: int | None = None,
         audit=audit,
         kantorovich=kd,
         delta_l2=d_l2,
-        nprime=nprime,
+        nprime=default_split_order(u, p),
     )

@@ -78,10 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N", type=int, default=20)
     s.add_argument("--in", dest="infile", default=None,
                    help="series JSON produced by 'solve' (otherwise re-solve)")
-    s.add_argument("--nprime", type=int, default=None,
-                   help="split order of the inverse bound (default: "
-                        "certify.default_split_order, the smallest order "
-                        "with a negligible tail coupling)")
 
     s = sp.add_parser("enclose", help="full pipeline with an N sweep")
     _add_common(s)
@@ -129,7 +125,7 @@ def _cmd_certify(args) -> int:
     else:
         cfg = SolverConfig(p=args.p, N=args.N)
         u = newton_solve(cfg, initial_guess(args.p, args.domain))
-    ball = certify_ball(u, args.p, nprime=args.nprime)
+    ball = certify_ball(u, args.p)
     _emit(ball.to_json(args.p), args.out)
     return EXIT_OK if ball.positive else EXIT_PARTIAL
 

@@ -161,28 +161,12 @@ class RunReport:
         return json.dumps(d, sort_keys=True)
 
 
-def classical_uppers(p: int, domain: DomainRect, rho: Interval | None = None,
-                     unchecked: bool = False) -> list:
-    """[(tag, Interval)] of classical upper bounds for C_{p+1}."""
-    if rho is None:
-        rho = domain.lambda1()
-    elif not unchecked:
-        raise ValueError(
-            "a user-supplied rho requires unchecked=True; validity of the "
-            "spectral bound depends on rho being a true lambda_1 lower bound"
-        )
-    q = p + 1
-    return [
-        ("corollary", corollary_bound(2, float(q), domain.measure())),
-        ("plum", plum_bound(2, float(q), rho)),
-    ]
-
-
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Execute the sweep; failures at one N are recorded, not fatal."""
     t_start = time.perf_counter()
     timing = {}
-    classical = classical_uppers(cfg.p, cfg.domain)
+    (bounds,) = classical_table(2, [cfg.p + 1], cfg.domain)
+    classical = [(tag, bounds[tag]) for tag in ("corollary", "plum")]
     rows = []
     solutions = {}
     best_lower = None

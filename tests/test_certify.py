@@ -3,13 +3,17 @@ L-infinity embedding constant, defect bounds, and positiveness audit."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import dstn
 
 from sobemb.certify import (
     KantorovichData,
     _b_matrix,
+    _coupled_gap,
     _inverse_blocks,
     _potential_matrix,
     certify_ball,
@@ -50,9 +54,59 @@ def test_inverse_bound_near_laplacian():
 
 
 def test_inverse_bound_gap_failure_at_tiny_split():
-    u = _one_mode(6.0)  # potential bound 3 * 36 = 108 > lambda(2,1) ~ 49
+    """For N=1 the default split order falls back to pN = 3, where the tail
+    eigenvalue lambda(4,1) = 17 pi^2 ~ 167.8 is below the potential bound
+    3 * 10^2 = 300."""
+    u = _one_mode(10.0)
+    assert default_split_order(u, 3) == 3
     with pytest.raises(GapFailure):
-        inverse_bound(u, 3, nprime=1)
+        inverse_bound(u, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.floats(min_value=1e-6, max_value=2.0),
+    t=st.floats(min_value=1e-6, max_value=2.0),
+    c=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_coupled_gap_encloses_smaller_root_from_below(m, t, c):
+    """The lower endpoint never exceeds the exact smaller root of
+    (m - s)(t - s) = c^2 (mpmath, 50 digits), and lies between the linear
+    bound min(m, t) - c (less a few ulps of outward rounding) and min(m, t)."""
+    lo = _coupled_gap(m, t, c).lo
+    with mpmath.workdps(50):
+        mm, tt, cc = mpmath.mpf(m), mpmath.mpf(t), mpmath.mpf(c)
+        root = (mm + tt - mpmath.sqrt((mm - tt) ** 2 + 4 * cc * cc)) / 2
+        assert mpmath.mpf(lo) <= root
+        assert mpmath.mpf(lo) >= min(mm, tt) - cc - mpmath.mpf(1e-15)
+    assert lo <= min(m, t)
+
+
+def test_schur_gap_bounds_real_blocks(u_p3_n10):
+    """The lemma behind inverse_bound on the float midpoints of the four
+    parity blocks of u_p3_n10 at twice the default order, each split at the
+    default order: min |eig(B)| >= s*(min |eig(B_FF)|, min eig(B_TT),
+    ||B_FT||_2)."""
+    u = u_p3_n10
+    split = default_split_order(u, 3)
+    assert split == 29
+    modes = np.arange(1, 2 * split + 1)
+    parities = [modes[modes % 2 == 1], modes[modes % 2 == 0]]
+    blocks = list(_inverse_blocks(u, 3, 2 * split))
+    assert len(blocks) == 4
+    pairs = [(mx, my) for mx in parities for my in parities]
+    for block, (mx, my) in zip(blocks, pairs):
+        full = block.entries.mid()
+        head = ((mx[:, None] <= split) & (my[None, :] <= split)).reshape(-1)
+        bff = full[np.ix_(head, head)]
+        btt = full[np.ix_(~head, ~head)]
+        bft = full[np.ix_(head, ~head)]
+        s_star = _coupled_gap(
+            float(np.min(np.abs(np.linalg.eigvalsh(bff)))),
+            float(np.min(np.linalg.eigvalsh(btt))),
+            float(np.linalg.norm(bft, 2)),
+        ).lo
+        assert np.min(np.abs(np.linalg.eigvalsh(full))) >= s_star
 
 
 def test_default_split_order_exceeds_bandwidth(u_p3_n10):
@@ -104,7 +158,7 @@ def test_even_p_blocks_hold_the_morse_direction(p, n):
     nprime = default_split_order(u, p)
     eigs = _block_spectrum(u, p, nprime)
     assert np.min(np.abs(eigs - (1 - p))) < 1e-6
-    k = inverse_bound(u, p, nprime)
+    k = inverse_bound(u, p)
     assert k.hi * np.min(np.abs(eigs)) >= 1.0 - 1e-9
 
 

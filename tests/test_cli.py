@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sobemb.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, main
-from sobemb.series import Series2D, SineSeries2D
+from sobemb.series import DomainRect, Series2D, SineSeries2D
 
 
 def test_solve_emits_loadable_series(tmp_path):
@@ -39,6 +40,18 @@ def test_certify_rejects_center_with_even_mode(tmp_path, capsys):
     c[1, 0] = 1e-3
     with open(series, "w") as f:
         f.write(SineSeries2D(u.domain, c).to_json())
+    assert main(["certify", "--p", "3", "--in", series]) == EXIT_HARD
+    assert "error: DomainError" in capsys.readouterr().err
+
+
+def test_certify_rejects_non_square_center(tmp_path, capsys):
+    """The split order assumes an N x N center; a 3 x 5 odd-odd series has a
+    wider y-bandwidth than that, so loading it is a DomainError, exit 1."""
+    c = np.zeros((3, 5))
+    c[::2, ::2] = [[4.0, 0.1, 0.01], [0.1, 0.01, 0.001]]
+    series = str(tmp_path / "u.json")
+    with open(series, "w") as f:
+        f.write(SineSeries2D(DomainRect(1.0, 1.0), c).to_json())
     assert main(["certify", "--p", "3", "--in", series]) == EXIT_HARD
     assert "error: DomainError" in capsys.readouterr().err
 

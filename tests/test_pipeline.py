@@ -7,12 +7,12 @@ import tracemalloc
 
 import pytest
 
+from sobemb.certify import default_split_order
 from sobemb.errors import SoundnessViolation
-from sobemb.intervals import Interval
+from sobemb.intervals import Interval, iv_sqrt
 from sobemb.pipeline import (
     RunConfig,
     classical_table,
-    classical_uppers,
     emit_plot_data,
     report_csv,
     run_pipeline,
@@ -51,10 +51,10 @@ def test_pipeline_run_is_deterministic():
 
 def test_rectangle_run_fails_typed_within_budget():
     """Budget: 30 s wall and 1 GiB of traced allocations.  On 2 x 1 at p=3,
-    N=8 the Kantorovich condition fails (2 K^2 delta g = 8.09e3); the run
-    must report that as a typed status from the odd-odd mode space (about
-    7 s and 220 MiB traced on a 2-core host), not from an all-modes
-    inverse block (about 51 s and 3.6 GB peak RSS)."""
+    N=8 the Kantorovich condition fails (2 K^2 delta g = 2.61e3 at the
+    default split order 35); the run must report that as a typed status
+    from the odd-odd mode space (about 0.4 s on a 2-core host), not from an
+    all-modes inverse block (about 51 s and 3.6 GB peak RSS)."""
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -66,7 +66,38 @@ def test_rectangle_run_fails_typed_within_budget():
     assert seconds < 30.0
     assert peak < 2 ** 30
     assert [row.status for row in report.rows] == ["ConditionFailure"]
-    assert "8.0918e+03" in report.rows[0].error
+    assert "2.6130e+03" in report.rows[0].error
+
+
+def _final(report) -> Interval:
+    return Interval(report.final.lower, report.final.upper)
+
+
+def test_rectangle_certifies_at_default_order_and_transposes():
+    """2 x 1, p=3, N=20 certifies at the default split order 53 (about 3 s
+    on a 2-core host; budget 30 s), and the 1 x 2 run, its transpose, gives
+    an intersecting final enclosure."""
+    t0 = time.perf_counter()
+    wide = run_pipeline(RunConfig(p=3, domain=DomainRect(2.0, 1.0), N=[20]))
+    assert time.perf_counter() - t0 < 30.0
+    (row,) = wide.rows
+    assert row.status == "certified"
+    assert default_split_order(wide.solutions[20], 3) == 53
+    assert row.K.hi < 46.0
+    tall = run_pipeline(RunConfig(p=3, domain=DomainRect(1.0, 2.0), N=[20]))
+    assert tall.fully_certified
+    assert _final(wide).intersects(_final(tall))
+
+
+def test_square_scaling_law_for_c4():
+    """C_q(t Omega) = t^{2/q} C_q(Omega) in 2-d: C_4 on the 2 x 2 square
+    intersects sqrt(2) times C_4 on the unit square."""
+    big, unit = (
+        run_pipeline(RunConfig(p=3, domain=DomainRect(side, side), N=[10]))
+        for side in (2.0, 1.0)
+    )
+    assert big.fully_certified and unit.fully_certified
+    assert _final(big).intersects(iv_sqrt(Interval(2.0)) * _final(unit))
 
 
 def test_report_structure_and_validation(report_c4):
@@ -97,11 +128,11 @@ def test_report_csv_projection(report_c4):
     assert all(line.split(",")[1] == "certified" for line in lines[1:])
 
 
-def test_classical_uppers_rho_guard():
+def test_classical_table_rho_guard():
     with pytest.raises(ValueError):
-        classical_uppers(3, SQ, rho=Interval(5.0))
-    rows = classical_uppers(3, SQ, rho=Interval(5.0), unchecked=True)
-    assert {tag for tag, _ in rows} == {"corollary", "plum"}
+        classical_table(2, [4], SQ, rho=Interval(5.0))
+    (row,) = classical_table(2, [4], SQ, rho=Interval(5.0), unchecked=True)
+    assert set(row) == {"p", "corollary", "plum"}
 
 
 def test_classical_table_rows():
