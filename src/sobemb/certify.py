@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import corollary_bound
+from .bounds import corollary_bound, plum_bound
 from .errors import (
     ConditionFailure,
     DomainError,
@@ -43,6 +43,7 @@ from .series import (
     DomainRect,
     Series2D,
     _axis_overlap,
+    lp_norm,
     negative_part_sup,
     power_expand,
 )
@@ -95,7 +96,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     sq = _nonneg(
         _nonneg(isum(lap.square()) * quarter)
         + Interval(2.0) * isum(lap * s[:sx, :sy]) * quarter
-        + _nonneg(isum(v.coeffs.square() * _l2_weight_grid(v)))
+        + _nonneg(isum(v.coeffs.square() * v._l2_weight_grid()))
     )
     eta = negative_part_sup(u)
     slack = Interval(2.0) * iv_pow_int(Interval(eta), p) * iv_sqrt(dom.measure())
@@ -113,12 +114,6 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
 
 def _nonneg(iv: Interval) -> Interval:
     return Interval(max(iv.lo, 0.0), max(iv.hi, 0.0))
-
-
-def _l2_weight_grid(v: Series2D) -> IArray:
-    wx = v._l2_weights(0)
-    wy = v._l2_weights(1)
-    return wx.reshape(-1, 1) * wy.reshape(1, -1)
 
 
 # -- inverse-linearization bound --------------------------------------------------
@@ -223,6 +218,22 @@ def _coupled_gap(m: float, t: float, c: float) -> Interval:
     return Interval(min(m, t)) - corr
 
 
+def _check_center(u: Series2D) -> None:
+    """DomainError unless u's coefficient array is square and odd-odd, as
+    the parity split and the bandwidth of `inverse_bound` assume."""
+    mag = u.coeffs.mag()
+    if mag.shape[0] != mag.shape[1]:
+        raise DomainError(
+            f"center coefficient array is {mag.shape[0]} x {mag.shape[1]}; "
+            "the split order assumes a square N x N array"
+        )
+    if np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0):
+        raise DomainError(
+            "center has a nonzero even-mode coefficient; the positive "
+            "solution is odd-odd (symmetric about both mid-lines)"
+        )
+
+
 def inverse_bound(u: Series2D, p: int) -> Interval:
     """K >= norm of (-Lap - p|u|^{p-1})^{-1} as an operator H^-1 -> H^1_0.
 
@@ -259,17 +270,7 @@ def inverse_bound(u: Series2D, p: int) -> Interval:
     the bandwidth need a square odd-odd center, so any other center raises
     DomainError.
     """
-    mag = u.coeffs.mag()
-    if mag.shape[0] != mag.shape[1]:
-        raise DomainError(
-            f"center coefficient array is {mag.shape[0]} x {mag.shape[1]}; "
-            "the split order assumes a square N x N array"
-        )
-    if np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0):
-        raise DomainError(
-            "center has a nonzero even-mode coefficient; the positive "
-            "solution is odd-odd (symmetric about both mid-lines)"
-        )
+    _check_center(u)
     dom = u.domain
     wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
     nprime = default_split_order(u, p)
@@ -322,14 +323,30 @@ class KantorovichData:
 
 def lipschitz_bound(u: Series2D, p: int, R: float) -> Interval:
     """g >= Lipschitz constant of v -> p|v|^{p-1} (H^1_0 -> op-norm) on the
-    ball of radius R about u, via Hoelder and the classical L^{p+1} bound."""
+    ball B of radius R about u:
+
+        g = p (p-1) C^3 (||u||_{L^{p+1}} + C R)^{p-2},
+
+    C >= C_{p+1} the smaller of the two classical upper bounds.  For v, w in
+    B and z_t = w + t (v - w), |p|v|^{p-1} - p|w|^{p-1}| is at most
+    p (p-1) int_0^1 |z_t|^{p-2} dt |v - w| pointwise, and the generalized
+    Hoelder inequality with exponents ((p+1)/(p-2), p+1, p+1, p+1) gives
+
+        int |z_t|^{p-2} |v - w| |phi| |psi|
+            <= ||z_t||_{L^{p+1}}^{p-2} C^3 ||v - w|| ||phi|| ||psi||
+
+    in H^1_0 norms.  B is convex, so ||z_t||_{L^{p+1}}
+    <= ||u||_{L^{p+1}} + C ||z_t - u|| <= ||u||_{L^{p+1}} + C R.
+    """
     if R < 0.0:
         raise ValueError("trial radius must be nonnegative")
-    c = corollary_bound(2, p + 1, u.domain.measure())
-    base = u.h01_norm() + Interval(R)
+    dom = u.domain
+    c = Interval(min(corollary_bound(2, p + 1, dom.measure()).hi,
+                     plum_bound(2, p + 1, dom.lambda1()).hi))
+    base = Interval(lp_norm(u, p + 1).hi) + c * Interval(R)
     g = (
         Interval(float(p * (p - 1)))
-        * iv_pow_int(c, p + 1)
+        * iv_pow_int(c, 3)
         * iv_pow_int(base, p - 2)
     )
     return Interval(max(g.lo, 0.0), g.hi)
@@ -556,6 +573,7 @@ class CertifiedBall:
 
 def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     """Full certification pipeline for one approximate solution."""
+    _check_center(u)
     d_hm1, d_l2 = defect_bounds(u, p)
     k = inverse_bound(u, p)
 

@@ -179,13 +179,45 @@ def _add_dir(x: float, y: float, direction: int) -> float:
     return s if err <= 0.0 else _check_finite(_up(s))
 
 
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+# TwoProduct below is exact when no split overflows and no partial product
+# underflows (Dekker 1971; Boldo's condition e_x + e_y >= -970); these
+# bounds are well inside both limits
+_TWO_PROD_MAX = 2.0 ** 995
+_TWO_PROD_MIN = 2.0 ** -900
+
+
+def _split(a: float):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
 def _mul_dir(x: float, y: float):
-    """Enclosure [down, up] of the exact product x*y."""
+    """Enclosure [down, up] of the exact product x*y.
+
+    The rounding error x*y - fl(x*y) is found exactly by Dekker's
+    TwoProduct, so an exact product stays a point and an inexact one is
+    widened on its side only; outside TwoProduct's safe range both sides
+    are widened.  A same-sign product is >= 0 and an opposite-sign one
+    <= 0, so a product that underflows never crosses zero.
+    """
     p = x * y
     _check_finite(p)
     if x == 0.0 or y == 0.0:
         return (0.0, 0.0)
-    return (_check_finite(_dn(p)), _check_finite(_up(p)))
+    lo, hi = _dn(p), _up(p)
+    if _TWO_PROD_MIN <= abs(p) and max(abs(x), abs(y)) < _TWO_PROD_MAX:
+        xh, xl = _split(x)
+        yh, yl = _split(y)
+        err = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+        if err >= 0.0:
+            lo = p
+        if err <= 0.0:
+            hi = p
+    if (x > 0.0) == (y > 0.0):
+        return (max(lo, 0.0), _check_finite(hi))
+    return (_check_finite(lo), min(hi, 0.0))
 
 
 def _div_dir(x: float, y: float):

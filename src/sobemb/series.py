@@ -189,10 +189,12 @@ class Series2D:
         return iv_sqrt(Interval(max(0.0, s.lo), s.hi) * quarter_measure)
 
     def l2_norm(self) -> Interval:
-        wx = self._l2_weights(0)
-        wy = self._l2_weights(1)
-        s = isum(self.coeffs.square() * (wx.reshape(-1, 1) * wy.reshape(1, -1)))
+        s = isum(self.coeffs.square() * self._l2_weight_grid())
         return iv_sqrt(Interval(max(0.0, s.lo), s.hi))
+
+    def _l2_weight_grid(self) -> IArray:
+        """Integrals of the squared basis functions over the rectangle."""
+        return self._l2_weights(0).reshape(-1, 1) * self._l2_weights(1).reshape(1, -1)
 
     def _l2_weights(self, axis: int) -> IArray:
         """Per-mode values of integral of basis^2 over one dimension."""
@@ -205,28 +207,9 @@ class Series2D:
         return IArray(w)  # L/2 and L are exact scalings of the exact float L
 
     def integral(self) -> Interval:
-        """Enclosure of the integral of u over the rectangle."""
-        wx = self._integral_weights(0)
-        wy = self._integral_weights(1)
-        return isum(self.coeffs * (wx.reshape(-1, 1) * wy.reshape(1, -1)))
-
-    def _integral_weights(self, axis: int) -> IArray:
-        parity = self.parity_x if axis == 0 else self.parity_y
-        L = self.domain.L1 if axis == 0 else self.domain.L2
-        modes = _modes(parity, self.coeffs.shape[axis])
-        if parity == COS:
-            w = IArray(np.where(modes == 0, float(L), 0.0))
-            return w
-        # integral of sin(m pi x / L) = 2L/(m pi) for odd m, else 0
-        odd = modes % 2 == 1
-        base = IArray(np.where(odd, 2.0 * L, 0.0)) / IArray(
-            modes.astype(np.float64)
-        )
-        pi_arr = IArray._coerce(PI)
-        out = base / pi_arr
-        out.lo[~odd] = 0.0
-        out.hi[~odd] = 0.0
-        return out
+        """Enclosure of the integral of u over the rectangle: <u, 1>."""
+        one = Series2D(self.domain, IArray(np.ones((1, 1))), COS, COS)
+        return _inner(self, one)
 
     # -- pointwise bounds ----------------------------------------------------------
 
@@ -663,22 +646,49 @@ def _iv_root(x: Interval, q: float) -> Interval:
 
 
 def lp_norm(u: Series2D, q: float) -> Interval:
-    """Enclosure of the L^q norm of a sine/sine series, integer 2 <= q <= 6.
+    """Enclosure of the L^q norm of a sine/sine series, integer 2 <= q <= 6,
+    kept on u.
 
-    q = 2: orthogonality.  Other even q: exact power expansion and
-    term-by-term integration.  Odd q: exact expansion of u^q, with the
-    |u|^q - u^q discrepancy bounded by 2 * neg_sup^q * |domain| from the
-    negative-part bound.
+    q = 2: orthogonality.  Otherwise the integral of u^q is the inner
+    product <u^a, u^b> of the two factors a + b = q of the power chain
+    (`_POWER_SPLIT`), which every certification has built already; u^q itself
+    is never expanded.  Odd q: the |u|^q - u^q discrepancy is bounded by
+    2 * neg_sup^q * |domain| from the negative-part bound.
     """
     if not u.is_sine or q not in (2, 3, 4, 5, 6):
         raise DomainError(
             f"lp_norm requires a sine/sine series and integer q in 2..6, got {q}"
         )
     qi = int(q)
+    norm = u._facts.get(("lp", qi))
+    if norm is not None:
+        return norm
     if qi == 2:
-        return u.l2_norm()
-    base = power_expand(u, qi).integral()
-    if qi % 2 == 0:
-        return _iv_root(Interval(max(base.lo, 0.0), base.hi), q)
-    slack = Interval(2.0) * Interval(negative_part_sup(u)) ** qi * u.domain.measure()
-    return _iv_root(Interval(max(base.lo, 0.0), (base + slack).hi), q)
+        norm = u.l2_norm()
+    else:
+        a, b = _POWER_SPLIT[qi]
+        base = _inner(power_expand(u, a), power_expand(u, b))
+        hi = base.hi
+        if qi % 2 == 1:
+            slack = (Interval(2.0) * Interval(negative_part_sup(u)) ** qi
+                     * u.domain.measure())
+            hi = (base + slack).hi
+        norm = _iv_root(Interval(max(base.lo, 0.0), hi), q)
+    u._facts[("lp", qi)] = norm
+    return norm
+
+
+def _inner(v: Series2D, w: Series2D) -> Interval:
+    """Enclosure of the integral of v * w over the rectangle, through the
+    exact one-dimensional overlaps of the two bases (diagonal where the
+    parities agree)."""
+    dom = v.domain
+    (nv, mv), (nw, mw) = v.coeffs.shape, w.coeffs.shape
+    if v.parity_x == w.parity_x and v.parity_y == w.parity_y:
+        n, m = min(nv, nw), min(mv, mw)
+        a, b = v.coeffs[:n, :m], w.coeffs[:n, :m]
+        prod = a.square() if v is w else a * b
+        return isum(prod * v._l2_weight_grid()[:n, :m])
+    wx = _axis_overlap(v.parity_x, nv, w.parity_x, nw, dom.L1)
+    wy = _axis_overlap(v.parity_y, mv, w.parity_y, mw, dom.L2)
+    return isum(v.coeffs * imatmul(imatmul(wx, w.coeffs), wy.T))

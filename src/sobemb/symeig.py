@@ -1,12 +1,18 @@
 """Rigorous eigenvalue enclosures for symmetric interval matrices.
 
 Technique: diagonalize the midpoint matrix approximately in floating point,
-transform the interval matrix with the (approximately orthogonal) eigenvector
-matrix V, and apply Gershgorin to C = V^T A V.  Non-orthogonality of V is
-handled through G = V^T V: the eigenvalues of any A_t in the interval matrix
-equal those of the symmetric pencil (V^T A_t V, G), i.e. of
-S = G^{-1/2} (V^T A_t V) G^{-1/2}, and ||S - V^T A_t V|| is explicitly
-bounded via ||G - I||.
+transform with the (approximately orthogonal) eigenvector matrix V, and apply
+Gershgorin to C = V^T A V for every A in the interval matrix.  Only diag(C)
+and the off-diagonal row sums of |C| enter Gershgorin, so C is never formed
+as an interval matrix: three float GEMMs give T = fl(A_mid V),
+C~ = fl(V^T T) and G~ = fl(V^T V), and every error term is a row sum,
+computed by nested matrix-vector products of nonnegative factors
+(midpoint-radius bounds, Rump, BIT 39, 1999).
+
+Non-orthogonality of V is handled through G = V^T V: the eigenvalues of A
+equal those of the symmetric pencil (V^T A V, G), i.e. of
+S = G^{-1/2} (V^T A V) G^{-1/2}, and ||S - V^T A V|| is explicitly bounded
+via ||G - I||.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .errors import NotInvertible
 from .intervals import Interval
-from .ivarray import IArray, _dn, _up, imatmul
+from .ivarray import _RAD_FLOOR, _TINY, IArray, _dn, _gamma_fac, _up
 
 
 @dataclass
@@ -63,45 +69,107 @@ class EigEnclosure:
 
 
 def eig_enclosures(m: SymMatrix) -> EigEnclosure:
+    """Gershgorin discs of V^T A V, valid for every A in the interval matrix.
+
+    Lemma.  Let A_mid, A_rad be float matrices with |A - A_mid| <= A_rad
+    entrywise for every A in the family, V any float matrix, and with
+    gamma = gamma_n >= n u / (1 - n u) (`_gamma_fac(n)`; n is the inner
+    dimension of every product, u = 2^-53) let
+
+        T~ = fl(A_mid V),   C~ = fl(V^T T~),   G~ = fl(V^T V).
+
+    The classical bound |fl(XY) - XY| <= gamma |X| |Y| (any summation order)
+    applied to the two products of C~ gives, for every A in the family,
+
+        |V^T A V - C~| <= E := gamma |V|^T |T~| + gamma |V|^T |A_mid| |V|
+                               + |V|^T A_rad |V|,
+
+    from V^T A V - C~ = V^T (A - A_mid) V + V^T (A_mid V - T~)
+    + (V^T T~ - C~).  Gershgorin for the symmetric C = V^T A V then puts
+    every eigenvalue of C in a disc C~_ii +- (sum_{j != i} |C~_ij| + (E 1)_i).
+    E has nonnegative factors, so E 1 is three nested matrix-vector products,
+    gamma |V|^T (|T~| 1) + gamma |V|^T (|A_mid| (|V| 1))
+    + |V|^T (A_rad (|V| 1)).  Each float product or sum of k nonnegative
+    terms is at most a factor gamma_k below the exact one; `_up_nonneg`
+    inflates it by 2 gamma (>= 1/(1 - gamma) - 1 for gamma <= 1/2) and
+    adds the cushion _TINY, far above the n^2 subnormal rounding errors
+    (each below 2^-1074) a row sum can collect, so every nested result
+    bounds the exact one from above.  Likewise
+    |G - I| <= |G~ - I| + gamma |V|^T |V|, whose row sums bound
+    eps >= ||G - I||_2 (G - I is symmetric).  This is entry by
+    entry the bound that interval products V^T (A V) form (`imatmul`, the
+    same gamma, the same radius floor and cushion), summed over each row;
+    only the rounding of the sums differs.  C~ is used as computed, not
+    symmetrized: the row-sum bound covers it.
+
+    Non-orthogonality: with eps < 1/2, ||G^{-1/2} - I|| <= e_orth and
+    ||S - C|| <= ||C|| (2 e_orth + e_orth^2) =: delta, where ||C||_2 <= ||C||_inf
+    (C symmetric) <= max_i (sum_j |C~_ij| + (E 1)_i).  By Weyl every
+    eigenvalue of S, hence of A, lies in a disc widened by delta.
+    """
     a = m.entries
     n = m.n
+    # the midpoint of a symmetric interval matrix is exactly symmetric, and
+    # the radius about it bounds |A - A_mid| for every member A.  Flushing
+    # negligible entries avoids painfully slow subnormal paths inside LAPACK
+    # and BLAS: the flushed magnitude moves into the radius, and tiny nonzero
+    # radii are rounded up to a still-negligible normal float
     amid = 0.5 * (a.lo + a.hi)
-    amid = 0.5 * (amid + amid.T)
-    # the midpoint matrix only seeds the approximate diagonalization (the
-    # enclosure below is rigorous for any V); flushing negligible entries
-    # avoids painfully slow subnormal paths inside LAPACK
-    amid[np.abs(amid) < 1e-200] = 0.0
-    w, v = np.linalg.eigh(amid)
+    arad = _up(np.maximum(_up(a.hi - amid), _up(amid - a.lo)))
+    arad[a.lo == a.hi] = 0.0
+    tiny = np.abs(amid) < 1e-200
+    arad = np.where(tiny, _up(arad + np.abs(amid)), arad)
+    amid[tiny] = 0.0
+    arad = np.where((arad != 0.0) & (arad < _RAD_FLOOR), _RAD_FLOOR, arad)
+    _, v = np.linalg.eigh(amid)
     v[np.abs(v) < 1e-200] = 0.0
-    vi = IArray(v)
 
-    c = imatmul(vi.T, imatmul(a, vi))
-    g = imatmul(vi.T, vi)
+    g = _gamma_fac(n)
+    t = amid @ v
+    c = v.T @ t
+    gram = v.T @ v
+    abs_vt = np.abs(v).T
 
-    # eps >= ||G - I||_2 via max row sum
-    gdev = g - IArray(np.eye(n))
-    eps = float(np.max(np.sum(gdev.mag(), axis=1)))
+    def up(x):
+        return _up_nonneg(x, g)
+
+    v1 = up(abs_vt.sum(axis=0))  # |V| 1
+    e1 = up(abs_vt @ up(np.abs(t).sum(axis=1)))  # |V|^T |T~| 1
+    e1 = e1 + up(abs_vt @ up(np.abs(amid) @ v1))  # + |V|^T |A_mid| |V| 1
+    e1 = up(up(g * e1) + up(abs_vt @ up(arad @ v1)))  # (E 1)_i
+    gv = up(g * up(abs_vt @ v1))  # gamma (|V|^T |V| 1)_i
+    eps = float(np.max(up(np.abs(gram - np.eye(n)).sum(axis=1) + gv)))
     if eps >= 0.5:
         raise NotInvertible("eigenvector matrix too far from orthogonal")
     # ||G^{-1/2} - I|| <= 1/sqrt(1-eps) - 1
-    e1 = _up(1.0 / math.sqrt(1.0 - 2.0 * eps) - 1.0)  # extra slack via 2*eps
-    cnorm = float(np.max(np.sum(c.mag(), axis=1)))
-    delta = _up(cnorm * (2.0 * e1 + e1 * e1) * (1.0 + 1e-12))
+    e_orth = _up(1.0 / math.sqrt(1.0 - 2.0 * eps) - 1.0)  # extra slack via 2*eps
+    cdiag = np.diag(c).copy()
+    cabs = np.abs(c)
+    np.fill_diagonal(cabs, 0.0)
+    off = up(cabs.sum(axis=1))
+    cnorm = float(np.max(up(off + np.abs(cdiag) + e1)))
+    delta = _up(cnorm * (2.0 * e_orth + e_orth * e_orth) * (1.0 + 1e-12))
 
-    cmag = c.mag()
-    np.fill_diagonal(cmag, 0.0)
-    radii = _up(np.sum(cmag, axis=1) * (1.0 + n * 2.0 ** -50) + delta)
-    disc_lo = _dn(np.diag(c.lo) - radii)
-    disc_hi = _up(np.diag(c.hi) + radii)
+    radii = up(off + e1 + delta)
+    disc_lo = _dn(cdiag - radii)
+    disc_hi = _up(cdiag + radii)
 
     lam_min_lo = float(np.min(disc_lo))
-    # Rayleigh upper bound lambda_min <= min_k (x^T A x)/(x^T x), x = V e_k
-    ckk = IArray(np.diag(c.lo).copy(), np.diag(c.hi).copy(), _unsafe=True)
-    gkk = IArray(np.diag(g.lo).copy(), np.diag(g.hi).copy(), _unsafe=True)
+    # Rayleigh upper bound lambda_min <= min_k (x^T A x)/(x^T x), x = V e_k,
+    # with |x^T A x - C~_kk| <= E_kk <= (E 1)_k and |x^T x - G~_kk| <= gv_k
+    ckk = IArray(_dn(cdiag - e1), _up(cdiag + e1), _unsafe=True)
+    gdiag = np.diag(gram)
+    gkk = IArray(np.maximum(_dn(gdiag - gv), 0.0), _up(gdiag + gv), _unsafe=True)
     ratios = ckk / gkk
     lam_min_hi = float(np.min(ratios.hi))
     lam_min_hi = max(lam_min_hi, lam_min_lo)
     return EigEnclosure(disc_lo, disc_hi, Interval(lam_min_lo, lam_min_hi))
+
+
+def _up_nonneg(x: np.ndarray, g: float) -> np.ndarray:
+    """Upper bound on the exact value of float results x of products or sums
+    of at most n nonnegative terms, each at most a factor gamma_n low."""
+    return _up(x * (1.0 + 2.0 * g) + _TINY)
 
 
 def iv_sym_eig_min(m: SymMatrix) -> Interval:
@@ -114,4 +182,5 @@ def iv_sym_eig_min(m: SymMatrix) -> Interval:
 
 
 def min_abs_eig_lower(m: SymMatrix) -> float:
+    """Rigorous lower bound on min |eigenvalue| over the whole family."""
     return eig_enclosures(m).min_abs_lower()

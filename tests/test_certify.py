@@ -27,10 +27,10 @@ from sobemb.certify import (
     positiveness_certificate,
 )
 from sobemb import series
-from sobemb.bounds import corollary_bound, enclosure_from_ball
-from sobemb.errors import ConditionFailure, GapFailure
+from sobemb.bounds import corollary_bound, enclosure_from_ball, plum_bound
+from sobemb.errors import ConditionFailure, DomainError, GapFailure
 from sobemb.intervals import Interval
-from sobemb.series import DomainRect, SineSeries2D, multiply, power_expand
+from sobemb.series import DomainRect, SineSeries2D, lp_norm, multiply, power_expand
 from sobemb.solver import SolverConfig, initial_guess, newton_solve
 
 SQ = DomainRect(1.0, 1.0)
@@ -300,16 +300,33 @@ def test_defect_rejects_bad_exponent():
 
 
 def test_lipschitz_bound_hand_formula(u_p3_n10):
-    # g = p (p-1) c_{p+1}^{p+1} (||u|| + R)^{p-2} with the classical constant
+    # g = p (p-1) C^3 (||u||_{L^{p+1}} + C R)^{p-2}, C the smaller classical
+    # L^{p+1} constant
     u, p, R = u_p3_n10, 3, 0.5
     g = lipschitz_bound(u, p, R)
-    c = corollary_bound(2, p + 1, SQ.measure())
-    cmid = 0.5 * (c.lo + c.hi)
-    base = 0.5 * (u.h01_norm().lo + u.h01_norm().hi) + R
-    hand = p * (p - 1) * cmid ** (p + 1) * base ** (p - 2)
-    assert g.lo <= hand <= g.hi * (1.0 + 1e-12)
+    c = min(corollary_bound(2, p + 1, SQ.measure()).hi,
+            plum_bound(2, p + 1, SQ.lambda1()).hi)
+    base = lp_norm(u, p + 1).hi + c * R
+    hand = p * (p - 1) * c ** 3 * base ** (p - 2)
+    assert g.lo * (1.0 - 1e-12) <= hand <= g.hi * (1.0 + 1e-12)
     with pytest.raises(ValueError):
         lipschitz_bound(u, p, -1.0)
+
+
+def _old_lipschitz(u, p, R):
+    """p (p-1) C^{p+1} (||u||_{H^1_0} + R)^{p-2} with the Talenti-based C."""
+    c = corollary_bound(2, p + 1, u.domain.measure())
+    base = u.h01_norm() + Interval(R)
+    return Interval(float(p * (p - 1))) * c ** (p + 1) * base ** (p - 2)
+
+
+@pytest.mark.parametrize("p, n", [(3, 10), (3, 34), (4, 12), (4, 20), (2, 40)])
+def test_lipschitz_bound_no_larger_than_h1_formula(p, n):
+    """On the c4, c5 and c3 centers the L^{p+1}-norm bound never exceeds the
+    H^1_0-norm bound it replaces, at any trial radius."""
+    u = newton_solve(SolverConfig(p=p, N=n), initial_guess(p, SQ))
+    for R in (0.0, 1e-8, 1e-3, 0.5):
+        assert lipschitz_bound(u, p, R).hi <= _old_lipschitz(u, p, R).hi
 
 
 def test_kantorovich_closed_form_half():
@@ -436,13 +453,23 @@ def _count_calls(monkeypatch, name):
 
 
 def test_certify_and_enclose_share_powers(u_p3_n10, monkeypatch):
-    """The defect needs u^3, the potential u^2 and the L^4 norm u^4: three
-    products in all (u^2, u^3 = u^2 u, u^4 = u^2 u^2)."""
+    """The defect needs u^3 and the potential u^2: two products in all
+    (u^2, u^3 = u^2 u); the L^4 norm is <u^2, u^2> and builds none."""
     u = _fresh(u_p3_n10)
     calls = _count_calls(monkeypatch, "multiply")
     ball = certify_ball(u, 3)
     enclosure_from_ball(u, ball.r_h1, 3, ball.positive)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_certify_ball_checks_center_before_defect_work(monkeypatch):
+    """A non-square center is a DomainError before any power expansion."""
+    c = np.zeros((3, 5))
+    c[::2, ::2] = [[4.0, 0.1, 0.01], [0.1, 0.01, 0.001]]
+    calls = _count_calls(monkeypatch, "multiply")
+    with pytest.raises(DomainError):
+        certify_ball(SineSeries2D(SQ, c), 3)
+    assert calls == []
 
 
 def test_even_p_negative_part_bound_built_once(monkeypatch):

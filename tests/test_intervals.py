@@ -161,3 +161,55 @@ def test_containment_pow_int(k, lo, w, t):
     exact = x ** k if (k >= 0 or x != 0) else None
     if exact is not None:
         assert Fraction(out.lo) <= exact <= Fraction(out.hi)
+
+
+def test_exact_products_stay_thin():
+    assert Interval(3.0) * Interval(3.0) == Interval(9.0)
+    assert Interval(-0.5) * Interval(6.0) == Interval(-3.0)
+    # an inexact product is widened on one side only
+    p = Interval(0.1) * Interval(0.1)
+    assert p.hi == 0.1 * 0.1 or p.lo == 0.1 * 0.1
+    # an underflowing same-sign product stays >= 0, so its root exists
+    tiny = Interval(1e-200) * Interval(1e-200)
+    assert tiny.lo == 0.0 < tiny.hi
+    assert iv_sqrt(tiny + tiny).lo == 0.0
+    assert (Interval(-1e-200) * Interval(1e-200)).hi == 0.0
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False,
+                       min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_any_float, _any_float)
+def test_scalar_product_against_fraction(x, y):
+    """The product of point intervals encloses the exact rational product,
+    is a point when the float product is exact (within TwoProduct's range:
+    no factor beyond 2^995, no product below 2^-900), and never crosses
+    zero against the sign of its factors."""
+    try:
+        out = Interval(x) * Interval(y)
+    except OverflowError_:
+        return
+    exact = Fraction(x) * Fraction(y)
+    assert Fraction(out.lo) <= exact <= Fraction(out.hi)
+    in_range = abs(x * y) >= 2.0 ** -900 and max(abs(x), abs(y)) < 2.0 ** 995
+    if in_range and Fraction(x * y) == exact:
+        assert out.lo == out.hi
+    if x != 0 and y != 0:
+        if (x > 0) == (y > 0):
+            assert out.lo >= 0.0
+        else:
+            assert out.hi <= 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-2 ** 26, 2 ** 26), st.integers(-2 ** 26, 2 ** 26),
+       st.integers(-60, 60))
+def test_products_of_short_mantissas_are_exact(a, b, e):
+    """Factors with at most 27 significant bits multiply exactly in binary64,
+    so their interval product is the exact point."""
+    x, y = math.ldexp(a, e), math.ldexp(b, -e // 2)
+    out = Interval(x) * Interval(y)
+    assert out.lo == out.hi == x * y
+    assert Fraction(out.lo) == Fraction(x) * Fraction(y)

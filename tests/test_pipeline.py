@@ -51,7 +51,7 @@ def test_pipeline_run_is_deterministic():
 
 def test_rectangle_run_fails_typed_within_budget():
     """Budget: 30 s wall and 1 GiB of traced allocations.  On 2 x 1 at p=3,
-    N=8 the Kantorovich condition fails (2 K^2 delta g = 2.61e3 at the
+    N=8 the Kantorovich condition fails (2 K^2 delta g = 2.47e3 at the
     default split order 35); the run must report that as a typed status
     from the odd-odd mode space (about 0.4 s on a 2-core host), not from an
     all-modes inverse block (about 51 s and 3.6 GB peak RSS)."""
@@ -66,7 +66,7 @@ def test_rectangle_run_fails_typed_within_budget():
     assert seconds < 30.0
     assert peak < 2 ** 30
     assert [row.status for row in report.rows] == ["ConditionFailure"]
-    assert "2.6130e+03" in report.rows[0].error
+    assert "2.4726e+03" in report.rows[0].error
 
 
 def _final(report) -> Interval:

@@ -21,6 +21,7 @@ from sobemb.series import (
     Series2D,
     SineSeries2D,
     _axis_overlap,
+    _iv_root,
     factor_boundary,
     lp_norm,
     multiply,
@@ -197,6 +198,44 @@ def test_lp_norm_rejects_unsupported_input():
             lp_norm(u, q)
     with pytest.raises(DomainError):
         lp_norm(power_expand(u, 2), 4)
+
+
+def _old_lp_norm(u, q):
+    """L^q norm from the full expansion of u^q and its exact integral."""
+    base = power_expand(u, q).integral()
+    hi = base.hi
+    if q % 2 == 1:
+        hi = (base + Interval(2.0) * Interval(negative_part_sup(u)) ** q
+              * u.domain.measure()).hi
+    return _iv_root(Interval(max(base.lo, 0.0), hi), q)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_lp_norm_inner_product_matches_full_expansion(q):
+    """<u^a, u^b> with a + b = q encloses the same integral as the
+    expansion of u^q: the two norm enclosures intersect."""
+    u = _seeded_series(5, 20240817 + q)
+    assert lp_norm(u, q).intersects(_old_lp_norm(u, q))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_lp_norm_builds_no_new_product(p, monkeypatch):
+    """Once power_expand(u, p) has run, as the defect bound makes it run,
+    ||u||_{L^{p+1}} costs no further series product."""
+    from sobemb import series
+
+    u = _seeded_series(4, p)
+    power_expand(u, p)
+    calls = []
+    orig = series.multiply
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(series, "multiply", counted)
+    lp_norm(u, p + 1)
+    assert calls == []
 
 
 def test_power_expand_rejects_bad_orders():

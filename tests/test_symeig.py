@@ -2,11 +2,23 @@
 exact-inertia bisection oracle in rational arithmetic (equivalent to root
 bracketing of the characteristic polynomial, but unconditionally sound)."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
-from sobemb.ivarray import IArray
-from sobemb.symeig import SymMatrix, eig_enclosures, iv_sym_eig_min, min_abs_eig_lower
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sobemb import ivarray, symeig
+from sobemb.certify import _inverse_blocks, default_split_order
+from sobemb.ivarray import IArray, _dn, _up, imatmul
+from sobemb.symeig import (
+    EigEnclosure,
+    SymMatrix,
+    eig_enclosures,
+    iv_sym_eig_min,
+    min_abs_eig_lower,
+)
 
 
 def _eigs_below(m, t: Fraction):
@@ -123,3 +135,95 @@ def test_symmetrization_hull():
     raw = IArray(np.array([[1.0, 0.2], [0.1, 2.0]]))
     m = SymMatrix(raw)
     assert m.entries.lo[0, 1] == 0.1 and m.entries.hi[0, 1] == 0.2
+
+
+def _sampled_member(lo, hi, rng):
+    """A real symmetric matrix inside [lo, hi] (lo, hi symmetric)."""
+    t = rng.uniform(size=lo.shape)
+    t = np.triu(t) + np.triu(t, 1).T
+    return np.clip(lo + t * (hi - lo), lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([0.0, 1e-15, 1e-9, 1e-4, 0.3, 2.0]),
+       st.booleans())
+def test_discs_cover_sampled_members(n, seed, rad, clustered):
+    """Every eigenvalue of every member lies in the union of the discs, for
+    point to wide radii and for midpoints with eigenvalue clusters of width
+    1e-12, where eigh's eigenvectors are ill-determined."""
+    rng = np.random.default_rng(seed)
+    if clustered:
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]
+        lam = lam + 1e-12 * rng.uniform(size=n)
+        mid = (q * lam) @ q.T
+    else:
+        mid = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+    mid = 0.5 * (mid + mid.T)
+    r = rad * np.abs(rng.uniform(size=(n, n)))
+    r = 0.5 * (r + r.T)
+    lo, hi = mid - r, mid + r
+    enc = eig_enclosures(SymMatrix(IArray(lo, hi)))
+    for _ in range(3):
+        a = _sampled_member(lo, hi, rng)
+        lams = np.linalg.eigvalsh(a)
+        # slack for eigvalsh's own backward error
+        slack = 8 * n * 2.0 ** -53 * np.max(np.abs(lams))
+        for lam in lams:
+            assert np.any((enc.disc_lo - slack <= lam) & (lam <= enc.disc_hi + slack))
+        assert enc.lam_min.lo <= lams[0] + slack
+        assert lams[0] <= enc.lam_min.hi + slack
+
+
+def _old_discs(m: SymMatrix) -> EigEnclosure:
+    """The discs of the interval-product formulation: C = V^T A V and
+    G = V^T V as interval matrices, Gershgorin on C entry by entry."""
+    a = m.entries
+    n = m.n
+    amid = 0.5 * (a.lo + a.hi)
+    amid = 0.5 * (amid + amid.T)
+    amid[np.abs(amid) < 1e-200] = 0.0
+    _, v = np.linalg.eigh(amid)
+    v[np.abs(v) < 1e-200] = 0.0
+    vi = IArray(v)
+    c = imatmul(vi.T, imatmul(a, vi))
+    g = imatmul(vi.T, vi)
+    eps = float(np.max(np.sum((g - IArray(np.eye(n))).mag(), axis=1)))
+    e1 = _up(1.0 / math.sqrt(1.0 - 2.0 * eps) - 1.0)
+    cnorm = float(np.max(np.sum(c.mag(), axis=1)))
+    delta = _up(cnorm * (2.0 * e1 + e1 * e1) * (1.0 + 1e-12))
+    cmag = c.mag()
+    np.fill_diagonal(cmag, 0.0)
+    radii = _up(np.sum(cmag, axis=1) * (1.0 + n * 2.0 ** -50) + delta)
+    disc_lo = _dn(np.diag(c.lo) - radii)
+    return EigEnclosure(disc_lo, _up(np.diag(c.hi) + radii), None)
+
+
+def test_row_sum_discs_match_interval_products_on_c4_blocks(u_p3_n20):
+    """On the four parity blocks of the p=3, N=20 center the row-sum discs
+    agree with the interval-product discs to 1e-12 relative, and the block
+    minimum that K reads is no smaller (up to the last bits)."""
+    u = u_p3_n20
+    for b in _inverse_blocks(u, 3, default_split_order(u, 3)):
+        old = _old_discs(b)
+        enc = eig_enclosures(b)
+        assert np.all(np.abs(enc.disc_lo - old.disc_lo) <= 1e-12 * np.abs(old.disc_lo))
+        assert enc.min_abs_lower() >= old.min_abs_lower() * (1.0 - 1e-15)
+
+
+def test_eig_enclosures_issues_no_interval_product(monkeypatch):
+    """The spectrum step is three float GEMMs and matrix-vector row sums;
+    an O(n^3) interval product inside it would show up here."""
+    calls = []
+    orig = ivarray.imatmul
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(ivarray, "imatmul", counted)
+    monkeypatch.setattr(symeig, "imatmul", counted, raising=False)
+    a = _seeded_symmetric(12, 3)
+    eig_enclosures(SymMatrix(IArray(a - 1e-9, a + 1e-9)))
+    assert calls == []
