@@ -191,14 +191,15 @@ class IArray:
 
 
 def _sum_dir(x: np.ndarray, direction: int) -> float:
-    """Rigorous directed-rounding bound for sum(x)."""
-    n = x.size
+    """Rigorous directed-rounding bound for sum(x): gamma_{n-1} for n nonzero
+    terms, since in any summation order adding an exact zero rounds nothing."""
+    n = np.count_nonzero(x)
     if n == 0:
         return 0.0
     s = float(np.sum(x))
     if not math.isfinite(s):
         raise OverflowError_("sum overflowed")
-    g = (n * _EPS) / (1.0 - n * _EPS)
+    g = ((n - 1) * _EPS) / (1.0 - (n - 1) * _EPS)
     bound = float(np.sum(np.abs(x))) * g
     bound = bound * (1.0 + 4.0 * n * _EPS) + _TINY  # slack for the |x| sum itself
     return math.nextafter(s - bound, -math.inf) if direction < 0 else math.nextafter(

@@ -6,15 +6,19 @@ A `Series2D` stores interval coefficients for a tensor basis
 sine/sine subtype; exact integer powers of sine series produce cosine
 parities for even powers.
 
-Products are computed exactly (up to outward rounding) by trigonometric
-convolution: per dimension,
+Products are computed exactly (up to outward rounding) in three steps:
 
-    sin m sin k = (cos|m-k| - cos(m+k))/2
-    sin m cos k = (sin(m+k) + sign(m-k) sin|m-k|)/2
-    cos m cos k = (cos(m+k) + cos|m-k|)/2
+- extend: each factor's coefficients a_m become a two-sided array on
+  indices -M..M, odd on a sine axis (E[+-m] = +-a_m, E[0] = 0) and even on
+  a cosine axis (E[+-m] = a_m, E[0] = 2 a_0);
+- convolve: the product's extension is s * (E_a * E_b), with s = -1/2 per
+  axis for sin * sin and +1/2 otherwise, which covers all four parity pairs
+  of sin m sin k = (cos(m-k) - cos(m+k))/2 and its siblings at once;
+- restrict: keep the nonnegative quadrant, dropping index 0 on a sine
+  output axis and halving it on a cosine output axis.
 
-so the 2-d product splits into four full 2-d convolutions/correlations of
-the coefficient arrays, evaluated rigorously in midpoint-radius form.
+The convolution is one loop over the nonzero entries of the sparser
+extension, in midpoint-radius form with an extended-precision midpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import CapacityError, DomainError
 from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
@@ -83,10 +86,6 @@ def _modes(parity: str, length: int) -> np.ndarray:
     if parity == SIN:
         return np.arange(1, length + 1)
     return np.arange(0, length)
-
-
-def _mode_to_index(parity: str, mode: int) -> int:
-    return mode - 1 if parity == SIN else mode
 
 
 class Series2D:
@@ -329,194 +328,99 @@ def SineSeries2D(domain: DomainRect, coeffs) -> Series2D:
 
 # -- rigorous products ------------------------------------------------------------
 
-
-def _conv2_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-d convolution accumulated in extended precision.
-
-    Iterates over the nonzero entries of the sparser factor, so structural
-    zeros of the output are produced exactly.
-    """
-    if np.count_nonzero(b) < np.count_nonzero(a):
-        a, b = b, a
-    n2, m2 = b.shape
-    out = np.zeros((a.shape[0] + n2 - 1, a.shape[1] + m2 - 1), dtype=np.longdouble)
-    b_ld = b.astype(np.longdouble)
-    for i, j in np.argwhere(a != 0.0):
-        out[i : i + n2, j : j + m2] += a[i, j] * b_ld
-    return out
-
-
-# relative accumulation error of a k-term extended-precision dot product,
-# dominated by the final cast back to float64 (one half-ulp)
+# machine epsilon of the extended-precision accumulator (binary64's where
+# numpy's longdouble is plain double)
 _EPS_LD = float(np.finfo(np.longdouble).eps)
 
 
-def _iconv2(a: IArray, b: IArray) -> IArray:
-    """Full 2-d convolution of interval arrays, midpoint-radius with a
-    rigorous a-priori rounding bound for the direct float convolutions."""
-    am, ar = a.mid(), a.rad()
-    bm, br = b.mid(), b.rad()
-    k = min(a.lo.shape[0], b.lo.shape[0]) * min(a.lo.shape[1], b.lo.shape[1])
-    g = _gamma_fac(k)
-    g_mid = (k + 4) * _EPS_LD / (1.0 - (k + 4) * _EPS_LD) + 2.0 ** -52
-    cm = _conv2_extended(am, bm).astype(np.float64)
-    abs_am = np.abs(am)
-    abs_bm = np.abs(bm)
-    p = convolve2d(abs_am, abs_bm)
-    rad = convolve2d(ar, abs_bm + br) + convolve2d(abs_am, br) + g_mid * p
-    rad = _up(rad * (1.0 + 6.0 * g) + g * g_mid * p + 4e-290)
-    lo, hi = _dn(cm - rad), _up(cm + rad)
-    # Entries whose every contributing product has a factor that is the
-    # exact interval [0, 0] are exactly zero; keep them so (this preserves
-    # parity structure, which later lets finite sections split into blocks).
-    support = convolve2d(
-        ((a.lo != 0.0) | (a.hi != 0.0)).astype(np.float64),
-        ((b.lo != 0.0) | (b.hi != 0.0)).astype(np.float64),
-    )
-    lo[support == 0.0] = 0.0
-    hi[support == 0.0] = 0.0
-    return IArray(lo, hi, _unsafe=True)
+def _extension(u: Series2D):
+    """(midpoint, radius, nonzero mask) of u extended to indices -M..M per
+    axis: odd on a sine axis (E[+-m] = +-a_m, E[0] = 0), even on a cosine
+    axis (E[+-m] = a_m, E[0] = 2 a_0).  Negation and doubling are exact."""
+    out = []
+    for a, odd in ((u.coeffs.mid(), -1.0), (u.coeffs.rad(), 1.0)):
+        for parity in (u.parity_x, u.parity_y):
+            if parity == SIN:
+                a = np.concatenate((odd * a[::-1], np.zeros_like(a[:1]), a))
+            else:
+                a = np.concatenate((a[:0:-1], 2.0 * a[:1], a[1:]))
+            a = a.T  # the other axis next; two transposes restore the layout
+        out.append(np.ascontiguousarray(a))
+    mid, rad = out
+    return mid, rad, (mid != 0.0) | (rad != 0.0)
 
 
-def _signed_quarter(val: IArray, sx: np.ndarray, sy: np.ndarray) -> IArray:
-    """Multiply by outer(sx, sy)/4 with sx, sy in {-1, 0, +1} (exact)."""
-    s = np.multiply.outer(sx, sy).astype(np.float64) * 0.25
-    lo = np.where(s >= 0.0, s * val.lo, s * val.hi)
-    hi = np.where(s >= 0.0, s * val.hi, s * val.lo)
-    return IArray(lo, hi, _unsafe=True)
+def _axis_scale(pa: str, pb: str, n: int):
+    """Output parity, per-index scale and first kept index on one axis.
 
-
-def _fold_axis(arr: IArray, offset: int, axis: int, out_len: int, sin_out: bool):
-    """Map lag index l (starting at `offset`) to |l|, accumulating folds.
-
-    For sine output the l = 0 row must already be zero (caller zeroes it).
+    With f = c_f sum_m E_f[m] e^{imt} (c = 1/2 on a cosine axis, 1/(2i) on a
+    sine axis), the product's extension is (c_a c_b / c_out) (E_a * E_b):
+    -1/2 for sin * sin, +1/2 otherwise.  A sine output keeps indices 1..,
+    a cosine output keeps 0.. with E[0] halved back to a_0.
     """
-    if axis == 1:
-        t = _fold_axis(arr.T, offset, 0, out_len, sin_out)
-        return t.T
-    n = arr.shape[0]
-    out = IArray.zeros((out_len,) + arr.shape[1:])
-    lags = np.arange(offset, offset + n)
-    for sign_flip, sel in ((False, lags >= 0), (True, lags < 0)):
-        if not np.any(sel):
-            continue
-        part = arr[sel]
-        idx = np.abs(lags[sel])
-        if sign_flip:
-            part = IArray(part.lo[::-1], part.hi[::-1], _unsafe=True)
-            idx = idx[::-1]
-        lo0, hi0 = out.lo[idx[0] : idx[0] + len(idx)], out.hi[idx[0] : idx[0] + len(idx)]
-        # adding an exact [0, 0] is exact: skip the outward widening there so
-        # structurally zero coefficients stay zero
-        zp = (part.lo == 0.0) & (part.hi == 0.0)
-        zo = (lo0 == 0.0) & (hi0 == 0.0)
-        out.lo[idx[0] : idx[0] + len(idx)] = np.where(
-            zp, lo0, np.where(zo, part.lo, _dn(lo0 + part.lo)))
-        out.hi[idx[0] : idx[0] + len(idx)] = np.where(
-            zp, hi0, np.where(zo, part.hi, _up(hi0 + part.hi)))
-    return out
-
-
-def _axis_plan(pa: str, pb: str, term: str, offset: int, n: int):
-    """Per-output-lag sign vector and output parity for one axis term.
-
-    Returns (out_parity, sign_vector over the term's index range).
-    term 'sum': index = mode_a + mode_b; term 'diff': index = mode_a - mode_b.
-    """
-    lags = np.arange(offset, offset + n)
-    if pa == SIN and pb == SIN:
-        out = COS
-        s = -np.ones(n, dtype=np.int64) if term == "sum" else np.ones(n, dtype=np.int64)
-    elif pa == COS and pb == COS:
-        out = COS
-        s = np.ones(n, dtype=np.int64)
-    else:
-        out = SIN
-        if term == "sum":
-            s = np.ones(n, dtype=np.int64)
-        else:
-            # sin_a cos_b: + sign(lag); cos_a sin_b: - sign(lag) with lag = ma - mb
-            s = np.sign(lags).astype(np.int64)
-            if pa == COS:
-                s = -s
-    return out, s
+    s = np.full(n, -0.5 if pa == pb == SIN else 0.5)
+    if pa != pb:
+        return SIN, s[1:], 1
+    s[0] *= 0.5
+    return COS, s, 0
 
 
 def multiply(u: Series2D, v: Series2D) -> Series2D:
-    """Exact (outward-rounded) pointwise product of two series."""
+    """Exact (outward-rounded) pointwise product of two series.
+
+    One sparse convolution of the factors' extensions, restricted to the
+    nonnegative quadrant: a loop over the nonzero entries of the sparser
+    extension accumulates the midpoint in extended precision, the radius
+    with the midpoint's rounding bound g_mid |a||b|, and the support, so
+    that entries no nonzero pair reaches are exactly [0, 0] (the parity
+    structure that later splits finite sections into blocks).  An entry sums
+    at most k products, k the product over both axes of the smaller count of
+    nonzero indices of the two extensions; every float sum of nonnegative
+    terms above is within the factor 1 + 6 gamma_k of its exact value.
+    """
     if u.domain != v.domain:
         raise DomainError("series domains differ")
-    a, b = u.coeffs, v.coeffs
-    ox_a = 1 if u.parity_x == SIN else 0
-    oy_a = 1 if u.parity_y == SIN else 0
-    ox_b = 1 if v.parity_x == SIN else 0
-    oy_b = 1 if v.parity_y == SIN else 0
+    ea, eb = _extension(u), _extension(v)
+    if np.count_nonzero(eb[2]) < np.count_nonzero(ea[2]):
+        ea, eb = eb, ea
+    am, ar, anz = ea
+    bm, br, bnz = eb
+    k = math.prod(min(np.count_nonzero(anz.any(axis=1 - d)),
+                      np.count_nonzero(bnz.any(axis=1 - d))) for d in (0, 1))
+    g_mid = (k + 4) * _EPS_LD / (1.0 - (k + 4) * _EPS_LD) + 2.0 ** -52
 
-    bx_flip = IArray(b.lo[::-1, :].copy(), b.hi[::-1, :].copy(), _unsafe=True)
-    by_flip = IArray(b.lo[:, ::-1].copy(), b.hi[:, ::-1].copy(), _unsafe=True)
-    bxy_flip = IArray(b.lo[::-1, ::-1].copy(), b.hi[::-1, ::-1].copy(), _unsafe=True)
+    # product indices run over 0..top per axis: the sum of the half-widths
+    top = [(sa + sb) // 2 - 1 for sa, sb in zip(am.shape, bm.shape)]
+    shape = (top[0] + 1, top[1] + 1)
+    mid = np.zeros(shape, dtype=np.longdouble)
+    rad = np.zeros(shape)
+    support = np.zeros(shape, dtype=bool)
+    bm_ld = bm.astype(np.longdouble)
+    b_rad = br + g_mid * np.abs(bm)  # what |a| multiplies
+    b_mag = np.abs(bm) + br  # what rad(a) multiplies
+    for i, j in np.argwhere(anz):
+        # b's entries from (si, sj) on reach product indices from (oi, oj) on
+        si, sj = max(top[0] - i, 0), max(top[1] - j, 0)
+        if si >= bm.shape[0] or sj >= bm.shape[1]:
+            continue
+        oi, oj = i + si - top[0], j + sj - top[1]
+        dst = (slice(oi, oi + bm.shape[0] - si), slice(oj, oj + bm.shape[1] - sj))
+        src = (slice(si, None), slice(sj, None))
+        mid[dst] += np.longdouble(am[i, j]) * bm_ld[src]
+        rad[dst] += abs(am[i, j]) * b_rad[src]
+        if ar[i, j]:
+            rad[dst] += ar[i, j] * b_mag[src]
+        support[dst] |= bnz[src]
 
-    na, ma = a.shape
-    nb, mb = b.shape
-    convs = {
-        ("sum", "sum"): (_iconv2(a, b), ox_a + ox_b, oy_a + oy_b),
-        ("sum", "diff"): (_iconv2(a, by_flip), ox_a + ox_b, oy_a - (oy_b + mb - 1)),
-        ("diff", "sum"): (_iconv2(a, bx_flip), ox_a - (ox_b + nb - 1), oy_a + oy_b),
-        ("diff", "diff"): (
-            _iconv2(a, bxy_flip),
-            ox_a - (ox_b + nb - 1),
-            oy_a - (oy_b + mb - 1),
-        ),
-    }
-
-    px, _ = _axis_plan(u.parity_x, v.parity_x, "sum", 0, 1)
-    py, _ = _axis_plan(u.parity_y, v.parity_y, "sum", 0, 1)
-    max_mode_x = (ox_a + na - 1) + (ox_b + nb - 1)
-    max_mode_y = (oy_a + ma - 1) + (oy_b + mb - 1)
-    out_nx = max_mode_x if px == SIN else max_mode_x + 1
-    out_ny = max_mode_y if py == SIN else max_mode_y + 1
-    result = IArray.zeros((out_nx, out_ny))
-
-    for (tx, ty), (c, offx, offy) in convs.items():
-        _, sx = _axis_plan(u.parity_x, v.parity_x, tx, offx, c.shape[0])
-        _, sy = _axis_plan(u.parity_y, v.parity_y, ty, offy, c.shape[1])
-        term = _signed_quarter(c, sx, sy)
-        if tx == "diff":
-            if px == SIN:
-                zr = np.arange(offx, offx + c.shape[0]) == 0
-                term.lo[zr, :] = 0.0
-                term.hi[zr, :] = 0.0
-            term = _fold_axis(term, offx, 0, max_mode_x + 1, px == SIN)
-            mode_x0 = 0
-        else:
-            mode_x0 = offx
-        if ty == "diff":
-            if py == SIN:
-                zc = np.arange(offy, offy + term.shape[1]) == 0
-                term.lo[:, zc] = 0.0
-                term.hi[:, zc] = 0.0
-            term = _fold_axis(term, offy, 1, max_mode_y + 1, py == SIN)
-            mode_y0 = 0
-        else:
-            mode_y0 = offy
-        # place: array index = mode - 1 for sin, mode for cos; drop mode 0 rows
-        ix0 = _mode_to_index(px, max(mode_x0, 1 if px == SIN else 0))
-        skip_x = (1 if px == SIN else 0) - mode_x0
-        skip_x = max(skip_x, 0)
-        iy0 = _mode_to_index(py, max(mode_y0, 1 if py == SIN else 0))
-        skip_y = max((1 if py == SIN else 0) - mode_y0, 0)
-        sub = term[skip_x:, skip_y:]
-        lx, ly = sub.shape
-        dst_lo = result.lo[ix0 : ix0 + lx, iy0 : iy0 + ly]
-        dst_hi = result.hi[ix0 : ix0 + lx, iy0 : iy0 + ly]
-        zp = (sub.lo == 0.0) & (sub.hi == 0.0)
-        zd = (dst_lo == 0.0) & (dst_hi == 0.0)
-        result.lo[ix0 : ix0 + lx, iy0 : iy0 + ly] = np.where(
-            zp, dst_lo, np.where(zd, sub.lo, _dn(dst_lo + sub.lo)))
-        result.hi[ix0 : ix0 + lx, iy0 : iy0 + ly] = np.where(
-            zp, dst_hi, np.where(zd, sub.hi, _up(dst_hi + sub.hi)))
-
-    return Series2D(u.domain, result, px, py)
+    px, sx, ox = _axis_scale(u.parity_x, v.parity_x, shape[0])
+    py, sy, oy = _axis_scale(u.parity_y, v.parity_y, shape[1])
+    scale = np.multiply.outer(sx, sy)  # powers of two: exact but for underflow
+    keep = (slice(ox, None), slice(oy, None))
+    cm = (mid[keep] * scale.astype(np.longdouble)).astype(np.float64)
+    r = _up(rad[keep] * np.abs(scale) * (1.0 + 6.0 * _gamma_fac(k)) + 4e-290)
+    lo = np.where(support[keep], _dn(cm - r), 0.0)
+    hi = np.where(support[keep], _up(cm + r), 0.0)
+    return Series2D(u.domain, IArray(lo, hi, _unsafe=True), px, py)
 
 
 def power_expand(u: Series2D, p: int) -> Series2D:
@@ -558,16 +462,11 @@ def _axis_overlap(pa: str, na: int, pb: str, nb: int, L: float) -> IArray:
     """Matrix of integrals of basis_a(m) * basis_b(k) over one dimension."""
     ma = _modes(pa, na).astype(np.float64)
     mb = _modes(pb, nb).astype(np.float64)
-    if pa == pb:
-        w = np.zeros((na, nb))
-        common = np.intersect1d(ma.astype(int), mb.astype(int))
-        out = IArray(w)
-        for m in common:
-            i = _mode_to_index(pa, int(m))
-            j = _mode_to_index(pb, int(m))
-            out.lo[i, j] = L if (pa == COS and m == 0) else 0.5 * L
-            out.hi[i, j] = out.lo[i, j]
-        return out
+    if pa == pb:  # index i is the same mode in both bases: L/2, or L for cos 0
+        w = np.eye(na, nb) * (0.5 * L)
+        if pa == COS:
+            w[0, 0] = L
+        return IArray(w)
     # sin x cos (or cos x sin): L/pi * m (1 - (-1)^{m+k}) / (m^2 - k^2), m != k
     if pa == SIN:
         m = ma.reshape(-1, 1)

@@ -9,10 +9,11 @@ Newton works in that mode space on every rectangle; the even modes of the
 result are exact zeros.
 
 Nonlinear terms are evaluated pseudo-spectrally on an oversampled tensor
-sine grid with G = (p+1)N + 1 points per dimension, which integrates the
-trigonometric degree (p+1)N exactly (no aliasing into the first N modes).
-Residuals are accumulated in extended precision so Newton can reach
-tolerances near 1e-13 at large N.
+sine grid with G = (p+1)N + 1 points per dimension, above the degree pN of
+u^p: a discrete sine transform gives the coefficients of u^p exactly for odd
+p, and for even p (a cosine series) a discrete cosine transform does, which
+the exact sine-cosine overlaps project onto the sine modes.  Residuals are
+accumulated in extended precision so Newton can reach tolerances near 1e-13.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NoConvergence, SingularJacobian
-from .series import DomainRect, Series2D, SineSeries2D
+from .series import COS, SIN, DomainRect, Series2D, SineSeries2D, _axis_overlap
 
 log = logging.getLogger("sobemb.solver")
 
@@ -87,6 +88,21 @@ def _sine_matrix(g: int, modes: np.ndarray, dtype=np.float64) -> np.ndarray:
     return np.sin(np.pi * k * m / g).astype(dtype)
 
 
+def _cos_projector(g: int, modes: np.ndarray, p: int, L: float, dtype):
+    """T with Tx^T f Ty the sine coefficients on `modes` of u^p, even p, from
+    its samples f at the grid points k+1 = 1..g-1 (g > p * max mode): the
+    cosine coefficients (2/g) h_m sum_k f_k cos(pi m (k+1)/g), h_0 = 1/2,
+    else 1, are exact (u^p vanishes at both ends), then projected by
+    (2/L) int_0^L sin(i pi x/L) cos(m pi x/L) dx."""
+    top = p * int(modes.max())
+    k = np.arange(1, g, dtype=np.longdouble).reshape(-1, 1)
+    m = np.arange(top + 1, dtype=np.longdouble).reshape(1, -1)
+    c = np.cos(np.pi * k * m / g)
+    c[:, 0] *= 0.5
+    w = _axis_overlap(SIN, int(modes.max()), COS, top + 1, L).mid()[modes - 1]
+    return ((2.0 / g) * (2.0 / L) * (c @ w.T.astype(np.longdouble))).astype(dtype)
+
+
 def _lambda_grid(domain: DomainRect, mx: np.ndarray, my: np.ndarray, dtype):
     lx = (mx.astype(dtype) / dtype(domain.L1)) ** 2
     ly = (my.astype(dtype) / dtype(domain.L2)) ** 2
@@ -96,13 +112,16 @@ def _lambda_grid(domain: DomainRect, mx: np.ndarray, my: np.ndarray, dtype):
 def _residual_array(a: np.ndarray, p: int, domain: DomainRect,
                     mx: np.ndarray, my: np.ndarray, g: int,
                     dtype=np.longdouble) -> np.ndarray:
-    """F_ij = lambda_ij a_ij - (coefficients of u^p), pseudo-spectrally exact."""
+    """F_ij = lambda_ij a_ij - (sine coefficients of u^p), exact on the grid."""
     sx = _sine_matrix(g, mx, dtype)
     sy = _sine_matrix(g, my, dtype)
     a = a.astype(dtype)
-    vals = sx @ a @ sy.T
-    f = vals ** p
-    b = (2.0 / g) ** 2 * (sx.T @ f @ sy)
+    f = (sx @ a @ sy.T) ** p
+    if p % 2:
+        b = (2.0 / g) ** 2 * (sx.T @ f @ sy)
+    else:
+        b = (_cos_projector(g, mx, p, domain.L1, dtype).T @ f
+             @ _cos_projector(g, my, p, domain.L2, dtype))
     lam = _lambda_grid(domain, mx, my, dtype)
     return lam * a - b
 

@@ -1,6 +1,9 @@
 """Command line interface: subcommands, artifacts, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -125,3 +128,18 @@ def test_partial_exit_code_when_certification_fails(capsys):
         assert rc == EXIT_OK
     else:
         assert rc == EXIT_PARTIAL
+
+
+def test_cli_import_loads_no_scipy():
+    """The library's runtime needs numpy only: importing the command line in
+    a fresh interpreter leaves scipy out of sys.modules."""
+    import sobemb
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sobemb.cli; print(sorted(m for m in sys.modules"
+         " if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

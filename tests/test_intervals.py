@@ -4,6 +4,7 @@ exhaustive containment sampling against exact rational arithmetic."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from sobemb.intervals import (
     iv_sin,
     iv_sqrt,
 )
+from sobemb.ivarray import IArray, isum
 
 
 def test_point_interval_and_ordering():
@@ -213,3 +215,18 @@ def test_products_of_short_mantissas_are_exact(a, b, e):
     out = Interval(x) * Interval(y)
     assert out.lo == out.hi == x * y
     assert Fraction(out.lo) == Fraction(x) * Fraction(y)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+       .filter(lambda v: v == 0.0 or abs(v) >= 1e-250))
+def test_isum_counts_only_nonzero_terms(x):
+    """Adding exact zeros rounds nothing: one float among 10^6 zeros sums to
+    an enclosure at most 4 ulps wide (the count-all bound is about 10^6
+    ulps).  Floats below 1e-250 are left out: there the absolute underflow
+    cushion of isum, not the count, sets the width."""
+    a = np.zeros(10 ** 6)
+    a[123_457] = x
+    s = isum(IArray(a))
+    assert s.lo <= x <= s.hi
+    assert s.hi - s.lo <= 4.0 * math.ulp(x)

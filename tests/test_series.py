@@ -2,6 +2,7 @@
 bounds, and boundary factorization, validated against closed-form values,
 high-precision mpmath oracles, and dense floating-point sampling."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -275,6 +276,75 @@ def test_multiply_commutes():
 def test_multiply_rejects_mismatched_domains():
     with pytest.raises(DomainError):
         multiply(_one_mode(), _one_mode(domain=DomainRect(2.0, 1.0)))
+
+
+def _axis_product(pa, m, pb, k):
+    """[(mode, coefficient)] of basis_a(m) * basis_b(k), by the identities
+    sin m sin k = (cos|m-k| - cos(m+k))/2,
+    sin m cos k = (sin(m+k) + sign(m-k) sin|m-k|)/2,
+    cos m cos k = (cos(m+k) + cos|m-k|)/2."""
+    h = Fraction(1, 2)
+    if pa == pb == SIN:
+        return [(abs(m - k), h), (m + k, -h)]
+    if pa == pb == COS:
+        return [(m + k, h), (abs(m - k), h)]
+    s, c = (m, k) if pa == SIN else (k, m)
+    return [(s + c, h)] + ([(abs(s - c), h if s > c else -h)] if s != c else [])
+
+
+def _exact_product(u, v):
+    """Exact Fraction coefficients of u * v for point series, and the set of
+    output indices that some pair of nonzero coefficients reaches."""
+    out, reached = {}, set()
+    a, b = u.coeffs.lo, v.coeffs.lo
+    for (i, j), (k, l) in itertools.product(zip(*np.nonzero(a)), zip(*np.nonzero(b))):
+        cab = Fraction(a[i, j]) * Fraction(b[k, l])
+        for mx, fx in _axis_product(u.parity_x, u.modes_x()[i], v.parity_x, v.modes_x()[k]):
+            for my, fy in _axis_product(u.parity_y, u.modes_y()[j], v.parity_y, v.modes_y()[l]):
+                key = (mx, my)
+                reached.add(key)
+                out[key] = out.get(key, Fraction(0)) + cab * fx * fy
+    return out, reached
+
+
+@pytest.mark.parametrize("parities", [
+    (px, py, qx, qy) for px in (SIN, COS) for py in (SIN, COS)
+    for qx in (SIN, COS) for qy in (SIN, COS)])
+def test_multiply_encloses_exact_product_for_every_parity_pair(parities):
+    """Dyadic-rational factors on a 2 x 1 rectangle: every coefficient of
+    multiply encloses the exact rational product coefficient, and an entry no
+    nonzero pair reaches is exactly [0, 0]."""
+    px, py, qx, qy = parities
+    rng = np.random.default_rng(sum(ord(c) for c in "".join(parities)))
+    dom = DomainRect(2.0, 1.0)
+    for _ in range(3):
+        a = rng.integers(-64, 65, size=rng.integers(1, 6, 2)) / 32.0
+        b = rng.integers(-64, 65, size=rng.integers(1, 6, 2)) / 16.0
+        a[rng.random(a.shape) < 0.4] = 0.0  # structural zeros
+        b[:, ::2] = 0.0
+        u = Series2D(dom, IArray(a), px, py)
+        v = Series2D(dom, IArray(b), qx, qy)
+        w = multiply(u, v)
+        out_x = COS if px == qx else SIN
+        out_y = COS if py == qy else SIN
+        assert (w.parity_x, w.parity_y) == (out_x, out_y)
+        exact, reached = _exact_product(u, v)
+        assert set(exact) <= {(mx, my) for mx in w.modes_x() for my in w.modes_y()}
+        # a wide factor encloses the products of its end members as well
+        r = np.where(a != 0.0, rng.integers(0, 4, size=a.shape) / 1024.0, 0.0)
+        wide = multiply(Series2D(dom, IArray(a - r, a + r), px, py), v)
+        ends = [_exact_product(Series2D(dom, IArray(a + t * r), px, py), v)[0]
+                for t in (-1.0, 1.0)]
+        for prod, members, tol in ((w, [exact], 1e-13), (wide, ends, 1.0)):
+            for i, mx in enumerate(prod.modes_x()):
+                for j, my in enumerate(prod.modes_y()):
+                    lo, hi = prod.coeffs.lo[i, j], prod.coeffs.hi[i, j]
+                    if (mx, my) not in reached:
+                        assert lo == hi == 0.0, (mx, my)
+                        continue
+                    for m in members:
+                        assert Fraction(lo) <= m.get((mx, my), 0) <= Fraction(hi), (mx, my)
+                    assert hi - lo <= tol * max(1.0, abs(lo))
 
 
 # -- pointwise bounds --------------------------------------------------------------
