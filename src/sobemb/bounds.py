@@ -11,6 +11,7 @@ certified approximate extremizer with its certified error radius.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
@@ -42,8 +43,9 @@ def talenti_constant(n: int, q) -> Interval:
     return f1 * f2 * f3 * f4
 
 
+@functools.lru_cache(maxsize=64)
 def corollary_bound(n: int, p, measure) -> Interval:
-    """Upper bound |Omega|^{(2-q)/(2q)} * T with q = np/(n+p)."""
+    """Upper bound |Omega|^{(2-q)/(2q)} * T with q = np/(n+p), kept."""
     pi_ = Interval._coerce(p)
     mi = Interval._coerce(measure)
     if mi.lo <= 0.0:
@@ -60,8 +62,9 @@ def corollary_bound(n: int, p, measure) -> Interval:
     return iv_pow_real(mi, expo) * t
 
 
+@functools.lru_cache(maxsize=64)
 def plum_bound(n: int, p, rho: Interval) -> Interval:
-    """Upper bound from a rigorous lower bound rho <= lambda_1.
+    """Upper bound from a rigorous lower bound rho <= lambda_1, kept.
 
     Only rho.lo is used (rho enters with a negative exponent, so any true
     lower spectral bound yields a valid upper bound).
@@ -107,9 +110,6 @@ class EnclosureResult:
     upper: float
     sources: dict
     domain: object
-
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def enclosure_from_ball(u: Series2D, r_h1: Interval, p: int, positive: bool) -> tuple:

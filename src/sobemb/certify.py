@@ -20,6 +20,7 @@ Certification is a function of the center and p alone: the split order is
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ import numpy as np
 
 from .bounds import corollary_bound, plum_bound
 from .errors import (
+    CapacityError,
     ConditionFailure,
     DomainError,
     FixedPointFailure,
@@ -39,6 +41,7 @@ from .intervals import PI, Interval, iv_pow_int, iv_sqrt
 from .ivarray import IArray, _dn, _up, imatmul, isum
 from .series import (
     COS,
+    MAX_DENSE_ROWS,
     SIN,
     DomainRect,
     Series2D,
@@ -52,6 +55,7 @@ from .symeig import SymMatrix, min_abs_eig_lower
 UNIQUE_RADIUS_CAP = 1e300
 LINF_RHO_MAX = 1e3  # largest L-infinity radius worth reporting
 LINF_ITERATIONS = 60  # cap on the downward bootstrap iterations
+LINF_BOX = 400  # modes per side summed exactly in the L-infinity constant
 
 
 # -- defect ---------------------------------------------------------------------
@@ -68,7 +72,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     |u|^{p-1}u - u^p is absorbed in both norms via the negative-part bound.
     """
     if p not in (2, 3, 4, 5):
-        raise ValueError(f"exponent p must be in 2..5, got {p}")
+        raise DomainError(f"exponent p must be in 2..5, got {p}")
     dom = u.domain
     quarter = dom.measure() * Interval(0.25)
     v = power_expand(u, p)
@@ -189,6 +193,16 @@ def _tail_lambda(dom: DomainRect, nprime: int) -> Interval:
 
 
 def default_split_order(u: Series2D, p: int) -> int:
+    """The split order n' of `inverse_bound`, kept on u; CapacityError if
+    its largest parity block, ceil(n'/2)^2 rows, exceeds MAX_DENSE_ROWS."""
+    nprime = u.fact(("split_order", p), lambda: _scan_split_order(u, p))
+    rows = ((nprime + 1) // 2) ** 2
+    if rows > MAX_DENSE_ROWS:
+        raise CapacityError(f"split order {nprime}: block of {rows} rows > {MAX_DENSE_ROWS}")
+    return nprime
+
+
+def _scan_split_order(u: Series2D, p: int) -> int:
     """Smallest split order whose estimated coupling correction is negligible
     next to typical block minima (~0.2); larger orders only add near-identity
     rows while cubing the eigenvalue-enclosure cost."""
@@ -381,21 +395,22 @@ def kantorovich_radius(kd: KantorovichData) -> tuple:
 # -- L-infinity radius ------------------------------------------------------------
 
 
-def linf_embedding_constant(domain: DomainRect, box: int = 400) -> Interval:
+@functools.lru_cache(maxsize=16)
+def linf_embedding_constant(domain: DomainRect) -> Interval:
     """c with ||v||_inf <= c ||Lap v||_L2 on the sine-series closure.
 
     c^2 = (4/|Omega|) * sum over all modes of lambda_ij^{-2}; the sum is a
     rigorous box partial sum plus a monotone integral tail bound.
     """
-    modes = np.arange(1, box + 1)
+    modes = np.arange(1, LINF_BOX + 1)
     lam = domain.lambda_grid(modes, modes)
     inv2 = (IArray(np.ones(lam.shape)) / lam).square()
     s = isum(inv2)
     l1, l2_ = Interval(domain.L1), Interval(domain.L2)
-    # tail over {i > box} x {j >= 1} plus the transposed strip
+    # tail over {i > LINF_BOX} x {j >= 1} plus the transposed strip
     tail = (
         (l2_ * l1 ** 3 + l1 * l2_ ** 3)
-        / (Interval(8.0 * box * box) * PI ** 3)
+        / (Interval(8.0 * LINF_BOX ** 2) * PI ** 3)
     )
     total = Interval(max(s.lo, 0.0), (s + Interval(0.0, tail.hi)).hi)
     c2 = Interval(4.0) / domain.measure() * total
@@ -531,11 +546,11 @@ class CertifiedBall:
     unique_radius: Interval
     positive: bool
     audit: PositivenessAudit
-    kantorovich: KantorovichData = field(repr=False, default=None)
-    delta_l2: Interval = field(repr=False, default=None)
-    nprime: int = 0
+    kantorovich: KantorovichData = field(repr=False)
+    delta_l2: Interval = field(repr=False)
+    nprime: int
 
-    def to_dict(self, p: int | None = None) -> dict:
+    def to_dict(self, p: int) -> dict:
         c = self.center
         digest = hashlib.sha256(
             c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()
@@ -555,25 +570,25 @@ class CertifiedBall:
                 "spectral": self.audit.spectral_margin,
             },
             "split_order": self.nprime,
+            "p": p,
         }
-        if p is not None:
-            d["p"] = p
-        if self.kantorovich is not None:
-            kd = self.kantorovich
-            d["kantorovich"] = {
-                "delta": [kd.delta.lo.hex(), kd.delta.hi.hex()],
-                "K": [kd.K.lo.hex(), kd.K.hi.hex()],
-                "g": [kd.g.lo.hex(), kd.g.hi.hex()],
-            }
+        kd = self.kantorovich
+        d["kantorovich"] = {
+            "delta": [kd.delta.lo.hex(), kd.delta.hi.hex()],
+            "K": [kd.K.lo.hex(), kd.K.hi.hex()],
+            "g": [kd.g.lo.hex(), kd.g.hi.hex()],
+        }
         return d
 
-    def to_json(self, p: int | None = None) -> str:
+    def to_json(self, p: int) -> str:
         return json.dumps(self.to_dict(p))
 
 
 def certify_ball(u: Series2D, p: int) -> CertifiedBall:
-    """Full certification pipeline for one approximate solution."""
+    """Full certification pipeline for one approximate solution; the split
+    order comes first, so a CapacityError precedes any defect work."""
     _check_center(u)
+    nprime = default_split_order(u, p)
     d_hm1, d_l2 = defect_bounds(u, p)
     k = inverse_bound(u, p)
 
@@ -602,5 +617,5 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
         audit=audit,
         kantorovich=kd,
         delta_l2=d_l2,
-        nprime=default_split_order(u, p),
+        nprime=nprime,
     )

@@ -50,9 +50,10 @@ def _parse_int_list(text: str) -> list:
     return [int(t) for t in text.split(",") if t]
 
 
-def _add_common(sub):
-    sub.add_argument("--p", type=int, default=3,
-                     help="PDE exponent p (the enclosure targets C_{p+1})")
+def _add_common(sub, exponent=True):
+    if exponent:
+        sub.add_argument("--p", type=int, default=3,
+                         help="PDE exponent p (the enclosure targets C_{p+1})")
     sub.add_argument("--domain", type=_parse_domain,
                      default=DomainRect(1.0, 1.0), help="rectangle sides LxW")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
@@ -63,23 +64,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sobemb",
         description="Certified two-sided enclosures of Sobolev embedding "
                     "constants on rectangles.",
+        allow_abbrev=False,
     )
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="log solver iterations")
     sp = ap.add_subparsers(dest="command", required=True)
 
-    s = sp.add_parser("solve", help="run the approximate solver")
+    def add_parser(name, **kw):  # exact names: `--p` is no prefix of --p-list
+        return sp.add_parser(name, allow_abbrev=False, **kw)
+
+    s = add_parser("solve", help="run the approximate solver")
     _add_common(s)
     s.add_argument("--N", type=int, default=20, help="truncation order")
-    s.add_argument("--tol", type=float, default=1e-13)
 
-    s = sp.add_parser("certify", help="certify an approximate solution")
+    s = add_parser("certify", help="certify an approximate solution")
     _add_common(s)
     s.add_argument("--N", type=int, default=20)
     s.add_argument("--in", dest="infile", default=None,
                    help="series JSON produced by 'solve' (otherwise re-solve)")
 
-    s = sp.add_parser("enclose", help="full pipeline with an N sweep")
+    s = add_parser("enclose", help="full pipeline with an N sweep")
     _add_common(s)
     s.add_argument("--N", type=_parse_int_list, default=[10, 20, 30, 34],
                    help="comma-separated truncation sweep")
@@ -87,16 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--plot-grid", type=int, default=0,
                    help="emit <out>.plot.csv samples on an MxM grid")
 
-    s = sp.add_parser("classical", help="closed-form upper-bound table")
-    _add_common(s)
+    s = add_parser("classical", help="closed-form upper-bound table")
+    _add_common(s, exponent=False)
     s.add_argument("--p-list", type=_parse_int_list, default=[3, 4, 5],
                    help="Lebesgue exponents of the embedding")
-    s.add_argument("--n", type=int, default=2, help="space dimension")
-    s.add_argument("--rho", type=float, default=None,
-                   help="spectral lower bound (requires --unchecked-rho)")
-    s.add_argument("--unchecked-rho", action="store_true")
 
-    s = sp.add_parser("reproduce", help="run the reference configurations")
+    s = add_parser("reproduce", help="run the reference configurations")
     s.add_argument("--which", choices=("c3", "c4", "c5", "table", "all"),
                    default="c4")
     s.add_argument("--out", default=None)
@@ -112,7 +112,7 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_solve(args) -> int:
-    cfg = SolverConfig(p=args.p, N=args.N, newton_tol=args.tol)
+    cfg = SolverConfig(p=args.p, N=args.N)
     u = newton_solve(cfg, initial_guess(args.p, args.domain))
     _emit(u.to_json(), args.out)
     return EXIT_OK
@@ -144,18 +144,10 @@ def _cmd_enclose(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    rho = None
-    if args.rho is not None:
-        from .intervals import Interval
-
-        if not args.unchecked_rho:
-            raise SobembError("--rho requires --unchecked-rho")
-        rho = Interval(args.rho)
-    table = classical_table(args.n, args.p_list, args.domain, rho=rho,
-                            unchecked=args.rho is not None)
+    table = classical_table(args.p_list, args.domain)
     out = {
         "format": "sobemb-classical/1",
-        "n": args.n,
+        "n": 2,
         "domain": {"L1": args.domain.L1.hex(), "L2": args.domain.L2.hex()},
         "rows": [
             {
@@ -186,7 +178,7 @@ def _cmd_reproduce(args) -> int:
     targets = ["c4", "c3", "c5", "table"] if args.which == "all" else [args.which]
     for t in targets:
         if t == "table":
-            table = classical_table(2, [3, 4, 5], dom)
+            table = classical_table([3, 4, 5], dom)
             results["table"] = {
                 str(row["p"]): {
                     "corollary": outward_decimal(row["corollary"].hi, +1),

@@ -25,7 +25,7 @@ from .bounds import (
     plum_bound,
 )
 from .certify import certify_ball
-from .errors import SobembError, SoundnessViolation
+from .errors import DomainError, SobembError, SoundnessViolation
 from .intervals import Interval
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
@@ -35,7 +35,7 @@ REPORT_FORMAT = "sobemb-report/1"
 
 @dataclass
 class RunConfig:
-    """Configuration of a full pipeline run (PDE exponent p; C_{p+1} output)."""
+    """A pipeline run: p in 2..5 (C_{p+1} output), rectangle, N sweep."""
 
     p: int
     domain: DomainRect
@@ -45,6 +45,9 @@ class RunConfig:
         if isinstance(self.N, int):
             self.N = [self.N]
         self.N = [int(n) for n in self.N]
+        if self.p not in (2, 3, 4, 5) or not self.N or min(self.N) < 1:
+            raise DomainError("need p in 2..5 and a nonempty sweep of N >= 1, "
+                              f"got p={self.p}, N={self.N}")
 
     def to_dict(self) -> dict:
         return {
@@ -123,7 +126,7 @@ class RunReport:
     def any_certified(self) -> bool:
         return any(r.status == "certified" for r in self.rows)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         d = {
             "format": REPORT_FORMAT,
             "config": self.config.to_dict(),
@@ -135,29 +138,25 @@ class RunReport:
                 "platform": platform.platform(),
                 "numpy": np.__version__,
             },
+            "timing": self.timing,
         }
-        if self.final is not None:
-            d["final"] = {
-                "p": self.final.p,
-                "lower": self.final.lower.hex(),
-                "upper": self.final.upper.hex(),
-                "lower_decimal": outward_decimal(self.final.lower, -1),
-                "upper_decimal": outward_decimal(self.final.upper, +1),
-                "sources": self.final.sources,
-            }
-        else:
-            d["final"] = None
-        if include_timing:
-            d["timing"] = self.timing
+        d["final"] = None if self.final is None else {
+            "p": self.final.p,
+            "lower": self.final.lower.hex(),
+            "upper": self.final.upper.hex(),
+            "lower_decimal": outward_decimal(self.final.lower, -1),
+            "upper_decimal": outward_decimal(self.final.upper, +1),
+            "sources": self.final.sources,
+        }
         return d
 
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def canonical_json(self) -> str:
         """Deterministic serialization (timing and host metadata stripped)."""
-        d = self.to_dict(include_timing=False)
-        d.pop("meta")
+        d = self.to_dict()
+        del d["meta"], d["timing"]
         return json.dumps(d, sort_keys=True)
 
 
@@ -165,7 +164,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     """Execute the sweep; failures at one N are recorded, not fatal."""
     t_start = time.perf_counter()
     timing = {}
-    (bounds,) = classical_table(2, [cfg.p + 1], cfg.domain)
+    (bounds,) = classical_table([cfg.p + 1], cfg.domain)
     classical = [(tag, bounds[tag]) for tag in ("corollary", "plum")]
     rows = []
     solutions = {}
@@ -220,23 +219,17 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
                      solutions=solutions, timing=timing, error=error)
 
 
-def classical_table(n: int, p_list, domain: DomainRect,
-                    rho: Interval | None = None, unchecked: bool = False) -> list:
-    """Rows [{p, corollary, plum}] of classical upper bounds for C_p."""
-    if rho is None:
-        rho = domain.lambda1()
-    elif not unchecked:
-        raise ValueError("a user-supplied rho requires unchecked=True")
-    table = []
-    for p in p_list:
-        table.append(
-            {
-                "p": p,
-                "corollary": corollary_bound(n, float(p), domain.measure()),
-                "plum": plum_bound(n, float(p), rho),
-            }
-        )
-    return table
+def classical_table(p_list, domain: DomainRect) -> list:
+    """Rows [{p, corollary, plum}] of classical upper bounds for C_p on the
+    rectangle; the spectral bound uses its certified lambda_1."""
+    return [
+        {
+            "p": p,
+            "corollary": corollary_bound(2, float(p), domain.measure()),
+            "plum": plum_bound(2, float(p), domain.lambda1()),
+        }
+        for p in p_list
+    ]
 
 
 def emit_plot_data(u: Series2D, m: int, path: str) -> str:

@@ -34,6 +34,12 @@ from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
 from .ivarray import IArray, _dn, _up, _gamma_fac, imatmul, isum, sin_points
 
 MAX_EXPANSION_ORDER = 1024
+# Rows of the largest dense matrix built (the Newton Jacobian, a parity block
+# of the inverse bound); more is a CapacityError before allocation.  The
+# inverse bound peaks at about 115 bytes per block entry (measured, 440 to
+# 5041 rows), so the cap budgets 3.5 GB: p=3, N <= 73 on the unit square.
+MAX_DENSE_ROWS = 5500
+INF_GRID = 128  # cells per side of the grid behind inf_enclosure
 
 SIN = "sin"
 COS = "cos"
@@ -93,8 +99,8 @@ class Series2D:
 
     Coefficients are never mutated after construction: every operation
     returns a new instance.  Facts derived from them (exact powers, the
-    negative-part bound, the sup bound) are therefore computed on first use
-    and kept in ``_facts`` for every later caller.
+    negative-part bound, the sup bound, the split order) are therefore
+    computed on first use and kept in ``_facts`` for every later caller.
     """
 
     __slots__ = ("domain", "parity_x", "parity_y", "coeffs", "_facts")
@@ -109,6 +115,12 @@ class Series2D:
         self.parity_y = parity_y
         self.coeffs = coeffs
         self._facts = {}
+
+    def fact(self, key, compute):
+        """The derived fact `key`, from compute() on first use."""
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
 
     @property
     def is_sine(self) -> bool:
@@ -213,15 +225,9 @@ class Series2D:
     # -- pointwise bounds ----------------------------------------------------------
 
     def sup_abs_bound(self) -> Interval:
-        """Enclosure of sup |u|: coefficient sum above, 17 x 17 samples below."""
-        s = self._facts.get("sup_abs")
-        if s is None:
-            ub = isum(abs(self.coeffs)).hi
-            xs = np.linspace(0.0, self.domain.L1, 19)[1:-1]
-            ys = np.linspace(0.0, self.domain.L2, 19)[1:-1]
-            lb = float(np.max(abs(self.values_on_grid(xs, ys)).lo))
-            s = self._facts["sup_abs"] = Interval(min(lb, ub), ub)
-        return s
+        """[0, coefficient sum] encloses sup |u|: every basis function is
+        bounded by 1 in absolute value."""
+        return self.fact("sup_abs", lambda: Interval(0.0, isum(abs(self.coeffs)).hi))
 
     def grad_sup_bound(self) -> Interval:
         gx = IArray(self.modes_x().astype(np.float64)) / IArray._coerce(
@@ -237,49 +243,38 @@ class Series2D:
         ub = (isum(abs(self.coeffs) * norms) * PI).hi
         return Interval(0.0, ub)
 
-    def inf_enclosure(self, m: int = 256, refine: bool = True) -> Interval:
-        """Enclosure of inf over the rectangle (Lipschitz-corrected grid)."""
-        if m < 2:
-            raise DomainError("inf_enclosure requires grid order m >= 2")
+    def inf_enclosure(self) -> Interval:
+        """Enclosure of inf over the rectangle: Lipschitz-corrected lower
+        bounds on the INF_GRID x INF_GRID cells, with the minimizing cell
+        refined by the same grid once."""
+        dom = self.domain
+        hx, hy = dom.L1 / INF_GRID, dom.L2 / INF_GRID
         g = self.grad_sup_bound().hi
-        lo, hi = self._inf_pass(0.0, self.domain.L1, 0.0, self.domain.L2, m, g)
-        if refine:
-            # one refinement of the minimizing cell
-            xs, ys, vals = self._grid_cells(0.0, self.domain.L1, 0.0, self.domain.L2, m)
-            corr = self._cell_corr(self.domain.L1 / m, self.domain.L2 / m, g)
-            cell_lo = _dn(vals.lo - corr)
-            k = np.unravel_index(np.argmin(cell_lo), cell_lo.shape)
-            others = cell_lo.copy()
-            others[k] = np.inf
-            hx, hy = self.domain.L1 / m, self.domain.L2 / m
-            x0, y0 = k[0] * hx, k[1] * hy
-            rlo, rhi = self._inf_pass(x0, x0 + hx, y0, y0 + hy, m, g)
-            lo = min(float(np.min(others)), rlo) if others.size > 1 else rlo
-            hi = min(hi, rhi)
+        cell_lo, hi = self._cells(0.0, dom.L1, 0.0, dom.L2, g)
+        i, j = np.unravel_index(np.argmin(cell_lo), cell_lo.shape)
+        x0, y0 = i * hx, j * hy
+        sub_lo, sub_hi = self._cells(x0, x0 + hx, y0, y0 + hy, g)
+        cell_lo[i, j] = np.inf
+        lo = min(float(np.min(cell_lo)), float(np.min(sub_lo)))
+        hi = min(hi, sub_hi)
         if self.is_sine:
             hi = min(hi, 0.0)  # u vanishes on the boundary, so inf <= 0
         lo = min(lo, hi)
         return Interval(lo, hi)
 
-    def _grid_cells(self, xa, xb, ya, yb, m):
-        hx = (xb - xa) / m
-        hy = (yb - ya) / m
-        xs = xa + hx * (np.arange(m) + 0.5)
-        ys = ya + hy * (np.arange(m) + 0.5)
-        return xs, ys, self.values_on_grid(xs, ys)
-
-    def _cell_corr(self, hx, hy, g) -> float:
+    def _cells(self, xa, xb, ya, yb, g):
+        """(lower bound of u on each of the INF_GRID^2 cells of a box, least
+        upper bound of u at a cell midpoint); g >= sup |grad u|."""
+        hx = (xb - xa) / INF_GRID
+        hy = (yb - ya) / INF_GRID
+        xs = xa + hx * (np.arange(INF_GRID) + 0.5)
+        ys = ya + hy * (np.arange(INF_GRID) + 0.5)
+        vals = self.values_on_grid(xs, ys)
         # half cell diagonal, plus slack covering float placement of the
         # nominal cell midpoints (a few ulps of the domain size)
         slack = 1e-12 * (self.domain.L1 + self.domain.L2 + 1.0)
-        return _up(g * (0.5 * math.hypot(hx, hy) * (1.0 + 1e-12) + slack))
-
-    def _inf_pass(self, xa, xb, ya, yb, m, g):
-        xs, ys, vals = self._grid_cells(xa, xb, ya, yb, m)
-        corr = self._cell_corr((xb - xa) / m, (yb - ya) / m, g)
-        lo = float(np.min(_dn(vals.lo - corr)))
-        hi = float(np.min(vals.hi))
-        return lo, hi
+        corr = _up(g * (0.5 * math.hypot(hx, hy) * (1.0 + 1e-12) + slack))
+        return _dn(vals.lo - corr), float(np.min(vals.hi))
 
     # -- serialization ----------------------------------------------------------
 
@@ -448,11 +443,8 @@ def _power(u: Series2D, k: int) -> Series2D:
     """u^k along the chain above, each power built once and kept on u."""
     if k == 1:
         return u
-    v = u._facts.get(("power", k))
-    if v is None:
-        a, b = _POWER_SPLIT[k]
-        v = u._facts[("power", k)] = multiply(_power(u, a), _power(u, b))
-    return v
+    a, b = _POWER_SPLIT[k]
+    return u.fact(("power", k), lambda: multiply(_power(u, a), _power(u, b)))
 
 
 # -- one-dimensional overlaps ------------------------------------------------------
@@ -526,11 +518,8 @@ def negative_part_sup(u: Series2D) -> float:
     """
     if not u.is_sine:
         raise DomainError("negative_part_sup expects a sine/sine series")
-    eta = u._facts.get("neg_sup")
-    if eta is None:
-        inf_w = factor_boundary(u).inf_enclosure(128)
-        eta = u._facts["neg_sup"] = max(0.0, -inf_w.lo)
-    return eta
+    return u.fact("neg_sup",
+                  lambda: max(0.0, -factor_boundary(u).inf_enclosure().lo))
 
 
 def _iv_root(x: Interval, q: float) -> Interval:

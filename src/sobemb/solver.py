@@ -24,31 +24,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, NoConvergence, SingularJacobian
-from .series import COS, SIN, DomainRect, Series2D, SineSeries2D, _axis_overlap
+from .errors import CapacityError, DomainError, NoConvergence, SingularJacobian
+from .series import (
+    COS,
+    MAX_DENSE_ROWS,
+    SIN,
+    DomainRect,
+    Series2D,
+    SineSeries2D,
+    _axis_overlap,
+)
 
 log = logging.getLogger("sobemb.solver")
 
-MAX_GRID = 4096
+NEWTON_TOL = 1e-13  # residual l2-norm at which Newton stops
+MAX_ITER = 50  # Newton steps before NoConvergence
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for the Galerkin-Newton iteration on the odd-odd sine modes
-    up to N in each dimension."""
+    """The Galerkin-Newton problem: exponent p, odd-odd sine modes up to N
+    in each dimension."""
 
     p: int
     N: int
-    newton_tol: float = 1e-13
-    max_iter: int = 50
 
     def __post_init__(self):
         if self.p not in (2, 3, 4, 5):
-            raise ValueError(f"exponent p must be in 2..5, got {self.p}")
+            raise DomainError(f"exponent p must be in 2..5, got {self.p}")
         if self.N < 1:
-            raise ValueError("truncation order N must be >= 1")
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
+            raise DomainError(f"truncation order N must be >= 1, got {self.N}")
 
 
 # integral of sin^k over one period-half, divided by the length:
@@ -65,7 +70,7 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     c^(p-1) = lambda_11 / (4 w^2).
     """
     if p not in (2, 3, 4, 5):
-        raise ValueError(f"exponent p must be in 2..5, got {p}")
+        raise DomainError(f"exponent p must be in 2..5, got {p}")
     lam11 = math.pi ** 2 * (1.0 / domain.L1 ** 2 + 1.0 / domain.L2 ** 2)
     w = _SINE_POWER_MEAN[p + 1]
     c = (lam11 / (4.0 * w * w)) ** (1.0 / (p - 1))
@@ -74,21 +79,14 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     return SineSeries2D(domain, coeffs)
 
 
-def _grid_order(p: int, n: int) -> int:
-    g = (p + 1) * n + 1
-    if g > MAX_GRID:
-        raise CapacityError(f"pseudo-spectral grid order {g} exceeds {MAX_GRID}")
-    return g
-
-
-def _sine_matrix(g: int, modes: np.ndarray, dtype=np.float64) -> np.ndarray:
+def _sine_matrix(g: int, modes: np.ndarray) -> np.ndarray:
     """S[k, i] = sin(pi * modes[i] * (k+1) / g), sample points k+1 = 1..g-1."""
     k = np.arange(1, g, dtype=np.longdouble).reshape(-1, 1)
     m = modes.astype(np.longdouble).reshape(1, -1)
-    return np.sin(np.pi * k * m / g).astype(dtype)
+    return np.sin(np.pi * k * m / g)
 
 
-def _cos_projector(g: int, modes: np.ndarray, p: int, L: float, dtype):
+def _cos_projector(g: int, modes: np.ndarray, p: int, L: float) -> np.ndarray:
     """T with Tx^T f Ty the sine coefficients on `modes` of u^p, even p, from
     its samples f at the grid points k+1 = 1..g-1 (g > p * max mode): the
     cosine coefficients (2/g) h_m sum_k f_k cos(pi m (k+1)/g), h_0 = 1/2,
@@ -100,7 +98,7 @@ def _cos_projector(g: int, modes: np.ndarray, p: int, L: float, dtype):
     c = np.cos(np.pi * k * m / g)
     c[:, 0] *= 0.5
     w = _axis_overlap(SIN, int(modes.max()), COS, top + 1, L).mid()[modes - 1]
-    return ((2.0 / g) * (2.0 / L) * (c @ w.T.astype(np.longdouble))).astype(dtype)
+    return (2.0 / g) * (2.0 / L) * (c @ w.T.astype(np.longdouble))
 
 
 def _lambda_grid(domain: DomainRect, mx: np.ndarray, my: np.ndarray, dtype):
@@ -109,59 +107,70 @@ def _lambda_grid(domain: DomainRect, mx: np.ndarray, my: np.ndarray, dtype):
     return dtype(math.pi) ** 2 * (lx.reshape(-1, 1) + ly.reshape(1, -1))
 
 
+class _Galerkin:
+    """The Galerkin system on the sine modes mx x my, grid order g, with its
+    transforms built once: S samples the modes on the grid, and T takes
+    samples of u^p to sine coefficients (S times (2/g)^2 for odd p, the
+    cosine projector for even p).  The residual lambda a - Tx^T (Sx a Sy^T)^p
+    Ty is in extended precision; the Jacobian is its derivative, binary64."""
+
+    def __init__(self, p: int, domain: DomainRect, mx: np.ndarray,
+                 my: np.ndarray, g: int):
+        self.p, self.rows = p, len(mx) * len(my)
+        s = [_sine_matrix(g, mx), _sine_matrix(g, my)]
+        if p % 2:
+            self.scale, t = (2.0 / g) ** 2, s
+        else:
+            self.scale = 1.0
+            t = [_cos_projector(g, mx, p, domain.L1),
+                 _cos_projector(g, my, p, domain.L2)]
+        self.ld = s + t  # Sx, Sy, Tx, Ty
+        self.f64 = [m.astype(np.float64) for m in self.ld]
+        self.lam = _lambda_grid(domain, mx, my, np.longdouble)
+        self.lam64 = _lambda_grid(domain, mx, my, np.float64).reshape(-1)
+
+    def residual(self, a: np.ndarray) -> np.ndarray:
+        sx, sy, tx, ty = self.ld
+        a = a.astype(np.longdouble)
+        return self.lam * a - self.scale * (tx.T @ (sx @ a @ sy.T) ** self.p @ ty)
+
+    def jacobian(self, a: np.ndarray) -> np.ndarray:
+        """Dense matrix of the linearization in the mode basis; CapacityError
+        before anything is built if it would exceed MAX_DENSE_ROWS rows."""
+        if self.rows > MAX_DENSE_ROWS:
+            raise CapacityError(f"Jacobian of {self.rows} rows > {MAX_DENSE_ROWS}")
+        sx, sy, tx, ty = self.f64
+        w = self.p * (sx @ a @ sy.T) ** (self.p - 1)
+        # M[(i,j),(k,l)] = sum_{m,n} Tx[m,i] Sx[m,k] W[m,n] Ty[n,j] Sy[n,l]
+        t = np.einsum("mi,mk,mn->ikn", tx, sx, w, optimize=True)
+        m = np.einsum("ikn,nj,nl->ijkl", t, ty, sy, optimize=True)
+        m *= self.scale
+        jac = -m.reshape(self.rows, self.rows)
+        jac[np.arange(self.rows), np.arange(self.rows)] += self.lam64
+        return jac
+
+
 def _residual_array(a: np.ndarray, p: int, domain: DomainRect,
-                    mx: np.ndarray, my: np.ndarray, g: int,
-                    dtype=np.longdouble) -> np.ndarray:
+                    mx: np.ndarray, my: np.ndarray, g: int) -> np.ndarray:
     """F_ij = lambda_ij a_ij - (sine coefficients of u^p), exact on the grid."""
-    sx = _sine_matrix(g, mx, dtype)
-    sy = _sine_matrix(g, my, dtype)
-    a = a.astype(dtype)
-    f = (sx @ a @ sy.T) ** p
-    if p % 2:
-        b = (2.0 / g) ** 2 * (sx.T @ f @ sy)
-    else:
-        b = (_cos_projector(g, mx, p, domain.L1, dtype).T @ f
-             @ _cos_projector(g, my, p, domain.L2, dtype))
-    lam = _lambda_grid(domain, mx, my, dtype)
-    return lam * a - b
+    return _Galerkin(p, domain, mx, my, g).residual(a)
+
+
+def _full_system(u: Series2D, p: int) -> _Galerkin:
+    a = u.coeffs.mid()
+    mx = np.arange(1, a.shape[0] + 1)
+    my = np.arange(1, a.shape[1] + 1)
+    return _Galerkin(p, u.domain, mx, my, (p + 1) * max(a.shape) + 1)
 
 
 def galerkin_residual(u: Series2D, p: int) -> float:
     """Discrete Galerkin residual l2-norm of a sine-series iterate."""
-    a = u.coeffs.mid()
-    n = max(a.shape)
-    mx = np.arange(1, a.shape[0] + 1)
-    my = np.arange(1, a.shape[1] + 1)
-    g = _grid_order(p, n)
-    r = _residual_array(a, p, u.domain, mx, my, g)
+    r = _full_system(u, p).residual(u.coeffs.mid())
     return float(np.sqrt(np.sum(r.astype(np.float64) ** 2)))
 
 
-def _jacobian(a: np.ndarray, p: int, domain: DomainRect,
-              mx: np.ndarray, my: np.ndarray, g: int) -> np.ndarray:
-    """Dense matrix of the linearization lambda - p u^(p-1) in the mode basis."""
-    sx = _sine_matrix(g, mx)
-    sy = _sine_matrix(g, my)
-    vals = sx @ a @ sy.T
-    w = p * vals ** (p - 1)
-    # M[(i,j),(k,l)] = (2/g)^2 sum_{m,n} Sx[m,i] Sx[m,k] W[m,n] Sy[n,j] Sy[n,l]
-    t = np.einsum("mi,mk,mn->ikn", sx, sx, w, optimize=True)
-    m = np.einsum("ikn,nj,nl->ijkl", t, sy, sy, optimize=True)
-    m *= (2.0 / g) ** 2
-    nx, ny = len(mx), len(my)
-    m = m.reshape(nx * ny, nx * ny)
-    lam = _lambda_grid(domain, mx, my, np.float64).reshape(-1)
-    jac = -m
-    jac[np.arange(nx * ny), np.arange(nx * ny)] += lam
-    return jac
-
-
 def galerkin_jacobian(u: Series2D, p: int) -> np.ndarray:
-    a = u.coeffs.mid()
-    mx = np.arange(1, a.shape[0] + 1)
-    my = np.arange(1, a.shape[1] + 1)
-    g = _grid_order(p, max(a.shape))
-    return _jacobian(a, p, u.domain, mx, my, g)
+    return _full_system(u, p).jacobian(u.coeffs.mid())
 
 
 def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
@@ -170,21 +179,21 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     is dropped."""
     domain = guess.domain
     n = cfg.N
-    mx = my = np.arange(1, n + 1, 2)
-    g = _grid_order(cfg.p, n)
+    modes = np.arange(1, n + 1, 2)
+    system = _Galerkin(cfg.p, domain, modes, modes, (cfg.p + 1) * n + 1)
 
-    a = np.zeros((len(mx), len(my)))
-    src = guess.coeffs.mid()[::2, ::2][: len(mx), : len(my)]
+    a = np.zeros((len(modes), len(modes)))
+    src = guess.coeffs.mid()[::2, ::2][: len(modes), : len(modes)]
     a[: src.shape[0], : src.shape[1]] = src
     if not np.any(a):
         raise ValueError("newton_solve requires a nonzero initial guess")
 
-    r = _residual_array(a, cfg.p, domain, mx, my, g)
+    r = system.residual(a)
     rnorm = float(np.sqrt(np.sum(r.astype(np.float64) ** 2)))
-    for it in range(cfg.max_iter):
-        if rnorm <= cfg.newton_tol:
+    for it in range(MAX_ITER):
+        if rnorm <= NEWTON_TOL:
             break
-        jac = _jacobian(a, cfg.p, domain, mx, my, g)
+        jac = system.jacobian(a)
         try:
             step = np.linalg.solve(jac, -r.astype(np.float64).reshape(-1))
         except np.linalg.LinAlgError as exc:
@@ -195,9 +204,9 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         t = 1.0
         for _ in range(40):
             trial = a + t * step
-            rt = _residual_array(trial, cfg.p, domain, mx, my, g)
+            rt = system.residual(trial)
             rtnorm = float(np.sqrt(np.sum(rt.astype(np.float64) ** 2)))
-            if rtnorm < rnorm or rnorm <= cfg.newton_tol:
+            if rtnorm < rnorm:
                 break
             t *= 0.5
         else:
@@ -205,10 +214,10 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         a, r, rnorm = trial, rt, rtnorm
         log.info("newton iteration=%d residual=%.6e step_scale=%.3g", it + 1,
                  rnorm, t)
-    if rnorm > cfg.newton_tol:
+    if rnorm > NEWTON_TOL:
         raise NoConvergence(
-            f"residual {rnorm:.3e} above tolerance {cfg.newton_tol:.1e} "
-            f"after {cfg.max_iter} iterations"
+            f"residual {rnorm:.3e} above tolerance {NEWTON_TOL:.1e} "
+            f"after {MAX_ITER} iterations"
         )
     if not np.any(a):
         raise NoConvergence("iteration collapsed to the zero series")

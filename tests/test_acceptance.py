@@ -54,7 +54,7 @@ def test_criterion_1_classical_table_exact_digits(_verdict):
         5: (0.35780388458050, 0.48909030972535),
     }
     t0 = time.perf_counter()
-    table = classical_table(2, [3, 4, 5], SQ)
+    table = classical_table([3, 4, 5], SQ)
     elapsed = time.perf_counter() - t0
     ok = elapsed < 1.0
     widths = []

@@ -26,9 +26,9 @@ from sobemb.certify import (
     lipschitz_bound,
     positiveness_certificate,
 )
-from sobemb import series
+from sobemb import certify, series
 from sobemb.bounds import corollary_bound, enclosure_from_ball, plum_bound
-from sobemb.errors import ConditionFailure, DomainError, GapFailure
+from sobemb.errors import CapacityError, ConditionFailure, DomainError, GapFailure
 from sobemb.intervals import Interval
 from sobemb.series import DomainRect, SineSeries2D, lp_norm, multiply, power_expand
 from sobemb.solver import SolverConfig, initial_guess, newton_solve
@@ -292,7 +292,7 @@ def test_defect_even_p_hm1_between_estimate_and_l2_route(p):
 
 
 def test_defect_rejects_bad_exponent():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         defect_bounds(_one_mode(1.0), 6)
 
 
@@ -440,15 +440,15 @@ def _fresh(u):
     return SineSeries2D(u.domain, u.coeffs.copy())
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=series):
     calls = []
-    orig = getattr(series, name)
+    orig = getattr(module, name)
 
     def counted(*args):
         calls.append(name)
         return orig(*args)
 
-    monkeypatch.setattr(series, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -462,12 +462,35 @@ def test_certify_and_enclose_share_powers(u_p3_n10, monkeypatch):
     assert len(calls) == 2
 
 
+def test_split_order_scanned_once_per_certification(u_p3_n10, monkeypatch):
+    """inverse_bound and the certificate's nprime read one split order,
+    kept on the center."""
+    u = _fresh(u_p3_n10)
+    calls = _count_calls(monkeypatch, "_scan_split_order", certify)
+    ball = certify_ball(u, 3)
+    assert len(calls) == 1
+    assert ball.nprime == default_split_order(u, 3) == 29
+    assert len(calls) == 1
+
+
 def test_certify_ball_checks_center_before_defect_work(monkeypatch):
     """A non-square center is a DomainError before any power expansion."""
     c = np.zeros((3, 5))
     c[::2, ::2] = [[4.0, 0.1, 0.01], [0.1, 0.01, 0.001]]
     calls = _count_calls(monkeypatch, "multiply")
     with pytest.raises(DomainError):
+        certify_ball(SineSeries2D(SQ, c), 3)
+    assert calls == []
+
+
+def test_capacity_error_before_defect_work(monkeypatch):
+    """An 84 x 84 center at p=3 has split order at least (p-1)N + 1 = 169,
+    so its parity blocks have at least 85^2 = 7225 rows, above
+    MAX_DENSE_ROWS: CapacityError before any power expansion."""
+    c = np.zeros((84, 84))
+    c[0, 0] = 5.9
+    calls = _count_calls(monkeypatch, "multiply")
+    with pytest.raises(CapacityError):
         certify_ball(SineSeries2D(SQ, c), 3)
     assert calls == []
 

@@ -2,8 +2,10 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -90,20 +92,65 @@ def test_classical_table_command(capsys):
     assert rc == EXIT_OK
     d = json.loads(capsys.readouterr().out)
     assert d["format"] == "sobemb-classical/1"
+    assert d["n"] == 2
     assert [row["p"] for row in d["rows"]] == [3, 4, 5]
     for row in d["rows"]:
         assert float(row["corollary_decimal"]) > 0.0
 
 
-def test_classical_rho_requires_unchecked_flag():
-    assert main(["classical", "--rho", "5.0"]) == EXIT_HARD
+@pytest.mark.parametrize("argv", [
+    ["solve", "--tol", "1e-10"],
+    ["classical", "--p", "3"],
+    ["classical", "--n", "3"],
+    ["classical", "--rho", "1000"],
+    ["classical", "--rho", "1000", "--unchecked-rho"],
+    ["classical", "--unchecked-rho"],
+], ids=["solve-tol", "classical-p", "classical-n", "classical-rho",
+        "classical-rho-unchecked", "classical-unchecked"])
+def test_removed_options_are_usage_errors(argv):
+    """A run is a function of p, the rectangle and the N sweep: no solver
+    tolerance, no dimension other than 2, no user-supplied lambda_1 bound.
+    Options match exactly, so `classical --p` is no prefix of --p-list."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
-def test_classical_unchecked_rho(capsys):
-    rc = main(["classical", "--rho", "19.7", "--unchecked-rho"])
-    assert rc == EXIT_OK
-    d = json.loads(capsys.readouterr().out)
-    assert len(d["rows"]) == 3
+@pytest.mark.parametrize("argv", [
+    ["enclose", "--p", "7", "--N", "4"],
+    ["enclose", "--p", "3", "--N", "0"],
+    ["enclose", "--p", "3", "--N", ""],
+    ["solve", "--p", "6"],
+], ids=["p7", "N0", "empty-sweep", "solve-p6"])
+def test_invalid_run_inputs_are_typed_errors(argv, capsys):
+    assert main(argv) == EXIT_HARD
+    assert "error: DomainError" in capsys.readouterr().err
+
+
+def test_capacity_error_before_large_allocation(tmp_path):
+    """p=3, N=84 needs parity blocks of 85^2 = 7225 rows, above
+    MAX_DENSE_ROWS.  Under a 2 GiB address-space cap the row must end in a
+    typed CapacityError within 30 s, not in a MemoryError (blocks that size
+    peak near 6 GB)."""
+    import sobemb
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
+    # one BLAS thread: per-thread buffers would eat into the address cap
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cap = 2 << 30
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sobemb.cli", "enclose", "--p", "3",
+         "--N", "84", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == EXIT_PARTIAL, proc.stderr
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["status"] == "CapacityError"
+    assert elapsed < 30.0
 
 
 def test_invalid_domain_argument():

@@ -128,15 +128,8 @@ def test_report_csv_projection(report_c4):
     assert all(line.split(",")[1] == "certified" for line in lines[1:])
 
 
-def test_classical_table_rho_guard():
-    with pytest.raises(ValueError):
-        classical_table(2, [4], SQ, rho=Interval(5.0))
-    (row,) = classical_table(2, [4], SQ, rho=Interval(5.0), unchecked=True)
-    assert set(row) == {"p", "corollary", "plum"}
-
-
 def test_classical_table_rows():
-    table = classical_table(2, [3, 4, 5], SQ)
+    table = classical_table([3, 4, 5], SQ)
     assert [row["p"] for row in table] == [3, 4, 5]
     for row in table:
         assert row["corollary"].lo > 0.0

@@ -374,7 +374,7 @@ def test_inf_enclosure_contains_dense_sample_inf():
     the rigorous infimum enclosure (the sample min can only overestimate the
     true infimum, so a small one-sided slack covers the upper endpoint)."""
     u = _seeded_series(5, 13)
-    enc = u.inf_enclosure(128)
+    enc = u.inf_enclosure()
     xs = np.linspace(0.0, 1.0, 1000)
     mid = u.coeffs.mid()
     s = np.sin(np.outer(xs, np.arange(1, 6) * np.pi))
