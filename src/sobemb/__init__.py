@@ -31,7 +31,7 @@ from .certify import (
     positiveness_certificate,
 )
 from .errors import SobembError
-from .intervals import Interval, iv_arith, iv_elem, iv_gamma, iv_pi
+from .intervals import Interval, iv_gamma, iv_pi
 from .ivarray import IArray
 from .pipeline import RunConfig, RunReport, classical_table, emit_plot_data, run_pipeline
 from .series import (
@@ -48,7 +48,7 @@ from .solver import (
     initial_guess,
     newton_solve,
 )
-from .symeig import SymMatrix, iv_sym_eig_min
+from .symeig import SymMatrix
 
 __version__ = "0.1.0"
 
@@ -58,11 +58,11 @@ __all__ = [
     "CertifiedBall", "KantorovichData", "certify_ball", "defect_bounds",
     "inverse_bound", "kantorovich_radius", "linf_embedding_constant",
     "linf_radius", "lipschitz_bound", "positiveness_certificate",
-    "SobembError", "Interval", "iv_arith", "iv_elem", "iv_gamma", "iv_pi",
+    "SobembError", "Interval", "iv_gamma", "iv_pi",
     "IArray", "RunConfig", "RunReport", "classical_table", "emit_plot_data",
     "run_pipeline",
     "DomainRect", "Series2D", "SineSeries2D", "lp_norm",
     "power_expand",
     "SolverConfig", "galerkin_jacobian", "galerkin_residual", "initial_guess",
-    "newton_solve", "SymMatrix", "iv_sym_eig_min",
+    "newton_solve", "SymMatrix",
 ]

@@ -109,7 +109,6 @@ class EnclosureResult:
     lower: float
     upper: float
     sources: dict
-    domain: object
 
 
 def enclosure_from_ball(u: Series2D, r_h1: Interval, p: int, positive: bool) -> tuple:
@@ -135,7 +134,7 @@ def enclosure_from_ball(u: Series2D, r_h1: Interval, p: int, positive: bool) -> 
     return max(lower, 0.0), upper
 
 
-def best_enclosure(extremal, classical, p: int, domain) -> EnclosureResult:
+def best_enclosure(extremal, classical, p: int) -> EnclosureResult:
     """Combine the extremal enclosure with classical upper bounds.
 
     extremal: (lower, upper) pair or None; classical: list of (tag, Interval).
@@ -158,7 +157,6 @@ def best_enclosure(extremal, classical, p: int, domain) -> EnclosureResult:
         p=p, lower=lower, upper=upper,
         sources={"lower": "extremal" if extremal is not None else "trivial",
                  "upper": tag},
-        domain=domain,
     )
 
 

@@ -5,11 +5,12 @@ module derives, entirely in interval arithmetic:
 
   * defect bounds  delta >= ||Lap u-hat + |u-hat|^{p-1} u-hat||  (H^-1 and L2),
   * an inverse-linearization bound K >= ||(-Lap - p|u-hat|^{p-1})^{-1}||
-    as an operator H^-1 -> H^1_0, via eigenvalue enclosures of a finite
-    preconditioned section and a tail bound, joined through the Schur
-    complement of the section-tail coupling,
+    on X_s, the odd-odd sine modes (functions symmetric about both
+    mid-lines, where the extremizer lies), as an operator X_s^* -> X_s, via
+    eigenvalue enclosures of a finite preconditioned section and a tail
+    bound, joined through the Schur complement of the section-tail coupling,
   * a Lipschitz bound g for the derivative on a trial ball,
-  * a Newton-Kantorovich existence/uniqueness ball (radius r_h1),
+  * a Newton-Kantorovich existence/uniqueness ball in X_s (radius r_h1),
   * an L-infinity error radius by elliptic bootstrap (radius r_inf),
   * a positiveness certificate: a point where the true solution is provably
     positive together with sup(u_-)^{p-1} < lambda_1.
@@ -68,11 +69,14 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     wise.  Even p: u^p is a cosine-parity series, so f = Lap u + u^p has an
     infinite sine expansion.  ||f||_L2 is integrated exactly; ||f||_H^-1 is
     exact on the sine modes up to M, the length of u^p, and the rest of f
-    lies above lambda_tail(M) with L2 mass ||f||^2 - ||P_M f||^2.
-    |u|^{p-1}u - u^p is absorbed in both norms via the negative-part bound.
+    lies above lambda_tail(M) with L2 mass ||f||^2 - ||P_M f||^2: an
+    odd-odd u makes f symmetric about both mid-lines, so its sine modes are
+    odd-odd too (`_check_center`).  |u|^{p-1}u - u^p is absorbed in both
+    norms via the negative-part bound.
     """
     if p not in (2, 3, 4, 5):
         raise DomainError(f"exponent p must be in 2..5, got {p}")
+    _check_center(u)
     dom = u.domain
     quarter = dom.measure() * Interval(0.25)
     v = power_expand(u, p)
@@ -162,39 +166,18 @@ def _b_matrix(m2: IArray, lam_flat: IArray) -> SymMatrix:
     return SymMatrix(IArray(np.eye(n)) - scaled)
 
 
-def _inverse_blocks(u: Series2D, p: int, nprime: int):
-    """Yield the four parity blocks of B = I - Lam^{-1/2} M Lam^{-1/2}.
-
-    M is the Galerkin matrix of the potential p u^{p-1}, a cosine series for
-    odd p and a sine series for even p, built the same way for both
-    (`_potential_matrix`).  Per dimension, the integral of cos(a) sin(i)
-    sin(k) vanishes unless a + i + k is even, that of sin(a) sin(i) sin(k)
-    unless it is odd.  An odd-odd center u gives a potential with only even
-    cosine or only odd sine modes (its entries at even array indices), which
-    couples only modes of equal parity, so the finite section on all modes
-    up to nprime splits exactly into the (odd, odd), (odd, even),
-    (even, odd) and (even, even) blocks.
-    """
-    dom = u.domain
-    w = power_expand(u, p - 1).scale(Interval(float(p)))
-    odd = np.arange(1, nprime + 1, 2)
-    even = np.arange(2, nprime + 1, 2)
-    for mx, my in [(odd, odd), (odd, even), (even, odd), (even, even)]:
-        if len(mx) == 0 or len(my) == 0:
-            continue
-        lam = dom.lambda_grid(mx, my).reshape(-1)
-        yield _b_matrix(_potential_matrix(w, mx, my), lam)
-
-
 def _tail_lambda(dom: DomainRect, nprime: int) -> Interval:
-    a = dom.lambda_mode(nprime + 1, 1)
-    b = dom.lambda_mode(1, nprime + 1)
+    """Smallest eigenvalue of an odd-odd sine mode with an index above
+    nprime: the smallest odd index k > nprime on one axis, 1 on the other."""
+    k = nprime + 1 + nprime % 2
+    a = dom.lambda_mode(k, 1)
+    b = dom.lambda_mode(1, k)
     return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
 
 
 def default_split_order(u: Series2D, p: int) -> int:
     """The split order n' of `inverse_bound`, kept on u; CapacityError if
-    its largest parity block, ceil(n'/2)^2 rows, exceeds MAX_DENSE_ROWS."""
+    its odd-odd block, ceil(n'/2)^2 rows, exceeds MAX_DENSE_ROWS."""
     nprime = u.fact(("split_order", p), lambda: _scan_split_order(u, p))
     rows = ((nprime + 1) // 2) ** 2
     if rows > MAX_DENSE_ROWS:
@@ -204,7 +187,7 @@ def default_split_order(u: Series2D, p: int) -> int:
 
 def _scan_split_order(u: Series2D, p: int) -> int:
     """Smallest split order whose estimated coupling correction is negligible
-    next to typical block minima (~0.2); larger orders only add near-identity
+    next to typical block minima (~0.5); larger orders only add near-identity
     rows while cubing the eigenvalue-enclosure cost."""
     dom = u.domain
     wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
@@ -234,7 +217,7 @@ def _coupled_gap(m: float, t: float, c: float) -> Interval:
 
 def _check_center(u: Series2D) -> None:
     """DomainError unless u's coefficient array is square and odd-odd, as
-    the parity split and the bandwidth of `inverse_bound` assume."""
+    the odd-odd tails and the bandwidth of the certificate assume."""
     mag = u.coeffs.mag()
     if mag.shape[0] != mag.shape[1]:
         raise DomainError(
@@ -249,26 +232,55 @@ def _check_center(u: Series2D) -> None:
 
 
 def inverse_bound(u: Series2D, p: int) -> Interval:
-    """K >= norm of (-Lap - p|u|^{p-1})^{-1} as an operator H^-1 -> H^1_0.
+    """K >= norm of (-Lap - p|u|^{p-1})^{-1} on X_s, as an operator
+    X_s^* -> X_s, where X_s is the closed span in H^1_0 of the odd-odd sine
+    modes: the functions symmetric about both mid-lines.
+
+    Why X_s.  For odd-odd u, F(v) = Lap v + |v|^{p-1} v maps X_s into its
+    dual, since the reflections about the mid-lines commute with Lap and
+    with v -> |v|^{p-1} v.  So Newton-Kantorovich runs in X_s with the
+    same defect delta (an H^-1 norm bounds the X_s^* norm) and Lipschitz
+    bound g (valid on all of H^1_0), and its ball is a ball of X_s.  The
+    enclosure's premise (`enclosure_from_ball`), that the positive solution
+    in the ball is the extremizer u*, asks nothing outside X_s: u* may be
+    taken positive (|u*| is an extremizer too, and positive by the strong
+    maximum principle), and a positive solution is symmetric about both
+    mid-lines by the moving-plane theorem of Gidas-Ni-Nirenberg (Comm.
+    Math. Phys. 68, 1979) in the form of Berestycki-Nirenberg (Bol. Soc.
+    Brasil. Mat. 22, 1991, Thm 1.3), which needs no smooth boundary.  Its
+    hypotheses hold on a rectangle: it is bounded, convex in x and in y,
+    and symmetric about x = L1/2 and y = L2/2; f(u) = u^p is Lipschitz on
+    [0, sup u*]; and u* vanishes on the boundary and is continuous on the
+    closure (u*^p is in L^2, so u* is in H^2 on the convex domain, and
+    H^2 embeds in C in 2-d).  Lin (Manuscripta Math. 84, 1994) shows that
+    on a convex planar domain the least-energy solution is unique and
+    nondegenerate, so the premise names one function.
 
     In the H^1_0-orthonormal basis Lam^{-1/2} phi the operator is
-    B = I - Lam^{-1/2} M Lam^{-1/2}, self-adjoint and equal to I minus a
-    compact operator.  Split the modes at n' = default_split_order(u, p)
-    into the finite section F and the tail T:
+    B = I - Lam^{-1/2} M Lam^{-1/2}, M the Galerkin matrix of the potential
+    p u^{p-1}: self-adjoint and equal to I minus a compact operator.  Per
+    axis the integral of cos(a) sin(i) sin(k) vanishes unless a + i + k is
+    even, that of sin(a) sin(i) sin(k) unless it is odd, and an odd-odd
+    center has a potential with only even cosine (odd p) or odd sine
+    (even p) modes, so M couples odd modes only to odd modes and B maps X_s
+    into itself.  Split the odd-odd modes at n' = default_split_order(u, p)
+    into the finite section F (both indices <= n') and the tail T:
 
       (i)   m <= min |eig(B_FF)|, from verified eigenvalue enclosures of the
-            four parity blocks of B_FF (`_inverse_blocks`);
-      (ii)  t = 1 - Wbar/lambda_tail <= min eig(B_TT), Wbar >= p sup|u|^{p-1};
+            ceil(n'/2)^2 rows of B_FF;
+      (ii)  t = 1 - Wbar/lambda_tail <= min eig(B_TT), Wbar >= p sup|u|^{p-1},
+            lambda_tail the smallest eigenvalue of a tail mode (`_tail_lambda`);
       (iii) c = Wbar/sqrt(lambda_tail * lambda_cut) >= ||B_FT||.  The
             potential has trigonometric degree (p-1)N per dimension, so only
-            finite modes with a component above n' - (p-1)N couple to the
-            tail, and n' > (p-1)N always.
+            finite modes with an index above n' - (p-1)N couple to the tail,
+            and n' > (p-1)N always; lambda_cut is the smallest eigenvalue of
+            such a mode.
 
-    Lemma: every eigenvalue mu of B satisfies |mu| >= s*, the smaller root
-    of (m - s)(t - s) = c^2.  Proof: the spectrum of B outside {1} consists
-    of eigenvalues, and min(m, t) <= t <= 1.  Take an eigenvalue mu with
-    |mu| < min(m, t).  B_TT - mu >= t - |mu| > 0 is invertible, so the Schur
-    complement B_FF - mu - B_FT (B_TT - mu)^{-1} B_TF is singular; as
+    Lemma: every eigenvalue mu of B on X_s satisfies |mu| >= s*, the smaller
+    root of (m - s)(t - s) = c^2.  Proof: the spectrum of B outside {1}
+    consists of eigenvalues, and min(m, t) <= t <= 1.  Take an eigenvalue mu
+    with |mu| < min(m, t).  B_TT - mu >= t - |mu| > 0 is invertible, so the
+    Schur complement B_FF - mu - B_FT (B_TT - mu)^{-1} B_TF is singular; as
     min |eig(B_FF - mu)| >= m - |mu|, this gives
     m - |mu| <= c^2 / (t - |mu|), i.e. (m - |mu|)(t - |mu|) <= c^2, and
     the left side decreases on [0, min(m, t)), so |mu| >= s*.  Eigenvalues
@@ -279,10 +291,9 @@ def inverse_bound(u: Series2D, p: int) -> Interval:
 
     For even p the exactly-expanded potential p*u^{p-1} differs from
     p|u|^{p-1} only on {u < 0}; that perturbation, eps_pert, is absorbed
-    via the negative-part bound, and K = 1/(s* - eps_pert).  K bounds the
-    inverse on all modes, not only the odd-odd ones; the parity split and
-    the bandwidth need a square odd-odd center, so any other center raises
-    DomainError.
+    via the negative-part bound, and K = 1/(s* - eps_pert).  The parity
+    structure and the bandwidth need a square odd-odd center, so any other
+    center raises DomainError.
     """
     _check_center(u)
     dom = u.domain
@@ -295,7 +306,11 @@ def inverse_bound(u: Series2D, p: int) -> Interval:
             f"bound {wbar.hi:.4e} at split order {nprime}"
         )
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
-    block_lo = min(min_abs_eig_lower(b) for b in _inverse_blocks(u, p, nprime))
+    odd = np.arange(1, nprime + 1, 2)
+    w = power_expand(u, p - 1).scale(Interval(float(p)))
+    block = _b_matrix(_potential_matrix(w, odd, odd),
+                      dom.lambda_grid(odd, odd).reshape(-1))
+    block_lo = min_abs_eig_lower(block)
 
     lam_cut = _tail_lambda(dom, nprime - (p - 1) * u.N)
     coupling = (wbar / iv_sqrt(lam_tail * lam_cut)).hi
@@ -538,7 +553,14 @@ def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> Positivene
 
 @dataclass
 class CertifiedBall:
-    """Certified existence ball around an approximate extremizer."""
+    """Certified existence ball around an approximate extremizer.
+
+    The ball is one of X_s, the odd-odd sine modes: it holds a solution
+    within r_h1 of the center, the only one in X_s within unique_radius,
+    and K in `kantorovich` bounds the inverse linearization on X_s.  The
+    extremizer lies in X_s by the Gidas-Ni-Nirenberg symmetry theorem
+    (`inverse_bound`).
+    """
 
     center: Series2D
     r_h1: Interval
@@ -586,7 +608,15 @@ class CertifiedBall:
 
 def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     """Full certification pipeline for one approximate solution; the split
-    order comes first, so a CapacityError precedes any defect work."""
+    order comes first, so a CapacityError precedes any defect work.
+
+    Newton-Kantorovich runs in X_s, the odd-odd sine modes, so K and
+    unique_radius refer to X_s.  That loses nothing the enclosure uses: the
+    extremizer is positive and hence symmetric about both mid-lines by the
+    Gidas-Ni-Nirenberg moving-plane theorem (in the Berestycki-Nirenberg
+    form for non-smooth domains, whose hypotheses a rectangle meets; see
+    `inverse_bound`), so it lies in X_s.
+    """
     _check_center(u)
     nprime = default_split_order(u, p)
     d_hm1, d_l2 = defect_bounds(u, p)

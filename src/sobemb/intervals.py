@@ -378,34 +378,3 @@ def iv_gamma(a: Interval) -> Interval:
     for i in range(k):
         result = result / (a + Interval(float(i)))
     return result
-
-
-# -- spec-facing dispatch ------------------------------------------------------
-
-
-def iv_arith(op: str, a: Interval, b: Interval) -> Interval:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def iv_elem(fn: str, a: Interval, arg=None) -> Interval:
-    if fn == "sqrt":
-        return iv_sqrt(a)
-    if fn == "exp":
-        return iv_exp(a)
-    if fn == "ln":
-        return iv_ln(a)
-    if fn == "sin":
-        return iv_sin(a)
-    if fn == "pow_real":
-        return iv_pow_real(a, arg)
-    if fn == "pow_int":
-        return iv_pow_int(a, int(arg))
-    raise ValueError(f"unknown elementary function {fn!r}")

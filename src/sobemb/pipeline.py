@@ -211,7 +211,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             )
         extremal = (best_lower, best_upper)
     try:
-        final = best_enclosure(extremal, classical, cfg.p + 1, cfg.domain)
+        final = best_enclosure(extremal, classical, cfg.p + 1)
     except SobembError as exc:
         error = f"{type(exc).__name__}: {exc}"
     timing["total"] = time.perf_counter() - t_start

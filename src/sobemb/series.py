@@ -34,8 +34,8 @@ from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
 from .ivarray import IArray, _dn, _up, _gamma_fac, imatmul, isum, sin_points
 
 MAX_EXPANSION_ORDER = 1024
-# Rows of the largest dense matrix built (the Newton Jacobian, a parity block
-# of the inverse bound); more is a CapacityError before allocation.  The
+# Rows of the largest dense matrix built (the Newton Jacobian, the odd-odd
+# block of the inverse bound); more is a CapacityError before allocation.  The
 # inverse bound peaks at about 115 bytes per block entry (measured, 440 to
 # 5041 rows), so the cap budgets 3.5 GB: p=3, N <= 73 on the unit square.
 MAX_DENSE_ROWS = 5500

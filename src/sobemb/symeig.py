@@ -172,15 +172,6 @@ def _up_nonneg(x: np.ndarray, g: float) -> np.ndarray:
     return _up(x * (1.0 + 2.0 * g) + _TINY)
 
 
-def iv_sym_eig_min(m: SymMatrix) -> Interval:
-    """Bracket of the smallest eigenvalue of a symmetric interval matrix.
-
-    lo is a rigorous lower bound over every contained real symmetric matrix;
-    hi is a rigorous upper bound on the smallest eigenvalue of each of them.
-    """
-    return eig_enclosures(m).lam_min
-
-
 def min_abs_eig_lower(m: SymMatrix) -> float:
     """Rigorous lower bound on min |eigenvalue| over the whole family."""
     return eig_enclosures(m).min_abs_lower()

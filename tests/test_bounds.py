@@ -128,27 +128,27 @@ def test_best_enclosure_picks_smallest_upper():
     res = best_enclosure(
         (0.2, 0.3),
         [("corollary", Interval(0.31, 0.32)), ("plum", Interval(0.39, 0.4))],
-        4, SQ,
+        4,
     )
     assert res.upper == 0.3 and res.sources["upper"] == "extremal"
     res2 = best_enclosure(
         (0.2, 0.35),
         [("corollary", Interval(0.31, 0.32))],
-        4, SQ,
+        4,
     )
     assert res2.upper == 0.32 and res2.sources["upper"] == "corollary"
     assert res2.lower == 0.2 and res2.sources["lower"] == "extremal"
 
 
 def test_best_enclosure_without_extremal_is_trivial_lower():
-    res = best_enclosure(None, [("plum", Interval(0.39, 0.4))], 4, SQ)
+    res = best_enclosure(None, [("plum", Interval(0.39, 0.4))], 4)
     assert res.lower == 0.0
     assert res.sources["lower"] == "trivial"
 
 
 def test_best_enclosure_detects_crossing():
     with pytest.raises(SoundnessViolation):
-        best_enclosure((0.5, 0.6), [("plum", Interval(0.39, 0.4))], 4, SQ)
+        best_enclosure((0.5, 0.6), [("plum", Interval(0.39, 0.4))], 4)
 
 
 def test_outward_decimal_directions():

@@ -14,8 +14,8 @@ from sobemb.certify import (
     KantorovichData,
     _b_matrix,
     _coupled_gap,
-    _inverse_blocks,
     _potential_matrix,
+    _tail_lambda,
     certify_ball,
     default_split_order,
     defect_bounds,
@@ -26,12 +26,20 @@ from sobemb.certify import (
     lipschitz_bound,
     positiveness_certificate,
 )
-from sobemb import certify, series
+from sobemb import certify, series, symeig
 from sobemb.bounds import corollary_bound, enclosure_from_ball, plum_bound
 from sobemb.errors import CapacityError, ConditionFailure, DomainError, GapFailure
-from sobemb.intervals import Interval
-from sobemb.series import DomainRect, SineSeries2D, lp_norm, multiply, power_expand
+from sobemb.intervals import Interval, iv_pow_int, iv_sqrt
+from sobemb.series import (
+    DomainRect,
+    SineSeries2D,
+    lp_norm,
+    multiply,
+    negative_part_sup,
+    power_expand,
+)
 from sobemb.solver import SolverConfig, initial_guess, newton_solve
+from sobemb.symeig import min_abs_eig_lower
 
 SQ = DomainRect(1.0, 1.0)
 
@@ -55,8 +63,8 @@ def test_inverse_bound_near_laplacian():
 
 def test_inverse_bound_gap_failure_at_tiny_split():
     """For N=1 the default split order falls back to pN = 3, where the tail
-    eigenvalue lambda(4,1) = 17 pi^2 ~ 167.8 is below the potential bound
-    3 * 10^2 = 300."""
+    eigenvalue lambda(5,1) = 26 pi^2 ~ 256.6, at the smallest odd index
+    above 3, is below the potential bound 3 * 10^2 = 300."""
     u = _one_mode(10.0)
     assert default_split_order(u, 3) == 3
     with pytest.raises(GapFailure):
@@ -82,6 +90,68 @@ def test_coupled_gap_encloses_smaller_root_from_below(m, t, c):
     assert lo <= min(m, t)
 
 
+def _parity_blocks(u, p, nprime):
+    """(mx, my, block) for the (odd, odd), (odd, even), (even, odd) and
+    (even, even) blocks of B = I - Lam^{-1/2} M Lam^{-1/2} on all sine modes
+    up to nprime; inverse_bound builds the first only."""
+    w = power_expand(u, p - 1).scale(Interval(float(p)))
+    odd = np.arange(1, nprime + 1, 2)
+    even = np.arange(2, nprime + 1, 2)
+    return [
+        (mx, my, _b_matrix(_potential_matrix(w, mx, my),
+                           u.domain.lambda_grid(mx, my).reshape(-1)))
+        for mx, my in [(odd, odd), (odd, even), (even, odd), (even, even)]
+        if len(mx) and len(my)
+    ]
+
+
+def _all_modes_k(u, p):
+    """K on all sine modes: the same Schur-complement bound over the four
+    parity blocks at the default split order, with the tail and cut
+    eigenvalues at the next index of either parity."""
+    dom = u.domain
+    nprime = default_split_order(u, p)
+    wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
+
+    def lam_above(n):
+        a, b = dom.lambda_mode(n + 1, 1), dom.lambda_mode(1, n + 1)
+        return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+
+    lam_tail = lam_above(nprime)
+    assert lam_tail.lo > wbar.hi
+    block_lo = min(min_abs_eig_lower(b) for _, _, b in _parity_blocks(u, p, nprime))
+    tail_lo = (Interval(1.0) - wbar / lam_tail).lo
+    coupling = (wbar / iv_sqrt(lam_tail * lam_above(nprime - (p - 1) * u.N))).hi
+    eps_pert = 0.0
+    if p % 2 == 0:
+        eta = Interval(negative_part_sup(u))
+        eps_pert = (Interval(2.0 * p) * iv_pow_int(eta, p - 1) / dom.lambda1()).hi
+    m = (Interval(_coupled_gap(block_lo, tail_lo, coupling).lo) - Interval(eps_pert)).lo
+    assert m > 0.0
+    return (Interval(1.0) / Interval(m)).hi
+
+
+@pytest.mark.parametrize("p, n, dom", [
+    (3, 10, SQ), (3, 20, SQ), (4, 16, SQ), (2, 40, SQ), (3, 20, DomainRect(2.0, 1.0)),
+], ids=["c4-N10", "c4-N20", "c5-N16", "c3-N40", "2x1-N20"])
+def test_all_modes_k_bounds_symmetric_k(p, n, dom):
+    """X_s is invariant under the linearization, so its inverse there is no
+    larger than on all modes: the all-modes K (four parity blocks and
+    all-modes tails, written out here) is never below inverse_bound's K."""
+    u = newton_solve(SolverConfig(p=p, N=n), initial_guess(p, dom))
+    assert _all_modes_k(u, p) >= inverse_bound(u, p).hi
+
+
+def test_tail_lambda_at_smallest_odd_index_above_cut():
+    """The tail of X_s holds odd modes only, so the tail and cut eigenvalues
+    sit at the smallest odd index k above the cut, on the long axis."""
+    wide, tall = DomainRect(2.0, 1.0), DomainRect(1.0, 2.0)
+    for n, k in [(0, 1), (1, 3), (2, 3), (4, 5), (5, 7), (28, 29), (29, 31)]:
+        for dom, mode in ((wide, (k, 1)), (tall, (1, k))):
+            lam, want = _tail_lambda(dom, n), dom.lambda_mode(*mode)
+            assert (lam.lo, lam.hi) == (want.lo, want.hi)
+
+
 def test_schur_gap_bounds_real_blocks(u_p3_n10):
     """The lemma behind inverse_bound on the float midpoints of the four
     parity blocks of u_p3_n10 at twice the default order, each split at the
@@ -90,12 +160,9 @@ def test_schur_gap_bounds_real_blocks(u_p3_n10):
     u = u_p3_n10
     split = default_split_order(u, 3)
     assert split == 29
-    modes = np.arange(1, 2 * split + 1)
-    parities = [modes[modes % 2 == 1], modes[modes % 2 == 0]]
-    blocks = list(_inverse_blocks(u, 3, 2 * split))
+    blocks = _parity_blocks(u, 3, 2 * split)
     assert len(blocks) == 4
-    pairs = [(mx, my) for mx in parities for my in parities]
-    for block, (mx, my) in zip(blocks, pairs):
+    for mx, my, block in blocks:
         full = block.entries.mid()
         head = ((mx[:, None] <= split) & (my[None, :] <= split)).reshape(-1)
         bff = full[np.ix_(head, head)]
@@ -115,9 +182,10 @@ def test_default_split_order_exceeds_bandwidth(u_p3_n10):
 
 
 def test_inverse_bound_necessary_condition(u_p3_n20, ball_p3_n20):
-    """K bounds the inverse linearization, so every Galerkin vector v must
-    satisfy ||(-Lap - p u^{p-1}) v||_{H^-1} >= ||v||_{H^1_0} / K; checked on
-    10^2 seeded directions with floating arithmetic and a small slack."""
+    """K bounds the inverse linearization on X_s, so every Galerkin vector
+    v of odd-odd modes must satisfy
+    ||(-Lap - p u^{p-1}) v||_{H^-1} >= ||v||_{H^1_0} / K; checked on 10^2
+    seeded directions with floating arithmetic and a small slack."""
     p = 3
     u = u_p3_n20
     k_hi = ball_p3_n20.kantorovich.K.hi
@@ -126,6 +194,8 @@ def test_inverse_bound_necessary_condition(u_p3_n20, ball_p3_n20):
     lam_small = u.domain.lambda_grid(np.arange(1, 11), np.arange(1, 11)).mid()
     for _ in range(100):
         a = rng.normal(size=(10, 10))
+        a[1::2, :] = 0.0
+        a[:, 1::2] = 0.0
         v = SineSeries2D(SQ, a)
         pv = multiply(w, v).scale(Interval(float(p)))
         d = -pv.coeffs.mid()
@@ -145,18 +215,20 @@ def _solve(p, n):
 
 def _block_spectrum(u, p, nprime):
     return np.sort(np.concatenate([
-        np.linalg.eigvalsh(b.entries.mid()) for b in _inverse_blocks(u, p, nprime)
+        np.linalg.eigvalsh(b.entries.mid()) for _, _, b in _parity_blocks(u, p, nprime)
     ]))
 
 
 @pytest.mark.parametrize("p, n", [(2, 16), (4, 14)])
 def test_even_p_blocks_hold_the_morse_direction(p, n):
     """-Lap u = u^p makes the potential p u^{p-1} act on u as p Lap, so
-    x = Lam^{1/2} u satisfies B x = (1 - p) x up to the defect: some parity
-    block has an eigenvalue at 1 - p, and K bounds the inverse on it."""
+    x = Lam^{1/2} u satisfies B x = (1 - p) x up to the defect: x is
+    odd-odd, so the (odd, odd) block has an eigenvalue at 1 - p, and K
+    bounds the inverse on that block."""
     u = _solve(p, n)
     nprime = default_split_order(u, p)
-    eigs = _block_spectrum(u, p, nprime)
+    (_, _, block), *_ = _parity_blocks(u, p, nprime)
+    eigs = np.linalg.eigvalsh(block.entries.mid())
     assert np.min(np.abs(eigs - (1 - p))) < 1e-6
     k = inverse_bound(u, p)
     assert k.hi * np.min(np.abs(eigs)) >= 1.0 - 1e-9
@@ -172,7 +244,7 @@ def test_even_p_blocks_split_the_unsplit_spectrum(p):
     modes = np.arange(1, nprime + 1)
     whole = _b_matrix(_potential_matrix(w, modes, modes),
                       SQ.lambda_grid(modes, modes).reshape(-1))
-    assert len(list(_inverse_blocks(u, p, nprime))) == 4
+    assert len(_parity_blocks(u, p, nprime)) == 4
     np.testing.assert_allclose(
         _block_spectrum(u, p, nprime),
         np.linalg.eigvalsh(whole.entries.mid()),
@@ -180,14 +252,22 @@ def test_even_p_blocks_split_the_unsplit_spectrum(p):
     )
 
 
-def test_rectangle_center_splits_into_parity_blocks():
+def test_rectangle_center_splits_into_parity_blocks(monkeypatch):
     """On 2 x 1 the solver's center is odd-odd, so the finite section splits
-    into four parity blocks of at most ceil(nprime/2)^2 rows each."""
+    into parity blocks, and inverse_bound encloses the spectrum of one of
+    them: the (odd, odd) block of ceil(nprime/2)^2 rows."""
     u = newton_solve(SolverConfig(p=3, N=8), initial_guess(3, DomainRect(2.0, 1.0)))
     nprime = default_split_order(u, 3)
-    sizes = [b.entries.shape[0] for b in _inverse_blocks(u, 3, nprime)]
-    assert len(sizes) == 4
-    assert max(sizes) <= math.ceil(nprime / 2) ** 2
+    rows = []
+    orig = symeig.eig_enclosures
+
+    def recorded(m):
+        rows.append(m.n)
+        return orig(m)
+
+    monkeypatch.setattr(symeig, "eig_enclosures", recorded)
+    inverse_bound(u, 3)
+    assert rows == [math.ceil(nprime / 2) ** 2]
 
 
 def test_transposed_rectangle_gives_transposed_solution():
@@ -485,7 +565,7 @@ def test_certify_ball_checks_center_before_defect_work(monkeypatch):
 
 def test_capacity_error_before_defect_work(monkeypatch):
     """An 84 x 84 center at p=3 has split order at least (p-1)N + 1 = 169,
-    so its parity blocks have at least 85^2 = 7225 rows, above
+    so its odd-odd block has at least 85^2 = 7225 rows, above
     MAX_DENSE_ROWS: CapacityError before any power expansion."""
     c = np.zeros((84, 84))
     c[0, 0] = 5.9

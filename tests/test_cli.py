@@ -128,7 +128,7 @@ def test_invalid_run_inputs_are_typed_errors(argv, capsys):
 
 
 def test_capacity_error_before_large_allocation(tmp_path):
-    """p=3, N=84 needs parity blocks of 85^2 = 7225 rows, above
+    """p=3, N=84 needs an odd-odd block of 85^2 = 7225 rows, above
     MAX_DENSE_ROWS.  Under a 2 GiB address-space cap the row must end in a
     typed CapacityError within 30 s, not in a MemoryError (blocks that size
     peak near 6 GB)."""
@@ -165,16 +165,14 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_partial_exit_code_when_certification_fails(capsys):
-    # p=4 at N=12 fails its certification step, but the classical upper
-    # bounds still give a valid (one-sided) final record -> partial success
-    rc = main(["enclose", "--p", "4", "--N", "12"])
-    out = capsys.readouterr().out
-    d = json.loads(out)
-    statuses = [row["status"] for row in d["rows"]]
-    if all(s == "certified" for s in statuses):
-        assert rc == EXIT_OK
-    else:
-        assert rc == EXIT_PARTIAL
+    # 2 x 1, p=3 at N=8 fails the Kantorovich condition, but the classical
+    # upper bounds still give a valid (one-sided) final record -> partial
+    # success
+    rc = main(["enclose", "--p", "3", "--domain", "2x1", "--N", "8"])
+    d = json.loads(capsys.readouterr().out)
+    assert [row["status"] for row in d["rows"]] == ["ConditionFailure"]
+    assert d["final"] is not None
+    assert rc == EXIT_PARTIAL
 
 
 def test_cli_import_loads_no_scipy():

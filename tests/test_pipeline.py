@@ -51,10 +51,11 @@ def test_pipeline_run_is_deterministic():
 
 def test_rectangle_run_fails_typed_within_budget():
     """Budget: 30 s wall and 1 GiB of traced allocations.  On 2 x 1 at p=3,
-    N=8 the Kantorovich condition fails (2 K^2 delta g = 2.47e3 at the
-    default split order 35); the run must report that as a typed status
-    from the odd-odd mode space (about 0.4 s on a 2-core host), not from an
-    all-modes inverse block (about 51 s and 3.6 GB peak RSS)."""
+    N=8 the Kantorovich condition fails (2 K^2 delta g = 1.10 at the
+    default split order 35, with K = 2.00 on the odd-odd modes); the run
+    must report that as a typed status from the odd-odd mode space (about
+    0.1 s on a 2-core host), not from an all-modes inverse block (about
+    51 s and 3.6 GB peak RSS)."""
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -66,7 +67,7 @@ def test_rectangle_run_fails_typed_within_budget():
     assert seconds < 30.0
     assert peak < 2 ** 30
     assert [row.status for row in report.rows] == ["ConditionFailure"]
-    assert "2.4726e+03" in report.rows[0].error
+    assert "1.1026e+00" in report.rows[0].error
 
 
 def _final(report) -> Interval:
@@ -74,19 +75,20 @@ def _final(report) -> Interval:
 
 
 def test_rectangle_certifies_at_default_order_and_transposes():
-    """2 x 1, p=3, N=20 certifies at the default split order 53 (about 3 s
-    on a 2-core host; budget 30 s), and the 1 x 2 run, its transpose, gives
-    an intersecting final enclosure."""
-    t0 = time.perf_counter()
-    wide = run_pipeline(RunConfig(p=3, domain=DomainRect(2.0, 1.0), N=[20]))
-    assert time.perf_counter() - t0 < 30.0
-    (row,) = wide.rows
-    assert row.status == "certified"
-    assert default_split_order(wide.solutions[20], 3) == 53
-    assert row.K.hi < 46.0
-    tall = run_pipeline(RunConfig(p=3, domain=DomainRect(1.0, 2.0), N=[20]))
-    assert tall.fully_certified
-    assert _final(wide).intersects(_final(tall))
+    """2 x 1, p=3 certifies at N=12 and N=20, at the default split orders
+    41 and 53 (about 0.5 s on a 2-core host; budget 30 s), and at each N
+    the 1 x 2 run, its transpose, gives an intersecting final enclosure."""
+    for n, split in ((12, 41), (20, 53)):
+        t0 = time.perf_counter()
+        wide = run_pipeline(RunConfig(p=3, domain=DomainRect(2.0, 1.0), N=[n]))
+        assert time.perf_counter() - t0 < 30.0
+        (row,) = wide.rows
+        assert row.status == "certified"
+        assert default_split_order(wide.solutions[n], 3) == split
+        assert row.K.hi < 2.1
+        tall = run_pipeline(RunConfig(p=3, domain=DomainRect(1.0, 2.0), N=[n]))
+        assert tall.fully_certified
+        assert _final(wide).intersects(_final(tall))
 
 
 def test_square_scaling_law_for_c4():
@@ -98,6 +100,20 @@ def test_square_scaling_law_for_c4():
     )
     assert big.fully_certified and unit.fully_certified
     assert _final(big).intersects(iv_sqrt(Interval(2.0)) * _final(unit))
+
+
+def test_c6_certifies_within_budget():
+    """Budget: 60 s.  p=5, N=20 certifies (about 5 s on a 2-core host): C_6
+    lies below both classical bounds and intersects the reference bracket
+    [0.3338404215, 0.3339320326]."""
+    t0 = time.perf_counter()
+    report = run_pipeline(RunConfig(p=5, domain=SQ, N=[20]))
+    assert time.perf_counter() - t0 < 60.0
+    assert report.fully_certified
+    f = report.final
+    assert f.sources["upper"] == "extremal"
+    assert all(f.upper < iv.lo for _, iv in report.classical)
+    assert _final(report).intersects(Interval(0.3338404215, 0.3339320326))
 
 
 def test_report_structure_and_validation(report_c4):

@@ -10,15 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobemb import ivarray, symeig
-from sobemb.certify import _inverse_blocks, default_split_order
+from sobemb.certify import _b_matrix, _potential_matrix, default_split_order
+from sobemb.intervals import Interval
 from sobemb.ivarray import IArray, _dn, _up, imatmul
-from sobemb.symeig import (
-    EigEnclosure,
-    SymMatrix,
-    eig_enclosures,
-    iv_sym_eig_min,
-    min_abs_eig_lower,
-)
+from sobemb.series import power_expand
+from sobemb.symeig import EigEnclosure, SymMatrix, eig_enclosures, min_abs_eig_lower
 
 
 def _eigs_below(m, t: Fraction):
@@ -77,7 +73,7 @@ def test_min_eig_against_charpoly_oracle():
     frac = [[Fraction(float(a[i, j])) for j in range(5)] for i in range(5)]
     gersh = max(sum(abs(float(a[i, j])) for j in range(5)) for i in range(5))
     lo, hi = _min_eig_bisect(frac, Fraction(-2 * int(gersh) - 2), Fraction(0))
-    enc = iv_sym_eig_min(SymMatrix.from_point(a))
+    enc = eig_enclosures(SymMatrix.from_point(a)).lam_min
     assert Fraction(enc.lo) <= hi
     assert lo <= Fraction(enc.hi)
     assert enc.hi - enc.lo < 1e-8  # tight for a point matrix
@@ -89,13 +85,13 @@ def test_min_eig_oracle_more_seeds():
         frac = [[Fraction(float(a[i, j])) for j in range(5)] for i in range(5)]
         gersh = max(sum(abs(float(a[i, j])) for j in range(5)) for i in range(5))
         lo, hi = _min_eig_bisect(frac, Fraction(-2 * int(gersh) - 2), Fraction(0))
-        enc = iv_sym_eig_min(SymMatrix.from_point(a))
+        enc = eig_enclosures(SymMatrix.from_point(a)).lam_min
         assert Fraction(enc.lo) <= hi and lo <= Fraction(enc.hi)
 
 
 def test_diagonal_matrix_exact():
     d = np.diag([3.0, -1.5, 7.0])
-    enc = iv_sym_eig_min(SymMatrix.from_point(d))
+    enc = eig_enclosures(SymMatrix.from_point(d)).lam_min
     assert enc.lo <= -1.5 <= enc.hi
     assert min_abs_eig_lower(SymMatrix.from_point(d)) <= 1.5
 
@@ -104,8 +100,8 @@ def test_interval_matrix_widens():
     a = _seeded_symmetric(4, 5)
     w = 1e-6
     m = SymMatrix(IArray(a - w, a + w))
-    enc_w = iv_sym_eig_min(m)
-    enc_p = iv_sym_eig_min(SymMatrix.from_point(a))
+    enc_w = eig_enclosures(m).lam_min
+    enc_p = eig_enclosures(SymMatrix.from_point(a)).lam_min
     assert enc_w.lo <= enc_p.lo and enc_p.hi <= enc_w.hi + 1e-12
 
 
@@ -127,7 +123,7 @@ def test_wide_interval_matrix_discs_cover_members():
 
 def test_rayleigh_upper_bound_is_above_lower():
     a = _seeded_symmetric(6, 11)
-    enc = iv_sym_eig_min(SymMatrix.from_point(a))
+    enc = eig_enclosures(SymMatrix.from_point(a)).lam_min
     assert enc.lo <= enc.hi
 
 
@@ -201,15 +197,18 @@ def _old_discs(m: SymMatrix) -> EigEnclosure:
 
 
 def test_row_sum_discs_match_interval_products_on_c4_blocks(u_p3_n20):
-    """On the four parity blocks of the p=3, N=20 center the row-sum discs
-    agree with the interval-product discs to 1e-12 relative, and the block
-    minimum that K reads is no smaller (up to the last bits)."""
+    """On the odd-odd block of the p=3, N=20 center, the one K reads, the
+    row-sum discs agree with the interval-product discs to 1e-12 relative,
+    and the block minimum is no smaller (up to the last bits)."""
     u = u_p3_n20
-    for b in _inverse_blocks(u, 3, default_split_order(u, 3)):
-        old = _old_discs(b)
-        enc = eig_enclosures(b)
-        assert np.all(np.abs(enc.disc_lo - old.disc_lo) <= 1e-12 * np.abs(old.disc_lo))
-        assert enc.min_abs_lower() >= old.min_abs_lower() * (1.0 - 1e-15)
+    odd = np.arange(1, default_split_order(u, 3) + 1, 2)
+    w = power_expand(u, 2).scale(Interval(3.0))
+    b = _b_matrix(_potential_matrix(w, odd, odd),
+                  u.domain.lambda_grid(odd, odd).reshape(-1))
+    old = _old_discs(b)
+    enc = eig_enclosures(b)
+    assert np.all(np.abs(enc.disc_lo - old.disc_lo) <= 1e-12 * np.abs(old.disc_lo))
+    assert enc.min_abs_lower() >= old.min_abs_lower() * (1.0 - 1e-15)
 
 
 def test_eig_enclosures_issues_no_interval_product(monkeypatch):
