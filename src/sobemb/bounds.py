@@ -1,8 +1,8 @@
 """Closed-form embedding constants and the two-sided enclosure formula.
 
-Upper bounds for the best constant of H^1_0 -> L^p:
-  * the symmetrization-based constant (via the sharp W^{1,q}(R^n) -> L^p(R^n)
-    constant with q = np/(n+p) and a measure factor),
+Upper bounds for the best constant of H^1_0 -> L^p on a planar domain:
+  * the symmetrization-based constant (via the sharp W^{1,q}(R^2) -> L^p(R^2)
+    constant with q = 2p/(2+p) and a measure factor),
   * the spectral bound depending only on a lower bound rho <= lambda_1.
 
 The extremal two-sided enclosure combines the L^{p+1}/H^1_0 ratio of a
@@ -16,18 +16,16 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 from .errors import CertificateMissing, DomainError, HypothesisFailure, SoundnessViolation
-from .intervals import Interval, iv_gamma, iv_pi, iv_pow_real, iv_sqrt
+from .intervals import Interval, iv_gamma, iv_pi, iv_pow_real
 from .series import Series2D, lp_norm
 
 
-def talenti_constant(n: int, q) -> Interval:
-    """Sharp constant of the W^{1,q}(R^n) -> L^{nq/(n-q)}(R^n) embedding."""
-    if n < 2:
-        raise DomainError("dimension must be >= 2")
+def talenti_constant(q) -> Interval:
+    """Sharp constant of the W^{1,q}(R^2) -> L^{2q/(2-q)}(R^2) embedding."""
     qi = Interval._coerce(q)
-    if not (qi.lo > 1.0 and qi.hi < n):
-        raise DomainError(f"exponent q must lie in (1, {n})")
-    ni = Interval(float(n))
+    if not (qi.lo > 1.0 and qi.hi < 2.0):
+        raise DomainError("exponent q must lie in (1, 2)")
+    ni = Interval(2.0)
     one = Interval(1.0)
     inv_q = one / qi
     pi = iv_pi()
@@ -44,26 +42,23 @@ def talenti_constant(n: int, q) -> Interval:
 
 
 @functools.lru_cache(maxsize=64)
-def corollary_bound(n: int, p, measure) -> Interval:
-    """Upper bound |Omega|^{(2-q)/(2q)} * T with q = np/(n+p), kept."""
+def corollary_bound(p, measure) -> Interval:
+    """Upper bound |Omega|^{(2-q)/(2q)} * T with q = 2p/(2+p), kept."""
     pi_ = Interval._coerce(p)
     mi = Interval._coerce(measure)
     if mi.lo <= 0.0:
         raise DomainError("measure must be positive")
-    lo_edge = n / (n - 1)
-    if not pi_.lo > lo_edge:
-        raise DomainError(f"exponent p must exceed {lo_edge}")
-    if n >= 3 and not pi_.hi < 2 * n / (n - 2):
-        raise DomainError(f"exponent p must be below {2 * n / (n - 2)}")
-    ni = Interval(float(n))
+    if not pi_.lo > 2.0:
+        raise DomainError("exponent p must exceed 2")
+    ni = Interval(2.0)
     q = ni * pi_ / (ni + pi_)
-    t = talenti_constant(n, q)
+    t = talenti_constant(q)
     expo = (Interval(2.0) - q) / (Interval(2.0) * q)
     return iv_pow_real(mi, expo) * t
 
 
 @functools.lru_cache(maxsize=64)
-def plum_bound(n: int, p, rho: Interval) -> Interval:
+def plum_bound(p, rho: Interval) -> Interval:
     """Upper bound from a rigorous lower bound rho <= lambda_1, kept.
 
     Only rho.lo is used (rho enters with a negative exponent, so any true
@@ -74,31 +69,21 @@ def plum_bound(n: int, p, rho: Interval) -> Interval:
         raise DomainError("rho must be an Interval (certified lower bound)")
     if not rho.lo > 0.0:
         raise DomainError("rho must be positive")
+    if not pi_.lo >= 2.0:
+        raise DomainError("exponent p must be >= 2")
     rho_lo = Interval(rho.lo)
     one = Interval(1.0)
-    if n == 2:
-        if not pi_.lo >= 2.0:
-            raise DomainError("exponent p must be >= 2")
-        nu = int(pi_.lo // 2)
-        half = Interval(0.5)
-        expo = half + (Interval(2.0 * nu) - Interval(3.0)) / pi_
-        prod = one
-        for k in range(nu - 1):
-            prod = prod * (pi_ / Interval(2.0) - Interval(float(k)))
-        return (
-            iv_pow_real(half, expo)
-            * iv_pow_real(prod, Interval(2.0) / pi_)
-            * iv_pow_real(rho_lo, -one / pi_)
-        )
-    if n < 3:
-        raise DomainError("dimension must be >= 2")
-    hi_edge = 2 * n / (n - 2)
-    if not (pi_.lo >= 2.0 and pi_.hi <= hi_edge):
-        raise DomainError(f"exponent p must lie in [2, {hi_edge}]")
-    ni = Interval(float(n))
-    s = ni * (one / pi_ - Interval(0.5) + one / ni)
-    base = (ni - one) / (iv_sqrt(ni) * (ni - Interval(2.0)))
-    return iv_pow_real(base, one - s) * iv_pow_real(rho_lo, -s / Interval(2.0))
+    nu = int(pi_.lo // 2)
+    half = Interval(0.5)
+    expo = half + (Interval(2.0 * nu) - Interval(3.0)) / pi_
+    prod = one
+    for k in range(nu - 1):
+        prod = prod * (pi_ / Interval(2.0) - Interval(float(k)))
+    return (
+        iv_pow_real(half, expo)
+        * iv_pow_real(prod, Interval(2.0) / pi_)
+        * iv_pow_real(rho_lo, -one / pi_)
+    )
 
 
 @dataclass(frozen=True)

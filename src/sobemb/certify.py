@@ -39,7 +39,7 @@ from .errors import (
     NotInvertible,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_sqrt
-from .ivarray import IArray, _dn, _up, imatmul, isum
+from .ivarray import _RAD_FLOOR, IArray, _dn, _up, imatmul, isum, midrad_matmul
 from .series import (
     COS,
     MAX_DENSE_ROWS,
@@ -51,7 +51,7 @@ from .series import (
     negative_part_sup,
     power_expand,
 )
-from .symeig import SymMatrix, min_abs_eig_lower
+from .symeig import SymMatrix, eig_enclosures
 
 UNIQUE_RADIUS_CAP = 1e300
 LINF_RHO_MAX = 1e3  # largest L-infinity radius worth reporting
@@ -127,11 +127,6 @@ def _nonneg(iv: Interval) -> Interval:
 # -- inverse-linearization bound --------------------------------------------------
 
 
-def _inv_sqrt_arr(lam: IArray) -> IArray:
-    s = IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
-    return IArray(np.ones(lam.shape)) / s
-
-
 def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray) -> IArray:
     """X[(i,k), a] = int_0^L b_a sin_i sin_k over one side, for the first n
     basis functions b_a of the given parity, by sin i sin k = (cos|i-k| -
@@ -141,29 +136,48 @@ def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray) -> IArray:
     return (x * IArray._coerce(Interval(0.5))).reshape(len(modes) ** 2, n)
 
 
-def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> IArray:
-    """Mode-basis matrix M[(i,j),(k,l)] = (4/|Omega|) int W phi_ij phi_kl of
-    the potential W = w on the sine modes mx x my, as X w Y^T per axis."""
+def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
+    """Float arrays (mid, rad) enclosing the mode-basis matrix
+    M[(i,j),(k,l)] = (4/|Omega|) int W phi_ij phi_kl of the potential W = w
+    on the sine modes mx x my, as X w Y^T per axis."""
     dom = w.domain
     px = _triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)
     py = _triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)
-    t = imatmul(imatmul(px, w.coeffs), py.T)  # ((i,k),(j,l))
+    wc = w.coeffs * IArray._coerce(Interval(4.0) / dom.measure())
     a, b = len(mx), len(my)
-    t = t.reshape(a, a, b, b)
-    t = IArray(
-        np.ascontiguousarray(t.lo.transpose(0, 2, 1, 3)),
-        np.ascontiguousarray(t.hi.transpose(0, 2, 1, 3)),
-        _unsafe=True,
+    return tuple(  # ((i,k),(j,l)) -> ((i,j),(k,l))
+        np.ascontiguousarray(x.reshape(a, a, b, b).transpose(0, 2, 1, 3)).reshape(a * b, -1)
+        for x in midrad_matmul(imatmul(px, wc), py.T)
     )
-    scale = Interval(4.0) / dom.measure()
-    return t.reshape(a * b, a * b) * IArray._coerce(scale)
 
 
-def _b_matrix(m2: IArray, lam_flat: IArray) -> SymMatrix:
-    d = _inv_sqrt_arr(lam_flat)
-    scaled = m2 * d.reshape(-1, 1) * d.reshape(1, -1)
-    n = m2.shape[0]
-    return SymMatrix(IArray(np.eye(n)) - scaled)
+def _b_matrix(m_mid: np.ndarray, m_rad: np.ndarray, d: IArray) -> SymMatrix:
+    """B = I - D M D, D = diag(d), as the midpoint and radius `eig_enclosures`
+    reads, for every M with |M - m_mid| <= m_rad and every d > 0 in d.
+
+    Lemma.  Let d_m = mid(d), d_h = d.hi, kappa >= max_i |d_i - d_m,i| / d.lo_i,
+    u = 2^-53 and mid = fl(I - P), P_ij = fl(fl(m_mid,ij d_m,i) d_m,j).  Then
+    |B - mid| <= d_h d_h^T o (m_rad + (2 kappa + 4u) |m_mid|) + u |mid| o I + eta,
+    eta <= 2^-1073 from underflow: d_i d_j M_ij is within d_h,i d_h,j m_rad,ij
+    of d_i d_j m_mid,ij, and |d_i d_j - d_m,i d_m,j| <= |d_i - d_m,i| d_j +
+    d_m,i |d_j - d_m,j| <= 2 kappa d_h,i d_h,j; P's two roundings add
+    gamma_2 <= 4u of d_h,i d_h,j |m_mid,ij| (plus eta), and 1 - P_ii rounds by
+    u |mid_ii|.  The radius is that bound in at most five float operations on
+    nonnegative numbers, each at most a factor 1 - u low: the pad 2^-50 = 8u,
+    itself rounded, makes up for them and the floor _RAD_FLOOR for eta.
+    Entries of mid below 1e-200 move into the radius and become 0: LAPACK is
+    slow on subnormals.
+    """
+    dm, dh = d.mid(), d.hi
+    kappa = float(np.max(_up(np.maximum(d.hi - dm, dm - d.lo) / d.lo)))
+    rad = (np.abs(m_mid) * _up(2.0 * kappa + 2.0 ** -51) + m_rad) * dh[:, None] * dh
+    mid = np.eye(len(dm)) - m_mid * dm[:, None] * dm
+    rad[np.diag_indices_from(rad)] += 2.0 ** -53 * np.abs(np.diag(mid))
+    rad *= 1.0 + 2.0 ** -50
+    tiny = (mid > -1e-200) & (mid < 1e-200)
+    rad[tiny] = _up(rad[tiny] + np.abs(mid[tiny]))
+    mid[tiny] = 0.0
+    return SymMatrix(mid, np.maximum(rad, _RAD_FLOOR, out=rad))
 
 
 def _tail_lambda(dom: DomainRect, nprime: int) -> Interval:
@@ -308,9 +322,9 @@ def inverse_bound(u: Series2D, p: int) -> Interval:
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
     odd = np.arange(1, nprime + 1, 2)
     w = power_expand(u, p - 1).scale(Interval(float(p)))
-    block = _b_matrix(_potential_matrix(w, odd, odd),
-                      dom.lambda_grid(odd, odd).reshape(-1))
-    block_lo = min_abs_eig_lower(block)
+    lam = dom.lambda_grid(odd, odd).reshape(-1)
+    d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
+    block_lo = eig_enclosures(_b_matrix(*_potential_matrix(w, odd, odd), d)).min_abs_lower()
 
     lam_cut = _tail_lambda(dom, nprime - (p - 1) * u.N)
     coupling = (wbar / iv_sqrt(lam_tail * lam_cut)).hi
@@ -370,8 +384,8 @@ def lipschitz_bound(u: Series2D, p: int, R: float) -> Interval:
     if R < 0.0:
         raise ValueError("trial radius must be nonnegative")
     dom = u.domain
-    c = Interval(min(corollary_bound(2, p + 1, dom.measure()).hi,
-                     plum_bound(2, p + 1, dom.lambda1()).hi))
+    c = Interval(min(corollary_bound(p + 1, dom.measure()).hi,
+                     plum_bound(p + 1, dom.lambda1()).hi))
     base = Interval(lp_norm(u, p + 1).hi) + c * Interval(R)
     g = (
         Interval(float(p * (p - 1)))
@@ -451,7 +465,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
 
     # a-priori seed: ||w_nl||_L2 <= p ||max(|u_true|,|u|)||_{L^{2p}}^{p-1}
     # * ||e||_{L^{2p}} with the classical L^{2p} constant
-    c2p = corollary_bound(2, 2 * p, dom.measure())
+    c2p = corollary_bound(2 * p, dom.measure())
     base = Interval(2.0) * norm_u + r
     t = (
         c_inf
@@ -622,19 +636,11 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     d_hm1, d_l2 = defect_bounds(u, p)
     k = inverse_bound(u, p)
 
-    # trial-radius loop: g is evaluated on a ball of radius R; the certified
-    # radius must satisfy r <= R for the Lipschitz bound to apply
-    r_trial = max(4.0 * (k * d_hm1).hi, 1e-14)
-    r_h1 = unique = kd = None
-    for _ in range(8):
-        g = lipschitz_bound(u, p, r_trial)
-        kd = KantorovichData(d_hm1, k, g)
-        r_h1, unique = kantorovich_radius(kd)
-        if r_h1.hi <= r_trial:
-            break
-        r_trial *= 4.0
-    else:
-        raise ConditionFailure("no trial radius R with certified r <= R found")
+    # g holds on the ball of radius R, which must contain the certified one:
+    # r = 2 K delta / (1 + sqrt(1 - h)) <= 2 K delta, a few ulps at most above
+    # 2 (K delta).hi after outward rounding, so r <= R always
+    kd = KantorovichData(d_hm1, k, lipschitz_bound(u, p, max(4.0 * (k * d_hm1).hi, 1e-14)))
+    r_h1, unique = kantorovich_radius(kd)
 
     r_inf = linf_radius(u, p, r_h1, d_l2)
     audit = positiveness_certificate(u, r_inf, p)

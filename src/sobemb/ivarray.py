@@ -219,7 +219,13 @@ def _gamma_fac(k: int) -> float:
 
 
 def imatmul(a: IArray, b: IArray) -> IArray:
-    """Rigorous interval matrix product via midpoint-radius (Rump's scheme).
+    """Rigorous interval matrix product; see `midrad_matmul`."""
+    cm, rad = midrad_matmul(a, b)
+    return IArray(_dn(cm - rad), _up(cm + rad))
+
+
+def midrad_matmul(a: IArray, b: IArray) -> tuple:
+    """Float (mid, rad) with |A B - mid| <= rad for all A in a, B in b (Rump's scheme).
 
     For nonnegative float matrices the BLAS product underestimates the exact
     product by at most the factor gamma_k; all such products below are
@@ -251,10 +257,8 @@ def imatmul(a: IArray, b: IArray) -> IArray:
     else:
         rad = ar @ (abs_bm + br) + abs_am @ br + g * p
     rad = _up(rad * (1.0 + 6.0 * g) + g * p * g + 4.0 * _TINY)
-    lo = _dn(cm - rad)
-    hi = _up(cm + rad)
-    _chk(lo, hi)
-    return IArray(lo, hi, _unsafe=True)
+    _chk(cm, rad)
+    return cm, rad
 
 
 def sin_points(args: IArray) -> IArray:

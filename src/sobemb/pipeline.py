@@ -225,8 +225,8 @@ def classical_table(p_list, domain: DomainRect) -> list:
     return [
         {
             "p": p,
-            "corollary": corollary_bound(2, float(p), domain.measure()),
-            "plum": plum_bound(2, float(p), domain.lambda1()),
+            "corollary": corollary_bound(float(p), domain.measure()),
+            "plum": plum_bound(float(p), domain.lambda1()),
         }
         for p in p_list
     ]

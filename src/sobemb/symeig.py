@@ -1,8 +1,8 @@
-"""Rigorous eigenvalue enclosures for symmetric interval matrices.
+"""Rigorous eigenvalue enclosures for symmetric matrices within a float radius.
 
 Technique: diagonalize the midpoint matrix approximately in floating point,
 transform with the (approximately orthogonal) eigenvector matrix V, and apply
-Gershgorin to C = V^T A V for every A in the interval matrix.  Only diag(C)
+Gershgorin to C = V^T A V for every member A of the family.  Only diag(C)
 and the off-diagonal row sums of |C| enter Gershgorin, so C is never formed
 as an interval matrix: three float GEMMs give T = fl(A_mid V),
 C~ = fl(V^T T) and G~ = fl(V^T V), and every error term is a row sum,
@@ -24,30 +24,28 @@ import numpy as np
 
 from .errors import NotInvertible
 from .intervals import Interval
-from .ivarray import _RAD_FLOOR, _TINY, IArray, _dn, _gamma_fac, _up
+from .ivarray import _TINY, IArray, _dn, _gamma_fac, _up
 
 
 @dataclass
 class SymMatrix:
-    """Symmetric interval matrix; entries symmetrized by hull on construction."""
+    """Symmetric matrices A with |A - mid| <= rad entrywise; mid need not be symmetric."""
 
-    entries: IArray
+    mid: np.ndarray
+    rad: np.ndarray
 
     def __post_init__(self):
-        a = self.entries
-        if a.lo.ndim != 2 or a.lo.shape[0] != a.lo.shape[1]:
-            raise ValueError("SymMatrix requires a square 2-d array")
-        lo = np.minimum(a.lo, a.lo.T)
-        hi = np.maximum(a.hi, a.hi.T)
-        self.entries = IArray(lo, hi, _unsafe=True)
+        m, r = self.mid, self.rad
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or r.shape != m.shape:
+            raise ValueError("SymMatrix needs a square 2-d mid and a rad of its shape")
 
     @property
     def n(self) -> int:
-        return self.entries.lo.shape[0]
+        return self.mid.shape[0]
 
     @staticmethod
     def from_point(m: np.ndarray) -> "SymMatrix":
-        return SymMatrix(IArray(np.asarray(m, dtype=np.float64)))
+        return SymMatrix(np.asarray(m, dtype=np.float64), np.zeros(np.shape(m)))
 
 
 @dataclass
@@ -69,12 +67,12 @@ class EigEnclosure:
 
 
 def eig_enclosures(m: SymMatrix) -> EigEnclosure:
-    """Gershgorin discs of V^T A V, valid for every A in the interval matrix.
+    """Gershgorin discs of V^T A V, valid for every member A of m.
 
-    Lemma.  Let A_mid, A_rad be float matrices with |A - A_mid| <= A_rad
-    entrywise for every A in the family, V any float matrix, and with
-    gamma = gamma_n >= n u / (1 - n u) (`_gamma_fac(n)`; n is the inner
-    dimension of every product, u = 2^-53) let
+    Lemma.  Let A_mid = m.mid, A_rad = m.rad; all the lemma needs is |A - A_mid|
+    <= A_rad for every symmetric member A, so A_mid need not be symmetric (V
+    may be any float matrix).  With gamma = gamma_n >= n u / (1 - n u)
+    (`_gamma_fac(n)`; n is the inner dimension of every product, u = 2^-53) let
 
         T~ = fl(A_mid V),   C~ = fl(V^T T~),   G~ = fl(V^T V).
 
@@ -98,46 +96,38 @@ def eig_enclosures(m: SymMatrix) -> EigEnclosure:
     |G - I| <= |G~ - I| + gamma |V|^T |V|, whose row sums bound
     eps >= ||G - I||_2 (G - I is symmetric).  This is entry by
     entry the bound that interval products V^T (A V) form (`imatmul`, the
-    same gamma, the same radius floor and cushion), summed over each row;
-    only the rounding of the sums differs.  C~ is used as computed, not
-    symmetrized: the row-sum bound covers it.
+    same gamma and cushion), summed over each row; only the rounding of the
+    sums differs.  C~ is used as computed, not symmetrized: the row-sum
+    bound covers it.
 
     Non-orthogonality: with eps < 1/2, ||G^{-1/2} - I|| <= e_orth and
     ||S - C|| <= ||C|| (2 e_orth + e_orth^2) =: delta, where ||C||_2 <= ||C||_inf
     (C symmetric) <= max_i (sum_j |C~_ij| + (E 1)_i).  By Weyl every
     eigenvalue of S, hence of A, lies in a disc widened by delta.
     """
-    a = m.entries
-    n = m.n
-    # the midpoint of a symmetric interval matrix is exactly symmetric, and
-    # the radius about it bounds |A - A_mid| for every member A.  Flushing
-    # negligible entries avoids painfully slow subnormal paths inside LAPACK
-    # and BLAS: the flushed magnitude moves into the radius, and tiny nonzero
-    # radii are rounded up to a still-negligible normal float
-    amid = 0.5 * (a.lo + a.hi)
-    arad = _up(np.maximum(_up(a.hi - amid), _up(amid - a.lo)))
-    arad[a.lo == a.hi] = 0.0
-    tiny = np.abs(amid) < 1e-200
-    arad = np.where(tiny, _up(arad + np.abs(amid)), arad)
-    amid[tiny] = 0.0
-    arad = np.where((arad != 0.0) & (arad < _RAD_FLOOR), _RAD_FLOOR, arad)
+    amid, arad, n = m.mid, m.rad, m.n
     _, v = np.linalg.eigh(amid)
     v[np.abs(v) < 1e-200] = 0.0
 
     g = _gamma_fac(n)
-    t = amid @ v
-    c = v.T @ t
-    gram = v.T @ v
-    abs_vt = np.abs(v).T
 
     def up(x):
         return _up_nonneg(x, g)
 
+    # n x n arrays are dropped once read: how many are alive sets the peak
+    t = amid @ v
+    t1 = up(np.abs(t).sum(axis=1))  # |T~| 1
+    c = v.T @ t
+    del t
+    gram = v.T @ v
+    abs_vt = np.abs(v).T
+    del v
     v1 = up(abs_vt.sum(axis=0))  # |V| 1
-    e1 = up(abs_vt @ up(np.abs(t).sum(axis=1)))  # |V|^T |T~| 1
+    e1 = up(abs_vt @ t1)  # |V|^T |T~| 1
     e1 = e1 + up(abs_vt @ up(np.abs(amid) @ v1))  # + |V|^T |A_mid| |V| 1
     e1 = up(up(g * e1) + up(abs_vt @ up(arad @ v1)))  # (E 1)_i
     gv = up(g * up(abs_vt @ v1))  # gamma (|V|^T |V| 1)_i
+    del abs_vt
     eps = float(np.max(up(np.abs(gram - np.eye(n)).sum(axis=1) + gv)))
     if eps >= 0.5:
         raise NotInvertible("eigenvector matrix too far from orthogonal")
@@ -171,7 +161,3 @@ def _up_nonneg(x: np.ndarray, g: float) -> np.ndarray:
     of at most n nonnegative terms, each at most a factor gamma_n low."""
     return _up(x * (1.0 + 2.0 * g) + _TINY)
 
-
-def min_abs_eig_lower(m: SymMatrix) -> float:
-    """Rigorous lower bound on min |eigenvalue| over the whole family."""
-    return eig_enclosures(m).min_abs_lower()

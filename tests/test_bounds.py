@@ -29,16 +29,14 @@ RHO = Interval(19.7392088021787172, 19.7392088021787173)  # contains 2 pi^2
 def test_talenti_q_four_thirds_is_one_over_pi():
     # [DERIVED] n=2, q=4/3: the sharp constant collapses to 1/pi
     # = 0.31830988618379067
-    t = talenti_constant(2, Interval(4.0 / 3.0))
+    t = talenti_constant(Interval(4.0 / 3.0))
     assert t.contains(0.31830988618379067)
     assert t.width() < 1e-12
 
 
 def test_talenti_validation():
     with pytest.raises(DomainError):
-        talenti_constant(1, Interval(1.5))
-    with pytest.raises(DomainError):
-        talenti_constant(2, Interval(2.5))  # q must be < n
+        talenti_constant(Interval(2.5))  # q must be < 2
 
 
 def test_symmetrization_table_oracles():
@@ -46,7 +44,7 @@ def test_symmetrization_table_oracles():
     # digits, outward): independently computed from the closed form
     for p, want in [(3, 0.27991104681667), (4, 0.31830988618379),
                     (5, 0.35780388458050)]:
-        b = corollary_bound(2, float(p), SQ.measure())
+        b = corollary_bound(float(p), SQ.measure())
         assert b.lo <= want <= b.hi or abs(b.hi - want) < 1e-13
         assert b.width() < 1e-12
 
@@ -56,7 +54,7 @@ def test_spectral_table_oracles():
     # rho = lambda_1 = 2 pi^2
     for p, want in [(3, 0.32964899322075), (4, 0.39894228040144),
                     (5, 0.48909030972535)]:
-        b = plum_bound(2, float(p), RHO)
+        b = plum_bound(float(p), RHO)
         assert abs(b.hi - want) < 1e-12
         assert b.width() < 1e-12
 
@@ -64,38 +62,27 @@ def test_spectral_table_oracles():
 def test_plum_p4_closed_form():
     # [DERIVED] n=2, p=4: (1/2)^{3/4} * 2^{1/2} * rho^{-1/4}; with
     # rho = 2 pi^2 this equals 1/sqrt(2 pi) = 0.3989422804014327
-    b = plum_bound(2, 4.0, RHO)
+    b = plum_bound(4.0, RHO)
     assert b.contains(1.0 / math.sqrt(2.0 * math.pi))
-
-
-def test_plum_three_dimensional_closed_form():
-    # [DERIVED] n=3, p=4: s = 3(1/p - 1/2 + 1/3) = 1/4, bound =
-    # (2/sqrt(3))^{3/4} * rho^{-1/8}
-    rho = Interval(10.0)
-    b = plum_bound(3, 4.0, rho)
-    hand = (2.0 / math.sqrt(3.0)) ** 0.75 * 10.0 ** -0.125
-    assert b.contains(hand)
 
 
 def test_plum_requires_interval_rho():
     with pytest.raises(DomainError):
-        plum_bound(2, 4.0, 2.0)
+        plum_bound(4.0, 2.0)
     with pytest.raises(DomainError):
-        plum_bound(2, 4.0, Interval(0.0, 1.0))
+        plum_bound(4.0, Interval(0.0, 1.0))
 
 
 def test_corollary_validation():
     with pytest.raises(DomainError):
-        corollary_bound(2, 1.5, SQ.measure())  # p must exceed n/(n-1)
-    with pytest.raises(DomainError):
-        corollary_bound(3, 7.0, SQ.measure())  # above the critical exponent
+        corollary_bound(1.5, SQ.measure())  # p must exceed 2
 
 
 def test_corollary_measure_scaling():
     # |Omega|^{(2-q)/(2q)} with q = 4/3 at p = 4: doubling the measure
     # scales the bound by 2^{1/4}
-    b1 = corollary_bound(2, 4.0, Interval(1.0))
-    b2 = corollary_bound(2, 4.0, Interval(2.0))
+    b1 = corollary_bound(4.0, Interval(1.0))
+    b2 = corollary_bound(4.0, Interval(2.0))
     ratio = b2 / b1
     assert ratio.contains(2.0 ** 0.25)
 

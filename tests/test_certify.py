@@ -30,6 +30,7 @@ from sobemb import certify, series, symeig
 from sobemb.bounds import corollary_bound, enclosure_from_ball, plum_bound
 from sobemb.errors import CapacityError, ConditionFailure, DomainError, GapFailure
 from sobemb.intervals import Interval, iv_pow_int, iv_sqrt
+from sobemb.ivarray import _RAD_FLOOR, IArray, _dn, _up, imatmul
 from sobemb.series import (
     DomainRect,
     SineSeries2D,
@@ -39,7 +40,7 @@ from sobemb.series import (
     power_expand,
 )
 from sobemb.solver import SolverConfig, initial_guess, newton_solve
-from sobemb.symeig import min_abs_eig_lower
+from sobemb.symeig import SymMatrix, eig_enclosures
 
 SQ = DomainRect(1.0, 1.0)
 
@@ -90,6 +91,14 @@ def test_coupled_gap_encloses_smaller_root_from_below(m, t, c):
     assert lo <= min(m, t)
 
 
+def _block(w, mx, my):
+    """B = I - Lam^{-1/2} M Lam^{-1/2} of the potential w on the sine modes
+    mx x my, assembled as inverse_bound assembles it."""
+    lam = w.domain.lambda_grid(mx, my).reshape(-1)
+    d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
+    return _b_matrix(*_potential_matrix(w, mx, my), d)
+
+
 def _parity_blocks(u, p, nprime):
     """(mx, my, block) for the (odd, odd), (odd, even), (even, odd) and
     (even, even) blocks of B = I - Lam^{-1/2} M Lam^{-1/2} on all sine modes
@@ -98,8 +107,7 @@ def _parity_blocks(u, p, nprime):
     odd = np.arange(1, nprime + 1, 2)
     even = np.arange(2, nprime + 1, 2)
     return [
-        (mx, my, _b_matrix(_potential_matrix(w, mx, my),
-                           u.domain.lambda_grid(mx, my).reshape(-1)))
+        (mx, my, _block(w, mx, my))
         for mx, my in [(odd, odd), (odd, even), (even, odd), (even, even)]
         if len(mx) and len(my)
     ]
@@ -119,7 +127,7 @@ def _all_modes_k(u, p):
 
     lam_tail = lam_above(nprime)
     assert lam_tail.lo > wbar.hi
-    block_lo = min(min_abs_eig_lower(b) for _, _, b in _parity_blocks(u, p, nprime))
+    block_lo = min(eig_enclosures(b).min_abs_lower() for _, _, b in _parity_blocks(u, p, nprime))
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
     coupling = (wbar / iv_sqrt(lam_tail * lam_above(nprime - (p - 1) * u.N))).hi
     eps_pert = 0.0
@@ -163,7 +171,7 @@ def test_schur_gap_bounds_real_blocks(u_p3_n10):
     blocks = _parity_blocks(u, 3, 2 * split)
     assert len(blocks) == 4
     for mx, my, block in blocks:
-        full = block.entries.mid()
+        full = block.mid
         head = ((mx[:, None] <= split) & (my[None, :] <= split)).reshape(-1)
         bff = full[np.ix_(head, head)]
         btt = full[np.ix_(~head, ~head)]
@@ -215,7 +223,7 @@ def _solve(p, n):
 
 def _block_spectrum(u, p, nprime):
     return np.sort(np.concatenate([
-        np.linalg.eigvalsh(b.entries.mid()) for _, _, b in _parity_blocks(u, p, nprime)
+        np.linalg.eigvalsh(b.mid) for _, _, b in _parity_blocks(u, p, nprime)
     ]))
 
 
@@ -228,7 +236,7 @@ def test_even_p_blocks_hold_the_morse_direction(p, n):
     u = _solve(p, n)
     nprime = default_split_order(u, p)
     (_, _, block), *_ = _parity_blocks(u, p, nprime)
-    eigs = np.linalg.eigvalsh(block.entries.mid())
+    eigs = np.linalg.eigvalsh(block.mid)
     assert np.min(np.abs(eigs - (1 - p))) < 1e-6
     k = inverse_bound(u, p)
     assert k.hi * np.min(np.abs(eigs)) >= 1.0 - 1e-9
@@ -242,12 +250,11 @@ def test_even_p_blocks_split_the_unsplit_spectrum(p):
     nprime = 16
     w = power_expand(u, p - 1).scale(Interval(float(p)))
     modes = np.arange(1, nprime + 1)
-    whole = _b_matrix(_potential_matrix(w, modes, modes),
-                      SQ.lambda_grid(modes, modes).reshape(-1))
+    whole = _block(w, modes, modes)
     assert len(_parity_blocks(u, p, nprime)) == 4
     np.testing.assert_allclose(
         _block_spectrum(u, p, nprime),
-        np.linalg.eigvalsh(whole.entries.mid()),
+        np.linalg.eigvalsh(whole.mid),
         atol=1e-12,
     )
 
@@ -265,7 +272,7 @@ def test_rectangle_center_splits_into_parity_blocks(monkeypatch):
         rows.append(m.n)
         return orig(m)
 
-    monkeypatch.setattr(symeig, "eig_enclosures", recorded)
+    monkeypatch.setattr(certify, "eig_enclosures", recorded)
     inverse_bound(u, 3)
     assert rows == [math.ceil(nprime / 2) ** 2]
 
@@ -309,13 +316,121 @@ def test_potential_matrix_matches_quadrature():
     sy = _basis("sin", 5, dom.L2, ys)
     for p in (3, 4):
         w = power_expand(u, p - 1)
-        m = _potential_matrix(w, modes, modes)
+        mid, rad = _potential_matrix(w, modes, modes)
         wv = (_basis(w.parity_x, w.coeffs.shape[0], dom.L1, xs) @ w.coeffs.mid()
               @ _basis(w.parity_y, w.coeffs.shape[1], dom.L2, ys).T)
         q = np.einsum("x,y,xy,xi,yj,xk,yl->ijkl", wx, wy, wv, sx, sy, sx, sy)
         q = (4.0 / (dom.L1 * dom.L2) * q).reshape(25, 25)
-        assert np.all(m.lo - 1e-12 <= q) and np.all(q <= m.hi + 1e-12), p
+        assert np.all(np.abs(q - mid) <= rad + 1e-12), p
         assert np.max(np.abs(q)) > 0.1
+
+
+def _mp_block(coeffs, dom, mx, my):
+    """B = I - Lam^{-1/2} M Lam^{-1/2} of the cosine potential with float
+    coefficients `coeffs` on the sine modes mx x my, in mpmath: per axis
+    int_0^L cos(a t) sin(i t) sin(k t) dx (t = pi x / L) is
+    (c(a, |i-k|) - c(a, i+k)) / 2, c(a, m) = L/2 [a = m > 0] + L [a = m = 0]."""
+    def axis(a, i, k, L):
+        c = lambda m: L / 2 if a == m > 0 else (L if a == m == 0 else 0)
+        return mpmath.mpf(c(abs(i - k)) - c(i + k)) / 2
+
+    L1, L2 = mpmath.mpf(dom.L1), mpmath.mpf(dom.L2)
+    modes = [(i, j) for i in mx for j in my]
+    lam = [mpmath.pi ** 2 * (i * i / L1 ** 2 + j * j / L2 ** 2) for i, j in modes]
+    out = mpmath.matrix(len(modes), len(modes))
+    for r, (i, j) in enumerate(modes):
+        for s, (k, l) in enumerate(modes):
+            m = sum(mpmath.mpf(float(coeffs[a, b])) * axis(a, i, k, dom.L1) * axis(b, j, l, dom.L2)
+                    for a in range(coeffs.shape[0]) for b in range(coeffs.shape[1]))
+            out[r, s] = (1 if r == s else 0) - 4 * m / (L1 * L2 * mpmath.sqrt(lam[r] * lam[s]))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 5), st.sampled_from([(1.0, 1.0), (2.0, 1.0), (0.75, 1.5)]))
+def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides):
+    """Every entry of B, for a thin cosine potential with random float
+    coefficients on a small odd mode set, computed with mpmath at 50 digits,
+    lies in mid +- rad."""
+    rng = np.random.default_rng(seed)
+    dom = DomainRect(*sides)
+    coeffs = rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-3, 2, size=(k, k))
+    w = series.Series2D(dom, IArray(coeffs), series.COS, series.COS)
+    mx, my = np.arange(1, 2 * ax, 2), np.arange(1, 2 * ay, 2)
+    b = _block(w, mx, my)
+    with mpmath.workdps(50):
+        exact = _mp_block(coeffs, dom, mx, my)
+        for r in range(b.n):
+            for s in range(b.n):
+                lo = mpmath.mpf(float(b.mid[r, s])) - mpmath.mpf(float(b.rad[r, s]))
+                hi = mpmath.mpf(float(b.mid[r, s])) + mpmath.mpf(float(b.rad[r, s]))
+                assert lo <= exact[r, s] <= hi, (r, s)
+
+
+def _interval_block(w, mx, my):
+    """The interval assembly of B that the midpoint-radius one replaces,
+    written out as the reference: M scaled by 4/|Omega| after the two
+    interval products, B = I - D M D in interval arithmetic, the hull with
+    its transpose, and the midpoint, radius, flush and radius floor that
+    eig_enclosures then took from it.  Returns (lo, hi, SymMatrix)."""
+    dom = w.domain
+    px = certify._triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)
+    py = certify._triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)
+    t = imatmul(imatmul(px, w.coeffs), py.T)
+    a, b = len(mx), len(my)
+    lo, hi = (np.ascontiguousarray(x.reshape(a, a, b, b).transpose(0, 2, 1, 3)).reshape(a * b, -1)
+              for x in (t.lo, t.hi))
+    m2 = IArray(lo, hi, _unsafe=True) * IArray._coerce(Interval(4.0) / dom.measure())
+    lam = dom.lambda_grid(mx, my).reshape(-1)
+    s = IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
+    d = IArray(np.ones(lam.shape)) / s
+    bb = IArray(np.eye(a * b)) - m2 * d.reshape(-1, 1) * d.reshape(1, -1)
+    lo, hi = np.minimum(bb.lo, bb.lo.T), np.maximum(bb.hi, bb.hi.T)
+    amid = 0.5 * (lo + hi)
+    arad = _up(np.maximum(_up(hi - amid), _up(amid - lo)))
+    arad[lo == hi] = 0.0
+    tiny = np.abs(amid) < 1e-200
+    arad = np.where(tiny, _up(arad + np.abs(amid)), arad)
+    amid[tiny] = 0.0
+    arad = np.where((arad != 0.0) & (arad < _RAD_FLOOR), _RAD_FLOOR, arad)
+    return lo, hi, SymMatrix(amid, arad)
+
+
+@pytest.mark.parametrize("p, n", [(3, 20), (4, 16)], ids=["c4-N20", "c5-N16"])
+def test_block_matches_interval_assembly(p, n):
+    """On the c4 N=20 and c5 N=16 odd-odd blocks the midpoint-radius block
+    meets the interval block in every entry, its radius is at most 4 times
+    the radius eig_enclosures took from the interval block (plus 1e-290),
+    and the two block minima agree to 1e-12 relative."""
+    u = _solve(p, n)
+    odd = np.arange(1, default_split_order(u, p) + 1, 2)
+    w = power_expand(u, p - 1).scale(Interval(float(p)))
+    lo, hi, old = _interval_block(w, odd, odd)
+    new = _block(w, odd, odd)
+    assert np.all(new.mid - new.rad <= hi) and np.all(lo <= new.mid + new.rad)
+    assert np.all(new.rad <= 4.0 * old.rad + 1e-290)
+    m_new = eig_enclosures(new).min_abs_lower()
+    m_old = eig_enclosures(old).min_abs_lower()
+    assert abs(m_new - m_old) <= 1e-12 * m_old
+
+
+def test_inverse_bound_has_no_elementwise_interval_op_on_the_block(monkeypatch, u_p3_n20):
+    """The block is built in float midpoint-radius form: no elementwise
+    IArray operation inside inverse_bound sees an operand of n^2 or more
+    entries, n the rows of the block."""
+    sizes = []
+    for name in ("__mul__", "__add__", "__sub__", "__truediv__"):
+        orig = getattr(IArray, name)
+
+        def recorded(self, other, _orig=orig):
+            sizes.append(max(self.size, other.size if isinstance(other, IArray) else 1))
+            return _orig(self, other)
+
+        monkeypatch.setattr(IArray, name, recorded)
+    n = ((default_split_order(u_p3_n20, 3) + 1) // 2) ** 2
+    inverse_bound(u_p3_n20, 3)
+    assert sizes and max(sizes) < n * n
 
 
 # -- defect bounds ------------------------------------------------------------------
@@ -384,8 +499,8 @@ def test_lipschitz_bound_hand_formula(u_p3_n10):
     # L^{p+1} constant
     u, p, R = u_p3_n10, 3, 0.5
     g = lipschitz_bound(u, p, R)
-    c = min(corollary_bound(2, p + 1, SQ.measure()).hi,
-            plum_bound(2, p + 1, SQ.lambda1()).hi)
+    c = min(corollary_bound(p + 1, SQ.measure()).hi,
+            plum_bound(p + 1, SQ.lambda1()).hi)
     base = lp_norm(u, p + 1).hi + c * R
     hand = p * (p - 1) * c ** 3 * base ** (p - 2)
     assert g.lo * (1.0 - 1e-12) <= hand <= g.hi * (1.0 + 1e-12)
@@ -395,7 +510,7 @@ def test_lipschitz_bound_hand_formula(u_p3_n10):
 
 def _old_lipschitz(u, p, R):
     """p (p-1) C^{p+1} (||u||_{H^1_0} + R)^{p-2} with the Talenti-based C."""
-    c = corollary_bound(2, p + 1, u.domain.measure())
+    c = corollary_bound(p + 1, u.domain.measure())
     base = u.h01_norm() + Interval(R)
     return Interval(float(p * (p - 1))) * c ** (p + 1) * base ** (p - 2)
 
@@ -564,10 +679,10 @@ def test_certify_ball_checks_center_before_defect_work(monkeypatch):
 
 
 def test_capacity_error_before_defect_work(monkeypatch):
-    """An 84 x 84 center at p=3 has split order at least (p-1)N + 1 = 169,
-    so its odd-odd block has at least 85^2 = 7225 rows, above
+    """An 88 x 88 center at p=3 has split order at least (p-1)N + 1 = 177,
+    so its odd-odd block has at least 89^2 = 7921 rows, above
     MAX_DENSE_ROWS: CapacityError before any power expansion."""
-    c = np.zeros((84, 84))
+    c = np.zeros((88, 88))
     c[0, 0] = 5.9
     calls = _count_calls(monkeypatch, "multiply")
     with pytest.raises(CapacityError):

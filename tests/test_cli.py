@@ -128,10 +128,10 @@ def test_invalid_run_inputs_are_typed_errors(argv, capsys):
 
 
 def test_capacity_error_before_large_allocation(tmp_path):
-    """p=3, N=84 needs an odd-odd block of 85^2 = 7225 rows, above
+    """p=3, N=88 needs an odd-odd block of 89^2 = 7921 rows, above
     MAX_DENSE_ROWS.  Under a 2 GiB address-space cap the row must end in a
     typed CapacityError within 30 s, not in a MemoryError (blocks that size
-    peak near 6 GB)."""
+    peak near 3.5 GB)."""
     import sobemb
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
@@ -143,7 +143,7 @@ def test_capacity_error_before_large_allocation(tmp_path):
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "sobemb.cli", "enclose", "--p", "3",
-         "--N", "84", "--out", str(out)],
+         "--N", "88", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     elapsed = time.perf_counter() - t0

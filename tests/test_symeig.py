@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from sobemb.certify import _b_matrix, _potential_matrix, default_split_order
 from sobemb.intervals import Interval
 from sobemb.ivarray import IArray, _dn, _up, imatmul
 from sobemb.series import power_expand
-from sobemb.symeig import EigEnclosure, SymMatrix, eig_enclosures, min_abs_eig_lower
+from sobemb.symeig import EigEnclosure, SymMatrix, eig_enclosures
 
 
 def _eigs_below(m, t: Fraction):
@@ -93,13 +94,13 @@ def test_diagonal_matrix_exact():
     d = np.diag([3.0, -1.5, 7.0])
     enc = eig_enclosures(SymMatrix.from_point(d)).lam_min
     assert enc.lo <= -1.5 <= enc.hi
-    assert min_abs_eig_lower(SymMatrix.from_point(d)) <= 1.5
+    assert eig_enclosures(SymMatrix.from_point(d)).min_abs_lower() <= 1.5
 
 
 def test_interval_matrix_widens():
     a = _seeded_symmetric(4, 5)
     w = 1e-6
-    m = SymMatrix(IArray(a - w, a + w))
+    m = SymMatrix(a, np.full(a.shape, w))
     enc_w = eig_enclosures(m).lam_min
     enc_p = eig_enclosures(SymMatrix.from_point(a)).lam_min
     assert enc_w.lo <= enc_p.lo and enc_p.hi <= enc_w.hi + 1e-12
@@ -108,13 +109,13 @@ def test_interval_matrix_widens():
 def test_min_abs_eig_lower_straddling_disc_is_zero():
     # a matrix with an eigenvalue near zero gives a conservative 0 lower bound
     a = np.diag([1e-14, 2.0, 3.0])
-    assert min_abs_eig_lower(SymMatrix.from_point(a)) <= 1e-10
+    assert eig_enclosures(SymMatrix.from_point(a)).min_abs_lower() <= 1e-10
 
 
 def test_wide_interval_matrix_discs_cover_members():
     # the disc union must cover the spectrum of every contained member
     n = 3
-    wide = SymMatrix(IArray(np.full((n, n), -1.0), np.full((n, n), 1.0)))
+    wide = SymMatrix(np.zeros((n, n)), np.ones((n, n)))
     enc = eig_enclosures(wide)
     member = np.full((n, n), 0.9)  # eigenvalues {2.7, 0, 0}
     for lam in np.linalg.eigvalsh(member):
@@ -127,10 +128,14 @@ def test_rayleigh_upper_bound_is_above_lower():
     assert enc.lo <= enc.hi
 
 
-def test_symmetrization_hull():
-    raw = IArray(np.array([[1.0, 0.2], [0.1, 2.0]]))
-    m = SymMatrix(raw)
-    assert m.entries.lo[0, 1] == 0.1 and m.entries.hi[0, 1] == 0.2
+@pytest.mark.parametrize("mid, rad", [
+    (np.zeros((2, 2)), np.zeros((2, 3))),
+    (np.zeros((2, 3)), np.zeros((2, 3))),
+    (np.zeros(4), np.zeros(4)),
+], ids=["radius-shape", "not-square", "not-2d"])
+def test_mismatched_shapes_raise(mid, rad):
+    with pytest.raises(ValueError):
+        SymMatrix(mid, rad)
 
 
 def _sampled_member(lo, hi, rng):
@@ -160,7 +165,7 @@ def test_discs_cover_sampled_members(n, seed, rad, clustered):
     r = rad * np.abs(rng.uniform(size=(n, n)))
     r = 0.5 * (r + r.T)
     lo, hi = mid - r, mid + r
-    enc = eig_enclosures(SymMatrix(IArray(lo, hi)))
+    enc = eig_enclosures(SymMatrix(mid, r))
     for _ in range(3):
         a = _sampled_member(lo, hi, rng)
         lams = np.linalg.eigvalsh(a)
@@ -174,8 +179,9 @@ def test_discs_cover_sampled_members(n, seed, rad, clustered):
 
 def _old_discs(m: SymMatrix) -> EigEnclosure:
     """The discs of the interval-product formulation: C = V^T A V and
-    G = V^T V as interval matrices, Gershgorin on C entry by entry."""
-    a = m.entries
+    G = V^T V as interval matrices, Gershgorin on C entry by entry, with A
+    the interval matrix rounded outward from mid +- rad."""
+    a = IArray(_dn(m.mid - m.rad), _up(m.mid + m.rad))
     n = m.n
     amid = 0.5 * (a.lo + a.hi)
     amid = 0.5 * (amid + amid.T)
@@ -203,8 +209,9 @@ def test_row_sum_discs_match_interval_products_on_c4_blocks(u_p3_n20):
     u = u_p3_n20
     odd = np.arange(1, default_split_order(u, 3) + 1, 2)
     w = power_expand(u, 2).scale(Interval(3.0))
-    b = _b_matrix(_potential_matrix(w, odd, odd),
-                  u.domain.lambda_grid(odd, odd).reshape(-1))
+    lam = u.domain.lambda_grid(odd, odd).reshape(-1)
+    d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
+    b = _b_matrix(*_potential_matrix(w, odd, odd), d)
     old = _old_discs(b)
     enc = eig_enclosures(b)
     assert np.all(np.abs(enc.disc_lo - old.disc_lo) <= 1e-12 * np.abs(old.disc_lo))
@@ -224,5 +231,5 @@ def test_eig_enclosures_issues_no_interval_product(monkeypatch):
     monkeypatch.setattr(ivarray, "imatmul", counted)
     monkeypatch.setattr(symeig, "imatmul", counted, raising=False)
     a = _seeded_symmetric(12, 3)
-    eig_enclosures(SymMatrix(IArray(a - 1e-9, a + 1e-9)))
+    eig_enclosures(SymMatrix(a, np.full(a.shape, 1e-9)))
     assert calls == []
