@@ -5,12 +5,14 @@ module derives, entirely in interval arithmetic:
 
   * defect bounds  delta >= ||Lap u-hat + |u-hat|^{p-1} u-hat||  (H^-1 and L2),
   * an inverse-linearization bound K >= ||(-Lap - p|u-hat|^{p-1})^{-1}||
-    on X_s, the odd-odd sine modes (functions symmetric about both
-    mid-lines, where the extremizer lies), as an operator X_s^* -> X_s, via
-    eigenvalue enclosures of a finite preconditioned section and a tail
-    bound, joined through the Schur complement of the section-tail coupling,
+    on X, as an operator X^* -> X: X_s, the odd-odd sine modes (functions
+    symmetric about both mid-lines, where the extremizer lies), on a
+    rectangle, and X_sym, those also symmetric about the diagonal, on a
+    square; via eigenvalue enclosures of a finite preconditioned section
+    and a tail bound, joined through the Schur complement of the
+    section-tail coupling,
   * a Lipschitz bound g for the derivative on a trial ball,
-  * a Newton-Kantorovich existence/uniqueness ball in X_s (radius r_h1),
+  * a Newton-Kantorovich existence/uniqueness ball in X (radius r_h1),
   * an L-infinity error radius by elliptic bootstrap (radius r_inf),
   * a positiveness certificate: a point where the true solution is provably
     positive together with sup(u_-)^{p-1} < lambda_1.
@@ -39,7 +41,7 @@ from .errors import (
     NotInvertible,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_sqrt
-from .ivarray import _RAD_FLOOR, IArray, _dn, _up, imatmul, isum, midrad_matmul
+from .ivarray import _RAD_FLOOR, _TINY, IArray, _dn, _up, imatmul, isum, midrad_matmul
 from .series import (
     COS,
     MAX_DENSE_ROWS,
@@ -193,6 +195,8 @@ def default_split_order(u: Series2D, p: int) -> int:
     """The split order n' of `inverse_bound`, kept on u; CapacityError if
     its odd-odd block, ceil(n'/2)^2 rows, exceeds MAX_DENSE_ROWS."""
     nprime = u.fact(("split_order", p), lambda: _scan_split_order(u, p))
+    # the potential matrix is assembled at these rows before the fold to
+    # X_sym on a square, so they, not the folded rows, set the peak memory
     rows = ((nprime + 1) // 2) ** 2
     if rows > MAX_DENSE_ROWS:
         raise CapacityError(f"split order {nprime}: block of {rows} rows > {MAX_DENSE_ROWS}")
@@ -231,7 +235,9 @@ def _coupled_gap(m: float, t: float, c: float) -> Interval:
 
 def _check_center(u: Series2D) -> None:
     """DomainError unless u's coefficient array is square and odd-odd, as
-    the odd-odd tails and the bandwidth of the certificate assume."""
+    the odd-odd tails and the bandwidth of the certificate assume, and on a
+    square domain also bitwise transpose-symmetric, as the fold of
+    `inverse_bound` assumes."""
     mag = u.coeffs.mag()
     if mag.shape[0] != mag.shape[1]:
         raise DomainError(
@@ -243,32 +249,136 @@ def _check_center(u: Series2D) -> None:
             "center has a nonzero even-mode coefficient; the positive "
             "solution is odd-odd (symmetric about both mid-lines)"
         )
+    c = u.coeffs
+    if u.domain.is_square() and not (np.array_equal(c.lo, c.lo.T)
+                                     and np.array_equal(c.hi, c.hi.T)):
+        raise DomainError(
+            "center coefficients are not transpose-symmetric; on a square "
+            "the positive solution is symmetric about the diagonal x = y"
+        )
 
 
-def inverse_bound(u: Series2D, p: int) -> Interval:
-    """K >= norm of (-Lap - p|u|^{p-1})^{-1} on X_s, as an operator
-    X_s^* -> X_s, where X_s is the closed span in H^1_0 of the odd-odd sine
-    modes: the functions symmetric about both mid-lines.
+def _orbits(dom: DomainRect, n: int) -> tuple:
+    """(rep, partner): row indices of (i, j) and (j, i), i <= j, in the
+    n x n mode grid for each orbit of the swap (i, j) -> (j, i) on a square;
+    on a rectangle every mode is its own orbit and both are the identity."""
+    idx = np.arange(n * n).reshape(n, n)
+    if not dom.is_square():
+        return idx.reshape(-1), idx.reshape(-1)
+    i, j = np.triu_indices(n)
+    return idx[i, j], idx[j, i]
 
-    Why X_s.  For odd-odd u, F(v) = Lap v + |v|^{p-1} v maps X_s into its
+
+def _fold(m_mid: np.ndarray, m_rad: np.ndarray, rep: np.ndarray,
+          partner: np.ndarray) -> tuple:
+    """Float (mid, rad) enclosing F[r, s] = sum of M over the distinct
+    members of the orbits of rep[r] and rep[s] (1, 2 or 4 entries), for
+    every M with |M - m_mid| <= m_rad.
+
+    Lemma.  Let u = 2^-53, gamma_3 = 3u / (1 - 3u).  An entry whose two
+    orbits have one member each is M's own entry, copied.  Any other entry
+    adds two or four terms (a row fold, then a column fold), so
+    fl(sum m_mid) is within gamma_3 sum |m_mid| of sum m_mid, and
+    |F - fl(sum m_mid)| <= sum m_rad + gamma_3 sum |m_mid|.  The float sums
+    R = fl(sum m_rad) and A = fl(sum |m_mid|) of nonnegative terms are at
+    most a factor (1 - u)^3 >= 1 / (1 + 4u) below the exact ones, so the
+    bound is at most (R + gamma_3 A)(1 + 4u).  The radius there evaluates
+    (R + 2^-50 A)(1 + 2^-50) + 1e-290 rounded upward: 2^-50 = 8u >= gamma_3,
+    the pad covers (1 + 4u) and the rounding of the sum, and 1e-290 the
+    underflow of 2^-50 A (at most 2^-1074).  On a rectangle every orbit has
+    one member, so F is M bit for bit.
+    """
+    pair = rep != partner
+
+    def fold(x):
+        g = x[rep]
+        g[pair] += x[partner[pair]]
+        f = g[:, rep]
+        f[:, pair] += g[:, partner[pair]]
+        return f
+
+    f_rad = fold(m_rad)
+    pad = _up((f_rad + 2.0 ** -50 * fold(np.abs(m_mid))) * (1.0 + 2.0 ** -50) + _TINY)
+    return fold(m_mid), np.where(pair[:, None] | pair, pad, f_rad)
+
+
+def _folded_block(w: Series2D, modes: np.ndarray) -> SymMatrix:
+    """B = I - D' F D' of the potential w on the sine modes `modes` x `modes`
+    in the orthonormal basis of its swap orbits: F = `_fold` of the Galerkin
+    matrix and d' = s Lam^{-1/2}, s an enclosure of 1/sqrt(2) on the pairs
+    i < j and 1 elsewhere; on a rectangle, the block on all those modes."""
+    dom = w.domain
+    rep, partner = _orbits(dom, len(modes))
+    lam = dom.lambda_grid(modes, modes).reshape(-1)[rep]
+    d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
+    pair = rep != partner
+    d[pair] = d[pair] * IArray._coerce(iv_sqrt(Interval(0.5)))
+    return _b_matrix(*_fold(*_potential_matrix(w, modes, modes), rep, partner), d)
+
+
+@dataclass(frozen=True)
+class InverseBound:
+    """K and the rigorous terms it comes from (`inverse_bound`): the block
+    minimum m, the tail bound t, the coupling c, the even-p perturbation
+    eps_pert (0 for odd p) and the rows of the folded block."""
+
+    K: Interval
+    block_min: float  # m <= min |eig(B_FF)|
+    tail: float  # t <= min eig(B_TT)
+    coupling: float  # c >= ||B_FT||
+    eps_pert: float
+    rows: int
+
+    @property
+    def binds(self) -> str:
+        """Which of m ("block") and t ("tail") is min(m, t), the term that
+        s* corrects for the coupling."""
+        return "block" if self.block_min <= self.tail else "tail"
+
+    def to_dict(self) -> dict:
+        return {
+            "block_min": self.block_min.hex(),
+            "tail": self.tail.hex(),
+            "coupling": self.coupling.hex(),
+            "eps_pert": self.eps_pert.hex(),
+            "block_rows": self.rows,
+            "binds": self.binds,
+        }
+
+
+def inverse_bound(u: Series2D, p: int) -> InverseBound:
+    """K >= norm of (-Lap - p|u|^{p-1})^{-1} on X, as an operator X^* -> X,
+    with the terms it comes from.  On a rectangle X is X_s, the closed span
+    in H^1_0 of the odd-odd sine modes: the functions symmetric about both
+    mid-lines.  On a square X is X_sym, the functions of X_s that are also
+    symmetric about the diagonal x = y, spanned by phi_ii and
+    (phi_ij + phi_ji)/sqrt(2), i < j.
+
+    Why X.  For odd-odd u, F(v) = Lap v + |v|^{p-1} v maps X_s into its
     dual, since the reflections about the mid-lines commute with Lap and
-    with v -> |v|^{p-1} v.  So Newton-Kantorovich runs in X_s with the
-    same defect delta (an H^-1 norm bounds the X_s^* norm) and Lipschitz
-    bound g (valid on all of H^1_0), and its ball is a ball of X_s.  The
-    enclosure's premise (`enclosure_from_ball`), that the positive solution
-    in the ball is the extremizer u*, asks nothing outside X_s: u* may be
-    taken positive (|u*| is an extremizer too, and positive by the strong
-    maximum principle), and a positive solution is symmetric about both
-    mid-lines by the moving-plane theorem of Gidas-Ni-Nirenberg (Comm.
-    Math. Phys. 68, 1979) in the form of Berestycki-Nirenberg (Bol. Soc.
-    Brasil. Mat. 22, 1991, Thm 1.3), which needs no smooth boundary.  Its
-    hypotheses hold on a rectangle: it is bounded, convex in x and in y,
-    and symmetric about x = L1/2 and y = L2/2; f(u) = u^p is Lipschitz on
-    [0, sup u*]; and u* vanishes on the boundary and is continuous on the
-    closure (u*^p is in L^2, so u* is in H^2 on the convex domain, and
-    H^2 embeds in C in 2-d).  Lin (Manuscripta Math. 84, 1994) shows that
-    on a convex planar domain the least-energy solution is unique and
-    nondegenerate, so the premise names one function.
+    with v -> |v|^{p-1} v.  On a square the reflection (x, y) -> (y, x)
+    commutes with both as well, so for a transpose-symmetric u (checked
+    bitwise, `_check_center`) F maps X_sym into its dual.  So
+    Newton-Kantorovich runs in X with the same defect delta (an H^-1 norm
+    bounds the X^* norm) and Lipschitz bound g (valid on all of H^1_0), and
+    its ball is a ball of X.  The enclosure's premise (`enclosure_from_ball`),
+    that the positive solution in the ball is the extremizer u*, asks
+    nothing outside X: u* may be taken positive (|u*| is an extremizer too,
+    and positive by the strong maximum principle), and a positive solution
+    is symmetric about a line of symmetry of the domain when the domain is
+    convex in the direction normal to it, by the moving-plane theorem of
+    Gidas-Ni-Nirenberg (Comm. Math. Phys. 68, 1979) in the form of
+    Berestycki-Nirenberg (Bol. Soc. Brasil. Mat. 22, 1991, Thm 1.3), which
+    needs no smooth boundary.  A rectangle is bounded, convex in x and in y,
+    and symmetric about x = L1/2 and y = L2/2, so u* is in X_s.  A square is
+    also convex in the direction (1, -1)/sqrt(2) and symmetric about x = y,
+    so the theorem in coordinates rotated by 45 degrees puts u* in X_sym.
+    The other hypotheses: f(u) = u^p is Lipschitz on [0, sup u*], and u*
+    vanishes on the boundary and is continuous on the closure (u*^p is in
+    L^2, so u* is in H^2 on the convex domain, and H^2 embeds in C in 2-d).
+    Lin (Manuscripta Math. 84, 1994) shows that on a convex planar domain
+    the least-energy solution is unique and nondegenerate, so the premise
+    names one function.
 
     In the H^1_0-orthonormal basis Lam^{-1/2} phi the operator is
     B = I - Lam^{-1/2} M Lam^{-1/2}, M the Galerkin matrix of the potential
@@ -277,20 +387,30 @@ def inverse_bound(u: Series2D, p: int) -> Interval:
     even, that of sin(a) sin(i) sin(k) unless it is odd, and an odd-odd
     center has a potential with only even cosine (odd p) or odd sine
     (even p) modes, so M couples odd modes only to odd modes and B maps X_s
-    into itself.  Split the odd-odd modes at n' = default_split_order(u, p)
-    into the finite section F (both indices <= n') and the tail T:
+    into itself.  On a square the potential is symmetric about x = y, so
+    M[(i,j),(k,l)] = M[(j,i),(l,k)] and lambda_ij = lambda_ji: B maps X_sym
+    into itself, and in the orthonormal basis of X_sym above it is
+    I - D' F D', F[(ij),(kl)] the sum of M over the swap orbits of (i,j) and
+    (k,l) (`_fold`), d' = s Lam^{-1/2}, s = 1/sqrt(2) on the pairs i < j and
+    1 on i = j.  On a rectangle every orbit is one mode and the fold is the
+    identity.  Split X at n' = default_split_order(u, p) into the finite
+    section F (both indices <= n', which the swap keeps) and the tail T:
 
       (i)   m <= min |eig(B_FF)|, from verified eigenvalue enclosures of the
-            ceil(n'/2)^2 rows of B_FF;
+            folded block: k^2 rows on a rectangle, k(k+1)/2 on a square,
+            k = ceil(n'/2);
       (ii)  t = 1 - Wbar/lambda_tail <= min eig(B_TT), Wbar >= p sup|u|^{p-1},
             lambda_tail the smallest eigenvalue of a tail mode (`_tail_lambda`);
+            it holds on X_s, and on X_sym since a Rayleigh quotient taken
+            over a subspace cannot fall;
       (iii) c = Wbar/sqrt(lambda_tail * lambda_cut) >= ||B_FT||.  The
             potential has trigonometric degree (p-1)N per dimension, so only
             finite modes with an index above n' - (p-1)N couple to the tail,
             and n' > (p-1)N always; lambda_cut is the smallest eigenvalue of
-            such a mode.
+            such a mode.  On X_sym B_FT is a compression of that on X_s,
+            whose norm is no larger.
 
-    Lemma: every eigenvalue mu of B on X_s satisfies |mu| >= s*, the smaller
+    Lemma: every eigenvalue mu of B on X satisfies |mu| >= s*, the smaller
     root of (m - s)(t - s) = c^2.  Proof: the spectrum of B outside {1}
     consists of eigenvalues, and min(m, t) <= t <= 1.  Take an eigenvalue mu
     with |mu| < min(m, t).  B_TT - mu >= t - |mu| > 0 is invertible, so the
@@ -306,8 +426,9 @@ def inverse_bound(u: Series2D, p: int) -> Interval:
     For even p the exactly-expanded potential p*u^{p-1} differs from
     p|u|^{p-1} only on {u < 0}; that perturbation, eps_pert, is absorbed
     via the negative-part bound, and K = 1/(s* - eps_pert).  The parity
-    structure and the bandwidth need a square odd-odd center, so any other
-    center raises DomainError.
+    structure, the fold and the bandwidth need a square odd-odd center,
+    transpose-symmetric on a square domain, so any other center raises
+    DomainError.
     """
     _check_center(u)
     dom = u.domain
@@ -320,11 +441,9 @@ def inverse_bound(u: Series2D, p: int) -> Interval:
             f"bound {wbar.hi:.4e} at split order {nprime}"
         )
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
-    odd = np.arange(1, nprime + 1, 2)
     w = power_expand(u, p - 1).scale(Interval(float(p)))
-    lam = dom.lambda_grid(odd, odd).reshape(-1)
-    d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
-    block_lo = eig_enclosures(_b_matrix(*_potential_matrix(w, odd, odd), d)).min_abs_lower()
+    block = _folded_block(w, np.arange(1, nprime + 1, 2))
+    block_lo = eig_enclosures(block).min_abs_lower()
 
     lam_cut = _tail_lambda(dom, nprime - (p - 1) * u.N)
     coupling = (wbar / iv_sqrt(lam_tail * lam_cut)).hi
@@ -343,7 +462,8 @@ def inverse_bound(u: Series2D, p: int) -> Interval:
         raise NotInvertible(
             f"inverse bound denominator {m:.4e} <= 0 at split order {nprime}"
         )
-    return Interval(1.0) / Interval(m)
+    return InverseBound(Interval(1.0) / Interval(m), block_lo, tail_lo,
+                        coupling, eps_pert, block.n)
 
 
 # -- Newton-Kantorovich ---------------------------------------------------------
@@ -569,11 +689,12 @@ def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> Positivene
 class CertifiedBall:
     """Certified existence ball around an approximate extremizer.
 
-    The ball is one of X_s, the odd-odd sine modes: it holds a solution
-    within r_h1 of the center, the only one in X_s within unique_radius,
-    and K in `kantorovich` bounds the inverse linearization on X_s.  The
-    extremizer lies in X_s by the Gidas-Ni-Nirenberg symmetry theorem
-    (`inverse_bound`).
+    The ball is one of X, the odd-odd sine modes (X_s) on a rectangle and
+    those of them also symmetric about the diagonal (X_sym) on a square: it
+    holds a solution within r_h1 of the center, the only one in X within
+    unique_radius, and K in `kantorovich` bounds the inverse linearization
+    on X; `inverse` holds the terms of K.  The extremizer lies in X by the
+    Gidas-Ni-Nirenberg symmetry theorem (`inverse_bound`).
     """
 
     center: Series2D
@@ -585,6 +706,7 @@ class CertifiedBall:
     kantorovich: KantorovichData = field(repr=False)
     delta_l2: Interval = field(repr=False)
     nprime: int
+    inverse: InverseBound = field(repr=False)
 
     def to_dict(self, p: int) -> dict:
         c = self.center
@@ -614,6 +736,7 @@ class CertifiedBall:
             "K": [kd.K.lo.hex(), kd.K.hi.hex()],
             "g": [kd.g.lo.hex(), kd.g.hi.hex()],
         }
+        d["inverse_bound"] = self.inverse.to_dict()
         return d
 
     def to_json(self, p: int) -> str:
@@ -624,17 +747,19 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     """Full certification pipeline for one approximate solution; the split
     order comes first, so a CapacityError precedes any defect work.
 
-    Newton-Kantorovich runs in X_s, the odd-odd sine modes, so K and
-    unique_radius refer to X_s.  That loses nothing the enclosure uses: the
-    extremizer is positive and hence symmetric about both mid-lines by the
-    Gidas-Ni-Nirenberg moving-plane theorem (in the Berestycki-Nirenberg
-    form for non-smooth domains, whose hypotheses a rectangle meets; see
-    `inverse_bound`), so it lies in X_s.
+    Newton-Kantorovich runs in X, the odd-odd sine modes on a rectangle and
+    those of them symmetric about the diagonal on a square, so K and
+    unique_radius refer to X.  That loses nothing the enclosure uses: the
+    extremizer is positive and hence symmetric about both mid-lines, and on
+    a square about the diagonal, by the Gidas-Ni-Nirenberg moving-plane
+    theorem (in the Berestycki-Nirenberg form for non-smooth domains, whose
+    hypotheses a rectangle meets; see `inverse_bound`), so it lies in X.
     """
     _check_center(u)
     nprime = default_split_order(u, p)
     d_hm1, d_l2 = defect_bounds(u, p)
-    k = inverse_bound(u, p)
+    inv = inverse_bound(u, p)
+    k = inv.K
 
     # g holds on the ball of radius R, which must contain the certified one:
     # r = 2 K delta / (1 + sqrt(1 - h)) <= 2 K delta, a few ulps at most above
@@ -654,4 +779,5 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
         kantorovich=kd,
         delta_l2=d_l2,
         nprime=nprime,
+        inverse=inv,
     )

@@ -2,9 +2,11 @@
 
 Elementwise operations widen the round-to-nearest result by one ulp in each
 direction, which contains the exact result since round-to-nearest error is
-at most 0.5 ulp.  Reductions (sums, matrix products) use a-priori floating
-point error bounds of the classical (k u / (1 - k u)) * sum|x| form instead
-of per-step widening, so they stay BLAS-fast.
+at most 0.5 ulp; a product by a thin power of two is exact above the
+smallest normal float and is not widened there.  Reductions (sums, matrix
+products) use a-priori floating point error bounds of the classical
+(k u / (1 - k u)) * sum|x| form instead of per-step widening, so they stay
+BLAS-fast.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .intervals import Interval
 _EPS = 2.0 ** -52
 _TINY = 1e-290  # absorbs underflow in radius computations
 _RAD_FLOOR = 1e-200  # lower clamp for nonzero radii entering BLAS products
+_NORMAL = 2.0 ** -1022  # smallest positive normal float
 
 
 def _dn(x):
@@ -27,6 +30,11 @@ def _dn(x):
 
 def _up(x):
     return np.nextafter(x, np.inf)
+
+
+def _thin_pow2(x: "IArray") -> np.ndarray:
+    """Where x is a thin interval [2^k, 2^k] or [-2^k, -2^k]."""
+    return (x.lo == x.hi) & (np.abs(np.frexp(x.lo)[0]) == 0.5)
 
 
 def _chk(*arrays):
@@ -152,8 +160,23 @@ class IArray:
         c2 = self.lo * b.hi
         c3 = self.hi * b.lo
         c4 = self.hi * b.hi
-        lo = _dn(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4)))
-        hi = _up(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4)))
+        lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
+        hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
+        # where one factor is a thin power of two 2^k, x 2^k above the
+        # smallest normal float is exact, and so is a zero endpoint unless a
+        # product of nonzero factors underflowed: skip the widening there
+        exact = _thin_pow2(self) | _thin_pow2(b)
+        if np.any(exact):
+            under = np.zeros(lo.shape, dtype=bool)
+            for c, x, y in ((c1, self.lo, b.lo), (c2, self.lo, b.hi),
+                            (c3, self.hi, b.lo), (c4, self.hi, b.hi)):
+                under |= (np.abs(c) <= _NORMAL) & (x != 0.0) & (y != 0.0)
+            lo = np.where(exact & ((np.abs(lo) > _NORMAL) | ((lo == 0.0) & ~under)),
+                          lo, _dn(lo))
+            hi = np.where(exact & ((np.abs(hi) > _NORMAL) | ((hi == 0.0) & ~under)),
+                          hi, _up(hi))
+        else:
+            lo, hi = _dn(lo), _up(hi)
         # a factor that is exactly [0, 0] makes the product exactly zero
         z = ((self.lo == 0.0) & (self.hi == 0.0)) | ((b.lo == 0.0) & (b.hi == 0.0))
         lo = np.where(z, 0.0, lo)

@@ -24,7 +24,7 @@ from .bounds import (
     outward_decimal,
     plum_bound,
 )
-from .certify import certify_ball
+from .certify import InverseBound, certify_ball
 from .errors import DomainError, SobembError, SoundnessViolation
 from .intervals import Interval
 from .series import DomainRect, Series2D
@@ -93,12 +93,14 @@ class RunRow:
     upper: float | None = None
     error: str | None = None
     seconds: float = 0.0
+    inverse: InverseBound | None = None  # the terms of K
 
     def to_dict(self) -> dict:
         d = {"N": self.N, "status": self.status, "positive": self.positive}
         for name in ("defect_hm1", "defect_l2", "K", "r_h1", "r_inf"):
             iv = getattr(self, name)
             d[name] = None if iv is None else _hx(iv)
+        d["inverse_bound"] = None if self.inverse is None else self.inverse.to_dict()
         d["neg_sup"] = None if self.neg_sup is None else self.neg_sup.hex()
         d["lower"] = None if self.lower is None else self.lower.hex()
         d["upper"] = None if self.upper is None else self.upper.hex()
@@ -183,6 +185,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             row.defect_hm1 = ball.kantorovich.delta
             row.defect_l2 = ball.delta_l2
             row.K = ball.kantorovich.K
+            row.inverse = ball.inverse
             row.r_h1 = ball.r_h1
             row.r_inf = ball.r_inf
             row.neg_sup = ball.audit.neg_sup

@@ -65,6 +65,9 @@ class DomainRect:
     def measure(self) -> Interval:
         return Interval(self.L1) * Interval(self.L2)
 
+    def is_square(self) -> bool:
+        return self.L1 == self.L2
+
     def lambda1(self) -> Interval:
         """First Dirichlet eigenvalue pi^2 (1/L1^2 + 1/L2^2) of -Laplace."""
         return self.lambda_mode(1, 1)

@@ -6,7 +6,10 @@ claim about them is re-derived rigorously by the certification module.
 The positive solution on any rectangle is symmetric about both mid-lines
 (Gidas-Ni-Nirenberg 1979), so only the odd-odd sine modes are nonzero.
 Newton works in that mode space on every rectangle; the even modes of the
-result are exact zeros.
+result are exact zeros.  On a square the solution is also symmetric about
+the diagonal x = y, so its coefficients are transpose-symmetric; Newton
+keeps every iterate exactly so, with a <- (a + a^T)/2, which the certifier
+requires of a center on a square.
 
 Nonlinear terms are evaluated pseudo-spectrally on an oversampled tensor
 sine grid with G = (p+1)N + 1 points per dimension, above the degree pN of
@@ -175,16 +178,21 @@ def galerkin_jacobian(u: Series2D, p: int) -> np.ndarray:
 
 def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     """Damped Newton iteration on the odd-odd Galerkin system; returns a point
-    series whose even modes are exact zeros.  Even-mode content of the guess
-    is dropped."""
+    series whose even modes are exact zeros, and on a square whose
+    coefficients are bitwise transpose-symmetric.  Even-mode content of the
+    guess is dropped."""
     domain = guess.domain
     n = cfg.N
     modes = np.arange(1, n + 1, 2)
     system = _Galerkin(cfg.p, domain, modes, modes, (cfg.p + 1) * n + 1)
 
+    def sym(x):  # fl(x_ij + x_ji) = fl(x_ji + x_ij): the result is symmetric
+        return 0.5 * (x + x.T) if domain.is_square() else x
+
     a = np.zeros((len(modes), len(modes)))
     src = guess.coeffs.mid()[::2, ::2][: len(modes), : len(modes)]
     a[: src.shape[0], : src.shape[1]] = src
+    a = sym(a)
     if not np.any(a):
         raise ValueError("newton_solve requires a nonzero initial guess")
 
@@ -203,7 +211,7 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         step = step.reshape(a.shape)
         t = 1.0
         for _ in range(40):
-            trial = a + t * step
+            trial = sym(a + t * step)
             rt = system.residual(trial)
             rtnorm = float(np.sqrt(np.sum(rt.astype(np.float64) ** 2)))
             if rtnorm < rnorm:

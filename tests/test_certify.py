@@ -2,6 +2,7 @@
 L-infinity embedding constant, defect bounds, and positiveness audit."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -57,7 +58,7 @@ def _one_mode(a):
 def test_inverse_bound_near_laplacian():
     """A vanishing potential leaves the preconditioned block near the
     identity, so the operator bound must be an enclosure of 1."""
-    k = inverse_bound(_one_mode(1e-6), 3)
+    k = inverse_bound(_one_mode(1e-6), 3).K
     assert k.lo <= 1.0 + 1e-6
     assert 1.0 - 1e-6 <= k.hi <= 1.001
 
@@ -147,7 +148,7 @@ def test_all_modes_k_bounds_symmetric_k(p, n, dom):
     larger than on all modes: the all-modes K (four parity blocks and
     all-modes tails, written out here) is never below inverse_bound's K."""
     u = newton_solve(SolverConfig(p=p, N=n), initial_guess(p, dom))
-    assert _all_modes_k(u, p) >= inverse_bound(u, p).hi
+    assert _all_modes_k(u, p) >= inverse_bound(u, p).K.hi
 
 
 def test_tail_lambda_at_smallest_odd_index_above_cut():
@@ -190,10 +191,13 @@ def test_default_split_order_exceeds_bandwidth(u_p3_n10):
 
 
 def test_inverse_bound_necessary_condition(u_p3_n20, ball_p3_n20):
-    """K bounds the inverse linearization on X_s, so every Galerkin vector
-    v of odd-odd modes must satisfy
-    ||(-Lap - p u^{p-1}) v||_{H^-1} >= ||v||_{H^1_0} / K; checked on 10^2
-    seeded directions with floating arithmetic and a small slack."""
+    """K bounds the inverse linearization on X_sym, so every Galerkin vector
+    v of swap-symmetric odd-odd modes must satisfy
+    ||(-Lap - p u^{p-1}) v||_{H^-1} >= ||v||_{H^1_0} / K.  The
+    swap-antisymmetric odd-odd modes are better conditioned on this center
+    (smallest |eig| about 0.67 against 0.60), so it holds on all odd-odd
+    directions; checked on 10^2 seeded ones with floating arithmetic and a
+    small slack."""
     p = 3
     u = u_p3_n20
     k_hi = ball_p3_n20.kantorovich.K.hi
@@ -238,7 +242,7 @@ def test_even_p_blocks_hold_the_morse_direction(p, n):
     (_, _, block), *_ = _parity_blocks(u, p, nprime)
     eigs = np.linalg.eigvalsh(block.mid)
     assert np.min(np.abs(eigs - (1 - p))) < 1e-6
-    k = inverse_bound(u, p)
+    k = inverse_bound(u, p).K
     assert k.hi * np.min(np.abs(eigs)) >= 1.0 - 1e-9
 
 
@@ -275,6 +279,81 @@ def test_rectangle_center_splits_into_parity_blocks(monkeypatch):
     monkeypatch.setattr(certify, "eig_enclosures", recorded)
     inverse_bound(u, 3)
     assert rows == [math.ceil(nprime / 2) ** 2]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
+def test_fold_encloses_exact_orbit_sums(seed, a):
+    """Each folded entry holds the exact rational sum of M over the two
+    orbits (1, 2 or 4 terms) for every M in mid +- rad, here at the
+    corners: thin entries (rad 0) of mixed magnitudes, whose float sums
+    round, and random radii."""
+    rng = np.random.default_rng(seed)
+    mid = rng.normal(size=(a * a, a * a)) * 2.0 ** rng.integers(-60, 60, size=(a * a, a * a))
+    rad = np.where(rng.random(mid.shape) < 0.5, 0.0, np.abs(mid) * 1e-9)
+    rep, partner = certify._orbits(SQ, a)
+    f_mid, f_rad = certify._fold(mid, rad, rep, partner)
+    for r in range(len(rep)):
+        for c in range(len(rep)):
+            terms = [(x, y) for x in {rep[r], partner[r]} for y in {rep[c], partner[c]}]
+            for sign in (-1, 1):
+                exact = sum(Fraction(mid[x, y]) + sign * Fraction(rad[x, y]) for x, y in terms)
+                assert abs(exact - Fraction(f_mid[r, c])) <= Fraction(f_rad[r, c]), (r, c)
+
+
+def _orbit_bases(a):
+    """Float orthonormal bases (P, Q) of the swap-symmetric and
+    swap-antisymmetric vectors on the a x a mode grid: columns e_ii and
+    (e_ij + e_ji)/sqrt(2), and (e_ij - e_ji)/sqrt(2), i < j."""
+    idx = np.arange(a * a).reshape(a, a)
+    iu, ju = np.triu_indices(a)
+    pos = np.zeros((a * a, len(iu)))
+    pos[idx[iu, ju], np.arange(len(iu))] = 1.0
+    pos[idx[ju, iu], np.arange(len(iu))] = 1.0
+    pos /= np.linalg.norm(pos, axis=0)
+    i, j = np.triu_indices(a, 1)
+    neg = np.zeros((a * a, len(i)))
+    neg[idx[i, j], np.arange(len(i))] = 1.0 / math.sqrt(2.0)
+    neg[idx[j, i], np.arange(len(i))] = -1.0 / math.sqrt(2.0)
+    return pos, neg
+
+
+@pytest.mark.parametrize("p, n", [(3, 20), (4, 16)], ids=["c4-N20", "c5-N16"])
+def test_folded_block_matches_odd_odd_block(p, n):
+    """On the c4 N=20 and c5 N=16 centers the block folded onto X_sym has
+    k(k+1)/2 rows for the k^2 of the odd-odd block, built here unfolded;
+    its verified minimum is no lower than the odd-odd one (to 1e-12
+    relative), and in floats its spectrum and that of the antisymmetric
+    complement together make up the odd-odd spectrum."""
+    u = _solve(p, n)
+    odd = np.arange(1, default_split_order(u, p) + 1, 2)
+    w = power_expand(u, p - 1).scale(Interval(float(p)))
+    full, folded = _block(w, odd, odd), certify._folded_block(w, odd)
+    k = len(odd)
+    assert (full.n, folded.n) == (k * k, k * (k + 1) // 2)
+    m_full = eig_enclosures(full).min_abs_lower()
+    assert eig_enclosures(folded).min_abs_lower() >= m_full * (1.0 - 1e-12)
+    sym = 0.5 * (full.mid + full.mid.T)
+    pos, neg = _orbit_bases(k)
+    np.testing.assert_allclose(pos.T @ sym @ pos, folded.mid, rtol=0.0, atol=1e-13)
+    both = np.concatenate([np.linalg.eigvalsh(folded.mid), np.linalg.eigvalsh(neg.T @ sym @ neg)])
+    np.testing.assert_allclose(np.sort(both), np.linalg.eigvalsh(sym), rtol=0.0, atol=1e-12)
+
+
+def test_rectangle_fold_is_the_identity():
+    """On 2 x 1 (p=3, N=20) every mode is its own swap orbit: the folded
+    block is the odd-odd block bit for bit, and K is the one its verified
+    minimum gives, bit for bit."""
+    u = newton_solve(SolverConfig(p=3, N=20), initial_guess(3, DomainRect(2.0, 1.0)))
+    odd = np.arange(1, default_split_order(u, 3) + 1, 2)
+    w = power_expand(u, 2).scale(Interval(3.0))
+    full, folded = _block(w, odd, odd), certify._folded_block(w, odd)
+    assert np.array_equal(full.mid, folded.mid) and np.array_equal(full.rad, folded.rad)
+    ib = inverse_bound(u, 3)
+    m = eig_enclosures(full).min_abs_lower()
+    assert ib.block_min == m and ib.rows == len(odd) ** 2
+    k = Interval(1.0) / Interval(_coupled_gap(m, ib.tail, ib.coupling).lo)
+    assert (ib.K.lo, ib.K.hi) == (k.lo, k.hi)
 
 
 def test_transposed_rectangle_gives_transposed_solution():
@@ -352,20 +431,38 @@ def _mp_block(coeffs, dom, mx, my):
 def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides):
     """Every entry of B, for a thin cosine potential with random float
     coefficients on a small odd mode set, computed with mpmath at 50 digits,
-    lies in mid +- rad."""
+    lies in mid +- rad.  On the square the coefficients are made
+    transpose-symmetric, and every entry of the block folded onto the swap
+    orbits, P^T B P with P the orthonormal orbit basis in mpmath, lies in
+    the folded block's mid +- rad too."""
     rng = np.random.default_rng(seed)
     dom = DomainRect(*sides)
     coeffs = rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-3, 2, size=(k, k))
+    if dom.is_square():
+        coeffs = 0.5 * (coeffs + coeffs.T)
     w = series.Series2D(dom, IArray(coeffs), series.COS, series.COS)
     mx, my = np.arange(1, 2 * ax, 2), np.arange(1, 2 * ay, 2)
     b = _block(w, mx, my)
     with mpmath.workdps(50):
-        exact = _mp_block(coeffs, dom, mx, my)
-        for r in range(b.n):
-            for s in range(b.n):
-                lo = mpmath.mpf(float(b.mid[r, s])) - mpmath.mpf(float(b.rad[r, s]))
-                hi = mpmath.mpf(float(b.mid[r, s])) + mpmath.mpf(float(b.rad[r, s]))
-                assert lo <= exact[r, s] <= hi, (r, s)
+        _assert_encloses(b, _mp_block(coeffs, dom, mx, my))
+        if dom.is_square():
+            rep, partner = certify._orbits(dom, ax)
+            exact = _mp_block(coeffs, dom, mx, mx)
+            orbit = [sorted({a, c}) for a, c in zip(rep, partner)]
+            scale = [1 / mpmath.sqrt(len(o)) for o in orbit]
+            folded = mpmath.matrix(len(orbit), len(orbit))
+            for r, (orb_r, s_r) in enumerate(zip(orbit, scale)):
+                for s, (orb_s, s_s) in enumerate(zip(orbit, scale)):
+                    folded[r, s] = s_r * s_s * sum(exact[a, c] for a in orb_r for c in orb_s)
+            _assert_encloses(certify._folded_block(w, mx), folded)
+
+
+def _assert_encloses(b, exact):
+    for r in range(b.n):
+        for s in range(b.n):
+            lo = mpmath.mpf(float(b.mid[r, s])) - mpmath.mpf(float(b.rad[r, s]))
+            hi = mpmath.mpf(float(b.mid[r, s])) + mpmath.mpf(float(b.rad[r, s]))
+            assert lo <= exact[r, s] <= hi, (r, s)
 
 
 def _interval_block(w, mx, my):

@@ -49,6 +49,21 @@ def test_certify_rejects_center_with_even_mode(tmp_path, capsys):
     assert "error: DomainError" in capsys.readouterr().err
 
 
+def test_certify_rejects_asymmetric_square_center(tmp_path, capsys):
+    """On a square the positive solution is symmetric about the diagonal, so
+    a loaded unit-square center with c_13 != c_31 is a DomainError, exit 1."""
+    series = str(tmp_path / "u.json")
+    assert main(["solve", "--p", "3", "--N", "6", "--out", series]) == EXIT_OK
+    u = Series2D.from_json(open(series).read())
+    c = u.coeffs.mid()
+    assert c[0, 2] == c[2, 0] != 0.0
+    c[0, 2] *= 1.0 + 1e-12
+    with open(series, "w") as f:
+        f.write(SineSeries2D(u.domain, c).to_json())
+    assert main(["certify", "--p", "3", "--in", series]) == EXIT_HARD
+    assert "error: DomainError" in capsys.readouterr().err
+
+
 def test_certify_rejects_non_square_center(tmp_path, capsys):
     """The split order assumes an N x N center; a 3 x 5 odd-odd series has a
     wider y-bandwidth than that, so loading it is a DomainError, exit 1."""

@@ -228,3 +228,45 @@ def test_isum_counts_only_nonzero_terms(x):
     s = isum(IArray(a))
     assert s.lo <= x <= s.hi
     assert s.hi - s.lo <= 4.0 * math.ulp(x)
+
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+       st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+       st.integers(-1100, 1000), st.booleans(), st.booleans())
+def test_thin_power_of_two_products_are_exact(lo, w, k, neg, left):
+    """x 2^k is exact while it stays normal: an interval array times a thin
+    power of two (either side) keeps every endpoint whose exact product is
+    zero or above the smallest normal float bit for bit, and still encloses
+    the exact product where it underflows."""
+    hi = lo + w
+    t = math.ldexp(-1.0 if neg else 1.0, k)
+    if not math.isfinite(hi) or t == 0.0 or not math.isfinite(t):
+        return
+    b = IArray(np.array([lo]), np.array([hi]))
+    try:
+        with np.errstate(over="ignore"):
+            out = IArray(t) * b if left else b * IArray(t)
+    except OverflowError_:
+        return
+    ends = sorted([Fraction(lo) * Fraction(t), Fraction(hi) * Fraction(t)])
+    for got, exact in zip((out.lo[0], out.hi[0]), ends):
+        if exact == 0 or abs(exact) > Fraction(2) ** -1022:
+            assert Fraction(float(got)) == exact
+    assert Fraction(float(out.lo[0])) <= ends[0]
+    assert ends[1] <= Fraction(float(out.hi[0]))
+
+
+def test_thin_power_of_two_product_examples():
+    """The 4/|Omega| = 4 of the unit square multiplies exactly; a product by
+    2^-1070 that underflows is widened around the exact value, and so is a
+    product by the thin non-power of two 3."""
+    x = IArray(np.array([0.1, -3.0, 0.0]), np.array([0.2, 5.0, 0.0]))
+    four = x * IArray(4.0)
+    assert np.array_equal(four.lo, [0.4, -12.0, 0.0])
+    assert np.array_equal(four.hi, [0.8, 20.0, 0.0])
+    tiny = IArray(np.array([3.0])) * IArray(2.0 ** -1070)
+    assert Fraction(float(tiny.lo[0])) < 3 * Fraction(2) ** -1070 < Fraction(float(tiny.hi[0]))
+    three = IArray(np.array([0.1])) * IArray(3.0)
+    assert three.lo[0] < 0.1 * 3.0 < three.hi[0]

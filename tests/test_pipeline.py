@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from sobemb.certify import default_split_order
+from sobemb.certify import _coupled_gap, default_split_order
 from sobemb.errors import SoundnessViolation
 from sobemb.intervals import Interval, iv_sqrt
 from sobemb.pipeline import (
@@ -47,6 +47,27 @@ def test_pipeline_run_is_deterministic():
     assert a.canonical_json() == b.canonical_json()
     assert a.fully_certified
     assert a.final is not None and a.final.lower > 0.0
+
+
+def test_report_rows_explain_k():
+    """Each certified row carries the terms of K as hex floats and ints: the
+    block minimum m, tail t, coupling c, eps_pert (0 for odd p), the rows of
+    the folded block and which of m and t binds; K is 1/(s* - eps_pert) of
+    them, and the canonical JSON with these fields is byte-identical across
+    two runs."""
+    a, b = (run_pipeline(RunConfig(p=4, domain=SQ, N=[12])) for _ in range(2))
+    assert a.canonical_json() == b.canonical_json()
+    row = json.loads(a.canonical_json())["rows"][0]
+    ib = row["inverse_bound"]
+    assert set(ib) == {"block_min", "tail", "coupling", "eps_pert", "block_rows", "binds"}
+    m, t, c, eps = (float.fromhex(ib[k]) for k in ("block_min", "tail", "coupling", "eps_pert"))
+    assert 0.0 < m < 1.0 and 0.0 < t < 1.0 and c > 0.0 and eps >= 0.0
+    assert ib["binds"] == ("block" if m <= t else "tail")
+    k = (Interval(1.0) / (Interval(_coupled_gap(m, t, c).lo) - Interval(eps))).hi
+    assert float.fromhex(row["K"][1]) == k
+    nprime = default_split_order(a.solutions[12], 4)
+    half = (nprime + 1) // 2
+    assert ib["block_rows"] == half * (half + 1) // 2
 
 
 def test_rectangle_run_fails_typed_within_budget():

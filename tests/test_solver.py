@@ -109,6 +109,18 @@ def test_symmetry_reduction_gives_odd_modes_only(dom):
     assert mid[0, 0] > 1.0
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_square_solution_is_exactly_transpose_symmetric(p):
+    """On a square the solver keeps every iterate symmetric about the
+    diagonal, so the center it returns is bitwise transpose-symmetric (as
+    the certifier requires); on 2 x 1 (p=3) it is not symmetric at all."""
+    c = newton_solve(SolverConfig(p=p, N=12), initial_guess(p, SQ)).coeffs
+    assert np.array_equal(c.lo, c.lo.T) and np.array_equal(c.hi, c.hi.T)
+    assert np.any(c.mid()[0, 1:] != 0.0)
+    wide = newton_solve(SolverConfig(p=3, N=6), initial_guess(3, DomainRect(2.0, 1.0)))
+    assert not np.allclose(wide.coeffs.mid(), wide.coeffs.mid().T)
+
+
 def test_rectangle_domain_solves():
     dom = DomainRect(2.0, 1.0)
     u = newton_solve(SolverConfig(p=3, N=6), initial_guess(3, dom))
