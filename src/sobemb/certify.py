@@ -141,11 +141,16 @@ def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray) -> IArray:
 def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
     """Float arrays (mid, rad) enclosing the mode-basis matrix
     M[(i,j),(k,l)] = (4/|Omega|) int W phi_ij phi_kl of the potential W = w
-    on the sine modes mx x my, as X w Y^T per axis."""
+    on the sine modes mx x my, as X w Y^T per axis.  The rows and columns
+    of w's coefficients that are exactly [0, 0] (every other one, for a
+    potential of one mode parity per axis) add nothing and are left out of
+    both products, which halves their inner dimension and so their gamma_k."""
     dom = w.domain
-    px = _triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)
-    py = _triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)
-    wc = w.coeffs * IArray._coerce(Interval(4.0) / dom.measure())
+    mag = w.coeffs.mag()
+    kx, ky = np.flatnonzero(mag.any(axis=1)), np.flatnonzero(mag.any(axis=0))
+    px = _triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)[:, kx]
+    py = _triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)[:, ky]
+    wc = w.coeffs[np.ix_(kx, ky)] * IArray._coerce(Interval(4.0) / dom.measure())
     a, b = len(mx), len(my)
     return tuple(  # ((i,k),(j,l)) -> ((i,j),(k,l))
         np.ascontiguousarray(x.reshape(a, a, b, b).transpose(0, 2, 1, 3)).reshape(a * b, -1)

@@ -24,7 +24,7 @@ from .bounds import (
     outward_decimal,
     plum_bound,
 )
-from .certify import InverseBound, certify_ball
+from .certify import InverseBound, PositivenessAudit, certify_ball
 from .errors import DomainError, SobembError, SoundnessViolation
 from .intervals import Interval
 from .series import DomainRect, Series2D
@@ -87,13 +87,20 @@ class RunRow:
     K: Interval | None = None
     r_h1: Interval | None = None
     r_inf: Interval | None = None
-    neg_sup: float | None = None
-    positive: bool = False
     lower: float | None = None
     upper: float | None = None
     error: str | None = None
     seconds: float = 0.0
     inverse: InverseBound | None = None  # the terms of K
+    audit: PositivenessAudit | None = None  # the positiveness point and margins
+
+    @property
+    def positive(self) -> bool:
+        return self.audit is not None and self.audit.verdict
+
+    @property
+    def neg_sup(self) -> float | None:
+        return None if self.audit is None else self.audit.neg_sup
 
     def to_dict(self) -> dict:
         d = {"N": self.N, "status": self.status, "positive": self.positive}
@@ -101,6 +108,12 @@ class RunRow:
             iv = getattr(self, name)
             d[name] = None if iv is None else _hx(iv)
         d["inverse_bound"] = None if self.inverse is None else self.inverse.to_dict()
+        a = self.audit
+        d["positiveness"] = None if a is None else {
+            "point": [x.hex() for x in a.point],
+            "positivity_margin": a.positivity_margin.hex(),
+            "spectral_margin": a.spectral_margin.hex(),
+        }
         d["neg_sup"] = None if self.neg_sup is None else self.neg_sup.hex()
         d["lower"] = None if self.lower is None else self.lower.hex()
         d["upper"] = None if self.upper is None else self.upper.hex()
@@ -188,8 +201,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             row.inverse = ball.inverse
             row.r_h1 = ball.r_h1
             row.r_inf = ball.r_inf
-            row.neg_sup = ball.audit.neg_sup
-            row.positive = ball.positive
+            row.audit = ball.audit
             lower, upper = enclosure_from_ball(u, ball.r_h1, cfg.p,
                                                positive=ball.positive)
             row.lower, row.upper = lower, upper
@@ -274,7 +286,9 @@ def report_csv(report: RunReport) -> str:
 
 
 def validate_report_dict(d: dict) -> None:
-    """Re-validate the rigorous fields of a loaded report (self-check)."""
+    """Re-validate the rigorous fields of a loaded report (self-check): every
+    interval ordered, K positive, the defects and radii nonnegative, and the
+    terms of K readable hex floats."""
     if d.get("format") != REPORT_FORMAT:
         raise SoundnessViolation("unknown report format")
     for row in d["rows"]:
@@ -284,8 +298,19 @@ def validate_report_dict(d: dict) -> None:
                 lo, hi = float.fromhex(pair[0]), float.fromhex(pair[1])
                 if not lo <= hi:
                     raise SoundnessViolation(f"row N={row['N']}: {name} lo > hi")
-                if name != "defect_hm1" and lo < 0.0 and name in ("r_h1", "r_inf"):
+                if name == "K" and not lo > 0.0:
+                    raise SoundnessViolation(f"row N={row['N']}: K <= 0")
+                if name != "K" and lo < 0.0:
                     raise SoundnessViolation(f"row N={row['N']}: {name} < 0")
+        inv = row.get("inverse_bound")
+        if inv is not None:
+            for key in ("block_min", "tail", "coupling", "eps_pert"):
+                try:
+                    float.fromhex(inv[key])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise SoundnessViolation(
+                        f"row N={row['N']}: inverse_bound {key} is not a hex float"
+                    ) from exc
         if row["lower"] is not None and row["upper"] is not None:
             if float.fromhex(row["lower"]) > float.fromhex(row["upper"]):
                 raise SoundnessViolation(f"row N={row['N']}: lower > upper")

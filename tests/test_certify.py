@@ -468,13 +468,17 @@ def _assert_encloses(b, exact):
 def _interval_block(w, mx, my):
     """The interval assembly of B that the midpoint-radius one replaces,
     written out as the reference: M scaled by 4/|Omega| after the two
-    interval products, B = I - D M D in interval arithmetic, the hull with
-    its transpose, and the midpoint, radius, flush and radius floor that
-    eig_enclosures then took from it.  Returns (lo, hi, SymMatrix)."""
+    interval products (over the rows and columns of w that are not exactly
+    zero, as `_potential_matrix` forms them), B = I - D M D in interval
+    arithmetic, the hull with its transpose, and the midpoint, radius, flush
+    and radius floor that eig_enclosures then took from it.  Returns (lo,
+    hi, SymMatrix)."""
     dom = w.domain
-    px = certify._triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)
-    py = certify._triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)
-    t = imatmul(imatmul(px, w.coeffs), py.T)
+    mag = w.coeffs.mag()
+    kx, ky = np.flatnonzero(mag.any(axis=1)), np.flatnonzero(mag.any(axis=0))
+    px = certify._triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)[:, kx]
+    py = certify._triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)[:, ky]
+    t = imatmul(imatmul(px, w.coeffs[np.ix_(kx, ky)]), py.T)
     a, b = len(mx), len(my)
     lo, hi = (np.ascontiguousarray(x.reshape(a, a, b, b).transpose(0, 2, 1, 3)).reshape(a * b, -1)
               for x in (t.lo, t.hi))

@@ -70,6 +70,55 @@ def test_report_rows_explain_k():
     assert ib["block_rows"] == half * (half + 1) // 2
 
 
+def test_report_rows_explain_positiveness():
+    """Each certified row carries the positiveness point and its positivity
+    and spectral margins as hex floats, and the canonical JSON with these
+    fields is byte-identical across two runs."""
+    a, b = (run_pipeline(RunConfig(p=3, domain=SQ, N=[10])) for _ in range(2))
+    assert a.canonical_json() == b.canonical_json()
+    row = json.loads(a.canonical_json())["rows"][0]
+    assert row["positive"]
+    pos = row["positiveness"]
+    assert set(pos) == {"point", "positivity_margin", "spectral_margin"}
+    x, y = (float.fromhex(v) for v in pos["point"])
+    assert 0.0 < x < 1.0 and 0.0 < y < 1.0
+    assert float.fromhex(pos["positivity_margin"]) > 0.0
+    assert float.fromhex(pos["spectral_margin"]) > 0.0
+
+
+def _set(path, value):
+    def tamper(row):
+        obj = row
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [
+    _set(("K", 0), (0.0).hex()),
+    _set(("K", 0), (-1.5).hex()),
+    _set(("defect_hm1", 0), (-1e-300).hex()),
+    _set(("defect_l2", 0), (-1e-300).hex()),
+    _set(("r_h1", 0), (-1e-300).hex()),
+    _set(("r_inf", 0), (-1e-300).hex()),
+    _set(("K", 1), (1.0).hex()),
+    _set(("inverse_bound", "tail"), "not hex"),
+    _set(("inverse_bound", "coupling"), None),
+    lambda row: row["inverse_bound"].pop("block_min"),
+], ids=["K-zero", "K-negative", "defect_hm1-negative", "defect_l2-negative",
+        "r_h1-negative", "r_inf-negative", "K-lo-above-hi", "tail-not-hex",
+        "coupling-null", "block_min-missing"])
+def test_validate_report_rejects_tampered_row(report_c4, tamper):
+    """Each check of validate_report_dict catches one tampered field of an
+    otherwise valid report."""
+    d = json.loads(report_c4.to_json())
+    validate_report_dict(d)
+    tamper(d["rows"][-1])
+    with pytest.raises(SoundnessViolation):
+        validate_report_dict(d)
+
+
 def test_rectangle_run_fails_typed_within_budget():
     """Budget: 30 s wall and 1 GiB of traced allocations.  On 2 x 1 at p=3,
     N=8 the Kantorovich condition fails (2 K^2 delta g = 1.10 at the

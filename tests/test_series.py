@@ -14,15 +14,20 @@ from hypothesis import strategies as st
 
 from sobemb.errors import CapacityError, DomainError
 from sobemb.intervals import Interval, iv_pow_int
-from sobemb.ivarray import IArray
+from sobemb.ivarray import IArray, _dn, _gamma_fac, _up
 from sobemb.series import (
+    _EPS_LD,
+    _POWER_SPLIT,
     COS,
     SIN,
     DomainRect,
     Series2D,
     SineSeries2D,
     _axis_overlap,
+    _axis_scale,
+    _extension,
     _iv_root,
+    _modes,
     factor_boundary,
     lp_norm,
     multiply,
@@ -345,6 +350,100 @@ def test_multiply_encloses_exact_product_for_every_parity_pair(parities):
                     for m in members:
                         assert Fraction(lo) <= m.get((mx, my), 0) <= Fraction(hi), (mx, my)
                     assert hi - lo <= tol * max(1.0, abs(lo))
+
+
+def _whole_slab_multiply(u, v):
+    """Reference for `multiply`: the same convolution with every step of the
+    loop over the whole slab of the denser extension, zeros included."""
+    ea, eb = _extension(u), _extension(v)
+    if np.count_nonzero(eb[2]) < np.count_nonzero(ea[2]):
+        ea, eb = eb, ea
+    am, ar, anz = ea
+    bm, br, bnz = eb
+    k = math.prod(min(np.count_nonzero(anz.any(axis=1 - d)),
+                      np.count_nonzero(bnz.any(axis=1 - d))) for d in (0, 1))
+    g_mid = (k + 4) * _EPS_LD / (1.0 - (k + 4) * _EPS_LD) + 2.0 ** -52
+    top = [(sa + sb) // 2 - 1 for sa, sb in zip(am.shape, bm.shape)]
+    shape = (top[0] + 1, top[1] + 1)
+    mid = np.zeros(shape, dtype=np.longdouble)
+    rad = np.zeros(shape)
+    support = np.zeros(shape, dtype=bool)
+    bm_ld = bm.astype(np.longdouble)
+    b_rad = br + g_mid * np.abs(bm)
+    b_mag = np.abs(bm) + br
+    for i, j in np.argwhere(anz):
+        si, sj = max(top[0] - i, 0), max(top[1] - j, 0)
+        if si >= bm.shape[0] or sj >= bm.shape[1]:
+            continue
+        oi, oj = i + si - top[0], j + sj - top[1]
+        dst = (slice(oi, oi + bm.shape[0] - si), slice(oj, oj + bm.shape[1] - sj))
+        src = (slice(si, None), slice(sj, None))
+        mid[dst] += np.longdouble(am[i, j]) * bm_ld[src]
+        rad[dst] += abs(am[i, j]) * b_rad[src]
+        if ar[i, j]:
+            rad[dst] += ar[i, j] * b_mag[src]
+        support[dst] |= bnz[src]
+    px, sx, ox = _axis_scale(u.parity_x, v.parity_x, shape[0])
+    py, sy, oy = _axis_scale(u.parity_y, v.parity_y, shape[1])
+    scale = np.multiply.outer(sx, sy)
+    keep = (slice(ox, None), slice(oy, None))
+    cm = (mid[keep] * scale.astype(np.longdouble)).astype(np.float64)
+    r = _up(rad[keep] * np.abs(scale) * (1.0 + 6.0 * _gamma_fac(k)) + 4e-290)
+    lo = np.where(support[keep], _dn(cm - r), 0.0)
+    hi = np.where(support[keep], _up(cm + r), 0.0)
+    return Series2D(u.domain, IArray(lo, hi, _unsafe=True), px, py)
+
+
+def _assert_same_bits(got, want):
+    assert (got.parity_x, got.parity_y) == (want.parity_x, want.parity_y)
+    assert got.coeffs.shape == want.coeffs.shape
+    assert got.coeffs.lo.tobytes() == want.coeffs.lo.tobytes()
+    assert got.coeffs.hi.tobytes() == want.coeffs.hi.tobytes()
+
+
+# Which modes of an axis may be nonzero: modes of one parity give the
+# extension one index parity on that axis (the loop then steps by 2), "any"
+# mixes both parities (step 1).
+_MODE_SETS = ("odd", "even", "any")
+
+
+@st.composite
+def _factor(draw, dom):
+    parities = (draw(st.sampled_from((SIN, COS))), draw(st.sampled_from((SIN, COS))))
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    sets = (draw(st.sampled_from(_MODE_SETS)), draw(st.sampled_from(_MODE_SETS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+    for axis, (parity, modes) in enumerate(zip(parities, sets)):
+        m = _modes(parity, shape[axis])
+        keep = m % 2 == 1 if modes == "odd" else m % 2 == 0 if modes == "even" else m >= 0
+        c.swapaxes(0, axis)[~keep] = 0.0
+    c[rng.random(shape) < draw(st.sampled_from((0.0, 0.3)))] = 0.0  # interior zeros
+    coeffs = IArray(c)
+    if draw(st.booleans()):  # thick coefficients; zeros stay exactly [0, 0]
+        r = np.abs(c) * 2.0 ** -rng.integers(10, 50, size=shape)
+        coeffs = IArray(np.where(c != 0.0, _dn(c - r), 0.0), np.where(c != 0.0, _up(c + r), 0.0))
+    return Series2D(dom, coeffs, *parities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_multiply_matches_whole_slab_loop_bit_for_bit(data):
+    """multiply, which skips the parity sub-grids holding no nonzero entry,
+    gives the lo/hi bits of the loop over whole slabs, for every parity pair,
+    mode set, interior zeros, thin and thick factors, on both domains."""
+    dom = data.draw(st.sampled_from((SQ, DomainRect(2.0, 1.0))))
+    u, v = data.draw(_factor(dom)), data.draw(_factor(dom))
+    _assert_same_bits(multiply(u, v), _whole_slab_multiply(u, v))
+
+
+def test_power_chain_matches_whole_slab_loop_bit_for_bit(u_p3_n10):
+    """Every product of the power chain of a solved center steps by 2 on
+    both axes and still gives the whole-slab loop's bits."""
+    for k in (2, 3, 4, 5):
+        a, b = _POWER_SPLIT[k]
+        want = _whole_slab_multiply(power_expand(u_p3_n10, a), power_expand(u_p3_n10, b))
+        _assert_same_bits(power_expand(u_p3_n10, k), want)
 
 
 # -- pointwise bounds --------------------------------------------------------------
