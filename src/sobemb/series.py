@@ -365,51 +365,12 @@ def _axis_scale(pa: str, pb: str, n: int):
     return COS, s, 0
 
 
-def _spread(x: np.ndarray, shape: tuple, sub: tuple) -> np.ndarray:
-    """Zeros of `shape` with x placed on the sub-grid `sub`."""
-    out = np.zeros(shape, dtype=x.dtype)
-    out[sub] = x
-    return out
-
-
 def _parity_step(used: np.ndarray) -> tuple:
     """(2, c) if every marked index has parity c, else (1, 0)."""
     idx = np.flatnonzero(used)
     if idx.size and not np.any((idx - idx[0]) % 2):
         return 2, int(idx[0]) % 2
     return 1, 0
-
-
-def _axis_plan(a_used: np.ndarray, b_used: np.ndarray, top: int) -> tuple:
-    """(b_sub, out_sub, n_out, pairs): one axis of the convolution on the
-    factors' parity sub-grids.
-
-    `a_used` and `b_used` mark the extensions' indices holding a nonzero
-    entry.  When all of b's share one parity, only that sub-grid of b is
-    read (the slice `b_sub`).  When all of a's share one parity too, so do
-    the product indices that any nonzero pair reaches, and only that
-    sub-grid of product indices 0..top is accumulated (the slice `out_sub`,
-    `n_out` entries).  `pairs[i]` holds the (source, destination) slices of
-    sub-grid b and of the accumulator that a's index i reaches, or None if
-    it reaches none; the loop reads it only where a has a nonzero entry.
-    """
-    nb = len(b_used)
-    hb, pb = _parity_step(b_used)
-    ha, pa = _parity_step(a_used)
-    ho, po = (2, (pa + pb - top) % 2) if ha == hb == 2 else (1, 0)
-    step = hb // ho
-    n_sub = len(range(pb, nb, hb))
-    pairs = []
-    for i in range(len(a_used)):
-        # b's index s meets a's index i at product index i + s - top
-        s = max(top - i, 0)
-        s += (pb - s) % hb
-        if s >= nb:
-            pairs.append(None)
-            continue
-        t, q = (s - pb) // hb, (i + s - top - po) // ho
-        pairs.append((slice(t, None), slice(q, q + step * (n_sub - t - 1) + 1, step)))
-    return slice(pb, None, hb), slice(po, None, ho), (top - po) // ho + 1, pairs
 
 
 def multiply(u: Series2D, v: Series2D) -> Series2D:
@@ -425,12 +386,11 @@ def multiply(u: Series2D, v: Series2D) -> Series2D:
     nonzero indices of the two extensions; every float sum of nonnegative
     terms above is within the factor 1 + 6 gamma_k of its exact value.
 
-    The loop runs on each factor's parity sub-grid (`_axis_plan`): on an
-    axis where all nonzero indices of the denser extension share one parity,
-    as in every factor of the power chain (u has odd indices, u^2 even, u^3
-    odd, ...), it reads only that parity, and where the sparser one's share
-    one too it accumulates only the product's matching parity.  That is
-    exact, not an approximation: a skipped entry of b has midpoint and
+    The loop runs on the denser factor's parity sub-grid: on an axis where
+    all nonzero indices of b share one parity, as in every factor of the
+    power chain (u has odd indices, u^2 even, u^3 odd, ...), its source and
+    destination slices step by 2 from the first index of that parity.  That
+    is exact, not an approximation: a skipped entry of b has midpoint and
     radius 0 and no support, so it would add 0 to the radius, nothing to
     the support, and +-0 to the midpoint, which leaves the accumulator
     unchanged (it starts at +0 and a round-to-nearest sum is never -0
@@ -452,31 +412,31 @@ def multiply(u: Series2D, v: Series2D) -> Series2D:
     # product indices run over 0..top per axis: the sum of the half-widths
     top = [(sa + sb) // 2 - 1 for sa, sb in zip(am.shape, bm.shape)]
     shape = (top[0] + 1, top[1] + 1)
-    (bx, qx, nx, rows), (by, qy, ny, cols) = (
-        _axis_plan(anz.any(axis=1 - d), bnz.any(axis=1 - d), top[d]) for d in (0, 1))
-    b_sub, out_sub = (bx, by), (qx, qy)
-    bm, br, bnz = (np.ascontiguousarray(x[b_sub]) for x in (bm, br, bnz))
-    mid = np.zeros((nx, ny), dtype=np.longdouble)
-    rad = np.zeros((nx, ny))
-    support = np.zeros((nx, ny), dtype=bool)
+    mid = np.zeros(shape, dtype=np.longdouble)
+    rad = np.zeros(shape)
+    support = np.zeros(shape, dtype=bool)
     bm_ld = bm.astype(np.longdouble)
     b_rad = br + g_mid * np.abs(bm)  # what |a| multiplies
     b_mag = np.abs(bm) + br  # what rad(a) multiplies
+    # per axis, b's nonzero indices all have parity c (step h = 2) or not (h = 1)
+    (hx, cx), (hy, cy) = (_parity_step(bnz.any(axis=1 - d)) for d in (0, 1))
     nz = np.nonzero(anz)
     for i, j, a_mid, a_abs, a_rad in zip(*nz, am[nz].astype(np.longdouble),
                                          np.abs(am[nz]), ar[nz]):
-        if rows[i] is None or cols[j] is None:
+        # b's entries from (si, sj) on reach product indices from (oi, oj) on
+        si, sj = max(top[0] - i, 0), max(top[1] - j, 0)
+        si, sj = si + (cx - si) % hx, sj + (cy - sj) % hy
+        if si >= bm.shape[0] or sj >= bm.shape[1]:
             continue
-        (si, di), (sj, dj) = rows[i], cols[j]
-        src, dst = (si, sj), (di, dj)
+        oi, oj = i + si - top[0], j + sj - top[1]
+        dst = (slice(oi, oi + bm.shape[0] - si, hx), slice(oj, oj + bm.shape[1] - sj, hy))
+        src = (slice(si, None, hx), slice(sj, None, hy))
         m, r, s = mid[dst], rad[dst], support[dst]
         np.add(m, a_mid * bm_ld[src], out=m)
         np.add(r, a_abs * b_rad[src], out=r)
         if a_rad:
             np.add(r, a_rad * b_mag[src], out=r)
         np.logical_or(s, bnz[src], out=s)
-    # back onto the full grid of product indices; the rest holds exact zeros
-    mid, rad, support = (_spread(x, shape, out_sub) for x in (mid, rad, support))
 
     px, sx, ox = _axis_scale(u.parity_x, v.parity_x, shape[0])
     py, sy, oy = _axis_scale(u.parity_y, v.parity_y, shape[1])
