@@ -41,7 +41,7 @@ from .errors import (
     NotInvertible,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_sqrt
-from .ivarray import _RAD_FLOOR, _TINY, IArray, _dn, _up, imatmul, isum, midrad_matmul
+from .ivarray import _TINY, IArray, _dn, _gamma_fac, _up, imatmul, isum
 from .series import (
     COS,
     MAX_DENSE_ROWS,
@@ -138,53 +138,81 @@ def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray) -> IArray:
     return (x * IArray._coerce(Interval(0.5))).reshape(len(modes) ** 2, n)
 
 
+def _fro(x: np.ndarray) -> float:
+    """Upper bound on the Frobenius norm of the float array x of k entries:
+    the pad 4 gamma_k covers the dot product and the square root, and
+    sqrt(k) 1e-150 the squares lost below the normal range."""
+    x = x.ravel()
+    return float(_up(math.sqrt(x @ x) * (1.0 + 4.0 * _gamma_fac(x.size))
+                     + math.sqrt(x.size) * 1e-150))
+
+
 def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
-    """Float arrays (mid, rad) enclosing the mode-basis matrix
-    M[(i,j),(k,l)] = (4/|Omega|) int W phi_ij phi_kl of the potential W = w
-    on the sine modes mx x my, as X w Y^T per axis.  The rows and columns
-    of w's coefficients that are exactly [0, 0] (every other one, for a
-    potential of one mode parity per axis) add nothing and are left out of
-    both products, which halves their inner dimension and so their gamma_k."""
+    """(mid, eps), eps >= ||M - mid||_F for the mode-basis matrix
+    M[(i,j),(k,l)] = (4/|Omega|) int W phi_ij phi_kl of every potential W
+    in w on the sine modes mx x my, as X w Y^T per axis.  The rows and
+    columns of w's coefficients that are exactly [0, 0] (every other one,
+    for a potential of one mode parity per axis) add nothing and are left
+    out, which halves the inner dimension k and so gamma_k.
+
+    Lemma.  With P = X w (`imatmul`), P_m, P_r, Y_m, Y_r the midpoints and
+    radii of P and Y, and mid = fl(P_m Y_m^T): P Y^T - mid = (P - P_m) Y^T
+    + P_m (Y - Y_m)^T + (P_m Y_m^T - mid), |Y| <= |Y_m| + Y_r,
+    ||A B^T||_F <= ||A||_F ||B||_F and |P_m Y_m^T - mid| <= gamma_k |P_m|
+    |Y_m|^T (any summation order, FMA allowed), so ||M - mid||_F <=
+    ||P_r||_F || |Y_m| + Y_r ||_F + ||P_m||_F (||Y_r||_F + gamma_k ||Y_m||_F)
+    + a b k _TINY (underflow).  The pad 2^-45 covers the roundings of that
+    sum, and the permutation ((i,k),(j,l)) -> ((i,j),(k,l)) keeps the norm."""
     dom = w.domain
     mag = w.coeffs.mag()
     kx, ky = np.flatnonzero(mag.any(axis=1)), np.flatnonzero(mag.any(axis=0))
     px = _triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)[:, kx]
     py = _triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)[:, ky]
     wc = w.coeffs[np.ix_(kx, ky)] * IArray._coerce(Interval(4.0) / dom.measure())
+    p = imatmul(px, wc)
+    pm, pr, ym, yr = p.mid(), p.rad(), py.mid(), py.rad()
     a, b = len(mx), len(my)
-    return tuple(  # ((i,k),(j,l)) -> ((i,j),(k,l))
-        np.ascontiguousarray(x.reshape(a, a, b, b).transpose(0, 2, 1, 3)).reshape(a * b, -1)
-        for x in midrad_matmul(imatmul(px, wc), py.T)
-    )
+    mid = np.ascontiguousarray(  # ((i,k),(j,l)) -> ((i,j),(k,l))
+        (pm @ ym.T).reshape(a, a, b, b).transpose(0, 2, 1, 3)).reshape(a * b, -1)
+    eps = (_fro(pr) * _fro(_up(np.abs(ym) + yr))
+           + _fro(pm) * (_fro(yr) + _gamma_fac(len(ky)) * _fro(ym)) + a * b * len(ky) * _TINY)
+    return mid, float(_up(eps * (1.0 + 2.0 ** -45)))
 
 
-def _b_matrix(m_mid: np.ndarray, m_rad: np.ndarray, d: IArray) -> SymMatrix:
-    """B = I - D M D, D = diag(d), as the midpoint and radius `eig_enclosures`
-    reads, for every M with |M - m_mid| <= m_rad and every d > 0 in d.
+def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None) -> SymMatrix:
+    """B = I - D' F D' as the SymMatrix `eig_enclosures` reads, for every d
+    in d and every symmetric F with ||S (F - f_mid) S||_F <= f_eps; D' =
+    S diag(d), S = diag(s), s = 1/sqrt(2) on the rows in `pair`, else 1.
 
-    Lemma.  Let d_m = mid(d), d_h = d.hi, kappa >= max_i |d_i - d_m,i| / d.lo_i,
-    u = 2^-53 and mid = fl(I - P), P_ij = fl(fl(m_mid,ij d_m,i) d_m,j).  Then
-    |B - mid| <= d_h d_h^T o (m_rad + (2 kappa + 4u) |m_mid|) + u |mid| o I + eta,
-    eta <= 2^-1073 from underflow: d_i d_j M_ij is within d_h,i d_h,j m_rad,ij
-    of d_i d_j m_mid,ij, and |d_i d_j - d_m,i d_m,j| <= |d_i - d_m,i| d_j +
-    d_m,i |d_j - d_m,j| <= 2 kappa d_h,i d_h,j; P's two roundings add
-    gamma_2 <= 4u of d_h,i d_h,j |m_mid,ij| (plus eta), and 1 - P_ii rounds by
-    u |mid_ii|.  The radius is that bound in at most five float operations on
-    nonnegative numbers, each at most a factor 1 - u low: the pad 2^-50 = 8u,
-    itself rounded, makes up for them and the floor _RAD_FLOOR for eta.
-    Entries of mid below 1e-200 move into the radius and become 0: LAPACK is
-    slow on subnormals.
+    Lemma.  Let d' = s d (an enclosure), d_m = mid(d'), kappa >=
+    max_i |d'_i - d_m,i| / d'.lo_i, u = 2^-53, P~ = fl(fl(f_mid,ij d_m,i)
+    d_m,j) and mid = fl(I - P~).  B - mid is the sum of D' (F - f_mid) D',
+    of Frobenius norm <= max(d.hi)^2 f_eps; D' f_mid D' - D_m f_mid D_m,
+    entrywise <= 2 kappa (1 + kappa)^2 |D_m f_mid D_m|, as |d'_i d'_j -
+    d_m,i d_m,j| <= 2 kappa d'.hi_i d'.hi_j and d'.hi <= (1 + kappa) d_m;
+    D_m f_mid D_m - P~, entrywise <= gamma_2 |D_m f_mid D_m|, where
+    |D_m f_mid D_m| <= (1 + 4u) |P~|; underflow, n _TINY in all; and the
+    rounding of 1 - P~_ii, a diagonal of 2-norm <= 2u max |mid_ii|.  B is
+    symmetric, so B - B~ (B~ the mirrored mid) is the rest mirrored from its
+    lower triangle, which at most doubles its squared Frobenius norm, plus
+    that diagonal: ||B - B~||_2 <= sqrt(2) e + 2u max |mid_ii| with e the
+    sum of the Frobenius bounds.  The pad 2^-45 covers their roundings.
     """
-    dm, dh = d.mid(), d.hi
+    dmax = float(np.max(d.hi))
+    if pair is not None:
+        d = d.copy()
+        d[pair] = d[pair] * IArray._coerce(iv_sqrt(Interval(0.5)))
+    dm = d.mid()
     kappa = float(np.max(_up(np.maximum(d.hi - dm, dm - d.lo) / d.lo)))
-    rad = (np.abs(m_mid) * _up(2.0 * kappa + 2.0 ** -51) + m_rad) * dh[:, None] * dh
-    mid = np.eye(len(dm)) - m_mid * dm[:, None] * dm
-    rad[np.diag_indices_from(rad)] += 2.0 ** -53 * np.abs(np.diag(mid))
-    rad *= 1.0 + 2.0 ** -50
-    tiny = (mid > -1e-200) & (mid < 1e-200)
-    rad[tiny] = _up(rad[tiny] + np.abs(mid[tiny]))
-    mid[tiny] = 0.0
-    return SymMatrix(mid, np.maximum(rad, _RAD_FLOOR, out=rad))
+    mid = f_mid * dm[:, None]
+    mid *= dm
+    e = (dmax * dmax * f_eps + len(dm) * _TINY
+         + (2.0 * kappa * (1.0 + kappa) ** 2 + 2.0 ** -51) * (1.0 + 2.0 ** -51) * _fro(mid))
+    mid *= -1.0
+    diag = np.diag_indices_from(mid)
+    mid[diag] += 1.0
+    eps = _up(math.sqrt(2.0)) * e + 2.0 ** -52 * float(np.max(np.abs(mid[diag])))
+    return SymMatrix(mid, float(_up(eps * (1.0 + 2.0 ** -45))))
 
 
 def _tail_lambda(dom: DomainRect, nprime: int) -> Interval:
@@ -274,51 +302,41 @@ def _orbits(dom: DomainRect, n: int) -> tuple:
     return idx[i, j], idx[j, i]
 
 
-def _fold(m_mid: np.ndarray, m_rad: np.ndarray, rep: np.ndarray,
+def _fold(m_mid: np.ndarray, m_eps: float, rep: np.ndarray,
           partner: np.ndarray) -> tuple:
-    """Float (mid, rad) enclosing F[r, s] = sum of M over the distinct
-    members of the orbits of rep[r] and rep[s] (1, 2 or 4 entries), for
-    every M with |M - m_mid| <= m_rad.
+    """(f_mid, f_eps): f_mid the float sums of m_mid over the distinct
+    members of the orbits of rep[r] and rep[s] (1, 2 or 4 entries), and
+    f_eps >= ||S (F - f_mid) S||_F for F those sums of every M with
+    ||M - m_mid||_F <= m_eps; S = diag(s), s = 1/sqrt(2) on the pairs i < j.
 
-    Lemma.  Let u = 2^-53, gamma_3 = 3u / (1 - 3u).  An entry whose two
-    orbits have one member each is M's own entry, copied.  Any other entry
-    adds two or four terms (a row fold, then a column fold), so
-    fl(sum m_mid) is within gamma_3 sum |m_mid| of sum m_mid, and
-    |F - fl(sum m_mid)| <= sum m_rad + gamma_3 sum |m_mid|.  The float sums
-    R = fl(sum m_rad) and A = fl(sum |m_mid|) of nonnegative terms are at
-    most a factor (1 - u)^3 >= 1 / (1 + 4u) below the exact ones, so the
-    bound is at most (R + gamma_3 A)(1 + 4u).  The radius there evaluates
-    (R + 2^-50 A)(1 + 2^-50) + 1e-290 rounded upward: 2^-50 = 8u >= gamma_3,
-    the pad covers (1 + 4u) and the rounding of the sum, and 1e-290 the
-    underflow of 2^-50 A (at most 2^-1074).  On a rectangle every orbit has
-    one member, so F is M bit for bit.
+    Lemma.  With Q the orthonormal orbit basis (columns e_ii and
+    (e_ij + e_ji)/sqrt(2)), S F(A) S = Q^T A Q, whose Frobenius norm is at
+    most that of A.  An entry of f_mid adds its terms in at most two rounds
+    (a row fold, then a column fold), so |f_mid - F(m_mid)| <= gamma_2
+    F(|m_mid|) entrywise, and f_eps = m_eps + 4u ||m_mid||_F, padded by
+    2^-45.  On a rectangle every orbit has one member and nothing changes.
     """
     pair = rep != partner
-
-    def fold(x):
-        g = x[rep]
-        g[pair] += x[partner[pair]]
-        f = g[:, rep]
-        f[:, pair] += g[:, partner[pair]]
-        return f
-
-    f_rad = fold(m_rad)
-    pad = _up((f_rad + 2.0 ** -50 * fold(np.abs(m_mid))) * (1.0 + 2.0 ** -50) + _TINY)
-    return fold(m_mid), np.where(pair[:, None] | pair, pad, f_rad)
+    if not pair.any():
+        return m_mid, m_eps
+    g = m_mid[rep]
+    g[pair] += m_mid[partner[pair]]
+    f = g[:, rep]
+    f[:, pair] += g[:, partner[pair]]
+    return f, float(_up((m_eps + 2.0 ** -51 * _fro(m_mid)) * (1.0 + 2.0 ** -45)))
 
 
 def _folded_block(w: Series2D, modes: np.ndarray) -> SymMatrix:
     """B = I - D' F D' of the potential w on the sine modes `modes` x `modes`
     in the orthonormal basis of its swap orbits: F = `_fold` of the Galerkin
-    matrix and d' = s Lam^{-1/2}, s an enclosure of 1/sqrt(2) on the pairs
-    i < j and 1 elsewhere; on a rectangle, the block on all those modes."""
+    matrix and d' = s Lam^{-1/2}, s = 1/sqrt(2) on the pairs i < j and 1
+    elsewhere; on a rectangle, the block on all those modes."""
     dom = w.domain
     rep, partner = _orbits(dom, len(modes))
     lam = dom.lambda_grid(modes, modes).reshape(-1)[rep]
     d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
-    pair = rep != partner
-    d[pair] = d[pair] * IArray._coerce(iv_sqrt(Interval(0.5)))
-    return _b_matrix(*_fold(*_potential_matrix(w, modes, modes), rep, partner), d)
+    f_mid, f_eps = _fold(*_potential_matrix(w, modes, modes), rep, partner)
+    return _b_matrix(f_mid, f_eps, d, rep != partner)
 
 
 @dataclass(frozen=True)
@@ -401,9 +419,11 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     identity.  Split X at n' = default_split_order(u, p) into the finite
     section F (both indices <= n', which the swap keeps) and the tail T:
 
-      (i)   m <= min |eig(B_FF)|, from verified eigenvalue enclosures of the
-            folded block: k^2 rows on a rectangle, k(k+1)/2 on a square,
-            k = ceil(n'/2);
+      (i)   m <= min |eig(B_FF)|, from the folded block held as a float
+            midpoint and a 2-norm bound eps, by one Cholesky factorization
+            of its shifted squared midpoint and Weyl's inequality
+            (`eig_enclosures`): k^2 rows on a rectangle, k(k+1)/2 on a
+            square, k = ceil(n'/2);
       (ii)  t = 1 - Wbar/lambda_tail <= min eig(B_TT), Wbar >= p sup|u|^{p-1},
             lambda_tail the smallest eigenvalue of a tail mode (`_tail_lambda`);
             it holds on X_s, and on X_sym since a Rayleigh quotient taken
@@ -448,7 +468,7 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
     w = power_expand(u, p - 1).scale(Interval(float(p)))
     block = _folded_block(w, np.arange(1, nprime + 1, 2))
-    block_lo = eig_enclosures(block).min_abs_lower()
+    block_lo = eig_enclosures(block)
 
     lam_cut = _tail_lambda(dom, nprime - (p - 1) * u.N)
     coupling = (wbar / iv_sqrt(lam_tail * lam_cut)).hi
@@ -572,8 +592,9 @@ def linf_embedding_constant(domain: DomainRect) -> Interval:
 
 
 def linf_radius(u: Series2D, p: int, r_h1: Interval,
-                delta_l2: Interval) -> Interval:
-    """r_inf >= L-infinity distance of the true solution from u.
+                delta_l2: Interval) -> tuple:
+    """(r_inf, iterations): r_inf >= L-infinity distance of the true
+    solution from u, and how many times the bootstrap map was applied.
 
     Bootstrap: e = u_true - u solves -Lap e = w, so ||e||_inf <= c * ||w||_L2
     with ||w||_L2 <= delta_l2 + p (sup|u| + rho)^{p-1} r_h1 / sqrt(lambda_1)
@@ -603,7 +624,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
         raise FixedPointFailure("a-priori L-infinity seed is not finite")
 
     best = t
-    for _ in range(LINF_ITERATIONS):
+    for iterations in range(1, LINF_ITERATIONS + 1):
         ft = (
             c_inf
             * (
@@ -623,7 +644,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
         raise FixedPointFailure(
             f"L-infinity radius {best:.4e} exceeds {LINF_RHO_MAX:.4e}"
         )
-    return Interval(0.0, best)
+    return Interval(0.0, best), iterations
 
 
 # -- positiveness -----------------------------------------------------------------
@@ -698,7 +719,9 @@ class CertifiedBall:
     those of them also symmetric about the diagonal (X_sym) on a square: it
     holds a solution within r_h1 of the center, the only one in X within
     unique_radius, and K in `kantorovich` bounds the inverse linearization
-    on X; `inverse` holds the terms of K.  The extremizer lies in X by the
+    on X; `inverse` holds the terms of K.  The Lipschitz bound g holds on
+    the ball of radius trial_radius, and r_inf took linf_iterations steps
+    of the L-infinity bootstrap.  The extremizer lies in X by the
     Gidas-Ni-Nirenberg symmetry theorem (`inverse_bound`).
     """
 
@@ -712,6 +735,8 @@ class CertifiedBall:
     delta_l2: Interval = field(repr=False)
     nprime: int
     inverse: InverseBound = field(repr=False)
+    trial_radius: float
+    linf_iterations: int
 
     def to_dict(self, p: int) -> dict:
         c = self.center
@@ -733,6 +758,8 @@ class CertifiedBall:
                 "spectral": self.audit.spectral_margin,
             },
             "split_order": self.nprime,
+            "trial_radius": self.trial_radius.hex(),
+            "linf_iterations": self.linf_iterations,
             "p": p,
         }
         kd = self.kantorovich
@@ -769,10 +796,11 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     # g holds on the ball of radius R, which must contain the certified one:
     # r = 2 K delta / (1 + sqrt(1 - h)) <= 2 K delta, a few ulps at most above
     # 2 (K delta).hi after outward rounding, so r <= R always
-    kd = KantorovichData(d_hm1, k, lipschitz_bound(u, p, max(4.0 * (k * d_hm1).hi, 1e-14)))
+    trial = max(4.0 * (k * d_hm1).hi, 1e-14)
+    kd = KantorovichData(d_hm1, k, lipschitz_bound(u, p, trial))
     r_h1, unique = kantorovich_radius(kd)
 
-    r_inf = linf_radius(u, p, r_h1, d_l2)
+    r_inf, linf_iterations = linf_radius(u, p, r_h1, d_l2)
     audit = positiveness_certificate(u, r_inf, p)
     return CertifiedBall(
         center=u,
@@ -785,4 +813,6 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
         delta_l2=d_l2,
         nprime=nprime,
         inverse=inv,
+        trial_radius=trial,
+        linf_iterations=linf_iterations,
     )

@@ -242,13 +242,8 @@ def _gamma_fac(k: int) -> float:
 
 
 def imatmul(a: IArray, b: IArray) -> IArray:
-    """Rigorous interval matrix product; see `midrad_matmul`."""
-    cm, rad = midrad_matmul(a, b)
-    return IArray(_dn(cm - rad), _up(cm + rad))
-
-
-def midrad_matmul(a: IArray, b: IArray) -> tuple:
-    """Float (mid, rad) with |A B - mid| <= rad for all A in a, B in b (Rump's scheme).
+    """Rigorous interval matrix product from the midpoint-radius bound
+    |A B - mid| <= rad for all A in a, B in b (Rump's scheme).
 
     For nonnegative float matrices the BLAS product underestimates the exact
     product by at most the factor gamma_k; all such products below are
@@ -281,7 +276,7 @@ def midrad_matmul(a: IArray, b: IArray) -> tuple:
         rad = ar @ (abs_bm + br) + abs_am @ br + g * p
     rad = _up(rad * (1.0 + 6.0 * g) + g * p * g + 4.0 * _TINY)
     _chk(cm, rad)
-    return cm, rad
+    return IArray(_dn(cm - rad), _up(cm + rad))
 
 
 def sin_points(args: IArray) -> IArray:

@@ -24,7 +24,7 @@ from .bounds import (
     outward_decimal,
     plum_bound,
 )
-from .certify import InverseBound, PositivenessAudit, certify_ball
+from .certify import LINF_ITERATIONS, InverseBound, PositivenessAudit, certify_ball
 from .errors import DomainError, SobembError, SoundnessViolation
 from .intervals import Interval
 from .series import DomainRect, Series2D
@@ -93,6 +93,8 @@ class RunRow:
     seconds: float = 0.0
     inverse: InverseBound | None = None  # the terms of K
     audit: PositivenessAudit | None = None  # the positiveness point and margins
+    trial_radius: float | None = None  # the ball on which g holds
+    linf_iterations: int | None = None  # steps of the L-infinity bootstrap
 
     @property
     def positive(self) -> bool:
@@ -115,6 +117,8 @@ class RunRow:
             "spectral_margin": a.spectral_margin.hex(),
         }
         d["neg_sup"] = None if self.neg_sup is None else self.neg_sup.hex()
+        d["trial_radius"] = None if self.trial_radius is None else self.trial_radius.hex()
+        d["linf_iterations"] = self.linf_iterations
         d["lower"] = None if self.lower is None else self.lower.hex()
         d["upper"] = None if self.upper is None else self.upper.hex()
         d["error"] = self.error
@@ -202,6 +206,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             row.r_h1 = ball.r_h1
             row.r_inf = ball.r_inf
             row.audit = ball.audit
+            row.trial_radius = ball.trial_radius
+            row.linf_iterations = ball.linf_iterations
             lower, upper = enclosure_from_ball(u, ball.r_h1, cfg.p,
                                                positive=ball.positive)
             row.lower, row.upper = lower, upper
@@ -287,8 +293,10 @@ def report_csv(report: RunReport) -> str:
 
 def validate_report_dict(d: dict) -> None:
     """Re-validate the rigorous fields of a loaded report (self-check): every
-    interval ordered, K positive, the defects and radii nonnegative, and the
-    terms of K readable hex floats."""
+    interval ordered, K positive, the defects and radii nonnegative, the
+    terms of K readable hex floats, and on certified rows the trial radius
+    at least r_h1 (g must hold on the certified ball) and the L-infinity
+    iterations within 1..LINF_ITERATIONS."""
     if d.get("format") != REPORT_FORMAT:
         raise SoundnessViolation("unknown report format")
     for row in d["rows"]:
@@ -311,6 +319,16 @@ def validate_report_dict(d: dict) -> None:
                     raise SoundnessViolation(
                         f"row N={row['N']}: inverse_bound {key} is not a hex float"
                     ) from exc
+        if row["status"] == "certified":
+            try:
+                trial_ok = float.fromhex(row["trial_radius"]) >= float.fromhex(row["r_h1"][1])
+            except (KeyError, TypeError, ValueError):
+                trial_ok = False
+            its = row.get("linf_iterations")
+            if not (trial_ok and type(its) is int and 1 <= its <= LINF_ITERATIONS):
+                raise SoundnessViolation(
+                    f"row N={row['N']}: trial radius below r_h1 or not a hex float, "
+                    "or linf_iterations outside 1..LINF_ITERATIONS")
         if row["lower"] is not None and row["upper"] is not None:
             if float.fromhex(row["lower"]) > float.fromhex(row["upper"]):
                 raise SoundnessViolation(f"row N={row['N']}: lower > upper")

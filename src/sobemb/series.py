@@ -37,9 +37,10 @@ from .ivarray import IArray, _dn, _up, _gamma_fac, imatmul, isum, sin_points
 MAX_EXPANSION_ORDER = 1024
 # Rows of the largest dense matrix built (the Newton Jacobian, the odd-odd
 # block of the inverse bound); more is a CapacityError before allocation.  The
-# inverse bound peaks at 50 to 60 bytes per block entry (certify_ball's peak
-# RSS raise over rows^2 at 1024 to 5041 rows; the Jacobian needs less), so
-# 60 B budgets 3.5 GB: p=3, N <= 86 on the unit square.
+# inverse bound peaks at 18 to 20 bytes per unfolded block entry on a square
+# and 34 to 41 on a rectangle (certify_ball's peak RSS raise over rows^2 at
+# 729 to 5041 rows; the Jacobian needs less), so 41 B budgets 2.4 GB: p=3,
+# N <= 86 on the unit square.
 MAX_DENSE_ROWS = 7600
 INF_GRID = 128  # cells per side of the grid behind inf_enclosure
 

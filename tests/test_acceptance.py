@@ -203,17 +203,40 @@ def test_criterion_7_property_suites(_verdict):
     ok = ok and r.contains(0.5 / (1.0 + math.sqrt(0.5)))
     notes.append("kantorovich oracle")
 
-    # symmetric eigenvalue enclosure vs numpy cross-check on a 5x5 seed
+    # min |eigenvalue| bound on a 5x5 seed: no eigenvalue in [-b, b] by
+    # exact inertia (Fractions), and b within 1e-9 of numpy's value
     m = rng.normal(size=(5, 5))
     m = 0.5 * (m + m.T)
-    enc = eig_enclosures(SymMatrix.from_point(m)).lam_min
-    ok = ok and enc.lo <= float(np.min(np.linalg.eigvalsh(m))) <= enc.hi
-    notes.append("eigenvalue enclosure")
+    bound = eig_enclosures(SymMatrix.from_point(m))
+    inside = _count_below(m, Fraction(bound)) - _count_below(m, -Fraction(bound))
+    ok = ok and inside == 0
+    ok = ok and bound >= float(np.min(np.abs(np.linalg.eigvalsh(m)))) * (1.0 - 1e-9)
+    notes.append("min |eigenvalue| bound")
 
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
     _verdict(7, "property suites", ok,
              f"{', '.join(notes)}; spot runs {elapsed:.1f}s")
+
+
+def _count_below(m, t: Fraction) -> int:
+    """Eigenvalues of the float matrix m (exactly, as rationals) below t:
+    the negative pivots of the exact LDL^T of m - tI (Sylvester's law of
+    inertia); n on a zero pivot, so that t never passes for a gap."""
+    n = len(m)
+    a = [[Fraction(float(m[i, j])) - (t if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    count = 0
+    for k in range(n):
+        piv = a[k][k]
+        if piv == 0:
+            return n
+        count += piv < 0
+        for i in range(k + 1, n):
+            f = a[i][k] / piv
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return count
 
 
 def test_criterion_8_defect_trend(_verdict, report_c4):

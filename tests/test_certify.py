@@ -2,6 +2,7 @@
 L-infinity embedding constant, defect bounds, and positiveness audit."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.fft import dstn
 
 from sobemb.certify import (
+    LINF_ITERATIONS,
     KantorovichData,
     _b_matrix,
     _coupled_gap,
@@ -31,7 +33,7 @@ from sobemb import certify, series, symeig
 from sobemb.bounds import corollary_bound, enclosure_from_ball, plum_bound
 from sobemb.errors import CapacityError, ConditionFailure, DomainError, GapFailure
 from sobemb.intervals import Interval, iv_pow_int, iv_sqrt
-from sobemb.ivarray import _RAD_FLOOR, IArray, _dn, _up, imatmul
+from sobemb.ivarray import IArray, _dn, _up, imatmul
 from sobemb.series import (
     DomainRect,
     SineSeries2D,
@@ -128,7 +130,7 @@ def _all_modes_k(u, p):
 
     lam_tail = lam_above(nprime)
     assert lam_tail.lo > wbar.hi
-    block_lo = min(eig_enclosures(b).min_abs_lower() for _, _, b in _parity_blocks(u, p, nprime))
+    block_lo = min(eig_enclosures(b) for _, _, b in _parity_blocks(u, p, nprime))
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
     coupling = (wbar / iv_sqrt(lam_tail * lam_above(nprime - (p - 1) * u.N))).hi
     eps_pert = 0.0
@@ -282,23 +284,34 @@ def test_rectangle_center_splits_into_parity_blocks(monkeypatch):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
-def test_fold_encloses_exact_orbit_sums(seed, a):
-    """Each folded entry holds the exact rational sum of M over the two
-    orbits (1, 2 or 4 terms) for every M in mid +- rad, here at the
-    corners: thin entries (rad 0) of mixed magnitudes, whose float sums
-    round, and random radii."""
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4),
+       st.sampled_from([0.0, 1e-300, 1e-9, 1.0]))
+def test_fold_encloses_exact_orbit_sums(seed, a, m_eps):
+    """The exact rational sums F of M over the two orbits (1, 2 or 4 terms)
+    lie within f_eps of the float fold in the orbit-normalized Frobenius
+    norm ||S (F - f_mid) S||_F, for M = mid (entries of mixed magnitudes,
+    whose float sums round) and for M = mid + E with ||E||_F <= m_eps,
+    E random or concentrated on one orbit block."""
     rng = np.random.default_rng(seed)
     mid = rng.normal(size=(a * a, a * a)) * 2.0 ** rng.integers(-60, 60, size=(a * a, a * a))
-    rad = np.where(rng.random(mid.shape) < 0.5, 0.0, np.abs(mid) * 1e-9)
     rep, partner = certify._orbits(SQ, a)
-    f_mid, f_rad = certify._fold(mid, rad, rep, partner)
-    for r in range(len(rep)):
-        for c in range(len(rep)):
-            terms = [(x, y) for x in {rep[r], partner[r]} for y in {rep[c], partner[c]}]
-            for sign in (-1, 1):
-                exact = sum(Fraction(mid[x, y]) + sign * Fraction(rad[x, y]) for x, y in terms)
-                assert abs(exact - Fraction(f_mid[r, c])) <= Fraction(f_rad[r, c]), (r, c)
+    f_mid, f_eps = certify._fold(mid, m_eps, rep, partner)
+    size = [len({x, y}) for x, y in zip(rep, partner)]
+    e_rand = rng.normal(size=mid.shape)
+    e_rand *= m_eps * (1.0 - 1e-9) / np.linalg.norm(e_rand)
+    e_block = np.zeros(mid.shape)
+    r = int(rng.integers(len(rep)))
+    for x in {rep[r], partner[r]}:
+        for y in {rep[r], partner[r]}:
+            e_block[x, y] = m_eps * (1.0 - 1e-9) / size[r]
+    for e in (np.zeros(mid.shape), e_rand, e_block):
+        total = Fraction(0)
+        for r in range(len(rep)):
+            for c in range(len(rep)):
+                terms = [(x, y) for x in {rep[r], partner[r]} for y in {rep[c], partner[c]}]
+                exact = sum(Fraction(mid[x, y]) + Fraction(e[x, y]) for x, y in terms)
+                total += (exact - Fraction(f_mid[r, c])) ** 2 / (size[r] * size[c])
+        assert total <= Fraction(f_eps) ** 2
 
 
 def _orbit_bases(a):
@@ -331,8 +344,8 @@ def test_folded_block_matches_odd_odd_block(p, n):
     full, folded = _block(w, odd, odd), certify._folded_block(w, odd)
     k = len(odd)
     assert (full.n, folded.n) == (k * k, k * (k + 1) // 2)
-    m_full = eig_enclosures(full).min_abs_lower()
-    assert eig_enclosures(folded).min_abs_lower() >= m_full * (1.0 - 1e-12)
+    m_full = eig_enclosures(full)
+    assert eig_enclosures(folded) >= m_full * (1.0 - 1e-12)
     sym = 0.5 * (full.mid + full.mid.T)
     pos, neg = _orbit_bases(k)
     np.testing.assert_allclose(pos.T @ sym @ pos, folded.mid, rtol=0.0, atol=1e-13)
@@ -348,9 +361,9 @@ def test_rectangle_fold_is_the_identity():
     odd = np.arange(1, default_split_order(u, 3) + 1, 2)
     w = power_expand(u, 2).scale(Interval(3.0))
     full, folded = _block(w, odd, odd), certify._folded_block(w, odd)
-    assert np.array_equal(full.mid, folded.mid) and np.array_equal(full.rad, folded.rad)
+    assert np.array_equal(full.mid, folded.mid) and full.eps == folded.eps
     ib = inverse_bound(u, 3)
-    m = eig_enclosures(full).min_abs_lower()
+    m = eig_enclosures(full)
     assert ib.block_min == m and ib.rows == len(odd) ** 2
     k = Interval(1.0) / Interval(_coupled_gap(m, ib.tail, ib.coupling).lo)
     assert (ib.K.lo, ib.K.hi) == (k.lo, k.hi)
@@ -378,10 +391,10 @@ def _basis(parity, n, L, x):
 
 
 def test_potential_matrix_matches_quadrature():
-    """Each entry of the Galerkin matrix (4/|Omega|) int W phi_ij phi_kl of
-    the cosine-parity W = u^2 (p=3) and the sine-parity W = u^3 (p=4) lies
-    within 1e-12 of a 64-node Gauss-Legendre tensor quadrature on the 2 x 1
-    rectangle."""
+    """The Galerkin matrix (4/|Omega|) int W phi_ij phi_kl of the
+    cosine-parity W = u^2 (p=3) and the sine-parity W = u^3 (p=4) lies
+    within eps (Frobenius), plus 1e-12 an entry, of a 64-node
+    Gauss-Legendre tensor quadrature on the 2 x 1 rectangle."""
     dom = DomainRect(2.0, 1.0)
     c = np.random.default_rng(20240817).normal(size=(3, 3))
     c[1, :] = 0.0
@@ -395,12 +408,12 @@ def test_potential_matrix_matches_quadrature():
     sy = _basis("sin", 5, dom.L2, ys)
     for p in (3, 4):
         w = power_expand(u, p - 1)
-        mid, rad = _potential_matrix(w, modes, modes)
+        mid, eps = _potential_matrix(w, modes, modes)
         wv = (_basis(w.parity_x, w.coeffs.shape[0], dom.L1, xs) @ w.coeffs.mid()
               @ _basis(w.parity_y, w.coeffs.shape[1], dom.L2, ys).T)
         q = np.einsum("x,y,xy,xi,yj,xk,yl->ijkl", wx, wy, wv, sx, sy, sx, sy)
         q = (4.0 / (dom.L1 * dom.L2) * q).reshape(25, 25)
-        assert np.all(np.abs(q - mid) <= rad + 1e-12), p
+        assert np.linalg.norm(q - mid) <= eps + 25 * 1e-12, p
         assert np.max(np.abs(q)) > 0.1
 
 
@@ -428,17 +441,20 @@ def _mp_block(coeffs, dom, mx, my):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 5), st.sampled_from([(1.0, 1.0), (2.0, 1.0), (0.75, 1.5)]),
-       st.sampled_from([None, 0, 1]), st.sampled_from([None, 0, 1]), st.booleans())
-def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides, zx, zy, odd):
-    """Every entry of B, for a thin cosine potential with random float
-    coefficients on a small mode set (odd modes, or all modes, which odd
-    coefficient indices reach too), computed with mpmath at 50 digits, lies
-    in mid +- rad.  The coefficients of index parity zx (rows) and zy
-    (columns) are set to exactly 0, as in a power of u, so the assembly
-    leaves those rows and columns out.  On the square the coefficients are
-    made transpose-symmetric, and for odd modes every entry of the block
-    folded onto the swap orbits, P^T B P with P the orthonormal orbit basis
-    in mpmath, lies in the folded block's mid +- rad too."""
+       st.sampled_from([None, 0, 1]), st.sampled_from([None, 0, 1]), st.booleans(),
+       st.booleans())
+def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides, zx, zy, odd, wide):
+    """B, for a cosine potential with random float coefficients on a small
+    mode set (odd modes, or all modes, which odd coefficient indices reach
+    too), computed with mpmath at 50 digits, lies within eps of B~ in the
+    2-norm.  The potential is thin, or (wide) has the radius 1e-9 |c| on
+    each coefficient c, and B is then taken at the upper corner.  The
+    coefficients of index parity zx (rows) and zy (columns) are set to
+    exactly 0, as in a power of u, so the assembly leaves those rows and
+    columns out.  On the square the coefficients are made
+    transpose-symmetric, and for odd modes the block folded onto the swap
+    orbits, P^T B P with P the orthonormal orbit basis in mpmath, lies
+    within the folded block's eps of its B~ too."""
     rng = np.random.default_rng(seed)
     dom = DomainRect(*sides)
     coeffs = rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-3, 2, size=(k, k))
@@ -449,12 +465,14 @@ def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides, zx, zy, odd):
         coeffs[zx::2, :] = 0.0
     if zy is not None:
         coeffs[:, zy::2] = 0.0
-    w = series.Series2D(dom, IArray(coeffs), series.COS, series.COS)
+    rad = 1e-9 * np.abs(coeffs) if wide else 0.0
+    w = series.Series2D(dom, IArray(coeffs - rad, coeffs + rad), series.COS, series.COS)
+    coeffs = w.coeffs.hi
     step = 2 if odd else 1
     mx, my = np.arange(1, 2 * ax, step), np.arange(1, 2 * ay, step)
     b = _block(w, mx, my)
     with mpmath.workdps(50):
-        _assert_encloses(b, _mp_block(coeffs, dom, mx, my))
+        _assert_within_eps(b, _mp_block(coeffs, dom, mx, my))
         if dom.is_square() and odd:
             rep, partner = certify._orbits(dom, ax)
             exact = _mp_block(coeffs, dom, mx, mx)
@@ -464,23 +482,27 @@ def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides, zx, zy, odd):
             for r, (orb_r, s_r) in enumerate(zip(orbit, scale)):
                 for s, (orb_s, s_s) in enumerate(zip(orbit, scale)):
                     folded[r, s] = s_r * s_s * sum(exact[a, c] for a in orb_r for c in orb_s)
-            _assert_encloses(certify._folded_block(w, mx), folded)
+            _assert_within_eps(certify._folded_block(w, mx), folded)
 
 
-def _assert_encloses(b, exact):
-    for r in range(b.n):
-        for s in range(b.n):
-            lo = mpmath.mpf(float(b.mid[r, s])) - mpmath.mpf(float(b.rad[r, s]))
-            hi = mpmath.mpf(float(b.mid[r, s])) + mpmath.mpf(float(b.rad[r, s]))
-            assert lo <= exact[r, s] <= hi, (r, s)
+def _assert_within_eps(b, exact):
+    """||exact - B~||_2 <= b.eps, B~ mirrored from the lower triangle of
+    b.mid: the Frobenius norm, or else the largest |eigenvalue|, in mpmath."""
+    n = b.n
+    diff = mpmath.matrix(n, n)
+    for r in range(n):
+        for s in range(n):
+            diff[r, s] = exact[r, s] - mpmath.mpf(float(b.mid[max(r, s), min(r, s)]))
+    eps = mpmath.mpf(b.eps)
+    if mpmath.mnorm(diff, "f") > eps:
+        assert max(abs(x) for x in mpmath.eigsy(diff, eigvals_only=True)) <= eps
 
 
 def _interval_block(w, mx, my):
-    """The interval assembly of B that the midpoint-radius one replaces,
+    """The interval assembly of B that the midpoint-norm one replaces,
     written out as the reference: M scaled by 4/|Omega| after the two
-    interval products, B = I - D M D in interval arithmetic, the hull with
-    its transpose, and the midpoint, radius, flush and radius floor that
-    eig_enclosures then took from it.  Returns (lo, hi, SymMatrix)."""
+    interval products, B = I - D M D in interval arithmetic and the hull
+    with its transpose.  Returns its midpoint and entrywise radius."""
     dom = w.domain
     px = certify._triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)
     py = certify._triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)
@@ -493,35 +515,28 @@ def _interval_block(w, mx, my):
     s = IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
     d = IArray(np.ones(lam.shape)) / s
     bb = IArray(np.eye(a * b)) - m2 * d.reshape(-1, 1) * d.reshape(1, -1)
-    lo, hi = np.minimum(bb.lo, bb.lo.T), np.maximum(bb.hi, bb.hi.T)
-    amid = 0.5 * (lo + hi)
-    arad = _up(np.maximum(_up(hi - amid), _up(amid - lo)))
-    arad[lo == hi] = 0.0
-    tiny = np.abs(amid) < 1e-200
-    arad = np.where(tiny, _up(arad + np.abs(amid)), arad)
-    amid[tiny] = 0.0
-    arad = np.where((arad != 0.0) & (arad < _RAD_FLOOR), _RAD_FLOOR, arad)
-    return lo, hi, SymMatrix(amid, arad)
+    hull = IArray(np.minimum(bb.lo, bb.lo.T), np.maximum(bb.hi, bb.hi.T))
+    return hull.mid(), hull.rad()
 
 
 @pytest.mark.parametrize("p, n", [(3, 20), (4, 16)], ids=["c4-N20", "c5-N16"])
 def test_block_matches_interval_assembly(p, n):
-    """On the c4 N=20 and c5 N=16 odd-odd blocks the midpoint-radius block
-    meets the interval block in every entry, its radius is at most 4 times
-    the radius eig_enclosures took from the interval block (plus 1e-290),
-    and its block minimum is at most 1e-12 relative below the interval
-    block's.  The minimum may be higher: the interval block multiplies
-    through the exactly-zero rows and columns of w, which only add width."""
+    """On the c4 N=20 and c5 N=16 odd-odd blocks the (mid, eps) block and
+    the interval reference (midpoint ref_mid, radius ref_rad) both hold the
+    exact block, so ||ref_mid - B~||_2 <= eps + ||ref_rad||_inf; and the
+    bound from (mid, eps) is at most 1e-9 relative below the bound from the
+    reference family, ref_mid with the 2-norm radius ||ref_rad||_inf."""
     u = _solve(p, n)
     odd = np.arange(1, default_split_order(u, p) + 1, 2)
     w = power_expand(u, p - 1).scale(Interval(float(p)))
-    lo, hi, old = _interval_block(w, odd, odd)
+    ref_mid, ref_rad = _interval_block(w, odd, odd)
     new = _block(w, odd, odd)
-    assert np.all(new.mid - new.rad <= hi) and np.all(lo <= new.mid + new.rad)
-    assert np.all(new.rad <= 4.0 * old.rad + 1e-290)
-    m_new = eig_enclosures(new).min_abs_lower()
-    m_old = eig_enclosures(old).min_abs_lower()
-    assert m_new >= m_old * (1.0 - 1e-12)
+    ref_eps = float(_up(np.max(ref_rad.sum(axis=1)) * (1.0 + 1e-12)))
+    sym = np.tril(new.mid) + np.tril(new.mid, -1).T
+    assert np.linalg.norm(ref_mid - sym, 2) <= new.eps + ref_eps
+    m_new = eig_enclosures(new)
+    m_old = eig_enclosures(SymMatrix(ref_mid, ref_eps))
+    assert m_new >= m_old * (1.0 - 1e-9)
 
 
 def test_inverse_bound_has_no_elementwise_interval_op_on_the_block(monkeypatch, u_p3_n20):
@@ -540,6 +555,27 @@ def test_inverse_bound_has_no_elementwise_interval_op_on_the_block(monkeypatch, 
     n = ((default_split_order(u_p3_n20, 3) + 1) // 2) ** 2
     inverse_bound(u_p3_n20, 3)
     assert sizes and max(sizes) < n * n
+
+
+def test_inverse_bound_factors_without_eigh_within_45_mib(monkeypatch):
+    """On the c4 N=34 center (a 666-row folded block) the spectrum step
+    calls no np.linalg.eigh, and inverse_bound, power chain included, peaks
+    at no more than 45 MiB of traced allocations (68.3 MiB with the
+    entrywise radius, eigh and Gershgorin discs)."""
+    u = _solve(3, 34)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    tracemalloc.start()
+    try:
+        ib = inverse_bound(u, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ib.rows == 666
+    assert peak <= 45 * 2 ** 20
 
 
 # -- defect bounds ------------------------------------------------------------------
@@ -685,10 +721,11 @@ def test_linf_embedding_constant_dilation():
 
 
 def test_linf_radius_shrinks_with_defect(u_p3_n10):
-    small = linf_radius(u_p3_n10, 3, Interval(0.0, 1e-8),
-                        delta_l2=Interval(0.0, 1e-8))
-    large = linf_radius(u_p3_n10, 3, Interval(0.0, 1e-3),
-                        delta_l2=Interval(0.0, 1e-3))
+    small, n_small = linf_radius(u_p3_n10, 3, Interval(0.0, 1e-8),
+                                 delta_l2=Interval(0.0, 1e-8))
+    large, n_large = linf_radius(u_p3_n10, 3, Interval(0.0, 1e-3),
+                                 delta_l2=Interval(0.0, 1e-3))
+    assert 1 <= n_small <= LINF_ITERATIONS and 1 <= n_large <= LINF_ITERATIONS
     assert small.hi < large.hi
     assert small.lo >= 0.0
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from sobemb.certify import _coupled_gap, default_split_order
+from sobemb.certify import LINF_ITERATIONS, _coupled_gap, certify_ball, default_split_order
 from sobemb.errors import SoundnessViolation
 from sobemb.intervals import Interval, iv_sqrt
 from sobemb.pipeline import (
@@ -86,6 +86,25 @@ def test_report_rows_explain_positiveness():
     assert float.fromhex(pos["spectral_margin"]) > 0.0
 
 
+def test_report_rows_explain_trial_radius_and_linf_iterations():
+    """Each certified row carries the trial radius R of the Lipschitz bound
+    as a hex float (R >= r_h1: g holds on the certified ball) and the count
+    of L-infinity bootstrap iterations as an int; the certificate carries
+    both too, and the canonical JSON with them is byte-identical across
+    two runs."""
+    a, b = (run_pipeline(RunConfig(p=3, domain=SQ, N=[10, 20])) for _ in range(2))
+    assert a.canonical_json() == b.canonical_json()
+    for row, r in zip(json.loads(a.canonical_json())["rows"], a.rows):
+        trial = float.fromhex(row["trial_radius"])
+        assert trial == r.trial_radius and trial >= float.fromhex(row["r_h1"][1])
+        assert type(row["linf_iterations"]) is int
+        assert 1 <= row["linf_iterations"] <= LINF_ITERATIONS
+    ball = certify_ball(a.solutions[20], 3)
+    cert = ball.to_dict(3)
+    assert float.fromhex(cert["trial_radius"]) == ball.trial_radius == a.rows[1].trial_radius
+    assert cert["linf_iterations"] == ball.linf_iterations == a.rows[1].linf_iterations
+
+
 def _set(path, value):
     def tamper(row):
         obj = row
@@ -106,9 +125,17 @@ def _set(path, value):
     _set(("inverse_bound", "tail"), "not hex"),
     _set(("inverse_bound", "coupling"), None),
     lambda row: row["inverse_bound"].pop("block_min"),
+    _set(("trial_radius",), (1e-300).hex()),
+    _set(("trial_radius",), "0x1.0p"),
+    lambda row: row.pop("trial_radius"),
+    _set(("linf_iterations",), 0),
+    _set(("linf_iterations",), 61),
+    _set(("linf_iterations",), 2.0),
 ], ids=["K-zero", "K-negative", "defect_hm1-negative", "defect_l2-negative",
         "r_h1-negative", "r_inf-negative", "K-lo-above-hi", "tail-not-hex",
-        "coupling-null", "block_min-missing"])
+        "coupling-null", "block_min-missing", "trial_radius-below-r_h1",
+        "trial_radius-not-hex", "trial_radius-missing", "linf_iterations-zero",
+        "linf_iterations-above-cap", "linf_iterations-float"])
 def test_validate_report_rejects_tampered_row(report_c4, tamper):
     """Each check of validate_report_dict catches one tampered field of an
     otherwise valid report."""

@@ -1,10 +1,12 @@
-"""Symmetric interval eigenvalue enclosures, checked against an independent
-exact-inertia bisection oracle in rational arithmetic (equivalent to root
-bracketing of the characteristic polynomial, but unconditionally sound)."""
+"""The lower bound on min |eigenvalue| of a symmetric family (mid, eps),
+checked against an independent exact-inertia bisection oracle in rational
+arithmetic (equivalent to root bracketing of the characteristic polynomial,
+but unconditionally sound) and against mpmath spectra of sampled members;
+and the platform assumption behind it, checked exactly on this BLAS."""
 
-import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 
 from sobemb import ivarray, symeig
 from sobemb.certify import _b_matrix, _potential_matrix, default_split_order
+from sobemb.errors import NotInvertible
 from sobemb.intervals import Interval
-from sobemb.ivarray import IArray, _dn, _up, imatmul
+from sobemb.ivarray import IArray, _dn, _up
 from sobemb.series import power_expand
-from sobemb.symeig import EigEnclosure, SymMatrix, eig_enclosures
+from sobemb.symeig import SymMatrix, eig_enclosures
 
 
 def _eigs_below(m, t: Fraction):
@@ -49,13 +52,17 @@ def _count_below(m, t: Fraction) -> int:
     raise AssertionError("could not find a regular pivot point")
 
 
-def _min_eig_bisect(m, lo: Fraction, hi: Fraction, iters: int = 120) -> tuple:
-    """Bracket the smallest eigenvalue by exact-inertia bisection."""
-    assert _count_below(m, lo) == 0, "lower bracket must lie below all eigenvalues"
-    assert _count_below(m, hi) >= 1
+def _min_abs_eig_bisect(m, hi: Fraction, iters: int = 120) -> tuple:
+    """Bracket min |eigenvalue| by exact-inertia bisection: t is above it
+    exactly when some eigenvalue lies in [-t, t)."""
+    def inside(t):
+        return _count_below(m, t) - _count_below(m, -t)
+
+    lo = Fraction(0)
+    assert inside(hi) >= 1
     for _ in range(iters):
         midp = (lo + hi) / 2
-        if _count_below(m, midp) == 0:
+        if inside(midp) == 0:
             lo = midp
         else:
             hi = midp
@@ -68,159 +75,175 @@ def _seeded_symmetric(n, seed, scale=1.0):
     return 0.5 * (a + a.T)
 
 
+def _oracle(a):
+    frac = [[Fraction(float(x)) for x in row] for row in a]
+    gersh = max(sum(abs(x) for x in row) for row in frac)
+    return _min_abs_eig_bisect(frac, gersh + 1)
+
+
+def _bound_or_none(m: SymMatrix):
+    try:
+        return eig_enclosures(m)
+    except NotInvertible:
+        return None
+
+
 def test_min_eig_against_charpoly_oracle():
-    # [DERIVED] brute-force characteristic-polynomial bisection oracle
+    # [DERIVED] brute-force exact-inertia bisection oracle
     a = _seeded_symmetric(5, 20240817)
-    frac = [[Fraction(float(a[i, j])) for j in range(5)] for i in range(5)]
-    gersh = max(sum(abs(float(a[i, j])) for j in range(5)) for i in range(5))
-    lo, hi = _min_eig_bisect(frac, Fraction(-2 * int(gersh) - 2), Fraction(0))
-    enc = eig_enclosures(SymMatrix.from_point(a)).lam_min
-    assert Fraction(enc.lo) <= hi
-    assert lo <= Fraction(enc.hi)
-    assert enc.hi - enc.lo < 1e-8  # tight for a point matrix
+    lo, hi = _oracle(a)
+    bound = eig_enclosures(SymMatrix.from_point(a))
+    assert Fraction(bound) <= lo
+    assert hi - Fraction(bound) <= Fraction(1, 10 ** 9) * hi  # tight for a point matrix
 
 
 def test_min_eig_oracle_more_seeds():
     for seed in (1, 7, 99):
         a = _seeded_symmetric(5, seed, scale=3.0)
-        frac = [[Fraction(float(a[i, j])) for j in range(5)] for i in range(5)]
-        gersh = max(sum(abs(float(a[i, j])) for j in range(5)) for i in range(5))
-        lo, hi = _min_eig_bisect(frac, Fraction(-2 * int(gersh) - 2), Fraction(0))
-        enc = eig_enclosures(SymMatrix.from_point(a)).lam_min
-        assert Fraction(enc.lo) <= hi and lo <= Fraction(enc.hi)
+        lo, hi = _oracle(a)
+        bound = eig_enclosures(SymMatrix.from_point(a))
+        assert Fraction(bound) <= lo
+        assert hi - Fraction(bound) <= Fraction(1, 10 ** 9) * hi
 
 
 def test_diagonal_matrix_exact():
     d = np.diag([3.0, -1.5, 7.0])
-    enc = eig_enclosures(SymMatrix.from_point(d)).lam_min
-    assert enc.lo <= -1.5 <= enc.hi
-    assert eig_enclosures(SymMatrix.from_point(d)).min_abs_lower() <= 1.5
+    bound = eig_enclosures(SymMatrix.from_point(d))
+    assert 1.5 * (1.0 - 1e-12) <= bound <= 1.5
 
 
 def test_interval_matrix_widens():
+    """The bound falls by eps exactly (up to the last rounding): Weyl."""
     a = _seeded_symmetric(4, 5)
     w = 1e-6
-    m = SymMatrix(a, np.full(a.shape, w))
-    enc_w = eig_enclosures(m).lam_min
-    enc_p = eig_enclosures(SymMatrix.from_point(a)).lam_min
-    assert enc_w.lo <= enc_p.lo and enc_p.hi <= enc_w.hi + 1e-12
+    point = eig_enclosures(SymMatrix.from_point(a))
+    wide = eig_enclosures(SymMatrix(a, w))
+    assert wide < point and abs(wide - (point - w)) <= 1e-15
 
 
 def test_min_abs_eig_lower_straddling_disc_is_zero():
-    # a matrix with an eigenvalue near zero gives a conservative 0 lower bound
+    # a matrix with an eigenvalue near zero gives no bound above it
     a = np.diag([1e-14, 2.0, 3.0])
-    assert eig_enclosures(SymMatrix.from_point(a)).min_abs_lower() <= 1e-10
+    bound = _bound_or_none(SymMatrix.from_point(a))
+    assert bound is None or bound <= 1e-14
 
 
-def test_wide_interval_matrix_discs_cover_members():
-    # the disc union must cover the spectrum of every contained member
-    n = 3
-    wide = SymMatrix(np.zeros((n, n)), np.ones((n, n)))
-    enc = eig_enclosures(wide)
-    member = np.full((n, n), 0.9)  # eigenvalues {2.7, 0, 0}
-    for lam in np.linalg.eigvalsh(member):
-        assert np.any((enc.disc_lo <= lam) & (lam <= enc.disc_hi))
-
-
-def test_rayleigh_upper_bound_is_above_lower():
-    a = _seeded_symmetric(6, 11)
-    enc = eig_enclosures(SymMatrix.from_point(a)).lam_min
-    assert enc.lo <= enc.hi
-
-
-@pytest.mark.parametrize("mid, rad", [
-    (np.zeros((2, 2)), np.zeros((2, 3))),
-    (np.zeros((2, 3)), np.zeros((2, 3))),
-    (np.zeros(4), np.zeros(4)),
-], ids=["radius-shape", "not-square", "not-2d"])
-def test_mismatched_shapes_raise(mid, rad):
+@pytest.mark.parametrize("mid, eps", [
+    (np.zeros((2, 2)), np.zeros((2, 2))),
+    (np.zeros((2, 3)), 0.0),
+    (np.zeros(4), 0.0),
+    (np.zeros((2, 2)), -1e-300),
+    (np.zeros((2, 2)), np.inf),
+], ids=["radius-shape", "not-square", "not-2d", "negative-eps", "infinite-eps"])
+def test_mismatched_shapes_raise(mid, eps):
     with pytest.raises(ValueError):
-        SymMatrix(mid, rad)
+        SymMatrix(mid, eps)
 
 
-def _sampled_member(lo, hi, rng):
-    """A real symmetric matrix inside [lo, hi] (lo, hi symmetric)."""
-    t = rng.uniform(size=lo.shape)
-    t = np.triu(t) + np.triu(t, 1).T
-    return np.clip(lo + t * (hi - lo), lo, hi)
+def _mp_min_abs_eig(mid_lower, e):
+    """min |eig(B~ + e)| in mpmath at 50 digits, B~ mirrored from the lower
+    triangle of mid_lower, the sum formed exactly."""
+    n = mid_lower.shape[0]
+    with mpmath.workdps(50):
+        a = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                b = mid_lower[max(i, j), min(i, j)]
+                a[i, j] = mpmath.mpf(float(b)) + mpmath.mpf(float(e[i, j]))
+        return min(abs(x) for x in mpmath.eigsy(a, eigvals_only=True))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 2 ** 31 - 1),
        st.sampled_from([0.0, 1e-15, 1e-9, 1e-4, 0.3, 2.0]),
        st.booleans())
-def test_discs_cover_sampled_members(n, seed, rad, clustered):
-    """Every eigenvalue of every member lies in the union of the discs, for
-    point to wide radii and for midpoints with eigenvalue clusters of width
-    1e-12, where eigh's eigenvectors are ill-determined."""
+def test_bound_is_below_sampled_members(n, seed, eps, clustered):
+    """The bound never exceeds min |eig(A)| (mpmath, 50 digits) of members
+    A = B~ + E with ||E||_2 <= eps: a random E, and E = -c q q^T moving
+    the eigenvalue of smallest modulus towards 0 (q its float eigenvector),
+    the member Weyl's inequality is sharp on.  The midpoint has garbage in
+    its strict upper triangle, which B~ ignores; clustered spectra (gaps
+    of 1e-12) and point to wide eps are drawn."""
     rng = np.random.default_rng(seed)
     if clustered:
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         lam = np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]
         lam = lam + 1e-12 * rng.uniform(size=n)
-        mid = (q * lam) @ q.T
+        sym = (q * lam) @ q.T
     else:
-        mid = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
-    mid = 0.5 * (mid + mid.T)
-    r = rad * np.abs(rng.uniform(size=(n, n)))
-    r = 0.5 * (r + r.T)
-    lo, hi = mid - r, mid + r
-    enc = eig_enclosures(SymMatrix(mid, r))
-    for _ in range(3):
-        a = _sampled_member(lo, hi, rng)
-        lams = np.linalg.eigvalsh(a)
-        # slack for eigvalsh's own backward error
-        slack = 8 * n * 2.0 ** -53 * np.max(np.abs(lams))
-        for lam in lams:
-            assert np.any((enc.disc_lo - slack <= lam) & (lam <= enc.disc_hi + slack))
-        assert enc.lam_min.lo <= lams[0] + slack
-        assert lams[0] <= enc.lam_min.hi + slack
+        sym = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+    sym = 0.5 * (sym + sym.T)
+    mid = sym + np.triu(rng.normal(size=(n, n)), 1)
+    bound = _bound_or_none(SymMatrix(mid, eps))
+    if bound is None:
+        return
+    lam, vec = np.linalg.eigh(sym)
+    k = int(np.argmin(np.abs(lam)))
+    c = eps * (1.0 - 1e-6)
+    x = _seeded_symmetric(n, seed + 1)
+    norm = np.linalg.norm(x, 2)
+    members = [-np.sign(lam[k]) * c * np.outer(vec[:, k], vec[:, k]),
+               c * x / norm if norm > 0 else np.zeros((n, n))]
+    for e in members:
+        assert mpmath.mpf(bound) <= _mp_min_abs_eig(mid, e)
 
 
-def _old_discs(m: SymMatrix) -> EigEnclosure:
-    """The discs of the interval-product formulation: C = V^T A V and
-    G = V^T V as interval matrices, Gershgorin on C entry by entry, with A
-    the interval matrix rounded outward from mid +- rad."""
-    a = IArray(_dn(m.mid - m.rad), _up(m.mid + m.rad))
-    n = m.n
-    amid = 0.5 * (a.lo + a.hi)
-    amid = 0.5 * (amid + amid.T)
-    amid[np.abs(amid) < 1e-200] = 0.0
-    _, v = np.linalg.eigh(amid)
-    v[np.abs(v) < 1e-200] = 0.0
-    vi = IArray(v)
-    c = imatmul(vi.T, imatmul(a, vi))
-    g = imatmul(vi.T, vi)
-    eps = float(np.max(np.sum((g - IArray(np.eye(n))).mag(), axis=1)))
-    e1 = _up(1.0 / math.sqrt(1.0 - 2.0 * eps) - 1.0)
-    cnorm = float(np.max(np.sum(c.mag(), axis=1)))
-    delta = _up(cnorm * (2.0 * e1 + e1 * e1) * (1.0 + 1e-12))
-    cmag = c.mag()
-    np.fill_diagonal(cmag, 0.0)
-    radii = _up(np.sum(cmag, axis=1) * (1.0 + n * 2.0 ** -50) + delta)
-    disc_lo = _dn(np.diag(c.lo) - radii)
-    return EigEnclosure(disc_lo, _up(np.diag(c.hi) + radii), None)
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_bound_is_tight_on_well_conditioned_seeds(n):
+    """With eps = 0 and |eigenvalues| in [0.2, 2], the bound is within 1e-9
+    of the exact min |eig| (mpmath, 50 digits), and never above it."""
+    for seed in range(3):
+        rng = np.random.default_rng(100 * n + seed)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = rng.uniform(0.2, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        a = (q * lam) @ q.T
+        a = np.tril(a) + np.tril(a, -1).T
+        exact = _mp_min_abs_eig(a, np.zeros((n, n)))
+        bound = eig_enclosures(SymMatrix.from_point(a))
+        assert mpmath.mpf(bound) <= exact
+        assert exact - mpmath.mpf(bound) <= 1e-9
 
 
-def test_row_sum_discs_match_interval_products_on_c4_blocks(u_p3_n20):
-    """On the odd-odd block of the p=3, N=20 center, the one K reads, the
-    row-sum discs agree with the interval-product discs to 1e-12 relative,
-    and the block minimum is no smaller (up to the last bits)."""
+@pytest.mark.parametrize("delta", [0.0, 1e-300, 1e-14, 1e-8, 1e-3])
+def test_family_with_eigenvalue_near_zero_is_not_certified(delta):
+    """A family whose midpoint has an eigenvalue within eps of 0 (eps is its
+    float modulus, or twice it, plus 1e-12 for the error of eigvalsh) holds
+    a singular member, so the bound is <= 0 or NotInvertible; at eps = 0 it
+    is at most that eigenvalue.  The old wide case (midpoint 0, eps 1) is
+    among them."""
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    a = (q * np.array([delta, 1.0, -2.0, 0.5, 3.0, -1.0])) @ q.T
+    a = 0.5 * (a + a.T)
+    lam_min = float(np.min(np.abs(np.linalg.eigvalsh(a))))
+    for eps in (lam_min + 1e-12, 2.0 * lam_min + 1e-12):
+        bound = _bound_or_none(SymMatrix(a, eps))
+        assert bound is None or bound <= 0.0
+    bound = _bound_or_none(SymMatrix.from_point(a))
+    assert bound is None or bound <= delta + 1e-15
+    assert _bound_or_none(SymMatrix(np.zeros((3, 3)), 1.0)) in (None, -1.0)
+
+
+def test_bound_on_c4_block_meets_float_spectrum(u_p3_n20):
+    """On the odd-odd block of the p=3, N=20 center the bound sits below the
+    float min |eig| of the midpoint by the block's eps and at most 1e-9
+    relative more, and eps is far below the old Gershgorin radii (~1e-10)."""
     u = u_p3_n20
     odd = np.arange(1, default_split_order(u, 3) + 1, 2)
     w = power_expand(u, 2).scale(Interval(3.0))
     lam = u.domain.lambda_grid(odd, odd).reshape(-1)
     d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
     b = _b_matrix(*_potential_matrix(w, odd, odd), d)
-    old = _old_discs(b)
-    enc = eig_enclosures(b)
-    assert np.all(np.abs(enc.disc_lo - old.disc_lo) <= 1e-12 * np.abs(old.disc_lo))
-    assert enc.min_abs_lower() >= old.min_abs_lower() * (1.0 - 1e-15)
+    sym = np.tril(b.mid) + np.tril(b.mid, -1).T
+    sigma = float(np.min(np.abs(np.linalg.eigvalsh(sym))))
+    bound = eig_enclosures(b)
+    assert 0.0 < b.eps < 1e-10
+    assert sigma * (1.0 - 1e-9) - b.eps <= bound <= sigma - b.eps
 
 
 def test_eig_enclosures_issues_no_interval_product(monkeypatch):
-    """The spectrum step is three float GEMMs and matrix-vector row sums;
-    an O(n^3) interval product inside it would show up here."""
+    """The spectrum step is float products and one factorization; an O(n^3)
+    interval product inside it would show up here."""
     calls = []
     orig = ivarray.imatmul
 
@@ -231,5 +254,82 @@ def test_eig_enclosures_issues_no_interval_product(monkeypatch):
     monkeypatch.setattr(ivarray, "imatmul", counted)
     monkeypatch.setattr(symeig, "imatmul", counted, raising=False)
     a = _seeded_symmetric(12, 3)
-    eig_enclosures(SymMatrix(a, np.full(a.shape, 1e-9)))
+    eig_enclosures(SymMatrix(a, 1e-9))
     assert calls == []
+
+
+# -- the platform assumption: classical inner products in BLAS and LAPACK -------
+
+
+def _scaled_ints(xs):
+    """Each float array of xs times 2^-e as nested lists of exact Python ints,
+    e at or below the last bit of every entry; returns (lists, e)."""
+    exps = [np.frexp(x)[1][x != 0] for x in xs]
+    e = min(min((int(v.min()) for v in exps if v.size), default=0), 0) - 53
+    out = []
+    for x in xs:
+        m, ex = np.frexp(x)
+        mant = (m * 2.0 ** 53).astype(np.int64)
+        out.append([[int(v) << int(s) for v, s in zip(r, sr)]
+                    for r, sr in zip(mant, ex - 53 - e)])
+    return out, e
+
+
+def _entries(n, rng):
+    """Every lower entry for small n; else the diagonal, the last row and
+    2000 random lower entries."""
+    if n <= 64:
+        return [(i, j) for i in range(n) for j in range(i + 1)]
+    pick = {(i, i) for i in range(n)} | {(n - 1, j) for j in range(n)}
+    i, j = rng.integers(0, n, size=(2, 2000))
+    return sorted(pick | {(max(a, b), min(a, b)) for a, b in zip(i, j)})
+
+
+def _spd(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "gram":
+        x = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-2, 2, size=n)
+        return x @ x.T / n + 1e-6 * np.eye(n)
+    # the shifted square eig_enclosures factors: B^2 - s I, s just below
+    # the smallest eigenvalue of B^2
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = rng.uniform(0.1, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    b = (q * lam) @ q.T
+    b = np.tril(b) + np.tril(b, -1).T
+    a = b @ b
+    a[np.diag_indices(n)] -= float(np.min(lam * lam)) * (1.0 - 1e-6)
+    return a
+
+
+@pytest.mark.parametrize("n, kind", [(5, "gram"), (40, "square"), (64, "gram"),
+                                     (300, "gram"), (300, "square")])
+def test_cholesky_backward_error_holds_exactly(n, kind):
+    """Higham's Theorem 10.3, which `eig_enclosures` rests on: the factor L
+    of np.linalg.cholesky(A) satisfies |L L^T - A| <= gamma_{n+1} |L| |L^T|
+    entrywise, checked in exact integer arithmetic.  n = 300 runs LAPACK's
+    blocked factorization, whose updates are GEMMs."""
+    a = _spd(n, n, kind)
+    low = np.linalg.cholesky(a)
+    (li, ai), e = _scaled_ints([low, a])
+    k = n + 1  # gamma_k = k / (2^53 - k)
+    for i, j in _entries(n, np.random.default_rng(n)):
+        prod = sum(x * y for x, y in zip(li[i], li[j]))
+        mag = sum(abs(x * y) for x, y in zip(li[i], li[j]))
+        diff = abs(prod - (ai[i][j] << -e))
+        assert diff * (2 ** 53 - k) <= k * mag, (i, j)
+
+
+@pytest.mark.parametrize("n", [7, 300])
+def test_gemm_error_bound_holds_exactly(n):
+    """|fl(B B) - B B| <= gamma_n |B| |B| entrywise for np.matmul, the bound
+    on S~ = fl(B~ B~) in `eig_enclosures`, checked in exact integers."""
+    rng = np.random.default_rng(n)
+    b = _seeded_symmetric(n, n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    b = np.tril(b) + np.tril(b, -1).T
+    s = b @ b
+    (bi, si), e = _scaled_ints([b, s])
+    for i, j in _entries(n, rng):
+        prod = sum(x * y for x, y in zip(bi[i], bi[j]))  # B symmetric: column j is row j
+        mag = sum(abs(x * y) for x, y in zip(bi[i], bi[j]))
+        diff = abs(prod - (si[i][j] << -e))
+        assert diff * (2 ** 53 - n) <= n * mag, (i, j)
