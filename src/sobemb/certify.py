@@ -41,7 +41,7 @@ from .errors import (
     NotInvertible,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_sqrt
-from .ivarray import _TINY, IArray, _dn, _gamma_fac, _up, imatmul, isum
+from .ivarray import _NORMAL, _TINY, IArray, _dn, _gamma_fac, _up, imatmul, isum
 from .series import (
     COS,
     MAX_DENSE_ROWS,
@@ -59,6 +59,7 @@ UNIQUE_RADIUS_CAP = 1e300
 LINF_RHO_MAX = 1e3  # largest L-infinity radius worth reporting
 LINF_ITERATIONS = 60  # cap on the downward bootstrap iterations
 LINF_BOX = 400  # modes per side summed exactly in the L-infinity constant
+COUPLING_TARGET = 0.0275  # largest section-tail coupling c the split order accepts
 
 
 # -- defect ---------------------------------------------------------------------
@@ -153,7 +154,9 @@ def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
     in w on the sine modes mx x my, as X w Y^T per axis.  The rows and
     columns of w's coefficients that are exactly [0, 0] (every other one,
     for a potential of one mode parity per axis) add nothing and are left
-    out, which halves the inner dimension k and so gamma_k.
+    out, which halves the inner dimension k and so gamma_k.  Where both axes
+    have the same parity, length, side and modes, as on a square, the triple
+    overlap of the x-axis serves the y-axis too.
 
     Lemma.  With P = X w (`imatmul`), P_m, P_r, Y_m, Y_r the midpoints and
     radii of P and Y, and mid = fl(P_m Y_m^T): P Y^T - mid = (P - P_m) Y^T
@@ -166,8 +169,11 @@ def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
     dom = w.domain
     mag = w.coeffs.mag()
     kx, ky = np.flatnonzero(mag.any(axis=1)), np.flatnonzero(mag.any(axis=0))
-    px = _triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)[:, kx]
-    py = _triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)[:, ky]
+    ox = _triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)
+    same = ((w.parity_x, w.coeffs.shape[0], dom.L1) == (w.parity_y, w.coeffs.shape[1], dom.L2)
+            and np.array_equal(mx, my))
+    oy = ox if same else _triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)
+    px, py = ox[:, kx], oy[:, ky]
     wc = w.coeffs[np.ix_(kx, ky)] * IArray._coerce(Interval(4.0) / dom.measure())
     p = imatmul(px, wc)
     pm, pr, ym, yr = p.mid(), p.rad(), py.mid(), py.rad()
@@ -224,6 +230,25 @@ def _tail_lambda(dom: DomainRect, nprime: int) -> Interval:
     return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
 
 
+def _wbar(u: Series2D, p: int) -> Interval:
+    """Wbar >= p sup|u|^{p-1}, the sup of the potential."""
+    return Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
+
+
+def _potential(u: Series2D, p: int) -> Series2D:
+    """The potential w = p u^{p-1} of the linearization, kept on u."""
+    return u.fact(("potential", p),
+                  lambda: power_expand(u, p - 1).scale(Interval(float(p))))
+
+
+def _coupling(u: Series2D, p: int, nprime: int) -> Interval:
+    """c = (Wbar + G/sqrt(lambda_1))/lambda_tail >= ||B_FT|| at the split
+    order nprime, G >= sup|grad w| (`inverse_bound`, (iii))."""
+    dom = u.domain
+    g = _potential(u, p).grad_sup_bound()
+    return (_wbar(u, p) + g / iv_sqrt(dom.lambda1())) / _tail_lambda(dom, nprime)
+
+
 def default_split_order(u: Series2D, p: int) -> int:
     """The split order n' of `inverse_bound`, kept on u; CapacityError if
     its odd-odd block, ceil(n'/2)^2 rows, exceeds MAX_DENSE_ROWS."""
@@ -237,21 +262,30 @@ def default_split_order(u: Series2D, p: int) -> int:
 
 
 def _scan_split_order(u: Series2D, p: int) -> int:
-    """Smallest split order whose estimated coupling correction is negligible
-    next to typical block minima (~0.5); larger orders only add near-identity
-    rows while cubing the eigenvalue-enclosure cost."""
+    """The smallest odd split order with lambda_tail.lo > Wbar.hi and
+    c <= COUPLING_TARGET, or the first whose block exceeds MAX_DENSE_ROWS if
+    none below it has both.  Both conditions only improve as n' grows, so the
+    scan starts at the closed-form float estimate, lambda_tail =
+    pi^2 (k^2/Lmax^2 + 1/Lmin^2) at the tail index k = n' + 2, and steps by
+    2 in whichever direction the interval check asks."""
     dom = u.domain
-    wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
-    bandwidth = (p - 1) * u.N
-    for cut in range(1, p * u.N + 1):
-        lam_tail_try = _tail_lambda(dom, bandwidth + cut)
-        lam_cut_try = _tail_lambda(dom, cut)
-        if lam_tail_try.lo <= wbar.hi:
-            continue
-        est = wbar.hi / math.sqrt(lam_tail_try.lo * lam_cut_try.lo)
-        if est <= 0.05:
-            return bandwidth + cut
-    return max(p * u.N, 1)
+    wbar = _wbar(u, p).hi
+    cap = 2 * math.isqrt(MAX_DENSE_ROWS) + 1  # the first odd order beyond capacity
+
+    def ok(n):
+        return _tail_lambda(dom, n).lo > wbar and _coupling(u, p, n).hi <= COUPLING_TARGET
+
+    num = wbar + _potential(u, p).grad_sup_bound().hi / math.sqrt(dom.lambda1().lo)
+    lmax, lmin = max(dom.L1, dom.L2), min(dom.L1, dom.L2)
+    k = lmax * math.sqrt(max(num / COUPLING_TARGET / math.pi ** 2 - lmin ** -2, 0.0))
+    if not k < cap + 2:
+        return cap
+    n = max(2 * math.ceil((k - 1.0) / 2.0) - 1, 1)
+    while n > 1 and ok(n - 2):
+        n -= 2
+    while n < cap and not ok(n):
+        n += 2
+    return n
 
 
 def _coupled_gap(m: float, t: float, c: float) -> Interval:
@@ -267,15 +301,15 @@ def _coupled_gap(m: float, t: float, c: float) -> Interval:
 
 
 def _check_center(u: Series2D) -> None:
-    """DomainError unless u's coefficient array is square and odd-odd, as
-    the odd-odd tails and the bandwidth of the certificate assume, and on a
-    square domain also bitwise transpose-symmetric, as the fold of
+    """DomainError unless u's coefficient array is square, as the
+    certificate's order N assumes, and odd-odd, as the odd-odd tails assume,
+    and on a square domain also bitwise transpose-symmetric, as the fold of
     `inverse_bound` assumes."""
     mag = u.coeffs.mag()
     if mag.shape[0] != mag.shape[1]:
         raise DomainError(
             f"center coefficient array is {mag.shape[0]} x {mag.shape[1]}; "
-            "the split order assumes a square N x N array"
+            "a certificate of order N takes a square N x N array"
         )
     if np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0):
         raise DomainError(
@@ -428,12 +462,24 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             lambda_tail the smallest eigenvalue of a tail mode (`_tail_lambda`);
             it holds on X_s, and on X_sym since a Rayleigh quotient taken
             over a subspace cannot fall;
-      (iii) c = Wbar/sqrt(lambda_tail * lambda_cut) >= ||B_FT||.  The
-            potential has trigonometric degree (p-1)N per dimension, so only
-            finite modes with an index above n' - (p-1)N couple to the tail,
-            and n' > (p-1)N always; lambda_cut is the smallest eigenvalue of
-            such a mode.  On X_sym B_FT is a compression of that on X_s,
-            whose norm is no larger.
+      (iii) c = (Wbar + G/sqrt(lambda_1))/lambda_tail >= ||B_FT||,
+            G >= sup|grad w| of the potential w = p u^{p-1}
+            (`Series2D.grad_sup_bound`).  Lemma: take f in F and g in T,
+            each of unit H^1_0 norm.  w f vanishes on the boundary, so w f
+            is in H^1_0, and with a_k, g_k the coefficients of w f and g
+            on the L^2-normalized Dirichlet eigenfunctions,
+            |<B f, g>| = |int w f g| = |sum_T a_t g_t|
+            <= (sum_T lambda_t a_t^2)^{1/2} (sum_T g_t^2/lambda_t)^{1/2}
+            <= ||grad(w f)||_L2 / lambda_tail
+            <= (Wbar + G/sqrt(lambda_1)) / lambda_tail,
+            since sum_T lambda_t g_t^2 <= 1, lambda_t >= lambda_tail on T,
+            grad(w f) = w grad f + f grad w and ||f||_L2 <= 1/sqrt(lambda_1).
+            It needs no bandwidth of w, so it holds for every p (for even p
+            the sine potential couples every section mode to the tail), on
+            X_s and on X_sym, and on every rectangle.  The split order is
+            the smallest odd n' with lambda_tail > Wbar and
+            c <= COUPLING_TARGET (`_scan_split_order`), so it depends on
+            the center through Wbar and G only, not on N.
 
     Lemma: every eigenvalue mu of B on X satisfies |mu| >= s*, the smaller
     root of (m - s)(t - s) = c^2.  Proof: the spectrum of B outside {1}
@@ -451,13 +497,12 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     For even p the exactly-expanded potential p*u^{p-1} differs from
     p|u|^{p-1} only on {u < 0}; that perturbation, eps_pert, is absorbed
     via the negative-part bound, and K = 1/(s* - eps_pert).  The parity
-    structure, the fold and the bandwidth need a square odd-odd center,
-    transpose-symmetric on a square domain, so any other center raises
-    DomainError.
+    structure and the fold need a square odd-odd center, transpose-symmetric
+    on a square domain, so any other center raises DomainError.
     """
     _check_center(u)
     dom = u.domain
-    wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
+    wbar = _wbar(u, p)
     nprime = default_split_order(u, p)
     lam_tail = _tail_lambda(dom, nprime)
     if not lam_tail.lo > wbar.hi:
@@ -466,12 +511,9 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             f"bound {wbar.hi:.4e} at split order {nprime}"
         )
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
-    w = power_expand(u, p - 1).scale(Interval(float(p)))
-    block = _folded_block(w, np.arange(1, nprime + 1, 2))
+    block = _folded_block(_potential(u, p), np.arange(1, nprime + 1, 2))
     block_lo = eig_enclosures(block)
-
-    lam_cut = _tail_lambda(dom, nprime - (p - 1) * u.N)
-    coupling = (wbar / iv_sqrt(lam_tail * lam_cut)).hi
+    coupling = _coupling(u, p, nprime).hi
     eps_pert = 0.0
     if p % 2 == 0:
         eta = negative_part_sup(u)
@@ -574,12 +616,24 @@ def linf_embedding_constant(domain: DomainRect) -> Interval:
     """c with ||v||_inf <= c ||Lap v||_L2 on the sine-series closure.
 
     c^2 = (4/|Omega|) * sum over all modes of lambda_ij^{-2}; the sum is a
-    rigorous box partial sum plus a monotone integral tail bound.
+    box partial sum plus a monotone integral tail bound.  The box sum is
+    pi^-4 s, s the sum of t_ij = q_ij^-2, q_ij = i^2/L1^2 + j^2/L2^2, taken
+    in floats: each t_ij carries at most 8 roundings (L^2, the quotient, the
+    sum, the square and the reciprocal) and the sum of the n positive terms
+    n - 1 more, so while every intermediate stays normal the float sum is
+    s (1 + theta), |theta| <= gamma_{n+7} <= `_gamma_fac`(n + 8), and s
+    lies in fl_sum / (1 + [-gamma, gamma]).
     """
-    modes = np.arange(1, LINF_BOX + 1)
-    lam = domain.lambda_grid(modes, modes)
-    inv2 = (IArray(np.ones(lam.shape)) / lam).square()
-    s = isum(inv2)
+    m2 = np.arange(1, LINF_BOX + 1, dtype=np.float64) ** 2  # exact
+    qx, qy = m2 / (domain.L1 * domain.L1), m2 / (domain.L2 * domain.L2)
+    q2 = np.square(qx[:, None] + qy[None, :])
+    t = 1.0 / q2
+    s_fl = float(np.sum(t))
+    if not (min(qx[0], qy[0], q2.min(), t.min()) >= _NORMAL and math.isfinite(s_fl)):
+        raise DomainError(f"rectangle {domain.L1!r} x {domain.L2!r} is outside the "
+                          "range of the L-infinity embedding constant")
+    g = _gamma_fac(t.size + 8)
+    s = Interval(s_fl) / (Interval(1.0) + Interval(-g, g)) / iv_pow_int(PI, 4)
     l1, l2_ = Interval(domain.L1), Interval(domain.L2)
     # tail over {i > LINF_BOX} x {j >= 1} plus the transposed strip
     tail = (
@@ -776,8 +830,10 @@ class CertifiedBall:
 
 
 def certify_ball(u: Series2D, p: int) -> CertifiedBall:
-    """Full certification pipeline for one approximate solution; the split
-    order comes first, so a CapacityError precedes any defect work.
+    """Full certification pipeline for one approximate solution.  The split
+    order comes first: it needs the potential's gradient bound, so a
+    CapacityError comes after the u^{p-1} chain but before any defect or
+    block work.
 
     Newton-Kantorovich runs in X, the odd-odd sine modes on a rectangle and
     those of them symmetric about the diagonal on a square, so K and

@@ -164,16 +164,21 @@ class IArray:
         hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
         # where one factor is a thin power of two 2^k, x 2^k above the
         # smallest normal float is exact, and so is a zero endpoint unless a
-        # product of nonzero factors underflowed: skip the widening there
+        # product of nonzero factors underflowed to 0 from its side (a zero
+        # lo from a negative product, a zero hi from a positive one): skip
+        # the widening there
         exact = _thin_pow2(self) | _thin_pow2(b)
         if np.any(exact):
-            under = np.zeros(lo.shape, dtype=bool)
+            neg = np.zeros(lo.shape, dtype=bool)
+            pos = np.zeros(lo.shape, dtype=bool)
             for c, x, y in ((c1, self.lo, b.lo), (c2, self.lo, b.hi),
                             (c3, self.hi, b.lo), (c4, self.hi, b.hi)):
-                under |= (np.abs(c) <= _NORMAL) & (x != 0.0) & (y != 0.0)
-            lo = np.where(exact & ((np.abs(lo) > _NORMAL) | ((lo == 0.0) & ~under)),
+                lost = (c == 0.0) & (x != 0.0) & (y != 0.0)
+                neg |= lost & ((x < 0.0) != (y < 0.0))
+                pos |= lost & ((x < 0.0) == (y < 0.0))
+            lo = np.where(exact & ((np.abs(lo) > _NORMAL) | ((lo == 0.0) & ~neg)),
                           lo, _dn(lo))
-            hi = np.where(exact & ((np.abs(hi) > _NORMAL) | ((hi == 0.0) & ~under)),
+            hi = np.where(exact & ((np.abs(hi) > _NORMAL) | ((hi == 0.0) & ~pos)),
                           hi, _up(hi))
         else:
             lo, hi = _dn(lo), _up(hi)

@@ -294,9 +294,10 @@ def report_csv(report: RunReport) -> str:
 def validate_report_dict(d: dict) -> None:
     """Re-validate the rigorous fields of a loaded report (self-check): every
     interval ordered, K positive, the defects and radii nonnegative, the
-    terms of K readable hex floats, and on certified rows the trial radius
-    at least r_h1 (g must hold on the certified ball) and the L-infinity
-    iterations within 1..LINF_ITERATIONS."""
+    terms of K readable hex floats, and on certified rows the terms of K and
+    the positiveness record present (a positive row with both margins above
+    0), the trial radius at least r_h1 (g must hold on the certified ball)
+    and the L-infinity iterations within 1..LINF_ITERATIONS."""
     if d.get("format") != REPORT_FORMAT:
         raise SoundnessViolation("unknown report format")
     for row in d["rows"]:
@@ -311,15 +312,26 @@ def validate_report_dict(d: dict) -> None:
                 if name != "K" and lo < 0.0:
                     raise SoundnessViolation(f"row N={row['N']}: {name} < 0")
         inv = row.get("inverse_bound")
-        if inv is not None:
-            for key in ("block_min", "tail", "coupling", "eps_pert"):
-                try:
+        if inv is not None or row["status"] == "certified":
+            try:
+                for key in ("block_min", "tail", "coupling", "eps_pert"):
                     float.fromhex(inv[key])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise SoundnessViolation(
-                        f"row N={row['N']}: inverse_bound {key} is not a hex float"
-                    ) from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SoundnessViolation(
+                    f"row N={row['N']}: inverse_bound {key} missing or not a hex float"
+                ) from exc
         if row["status"] == "certified":
+            pos = row.get("positiveness")
+            try:
+                point = [float.fromhex(v) for v in pos["point"]]
+                margins = [float.fromhex(pos[k]) for k in ("positivity_margin", "spectral_margin")]
+                pos_ok = len(point) == 2 and (not row["positive"] or min(margins) > 0.0)
+            except (KeyError, TypeError, ValueError):
+                pos_ok = False
+            if not pos_ok:
+                raise SoundnessViolation(
+                    f"row N={row['N']}: positiveness point or margins missing or not hex "
+                    "floats, or a positive row with a margin not above 0")
             try:
                 trial_ok = float.fromhex(row["trial_radius"]) >= float.fromhex(row["r_h1"][1])
             except (KeyError, TypeError, ValueError):

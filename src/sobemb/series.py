@@ -39,8 +39,10 @@ MAX_EXPANSION_ORDER = 1024
 # block of the inverse bound); more is a CapacityError before allocation.  The
 # inverse bound peaks at 18 to 20 bytes per unfolded block entry on a square
 # and 34 to 41 on a rectangle (certify_ball's peak RSS raise over rows^2 at
-# 729 to 5041 rows; the Jacobian needs less), so 41 B budgets 2.4 GB: p=3,
-# N <= 86 on the unit square.
+# 729 to 5041 rows; the Jacobian needs less), so 41 B budgets 2.4 GB.  The
+# block's rows follow the center's sup and gradient bounds, not N (289 at
+# p=3 on the unit square), so there the Jacobian's ceil(N/2)^2 rows set the
+# cap: p=3, N <= 174.
 MAX_DENSE_ROWS = 7600
 INF_GRID = 128  # cells per side of the grid behind inf_enclosure
 
@@ -105,8 +107,9 @@ class Series2D:
 
     Coefficients are never mutated after construction: every operation
     returns a new instance.  Facts derived from them (exact powers, the
-    negative-part bound, the sup bound, the split order) are therefore
-    computed on first use and kept in ``_facts`` for every later caller.
+    potential, the negative-part, sup and gradient bounds, the split order)
+    are therefore computed on first use and kept in ``_facts`` for every
+    later caller.
     """
 
     __slots__ = ("domain", "parity_x", "parity_y", "coeffs", "_facts")
@@ -236,18 +239,20 @@ class Series2D:
         return self.fact("sup_abs", lambda: Interval(0.0, isum(abs(self.coeffs)).hi))
 
     def grad_sup_bound(self) -> Interval:
-        gx = IArray(self.modes_x().astype(np.float64)) / IArray._coerce(
-            Interval(self.domain.L1)
-        )
-        gy = IArray(self.modes_y().astype(np.float64)) / IArray._coerce(
-            Interval(self.domain.L2)
-        )
-        g2 = gx.square().reshape(-1, 1) + gy.square().reshape(1, -1)
-        norms = IArray(
-            np.sqrt(np.maximum(g2.lo, 0.0)), _up(np.sqrt(g2.hi)), _unsafe=True
-        )
-        ub = (isum(abs(self.coeffs) * norms) * PI).hi
-        return Interval(0.0, ub)
+        """[0, G] encloses sup |grad u|, kept on u: each basis function's
+        derivative along an axis is at most pi m / L in absolute value, so
+        |d_x u| <= gx = pi/L1 sum |c_ab| a, likewise gy, and
+        G = sqrt(gx^2 + gy^2), by Minkowski never above the coefficient sum
+        of |c_ab| pi sqrt((a/L1)^2 + (b/L2)^2)."""
+        def bound():
+            a = abs(self.coeffs)
+            mx = IArray(self.modes_x().astype(np.float64)).reshape(-1, 1)
+            my = IArray(self.modes_y().astype(np.float64)).reshape(1, -1)
+            gx = Interval((isum(a * mx) * PI / Interval(self.domain.L1)).hi)
+            gy = Interval((isum(a * my) * PI / Interval(self.domain.L2)).hi)
+            return Interval(0.0, iv_sqrt(gx * gx + gy * gy).hi)
+
+        return self.fact("grad_sup", bound)
 
     def inf_enclosure(self) -> Interval:
         """Enclosure of inf over the rectangle: Lipschitz-corrected lower

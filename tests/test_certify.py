@@ -65,11 +65,15 @@ def test_inverse_bound_near_laplacian():
     assert 1.0 - 1e-6 <= k.hi <= 1.001
 
 
-def test_inverse_bound_gap_failure_at_tiny_split():
-    """For N=1 the default split order falls back to pN = 3, where the tail
-    eigenvalue lambda(5,1) = 26 pi^2 ~ 256.6, at the smallest odd index
-    above 3, is below the potential bound 3 * 10^2 = 300."""
+def test_inverse_bound_gap_failure_at_tiny_split(monkeypatch):
+    """The scan never picks an order whose tail eigenvalue is at or below
+    Wbar, so the guard is reached through a split order of 3 set by hand:
+    there the tail eigenvalue lambda(5,1) = 26 pi^2 ~ 256.6, at the smallest
+    odd index above 3, is below the potential bound 3 * 10^2 = 300."""
     u = _one_mode(10.0)
+    assert default_split_order(u, 3) > 3
+    u = _one_mode(10.0)
+    monkeypatch.setattr(certify, "_scan_split_order", lambda u, p: 3)
     assert default_split_order(u, 3) == 3
     with pytest.raises(GapFailure):
         inverse_bound(u, 3)
@@ -118,11 +122,13 @@ def _parity_blocks(u, p, nprime):
 
 def _all_modes_k(u, p):
     """K on all sine modes: the same Schur-complement bound over the four
-    parity blocks at the default split order, with the tail and cut
-    eigenvalues at the next index of either parity."""
+    parity blocks at the default split order, with the tail eigenvalue, in
+    the tail bound and the coupling (Wbar + G/sqrt(lambda_1))/lambda_tail,
+    at the next index of either parity."""
     dom = u.domain
     nprime = default_split_order(u, p)
     wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
+    g = power_expand(u, p - 1).scale(Interval(float(p))).grad_sup_bound()
 
     def lam_above(n):
         a, b = dom.lambda_mode(n + 1, 1), dom.lambda_mode(1, n + 1)
@@ -132,7 +138,7 @@ def _all_modes_k(u, p):
     assert lam_tail.lo > wbar.hi
     block_lo = min(eig_enclosures(b) for _, _, b in _parity_blocks(u, p, nprime))
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
-    coupling = (wbar / iv_sqrt(lam_tail * lam_above(nprime - (p - 1) * u.N))).hi
+    coupling = ((wbar + g / iv_sqrt(dom.lambda1())) / lam_tail).hi
     eps_pert = 0.0
     if p % 2 == 0:
         eta = Interval(negative_part_sup(u))
@@ -170,7 +176,7 @@ def test_schur_gap_bounds_real_blocks(u_p3_n10):
     ||B_FT||_2)."""
     u = u_p3_n10
     split = default_split_order(u, 3)
-    assert split == 29
+    assert split == 33
     blocks = _parity_blocks(u, 3, 2 * split)
     assert len(blocks) == 4
     for mx, my, block in blocks:
@@ -187,9 +193,71 @@ def test_schur_gap_bounds_real_blocks(u_p3_n10):
         assert np.min(np.abs(np.linalg.eigvalsh(full))) >= s_star
 
 
-def test_default_split_order_exceeds_bandwidth(u_p3_n10):
+def test_default_split_order_is_smallest_meeting_the_coupling_target(u_p3_n10, u_p3_n20):
+    """The split order is the smallest odd n' with lambda_tail > Wbar and
+    c <= COUPLING_TARGET; it is the same at N=10 and N=20."""
     n = default_split_order(u_p3_n10, 3)
-    assert n > (3 - 1) * 10
+    assert n % 2 == 1 and n == default_split_order(u_p3_n20, 3)
+    wbar = Interval(3.0) * iv_pow_int(u_p3_n10.sup_abs_bound(), 2)
+
+    def ok(k):
+        return (_tail_lambda(SQ, k).lo > wbar.hi
+                and certify._coupling(u_p3_n10, 3, k).hi <= certify.COUPLING_TARGET)
+
+    assert ok(n) and not ok(n - 2)
+
+
+def _section_tail_block(u, p, nprime):
+    """Float B_FT = -D_F M_FT D_T on X_s: F the odd-odd modes with both
+    indices <= nprime, T those up to 3 nprime with one index above nprime,
+    M the Galerkin matrix of w = p u^{p-1} from the triple overlaps of
+    `_potential_matrix`, D = Lam^{-1/2}."""
+    dom = u.domain
+    w = power_expand(u, p - 1).scale(Interval(float(p)))
+    modes = np.arange(1, 3 * nprime + 1, 2)
+    a, kf = len(modes), (nprime + 1) // 2
+    x, y = (certify._triple_overlap(par, n, L, modes).mid().reshape(a, a, n)[:kf]
+            for par, n, L in ((w.parity_x, w.coeffs.shape[0], dom.L1),
+                              (w.parity_y, w.coeffs.shape[1], dom.L2)))
+    m = np.einsum("ika,ab,jlb->ijkl", x, w.coeffs.mid(), y, optimize=True)
+    m *= 4.0 / (dom.L1 * dom.L2)
+    lam = dom.lambda_grid(modes, modes).mid()
+    tail = (modes[:, None] > nprime) | (modes[None, :] > nprime)
+    d_f = 1.0 / np.sqrt(lam[:kf, :kf])
+    b = -(d_f[:, :, None, None] * m / np.sqrt(lam)[None, None]).reshape(kf * kf, a * a)
+    return b[:, tail.reshape(-1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("dom", [SQ, DomainRect(2.0, 1.0)], ids=["1x1", "2x1"])
+def test_coupling_bounds_section_tail_block(p, dom):
+    """inverse_bound's coupling c bounds ||B_FT||_2 (float, the tail cut at
+    3 n'), on both parities of the potential and on a rectangle; for even p
+    the sine potential couples F to T beyond any bandwidth, and c holds
+    there too."""
+    u = newton_solve(SolverConfig(p=p, N=12), initial_guess(p, dom))
+    ib = inverse_bound(u, p)
+    b = _section_tail_block(u, p, default_split_order(u, p))
+    norm = math.sqrt(np.max(np.linalg.eigvalsh(b @ b.T)))
+    assert 0.0 < norm <= ib.coupling * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (3, 10), (4, 12)])
+def test_even_p_section_mode_couples_past_the_split(p, n):
+    """M[(1,1),(n'+2,1)], between the first section mode and the first tail
+    mode along x, is provably nonzero for the sine potential of even p,
+    where no bandwidth separates F from T, and exactly zero for the cosine
+    potential of odd p, of bandwidth (p-1)N < n' + 1 here."""
+    u = _solve(p, n)
+    nprime = default_split_order(u, p)
+    modes = np.arange(1, nprime + 3, 2)
+    mid, eps = _potential_matrix(power_expand(u, p - 1).scale(Interval(float(p))),
+                                 modes, modes)
+    entry = mid[0, (len(modes) - 1) * len(modes)]
+    if p % 2 == 0:
+        assert abs(entry) > eps > 0.0
+    else:
+        assert nprime + 1 > (p - 1) * n and entry == 0.0
 
 
 def test_inverse_bound_necessary_condition(u_p3_n20, ball_p3_n20):
@@ -558,10 +626,11 @@ def test_inverse_bound_has_no_elementwise_interval_op_on_the_block(monkeypatch, 
 
 
 def test_inverse_bound_factors_without_eigh_within_45_mib(monkeypatch):
-    """On the c4 N=34 center (a 666-row folded block) the spectrum step
+    """On the c4 N=34 center (a 153-row folded block) the spectrum step
     calls no np.linalg.eigh, and inverse_bound, power chain included, peaks
     at no more than 45 MiB of traced allocations (68.3 MiB with the
-    entrywise radius, eigh and Gershgorin discs)."""
+    entrywise radius, eigh and Gershgorin discs at 666 rows; 2.5 MiB
+    measured at 153)."""
     u = _solve(3, 34)
 
     def no_eigh(*args, **kwargs):
@@ -574,7 +643,7 @@ def test_inverse_bound_factors_without_eigh_within_45_mib(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ib.rows == 666
+    assert ib.rows == 153
     assert peak <= 45 * 2 ** 20
 
 
@@ -751,7 +820,7 @@ def test_certify_ball_structure(ball_p3_n20):
     assert 0.0 <= b.r_inf.hi < 1e-3
     assert b.unique_radius.lo > b.r_h1.hi
     assert b.positive
-    assert b.nprime > 40
+    assert b.nprime == 33
 
 
 def test_certificate_json_roundtrip(ball_p3_n20):
@@ -810,7 +879,7 @@ def test_split_order_scanned_once_per_certification(u_p3_n10, monkeypatch):
     calls = _count_calls(monkeypatch, "_scan_split_order", certify)
     ball = certify_ball(u, 3)
     assert len(calls) == 1
-    assert ball.nprime == default_split_order(u, 3) == 29
+    assert ball.nprime == default_split_order(u, 3) == 33
     assert len(calls) == 1
 
 
@@ -825,15 +894,18 @@ def test_certify_ball_checks_center_before_defect_work(monkeypatch):
 
 
 def test_capacity_error_before_defect_work(monkeypatch):
-    """An 88 x 88 center at p=3 has split order at least (p-1)N + 1 = 177,
-    so its odd-odd block has at least 89^2 = 7921 rows, above
-    MAX_DENSE_ROWS: CapacityError before any power expansion."""
-    c = np.zeros((88, 88))
-    c[0, 0] = 5.9
+    """A one-mode center of amplitude 300 at p=3 has Wbar = 3 * 300^2, so
+    c <= COUPLING_TARGET needs a tail eigenvalue above 2e7 and an odd-odd
+    block far above MAX_DENSE_ROWS: CapacityError after the u^{p-1} chain
+    (the one product u^2, for G) and before any defect or block work."""
+    c = np.zeros((3, 3))
+    c[0, 0] = 300.0
     calls = _count_calls(monkeypatch, "multiply")
+    later = [_count_calls(monkeypatch, name, certify)
+             for name in ("defect_bounds", "_potential_matrix")]
     with pytest.raises(CapacityError):
         certify_ball(SineSeries2D(SQ, c), 3)
-    assert calls == []
+    assert calls == ["multiply"] and later == [[], []]
 
 
 def test_even_p_negative_part_bound_built_once(monkeypatch):

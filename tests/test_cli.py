@@ -65,8 +65,8 @@ def test_certify_rejects_asymmetric_square_center(tmp_path, capsys):
 
 
 def test_certify_rejects_non_square_center(tmp_path, capsys):
-    """The split order assumes an N x N center; a 3 x 5 odd-odd series has a
-    wider y-bandwidth than that, so loading it is a DomainError, exit 1."""
+    """A certificate of order N takes an N x N center; a 3 x 5 odd-odd
+    series is not one, so loading it is a DomainError, exit 1."""
     c = np.zeros((3, 5))
     c[::2, ::2] = [[4.0, 0.1, 0.01], [0.1, 0.01, 0.001]]
     series = str(tmp_path / "u.json")
@@ -143,10 +143,10 @@ def test_invalid_run_inputs_are_typed_errors(argv, capsys):
 
 
 def test_capacity_error_before_large_allocation(tmp_path):
-    """p=3, N=88 needs an odd-odd block of 89^2 = 7921 rows, above
-    MAX_DENSE_ROWS.  Under a 2 GiB address-space cap the row must end in a
-    typed CapacityError within 30 s, not in a MemoryError (blocks that size
-    peak near 3.5 GB)."""
+    """p=3, N=176 needs a Newton Jacobian on the 88^2 = 7744 odd-odd modes,
+    above MAX_DENSE_ROWS.  Under a 2 GiB address-space cap the row must end
+    in a typed CapacityError within 30 s, not in a MemoryError (matrices
+    that size peak near 3.5 GB)."""
     import sobemb
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
@@ -158,7 +158,7 @@ def test_capacity_error_before_large_allocation(tmp_path):
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "sobemb.cli", "enclose", "--p", "3",
-         "--N", "88", "--out", str(out)],
+         "--N", "176", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     elapsed = time.perf_counter() - t0

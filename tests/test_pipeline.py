@@ -131,11 +131,20 @@ def _set(path, value):
     _set(("linf_iterations",), 0),
     _set(("linf_iterations",), 61),
     _set(("linf_iterations",), 2.0),
+    _set(("inverse_bound",), None),
+    _set(("positiveness",), None),
+    lambda row: row.pop("positiveness"),
+    _set(("positiveness", "spectral_margin"), (0.0).hex()),
+    _set(("positiveness", "positivity_margin"), (-1.0).hex()),
+    _set(("positiveness", "positivity_margin"), None),
+    _set(("positiveness", "point"), [(0.5).hex()]),
 ], ids=["K-zero", "K-negative", "defect_hm1-negative", "defect_l2-negative",
         "r_h1-negative", "r_inf-negative", "K-lo-above-hi", "tail-not-hex",
         "coupling-null", "block_min-missing", "trial_radius-below-r_h1",
         "trial_radius-not-hex", "trial_radius-missing", "linf_iterations-zero",
-        "linf_iterations-above-cap", "linf_iterations-float"])
+        "linf_iterations-above-cap", "linf_iterations-float", "inverse_bound-null",
+        "positiveness-null", "positiveness-missing", "spectral_margin-zero",
+        "positivity_margin-negative", "positivity_margin-null", "point-one-coordinate"])
 def test_validate_report_rejects_tampered_row(report_c4, tamper):
     """Each check of validate_report_dict catches one tampered field of an
     otherwise valid report."""
@@ -148,8 +157,8 @@ def test_validate_report_rejects_tampered_row(report_c4, tamper):
 
 def test_rectangle_run_fails_typed_within_budget():
     """Budget: 30 s wall and 1 GiB of traced allocations.  On 2 x 1 at p=3,
-    N=8 the Kantorovich condition fails (2 K^2 delta g = 1.10 at the
-    default split order 35, with K = 2.00 on the odd-odd modes); the run
+    N=8 the Kantorovich condition fails (2 K^2 delta g = 1.09 at the
+    default split order 57, with K = 1.99 on the odd-odd modes); the run
     must report that as a typed status from the odd-odd mode space (about
     0.1 s on a 2-core host), not from an all-modes inverse block (about
     51 s and 3.6 GB peak RSS)."""
@@ -164,7 +173,7 @@ def test_rectangle_run_fails_typed_within_budget():
     assert seconds < 30.0
     assert peak < 2 ** 30
     assert [row.status for row in report.rows] == ["ConditionFailure"]
-    assert "1.1026e+00" in report.rows[0].error
+    assert "1.0886e+00" in report.rows[0].error
 
 
 def _final(report) -> Interval:
@@ -172,10 +181,10 @@ def _final(report) -> Interval:
 
 
 def test_rectangle_certifies_at_default_order_and_transposes():
-    """2 x 1, p=3 certifies at N=12 and N=20, at the default split orders
-    41 and 53 (about 0.5 s on a 2-core host; budget 30 s), and at each N
+    """2 x 1, p=3 certifies at N=12 and N=20, at the default split order
+    57 at both (about 0.5 s on a 2-core host; budget 30 s), and at each N
     the 1 x 2 run, its transpose, gives an intersecting final enclosure."""
-    for n, split in ((12, 41), (20, 53)):
+    for n, split in ((12, 57), (20, 57)):
         t0 = time.perf_counter()
         wide = run_pipeline(RunConfig(p=3, domain=DomainRect(2.0, 1.0), N=[n]))
         assert time.perf_counter() - t0 < 30.0

@@ -468,6 +468,52 @@ def test_grad_sup_bound_dominates_samples():
     assert g >= np.max(np.hypot(ux, uy)) * (1.0 - 1e-12)
 
 
+def _axis_values(parity, n, L, xs):
+    """(b, db): values and x-derivatives of an axis's first n basis
+    functions at the points xs, (x, mode)."""
+    k = _modes(parity, n) * np.pi / L
+    t = np.outer(xs, k)
+    if parity == SIN:
+        return np.sin(t), np.cos(t) * k
+    return np.cos(t), -np.sin(t) * k
+
+
+@pytest.mark.parametrize("p, dom", [(3, SQ), (4, SQ), (3, DomainRect(2.0, 1.0)),
+                                    (4, DomainRect(2.0, 1.0))])
+def test_grad_sup_bound_dominates_potential_gradient(p, dom):
+    """On the potential w = p u^{p-1} of a seeded odd-odd center (cosine
+    parity for odd p, sine for even p), G is at least the float sup of
+    |grad w| on a 401^2 grid."""
+    c = _seeded_series(5, 11, scale=3.0, domain=dom).coeffs.mid()
+    c[1::2, :] = 0.0
+    c[:, 1::2] = 0.0
+    w = power_expand(SineSeries2D(dom, c), p - 1).scale(Interval(float(p)))
+    (bx, dbx), (by, dby) = (
+        _axis_values(par, n, L, np.linspace(0.0, L, 401))
+        for par, n, L in ((w.parity_x, w.coeffs.shape[0], dom.L1),
+                          (w.parity_y, w.coeffs.shape[1], dom.L2)))
+    mid = w.coeffs.mid()
+    sup = np.max(np.hypot(dbx @ mid @ by.T, bx @ mid @ dby.T))
+    assert w.grad_sup_bound().hi * (1.0 + 1e-12) >= sup > 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8), st.integers(1, 8),
+       st.sampled_from([SIN, COS]), st.sampled_from([SIN, COS]),
+       st.sampled_from([(1.0, 1.0), (2.0, 1.0), (0.3, 1.7)]))
+def test_grad_sup_bound_no_larger_than_per_coefficient_form(seed, nx, ny, px, py, sides):
+    """G = sqrt(gx^2 + gy^2) is never above the per-coefficient form
+    sum |c_ab| pi sqrt((a/L1)^2 + (b/L2)^2) it replaces (Minkowski), here
+    computed in floats and padded by 1e-12."""
+    rng = np.random.default_rng(seed)
+    dom = DomainRect(*sides)
+    c = rng.normal(size=(nx, ny)) * 10.0 ** rng.uniform(-3, 2, size=(nx, ny))
+    w = Series2D(dom, IArray(c), px, py)
+    a, b = _modes(px, nx)[:, None] / dom.L1, _modes(py, ny)[None, :] / dom.L2
+    old = float(np.sum(np.abs(c) * np.pi * np.sqrt(a * a + b * b)))
+    assert w.grad_sup_bound().hi <= old * (1.0 + 1e-12)
+
+
 def test_inf_enclosure_contains_dense_sample_inf():
     """Seeded series: the infimum over a 10^6-point dense sample lies inside
     the rigorous infimum enclosure (the sample min can only overestimate the
