@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .certify import (
     CertifiedBall,
-    KantorovichData,
     certify_ball,
     defect_bounds,
     inverse_bound,
@@ -31,7 +30,7 @@ from .certify import (
     positiveness_certificate,
 )
 from .errors import SobembError
-from .intervals import Interval, iv_gamma, iv_pi
+from .intervals import Interval, iv_gamma
 from .ivarray import IArray
 from .pipeline import RunConfig, RunReport, classical_table, emit_plot_data, run_pipeline
 from .series import (
@@ -55,10 +54,10 @@ __version__ = "0.1.0"
 __all__ = [
     "EnclosureResult", "best_enclosure", "corollary_bound",
     "enclosure_from_ball", "plum_bound", "talenti_constant",
-    "CertifiedBall", "KantorovichData", "certify_ball", "defect_bounds",
+    "CertifiedBall", "certify_ball", "defect_bounds",
     "inverse_bound", "kantorovich_radius", "linf_embedding_constant",
     "linf_radius", "lipschitz_bound", "positiveness_certificate",
-    "SobembError", "Interval", "iv_gamma", "iv_pi",
+    "SobembError", "Interval", "iv_gamma",
     "IArray", "RunConfig", "RunReport", "classical_table", "emit_plot_data",
     "run_pipeline",
     "DomainRect", "Series2D", "SineSeries2D", "lp_norm",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 from .errors import CertificateMissing, DomainError, HypothesisFailure, SoundnessViolation
-from .intervals import Interval, iv_gamma, iv_pi, iv_pow_real
+from .intervals import PI, Interval, iv_gamma, iv_pow_real
 from .series import Series2D, lp_norm
 
 
@@ -28,8 +28,7 @@ def talenti_constant(q) -> Interval:
     ni = Interval(2.0)
     one = Interval(1.0)
     inv_q = one / qi
-    pi = iv_pi()
-    f1 = iv_pow_real(pi, Interval(-0.5))
+    f1 = iv_pow_real(PI, Interval(-0.5))
     f2 = iv_pow_real(ni, -inv_q)
     f3 = iv_pow_real((qi - one) / (ni - qi), one - inv_q)
     bracket = (

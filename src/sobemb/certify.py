@@ -27,7 +27,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -241,12 +241,17 @@ def _potential(u: Series2D, p: int) -> Series2D:
                   lambda: power_expand(u, p - 1).scale(Interval(float(p))))
 
 
+def _coupling_numerator(u: Series2D, p: int) -> Interval:
+    """Wbar + G/sqrt(lambda_1), G >= sup|grad w|: the coupling c times
+    lambda_tail, the same at every split order."""
+    g = _potential(u, p).grad_sup_bound()
+    return _wbar(u, p) + g / iv_sqrt(u.domain.lambda1())
+
+
 def _coupling(u: Series2D, p: int, nprime: int) -> Interval:
     """c = (Wbar + G/sqrt(lambda_1))/lambda_tail >= ||B_FT|| at the split
-    order nprime, G >= sup|grad w| (`inverse_bound`, (iii))."""
-    dom = u.domain
-    g = _potential(u, p).grad_sup_bound()
-    return (_wbar(u, p) + g / iv_sqrt(dom.lambda1())) / _tail_lambda(dom, nprime)
+    order nprime (`inverse_bound`, (iii))."""
+    return _coupling_numerator(u, p) / _tail_lambda(u.domain, nprime)
 
 
 def default_split_order(u: Series2D, p: int) -> int:
@@ -264,28 +269,16 @@ def default_split_order(u: Series2D, p: int) -> int:
 def _scan_split_order(u: Series2D, p: int) -> int:
     """The smallest odd split order with lambda_tail.lo > Wbar.hi and
     c <= COUPLING_TARGET, or the first whose block exceeds MAX_DENSE_ROWS if
-    none below it has both.  Both conditions only improve as n' grows, so the
-    scan starts at the closed-form float estimate, lambda_tail =
-    pi^2 (k^2/Lmax^2 + 1/Lmin^2) at the tail index k = n' + 2, and steps by
-    2 in whichever direction the interval check asks."""
-    dom = u.domain
+    none below it has both: odd n' from 1 upward, with the numerator of c
+    (`_coupling_numerator`) computed once."""
     wbar = _wbar(u, p).hi
+    num = _coupling_numerator(u, p)
     cap = 2 * math.isqrt(MAX_DENSE_ROWS) + 1  # the first odd order beyond capacity
-
-    def ok(n):
-        return _tail_lambda(dom, n).lo > wbar and _coupling(u, p, n).hi <= COUPLING_TARGET
-
-    num = wbar + _potential(u, p).grad_sup_bound().hi / math.sqrt(dom.lambda1().lo)
-    lmax, lmin = max(dom.L1, dom.L2), min(dom.L1, dom.L2)
-    k = lmax * math.sqrt(max(num / COUPLING_TARGET / math.pi ** 2 - lmin ** -2, 0.0))
-    if not k < cap + 2:
-        return cap
-    n = max(2 * math.ceil((k - 1.0) / 2.0) - 1, 1)
-    while n > 1 and ok(n - 2):
-        n -= 2
-    while n < cap and not ok(n):
-        n += 2
-    return n
+    for n in range(1, cap, 2):
+        lam = _tail_lambda(u.domain, n)
+        if lam.lo > wbar and (num / lam).hi <= COUPLING_TARGET:
+            return n
+    return cap
 
 
 def _coupled_gap(m: float, t: float, c: float) -> Interval:
@@ -536,21 +529,6 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
 # -- Newton-Kantorovich ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KantorovichData:
-    """Inputs of the Newton-Kantorovich radius computation."""
-
-    delta: Interval  # H^-1 defect bound
-    K: Interval  # inverse-linearization bound
-    g: Interval  # derivative Lipschitz bound on the trial ball
-
-    def __post_init__(self):
-        for name in ("delta", "K", "g"):
-            iv = getattr(self, name)
-            if not (math.isfinite(iv.hi) and iv.lo >= 0.0):
-                raise ValueError(f"{name} must be a finite nonnegative interval")
-
-
 def lipschitz_bound(u: Series2D, p: int, R: float) -> Interval:
     """g >= Lipschitz constant of v -> p|v|^{p-1} (H^1_0 -> op-norm) on the
     ball B of radius R about u:
@@ -582,15 +560,20 @@ def lipschitz_bound(u: Series2D, p: int, R: float) -> Interval:
     return Interval(max(g.lo, 0.0), g.hi)
 
 
-def kantorovich_radius(kd: KantorovichData) -> tuple:
-    """(r_h1, unique_radius) of the Newton-Kantorovich theorem.
+def kantorovich_radius(delta: Interval, k: Interval, g: Interval) -> tuple:
+    """(r_h1, unique_radius) of the Newton-Kantorovich theorem from the H^-1
+    defect bound delta, the inverse-linearization bound K and the
+    derivative Lipschitz bound g on the trial ball; ValueError unless all
+    three are finite and nonnegative.
 
     r = 2 K delta / (1 + sqrt(1 - 2 K^2 delta g))  (the stable form of
     (1 - sqrt(1-h))/(K g)), requiring h = 2 K^2 delta g < 1.  Uniqueness
     holds up to (1 + sqrt(1-h))/(K g), capped at a large finite value when
     g approaches 0 (the linear case is unique on every ball).
     """
-    delta, k, g = kd.delta, kd.K, kd.g
+    for name, iv in (("delta", delta), ("K", k), ("g", g)):
+        if not (math.isfinite(iv.hi) and iv.lo >= 0.0):
+            raise ValueError(f"{name} must be a finite nonnegative interval")
     h = Interval(2.0) * k * k * delta * g
     if not h.hi < 1.0:
         raise ConditionFailure(
@@ -709,14 +692,18 @@ class PositivenessAudit:
     """Audit record of the positiveness certificate."""
 
     verdict: bool
-    point: tuple | None
-    point_value_lo: float
-    positivity_margin: float
-    neg_sup: float
-    neg_power_hi: float
-    lambda1_lo: float
-    spectral_margin: float
+    point: tuple  # (x, y) of the best of the 3 x 3 probe points
+    positivity_margin: float  # lower bound on u(point) - r_inf
+    neg_sup: float  # sup u_-
+    spectral_margin: float  # lower bound on lambda_1 - (r_inf + sup u_-)^{p-1}
     reason: str
+
+    def to_dict(self) -> dict:
+        return {
+            "point": [x.hex() for x in self.point],
+            "positivity_margin": self.positivity_margin.hex(),
+            "spectral_margin": self.spectral_margin.hex(),
+        }
 
 
 def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> PositivenessAudit:
@@ -735,7 +722,6 @@ def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> Positivene
     k = int(np.argmax(margins))  # first of the 3 x 3 points with the best margin
     best_margin = margins[k]
     best_point = (float(xs[k // 3]), float(ys[k % 3]))
-    best_lo = float(vals_lo[k])
     point_ok = best_margin > 0.0
 
     eta = negative_part_sup(u)
@@ -752,11 +738,8 @@ def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> Positivene
     return PositivenessAudit(
         verdict=point_ok and spectral_ok,
         point=best_point,
-        point_value_lo=best_lo,
         positivity_margin=best_margin,
         neg_sup=eta,
-        neg_power_hi=neg_power,
-        lambda1_lo=lam1_lo,
         spectral_margin=spectral_margin,
         reason=reason,
     )
@@ -765,75 +748,80 @@ def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> Positivene
 # -- orchestration ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertifiedBall:
-    """Certified existence ball around an approximate extremizer.
-
-    The ball is one of X, the odd-odd sine modes (X_s) on a rectangle and
-    those of them also symmetric about the diagonal (X_sym) on a square: it
-    holds a solution within r_h1 of the center, the only one in X within
-    unique_radius, and K in `kantorovich` bounds the inverse linearization
-    on X; `inverse` holds the terms of K.  The Lipschitz bound g holds on
-    the ball of radius trial_radius, and r_inf took linf_iterations steps
-    of the L-infinity bootstrap.  The extremizer lies in X by the
-    Gidas-Ni-Nirenberg symmetry theorem (`inverse_bound`).
+    """The record of one certified center: a solution of the PDE at exponent
+    p lies within r_h1 of the center in X, the odd-odd sine modes (X_s) on a
+    rectangle and those of them also symmetric about the diagonal (X_sym) on
+    a square, and it is the only one in X within unique_radius.  It comes
+    from the H^-1 and L2 defect bounds, K (`inverse`, with the terms it comes
+    from, at the split order nprime) and the Lipschitz bound g, which holds
+    on the ball of radius trial_radius.  r_inf took linf_iterations steps of
+    the L-infinity bootstrap, and `audit` is the positiveness certificate.
+    The extremizer lies in X by the Gidas-Ni-Nirenberg symmetry theorem
+    (`inverse_bound`).
     """
 
     center: Series2D
-    r_h1: Interval
-    r_inf: Interval
-    unique_radius: Interval
-    positive: bool
-    audit: PositivenessAudit
-    kantorovich: KantorovichData = field(repr=False)
-    delta_l2: Interval = field(repr=False)
+    p: int
     nprime: int
-    inverse: InverseBound = field(repr=False)
+    delta_hm1: Interval
+    delta_l2: Interval
+    inverse: InverseBound
     trial_radius: float
+    g: Interval
+    r_h1: Interval
+    unique_radius: Interval
+    r_inf: Interval
     linf_iterations: int
+    audit: PositivenessAudit
 
-    def to_dict(self, p: int) -> dict:
-        c = self.center
-        digest = hashlib.sha256(
-            c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()
-        ).hexdigest()
-        d = {
-            "format": "sobemb-certificate/1",
-            "domain": {"L1": c.domain.L1.hex(), "L2": c.domain.L2.hex()},
-            "N": c.N,
-            "coefficient_digest": digest,
-            "r_h1": [self.r_h1.lo.hex(), self.r_h1.hi.hex()],
-            "r_inf": [self.r_inf.lo.hex(), self.r_inf.hi.hex()],
-            "unique_radius": [self.unique_radius.lo.hex(),
-                              self.unique_radius.hi.hex()],
-            "positive": self.positive,
-            "margins": {
-                "positivity": self.audit.positivity_margin,
-                "spectral": self.audit.spectral_margin,
-            },
-            "split_order": self.nprime,
+    @property
+    def positive(self) -> bool:
+        return self.audit.verdict
+
+    def row_fields(self) -> dict:
+        """The rigorous fields of a report row, every float as a hex string."""
+        return {
+            "defect_hm1": self.delta_hm1.hex(),
+            "defect_l2": self.delta_l2.hex(),
+            "K": self.inverse.K.hex(),
+            "r_h1": self.r_h1.hex(),
+            "r_inf": self.r_inf.hex(),
+            "inverse_bound": self.inverse.to_dict(),
+            "positiveness": self.audit.to_dict(),
+            "neg_sup": self.audit.neg_sup.hex(),
             "trial_radius": self.trial_radius.hex(),
             "linf_iterations": self.linf_iterations,
-            "p": p,
+            "positive": self.positive,
         }
-        kd = self.kantorovich
-        d["kantorovich"] = {
-            "delta": [kd.delta.lo.hex(), kd.delta.hi.hex()],
-            "K": [kd.K.lo.hex(), kd.K.hi.hex()],
-            "g": [kd.g.lo.hex(), kd.g.hi.hex()],
-        }
-        d["inverse_bound"] = self.inverse.to_dict()
-        return d
 
-    def to_json(self, p: int) -> str:
-        return json.dumps(self.to_dict(p))
+    def to_dict(self) -> dict:
+        """The certificate: a header naming the center, p, the split order,
+        the uniqueness radius and g, plus the report row's rigorous fields."""
+        c = self.center
+        digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
+        return {
+            "format": "sobemb-certificate/2",
+            "domain": c.domain.to_dict(),
+            "N": c.N,
+            "coefficient_digest": digest,
+            "p": self.p,
+            "split_order": self.nprime,
+            "unique_radius": self.unique_radius.hex(),
+            "g": self.g.hex(),
+            **self.row_fields(),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def certify_ball(u: Series2D, p: int) -> CertifiedBall:
-    """Full certification pipeline for one approximate solution.  The split
-    order comes first: it needs the potential's gradient bound, so a
-    CapacityError comes after the u^{p-1} chain but before any defect or
-    block work.
+    """Full certification pipeline for one approximate solution, returned as
+    its one record (`CertifiedBall`).  The split order comes first: it needs
+    the potential's gradient bound, so a CapacityError comes after the
+    u^{p-1} chain but before any defect or block work.
 
     Newton-Kantorovich runs in X, the odd-odd sine modes on a rectangle and
     those of them symmetric about the diagonal on a square, so K and
@@ -847,28 +835,27 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     nprime = default_split_order(u, p)
     d_hm1, d_l2 = defect_bounds(u, p)
     inv = inverse_bound(u, p)
-    k = inv.K
 
     # g holds on the ball of radius R, which must contain the certified one:
     # r = 2 K delta / (1 + sqrt(1 - h)) <= 2 K delta, a few ulps at most above
     # 2 (K delta).hi after outward rounding, so r <= R always
-    trial = max(4.0 * (k * d_hm1).hi, 1e-14)
-    kd = KantorovichData(d_hm1, k, lipschitz_bound(u, p, trial))
-    r_h1, unique = kantorovich_radius(kd)
+    trial = max(4.0 * (inv.K * d_hm1).hi, 1e-14)
+    g = lipschitz_bound(u, p, trial)
+    r_h1, unique = kantorovich_radius(d_hm1, inv.K, g)
 
     r_inf, linf_iterations = linf_radius(u, p, r_h1, d_l2)
-    audit = positiveness_certificate(u, r_inf, p)
     return CertifiedBall(
         center=u,
-        r_h1=r_h1,
-        r_inf=r_inf,
-        unique_radius=unique,
-        positive=audit.verdict,
-        audit=audit,
-        kantorovich=kd,
-        delta_l2=d_l2,
+        p=p,
         nprime=nprime,
+        delta_hm1=d_hm1,
+        delta_l2=d_l2,
         inverse=inv,
         trial_radius=trial,
+        g=g,
+        r_h1=r_h1,
+        unique_radius=unique,
+        r_inf=r_inf,
         linf_iterations=linf_iterations,
+        audit=positiveness_certificate(u, r_inf, p),
     )

@@ -126,7 +126,7 @@ def _cmd_certify(args) -> int:
         cfg = SolverConfig(p=args.p, N=args.N)
         u = newton_solve(cfg, initial_guess(args.p, args.domain))
     ball = certify_ball(u, args.p)
-    _emit(ball.to_json(args.p), args.out)
+    _emit(ball.to_json(), args.out)
     return EXIT_OK if ball.positive else EXIT_PARTIAL
 
 
@@ -148,13 +148,13 @@ def _cmd_classical(args) -> int:
     out = {
         "format": "sobemb-classical/1",
         "n": 2,
-        "domain": {"L1": args.domain.L1.hex(), "L2": args.domain.L2.hex()},
+        "domain": args.domain.to_dict(),
         "rows": [
             {
                 "p": row["p"],
-                "corollary": [row["corollary"].lo.hex(), row["corollary"].hi.hex()],
+                "corollary": row["corollary"].hex(),
                 "corollary_decimal": outward_decimal(row["corollary"].hi, +1),
-                "plum": [row["plum"].lo.hex(), row["plum"].hi.hex()],
+                "plum": row["plum"].hex(),
                 "plum_decimal": outward_decimal(row["plum"].hi, +1),
             }
             for row in table

@@ -84,6 +84,10 @@ class Interval:
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
+    def hex(self) -> list:
+        """[lo.hex(), hi.hex()]: the exact form an interval takes in a record."""
+        return [self.lo.hex(), self.hi.hex()]
+
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
 
@@ -235,10 +239,6 @@ def _div_dir(x: float, y: float):
 PI = Interval(math.pi, _up(math.pi))
 PI_HALF = Interval(math.pi / 2.0, _up(math.pi / 2.0))  # pi/2 exact halving of PI
 TWO_PI = Interval(2.0 * math.pi, _up(2.0 * math.pi))
-
-
-def iv_pi() -> Interval:
-    return PI
 
 
 # -- elementary functions ----------------------------------------------------

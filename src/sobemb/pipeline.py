@@ -24,9 +24,8 @@ from .bounds import (
     outward_decimal,
     plum_bound,
 )
-from .certify import LINF_ITERATIONS, InverseBound, PositivenessAudit, certify_ball
+from .certify import LINF_ITERATIONS, CertifiedBall, certify_ball
 from .errors import DomainError, SobembError, SoundnessViolation
-from .intervals import Interval
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
@@ -52,7 +51,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "p": self.p,
-            "domain": {"L1": self.domain.L1.hex(), "L2": self.domain.L2.hex()},
+            "domain": self.domain.to_dict(),
             "N": self.N,
         }
 
@@ -60,9 +59,7 @@ class RunConfig:
     def from_dict(d: dict) -> "RunConfig":
         return RunConfig(
             p=d["p"],
-            domain=DomainRect(
-                float.fromhex(d["domain"]["L1"]), float.fromhex(d["domain"]["L2"])
-            ),
+            domain=DomainRect.from_dict(d["domain"]),
             N=d["N"],
         )
 
@@ -72,53 +69,30 @@ class RunConfig:
         ).hexdigest()
 
 
-def _hx(iv: Interval) -> list:
-    return [iv.lo.hex(), iv.hi.hex()]
+# the rigorous fields of a row whose certification did not finish
+_NO_BALL = {
+    **dict.fromkeys(("defect_hm1", "defect_l2", "K", "r_h1", "r_inf", "inverse_bound",
+                     "positiveness", "neg_sup", "trial_radius", "linf_iterations")),
+    "positive": False,
+}
 
 
 @dataclass
 class RunRow:
-    """Per-N result row; rigorous fields are outward-rounded intervals."""
+    """Per-N result row: the certified ball, if certification finished, and
+    the row's enclosure of C_{p+1}."""
 
     N: int
     status: str  # "certified" | the failure class name
-    defect_hm1: Interval | None = None
-    defect_l2: Interval | None = None
-    K: Interval | None = None
-    r_h1: Interval | None = None
-    r_inf: Interval | None = None
+    ball: CertifiedBall | None = None
     lower: float | None = None
     upper: float | None = None
     error: str | None = None
     seconds: float = 0.0
-    inverse: InverseBound | None = None  # the terms of K
-    audit: PositivenessAudit | None = None  # the positiveness point and margins
-    trial_radius: float | None = None  # the ball on which g holds
-    linf_iterations: int | None = None  # steps of the L-infinity bootstrap
-
-    @property
-    def positive(self) -> bool:
-        return self.audit is not None and self.audit.verdict
-
-    @property
-    def neg_sup(self) -> float | None:
-        return None if self.audit is None else self.audit.neg_sup
 
     def to_dict(self) -> dict:
-        d = {"N": self.N, "status": self.status, "positive": self.positive}
-        for name in ("defect_hm1", "defect_l2", "K", "r_h1", "r_inf"):
-            iv = getattr(self, name)
-            d[name] = None if iv is None else _hx(iv)
-        d["inverse_bound"] = None if self.inverse is None else self.inverse.to_dict()
-        a = self.audit
-        d["positiveness"] = None if a is None else {
-            "point": [x.hex() for x in a.point],
-            "positivity_margin": a.positivity_margin.hex(),
-            "spectral_margin": a.spectral_margin.hex(),
-        }
-        d["neg_sup"] = None if self.neg_sup is None else self.neg_sup.hex()
-        d["trial_radius"] = None if self.trial_radius is None else self.trial_radius.hex()
-        d["linf_iterations"] = self.linf_iterations
+        d = {"N": self.N, "status": self.status}
+        d.update(_NO_BALL if self.ball is None else self.ball.row_fields())
         d["lower"] = None if self.lower is None else self.lower.hex()
         d["upper"] = None if self.upper is None else self.upper.hex()
         d["error"] = self.error
@@ -151,7 +125,7 @@ class RunReport:
             "config": self.config.to_dict(),
             "config_digest": self.config.digest(),
             "rows": [r.to_dict() for r in self.rows],
-            "classical": [[tag, _hx(iv)] for tag, iv in self.classical],
+            "classical": [[tag, iv.hex()] for tag, iv in self.classical],
             "error": self.error,
             "meta": {
                 "platform": platform.platform(),
@@ -198,16 +172,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             u = newton_solve(SolverConfig(p=cfg.p, N=n), guess)
             guess = u  # warm start for the next N
             solutions[n] = u
-            ball = certify_ball(u, cfg.p)
-            row.defect_hm1 = ball.kantorovich.delta
-            row.defect_l2 = ball.delta_l2
-            row.K = ball.kantorovich.K
-            row.inverse = ball.inverse
-            row.r_h1 = ball.r_h1
-            row.r_inf = ball.r_inf
-            row.audit = ball.audit
-            row.trial_radius = ball.trial_radius
-            row.linf_iterations = ball.linf_iterations
+            row.ball = ball = certify_ball(u, cfg.p)
             lower, upper = enclosure_from_ball(u, ball.r_h1, cfg.p,
                                                positive=ball.positive)
             row.lower, row.upper = lower, upper
@@ -276,17 +241,17 @@ def report_csv(report: RunReport) -> str:
     header = ("N,status,positive,defect_hm1_hi,K_hi,r_h1_hi,r_inf_hi,"
               "neg_sup,lower,upper")
     lines = [header]
-    for r in report.rows:
-        def fmt(v):
-            return "" if v is None else f"{v:.17g}"
 
+    def fmt(v):
+        return "" if v is None else f"{v:.17g}"
+
+    for r in report.rows:
+        b = r.ball
+        rigorous = [None] * 5 if b is None else [
+            b.delta_hm1.hi, b.inverse.K.hi, b.r_h1.hi, b.r_inf.hi, b.audit.neg_sup]
         lines.append(",".join([
-            str(r.N), r.status, str(r.positive).lower(),
-            fmt(None if r.defect_hm1 is None else r.defect_hm1.hi),
-            fmt(None if r.K is None else r.K.hi),
-            fmt(None if r.r_h1 is None else r.r_h1.hi),
-            fmt(None if r.r_inf is None else r.r_inf.hi),
-            fmt(r.neg_sup), fmt(r.lower), fmt(r.upper),
+            str(r.N), r.status, str(b is not None and b.positive).lower(),
+            *map(fmt, rigorous), fmt(r.lower), fmt(r.upper),
         ]))
     return "\n".join(lines) + "\n"
 

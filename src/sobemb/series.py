@@ -66,6 +66,13 @@ class DomainRect:
         ):
             raise DomainError(f"invalid rectangle sides ({self.L1}, {self.L2})")
 
+    def to_dict(self) -> dict:
+        return {"L1": self.L1.hex(), "L2": self.L2.hex()}
+
+    @staticmethod
+    def from_dict(d: dict) -> "DomainRect":
+        return DomainRect(float.fromhex(d["L1"]), float.fromhex(d["L2"]))
+
     def measure(self) -> Interval:
         return Interval(self.L1) * Interval(self.L2)
 
@@ -292,7 +299,7 @@ class Series2D:
     def to_dict(self) -> dict:
         return {
             "format": "sobemb-series/1",
-            "domain": {"L1": self.domain.L1.hex(), "L2": self.domain.L2.hex()},
+            "domain": self.domain.to_dict(),
             "parity": [self.parity_x, self.parity_y],
             "shape": list(self.coeffs.shape),
             "coeffs": [
@@ -309,9 +316,7 @@ class Series2D:
     def from_dict(d: dict) -> "Series2D":
         if d.get("format") != "sobemb-series/1":
             raise ValueError("unknown series format")
-        dom = DomainRect(
-            float.fromhex(d["domain"]["L1"]), float.fromhex(d["domain"]["L2"])
-        )
+        dom = DomainRect.from_dict(d["domain"])
         nx, ny = d["shape"]
         lo = np.empty((nx, ny))
         hi = np.empty((nx, ny))
@@ -585,12 +590,10 @@ def lp_norm(u: Series2D, q: float) -> Interval:
             f"lp_norm requires a sine/sine series and integer q in 2..6, got {q}"
         )
     qi = int(q)
-    norm = u._facts.get(("lp", qi))
-    if norm is not None:
-        return norm
-    if qi == 2:
-        norm = u.l2_norm()
-    else:
+
+    def compute():
+        if qi == 2:
+            return u.l2_norm()
         a, b = _POWER_SPLIT[qi]
         base = _inner(power_expand(u, a), power_expand(u, b))
         hi = base.hi
@@ -598,9 +601,9 @@ def lp_norm(u: Series2D, q: float) -> Interval:
             slack = (Interval(2.0) * Interval(negative_part_sup(u)) ** qi
                      * u.domain.measure())
             hi = (base + slack).hi
-        norm = _iv_root(Interval(max(base.lo, 0.0), hi), q)
-    u._facts[("lp", qi)] = norm
-    return norm
+        return _iv_root(Interval(max(base.lo, 0.0), hi), q)
+
+    return u.fact(("lp", qi), compute)
 
 
 def _inner(v: Series2D, w: Series2D) -> Interval:

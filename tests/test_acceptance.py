@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from sobemb.bounds import best_enclosure
-from sobemb.certify import KantorovichData, kantorovich_radius
+from sobemb.certify import kantorovich_radius
 from sobemb.intervals import Interval, iv_gamma
 from sobemb.pipeline import classical_table
 from sobemb.series import DomainRect, SineSeries2D
@@ -115,8 +115,8 @@ def test_criterion_4_positiveness_certificate(_verdict, report_c4):
     parts = []
     for n in (20, 30):
         r = rows[n]
-        good = r.status == "certified" and r.positive
-        neg_power = (r.r_inf.hi + r.neg_sup) ** 2
+        good = r.status == "certified" and r.ball.positive
+        neg_power = (r.ball.r_inf.hi + r.ball.audit.neg_sup) ** 2
         factor = LAMBDA1 / max(neg_power, 1e-300)
         good = good and factor >= 1e3
         ok = ok and good
@@ -198,8 +198,7 @@ def test_criterion_7_property_suites(_verdict):
     notes.append(f"jacobian rel err {rel:.1e}")
 
     # Kantorovich closed form: h = 1/2 [DERIVED]
-    r, _ = kantorovich_radius(
-        KantorovichData(Interval(0.25), Interval(1.0), Interval(1.0)))
+    r, _ = kantorovich_radius(Interval(0.25), Interval(1.0), Interval(1.0))
     ok = ok and r.contains(0.5 / (1.0 + math.sqrt(0.5)))
     notes.append("kantorovich oracle")
 
@@ -240,8 +239,8 @@ def _count_below(m, t: Fraction) -> int:
 
 
 def test_criterion_8_defect_trend(_verdict, report_c4):
-    rows = [r for r in report_c4.rows if r.defect_hm1 is not None]
-    defects = [(r.N, r.defect_hm1.hi) for r in sorted(rows, key=lambda r: r.N)]
+    rows = [r for r in report_c4.rows if r.ball is not None]
+    defects = [(r.N, r.ball.delta_hm1.hi) for r in sorted(rows, key=lambda r: r.N)]
     ok = [n for n, _ in defects] == [10, 20, 30, 34]
     vals = [d for _, d in defects]
     ok = ok and all(b < a for a, b in zip(vals, vals[1:]))

@@ -14,7 +14,6 @@ from scipy.fft import dstn
 
 from sobemb.certify import (
     LINF_ITERATIONS,
-    KantorovichData,
     _b_matrix,
     _coupled_gap,
     _potential_matrix,
@@ -195,7 +194,8 @@ def test_schur_gap_bounds_real_blocks(u_p3_n10):
 
 def test_default_split_order_is_smallest_meeting_the_coupling_target(u_p3_n10, u_p3_n20):
     """The split order is the smallest odd n' with lambda_tail > Wbar and
-    c <= COUPLING_TARGET; it is the same at N=10 and N=20."""
+    c <= COUPLING_TARGET, checked against every odd order below it; it is
+    the same at N=10 and N=20."""
     n = default_split_order(u_p3_n10, 3)
     assert n % 2 == 1 and n == default_split_order(u_p3_n20, 3)
     wbar = Interval(3.0) * iv_pow_int(u_p3_n10.sup_abs_bound(), 2)
@@ -204,7 +204,7 @@ def test_default_split_order_is_smallest_meeting_the_coupling_target(u_p3_n10, u
         return (_tail_lambda(SQ, k).lo > wbar.hi
                 and certify._coupling(u_p3_n10, 3, k).hi <= certify.COUPLING_TARGET)
 
-    assert ok(n) and not ok(n - 2)
+    assert ok(n) and not any(ok(k) for k in range(1, n, 2))
 
 
 def _section_tail_block(u, p, nprime):
@@ -270,7 +270,7 @@ def test_inverse_bound_necessary_condition(u_p3_n20, ball_p3_n20):
     small slack."""
     p = 3
     u = u_p3_n20
-    k_hi = ball_p3_n20.kantorovich.K.hi
+    k_hi = ball_p3_n20.inverse.K.hi
     w = power_expand(u, p - 1)
     rng = np.random.default_rng(20240817)
     lam_small = u.domain.lambda_grid(np.arange(1, 11), np.arange(1, 11)).mid()
@@ -740,8 +740,7 @@ def test_lipschitz_bound_no_larger_than_h1_formula(p, n):
 
 def test_kantorovich_closed_form_half():
     # [DERIVED] h = 2 K^2 delta g = 1/2: r = 2 K delta / (1 + sqrt(1/2))
-    kd = KantorovichData(Interval(0.25), Interval(1.0), Interval(1.0))
-    r, uniq = kantorovich_radius(kd)
+    r, uniq = kantorovich_radius(Interval(0.25), Interval(1.0), Interval(1.0))
     oracle = 0.5 / (1.0 + math.sqrt(0.5))
     assert r.lo <= oracle <= r.hi
     assert r.width() < 1e-12
@@ -750,22 +749,20 @@ def test_kantorovich_closed_form_half():
 
 
 def test_kantorovich_linear_case_unbounded_uniqueness():
-    kd = KantorovichData(Interval(1e-3), Interval(2.0), Interval(0.0))
-    r, uniq = kantorovich_radius(kd)
+    r, uniq = kantorovich_radius(Interval(1e-3), Interval(2.0), Interval(0.0))
     # linear problem: r = K delta exactly, uniqueness on every ball
     assert r.contains(2e-3)
     assert uniq.lo >= 1e299
 
 
 def test_kantorovich_condition_violation():
-    kd = KantorovichData(Interval(1.0), Interval(1.0), Interval(1.0))
     with pytest.raises(ConditionFailure):
-        kantorovich_radius(kd)
+        kantorovich_radius(Interval(1.0), Interval(1.0), Interval(1.0))
 
 
 def test_kantorovich_data_validation():
     with pytest.raises(ValueError):
-        KantorovichData(Interval(-1.0, 0.5), Interval(1.0), Interval(1.0))
+        kantorovich_radius(Interval(-1.0, 0.5), Interval(1.0), Interval(1.0))
 
 
 # -- L-infinity embedding constant ----------------------------------------------------
@@ -826,8 +823,8 @@ def test_certify_ball_structure(ball_p3_n20):
 def test_certificate_json_roundtrip(ball_p3_n20):
     import json
 
-    d = json.loads(ball_p3_n20.to_json(p=3))
-    assert d["format"] == "sobemb-certificate/1"
+    d = json.loads(ball_p3_n20.to_json())
+    assert d["format"] == "sobemb-certificate/2"
     assert d["p"] == 3
     assert len(d["coefficient_digest"]) == 64
     assert float.fromhex(d["r_h1"][1]) == ball_p3_n20.r_h1.hi

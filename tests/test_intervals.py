@@ -16,7 +16,6 @@ from sobemb.intervals import (
     iv_cos,
     iv_exp,
     iv_ln,
-    iv_pi,
     iv_pow_int,
     iv_pow_real,
     iv_sin,
@@ -36,13 +35,13 @@ def test_point_interval_and_ordering():
 
 def test_pi_contains_reference():
     # [TRIVIAL] first 17 digits of pi
-    assert iv_pi().contains(3.14159265358979323846 % 4.0)
-    assert iv_pi().width() <= 1e-15
+    assert PI.contains(3.14159265358979323846 % 4.0)
+    assert PI.width() <= 1e-15
 
 
 def test_pi_squared_contains_oracle():
     # [DERIVED] high-precision oracle for pi^2 = 9.8696044010893586...
-    sq = iv_pi() * iv_pi()
+    sq = PI * PI
     assert sq.contains(9.8696044010893586)
 
 

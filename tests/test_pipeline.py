@@ -12,6 +12,7 @@ from sobemb.errors import SoundnessViolation
 from sobemb.intervals import Interval, iv_sqrt
 from sobemb.pipeline import (
     RunConfig,
+    RunRow,
     classical_table,
     emit_plot_data,
     report_csv,
@@ -96,13 +97,46 @@ def test_report_rows_explain_trial_radius_and_linf_iterations():
     assert a.canonical_json() == b.canonical_json()
     for row, r in zip(json.loads(a.canonical_json())["rows"], a.rows):
         trial = float.fromhex(row["trial_radius"])
-        assert trial == r.trial_radius and trial >= float.fromhex(row["r_h1"][1])
+        assert trial == r.ball.trial_radius and trial >= float.fromhex(row["r_h1"][1])
         assert type(row["linf_iterations"]) is int
         assert 1 <= row["linf_iterations"] <= LINF_ITERATIONS
     ball = certify_ball(a.solutions[20], 3)
-    cert = ball.to_dict(3)
-    assert float.fromhex(cert["trial_radius"]) == ball.trial_radius == a.rows[1].trial_radius
-    assert cert["linf_iterations"] == ball.linf_iterations == a.rows[1].linf_iterations
+    cert = ball.to_dict()
+    assert float.fromhex(cert["trial_radius"]) == ball.trial_radius == a.rows[1].ball.trial_radius
+    assert cert["linf_iterations"] == ball.linf_iterations == a.rows[1].ball.linf_iterations
+
+
+def _leaves(x, key=None):
+    """(key, value) for every scalar in a JSON tree, with its nearest key."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _leaves(v, k)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _leaves(v, key)
+    else:
+        yield key, x
+
+
+def test_certificate_holds_the_report_row(report_c4):
+    """The certificate of the c4 N=10 center holds every rigorous field of
+    that report row with the same value, every float in it is a hex string,
+    and a row without a ball writes the same keys, as nulls."""
+    row = json.loads(report_c4.canonical_json())["rows"][0]
+    assert row["N"] == 10 and row["status"] == "certified"
+    cert = certify_ball(report_c4.solutions[10], 3).to_dict()
+    assert cert["format"] == "sobemb-certificate/2"
+    rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
+    assert {k: cert[k] for k in rigorous} == {k: row[k] for k in rigorous}
+    text = {"format", "coefficient_digest", "binds"}
+    for key, value in _leaves(cert):
+        assert not isinstance(value, float), key
+        if isinstance(value, str) and key not in text:
+            float.fromhex(value)
+    empty = RunRow(N=10, status="NoConvergence").to_dict()
+    assert set(empty) == set(row)
+    assert empty["positive"] is False
+    assert all(empty[k] is None for k in rigorous - {"positive"})
 
 
 def _set(path, value):
@@ -191,7 +225,7 @@ def test_rectangle_certifies_at_default_order_and_transposes():
         (row,) = wide.rows
         assert row.status == "certified"
         assert default_split_order(wide.solutions[n], 3) == split
-        assert row.K.hi < 2.1
+        assert row.ball.inverse.K.hi < 2.1
         tall = run_pipeline(RunConfig(p=3, domain=DomainRect(1.0, 2.0), N=[n]))
         assert tall.fully_certified
         assert _final(wide).intersects(_final(tall))
