@@ -37,7 +37,6 @@ from .errors import (
     ConditionFailure,
     DomainError,
     FixedPointFailure,
-    GapFailure,
     NotInvertible,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_sqrt
@@ -248,16 +247,10 @@ def _coupling_numerator(u: Series2D, p: int) -> Interval:
     return _wbar(u, p) + g / iv_sqrt(u.domain.lambda1())
 
 
-def _coupling(u: Series2D, p: int, nprime: int) -> Interval:
-    """c = (Wbar + G/sqrt(lambda_1))/lambda_tail >= ||B_FT|| at the split
-    order nprime (`inverse_bound`, (iii))."""
-    return _coupling_numerator(u, p) / _tail_lambda(u.domain, nprime)
-
-
 def default_split_order(u: Series2D, p: int) -> int:
     """The split order n' of `inverse_bound`, kept on u; CapacityError if
     its odd-odd block, ceil(n'/2)^2 rows, exceeds MAX_DENSE_ROWS."""
-    nprime = u.fact(("split_order", p), lambda: _scan_split_order(u, p))
+    nprime = u.fact(("split_order", p), lambda: _choose_split_order(u, p))
     # the potential matrix is assembled at these rows before the fold to
     # X_sym on a square, so they, not the folded rows, set the peak memory
     rows = ((nprime + 1) // 2) ** 2
@@ -266,19 +259,19 @@ def default_split_order(u: Series2D, p: int) -> int:
     return nprime
 
 
-def _scan_split_order(u: Series2D, p: int) -> int:
-    """The smallest odd split order with lambda_tail.lo > Wbar.hi and
-    c <= COUPLING_TARGET, or the first whose block exceeds MAX_DENSE_ROWS if
-    none below it has both: odd n' from 1 upward, with the numerator of c
-    (`_coupling_numerator`) computed once."""
-    wbar = _wbar(u, p).hi
-    num = _coupling_numerator(u, p)
-    cap = 2 * math.isqrt(MAX_DENSE_ROWS) + 1  # the first odd order beyond capacity
-    for n in range(1, cap, 2):
-        lam = _tail_lambda(u.domain, n)
-        if lam.lo > wbar and (num / lam).hi <= COUPLING_TARGET:
-            return n
-    return cap
+def _choose_split_order(u: Series2D, p: int) -> int:
+    """The smallest odd n with COUPLING_TARGET lambda_tail >= nu, solved for
+    n in floats: nu the upper end of `_coupling_numerator` and lambda_tail =
+    pi^2 ((n+2)^2/L^2 + 1/l^2) (`_tail_lambda`), L and l the longer and the
+    shorter side.  n' is a cost choice and no hypothesis of `inverse_bound`,
+    so a rounding that moves it by a step where nu sits on a threshold
+    moves only the cost."""
+    dom = u.domain
+    small = min(dom.L1, dom.L2)
+    target = COUPLING_TARGET * math.pi ** 2
+    nu = _coupling_numerator(u, p).hi - target / (small * small)
+    root = max(dom.L1, dom.L2) * math.sqrt(max(nu, 0.0)) / math.sqrt(target)
+    return max(1, (math.ceil(root) - 2) | 1)
 
 
 def _coupled_gap(m: float, t: float, c: float) -> Interval:
@@ -469,10 +462,13 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             grad(w f) = w grad f + f grad w and ||f||_L2 <= 1/sqrt(lambda_1).
             It needs no bandwidth of w, so it holds for every p (for even p
             the sine potential couples every section mode to the tail), on
-            X_s and on X_sym, and on every rectangle.  The split order is
-            the smallest odd n' with lambda_tail > Wbar and
-            c <= COUPLING_TARGET (`_scan_split_order`), so it depends on
-            the center through Wbar and G only, not on N.
+            X_s and on X_sym, and on every rectangle.
+
+    (ii), (iii) and the lemma below hold at every n', so n' is a cost choice
+    and not a hypothesis: the smallest odd order whose c, tested in floats,
+    is at most COUPLING_TARGET (`_choose_split_order`).  It depends on the
+    center through Wbar and G only, not on N.  At an n' with
+    lambda_tail <= Wbar, t <= 0, so s* <= 0 and NotInvertible is raised.
 
     Lemma: every eigenvalue mu of B on X satisfies |mu| >= s*, the smaller
     root of (m - s)(t - s) = c^2.  Proof: the spectrum of B outside {1}
@@ -495,18 +491,12 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     """
     _check_center(u)
     dom = u.domain
-    wbar = _wbar(u, p)
     nprime = default_split_order(u, p)
     lam_tail = _tail_lambda(dom, nprime)
-    if not lam_tail.lo > wbar.hi:
-        raise GapFailure(
-            f"tail eigenvalue {lam_tail.lo:.4e} does not exceed potential "
-            f"bound {wbar.hi:.4e} at split order {nprime}"
-        )
-    tail_lo = (Interval(1.0) - wbar / lam_tail).lo
+    tail_lo = (Interval(1.0) - _wbar(u, p) / lam_tail).lo
     block = _folded_block(_potential(u, p), np.arange(1, nprime + 1, 2))
     block_lo = eig_enclosures(block)
-    coupling = _coupling(u, p, nprime).hi
+    coupling = (_coupling_numerator(u, p) / lam_tail).hi
     eps_pert = 0.0
     if p % 2 == 0:
         eta = negative_part_sup(u)

@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except SobembError as exc:
+    except (SobembError, OSError) as exc:  # OSError: reading --in, writing --out
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_HARD
 

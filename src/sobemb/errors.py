@@ -22,7 +22,8 @@ class OverflowError_(SobembError):
 
 
 class CapacityError(SobembError):
-    """A series expansion would exceed the configured maximum order."""
+    """A series expansion, the Newton Jacobian or the inverse bound's block
+    would exceed its configured maximum order or rows."""
 
 
 class NoConvergence(SobembError):
@@ -31,10 +32,6 @@ class NoConvergence(SobembError):
 
 class SingularJacobian(SobembError):
     """Linear solve inside the Newton iteration failed."""
-
-
-class GapFailure(SobembError):
-    """Spectral tail gap condition of the inverse-norm bound violated."""
 
 
 class NotInvertible(SobembError):

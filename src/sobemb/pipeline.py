@@ -88,7 +88,6 @@ class RunRow:
     lower: float | None = None
     upper: float | None = None
     error: str | None = None
-    seconds: float = 0.0
 
     def to_dict(self) -> dict:
         d = {"N": self.N, "status": self.status}
@@ -182,8 +181,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         except SobembError as exc:
             row.status = type(exc).__name__
             row.error = str(exc)
-        row.seconds = time.perf_counter() - t0
-        timing[f"N={n}"] = row.seconds
+        timing[f"N={n}"] = time.perf_counter() - t0
         rows.append(row)
 
     final = None
@@ -261,8 +259,9 @@ def validate_report_dict(d: dict) -> None:
     interval ordered, K positive, the defects and radii nonnegative, the
     terms of K readable hex floats, and on certified rows the terms of K and
     the positiveness record present (a positive row with both margins above
-    0), the trial radius at least r_h1 (g must hold on the certified ball)
-    and the L-infinity iterations within 1..LINF_ITERATIONS."""
+    0), the trial radius at least r_h1 (g must hold on the certified ball),
+    the L-infinity iterations within 1..LINF_ITERATIONS and the row's
+    enclosure, lower <= upper, present as hex floats."""
     if d.get("format") != REPORT_FORMAT:
         raise SoundnessViolation("unknown report format")
     for row in d["rows"]:
@@ -306,9 +305,15 @@ def validate_report_dict(d: dict) -> None:
                 raise SoundnessViolation(
                     f"row N={row['N']}: trial radius below r_h1 or not a hex float, "
                     "or linf_iterations outside 1..LINF_ITERATIONS")
-        if row["lower"] is not None and row["upper"] is not None:
-            if float.fromhex(row["lower"]) > float.fromhex(row["upper"]):
-                raise SoundnessViolation(f"row N={row['N']}: lower > upper")
+        bounds = (row.get("lower"), row.get("upper"))
+        if row["status"] == "certified" or bounds != (None, None):
+            try:
+                ordered = float.fromhex(bounds[0]) <= float.fromhex(bounds[1])
+            except (TypeError, ValueError):
+                ordered = False
+            if not ordered:
+                raise SoundnessViolation(f"row N={row['N']}: lower or upper not a hex float, "
+                                         "or lower > upper")
     f = d.get("final")
     if f is not None:
         if float.fromhex(f["lower"]) > float.fromhex(f["upper"]):

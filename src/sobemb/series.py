@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, OverflowError_
 from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
 from .ivarray import IArray, _dn, _up, _gamma_fac, imatmul, isum, sin_points
 
@@ -314,20 +314,27 @@ class Series2D:
 
     @staticmethod
     def from_dict(d: dict) -> "Series2D":
-        if d.get("format") != "sobemb-series/1":
-            raise ValueError("unknown series format")
-        dom = DomainRect.from_dict(d["domain"])
-        nx, ny = d["shape"]
-        lo = np.empty((nx, ny))
-        hi = np.empty((nx, ny))
-        for k, (slo, shi) in enumerate(d["coeffs"]):
-            lo[k // ny, k % ny] = float.fromhex(slo)
-            hi[k // ny, k % ny] = float.fromhex(shi)
-        return Series2D(dom, IArray(lo, hi), d["parity"][0], d["parity"][1])
+        """The series of a `to_dict` record; DomainError on anything else."""
+        try:
+            if d.get("format") != "sobemb-series/1":
+                raise DomainError(f"unknown series format {d.get('format')!r}")
+            dom = DomainRect.from_dict(d["domain"])
+            nx, ny = d["shape"]
+            pairs = np.array([[float.fromhex(v) for v in pair] for pair in d["coeffs"]])
+            if pairs.shape != (nx * ny, 2):
+                raise DomainError(f"shape {nx} x {ny} but {len(pairs)} coefficient pairs")
+            return Series2D(dom, IArray(pairs[:, 0].reshape(nx, ny), pairs[:, 1].reshape(nx, ny)),
+                            d["parity"][0], d["parity"][1])
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError_) as exc:
+            raise DomainError(f"malformed series record: {type(exc).__name__}: {exc}") from exc
 
     @staticmethod
     def from_json(s: str) -> "Series2D":
-        return Series2D.from_dict(json.loads(s))
+        try:
+            d = json.loads(s)
+        except ValueError as exc:
+            raise DomainError(f"series is not JSON: {exc}") from exc
+        return Series2D.from_dict(d)
 
 
 def SineSeries2D(domain: DomainRect, coeffs) -> Series2D:

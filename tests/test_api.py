@@ -1,13 +1,18 @@
 """The package's public names: the export list and the star import agree,
-and every name the benchmark's span recorder wraps resolves."""
+every name the benchmark's span recorder wraps resolves, and every error
+class is raised somewhere."""
 
 import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 import sobemb
+from sobemb import errors
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -41,3 +46,15 @@ def test_traced_names_resolve(ball_p3_n20):
             missing.append(f"{modname}.{qual}")
     assert missing == []
     assert type(ball_p3_n20.nprime) is int
+
+
+def test_every_error_class_has_a_raise_site():
+    """Each SobembError subclass of errors.py is raised somewhere under
+    src/sobemb (a source scan), so no report status names an error that can
+    no longer occur."""
+    classes = [name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, errors.SobembError)
+               and obj is not errors.SobembError and obj.__module__ == errors.__name__]
+    source = "\n".join(path.read_text() for path in (ROOT / "src" / "sobemb").rglob("*.py"))
+    assert len(classes) >= 10
+    assert [name for name in classes if not re.search(rf"\braise\s+{name}\b", source)] == []

@@ -30,7 +30,7 @@ from sobemb.certify import (
 )
 from sobemb import certify, series, symeig
 from sobemb.bounds import corollary_bound, enclosure_from_ball, plum_bound
-from sobemb.errors import CapacityError, ConditionFailure, DomainError, GapFailure
+from sobemb.errors import CapacityError, ConditionFailure, DomainError, NotInvertible
 from sobemb.intervals import Interval, iv_pow_int, iv_sqrt
 from sobemb.ivarray import IArray, _dn, _up, imatmul
 from sobemb.series import (
@@ -64,17 +64,19 @@ def test_inverse_bound_near_laplacian():
     assert 1.0 - 1e-6 <= k.hi <= 1.001
 
 
-def test_inverse_bound_gap_failure_at_tiny_split(monkeypatch):
-    """The scan never picks an order whose tail eigenvalue is at or below
-    Wbar, so the guard is reached through a split order of 3 set by hand:
-    there the tail eigenvalue lambda(5,1) = 26 pi^2 ~ 256.6, at the smallest
-    odd index above 3, is below the potential bound 3 * 10^2 = 300."""
+def test_inverse_bound_not_invertible_at_tiny_split(monkeypatch):
+    """The split order is a cost choice and no hypothesis, so a split order
+    of 3 set by hand is a valid premise that fails: there the tail
+    eigenvalue lambda(5,1) = 26 pi^2 ~ 256.6, at the smallest odd index
+    above 3, is below the potential bound 3 * 10^2 = 300, so t <= 0, s* <= 0
+    and the bound ends in NotInvertible."""
     u = _one_mode(10.0)
     assert default_split_order(u, 3) > 3
     u = _one_mode(10.0)
-    monkeypatch.setattr(certify, "_scan_split_order", lambda u, p: 3)
+    monkeypatch.setattr(certify, "_choose_split_order", lambda u, p: 3)
     assert default_split_order(u, 3) == 3
-    with pytest.raises(GapFailure):
+    assert not _tail_lambda(SQ, 3).lo > certify._wbar(u, 3).hi
+    with pytest.raises(NotInvertible):
         inverse_bound(u, 3)
 
 
@@ -193,18 +195,26 @@ def test_schur_gap_bounds_real_blocks(u_p3_n10):
 
 
 def test_default_split_order_is_smallest_meeting_the_coupling_target(u_p3_n10, u_p3_n20):
-    """The split order is the smallest odd n' with lambda_tail > Wbar and
-    c <= COUPLING_TARGET, checked against every odd order below it; it is
-    the same at N=10 and N=20."""
-    n = default_split_order(u_p3_n10, 3)
-    assert n % 2 == 1 and n == default_split_order(u_p3_n20, 3)
-    wbar = Interval(3.0) * iv_pow_int(u_p3_n10.sup_abs_bound(), 2)
+    """The float choice is the smallest odd n' with lambda_tail > Wbar and
+    c <= COUPLING_TARGET in intervals, checked against every odd order
+    below it, on the unit square at p=3 (the same order at N=10 and N=20),
+    on 2 x 1 at p=3 and on the unit square at p=5."""
+    assert default_split_order(u_p3_n20, 3) == 33
+    wide = DomainRect(2.0, 1.0)
+    for u, p, expected in (
+        (u_p3_n10, 3, 33),
+        (newton_solve(SolverConfig(p=3, N=12), initial_guess(3, wide)), 3, 57),
+        (newton_solve(SolverConfig(p=5, N=16), initial_guess(5, SQ)), 5, 89),
+    ):
+        assert default_split_order(u, p) == expected
+        wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
+        num = certify._coupling_numerator(u, p)
 
-    def ok(k):
-        return (_tail_lambda(SQ, k).lo > wbar.hi
-                and certify._coupling(u_p3_n10, 3, k).hi <= certify.COUPLING_TARGET)
+        def ok(k):
+            lam = _tail_lambda(u.domain, k)
+            return lam.lo > wbar.hi and (num / lam).hi <= certify.COUPLING_TARGET
 
-    assert ok(n) and not any(ok(k) for k in range(1, n, 2))
+        assert ok(expected) and not any(ok(k) for k in range(1, expected, 2))
 
 
 def _section_tail_block(u, p, nprime):
@@ -871,9 +881,9 @@ def test_certify_and_enclose_share_powers(u_p3_n10, monkeypatch):
 
 def test_split_order_scanned_once_per_certification(u_p3_n10, monkeypatch):
     """inverse_bound and the certificate's nprime read one split order,
-    kept on the center."""
+    chosen once and kept on the center."""
     u = _fresh(u_p3_n10)
-    calls = _count_calls(monkeypatch, "_scan_split_order", certify)
+    calls = _count_calls(monkeypatch, "_choose_split_order", certify)
     ball = certify_ball(u, 3)
     assert len(calls) == 1
     assert ball.nprime == default_split_order(u, 3) == 33

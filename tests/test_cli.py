@@ -76,6 +76,38 @@ def test_certify_rejects_non_square_center(tmp_path, capsys):
     assert "error: DomainError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, error", [
+    (None, "FileNotFoundError"),
+    ("not json", "DomainError"),
+    ('["sobemb-series/1"]', "DomainError"),
+    ('{"format": "sobemb-series/0"}', "DomainError"),
+    ('{"format": "sobemb-series/1"}', "DomainError"),
+    ('{"format": "sobemb-series/1", "domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, '
+     '"parity": ["sin", "sin"], "shape": [2, 2], "coeffs": [["0x1.0p+0", "0x1.0p+0"]]}',
+     "DomainError"),
+    ('{"format": "sobemb-series/1", "domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, '
+     '"parity": ["sin", "sin"], "shape": [1, 1], "coeffs": [["inf", "inf"]]}',
+     "DomainError"),
+], ids=["missing", "not-json", "not-an-object", "unknown-format", "no-domain",
+        "too-few-coeffs", "infinite-coeff"])
+def test_certify_bad_input_file_is_one_error_line(tmp_path, capsys, text, error):
+    """A missing, non-JSON or malformed --in file ends in one `error:` line
+    on stderr and exit 1, not a traceback."""
+    series = tmp_path / "u.json"
+    if text is not None:
+        series.write_text(text)
+    assert main(["certify", "--p", "3", "--in", str(series)]) == EXIT_HARD
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "c.json"
+    assert main(["classical", "--p-list", "4", "--out", str(out)]) == EXIT_HARD
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
+
+
 def test_enclose_json_and_csv(tmp_path):
     out = str(tmp_path / "report.json")
     rc = main(["enclose", "--p", "3", "--N", "8", "--out", out])

@@ -172,13 +172,16 @@ def _set(path, value):
     _set(("positiveness", "positivity_margin"), (-1.0).hex()),
     _set(("positiveness", "positivity_margin"), None),
     _set(("positiveness", "point"), [(0.5).hex()]),
+    _set(("lower",), None),
+    _set(("upper",), None),
 ], ids=["K-zero", "K-negative", "defect_hm1-negative", "defect_l2-negative",
         "r_h1-negative", "r_inf-negative", "K-lo-above-hi", "tail-not-hex",
         "coupling-null", "block_min-missing", "trial_radius-below-r_h1",
         "trial_radius-not-hex", "trial_radius-missing", "linf_iterations-zero",
         "linf_iterations-above-cap", "linf_iterations-float", "inverse_bound-null",
         "positiveness-null", "positiveness-missing", "spectral_margin-zero",
-        "positivity_margin-negative", "positivity_margin-null", "point-one-coordinate"])
+        "positivity_margin-negative", "positivity_margin-null", "point-one-coordinate",
+        "lower-null", "upper-null"])
 def test_validate_report_rejects_tampered_row(report_c4, tamper):
     """Each check of validate_report_dict catches one tampered field of an
     otherwise valid report."""
