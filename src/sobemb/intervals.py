@@ -135,31 +135,35 @@ class Interval:
         return Interval._coerce(other) - self
 
     def __mul__(self, other):
-        b = Interval._coerce(other)
-        cands = (
-            _mul_dir(self.lo, b.lo),
-            _mul_dir(self.lo, b.hi),
-            _mul_dir(self.hi, b.lo),
-            _mul_dir(self.hi, b.hi),
-        )
-        lo = min(c[0] for c in cands)
-        hi = max(c[1] for c in cands)
+        # only the endpoint products that decide the result, by sign case;
+        # directed rounding is monotone, so the bits are the four-product ones
+        x, y = self, Interval._coerce(other)
+        if y.lo < 0.0 < y.hi:
+            if x.lo < 0.0 < x.hi:  # both straddle 0
+                lo = min(_mul_dir(x.lo, y.hi)[0], _mul_dir(x.hi, y.lo)[0])
+                hi = max(_mul_dir(x.lo, y.lo)[1], _mul_dir(x.hi, y.hi)[1])
+                return Interval(lo, hi)
+            x, y = y, x
+        if y.lo >= 0.0:  # x y rises with x
+            lo = _mul_dir(x.lo, y.lo if x.lo >= 0.0 else y.hi)[0]
+            hi = _mul_dir(x.hi, y.hi if x.hi >= 0.0 else y.lo)[1]
+        else:  # y <= 0: x y falls with x
+            lo = _mul_dir(x.hi, y.lo if x.hi >= 0.0 else y.hi)[0]
+            hi = _mul_dir(x.lo, y.hi if x.lo >= 0.0 else y.lo)[1]
         return Interval(lo, hi)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = Interval._coerce(other)
-        if b.lo <= 0.0 <= b.hi:
-            raise DivisionByZeroInterval(f"denominator {b} contains 0")
-        cands = (
-            _div_dir(self.lo, b.lo),
-            _div_dir(self.lo, b.hi),
-            _div_dir(self.hi, b.lo),
-            _div_dir(self.hi, b.hi),
-        )
-        lo = min(c[0] for c in cands)
-        hi = max(c[1] for c in cands)
+        x, y = self, Interval._coerce(other)
+        if y.lo <= 0.0 <= y.hi:
+            raise DivisionByZeroInterval(f"denominator {y} contains 0")
+        if y.lo > 0.0:  # x / y rises with x
+            lo = _div_dir(x.lo, y.hi if x.lo >= 0.0 else y.lo)[0]
+            hi = _div_dir(x.hi, y.lo if x.hi >= 0.0 else y.hi)[1]
+        else:  # y < 0: x / y falls with x
+            lo = _div_dir(x.hi, y.hi if x.hi >= 0.0 else y.lo)[0]
+            hi = _div_dir(x.lo, y.lo if x.lo >= 0.0 else y.hi)[1]
         return Interval(lo, hi)
 
     def __rtruediv__(self, other):
@@ -225,11 +229,15 @@ def _mul_dir(x: float, y: float):
 
 
 def _div_dir(x: float, y: float):
+    """Enclosure [down, up] of the exact quotient x/y, y != 0.  As in
+    `_mul_dir`, a quotient that underflows never crosses zero."""
     q = x / y
     _check_finite(q)
     if x == 0.0:
         return (0.0, 0.0)
-    return (_check_finite(_dn(q)), _check_finite(_up(q)))
+    if (x > 0.0) == (y > 0.0):
+        return (max(_dn(q), 0.0), _check_finite(_up(q)))
+    return (_check_finite(_dn(q)), min(_up(q), 0.0))
 
 
 # -- constants ---------------------------------------------------------------

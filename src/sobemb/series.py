@@ -17,9 +17,10 @@ Products are computed exactly (up to outward rounding) in three steps:
 - restrict: keep the nonnegative quadrant, dropping index 0 on a sine
   output axis and halving it on a cosine output axis.
 
-The convolution is one loop over the nonzero entries of the sparser
-extension, in midpoint-radius form with an extended-precision midpoint, run
-on each factor's parity sub-grid: the entries it skips are exact zeros.
+The convolution runs on each axis's parity sub-grid, where the entries it
+skips are exact zeros, as float64 GEMMs on integer slices of the midpoints
+that make no rounding error, with float GEMMs for the radius and an integer
+GEMM for the support (`multiply`).
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import CapacityError, DomainError, OverflowError_
 from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
-from .ivarray import IArray, _dn, _up, _gamma_fac, imatmul, isum, sin_points
+from .ivarray import _EPS, IArray, _dn, _up, imatmul, isum, sin_points
 
 MAX_EXPANSION_ORDER = 1024
 # Rows of the largest dense matrix built (the Newton Jacobian, the odd-odd
@@ -320,6 +322,10 @@ class Series2D:
                 raise DomainError(f"unknown series format {d.get('format')!r}")
             dom = DomainRect.from_dict(d["domain"])
             nx, ny = d["shape"]
+            for pair in d["coeffs"]:
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(v, str) for v in pair)):
+                    raise DomainError(f"coefficient {pair!r} is not a [lo, hi] pair of strings")
             pairs = np.array([[float.fromhex(v) for v in pair] for pair in d["coeffs"]])
             if pairs.shape != (nx * ny, 2):
                 raise DomainError(f"shape {nx} x {ny} but {len(pairs)} coefficient pairs")
@@ -349,6 +355,11 @@ def SineSeries2D(domain: DomainRect, coeffs) -> Series2D:
 # machine epsilon of the extended-precision accumulator (binary64's where
 # numpy's longdouble is plain double)
 _EPS_LD = float(np.finfo(np.longdouble).eps)
+# bits of each factor's midpoint that `multiply` keeps in its slices; the
+# rest of each entry joins its radius
+_SLICE_BITS = 100
+# floats in each Toeplitz block of one chunk of `multiply`'s GEMMs
+_CHUNK_FLOATS = 2 ** 15
 
 
 def _extension(u: Series2D):
@@ -383,88 +394,220 @@ def _axis_scale(pa: str, pb: str, n: int):
     return COS, s, 0
 
 
-def _parity_step(used: np.ndarray) -> tuple:
-    """(2, c) if every marked index has parity c, else (1, 0)."""
-    idx = np.flatnonzero(used)
-    if idx.size and not np.any((idx - idx[0]) % 2):
-        return 2, int(idx[0]) % 2
-    return 1, 0
+def _axis_plan(nza: np.ndarray, nzb: np.ndarray, sa: int, sb: int, first: int):
+    """Compaction of one axis: (step h, slice of a, slice of b, compact
+    output rows n0..n1 - 1, kept index of compact row n0).
+
+    nza, nzb mark the nonzero indices of the two extensions (lengths sa, sb,
+    centred at index 0) along the axis.  Both are cut to their nonzero span;
+    where each has one index parity, as every factor of the power chain has,
+    only every second index is kept (h = 2): the ones dropped are exact zeros.
+    Compact indices m of a and l of b meet at compact row m + l, product
+    index off + h (m + l); the rows kept are those with an index >= first.
+    """
+    ia, ib = np.flatnonzero(nza), np.flatnonzero(nzb)
+    one_parity = not (np.any((ia - ia[0]) % 2) or np.any((ib - ib[0]) % 2))
+    h = 2 if one_parity else 1
+    off = (int(ia[0]) - (sa - 1) // 2) + (int(ib[0]) - (sb - 1) // 2)
+    n0 = max(0, -((off - first) // h))
+    n1 = (ia[-1] - ia[0]) // h + (ib[-1] - ib[0]) // h + 1
+    return (h, slice(ia[0], ia[-1] + 1, h), slice(ib[0], ib[-1] + 1, h),
+            (n0, n1), off + h * n0 - first)
+
+
+def _slice_width(k: int):
+    """(beta, S) for convolutions of at most k terms per entry: the largest
+    beta with k 2^(2 beta) <= 2^52, and S = ceil(_SLICE_BITS / beta)."""
+    beta = (52 - (k - 1).bit_length()) // 2
+    return beta, -(-_SLICE_BITS // beta)
+
+
+def _slices(m: np.ndarray, count: int, beta: int):
+    """(slices, e, rho): m = 2^e sum_s slices[s] 2^(-(s+1) beta) + rest with
+    |rest| <= rho entrywise, each slice integer-valued below 2^beta in
+    magnitude and of the sign of its entry of m.
+
+    2^e > max |m|.  An entry below 2^(e - count beta) in magnitude is all
+    rest.  Every other entry scales to a normal float x = m 2^-e with
+    |x| < 1, and each step of x <- 2^beta x - trunc(2^beta x) is exact (a
+    scaling by a power of two upward, and Sterbenz's lemma), so the last x
+    is the exact rest in units of 2^(e - count beta).
+    """
+    e = int(np.frexp(np.max(np.abs(m)))[1])
+    kept = np.abs(m) >= np.ldexp(1.0, e - count * beta)
+    x = np.where(kept, np.ldexp(m, -e), 0.0)
+    out = np.empty((count,) + m.shape)
+    for s in range(count):
+        x = x * 2.0 ** beta
+        out[s] = np.trunc(x)
+        x = x - out[s]
+    rest = np.where(x == 0.0, 0.0, _up(np.ldexp(np.abs(x), e - count * beta)))
+    return out, e, np.where(kept, rest, np.abs(m))
+
+
+def _toeplitz_gemms(a: np.ndarray, b: np.ndarray, rows, cols, pairs, chunk):
+    """Layer products of the compact 2-D convolution C = a * b on output
+    rows x cols, as GEMMs of Toeplitz blocks.
+
+    a and b are stacks of layers on compact grids, and
+    C[n, j] = sum_{l, q} a[n - l, q] b[l, j - q]: a block of a, Toeplitz
+    along x (rows n, columns (l, q)), times a block of b, Toeplitz along y
+    (rows (l, q), columns j).  The sum over l, b's x index, runs in chunks of
+    `chunk` indices, which keeps both blocks small; a chunk reaches only the
+    output rows n whose n - l falls in a.  With a's y axis and the chunk's l
+    taken in reverse, a row of the first block is a contiguous run of a and
+    a column of the second a contiguous run of b, so both blocks are plain
+    strided copies.  pairs[i] = (range of a's layers, layer of b): out[i][k]
+    is the product of the k-th layer of the range with that layer of b.
+    """
+    (na, nax, nay), (nb, nbx, nby) = a.shape, b.shape
+    r0, r1 = rows
+    c0, c1 = cols
+    a_pad = np.zeros((na, nax + 2 * (nbx - 1), nay))
+    a_pad[:, nbx - 1:nbx - 1 + nax] = a[:, :, ::-1]
+    b_pad = np.zeros((nb, nbx, nby + 2 * (nay - 1)))
+    b_pad[:, :, nay - 1:nay - 1 + nby] = b
+    b_win = sliding_window_view(b_pad, nay, axis=2)  # [., l, j, q'] = b_pad[., l, j + q']
+    out = [np.zeros((len(la), r1 - r0, c1 - c0)) for la, _ in pairs]
+    for l0 in range(0, nbx, chunk):
+        l1 = min(l0 + chunk, nbx)
+        n0, n1 = max(r0, l0), min(r1, l1 + nax - 1)
+        if n0 >= n1:
+            continue
+        inner = (l1 - l0) * nay
+        # ta[., n, (l', q')] = a[., n - l, nay - 1 - q'] and
+        # tb[., j, (l', q')] = b[., l, j - (nay - 1 - q')], both at l = l1 - 1 - l'
+        ta = np.ascontiguousarray(as_strided(a_pad[:, n0 - l1 + nbx:], (na, n1 - n0, inner),
+                                             a_pad.strides))
+        tb = np.ascontiguousarray(b_win[:, l1 - 1:l0 - 1 if l0 else None:-1, c0:c1]
+                                  .transpose(0, 2, 1, 3)).reshape(nb, c1 - c0, inner)
+        for acc, (la, lb) in zip(out, pairs):
+            blk = ta[la.start:la.stop].reshape(-1, inner) @ tb[lb].T
+            acc[:, n0 - r0:n1 - r0] += blk.reshape(len(la), n1 - n0, -1)
+    return out
 
 
 def multiply(u: Series2D, v: Series2D) -> Series2D:
     """Exact (outward-rounded) pointwise product of two series.
 
-    One sparse convolution of the factors' extensions, restricted to the
-    nonnegative quadrant: a loop over the nonzero entries of the sparser
-    extension accumulates the midpoint in extended precision, the radius
-    with the midpoint's rounding bound g_mid |a||b|, and the support, so
-    that entries no nonzero pair reaches are exactly [0, 0] (the parity
-    structure that later splits finite sections into blocks).  An entry sums
-    at most k products, k the product over both axes of the smaller count of
-    nonzero indices of the two extensions; every float sum of nonnegative
-    terms above is within the factor 1 + 6 gamma_k of its exact value.
+    The product's extension is the 2-D convolution of the factors'
+    extensions, scaled and restricted to the nonnegative quadrant (module
+    docstring).  It is computed on each axis's parity sub-grid (`_axis_plan`)
+    by float64 GEMMs that make no rounding error, in the manner of Ozaki,
+    Ogita, Oishi and Rump (Numer. Algorithms 59, 2012).
 
-    The loop runs on the denser factor's parity sub-grid: on an axis where
-    all nonzero indices of b share one parity, as in every factor of the
-    power chain (u has odd indices, u^2 even, u^3 odd, ...), its source and
-    destination slices step by 2 from the first index of that parity.  That
-    is exact, not an approximation: a skipped entry of b has midpoint and
-    radius 0 and no support, so it would add 0 to the radius, nothing to
-    the support, and +-0 to the midpoint, which leaves the accumulator
-    unchanged (it starts at +0 and a round-to-nearest sum is never -0
-    unless both terms are).  The same terms are summed in the same order,
-    so the result is bit for bit that of the loop over whole slabs, and k,
-    which counts nonzero indices only, does not change.
+    Let k be the product over both axes of the smaller count of nonzero
+    indices of the two extensions: no entry of the convolution sums more
+    than k products.  Take beta = floor((52 - ceil(log2 k)) / 2), so that
+    k 2^(2 beta) <= 2^52, and S = ceil(_SLICE_BITS / beta).  Cut each
+    midpoint into S integer slices of beta bits (`_slices`):
+    a = 2^ea sum_s A_s 2^(-(s+1) beta) + rest_a, |A_s| < 2^beta, and
+    likewise b.  Lemma:
+
+    - Exactness.  Each slice product conv(A_s, B_t) sums at most k integers
+      below 2^(2 beta) in magnitude, so every partial sum, in any order and
+      with or without FMA, is an integer below 2^52 and exact in binary64.
+      One GEMM per slice pair thus gives it exactly, chunked or not.
+    - Truncation.  Only the pairs s + t <= S - 1 are formed.  A pair with
+      s + t = d contributes less than 2^(ea + eb - d beta) per pair of
+      nonzero entries, and at most 2 S - 1 - d pairs have s + t = d, so the
+      dropped ones add less than 2 (S - 1) 2^(ea + eb - S beta) n_e to entry
+      e, n_e being its count of nonzero pairs (an exact integer GEMM of the
+      nonzero masks, which also gives the support: an entry no pair reaches
+      is exactly [0, 0]).  The rests join the factors' radii.
+    - Midpoint.  The S (S + 1) / 2 slice products, scaled by powers of two,
+      are summed once in extended precision, with error at most g = gamma
+      of that count in the extended format, times sum |terms|, which is at
+      most conv(|a|, |b|) as all slices of an entry share its sign.
+    - Radius.  |xy - a b| <= |a| rad(y) + rad(x) (|b| + rad(y)) pairwise.
+      Float GEMMs give conv(|a|, rad(b)), conv(rad(a), |b| + rad(b)) and
+      conv(|a|, |b|); their sum, with g times the last, adds up at most
+      3 n_e + 1 nonnegative terms, so it is within the factor
+      1 + gamma_{3 n_e + 1} of its exact value, which 1 + 6 gamma(n_e)
+      covers with the rounding of the few steps after it (gamma(n) as in
+      `ivarray.imatmul`).  Underflow only adds to the absolute slack.
+    - Rounding.  The midpoint times 2^(ea + eb) and the output scale (a power
+      of two) stays exact in the extended format; each endpoint is formed
+      there, stepped one unit outward and rounded once, outward, to binary64.
+      4e-290 absorbs every underflow.
     """
     if u.domain != v.domain:
         raise DomainError("series domains differ")
-    ea, eb = _extension(u), _extension(v)
-    if np.count_nonzero(eb[2]) < np.count_nonzero(ea[2]):
-        ea, eb = eb, ea
-    am, ar, anz = ea
-    bm, br, bnz = eb
-    k = math.prod(min(np.count_nonzero(anz.any(axis=1 - d)),
-                      np.count_nonzero(bnz.any(axis=1 - d))) for d in (0, 1))
-    g_mid = (k + 4) * _EPS_LD / (1.0 - (k + 4) * _EPS_LD) + 2.0 ** -52
-
-    # product indices run over 0..top per axis: the sum of the half-widths
-    top = [(sa + sb) // 2 - 1 for sa, sb in zip(am.shape, bm.shape)]
-    shape = (top[0] + 1, top[1] + 1)
-    mid = np.zeros(shape, dtype=np.longdouble)
-    rad = np.zeros(shape)
-    support = np.zeros(shape, dtype=bool)
-    bm_ld = bm.astype(np.longdouble)
-    b_rad = br + g_mid * np.abs(bm)  # what |a| multiplies
-    b_mag = np.abs(bm) + br  # what rad(a) multiplies
-    # per axis, b's nonzero indices all have parity c (step h = 2) or not (h = 1)
-    (hx, cx), (hy, cy) = (_parity_step(bnz.any(axis=1 - d)) for d in (0, 1))
-    nz = np.nonzero(anz)
-    for i, j, a_mid, a_abs, a_rad in zip(*nz, am[nz].astype(np.longdouble),
-                                         np.abs(am[nz]), ar[nz]):
-        # b's entries from (si, sj) on reach product indices from (oi, oj) on
-        si, sj = max(top[0] - i, 0), max(top[1] - j, 0)
-        si, sj = si + (cx - si) % hx, sj + (cy - sj) % hy
-        if si >= bm.shape[0] or sj >= bm.shape[1]:
-            continue
-        oi, oj = i + si - top[0], j + sj - top[1]
-        dst = (slice(oi, oi + bm.shape[0] - si, hx), slice(oj, oj + bm.shape[1] - sj, hy))
-        src = (slice(si, None, hx), slice(sj, None, hy))
-        m, r, s = mid[dst], rad[dst], support[dst]
-        np.add(m, a_mid * bm_ld[src], out=m)
-        np.add(r, a_abs * b_rad[src], out=r)
-        if a_rad:
-            np.add(r, a_rad * b_mag[src], out=r)
-        np.logical_or(s, bnz[src], out=s)
-
+    (am, ar, anz), (bm, br, bnz) = _extension(u), _extension(v)
+    if am.shape[0] > bm.shape[0]:  # a chunk of b's x indices then reaches fewer rows
+        (am, ar, anz), (bm, br, bnz) = (bm, br, bnz), (am, ar, anz)
+    # the product's indices 0..top per axis: the sum of the half-widths
+    shape = [(sa + sb) // 2 for sa, sb in zip(am.shape, bm.shape)]
     px, sx, ox = _axis_scale(u.parity_x, v.parity_x, shape[0])
     py, sy, oy = _axis_scale(u.parity_y, v.parity_y, shape[1])
-    scale = np.multiply.outer(sx, sy)  # powers of two: exact but for underflow
-    keep = (slice(ox, None), slice(oy, None))
-    cm = (mid[keep] * scale.astype(np.longdouble)).astype(np.float64)
-    r = _up(rad[keep] * np.abs(scale) * (1.0 + 6.0 * _gamma_fac(k)) + 4e-290)
-    lo = np.where(support[keep], _dn(cm - r), 0.0)
-    hi = np.where(support[keep], _up(cm + r), 0.0)
+    lo = np.zeros((sx.size, sy.size))
+    hi = np.zeros((sx.size, sy.size))
+    if not (anz.any() and bnz.any()):
+        return Series2D(u.domain, IArray(lo, hi, _unsafe=True), px, py)
+    (hx, ax, bx, rows, ix), (hy, ay, by, cols, iy) = (
+        _axis_plan(anz.any(axis=1 - d), bnz.any(axis=1 - d), am.shape[d], bm.shape[d], first)
+        for d, first in ((0, ox), (1, oy)))
+    am, ar, anz = am[ax, ay], ar[ax, ay], anz[ax, ay]
+    bm, br, bnz = bm[bx, by], br[bx, by], bnz[bx, by]
+    k = math.prod(min(int(np.count_nonzero(anz.any(axis=1 - d))),
+                      int(np.count_nonzero(bnz.any(axis=1 - d)))) for d in (0, 1))
+    beta, count = _slice_width(k)
+    npair = count * (count + 1) // 2
+    g = (npair + 4) * _EPS_LD / (1.0 - (npair + 4) * _EPS_LD)
+
+    slices_a, ea, rest_a = _slices(am, count, beta)
+    slices_b, eb, rest_b = _slices(bm, count, beta)
+    ra, rb = _add_up(ar, rest_a), _add_up(br, rest_b)
+    abs_a, abs_b = np.abs(am), np.abs(bm)
+    layers_a = np.concatenate((slices_a, [abs_a, ra, anz]))
+    layers_b = np.concatenate((slices_b, [rb, _add_up(abs_b, rb), abs_b, bnz]))
+    # floats per x index of b in the larger of the two Toeplitz blocks
+    per_index = layers_b.shape[0] * max(rows[1] - rows[0], cols[1] - cols[0]) * am.shape[1]
+    chunk = max(1, _CHUNK_FLOATS // per_index)
+    # slice t of b with slices 0..S-1-t of a; the radius terms
+    # |a| rad(b) and rad(a) (|b| + rad(b)); |a| |b|; the pair count
+    pairs = [(range(count - t), t) for t in range(count)]
+    pairs += [(range(count, count + 1), count), (range(count + 1, count + 2), count + 1),
+              (range(count, count + 1), count + 2), (range(count + 2, count + 3), count + 3)]
+    out = _toeplitz_gemms(layers_a, layers_b, rows, cols, pairs, chunk)
+    rad = out[count][0] + out[count + 1][0] + g * out[count + 2][0]
+    n_pairs = out[count + 3][0]
+
+    # midpoint: sum_{s+t<=S-1} conv(A_s, B_t) 2^(-(s+t+2) beta), extended
+    mid = np.zeros(rad.shape, dtype=np.longdouble)
+    for d in range(count - 1, -1, -1):
+        diag = sum(out[t][d - t].astype(np.longdouble) for t in range(d + 1))
+        mid = mid * np.longdouble(2.0 ** -beta) + diag
+    dst = (slice(ix, ix + hx * (rows[1] - rows[0] - 1) + 1, hx),
+           slice(iy, iy + hy * (cols[1] - cols[0] - 1) + 1, hy))
+    scale = np.multiply.outer(sx[dst[0]], sy[dst[1]])  # powers of two
+    mid = np.ldexp(mid, ea + eb - 2 * beta) * scale.astype(np.longdouble)
+    drop = 2.0 * (count - 1) * np.ldexp(n_pairs, ea + eb - count * beta)
+    gam = (n_pairs + 4.0) * _EPS / (1.0 - (n_pairs + 4.0) * _EPS)
+    r = _up((rad * (1.0 + 6.0 * gam) + drop) * np.abs(scale) + 4e-290).astype(np.longdouble)
+    inf = np.longdouble(np.inf)
+    c_lo = _round_ld(np.nextafter(mid - r, -inf), -1)
+    c_hi = _round_ld(np.nextafter(mid + r, inf), 1)
+    if not (np.all(np.isfinite(c_lo)) and np.all(np.isfinite(c_hi))):
+        raise OverflowError_("series product overflowed")
+    support = n_pairs > 0.0
+    lo[dst] = np.where(support, c_lo, 0.0)
+    hi[dst] = np.where(support, c_hi, 0.0)
     return Series2D(u.domain, IArray(lo, hi, _unsafe=True), px, py)
+
+
+def _add_up(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y rounded up, for nonnegative x and y; exact where either is 0."""
+    return np.where((x == 0.0) | (y == 0.0), x + y, _up(x + y))
+
+
+def _round_ld(x: np.ndarray, direction: int) -> np.ndarray:
+    """Extended-precision x rounded to binary64 toward -inf (direction < 0)
+    or +inf."""
+    f = x.astype(np.float64)
+    if direction < 0:
+        return np.where(f > x, _dn(f), f)
+    return np.where(f < x, _up(f), f)
 
 
 def power_expand(u: Series2D, p: int) -> Series2D:

@@ -88,8 +88,14 @@ def test_certify_rejects_non_square_center(tmp_path, capsys):
     ('{"format": "sobemb-series/1", "domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, '
      '"parity": ["sin", "sin"], "shape": [1, 1], "coeffs": [["inf", "inf"]]}',
      "DomainError"),
+    ('{"format": "sobemb-series/1", "domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, '
+     '"parity": ["sin", "sin"], "shape": [1, 1], "coeffs": ["12"]}',
+     "DomainError"),
+    ('{"format": "sobemb-series/1", "domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, '
+     '"parity": ["sin", "sin"], "shape": [1, 1], "coeffs": [["0x1p+0", "0x1p+0", "0x1p+0"]]}',
+     "DomainError"),
 ], ids=["missing", "not-json", "not-an-object", "unknown-format", "no-domain",
-        "too-few-coeffs", "infinite-coeff"])
+        "too-few-coeffs", "infinite-coeff", "string-coeff", "three-endpoints"])
 def test_certify_bad_input_file_is_one_error_line(tmp_path, capsys, text, error):
     """A missing, non-JSON or malformed --in file ends in one `error:` line
     on stderr and exit 1, not a traceback."""

@@ -13,6 +13,8 @@ from sobemb.errors import DivisionByZeroInterval, OverflowError_
 from sobemb.intervals import (
     PI,
     Interval,
+    _div_dir,
+    _mul_dir,
     iv_cos,
     iv_exp,
     iv_ln,
@@ -200,6 +202,37 @@ def test_scalar_product_against_fraction(x, y):
             assert out.lo >= 0.0
         else:
             assert out.hi <= 0.0
+
+
+_endpoint = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 0.1, 2.0 ** 995, -(2.0 ** 995 - 2.0 ** 942),
+                     2.0 ** -900, 1e-300, 5e-324, -5e-324]),
+    _any_float)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_endpoint, _endpoint, _endpoint, _endpoint, st.booleans(), st.booleans())
+def test_sign_cases_give_the_four_product_bits(a, b, c, d, thin_x, thin_y):
+    """Interval * and / form only the endpoint products (quotients) that
+    decide the result, by the signs of the endpoints; directed rounding is
+    monotone, so both ends equal those of the min and max over all four, on
+    thin, zero, signed-zero and zero-straddling intervals alike, and so do
+    the raised errors."""
+    x = Interval(*sorted((a, a if thin_x else b)))
+    y = Interval(*sorted((c, c if thin_y else d)))
+    for op, f in ((lambda s, t: s * t, _mul_dir), (lambda s, t: s / t, _div_dir)):
+        try:
+            got = op(x, y)
+        except (OverflowError_, DivisionByZeroInterval) as exc:
+            got = type(exc)
+        try:
+            if f is _div_dir and y.lo <= 0.0 <= y.hi:
+                raise DivisionByZeroInterval("denominator contains 0")
+            ends = [f(s, t) for s in (x.lo, x.hi) for t in (y.lo, y.hi)]
+            want = Interval(min(e[0] for e in ends), max(e[1] for e in ends))
+        except (OverflowError_, DivisionByZeroInterval) as exc:
+            want = type(exc)
+        assert got == want, (x, y)
 
 
 @settings(max_examples=500, deadline=None)

@@ -18,6 +18,7 @@ from sobemb.ivarray import IArray, _dn, _gamma_fac, _up
 from sobemb.series import (
     _EPS_LD,
     _POWER_SPLIT,
+    _SLICE_BITS,
     COS,
     SIN,
     DomainRect,
@@ -28,12 +29,15 @@ from sobemb.series import (
     _extension,
     _iv_root,
     _modes,
+    _slice_width,
+    _slices,
     factor_boundary,
     lp_norm,
     multiply,
     negative_part_sup,
     power_expand,
 )
+from sobemb.solver import SolverConfig, initial_guess, newton_solve
 
 SQ = DomainRect(1.0, 1.0)
 
@@ -353,8 +357,10 @@ def test_multiply_encloses_exact_product_for_every_parity_pair(parities):
 
 
 def _whole_slab_multiply(u, v):
-    """Reference for `multiply`: the same convolution with every step of the
-    loop over the whole slab of the denser extension, zeros included."""
+    """Reference for `multiply`: the same convolution as a loop over the
+    nonzero entries of the sparser extension, each step over the whole slab
+    of the denser one, with an extended-precision midpoint and one rounding
+    bound from the global term count k."""
     ea, eb = _extension(u), _extension(v)
     if np.count_nonzero(eb[2]) < np.count_nonzero(ea[2]):
         ea, eb = eb, ea
@@ -394,11 +400,18 @@ def _whole_slab_multiply(u, v):
     return Series2D(u.domain, IArray(lo, hi, _unsafe=True), px, py)
 
 
-def _assert_same_bits(got, want):
+def _assert_encloses_reference_no_wider(got, want):
+    """got and want have the same parities, shape and exact zeros; every
+    entry of got meets want's, and no entry with |c| >= 2^-30 max |c| is
+    wider than want's."""
     assert (got.parity_x, got.parity_y) == (want.parity_x, want.parity_y)
     assert got.coeffs.shape == want.coeffs.shape
-    assert got.coeffs.lo.tobytes() == want.coeffs.lo.tobytes()
-    assert got.coeffs.hi.tobytes() == want.coeffs.hi.tobytes()
+    g, w = got.coeffs, want.coeffs
+    assert np.array_equal((g.lo == 0.0) & (g.hi == 0.0), (w.lo == 0.0) & (w.hi == 0.0))
+    assert np.all(g.lo <= w.hi) and np.all(w.lo <= g.hi)
+    mag = w.mag()
+    big = mag >= 2.0 ** -30 * mag.max()
+    assert np.all((g.hi - g.lo)[big] <= (w.hi - w.lo)[big])
 
 
 # Which modes of an axis may be nonzero: modes of one parity give the
@@ -428,22 +441,140 @@ def _factor(draw, dom):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_multiply_matches_whole_slab_loop_bit_for_bit(data):
-    """multiply, which skips the parity sub-grids holding no nonzero entry,
-    gives the lo/hi bits of the loop over whole slabs, for every parity pair,
-    mode set, interior zeros, thin and thick factors, on both domains."""
+def test_multiply_encloses_whole_slab_loop_no_wider(data):
+    """multiply meets the reference loop on every entry, keeps its exact
+    zeros, and is no wider on every entry that is not negligible, for every
+    parity pair, mode set, interior zeros, thin and thick factors, on both
+    domains."""
     dom = data.draw(st.sampled_from((SQ, DomainRect(2.0, 1.0))))
     u, v = data.draw(_factor(dom)), data.draw(_factor(dom))
-    _assert_same_bits(multiply(u, v), _whole_slab_multiply(u, v))
+    _assert_encloses_reference_no_wider(multiply(u, v), _whole_slab_multiply(u, v))
 
 
-def test_power_chain_matches_whole_slab_loop_bit_for_bit(u_p3_n10):
-    """Every product of the power chain of a solved center steps by 2 on
-    both axes and still gives the whole-slab loop's bits."""
-    for k in (2, 3, 4, 5):
+@pytest.mark.parametrize("p, n", [(2, 72), (3, 34), (4, 20)])
+def test_power_chain_encloses_whole_slab_loop_no_wider(p, n, unit_square):
+    """Every product that certification forms at the last N of the c3, c4
+    and c5 sweeps meets the reference loop and is no wider."""
+    u = newton_solve(SolverConfig(p=p, N=n), initial_guess(p, unit_square))
+    for k in range(2, p + 1):
         a, b = _POWER_SPLIT[k]
-        want = _whole_slab_multiply(power_expand(u_p3_n10, a), power_expand(u_p3_n10, b))
-        _assert_same_bits(power_expand(u_p3_n10, k), want)
+        want = _whole_slab_multiply(power_expand(u, a), power_expand(u, b))
+        _assert_encloses_reference_no_wider(power_expand(u, k), want)
+
+
+def test_per_entry_gamma_on_mixed_parity_rectangle():
+    """On the 2 x 1 rectangle, a thick cosine/sine factor with zero midpoints
+    times a thin sine/cosine one: each entry's upper end is its exact radius
+    sum R_e up to the gamma of its own count n_e of nonzero pairs.  The edge
+    entries reach few pairs, so there the bound with the global count k, as
+    in the reference loop, is looser."""
+    dom = DomainRect(2.0, 1.0)
+    rng = np.random.default_rng(7)
+    r = rng.integers(1, 64, size=(9, 4)) / 64.0
+    u = Series2D(dom, IArray(-r, r), COS, SIN)
+    v = Series2D(dom, IArray(rng.integers(-64, 65, size=(5, 6)) / 16.0), SIN, COS)
+    w = multiply(u, v)
+    assert (w.parity_x, w.parity_y) == (SIN, SIN)
+    (_, ar, anz), (bm, _, bnz) = _extension(u), _extension(v)
+    rad, count = {}, {}  # by product index, over the extensions' nonzero pairs
+    for i, j in zip(*np.nonzero(anz)):
+        for k, l in zip(*np.nonzero(bnz)):
+            key = (i - ar.shape[0] // 2 + k - bm.shape[0] // 2,
+                   j - ar.shape[1] // 2 + l - bm.shape[1] // 2)
+            rad[key] = rad.get(key, 0) + Fraction(ar[i, j]) * abs(Fraction(bm[k, l]))
+            count[key] = count.get(key, 0) + 1
+    for i, mx in enumerate(w.modes_x()):
+        for j, my in enumerate(w.modes_y()):
+            lo, hi = Fraction(w.coeffs.lo[i, j]), Fraction(w.coeffs.hi[i, j])
+            if (mx, my) not in count:
+                assert lo == hi == 0
+                continue
+            exact = rad[(mx, my)] / 4  # the output scale is 1/2 per axis
+            assert lo <= -exact and exact <= hi
+            assert hi <= exact * (1 + 8 * Fraction(_gamma_fac(count[(mx, my)])))
+    nz = [np.count_nonzero(e.any(axis=1 - d)) for d in (0, 1) for e in (anz, bnz)]
+    k = min(nz[:2]) * min(nz[2:])
+    assert any(6 * (k + 4) > 8 * (n + 4) for n in count.values())
+
+
+# -- the premises of multiply's GEMM engine ------------------------------------
+
+
+def test_slice_width_keeps_every_slice_product_below_2_to_52():
+    """k products of integers below 2^beta stay below 2^52 at every k up to
+    the largest convolution (both factors at MAX_EXPANSION_ORDER), and the S
+    slices hold at least _SLICE_BITS bits."""
+    for k in list(range(1, 5000)) + [2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 2049 ** 2]:
+        beta, count = _slice_width(k)
+        assert k * 2 ** (2 * beta) <= 2 ** 52 < k * 2 ** (2 * beta + 2)
+        assert count * beta >= _SLICE_BITS > (count - 1) * beta
+
+
+@pytest.mark.parametrize("n, k, beta", [(5, 37, 23), (64, 1156, 20), (64, 4096, 20),
+                                        (96, 8192, 20), (40, 2 ** 17, 17)])
+def test_integer_gemm_is_exact_below_2_to_53(n, k, beta):
+    """np.matmul of integer-valued float matrices whose entries are below
+    2^beta, with k 2^(2 beta) <= 2^53, equals the exact integer product, so
+    every partial sum it forms was exact.  Rows of equal-signed entries at
+    the largest magnitude push the partial sums to the bound; the rest are
+    random."""
+    rng = np.random.default_rng(k)
+    top = 2 ** beta - 1
+    a = rng.integers(-top, top + 1, size=(n, k))
+    b = rng.integers(-top, top + 1, size=(k, n))
+    a[0], b[:, 0] = top, top
+    a[1], b[:, 1] = -top, top
+    want = a @ b  # int64: exact, every |sum| < 2^53
+    assert np.array_equal((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64), want)
+    assert want[0, 0] == k * top * top
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slices_reconstruct_the_factor(seed):
+    """m = 2^e sum_s slices[s] 2^(-(s+1) beta) + rest with |rest| <= rho,
+    checked in rationals on entries over 1100 binary orders, zeros and
+    subnormals included; each slice is an integer below 2^beta of its
+    entry's sign, and an entry whose bits all lie within the slices is
+    rebuilt exactly (rho = 0)."""
+    rng = np.random.default_rng(seed)
+    count, beta = rng.integers(2, 7), rng.integers(14, 27)
+    m = rng.normal(size=(7, 5)) * np.ldexp(1.0, rng.integers(-1074, 30, size=(7, 5)))
+    m[rng.random(m.shape) < 0.2] = 0.0
+    m.flat[0] = np.ldexp(rng.normal(), int(rng.integers(-1000, 1000)))
+    sl, e, rho = _slices(m, count, beta)
+    assert np.all(sl == np.trunc(sl)) and np.all(np.abs(sl) < 2.0 ** beta)
+    assert np.all(sl * np.sign(m) >= 0.0)
+    big = np.abs(m).max()
+    for idx in np.ndindex(m.shape):
+        recon = sum(Fraction(sl[(s,) + idx]) * Fraction(2) ** (e - (s + 1) * int(beta))
+                    for s in range(count))
+        rest = Fraction(m[idx]) - recon
+        assert abs(rest) <= Fraction(rho[idx])
+        if m[idx] != 0.0 and math.frexp(m[idx])[1] - 53 >= math.frexp(big)[1] - count * beta:
+            assert rest == 0 and rho[idx] == 0.0
+
+
+@pytest.mark.parametrize("shift_u, shift_v", [(-1000, 0), (-1000, -40), (-1000, 1000),
+                                              (0, -1060)])
+def test_multiply_encloses_products_of_tiny_coefficients(shift_u, shift_v):
+    """Dyadic factors scaled to 2^-1000 and below: the product, whose exact
+    coefficients may lie far below the smallest float, still encloses the
+    exact rational product, and an entry no pair reaches is [0, 0]."""
+    rng = np.random.default_rng(-shift_u - shift_v)
+    dom = DomainRect(2.0, 1.0)
+    a = np.ldexp(rng.integers(-64, 65, size=(4, 5)) / 32.0, shift_u)
+    a[0, 0] = 1.0  # one entry far above the rest
+    b = np.ldexp(rng.integers(-64, 65, size=(3, 4)) / 16.0, shift_v)
+    u, v = Series2D(dom, IArray(a), SIN, COS), Series2D(dom, IArray(b), SIN, SIN)
+    w = multiply(u, v)
+    exact, reached = _exact_product(u, v)
+    for i, mx in enumerate(w.modes_x()):
+        for j, my in enumerate(w.modes_y()):
+            lo, hi = Fraction(w.coeffs.lo[i, j]), Fraction(w.coeffs.hi[i, j])
+            if (mx, my) not in reached:
+                assert lo == hi == 0
+            else:
+                assert lo <= exact.get((mx, my), 0) <= hi
 
 
 # -- pointwise bounds --------------------------------------------------------------
