@@ -30,7 +30,7 @@ from .certify import (
     positiveness_certificate,
 )
 from .errors import SobembError
-from .intervals import Interval, iv_gamma
+from .intervals import Interval
 from .ivarray import IArray
 from .pipeline import RunConfig, RunReport, classical_table, emit_plot_data, run_pipeline
 from .series import (
@@ -57,7 +57,7 @@ __all__ = [
     "CertifiedBall", "certify_ball", "defect_bounds",
     "inverse_bound", "kantorovich_radius", "linf_embedding_constant",
     "linf_radius", "lipschitz_bound", "positiveness_certificate",
-    "SobembError", "Interval", "iv_gamma",
+    "SobembError", "Interval",
     "IArray", "RunConfig", "RunReport", "classical_table", "emit_plot_data",
     "run_pipeline",
     "DomainRect", "Series2D", "SineSeries2D", "lp_norm",

@@ -16,12 +16,19 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 from .errors import CertificateMissing, DomainError, HypothesisFailure, SoundnessViolation
-from .intervals import PI, Interval, iv_gamma, iv_pow_real
+from .intervals import PI, Interval, iv_pow_real, iv_sin
 from .series import Series2D, lp_norm
 
 
 def talenti_constant(q) -> Interval:
-    """Sharp constant of the W^{1,q}(R^2) -> L^{2q/(2-q)}(R^2) embedding."""
+    """Sharp constant of the W^{1,q}(R^2) -> L^{2q/(2-q)}(R^2) embedding.
+
+    Talenti's bracket Gamma(1 + n/2) Gamma(n) / (Gamma(n/q) Gamma(1 + n - n/q))
+    is 1 / (Gamma(2/q) Gamma(3 - 2/q)) for n = 2.  With z = 2/q - 1 in (0, 1),
+    Gamma(1 + z) Gamma(2 - z) = z (1 - z) Gamma(z) Gamma(1 - z)
+    = (1 - z) pi z / sin(pi z) by the reflection formula, so the bracket is
+    sin(pi z) / ((1 - z) pi z).
+    """
     qi = Interval._coerce(q)
     if not (qi.lo > 1.0 and qi.hi < 2.0):
         raise DomainError("exponent q must lie in (1, 2)")
@@ -31,11 +38,8 @@ def talenti_constant(q) -> Interval:
     f1 = iv_pow_real(PI, Interval(-0.5))
     f2 = iv_pow_real(ni, -inv_q)
     f3 = iv_pow_real((qi - one) / (ni - qi), one - inv_q)
-    bracket = (
-        iv_gamma(one + ni / Interval(2.0))
-        * iv_gamma(ni)
-        / (iv_gamma(ni / qi) * iv_gamma(one + ni - ni / qi))
-    )
+    z = ni / qi - one
+    bracket = iv_sin(PI * z) / ((one - z) * PI * z)
     f4 = iv_pow_real(bracket, one / ni)
     return f1 * f2 * f3 * f4
 

@@ -662,8 +662,6 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
                 / iv_sqrt(lam1)
             )
         ).hi
-        if not math.isfinite(ft):
-            break
         best = min(best, ft)
         if ft >= best * (1.0 - 1e-15):
             break

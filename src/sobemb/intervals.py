@@ -6,7 +6,10 @@ the round-to-nearest result (error <= 0.5 ulp for +,-,*,/ and sqrt, so one
 nextafter step in each direction is sufficient).  Library elementary
 functions (exp, log, sin) are assumed accurate to <= 1 ulp (glibc libm
 documents < 0.6 ulp for these on binary64); their endpoint values are
-widened by 2 ulps.
+widened by 2 ulps.  numpy's vectorized sin and cos of float64 arrays, which
+may use their own SIMD kernels in place of libm, are assumed within 2 ulps
+for arguments up to 2^12 in absolute value; `Series2D._basis_at_points`
+relies on this, and the test suite checks it against mpmath on the host.
 
 Overflow policy: an endpoint leaving the finite range raises
 OverflowError_, it never becomes infinite.
@@ -45,15 +48,6 @@ class Interval:
             raise ValueError(f"lo > hi: [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def from_fraction(fr: Fraction) -> "Interval":
-        f = float(fr)
-        if Fraction(f) == fr:
-            return Interval(f)
-        return Interval(_dn(f), _up(f))
 
     # -- queries -----------------------------------------------------------
 
@@ -341,48 +335,3 @@ def iv_pow_real(a: Interval, y) -> Interval:
         raise DomainError(f"pow_real base {a}")
     return iv_exp(Interval._coerce(y) * iv_ln(a))
 
-
-# -- Gamma function -----------------------------------------------------------
-
-# Bernoulli numbers B_2..B_18 as exact rationals; the Stirling series for
-# ln Gamma(x), x real > 0, truncated after the B_16 term has remainder
-# bounded in absolute value by the first omitted (B_18) term.
-_BERNOULLI = [
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-]
-_B18 = Fraction(43867, 798)
-_STIRLING_SHIFT = 12.0  # Stirling evaluated only for arguments >= this
-
-_HALF_LN_TWO_PI = iv_ln(TWO_PI) * Interval(0.5)
-
-
-def _ln_gamma_stirling(z: Interval) -> Interval:
-    """ln Gamma on an interval with z.lo >= _STIRLING_SHIFT."""
-    t = (z - Interval(0.5)) * iv_ln(z) - z + _HALF_LN_TWO_PI
-    zinv2 = Interval(1.0) / (z * z)
-    term = Interval(1.0) / z
-    for j, b2j in enumerate(_BERNOULLI, start=1):
-        coef = Interval.from_fraction(b2j / (2 * j * (2 * j - 1)))
-        t = t + coef * term
-        term = term * zinv2
-    # remainder: first omitted term (j = 9), valid sign-agnostically
-    rmag = (Interval.from_fraction(_B18 / (18 * 17)) * term).mag()
-    return t + Interval(-rmag, rmag)
-
-
-def iv_gamma(a: Interval) -> Interval:
-    if a.lo <= 0.0:
-        raise DomainError(f"gamma requires positive argument, got {a}")
-    k = max(0, math.ceil(_STIRLING_SHIFT - a.lo))
-    g = _ln_gamma_stirling(a + Interval(float(k)))
-    result = iv_exp(g)
-    for i in range(k):
-        result = result / (a + Interval(float(i)))
-    return result

