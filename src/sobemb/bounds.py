@@ -17,7 +17,7 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 from .errors import CertificateMissing, DomainError, HypothesisFailure, SoundnessViolation
 from .intervals import PI, Interval, iv_pow_real, iv_sin
-from .series import Series2D, lp_norm
+from .series import DomainRect, Series2D, lp_norm
 
 
 def talenti_constant(q) -> Interval:
@@ -87,6 +87,13 @@ def plum_bound(p, rho: Interval) -> Interval:
         * iv_pow_real(prod, Interval(2.0) / pi_)
         * iv_pow_real(rho_lo, -one / pi_)
     )
+
+
+def classical_upper(q, domain: DomainRect) -> Interval:
+    """C >= C_q(domain) for q > 2: the smaller of the two classical upper
+    bounds, as a thin interval at its upper end."""
+    return Interval(min(corollary_bound(q, domain.measure()).hi,
+                        plum_bound(q, domain.lambda1()).hi))
 
 
 @dataclass(frozen=True)

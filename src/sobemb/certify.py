@@ -13,9 +13,9 @@ module derives, entirely in interval arithmetic:
     section-tail coupling,
   * a Lipschitz bound g for the derivative on a trial ball,
   * a Newton-Kantorovich existence/uniqueness ball in X (radius r_h1),
-  * an L-infinity error radius by elliptic bootstrap (radius r_inf),
-  * a positiveness certificate: a point where the true solution is provably
-    positive together with sup(u_-)^{p-1} < lambda_1.
+  * an L-infinity error radius r_inf in closed form,
+  * a positiveness certificate: the true solution is provably positive at
+    the rectangle's center, and (r_inf + sup u_-)^{p-1} < lambda_1.
 
 Certification is a function of the center and p alone: the split order is
 `default_split_order(u, p)` and nothing else is settable.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import corollary_bound, plum_bound
+from .bounds import classical_upper
 from .errors import (
     CapacityError,
     ConditionFailure,
@@ -56,7 +56,6 @@ from .symeig import SymMatrix, eig_enclosures
 
 UNIQUE_RADIUS_CAP = 1e300
 LINF_RHO_MAX = 1e3  # largest L-infinity radius worth reporting
-LINF_ITERATIONS = 60  # cap on the downward bootstrap iterations
 LINF_BOX = 400  # modes per side summed exactly in the L-infinity constant
 COUPLING_TARGET = 0.0275  # largest section-tail coupling c the split order accepts
 
@@ -538,9 +537,7 @@ def lipschitz_bound(u: Series2D, p: int, R: float) -> Interval:
     """
     if R < 0.0:
         raise ValueError("trial radius must be nonnegative")
-    dom = u.domain
-    c = Interval(min(corollary_bound(p + 1, dom.measure()).hi,
-                     plum_bound(p + 1, dom.lambda1()).hi))
+    c = classical_upper(p + 1, u.domain)
     base = Interval(lp_norm(u, p + 1).hi) + c * Interval(R)
     g = (
         Interval(float(p * (p - 1)))
@@ -619,57 +616,39 @@ def linf_embedding_constant(domain: DomainRect) -> Interval:
 
 
 def linf_radius(u: Series2D, p: int, r_h1: Interval,
-                delta_l2: Interval) -> tuple:
-    """(r_inf, iterations): r_inf >= L-infinity distance of the true
-    solution from u, and how many times the bootstrap map was applied.
+                delta_l2: Interval) -> Interval:
+    """r_inf >= the L-infinity distance of the true solution from u:
 
-    Bootstrap: e = u_true - u solves -Lap e = w, so ||e||_inf <= c * ||w||_L2
-    with ||w||_L2 <= delta_l2 + p (sup|u| + rho)^{p-1} r_h1 / sqrt(lambda_1)
-    whenever rho >= ||e||_inf.  An a-priori bound (Hoelder + classical
-    embedding constants, no sup norm) seeds rho; the monotone map is then
-    iterated downward, every iterate being a valid bound.
+        r_inf = c_inf (delta_l2 + p sum_{k=0}^{p-1} binom(p-1, k) S^{p-1-k}
+                       (C_{2k+2} r)^{k+1}),
+
+    S >= sup|u| (`sup_abs_bound`), r = r_h1, c_inf the constant of
+    `linf_embedding_constant`, C_2 = 1/sqrt(lambda_1) and C_q, q >= 4, the
+    smaller classical upper bound on the L^q embedding constant.
+
+    Lemma.  With g(v) = |v|^{p-1} v, e = u_true - u solves -Lap e =
+    (g(u + e) - g(u)) + (Lap u + g(u)), and the last term has L2 norm at
+    most delta_l2.  By the mean-value theorem |g(u + e) - g(u)| <= p (|u| +
+    |e|)^{p-1} |e| pointwise, and the binomial expansion bounds this by p
+    sum_k binom(p-1, k) S^{p-1-k} |e|^{k+1}.  In L2, || |e|^{k+1} || =
+    ||e||_{L^{2k+2}}^{k+1} <= (C_{2k+2} ||e||_{H^1_0})^{k+1} with ||e||_{H^1_0}
+    <= r, so ||Lap e||_L2 <= r_inf / c_inf and ||e||_inf <= c_inf ||Lap
+    e||_L2 <= r_inf.  FixedPointFailure if r_inf is negative (bad inputs)
+    or above LINF_RHO_MAX.
     """
     dom = u.domain
-    c_inf = linf_embedding_constant(dom)
-    lam1 = dom.lambda1()
-    r = Interval(max(0.0, r_h1.lo), r_h1.hi)
-    norm_u = u.h01_norm()
-    sup_u = Interval(0.0, u.sup_abs_bound().hi)
-
-    # a-priori seed: ||w_nl||_L2 <= p ||max(|u_true|,|u|)||_{L^{2p}}^{p-1}
-    # * ||e||_{L^{2p}} with the classical L^{2p} constant
-    c2p = corollary_bound(2 * p, dom.measure())
-    base = Interval(2.0) * norm_u + r
-    t = (
-        c_inf
-        * (
-            delta_l2
-            + Interval(float(p)) * iv_pow_int(c2p, p) * iv_pow_int(base, p - 1) * r
-        )
-    ).hi
-    if not (math.isfinite(t) and t >= 0.0):
-        raise FixedPointFailure("a-priori L-infinity seed is not finite")
-
-    best = t
-    for iterations in range(1, LINF_ITERATIONS + 1):
-        ft = (
-            c_inf
-            * (
-                delta_l2
-                + Interval(float(p))
-                * iv_pow_int(sup_u + Interval(0.0, best), p - 1)
-                * r
-                / iv_sqrt(lam1)
-            )
-        ).hi
-        best = min(best, ft)
-        if ft >= best * (1.0 - 1e-15):
-            break
-    if best > LINF_RHO_MAX:
+    s = u.sup_abs_bound()
+    r = Interval(r_h1.hi)
+    nonlinear = Interval(0.0)
+    for k in range(p):
+        c = Interval(1.0) / iv_sqrt(dom.lambda1()) if k == 0 else classical_upper(2 * k + 2, dom)
+        nonlinear = nonlinear + (Interval(float(math.comb(p - 1, k))) * iv_pow_int(s, p - 1 - k)
+                                 * iv_pow_int(c * r, k + 1))
+    rho = (linf_embedding_constant(dom) * (delta_l2 + Interval(float(p)) * nonlinear)).hi
+    if not 0.0 <= rho <= LINF_RHO_MAX:
         raise FixedPointFailure(
-            f"L-infinity radius {best:.4e} exceeds {LINF_RHO_MAX:.4e}"
-        )
-    return Interval(0.0, best), iterations
+            f"L-infinity radius {rho:.4e} is outside [0, {LINF_RHO_MAX:.4e}]")
+    return Interval(0.0, rho)
 
 
 # -- positiveness -----------------------------------------------------------------
@@ -679,12 +658,14 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
 class PositivenessAudit:
     """Audit record of the positiveness certificate."""
 
-    verdict: bool
-    point: tuple  # (x, y) of the best of the 3 x 3 probe points
+    point: tuple  # (x, y), the rectangle's center
     positivity_margin: float  # lower bound on u(point) - r_inf
     neg_sup: float  # sup u_-
     spectral_margin: float  # lower bound on lambda_1 - (r_inf + sup u_-)^{p-1}
-    reason: str
+
+    @property
+    def verdict(self) -> bool:
+        return self.positivity_margin > 0.0 and self.spectral_margin > 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -695,41 +676,24 @@ class PositivenessAudit:
 
 
 def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> PositivenessAudit:
-    """Verify the hypotheses forcing positivity of the true solution.
+    """Verify the hypotheses forcing positivity of the true solution:
 
-    (a) some point x0 with u(x0) - r_inf > 0 rigorously, and
+    (a) u(x0) - r_inf > 0 rigorously at the rectangle's center x0, and
     (b) (r_inf + sup u_-)^{p-1} < lambda_1 rigorously and strictly.
+
+    Both margins are rounded down, so each is > 0 exactly when its strict
+    inequality holds.
     """
     dom = u.domain
-    lam1_lo = dom.lambda1().lo
-
-    fracs = np.array([0.5, 0.25, 0.75])
-    xs, ys = fracs * dom.L1, fracs * dom.L2
-    vals_lo = u.values_on_grid(xs, ys).lo.ravel()
-    margins = [(Interval(v) - Interval(r_inf.hi)).lo for v in vals_lo]
-    k = int(np.argmax(margins))  # first of the 3 x 3 points with the best margin
-    best_margin = margins[k]
-    best_point = (float(xs[k // 3]), float(ys[k % 3]))
-    point_ok = best_margin > 0.0
-
+    x0, y0 = 0.5 * dom.L1, 0.5 * dom.L2
+    value = u.values_on_grid(np.array([x0]), np.array([y0])).lo[0, 0]
     eta = negative_part_sup(u)
     neg_power = iv_pow_int(Interval(r_inf.hi) + Interval(eta), p - 1).hi
-    spectral_margin = (Interval(lam1_lo) - Interval(neg_power)).lo
-    spectral_ok = neg_power < lam1_lo
-
-    if point_ok and spectral_ok:
-        reason = "verified"
-    elif not point_ok:
-        reason = "no positivity subdomain"
-    else:
-        reason = "negative-part spectral condition failed"
     return PositivenessAudit(
-        verdict=point_ok and spectral_ok,
-        point=best_point,
-        positivity_margin=best_margin,
+        point=(x0, y0),
+        positivity_margin=(Interval(value) - Interval(r_inf.hi)).lo,
         neg_sup=eta,
-        spectral_margin=spectral_margin,
-        reason=reason,
+        spectral_margin=(dom.lambda1() - Interval(neg_power)).lo,
     )
 
 
@@ -744,8 +708,8 @@ class CertifiedBall:
     a square, and it is the only one in X within unique_radius.  It comes
     from the H^-1 and L2 defect bounds, K (`inverse`, with the terms it comes
     from, at the split order nprime) and the Lipschitz bound g, which holds
-    on the ball of radius trial_radius.  r_inf took linf_iterations steps of
-    the L-infinity bootstrap, and `audit` is the positiveness certificate.
+    on the ball of radius trial_radius.  r_inf bounds its L-infinity
+    distance from the center, and `audit` is the positiveness certificate.
     The extremizer lies in X by the Gidas-Ni-Nirenberg symmetry theorem
     (`inverse_bound`).
     """
@@ -761,7 +725,6 @@ class CertifiedBall:
     r_h1: Interval
     unique_radius: Interval
     r_inf: Interval
-    linf_iterations: int
     audit: PositivenessAudit
 
     @property
@@ -780,7 +743,6 @@ class CertifiedBall:
             "positiveness": self.audit.to_dict(),
             "neg_sup": self.audit.neg_sup.hex(),
             "trial_radius": self.trial_radius.hex(),
-            "linf_iterations": self.linf_iterations,
             "positive": self.positive,
         }
 
@@ -790,7 +752,7 @@ class CertifiedBall:
         c = self.center
         digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
         return {
-            "format": "sobemb-certificate/2",
+            "format": "sobemb-certificate/3",
             "domain": c.domain.to_dict(),
             "N": c.N,
             "coefficient_digest": digest,
@@ -831,7 +793,7 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     g = lipschitz_bound(u, p, trial)
     r_h1, unique = kantorovich_radius(d_hm1, inv.K, g)
 
-    r_inf, linf_iterations = linf_radius(u, p, r_h1, d_l2)
+    r_inf = linf_radius(u, p, r_h1, d_l2)
     return CertifiedBall(
         center=u,
         p=p,
@@ -844,6 +806,5 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
         r_h1=r_h1,
         unique_radius=unique,
         r_inf=r_inf,
-        linf_iterations=linf_iterations,
         audit=positiveness_certificate(u, r_inf, p),
     )

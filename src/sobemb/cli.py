@@ -50,6 +50,13 @@ def _parse_int_list(text: str) -> list:
     return [int(t) for t in text.split(",") if t]
 
 
+def _parse_plot_grid(text: str) -> int:
+    m = int(text)
+    if m == 1 or m < 0:
+        raise argparse.ArgumentTypeError(f"plot grid must be 0 (off) or at least 2, got {m}")
+    return m
+
+
 def _add_common(sub, exponent=True):
     if exponent:
         sub.add_argument("--p", type=int, default=3,
@@ -88,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N", type=_parse_int_list, default=[10, 20, 30, 34],
                    help="comma-separated truncation sweep")
     s.add_argument("--format", choices=("json", "csv"), default="json")
-    s.add_argument("--plot-grid", type=int, default=0,
-                   help="emit <out>.plot.csv samples on an MxM grid")
+    s.add_argument("--plot-grid", type=_parse_plot_grid, default=0,
+                   help="emit <out>.plot.csv samples on an MxM grid, M >= 2 (0: off)")
 
     s = add_parser("classical", help="closed-form upper-bound table")
     _add_common(s, exponent=False)
@@ -134,7 +141,7 @@ def _cmd_enclose(args) -> int:
     report = run_pipeline(RunConfig(p=args.p, domain=args.domain, N=args.N))
     text = report.to_json() if args.format == "json" else report_csv(report)
     _emit(text, args.out)
-    if args.plot_grid >= 2 and report.solutions:
+    if args.plot_grid and report.solutions:
         best_n = max(report.solutions)
         target = (args.out or "sobemb") + ".plot.csv"
         emit_plot_data(report.solutions[best_n], args.plot_grid, target)

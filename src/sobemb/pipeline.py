@@ -24,12 +24,12 @@ from .bounds import (
     outward_decimal,
     plum_bound,
 )
-from .certify import LINF_ITERATIONS, CertifiedBall, certify_ball
+from .certify import CertifiedBall, certify_ball
 from .errors import DomainError, SobembError, SoundnessViolation
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
-REPORT_FORMAT = "sobemb-report/1"
+REPORT_FORMAT = "sobemb-report/2"
 
 
 @dataclass
@@ -72,7 +72,7 @@ class RunConfig:
 # the rigorous fields of a row whose certification did not finish
 _NO_BALL = {
     **dict.fromkeys(("defect_hm1", "defect_l2", "K", "r_h1", "r_inf", "inverse_bound",
-                     "positiveness", "neg_sup", "trial_radius", "linf_iterations")),
+                     "positiveness", "neg_sup", "trial_radius")),
     "positive": False,
 }
 
@@ -259,9 +259,8 @@ def validate_report_dict(d: dict) -> None:
     interval ordered, K positive, the defects and radii nonnegative, the
     terms of K readable hex floats, and on certified rows the terms of K and
     the positiveness record present (a positive row with both margins above
-    0), the trial radius at least r_h1 (g must hold on the certified ball),
-    the L-infinity iterations within 1..LINF_ITERATIONS and the row's
-    enclosure, lower <= upper, present as hex floats."""
+    0), the trial radius at least r_h1 (g must hold on the certified ball)
+    and the row's enclosure, lower <= upper, present as hex floats."""
     if d.get("format") != REPORT_FORMAT:
         raise SoundnessViolation("unknown report format")
     for row in d["rows"]:
@@ -300,11 +299,9 @@ def validate_report_dict(d: dict) -> None:
                 trial_ok = float.fromhex(row["trial_radius"]) >= float.fromhex(row["r_h1"][1])
             except (KeyError, TypeError, ValueError):
                 trial_ok = False
-            its = row.get("linf_iterations")
-            if not (trial_ok and type(its) is int and 1 <= its <= LINF_ITERATIONS):
+            if not trial_ok:
                 raise SoundnessViolation(
-                    f"row N={row['N']}: trial radius below r_h1 or not a hex float, "
-                    "or linf_iterations outside 1..LINF_ITERATIONS")
+                    f"row N={row['N']}: trial radius below r_h1 or not a hex float")
         bounds = (row.get("lower"), row.get("upper"))
         if row["status"] == "certified" or bounds != (None, None):
             try:

@@ -2,6 +2,7 @@
 L-infinity embedding constant, defect bounds, and positiveness audit."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from scipy.fft import dstn
 
 from sobemb.certify import (
-    LINF_ITERATIONS,
     _b_matrix,
     _coupled_gap,
     _potential_matrix,
@@ -29,10 +29,17 @@ from sobemb.certify import (
     positiveness_certificate,
 )
 from sobemb import certify, series, symeig
-from sobemb.bounds import corollary_bound, enclosure_from_ball, plum_bound
-from sobemb.errors import CapacityError, ConditionFailure, DomainError, NotInvertible
+from sobemb.bounds import classical_upper, corollary_bound, enclosure_from_ball, plum_bound
+from sobemb.errors import (
+    CapacityError,
+    ConditionFailure,
+    DomainError,
+    FixedPointFailure,
+    NotInvertible,
+)
 from sobemb.intervals import Interval, iv_pow_int, iv_sqrt
 from sobemb.ivarray import IArray, _dn, _up, imatmul
+from sobemb.pipeline import RunConfig, run_pipeline
 from sobemb.series import (
     DomainRect,
     SineSeries2D,
@@ -797,25 +804,127 @@ def test_linf_embedding_constant_dilation():
 
 
 def test_linf_radius_shrinks_with_defect(u_p3_n10):
-    small, n_small = linf_radius(u_p3_n10, 3, Interval(0.0, 1e-8),
-                                 delta_l2=Interval(0.0, 1e-8))
-    large, n_large = linf_radius(u_p3_n10, 3, Interval(0.0, 1e-3),
-                                 delta_l2=Interval(0.0, 1e-3))
-    assert 1 <= n_small <= LINF_ITERATIONS and 1 <= n_large <= LINF_ITERATIONS
+    small = linf_radius(u_p3_n10, 3, Interval(0.0, 1e-8), delta_l2=Interval(0.0, 1e-8))
+    large = linf_radius(u_p3_n10, 3, Interval(0.0, 1e-3), delta_l2=Interval(0.0, 1e-3))
+    assert small.lo == large.lo == 0.0
     assert small.hi < large.hi
-    assert small.lo >= 0.0
+
+
+@pytest.mark.parametrize("r_h1,delta_l2", [(1.0, 1e5), (0.0, -1.0)],
+                         ids=["above-cap", "negative"])
+def test_linf_radius_out_of_range_is_typed(u_p3_n10, r_h1, delta_l2):
+    """A radius above LINF_RHO_MAX, or a negative one from a negative
+    defect bound, ends in FixedPointFailure."""
+    with pytest.raises(FixedPointFailure):
+        linf_radius(u_p3_n10, 3, Interval(r_h1), Interval(delta_l2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_linf_radius_matches_its_lemma(p):
+    """linf_radius encloses the lemma of its docstring, recomputed with
+    60-digit arithmetic from the same constants: c_inf (delta + p sum_k
+    binom(p-1, k) S^{p-1-k} (C_{2k+2} r)^{k+1}), C_2 = 1/sqrt(lambda_1),
+    on a 1.5 x 1 rectangle where C_2 and each C_{2k+2} differ.  The result
+    lies above the exact value and within 1e-12 relative of it."""
+    dom = DomainRect(1.5, 1.0)
+    u = SineSeries2D(dom, np.array([[4.0, 0.0, 0.3], [0.0, 0.0, 0.0], [-0.2, 0.0, 0.1]]))
+    r, delta = 0.01, 0.003
+    got = linf_radius(u, p, Interval(0.0, r), Interval(0.0, delta)).hi
+    with mpmath.workdps(60):
+        mp = mpmath.mpf
+        s = mp(u.sup_abs_bound().hi)
+        consts = [1 / mpmath.sqrt(mp(dom.lambda1().lo))] + [
+            mp(classical_upper(2 * k + 2, dom).hi) for k in range(1, p)]
+        total = sum(math.comb(p - 1, k) * s ** (p - 1 - k) * (consts[k] * mp(r)) ** (k + 1)
+                    for k in range(p))
+        exact = mp(linf_embedding_constant(dom).hi) * (mp(delta) + p * total)
+        assert exact <= mp(got) <= exact * (1 + mp(10) ** -12)
+
+
+# the earlier L-infinity bound, kept as the reference the closed form must
+# never exceed: an a-priori Hoelder seed and one step of a bootstrap map
+def _seeded_linf(u, p, r_h1, delta_l2):
+    dom = u.domain
+    c_inf = linf_embedding_constant(dom)
+    r = Interval(max(0.0, r_h1.lo), r_h1.hi)
+    base = Interval(2.0) * u.h01_norm() + r
+    seed = (c_inf * (delta_l2 + Interval(float(p)) * iv_pow_int(
+        corollary_bound(2 * p, dom.measure()), p) * iv_pow_int(base, p - 1) * r)).hi
+    sup_u = Interval(0.0, u.sup_abs_bound().hi)
+    step = (c_inf * (delta_l2 + Interval(float(p)) * iv_pow_int(
+        sup_u + Interval(0.0, seed), p - 1) * r / iv_sqrt(dom.lambda1()))).hi
+    return min(seed, step)
+
+
+@pytest.fixture(scope="module")
+def report_p5():
+    return run_pipeline(RunConfig(p=5, domain=SQ, N=[16, 24]))
+
+
+@pytest.fixture(scope="module")
+def report_2x1_p3():
+    return run_pipeline(RunConfig(p=3, domain=DomainRect(2.0, 1.0), N=[12, 20]))
+
+
+@pytest.mark.parametrize("name", ["report_c3", "report_c4", "report_c5", "report_p5"])
+def test_linf_radius_never_looser_than_seeded_bootstrap(name, request):
+    """On every certified center of c3, c4, c5 and p=5 (1 x 1), the closed
+    form is at most the earlier bound: the Hoelder seed
+    c_inf (delta + p C_{2p}^p (2 ||u||_{H^1_0} + r)^{p-1} r) and one step of
+    the map rho -> c_inf (delta + p (sup|u| + rho)^{p-1} r / sqrt(lambda_1))."""
+    report = request.getfixturevalue(name)
+    p = report.config.p
+    for row in report.rows:
+        b = row.ball
+        ref = _seeded_linf(b.center, p, b.r_h1, b.delta_l2)
+        assert b.r_inf.hi <= ref, (name, row.N, b.r_inf.hi, ref)
+
+
+@pytest.mark.parametrize("name,pair", [
+    ("report_c4", (10, 34)), ("report_c5", (12, 20)),
+    ("report_p5", (16, 24)), ("report_2x1_p3", (12, 20)),
+])
+def test_linf_radii_of_two_centers_cover_their_distance(name, pair, request):
+    """Metamorphic: the balls at two truncation orders hold the same true
+    solution, so on a 65 x 65 grid the rigorous lower bound on |u_a - u_b|
+    is at most r_inf(u_a) + r_inf(u_b) (measured ratios 0.005 to 0.015)."""
+    report = request.getfixturevalue(name)
+    a, b = (next(r.ball for r in report.rows if r.N == n) for n in pair)
+    dom = a.center.domain
+    xs, ys = (np.linspace(0.0, side, 65) for side in (dom.L1, dom.L2))
+    va, vb = a.center.values_on_grid(xs, ys), b.center.values_on_grid(xs, ys)
+    gap = float(np.max(np.maximum(va.lo - vb.hi, vb.lo - va.hi)))
+    assert gap <= a.r_inf.hi + b.r_inf.hi
+
+
+@pytest.mark.parametrize("domain,n", [(SQ, 16), (DomainRect(1.5, 1.0), 20)],
+                         ids=["1x1-N16", "1.5x1-N20"])
+def test_p5_rows_certify_within_budget(domain, n):
+    """p=5 rows whose Kantorovich ball certifies also pass positiveness
+    (r_inf 0.206 and 0.184), each within 30 s."""
+    t0 = time.perf_counter()
+    report = run_pipeline(RunConfig(p=5, domain=domain, N=[n]))
+    assert time.perf_counter() - t0 < 30.0
+    assert report.fully_certified
+    assert report.rows[0].ball.r_inf.hi < 0.25
 
 
 # -- positiveness ---------------------------------------------------------------------
 
 
 def test_positiveness_certificate_verdicts(u_p3_n10):
+    """The verdict needs both margins above 0; u(center) is about 6.6 and
+    lambda_1 = 2 pi^2 about 19.7.  r_inf = 5 keeps the center positive but
+    (5 + sup u_-)^2 > lambda_1; r_inf = 100 fails both."""
     ok = positiveness_certificate(u_p3_n10, Interval(0.0, 1e-3), 3)
-    assert ok.verdict and ok.reason == "verified"
-    assert ok.positivity_margin > 0.0
+    assert ok.verdict and ok.point == (0.5, 0.5)
+    assert ok.positivity_margin > 0.0 and ok.spectral_margin > 0.0
+    spectral = positiveness_certificate(u_p3_n10, Interval(0.0, 5.0), 3)
+    assert spectral.positivity_margin > 0.0 > spectral.spectral_margin
+    assert not spectral.verdict
     bad = positiveness_certificate(u_p3_n10, Interval(0.0, 100.0), 3)
+    assert bad.positivity_margin < 0.0 and bad.spectral_margin < 0.0
     assert not bad.verdict
-    assert bad.reason != "verified"
 
 
 # -- full pipeline ---------------------------------------------------------------------
@@ -834,7 +943,7 @@ def test_certificate_json_roundtrip(ball_p3_n20):
     import json
 
     d = json.loads(ball_p3_n20.to_json())
-    assert d["format"] == "sobemb-certificate/2"
+    assert d["format"] == "sobemb-certificate/3"
     assert d["p"] == 3
     assert len(d["coefficient_digest"]) == 64
     assert float.fromhex(d["r_h1"][1]) == ball_p3_n20.r_h1.hi

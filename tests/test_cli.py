@@ -30,7 +30,7 @@ def test_certify_roundtrip_through_file(tmp_path):
     rc = main(["certify", "--p", "3", "--in", series, "--out", cert])
     assert rc == EXIT_OK
     d = json.loads(open(cert).read())
-    assert d["format"] == "sobemb-certificate/2"
+    assert d["format"] == "sobemb-certificate/3"
     assert d["positive"] is True
     assert float.fromhex(d["r_h1"][1]) < 0.2
 
@@ -119,7 +119,7 @@ def test_enclose_json_and_csv(tmp_path):
     rc = main(["enclose", "--p", "3", "--N", "8", "--out", out])
     assert rc == EXIT_OK
     d = json.loads(open(out).read())
-    assert d["format"] == "sobemb-report/1"
+    assert d["format"] == "sobemb-report/2"
     assert d["final"] is not None
     csv_out = str(tmp_path / "report.csv")
     rc = main(["enclose", "--p", "3", "--N", "8", "--format", "csv",
@@ -138,6 +138,22 @@ def test_enclose_plot_data(tmp_path):
     assert rc == EXIT_OK
     lines = open(out + ".plot.csv").read().strip().split("\n")
     assert len(lines) == 65
+
+
+@pytest.mark.parametrize("grid", ["1", "-1", "-8"])
+def test_plot_grid_below_two_is_usage_error(grid, monkeypatch, capsys):
+    """--plot-grid takes 0 (off) or M >= 2; any other value is a usage error
+    before any solve, not a run that silently writes no plot."""
+    import sobemb.cli
+
+    def no_run(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(sobemb.cli, "run_pipeline", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["enclose", "--p", "3", "--N", "8", "--plot-grid", grid])
+    assert exc.value.code == 2
+    assert "plot grid must be 0 (off) or at least 2" in capsys.readouterr().err
 
 
 def test_classical_table_command(capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from sobemb.certify import LINF_ITERATIONS, _coupled_gap, certify_ball, default_split_order
+from sobemb.certify import _coupled_gap, certify_ball, default_split_order
 from sobemb.errors import SoundnessViolation
 from sobemb.intervals import Interval, iv_sqrt
 from sobemb.pipeline import (
@@ -72,9 +72,9 @@ def test_report_rows_explain_k():
 
 
 def test_report_rows_explain_positiveness():
-    """Each certified row carries the positiveness point and its positivity
-    and spectral margins as hex floats, and the canonical JSON with these
-    fields is byte-identical across two runs."""
+    """Each certified row carries the positiveness point, the rectangle's
+    center, and its positivity and spectral margins as hex floats, and the
+    canonical JSON with these fields is byte-identical across two runs."""
     a, b = (run_pipeline(RunConfig(p=3, domain=SQ, N=[10])) for _ in range(2))
     assert a.canonical_json() == b.canonical_json()
     row = json.loads(a.canonical_json())["rows"][0]
@@ -82,28 +82,24 @@ def test_report_rows_explain_positiveness():
     pos = row["positiveness"]
     assert set(pos) == {"point", "positivity_margin", "spectral_margin"}
     x, y = (float.fromhex(v) for v in pos["point"])
-    assert 0.0 < x < 1.0 and 0.0 < y < 1.0
+    assert (x, y) == (0.5, 0.5)
     assert float.fromhex(pos["positivity_margin"]) > 0.0
     assert float.fromhex(pos["spectral_margin"]) > 0.0
 
 
-def test_report_rows_explain_trial_radius_and_linf_iterations():
+def test_report_rows_explain_trial_radius():
     """Each certified row carries the trial radius R of the Lipschitz bound
-    as a hex float (R >= r_h1: g holds on the certified ball) and the count
-    of L-infinity bootstrap iterations as an int; the certificate carries
-    both too, and the canonical JSON with them is byte-identical across
-    two runs."""
+    as a hex float (R >= r_h1: g holds on the certified ball); the
+    certificate carries it too, and the canonical JSON with it is
+    byte-identical across two runs."""
     a, b = (run_pipeline(RunConfig(p=3, domain=SQ, N=[10, 20])) for _ in range(2))
     assert a.canonical_json() == b.canonical_json()
     for row, r in zip(json.loads(a.canonical_json())["rows"], a.rows):
         trial = float.fromhex(row["trial_radius"])
         assert trial == r.ball.trial_radius and trial >= float.fromhex(row["r_h1"][1])
-        assert type(row["linf_iterations"]) is int
-        assert 1 <= row["linf_iterations"] <= LINF_ITERATIONS
     ball = certify_ball(a.solutions[20], 3)
     cert = ball.to_dict()
     assert float.fromhex(cert["trial_radius"]) == ball.trial_radius == a.rows[1].ball.trial_radius
-    assert cert["linf_iterations"] == ball.linf_iterations == a.rows[1].ball.linf_iterations
 
 
 def _leaves(x, key=None):
@@ -125,7 +121,7 @@ def test_certificate_holds_the_report_row(report_c4):
     row = json.loads(report_c4.canonical_json())["rows"][0]
     assert row["N"] == 10 and row["status"] == "certified"
     cert = certify_ball(report_c4.solutions[10], 3).to_dict()
-    assert cert["format"] == "sobemb-certificate/2"
+    assert cert["format"] == "sobemb-certificate/3"
     rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
     assert {k: cert[k] for k in rigorous} == {k: row[k] for k in rigorous}
     text = {"format", "coefficient_digest", "binds"}
@@ -162,9 +158,6 @@ def _set(path, value):
     _set(("trial_radius",), (1e-300).hex()),
     _set(("trial_radius",), "0x1.0p"),
     lambda row: row.pop("trial_radius"),
-    _set(("linf_iterations",), 0),
-    _set(("linf_iterations",), 61),
-    _set(("linf_iterations",), 2.0),
     _set(("inverse_bound",), None),
     _set(("positiveness",), None),
     lambda row: row.pop("positiveness"),
@@ -177,8 +170,7 @@ def _set(path, value):
 ], ids=["K-zero", "K-negative", "defect_hm1-negative", "defect_l2-negative",
         "r_h1-negative", "r_inf-negative", "K-lo-above-hi", "tail-not-hex",
         "coupling-null", "block_min-missing", "trial_radius-below-r_h1",
-        "trial_radius-not-hex", "trial_radius-missing", "linf_iterations-zero",
-        "linf_iterations-above-cap", "linf_iterations-float", "inverse_bound-null",
+        "trial_radius-not-hex", "trial_radius-missing", "inverse_bound-null",
         "positiveness-null", "positiveness-missing", "spectral_margin-zero",
         "positivity_margin-negative", "positivity_margin-null", "point-one-coordinate",
         "lower-null", "upper-null"])
@@ -261,7 +253,7 @@ def test_c6_certifies_within_budget():
 
 def test_report_structure_and_validation(report_c4):
     d = json.loads(report_c4.to_json())
-    assert d["format"] == "sobemb-report/1"
+    assert d["format"] == "sobemb-report/2"
     validate_report_dict(d)  # must not raise
     # corrupting a rigorous field must be caught
     bad = json.loads(report_c4.to_json())
