@@ -40,7 +40,7 @@ from .errors import (
     NotInvertible,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_sqrt
-from .ivarray import _NORMAL, _TINY, IArray, _dn, _gamma_fac, _up, imatmul, isum
+from .ivarray import _TINY, IArray, _dn, _gamma_fac, _up, imatmul, isum
 from .series import (
     COS,
     MAX_DENSE_ROWS,
@@ -599,7 +599,7 @@ def linf_embedding_constant(domain: DomainRect) -> Interval:
     q2 = np.square(qx[:, None] + qy[None, :])
     t = 1.0 / q2
     s_fl = float(np.sum(t))
-    if not (min(qx[0], qy[0], q2.min(), t.min()) >= _NORMAL and math.isfinite(s_fl)):
+    if not (min(qx[0], qy[0], q2.min(), t.min()) >= 2.0 ** -1022 and math.isfinite(s_fl)):
         raise DomainError(f"rectangle {domain.L1!r} x {domain.L2!r} is outside the "
                           "range of the L-infinity embedding constant")
     g = _gamma_fac(t.size + 8)

@@ -86,9 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add_parser("certify", help="certify an approximate solution")
     _add_common(s)
-    s.add_argument("--N", type=int, default=20)
+    s.add_argument("--N", type=int, help="truncation order of a re-solve (default 20)")
     s.add_argument("--in", dest="infile", default=None,
-                   help="series JSON produced by 'solve' (otherwise re-solve)")
+                   help="series JSON produced by 'solve', which fixes the domain "
+                        "and N (otherwise re-solve)")
+    s.set_defaults(domain=None)  # None: not given, as --in requires
 
     s = add_parser("enclose", help="full pipeline with an N sweep")
     _add_common(s)
@@ -130,8 +132,8 @@ def _cmd_certify(args) -> int:
         with open(args.infile) as f:
             u = Series2D.from_json(f.read())
     else:
-        cfg = SolverConfig(p=args.p, N=args.N)
-        u = newton_solve(cfg, initial_guess(args.p, args.domain))
+        cfg = SolverConfig(p=args.p, N=20 if args.N is None else args.N)
+        u = newton_solve(cfg, initial_guess(args.p, args.domain or DomainRect(1.0, 1.0)))
     ball = certify_ball(u, args.p)
     _emit(ball.to_json(), args.out)
     return EXIT_OK if ball.positive else EXIT_PARTIAL
@@ -212,7 +214,12 @@ def _cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "certify" and args.infile and (
+            args.domain is not None or args.N is not None):
+        ap.error("certify --in takes the domain and N from the file; "
+                 "--domain and --N go with a re-solve only")
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s %(message)s",

@@ -10,6 +10,9 @@ widened by 2 ulps.  numpy's vectorized sin and cos of float64 arrays, which
 may use their own SIMD kernels in place of libm, are assumed within 2 ulps
 for arguments up to 2^12 in absolute value; `Series2D._basis_at_points`
 relies on this, and the test suite checks it against mpmath on the host.
+`math.fsum` is assumed correctly rounded, as it is on IEEE-754 binary64
+with no x87 double rounding; `ivarray.isum` relies on this, and the test
+suite checks it against exact rational sums on the host.
 
 Overflow policy: an endpoint leaving the finite range raises
 OverflowError_, it never becomes infinite.

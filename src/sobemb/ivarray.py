@@ -2,15 +2,16 @@
 
 Elementwise operations widen the round-to-nearest result by one ulp in each
 direction, which contains the exact result since round-to-nearest error is
-at most 0.5 ulp; a product by a thin power of two is exact above the
-smallest normal float and is not widened there.  Reductions (sums, matrix
-products) use a-priori floating point error bounds of the classical
+at most 0.5 ulp.  Sums are exact: `isum` rounds the exact sum of each
+endpoint array to the nearest float below (above) it, with `math.fsum`.
+Matrix products keep a-priori floating point error bounds of the classical
 (k u / (1 - k u)) * sum|x| form instead of per-step widening, so they stay
 BLAS-fast.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from .intervals import Interval
 _EPS = 2.0 ** -52
 _TINY = 1e-290  # absorbs underflow in radius computations
 _RAD_FLOOR = 1e-200  # lower clamp for nonzero radii entering BLAS products
-_NORMAL = 2.0 ** -1022  # smallest positive normal float
 
 
 def _dn(x):
@@ -30,11 +30,6 @@ def _dn(x):
 
 def _up(x):
     return np.nextafter(x, np.inf)
-
-
-def _thin_pow2(x: "IArray") -> np.ndarray:
-    """Where x is a thin interval [2^k, 2^k] or [-2^k, -2^k]."""
-    return (x.lo == x.hi) & (np.abs(np.frexp(x.lo)[0]) == 0.5)
 
 
 def _chk(*arrays):
@@ -135,14 +130,6 @@ class IArray:
     def __add__(self, other):
         b = IArray._coerce(other)
         lo, hi = _dn(self.lo + b.lo), _up(self.hi + b.hi)
-        # adding the exact interval [0, 0] is exact; skip the widening there
-        # so structural zeros (parity patterns) survive accumulation
-        za = (self.lo == 0.0) & (self.hi == 0.0)
-        zb = (b.lo == 0.0) & (b.hi == 0.0)
-        lo = np.where(za, np.broadcast_to(b.lo, lo.shape),
-                      np.where(zb, np.broadcast_to(self.lo, lo.shape), lo))
-        hi = np.where(za, np.broadcast_to(b.hi, hi.shape),
-                      np.where(zb, np.broadcast_to(self.hi, hi.shape), hi))
         _chk(lo, hi)
         return IArray(lo, hi, _unsafe=True)
 
@@ -160,28 +147,8 @@ class IArray:
         c2 = self.lo * b.hi
         c3 = self.hi * b.lo
         c4 = self.hi * b.hi
-        lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
-        hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
-        # where one factor is a thin power of two 2^k, x 2^k above the
-        # smallest normal float is exact, and so is a zero endpoint unless a
-        # product of nonzero factors underflowed to 0 from its side (a zero
-        # lo from a negative product, a zero hi from a positive one): skip
-        # the widening there
-        exact = _thin_pow2(self) | _thin_pow2(b)
-        if np.any(exact):
-            neg = np.zeros(lo.shape, dtype=bool)
-            pos = np.zeros(lo.shape, dtype=bool)
-            for c, x, y in ((c1, self.lo, b.lo), (c2, self.lo, b.hi),
-                            (c3, self.hi, b.lo), (c4, self.hi, b.hi)):
-                lost = (c == 0.0) & (x != 0.0) & (y != 0.0)
-                neg |= lost & ((x < 0.0) != (y < 0.0))
-                pos |= lost & ((x < 0.0) == (y < 0.0))
-            lo = np.where(exact & ((np.abs(lo) > _NORMAL) | ((lo == 0.0) & ~neg)),
-                          lo, _dn(lo))
-            hi = np.where(exact & ((np.abs(hi) > _NORMAL) | ((hi == 0.0) & ~pos)),
-                          hi, _up(hi))
-        else:
-            lo, hi = _dn(lo), _up(hi)
+        lo = _dn(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4)))
+        hi = _up(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4)))
         # a factor that is exactly [0, 0] makes the product exactly zero
         z = ((self.lo == 0.0) & (self.hi == 0.0)) | ((b.lo == 0.0) & (b.hi == 0.0))
         lo = np.where(z, 0.0, lo)
@@ -219,20 +186,19 @@ class IArray:
 
 
 def _sum_dir(x: np.ndarray, direction: int) -> float:
-    """Rigorous directed-rounding bound for sum(x): gamma_{n-1} for n nonzero
-    terms, since in any summation order adding an exact zero rounds nothing."""
-    n = np.count_nonzero(x)
-    if n == 0:
-        return 0.0
-    s = float(np.sum(x))
-    if not math.isfinite(s):
-        raise OverflowError_("sum overflowed")
-    g = ((n - 1) * _EPS) / (1.0 - (n - 1) * _EPS)
-    bound = float(np.sum(np.abs(x))) * g
-    bound = bound * (1.0 + 4.0 * n * _EPS) + _TINY  # slack for the |x| sum itself
-    return math.nextafter(s - bound, -math.inf) if direction < 0 else math.nextafter(
-        s + bound, math.inf
-    )
+    """sum(x) rounded toward -inf (direction < 0) or +inf (direction > 0).
+    `math.fsum` rounds the exact sum S to the nearest float s, and the fsum
+    of the terms and -s rounds S - s, a multiple of the smallest subnormal,
+    so it has the sign of S - s: s is then the directed result, or its
+    neighbour one ulp toward `direction`.  fsum raises OverflowError where
+    a partial sum overflows."""
+    t = memoryview(x[x != 0.0])
+    try:
+        s = math.fsum(t)
+        r = math.fsum(itertools.chain(t, (-s,)))
+    except OverflowError:
+        raise OverflowError_("sum overflowed") from None
+    return s if r * direction <= 0.0 else math.nextafter(s, direction * math.inf)
 
 
 def isum(a: IArray) -> Interval:

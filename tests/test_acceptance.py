@@ -78,7 +78,7 @@ def test_criterion_2_c4_enclosure(_verdict, report_c4):
         width = f.upper - f.lower
         intersects = f.lower <= 0.28524446071939 and 0.28524446071925 <= f.upper
         lower_match = abs(f.lower - 0.285244460719) <= 1e-10
-        ok = intersects and width <= 1e-8 and lower_match
+        ok = intersects and width <= 1e-14 and lower_match
         detail = (f"enclosure [{f.lower:.17g}, {f.upper:.17g}], "
                   f"width {width:.2e}")
     _verdict(2, "C4 enclosure", ok, detail)

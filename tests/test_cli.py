@@ -35,6 +35,27 @@ def test_certify_roundtrip_through_file(tmp_path):
     assert float.fromhex(d["r_h1"][1]) < 0.2
 
 
+@pytest.mark.parametrize("extra", [["--domain", "2x1"], ["--N", "30"], ["--domain", "1x1"]],
+                         ids=["domain", "N", "domain-default-value"])
+def test_certify_in_takes_domain_and_N_from_the_file(tmp_path, extra):
+    """--in fixes the domain and N, so --domain or --N beside it is a usage
+    error (exit 2), raised before the file is read: here it does not exist."""
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--p", "3", *extra, "--in", str(tmp_path / "absent.json")])
+    assert exc.value.code == 2
+
+
+def test_certify_without_in_solves_at_N(tmp_path):
+    """Without --in, certify solves on --domain at --N, by default the unit
+    square at N = 20."""
+    cert = tmp_path / "cert.json"
+    for extra, dom, n in (([], DomainRect(1.0, 1.0), 20),
+                          (["--N", "12", "--domain", "2x1"], DomainRect(2.0, 1.0), 12)):
+        assert main(["certify", "--p", "3", *extra, "--out", str(cert)]) == EXIT_OK
+        d = json.loads(cert.read_text())
+        assert (DomainRect.from_dict(d["domain"]), d["N"]) == (dom, n)
+
+
 def test_certify_rejects_center_with_even_mode(tmp_path, capsys):
     """A loaded center must be odd-odd, as every positive solution is; one
     nonzero even-mode coefficient is a DomainError, exit code 1."""

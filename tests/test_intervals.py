@@ -248,13 +248,11 @@ def test_products_of_short_mantissas_are_exact(a, b, e):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
-       .filter(lambda v: v == 0.0 or abs(v) >= 1e-250))
+@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
 def test_isum_counts_only_nonzero_terms(x):
     """Adding exact zeros rounds nothing: one float among 10^6 zeros sums to
     an enclosure at most 4 ulps wide (the count-all bound is about 10^6
-    ulps).  Floats below 1e-250 are left out: there the absolute underflow
-    cushion of isum, not the count, sets the width."""
+    ulps)."""
     a = np.zeros(10 ** 6)
     a[123_457] = x
     s = isum(IArray(a))
@@ -262,43 +260,65 @@ def test_isum_counts_only_nonzero_terms(x):
     assert s.hi - s.lo <= 4.0 * math.ulp(x)
 
 
+# m 2^e with |m| < 2^53 is a float for every e >= -1074: subnormals at the
+# bottom, 2^1000 at the top; hypothesis' own floats add the edge values
+_term = st.one_of(
+    st.builds(math.ldexp, st.integers(-(2 ** 53) + 1, 2 ** 53 - 1), st.integers(-1074, 947)),
+    st.floats(min_value=-(2.0 ** 1000), max_value=2.0 ** 1000, allow_nan=False))
+
+
+@st.composite
+def _sums(draw):
+    """Up to 40 terms, some of them joined by their negatives, so that the
+    large terms cancel and the small ones decide the sum."""
+    xs = draw(st.lists(_term, max_size=40))
+    if xs:
+        xs += [-v for v in draw(st.lists(st.sampled_from(xs), max_size=len(xs)))]
+    return draw(st.permutations(xs))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_sums())
+def test_fsum_is_correctly_rounded_on_host(xs):
+    """The premise of `isum` (see `intervals`): math.fsum rounds the exact
+    sum to the nearest float."""
+    assert math.fsum(xs) == float(sum(map(Fraction, xs)))
+
 
 @settings(max_examples=500, deadline=None)
-@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
-       st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
-       st.integers(-1100, 1000), st.booleans(), st.booleans())
-def test_thin_power_of_two_products_are_exact(lo, w, k, neg, left):
-    """x 2^k is exact while it stays normal: an interval array times a thin
-    power of two (either side) keeps every endpoint whose exact product is
-    zero or above the smallest normal float bit for bit, and still encloses
-    the exact product where it underflows."""
-    hi = lo + w
-    t = math.ldexp(-1.0 if neg else 1.0, k)
-    if not math.isfinite(hi) or t == 0.0 or not math.isfinite(t):
-        return
-    b = IArray(np.array([lo]), np.array([hi]))
-    try:
-        with np.errstate(over="ignore"):
-            out = IArray(t) * b if left else b * IArray(t)
-    except OverflowError_:
-        return
-    ends = sorted([Fraction(lo) * Fraction(t), Fraction(hi) * Fraction(t)])
-    for got, exact in zip((out.lo[0], out.hi[0]), ends):
-        if exact == 0 or abs(exact) > Fraction(2) ** -1022:
-            assert Fraction(float(got)) == exact
-    assert Fraction(float(out.lo[0])) <= ends[0]
-    assert ends[1] <= Fraction(float(out.hi[0]))
+@given(_sums())
+def test_isum_rounds_the_exact_sum_outward(xs):
+    """isum of a thin array encloses the exact rational sum, each end at most
+    one ulp outside it (the nearest float on its side), and it is thin
+    exactly when that sum is a float."""
+    exact = sum(map(Fraction, xs))
+    s = isum(IArray(np.array(xs, dtype=np.float64)))
+    assert Fraction(s.lo) <= exact <= Fraction(s.hi)
+    assert Fraction(math.nextafter(s.lo, math.inf)) > exact
+    assert Fraction(math.nextafter(s.hi, -math.inf)) < exact
+    assert (s.lo == s.hi) == (Fraction(float(exact)) == exact)
 
 
-def test_thin_power_of_two_product_examples():
-    """The 4/|Omega| = 4 of the unit square multiplies exactly; a product by
-    2^-1070 that underflows is widened around the exact value, and so is a
-    product by the thin non-power of two 3."""
-    x = IArray(np.array([0.1, -3.0, 0.0]), np.array([0.2, 5.0, 0.0]))
-    four = x * IArray(4.0)
-    assert np.array_equal(four.lo, [0.4, -12.0, 0.0])
-    assert np.array_equal(four.hi, [0.8, 20.0, 0.0])
-    tiny = IArray(np.array([3.0])) * IArray(2.0 ** -1070)
-    assert Fraction(float(tiny.lo[0])) < 3 * Fraction(2) ** -1070 < Fraction(float(tiny.hi[0]))
+@pytest.mark.parametrize("xs", [[2.0 ** 1023, 2.0 ** 1023],
+                                [2.0 ** 1023, 2.0 ** 1023, -(2.0 ** 1023)]])
+def test_isum_overflow_is_typed(xs):
+    """A partial sum beyond the float range is an OverflowError_, even where
+    later terms would bring the sum back."""
+    with pytest.raises(OverflowError_):
+        isum(IArray(np.array(xs)))
+
+
+def test_array_products_widen_and_zero_factor_is_exact():
+    """A product by a thin factor, a power of two or not, is widened around
+    the rounded product and encloses the exact one; a factor exactly [0, 0]
+    gives exactly [0, 0], whatever the other factor."""
     three = IArray(np.array([0.1])) * IArray(3.0)
     assert three.lo[0] < 0.1 * 3.0 < three.hi[0]
+    x = IArray(np.array([0.1, -3.0, 0.0, -1e300]), np.array([0.2, 5.0, 0.0, 1e300]))
+    four = x * IArray(4.0)
+    for lo, hi, a, b in zip(four.lo, four.hi, x.lo, x.hi):
+        assert Fraction(float(lo)) <= 4 * Fraction(float(a))
+        assert 4 * Fraction(float(b)) <= Fraction(float(hi))
+    assert four.lo[2] == four.hi[2] == 0.0
+    for zero in (IArray(0.0) * x, x * IArray(np.zeros(4))):
+        assert not zero.lo.any() and not zero.hi.any()

@@ -298,6 +298,15 @@ def test_lp_norm_builds_no_new_product(p, monkeypatch):
     assert calls == []
 
 
+def test_c4_center_norms_are_tight(report_c4):
+    """isum rounds the exact sum once on each side, so at the p=3, N=34
+    center ||u||_{H^1_0} and ||u||_{L^4} are enclosed to within 1e-14 of
+    their size."""
+    u = report_c4.solutions[34]
+    for norm in (u.h01_norm(), lp_norm(u, 4)):
+        assert norm.hi - norm.lo <= 1e-14 * norm.lo
+
+
 def test_power_expand_rejects_bad_orders():
     u = _one_mode()
     with pytest.raises(DomainError):
