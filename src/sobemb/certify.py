@@ -57,7 +57,7 @@ from .symeig import SymMatrix, eig_enclosures
 UNIQUE_RADIUS_CAP = 1e300
 LINF_RHO_MAX = 1e3  # largest L-infinity radius worth reporting
 LINF_BOX = 400  # modes per side summed exactly in the L-infinity constant
-COUPLING_TARGET = 0.0275  # largest section-tail coupling c the split order accepts
+COUPLING_TARGET = 0.02  # largest section-tail coupling c the split order accepts
 
 
 # -- defect ---------------------------------------------------------------------
@@ -239,38 +239,67 @@ def _potential(u: Series2D, p: int) -> Series2D:
                   lambda: power_expand(u, p - 1).scale(Interval(float(p))))
 
 
-def _coupling_numerator(u: Series2D, p: int) -> Interval:
-    """Wbar + G/sqrt(lambda_1), G >= sup|grad w|: the coupling c times
-    lambda_tail, the same at every split order."""
-    g = _potential(u, p).grad_sup_bound()
-    return _wbar(u, p) + g / iv_sqrt(u.domain.lambda1())
+def _coupling_terms(u: Series2D, p: int) -> tuple:
+    """(Wt, Wt + G/sqrt(lambda_1), H/sqrt(lambda_1) + 2G) as intervals, kept
+    on u: the parts of the coupling bound of `inverse_bound` (iii) that are
+    the same at every split order.  Wt = Wbar.hi/2, plus p eta^{p-1} for even
+    p (eta >= sup u_-), bounds |w - Wbar.hi/2|; G and H bound sup|grad w| and
+    sup|Lap w| of the potential w (`grad_sup_bound`, `lap_sup_bound`)."""
+    def compute():
+        w = _potential(u, p)
+        wt = Interval(_wbar(u, p).hi) * Interval(0.5)
+        if p % 2 == 0:
+            wt = wt + Interval(float(p)) * iv_pow_int(Interval(negative_part_sup(u)), p - 1)
+        g = w.grad_sup_bound()
+        root1 = iv_sqrt(u.domain.lambda1())
+        return wt, wt + g / root1, w.lap_sup_bound() / root1 + Interval(2.0) * g
+
+    return u.fact(("coupling_terms", p), compute)
+
+
+def _coupling(u: Series2D, p: int, nprime: int) -> float:
+    """c = min(c_H1, c_H2) >= ||B_FT|| at the split order nprime, rounded
+    up: c_H1 = (Wt + G/sqrt(lambda_1))/lambda_tail and c_H2 =
+    (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F))/lambda_tail^{3/2}, lambda_F =
+    lambda(n', n') the largest eigenvalue of a section mode (`inverse_bound`
+    (iii))."""
+    wt, h1, h2 = _coupling_terms(u, p)
+    lam = _tail_lambda(u.domain, nprime)
+    c_h2 = (h2 + wt * iv_sqrt(u.domain.lambda_mode(nprime, nprime))) / (lam * iv_sqrt(lam))
+    return min((h1 / lam).hi, c_h2.hi)
 
 
 def default_split_order(u: Series2D, p: int) -> int:
-    """The split order n' of `inverse_bound`, kept on u; CapacityError if
-    its odd-odd block, ceil(n'/2)^2 rows, exceeds MAX_DENSE_ROWS."""
-    nprime = u.fact(("split_order", p), lambda: _choose_split_order(u, p))
-    # the potential matrix is assembled at these rows before the fold to
-    # X_sym on a square, so they, not the folded rows, set the peak memory
-    rows = ((nprime + 1) // 2) ** 2
-    if rows > MAX_DENSE_ROWS:
-        raise CapacityError(f"split order {nprime}: block of {rows} rows > {MAX_DENSE_ROWS}")
-    return nprime
+    """The split order n' of `inverse_bound`, kept on u
+    (`_choose_split_order`)."""
+    return u.fact(("split_order", p), lambda: _choose_split_order(u, p))
 
 
 def _choose_split_order(u: Series2D, p: int) -> int:
-    """The smallest odd n with COUPLING_TARGET lambda_tail >= nu, solved for
-    n in floats: nu the upper end of `_coupling_numerator` and lambda_tail =
-    pi^2 ((n+2)^2/L^2 + 1/l^2) (`_tail_lambda`), L and l the longer and the
-    shorter side.  n' is a cost choice and no hypothesis of `inverse_bound`,
-    so a rounding that moves it by a step where nu sits on a threshold
-    moves only the cost."""
+    """The smallest odd n with lambda_tail > Wbar and c <= COUPLING_TARGET,
+    c = min(c_H1, c_H2) of `_coupling` evaluated in floats, scanned over
+    every odd n whose odd-odd block, ceil(n/2)^2 rows, fits in
+    MAX_DENSE_ROWS; CapacityError if none does.  The potential matrix is
+    assembled at those rows before the fold to X_sym on a square, so they,
+    not the folded rows, set the peak memory.  n' is a cost choice and no
+    hypothesis of `inverse_bound`, so a rounding that moves it by a step
+    where c sits on the target moves only the cost.  Both c_H1 and c_H2 fall
+    as n grows, so the first order that passes is the smallest."""
     dom = u.domain
-    small = min(dom.L1, dom.L2)
-    target = COUPLING_TARGET * math.pi ** 2
-    nu = _coupling_numerator(u, p).hi - target / (small * small)
-    root = max(dom.L1, dom.L2) * math.sqrt(max(nu, 0.0)) / math.sqrt(target)
-    return max(1, (math.ceil(root) - 2) | 1)
+    wt, h1, h2 = (x.hi for x in _coupling_terms(u, p))
+    n = np.arange(1, 2 * math.isqrt(MAX_DENSE_ROWS), 2, dtype=np.float64)
+    ix, iy = 1.0 / (dom.L1 * dom.L1), 1.0 / (dom.L2 * dom.L2)
+    k2 = (n + 2.0) ** 2  # the smallest odd index above n, as in `_tail_lambda`
+    lam = math.pi ** 2 * np.minimum(k2 * ix + iy, ix + k2 * iy)
+    lam_f = math.pi ** 2 * n * n * (ix + iy)
+    c = np.minimum(h1 / lam, (h2 + wt * np.sqrt(lam_f)) / (lam * np.sqrt(lam)))
+    ok = (lam > _wbar(u, p).hi) & (c <= COUPLING_TARGET)
+    if not ok.any():
+        rows = ((int(n[-1]) + 1) // 2) ** 2
+        raise CapacityError(f"coupling {c[-1]:.4e} > {COUPLING_TARGET} at split order "
+                            f"{int(n[-1])}, the largest whose block of {rows} rows fits "
+                            f"in {MAX_DENSE_ROWS}")
+    return int(n[np.argmax(ok)])
 
 
 def _coupled_gap(m: float, t: float, c: float) -> Interval:
@@ -447,27 +476,49 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             lambda_tail the smallest eigenvalue of a tail mode (`_tail_lambda`);
             it holds on X_s, and on X_sym since a Rayleigh quotient taken
             over a subspace cannot fall;
-      (iii) c = (Wbar + G/sqrt(lambda_1))/lambda_tail >= ||B_FT||,
-            G >= sup|grad w| of the potential w = p u^{p-1}
-            (`Series2D.grad_sup_bound`).  Lemma: take f in F and g in T,
-            each of unit H^1_0 norm.  w f vanishes on the boundary, so w f
-            is in H^1_0, and with a_k, g_k the coefficients of w f and g
-            on the L^2-normalized Dirichlet eigenfunctions,
-            |<B f, g>| = |int w f g| = |sum_T a_t g_t|
-            <= (sum_T lambda_t a_t^2)^{1/2} (sum_T g_t^2/lambda_t)^{1/2}
-            <= ||grad(w f)||_L2 / lambda_tail
-            <= (Wbar + G/sqrt(lambda_1)) / lambda_tail,
-            since sum_T lambda_t g_t^2 <= 1, lambda_t >= lambda_tail on T,
-            grad(w f) = w grad f + f grad w and ||f||_L2 <= 1/sqrt(lambda_1).
-            It needs no bandwidth of w, so it holds for every p (for even p
-            the sine potential couples every section mode to the tail), on
-            X_s and on X_sym, and on every rectangle.
+      (iii) c = min(c_H1, c_H2) >= ||B_FT|| (`_coupling`), with
+              c_H1 = (Wt + G/sqrt(lambda_1)) / lambda_tail,
+              c_H2 = (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F)) / lambda_tail^{3/2},
+            G >= sup|grad w| and H >= sup|Lap w| of the potential
+            w = p u^{p-1} (`Series2D.grad_sup_bound`, `lap_sup_bound`),
+            lambda_F = lambda(n', n') >= every eigenvalue of a section mode,
+            and Wt = Wbar/2, plus p eta^{p-1} for even p (eta >= sup u_-,
+            `negative_part_sup`), Wbar read as its upper end.
+            Shift: take f in F and g in T, each of unit H^1_0 norm.  F and
+            T are spanned by distinct Dirichlet eigenfunctions, so they are
+            L^2-orthogonal, and <B f, g> = -int w f g = -int (w - Wbar/2) f g.
+            For odd p, 0 <= w <= Wbar; for even p, u >= -eta gives
+            w >= -p eta^{p-1}.  So |w - Wbar/2| <= Wt, and with
+            h = (w - Wbar/2) f and a_k, g_k the coefficients of h and g on
+            the L^2-normalized Dirichlet eigenfunctions phi_k,
+            |<B f, g>| = |sum_T a_t g_t|, where sum_T lambda_t g_t^2 = 1 and
+            lambda_t >= lambda_tail on T.
+            H^1 route: h vanishes on the boundary, so h is in H^1_0, and
+              |sum_T a_t g_t| <= (sum_T lambda_t a_t^2)^{1/2} (sum_T g_t^2/lambda_t)^{1/2}
+                              <= ||grad h||_L2 / lambda_tail,
+            with grad h = (w - Wbar/2) grad f + f grad w, ||grad f|| = 1 and
+            ||f||_L2 <= 1/sqrt(lambda_1): ||grad h|| <= Wt + G/sqrt(lambda_1).
+            H^2 route: w is a trigonometric polynomial and f a finite sine
+            sum, so h is in H^2 and H^1_0, and Green's formula twice (both
+            h and phi_k vanish on the boundary of the Lipschitz domain)
+            gives <-Lap h, phi_k> = lambda_k a_k; by Parseval
+            sum_k lambda_k^2 a_k^2 = ||Lap h||^2, so
+              |sum_T a_t g_t| <= (sum_T lambda_t^2 a_t^2)^{1/2} (sum_T g_t^2/lambda_t^2)^{1/2}
+                              <= ||Lap h||_L2 / lambda_tail^{3/2},
+            with Lap h = f Lap w + 2 grad w . grad f + (w - Wbar/2) Lap f
+            and ||Lap f||^2 = sum_F lambda_k^2 f_k^2 <= lambda_F ||grad f||^2:
+            ||Lap h|| <= H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F).
+            Both routes hold, so their minimum does.  Neither needs a
+            bandwidth of w, so it holds for every p (for even p the sine
+            potential couples every section mode to the tail), on X_s and
+            on X_sym, and on every rectangle.
 
     (ii), (iii) and the lemma below hold at every n', so n' is a cost choice
-    and not a hypothesis: the smallest odd order whose c, tested in floats,
-    is at most COUPLING_TARGET (`_choose_split_order`).  It depends on the
-    center through Wbar and G only, not on N.  At an n' with
-    lambda_tail <= Wbar, t <= 0, so s* <= 0 and NotInvertible is raised.
+    and not a hypothesis: the smallest odd order with lambda_tail > Wbar
+    whose c, tested in floats, is at most COUPLING_TARGET
+    (`_choose_split_order`).  It depends on the center through Wt, G and H
+    only, not on N.  At an n' with lambda_tail <= Wbar, t <= 0, so s* <= 0
+    and NotInvertible is raised.
 
     Lemma: every eigenvalue mu of B on X satisfies |mu| >= s*, the smaller
     root of (m - s)(t - s) = c^2.  Proof: the spectrum of B outside {1}
@@ -495,7 +546,7 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     tail_lo = (Interval(1.0) - _wbar(u, p) / lam_tail).lo
     block = _folded_block(_potential(u, p), np.arange(1, nprime + 1, 2))
     block_lo = eig_enclosures(block)
-    coupling = (_coupling_numerator(u, p) / lam_tail).hi
+    coupling = _coupling(u, p, nprime)
     eps_pert = 0.0
     if p % 2 == 0:
         eta = negative_part_sup(u)
@@ -770,8 +821,9 @@ class CertifiedBall:
 def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     """Full certification pipeline for one approximate solution, returned as
     its one record (`CertifiedBall`).  The split order comes first: it needs
-    the potential's gradient bound, so a CapacityError comes after the
-    u^{p-1} chain but before any defect or block work.
+    the potential's gradient and Laplacian bounds (and sup u_- for even p),
+    so a CapacityError comes after the u^{p-1} chain but before any defect
+    or block work.
 
     Newton-Kantorovich runs in X, the odd-odd sine modes on a rectangle and
     those of them symmetric about the diagonal on a square, so K and

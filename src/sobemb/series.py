@@ -42,9 +42,9 @@ MAX_EXPANSION_ORDER = 1024
 # inverse bound peaks at 18 to 20 bytes per unfolded block entry on a square
 # and 34 to 41 on a rectangle (certify_ball's peak RSS raise over rows^2 at
 # 729 to 5041 rows; the Jacobian needs less), so 41 B budgets 2.4 GB.  The
-# block's rows follow the center's sup and gradient bounds, not N (289 at
-# p=3 on the unit square), so there the Jacobian's ceil(N/2)^2 rows set the
-# cap: p=3, N <= 174.
+# block's rows follow the center's sup, gradient and Laplacian bounds, not N
+# (169 at p=3 on the unit square), so there the Jacobian's ceil(N/2)^2 rows
+# set the cap: p=3, N <= 174.
 MAX_DENSE_ROWS = 7600
 INF_GRID = 128  # cells per side of the one-pass grid behind inf_lower_bound
 _MAX_BASIS_ARG = 2.0 ** 12  # numpy's sin and cos are checked up to this
@@ -117,9 +117,9 @@ class Series2D:
 
     Coefficients are never mutated after construction: every operation
     returns a new instance.  Facts derived from them (exact powers, the
-    potential, the negative-part, sup and gradient bounds, the split order)
-    are therefore computed on first use and kept in ``_facts`` for every
-    later caller.
+    potential, the negative-part, sup, gradient and Laplacian bounds, the
+    split order) are therefore computed on first use and kept in ``_facts``
+    for every later caller.
     """
 
     __slots__ = ("domain", "parity_x", "parity_y", "coeffs", "_facts")
@@ -276,6 +276,14 @@ class Series2D:
             return Interval(0.0, iv_sqrt(gx * gx + gy * gy).hi)
 
         return self.fact("grad_sup", bound)
+
+    def lap_sup_bound(self) -> Interval:
+        """[0, H] encloses sup |Lap u|, kept on u: each basis function is an
+        eigenfunction of -Lap with eigenvalue lambda_ab = pi^2 (a^2/L1^2 +
+        b^2/L2^2) (0 for the constant) and is bounded by 1 in absolute value,
+        so H = sum |c_ab| lambda_ab."""
+        return self.fact("lap_sup", lambda: Interval(0.0, isum(
+            abs(self.coeffs) * self.domain.lambda_grid(self.modes_x(), self.modes_y())).hi))
 
     def inf_lower_bound(self) -> float:
         """Lower bound on inf u over the rectangle, in one pass: the lower

@@ -91,16 +91,17 @@ def eig_enclosures(m: SymMatrix) -> float:
     if not s > 0.0:
         raise NotInvertible(f"block minimum {sig:.4e} is within rounding of 0")
     a[diag] -= s
+    a_diag = float(np.max(np.abs(a[diag])))
     try:
         low = np.linalg.cholesky(a)  # reads the lower triangle: A = L L^T
     except np.linalg.LinAlgError as exc:
         raise NotInvertible(f"shifted square of the block is not positive definite "
                             f"at {s:.4e}") from exc
-    absl = np.abs(low)
-    del low
-    e_chol = float(np.max(_up_nonneg(absl @ _up_nonneg(absl.sum(axis=0), g), g)))
+    del a
+    np.abs(low, out=low)
+    e_chol = float(np.max(_up_nonneg(low @ _up_nonneg(low.sum(axis=0), g), g)))
     # the pad 2^-45 covers the roundings of this sum of nonnegative terms
-    err = g * (e_sq + e_chol) + _EPS * float(np.max(np.abs(a[diag]))) + n * _TINY
+    err = g * (e_sq + e_chol) + _EPS * a_diag + n * _TINY
     lam = _dn(s - _up(err * (1.0 + 2.0 ** -45)))
     return float(_dn(_dn(math.sqrt(max(lam, 0.0))) - m.eps))
 

@@ -187,7 +187,7 @@ def test_validate_report_rejects_tampered_row(report_c4, tamper):
 def test_rectangle_run_fails_typed_within_budget():
     """Budget: 30 s wall and 1 GiB of traced allocations.  On 2 x 1 at p=3,
     N=8 the Kantorovich condition fails (2 K^2 delta g = 1.09 at the
-    default split order 57, with K = 1.99 on the odd-odd modes); the run
+    default split order 49, with K = 1.98 on the odd-odd modes); the run
     must report that as a typed status from the odd-odd mode space (about
     0.1 s on a 2-core host), not from an all-modes inverse block (about
     51 s and 3.6 GB peak RSS)."""
@@ -202,7 +202,7 @@ def test_rectangle_run_fails_typed_within_budget():
     assert seconds < 30.0
     assert peak < 2 ** 30
     assert [row.status for row in report.rows] == ["ConditionFailure"]
-    assert "1.0886e+00" in report.rows[0].error
+    assert "1.0856e+00" in report.rows[0].error
 
 
 def _final(report) -> Interval:
@@ -210,10 +210,10 @@ def _final(report) -> Interval:
 
 
 def test_rectangle_certifies_at_default_order_and_transposes():
-    """2 x 1, p=3 certifies at N=12 and N=20, at the default split order
-    57 at both (about 0.5 s on a 2-core host; budget 30 s), and at each N
+    """2 x 1, p=3 certifies at N=12 and N=20, at the default split orders
+    49 and 51 (about 0.3 s on a 2-core host; budget 30 s), and at each N
     the 1 x 2 run, its transpose, gives an intersecting final enclosure."""
-    for n, split in ((12, 57), (20, 57)):
+    for n, split in ((12, 49), (20, 51)):
         t0 = time.perf_counter()
         wide = run_pipeline(RunConfig(p=3, domain=DomainRect(2.0, 1.0), N=[n]))
         assert time.perf_counter() - t0 < 30.0

@@ -687,6 +687,26 @@ def test_grad_sup_bound_dominates_potential_gradient(p, dom):
     assert w.grad_sup_bound().hi * (1.0 + 1e-12) >= sup > 0.0
 
 
+@pytest.mark.parametrize("p, dom", [(3, SQ), (4, SQ), (3, DomainRect(2.0, 1.0)),
+                                    (4, DomainRect(2.0, 1.0))], ids=["1x1-3", "1x1-4", "2x1-3", "2x1-4"])
+def test_lap_sup_bound_dominates_potential_laplacian(p, dom):
+    """On the potential w = p u^{p-1} of a seeded odd-odd center (cosine
+    parity for odd p, sine for even p), H is at least the float sup of
+    |Lap w| on a 401^2 grid; each basis function's second derivative along
+    an axis is minus its squared frequency times itself."""
+    c = _seeded_series(5, 11, scale=3.0, domain=dom).coeffs.mid()
+    c[1::2, :] = 0.0
+    c[:, 1::2] = 0.0
+    w = power_expand(SineSeries2D(dom, c), p - 1).scale(Interval(float(p)))
+    (bx, kx), (by, ky) = (
+        (_axis_values(par, n, L, np.linspace(0.0, L, 401))[0], (_modes(par, n) * np.pi / L) ** 2)
+        for par, n, L in ((w.parity_x, w.coeffs.shape[0], dom.L1),
+                          (w.parity_y, w.coeffs.shape[1], dom.L2)))
+    mid = w.coeffs.mid()
+    sup = np.max(np.abs((bx * kx) @ mid @ by.T + bx @ mid @ (by * ky).T))
+    assert w.lap_sup_bound().hi * (1.0 + 1e-12) >= sup > 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8), st.integers(1, 8),
        st.sampled_from([SIN, COS]), st.sampled_from([SIN, COS]),
