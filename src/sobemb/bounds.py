@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 from .errors import CertificateMissing, DomainError, HypothesisFailure, SoundnessViolation
 from .intervals import PI, Interval, iv_pow_real, iv_sin
@@ -156,10 +155,33 @@ def best_enclosure(extremal, classical, p: int) -> EnclosureResult:
 
 
 def outward_decimal(x: float, direction: int, sig: int = 14) -> str:
-    """Decimal string with the last digit rounded outward (direction +-1)."""
+    """Decimal string with the last digit rounded outward (direction +-1).
+
+    x = num/den exactly; with a = floor(log10|x|) the string is
+    q 10^(a - sig + 1), q = floor (direction -1) or ceiling (+1) of
+    x / 10^(a - sig + 1), all in integers, and is written the way
+    `str(Decimal)` writes that coefficient and exponent: plainly unless the
+    exponent is positive or the result's leading digit lies below 10^-6.
+    """
     if x == 0.0:
         return "0"
-    d = Decimal(x)
-    exp = d.adjusted() - sig + 1
-    mode = ROUND_FLOOR if direction < 0 else ROUND_CEILING
-    return str(d.quantize(Decimal(1).scaleb(exp), rounding=mode))
+    num, den = x.as_integer_ratio()
+    adj = len(str(abs(num))) - len(str(den))  # floor(log10|x|) is adj or adj - 1
+    if abs(num) * 10 ** max(-adj, 0) < den * 10 ** max(adj, 0):
+        adj -= 1
+    exp = adj - sig + 1
+    num *= 10 ** max(-exp, 0)
+    den *= 10 ** max(exp, 0)
+    q = num // den if direction < 0 else -(-num // den)
+    digits = str(abs(q))
+    left = exp + len(digits)  # digits of q left of the decimal point
+    dot = left if exp <= 0 and left > -6 else 1
+    if dot <= 0:
+        text = "0." + "0" * -dot + digits
+    elif dot >= len(digits):
+        text = digits + "0" * (dot - len(digits))
+    else:
+        text = digits[:dot] + "." + digits[dot:]
+    if left != dot:
+        text += f"E{left - dot:+d}"
+    return "-" + text if q < 0 else text

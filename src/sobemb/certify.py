@@ -24,7 +24,6 @@ Certification is a function of the center and p alone: the split order is
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -800,6 +799,8 @@ class CertifiedBall:
     def to_dict(self) -> dict:
         """The certificate: a header naming the center, p, the split order,
         the uniqueness radius and g, plus the report row's rigorous fields."""
+        import hashlib  # imported here: it loads OpenSSL, which only a certificate needs
+
         c = self.center
         digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
         return {

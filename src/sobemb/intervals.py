@@ -21,7 +21,6 @@ OverflowError_, it never becomes infinite.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DivisionByZeroInterval, DomainError, OverflowError_
 
@@ -265,9 +264,16 @@ def iv_sqrt(a: Interval) -> Interval:
     rl = math.sqrt(a.lo)
     rh = math.sqrt(a.hi)
     # math.sqrt is correctly rounded; exactness detectable in rationals
-    lo = rl if Fraction(rl) ** 2 == Fraction(a.lo) else max(0.0, _dn(rl))
-    hi = rh if Fraction(rh) ** 2 == Fraction(a.hi) else _up(rh)
+    lo = rl if _squares_to(rl, a.lo) else max(0.0, _dn(rl))
+    hi = rh if _squares_to(rh, a.hi) else _up(rh)
     return Interval(lo, hi)
+
+
+def _squares_to(r: float, x: float) -> bool:
+    """r * r == x exactly: n^2 D == N d^2 for r = n/d and x = N/D."""
+    n, d = r.as_integer_ratio()
+    big_n, big_d = x.as_integer_ratio()
+    return n * n * big_d == big_n * d * d
 
 
 def iv_exp(a: Interval) -> Interval:

@@ -8,7 +8,6 @@ artifacts apart from an isolated timing block.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 import time
@@ -29,7 +28,7 @@ from .errors import DomainError, SobembError, SoundnessViolation
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
-REPORT_FORMAT = "sobemb-report/2"
+REPORT_FORMAT = "sobemb-report/3"
 
 
 @dataclass
@@ -62,11 +61,6 @@ class RunConfig:
             domain=DomainRect.from_dict(d["domain"]),
             N=d["N"],
         )
-
-    def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
 
 
 # the rigorous fields of a row whose certification did not finish
@@ -122,7 +116,6 @@ class RunReport:
         d = {
             "format": REPORT_FORMAT,
             "config": self.config.to_dict(),
-            "config_digest": self.config.digest(),
             "rows": [r.to_dict() for r in self.rows],
             "classical": [[tag, iv.hex()] for tag, iv in self.classical],
             "error": self.error,

@@ -1,10 +1,14 @@
 """Closed-form upper bounds and the two-sided enclosure combination logic."""
 
 import math
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sobemb.bounds import (
     best_enclosure,
@@ -161,3 +165,38 @@ def test_outward_decimal_directions():
     assert float(s_lo) <= 1.0 / 3.0 <= float(s_hi)
     assert s_lo != s_hi
     assert outward_decimal(0.0, +1) == "0"
+
+
+def _decimal_outward(x: float, direction: int, sig: int) -> str:
+    """The reference: Decimal's exact value of x quantized at its sig-th
+    significant digit, rounded toward -inf (direction -1) or +inf (+1)."""
+    if x == 0.0:
+        return "0"
+    d = Decimal(x)
+    mode = ROUND_FLOOR if direction < 0 else ROUND_CEILING
+    return str(d.quantize(Decimal(1).scaleb(d.adjusted() - sig + 1), rounding=mode))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1e300), st.booleans(),
+       st.sampled_from([-1, 1]), st.integers(1, 17))
+@example(5e-324, False, -1, 17)
+@example(1e300, True, 1, 1)
+@example(9.9999999999999e-7, False, 1, 14)  # rounds up past 1e-6: plain notation
+@example(9.99999e-8, False, 1, 3)  # rounds up to 1.000E-7: E notation
+@example(99999.5, False, 1, 5)  # rounds up to 100000, one digit more
+@example(1e20, False, 1, 14)  # a positive exponent: E notation
+@example(0.5, True, -1, 17)
+@example(12345.0, False, -1, 5)  # exponent 0, an integer
+def test_outward_decimal_matches_decimal_and_is_outward(x, negative, direction, sig):
+    """outward_decimal, computed in integers, writes the same string as
+    Decimal.quantize does, over every binade from the smallest subnormal to
+    1e300, both signs, both directions and 1 to 17 digits; and the string's
+    exact value lies on the outward side of x."""
+    x = -x if negative else x
+    s = outward_decimal(x, direction, sig)
+    assert s == _decimal_outward(x, direction, sig)
+    if direction < 0:
+        assert Fraction(s) <= Fraction(x)
+    else:
+        assert Fraction(s) >= Fraction(x)

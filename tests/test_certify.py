@@ -286,6 +286,34 @@ def test_coupling_bounds_section_tail_block(dom, p):
     assert 0.0 < norm <= ib.coupling * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("dom, p", [
+    (SQ, 2), (SQ, 3), (SQ, 4), (SQ, 5), (WIDE, 2), (WIDE, 3), (WIDE, 4),
+], ids=["1x1-2", "1x1-3", "1x1-4", "1x1-5", "2x1-2", "2x1-3", "2x1-4"])
+def test_coupling_matches_its_lemma(dom, p):
+    """_coupling encloses min(c_H1, c_H2) of `inverse_bound` (iii),
+    recomputed with 60-digit arithmetic from the same constants: Wt = Wbar/2,
+    plus p eta^{p-1} for even p, G and H of the potential, lambda_1, lambda_F
+    = lambda(n', n') and lambda_tail at the split order n', each at the end
+    that makes c largest, on the N=12 centers.  The result lies above the
+    exact value and within 1e-12 relative of it."""
+    u = _coupling_center(dom, p)
+    n = default_split_order(u, p)
+    got = certify._coupling(u, p, n)
+    w = certify._potential(u, p)
+    with mpmath.workdps(60):
+        mp = mpmath.mpf
+        wt = mp(certify._wbar(u, p).hi) / 2
+        if p % 2 == 0:
+            wt += p * mp(negative_part_sup(u)) ** (p - 1)
+        g, h = mp(w.grad_sup_bound().hi), mp(w.lap_sup_bound().hi)
+        root1 = mpmath.sqrt(mp(dom.lambda1().lo))
+        lam = mp(_tail_lambda(dom, n).lo)
+        c_h1 = (wt + g / root1) / lam
+        c_h2 = (h / root1 + 2 * g + wt * mpmath.sqrt(mp(dom.lambda_mode(n, n).hi))) / lam ** 1.5
+        exact = min(c_h1, c_h2)
+        assert exact <= mp(got) <= exact * (1 + mp(10) ** -12)
+
+
 @pytest.mark.parametrize("dom, p", [(SQ, 3), (SQ, 4), (WIDE, 3), (None, 2)],
                          ids=["1x1-3", "1x1-4", "2x1-3", "1x1-2-negative"])
 def test_h2_product_bound_dominates_spectral_laplacian(dom, p):

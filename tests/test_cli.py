@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -140,7 +141,7 @@ def test_enclose_json_and_csv(tmp_path):
     rc = main(["enclose", "--p", "3", "--N", "8", "--out", out])
     assert rc == EXIT_OK
     d = json.loads(open(out).read())
-    assert d["format"] == "sobemb-report/2"
+    assert d["format"] == "sobemb-report/3"
     assert d["final"] is not None
     csv_out = str(tmp_path / "report.csv")
     rc = main(["enclose", "--p", "3", "--N", "8", "--format", "csv",
@@ -278,3 +279,28 @@ def test_cli_import_loads_no_scipy():
          " if m == 'scipy' or m.startswith('scipy.')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_enclose_loads_no_openssl_or_libmpdec(tmp_path):
+    """enclose computes with none of hashlib (its _hashlib loads OpenSSL's
+    libcrypto), decimal (libmpdec) or fractions (which imports decimal): a
+    run in a fresh interpreter adds none of them to sys.modules beyond what
+    `import numpy` loads, which is none of them with numpy 2 (numpy 1
+    imports numpy.random, whose seeding imports hashlib).  certify, which
+    needs hashlib for the coefficient digest, still writes it."""
+    import sobemb
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    heavy = ("_hashlib", "hashlib", "_decimal", "decimal", "fractions")
+    code = ("import json, sys, numpy\n"
+            f"base = [m for m in {heavy!r} if m in sys.modules]\n"
+            "from sobemb.cli import main\n"
+            f"rc = main(['enclose', '--p', '3', '--N', '6', '--out', {str(tmp_path / 'r.json')!r}])\n"
+            f"print(json.dumps([rc, [m for m in {heavy!r} if m in sys.modules and m not in base]]))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [EXIT_OK, []]
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--p", "3", "--N", "6", "--out", str(cert)]) == EXIT_OK
+    assert re.fullmatch("[0-9a-f]{64}", json.loads(cert.read_text())["coefficient_digest"])

@@ -24,15 +24,12 @@ from sobemb.series import DomainRect
 SQ = DomainRect(1.0, 1.0)
 
 
-def test_runconfig_roundtrip_and_digest():
+def test_runconfig_roundtrip():
     cfg = RunConfig(p=3, domain=SQ, N=[8, 12])
     d = cfg.to_dict()
     assert set(d) == {"p", "domain", "N"}
     back = RunConfig.from_dict(json.loads(json.dumps(d)))
     assert back == cfg
-    assert back.digest() == cfg.digest()
-    other = RunConfig(p=3, domain=SQ, N=[8, 13])
-    assert other.digest() != cfg.digest()
 
 
 def test_runconfig_accepts_scalar_sweep():
@@ -253,7 +250,7 @@ def test_c6_certifies_within_budget():
 
 def test_report_structure_and_validation(report_c4):
     d = json.loads(report_c4.to_json())
-    assert d["format"] == "sobemb-report/2"
+    assert d["format"] == "sobemb-report/3"
     validate_report_dict(d)  # must not raise
     # corrupting a rigorous field must be caught
     bad = json.loads(report_c4.to_json())

@@ -16,7 +16,7 @@ from sobemb import ivarray, symeig
 from sobemb.certify import _b_matrix, _potential_matrix, default_split_order
 from sobemb.errors import NotInvertible
 from sobemb.intervals import Interval
-from sobemb.ivarray import IArray, _dn, _up
+from sobemb.ivarray import _TINY, IArray, _dn, _gamma_fac, _up
 from sobemb.series import power_expand
 from sobemb.symeig import SymMatrix, eig_enclosures
 
@@ -256,6 +256,52 @@ def test_eig_enclosures_issues_no_interval_product(monkeypatch):
     a = _seeded_symmetric(12, 3)
     eig_enclosures(SymMatrix(a, 1e-9))
     assert calls == []
+
+
+def test_cholesky_term_meets_its_lemma_exactly(monkeypatch):
+    """The lemma of `eig_enclosures`, recomputed in exact rationals from the
+    float factor L that the function itself computed (captured from
+    np.linalg.cholesky), on an indefinite block whose factor has entries of
+    both signs.  With S~ = fl(B~ B~), A = L L^T + dA the shifted matrix that
+    was factored, the diagonal S~ - A = s I - D_A taken exactly and g =
+    `_gamma_fac(n + 1)`, which is at least gamma_{n+1} >= gamma_n,
+
+        lambda_min(B~^2) >= min_i (S~ - A)_ii - g ||(|B~| |B~|) 1||_inf
+                            - g ||(|L| |L^T|) 1||_inf - n _TINY,
+
+    and the square of the returned bound is at most that.  Taking L signed
+    in the third term lets its entries cancel, which this catches."""
+    n = 12
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    b = (q * (np.linspace(0.05, 2.0, n) * np.resize([1.0, -1.0], n))) @ q.T
+    b = np.tril(b) + np.tril(b, -1).T
+    seen = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        low = cholesky(a)
+        seen.append((a.copy(), low.copy()))
+        return low
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    bound = eig_enclosures(SymMatrix.from_point(b))
+    ((a, low),) = seen
+    assert (low < 0.0).any() and bound > 0.0
+    g = Fraction(_gamma_fac(n + 1))
+    k = (n + 1) * Fraction(1, 2 ** 53)
+    assert g >= k / (1 - k)
+
+    def row_sum_bound(x, y):
+        """max_i ((|x| |y|) 1)_i, exactly."""
+        col = [sum(abs(Fraction(float(v))) for v in row) for row in y]
+        return max(sum(abs(Fraction(float(v))) * c for v, c in zip(row, col)) for row in x)
+
+    diag = min(Fraction(float(s)) - Fraction(float(x))
+               for s, x in zip(np.diag(b @ b), np.diag(a)))
+    exact = (diag - g * (row_sum_bound(b, b) + row_sum_bound(low, low.T))
+             - n * Fraction(_TINY))
+    assert Fraction(bound) ** 2 <= exact
 
 
 # -- the platform assumption: classical inner products in BLAS and LAPACK -------
