@@ -128,18 +128,17 @@ def enclosure_from_ball(u: Series2D, r_h1: Interval, p: int, positive: bool) -> 
     return max(lower, 0.0), upper
 
 
-def best_enclosure(extremal, classical, p: int) -> EnclosureResult:
-    """Combine the extremal enclosure with classical upper bounds.
+def best_enclosure(enclosures, classical, p: int) -> EnclosureResult:
+    """The run's final enclosure: the largest certified lower bound (0 when
+    there is none) and the smallest upper bound, ties going to "extremal".
 
-    extremal: (lower, upper) pair or None; classical: list of (tag, Interval).
+    enclosures: list of the certified rows' (lower, upper) pairs; classical:
+    list of (tag, Interval).  Every bound is rigorous, so a lower bound above
+    an upper bound proves a bug: SoundnessViolation.
     """
-    lower = 0.0
-    uppers = []
-    if extremal is not None:
-        lower = float(extremal[0])
-        uppers.append(("extremal", float(extremal[1])))
-    for tag, iv in classical:
-        uppers.append((tag, float(iv.hi)))
+    lower = max((float(lo) for lo, _ in enclosures), default=0.0)
+    uppers = [("extremal", float(hi)) for _, hi in enclosures]
+    uppers += [(tag, float(iv.hi)) for tag, iv in classical]
     if not uppers:
         raise DomainError("no upper bounds supplied")
     tag, upper = min(uppers, key=lambda t: t[1])
@@ -149,8 +148,7 @@ def best_enclosure(extremal, classical, p: int) -> EnclosureResult:
         )
     return EnclosureResult(
         p=p, lower=lower, upper=upper,
-        sources={"lower": "extremal" if extremal is not None else "trivial",
-                 "upper": tag},
+        sources={"lower": "extremal" if enclosures else "trivial", "upper": tag},
     )
 
 

@@ -8,7 +8,8 @@ Subcommands:
   reproduce  canned configurations for the reference enclosures and table
 
 Exit codes: 0 full success, 2 partial success (some sweep entries failed
-certification), 1 hard error.
+certification; the final enclosure is still written), 1 hard error,
+including a SoundnessViolation.
 """
 
 from __future__ import annotations
@@ -147,9 +148,7 @@ def _cmd_enclose(args) -> int:
         best_n = max(report.solutions)
         target = (args.out or "sobemb") + ".plot.csv"
         emit_plot_data(report.solutions[best_n], args.plot_grid, target)
-    if report.fully_certified and report.final is not None:
-        return EXIT_OK
-    return EXIT_PARTIAL if (report.any_certified or report.final) else EXIT_HARD
+    return EXIT_OK if report.fully_certified else EXIT_PARTIAL
 
 
 def _cmd_classical(args) -> int:
@@ -198,17 +197,13 @@ def _cmd_reproduce(args) -> int:
             continue
         p, sweep = REPRODUCE_SWEEPS[t]
         report = run_pipeline(RunConfig(p=p, domain=dom, N=sweep))
-        if report.final is None:
-            status = max(status, EXIT_PARTIAL)
-            results[t] = {"error": report.error}
-        else:
-            if not report.fully_certified:
-                status = max(status, EXIT_PARTIAL)
-            results[t] = {
-                "lower": outward_decimal(report.final.lower, -1),
-                "upper": outward_decimal(report.final.upper, +1),
-                "sources": report.final.sources,
-            }
+        if not report.fully_certified:
+            status = EXIT_PARTIAL
+        results[t] = {
+            "lower": outward_decimal(report.final.lower, -1),
+            "upper": outward_decimal(report.final.upper, +1),
+            "sources": report.final.sources,
+        }
     _emit(json.dumps(results, sort_keys=True, indent=2), args.out)
     return status
 

@@ -28,7 +28,7 @@ from .errors import DomainError, SobembError, SoundnessViolation
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
-REPORT_FORMAT = "sobemb-report/3"
+REPORT_FORMAT = "sobemb-report/4"
 
 
 @dataclass
@@ -99,41 +99,35 @@ class RunReport:
     config: RunConfig
     rows: list
     classical: list  # (tag, Interval)
-    final: EnclosureResult | None
+    final: EnclosureResult
     solutions: dict = field(default_factory=dict)  # N -> Series2D
     timing: dict = field(default_factory=dict)
-    error: str | None = None
 
     @property
     def fully_certified(self) -> bool:
         return bool(self.rows) and all(r.status == "certified" for r in self.rows)
 
-    @property
-    def any_certified(self) -> bool:
-        return any(r.status == "certified" for r in self.rows)
-
     def to_dict(self) -> dict:
-        d = {
+        f = self.final
+        return {
             "format": REPORT_FORMAT,
             "config": self.config.to_dict(),
             "rows": [r.to_dict() for r in self.rows],
             "classical": [[tag, iv.hex()] for tag, iv in self.classical],
-            "error": self.error,
+            "final": {
+                "p": f.p,
+                "lower": f.lower.hex(),
+                "upper": f.upper.hex(),
+                "lower_decimal": outward_decimal(f.lower, -1),
+                "upper_decimal": outward_decimal(f.upper, +1),
+                "sources": f.sources,
+            },
             "meta": {
                 "platform": platform.platform(),
                 "numpy": np.__version__,
             },
             "timing": self.timing,
         }
-        d["final"] = None if self.final is None else {
-            "p": self.final.p,
-            "lower": self.final.lower.hex(),
-            "upper": self.final.upper.hex(),
-            "lower_decimal": outward_decimal(self.final.lower, -1),
-            "upper_decimal": outward_decimal(self.final.upper, +1),
-            "sources": self.final.sources,
-        }
-        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -146,15 +140,14 @@ class RunReport:
 
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
-    """Execute the sweep; failures at one N are recorded, not fatal."""
+    """Execute the sweep; failures at one N are recorded, not fatal, but a
+    lower bound above an upper bound is: SoundnessViolation."""
     t_start = time.perf_counter()
     timing = {}
     (bounds,) = classical_table([cfg.p + 1], cfg.domain)
     classical = [(tag, bounds[tag]) for tag in ("corollary", "plum")]
     rows = []
     solutions = {}
-    best_lower = None
-    best_upper = None
 
     guess = initial_guess(cfg.p, cfg.domain)
     for n in cfg.N:
@@ -165,35 +158,20 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             guess = u  # warm start for the next N
             solutions[n] = u
             row.ball = ball = certify_ball(u, cfg.p)
-            lower, upper = enclosure_from_ball(u, ball.r_h1, cfg.p,
-                                               positive=ball.positive)
-            row.lower, row.upper = lower, upper
+            row.lower, row.upper = enclosure_from_ball(u, ball.r_h1, cfg.p,
+                                                       positive=ball.positive)
             row.status = "certified"
-            best_lower = lower if best_lower is None else max(best_lower, lower)
-            best_upper = upper if best_upper is None else min(best_upper, upper)
         except SobembError as exc:
             row.status = type(exc).__name__
             row.error = str(exc)
         timing[f"N={n}"] = time.perf_counter() - t0
         rows.append(row)
 
-    final = None
-    error = None
-    extremal = None
-    if best_lower is not None:
-        if best_lower > best_upper:
-            raise SoundnessViolation(
-                "per-N enclosures are disjoint: "
-                f"max lower {best_lower!r} > min upper {best_upper!r}"
-            )
-        extremal = (best_lower, best_upper)
-    try:
-        final = best_enclosure(extremal, classical, cfg.p + 1)
-    except SobembError as exc:
-        error = f"{type(exc).__name__}: {exc}"
+    final = best_enclosure([(r.lower, r.upper) for r in rows if r.status == "certified"],
+                           classical, cfg.p + 1)
     timing["total"] = time.perf_counter() - t_start
     return RunReport(config=cfg, rows=rows, classical=classical, final=final,
-                     solutions=solutions, timing=timing, error=error)
+                     solutions=solutions, timing=timing)
 
 
 def classical_table(p_list, domain: DomainRect) -> list:
@@ -253,7 +231,8 @@ def validate_report_dict(d: dict) -> None:
     terms of K readable hex floats, and on certified rows the terms of K and
     the positiveness record present (a positive row with both margins above
     0), the trial radius at least r_h1 (g must hold on the certified ball)
-    and the row's enclosure, lower <= upper, present as hex floats."""
+    and the row's enclosure, lower <= upper, present as hex floats, as is
+    the final enclosure of every report."""
     if d.get("format") != REPORT_FORMAT:
         raise SoundnessViolation("unknown report format")
     for row in d["rows"]:
@@ -305,9 +284,12 @@ def validate_report_dict(d: dict) -> None:
                 raise SoundnessViolation(f"row N={row['N']}: lower or upper not a hex float, "
                                          "or lower > upper")
     f = d.get("final")
-    if f is not None:
-        if float.fromhex(f["lower"]) > float.fromhex(f["upper"]):
-            raise SoundnessViolation("final enclosure: lower > upper")
+    try:
+        ordered = float.fromhex(f["lower"]) <= float.fromhex(f["upper"])
+    except (KeyError, TypeError, ValueError):
+        ordered = False
+    if not ordered:
+        raise SoundnessViolation("final enclosure missing, not hex floats, or lower > upper")
     for tag, pair in d["classical"]:
         if float.fromhex(pair[0]) > float.fromhex(pair[1]):
             raise SoundnessViolation(f"classical bound {tag}: lo > hi")

@@ -115,11 +115,15 @@ class _Galerkin:
     transforms built once: S samples the modes on the grid, and T takes
     samples of u^p to sine coefficients (S times (2/g)^2 for odd p, the
     cosine projector for even p).  The residual lambda a - Tx^T (Sx a Sy^T)^p
-    Ty is in extended precision; the Jacobian is its derivative, binary64."""
+    Ty is in extended precision; the Jacobian is its derivative, binary64.
+    CapacityError before any transform is built if the Jacobian would exceed
+    MAX_DENSE_ROWS rows."""
 
     def __init__(self, p: int, domain: DomainRect, mx: np.ndarray,
                  my: np.ndarray, g: int):
         self.p, self.rows = p, len(mx) * len(my)
+        if self.rows > MAX_DENSE_ROWS:
+            raise CapacityError(f"Jacobian of {self.rows} rows > {MAX_DENSE_ROWS}")
         s = [_sine_matrix(g, mx), _sine_matrix(g, my)]
         if p % 2:
             self.scale, t = (2.0 / g) ** 2, s
@@ -138,10 +142,7 @@ class _Galerkin:
         return self.lam * a - self.scale * (tx.T @ (sx @ a @ sy.T) ** self.p @ ty)
 
     def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """Dense matrix of the linearization in the mode basis; CapacityError
-        before anything is built if it would exceed MAX_DENSE_ROWS rows."""
-        if self.rows > MAX_DENSE_ROWS:
-            raise CapacityError(f"Jacobian of {self.rows} rows > {MAX_DENSE_ROWS}")
+        """Dense matrix of the linearization in the mode basis."""
         sx, sy, tx, ty = self.f64
         w = self.p * (sx @ a @ sy.T) ** (self.p - 1)
         # M[(i,j),(k,l)] = sum_{m,n} Tx[m,i] Sx[m,k] W[m,n] Ty[n,j] Sy[n,l]

@@ -129,11 +129,10 @@ def test_criterion_5_ordering_property(_verdict, report_c4, report_c3, report_c5
     parts = []
     for name, rep in (("p=3", report_c3), ("p=4", report_c4), ("p=5", report_c5)):
         classical = dict(rep.classical)
-        ext_upper = min(r.upper for r in rep.rows if r.upper is not None)
-        res = best_enclosure(
-            (max(r.lower for r in rep.rows if r.lower is not None), ext_upper),
-            rep.classical, rep.config.p + 1)
-        good = (res.sources["upper"] == "extremal"
+        certified = [(r.lower, r.upper) for r in rep.rows if r.status == "certified"]
+        ext_upper = min(hi for _, hi in certified)
+        res = best_enclosure(certified, rep.classical, rep.config.p + 1)
+        good = (res == rep.final and res.sources["upper"] == "extremal"
                 and ext_upper < classical["corollary"].hi
                 and classical["corollary"].hi < classical["plum"].hi)
         ok = ok and good

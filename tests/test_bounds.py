@@ -133,30 +133,29 @@ def test_enclosure_from_ball_brackets_ratio(u_p3_n10):
 
 
 def test_best_enclosure_picks_smallest_upper():
-    res = best_enclosure(
-        (0.2, 0.3),
-        [("corollary", Interval(0.31, 0.32)), ("plum", Interval(0.39, 0.4))],
-        4,
-    )
-    assert res.upper == 0.3 and res.sources["upper"] == "extremal"
-    res2 = best_enclosure(
-        (0.2, 0.35),
-        [("corollary", Interval(0.31, 0.32))],
-        4,
-    )
+    cor, plum = ("corollary", Interval(0.31, 0.32)), ("plum", Interval(0.39, 0.4))
+    res = best_enclosure([(0.2, 0.35), (0.25, 0.3)], [cor, plum], 4)
+    assert (res.lower, res.upper) == (0.25, 0.3)
+    assert res.sources == {"lower": "extremal", "upper": "extremal"}
+    res2 = best_enclosure([(0.2, 0.35)], [cor], 4)
     assert res2.upper == 0.32 and res2.sources["upper"] == "corollary"
     assert res2.lower == 0.2 and res2.sources["lower"] == "extremal"
+    tie = best_enclosure([(0.2, 0.32)], [cor, ("plum", Interval(0.3, 0.32))], 4)
+    assert tie.upper == 0.32 and tie.sources["upper"] == "extremal"
 
 
 def test_best_enclosure_without_extremal_is_trivial_lower():
-    res = best_enclosure(None, [("plum", Interval(0.39, 0.4))], 4)
-    assert res.lower == 0.0
-    assert res.sources["lower"] == "trivial"
+    res = best_enclosure([], [("plum", Interval(0.39, 0.4))], 4)
+    assert res.lower == 0.0 and res.upper == 0.4
+    assert res.sources == {"lower": "trivial", "upper": "plum"}
 
 
 def test_best_enclosure_detects_crossing():
-    with pytest.raises(SoundnessViolation):
-        best_enclosure((0.5, 0.6), [("plum", Interval(0.39, 0.4))], 4)
+    """A lower bound above a classical upper bound, or above another row's
+    upper bound, is a SoundnessViolation."""
+    for enclosures in ([(0.5, 0.6)], [(0.1, 0.2), (0.25, 0.3)]):
+        with pytest.raises(SoundnessViolation):
+            best_enclosure(enclosures, [("plum", Interval(0.39, 0.4))], 4)
 
 
 def test_outward_decimal_directions():

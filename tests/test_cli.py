@@ -141,7 +141,7 @@ def test_enclose_json_and_csv(tmp_path):
     rc = main(["enclose", "--p", "3", "--N", "8", "--out", out])
     assert rc == EXIT_OK
     d = json.loads(open(out).read())
-    assert d["format"] == "sobemb-report/3"
+    assert d["format"] == "sobemb-report/4"
     assert d["final"] is not None
     csv_out = str(tmp_path / "report.csv")
     rc = main(["enclose", "--p", "3", "--N", "8", "--format", "csv",
@@ -264,6 +264,39 @@ def test_partial_exit_code_when_certification_fails(capsys):
     assert [row["status"] for row in d["rows"]] == ["ConditionFailure"]
     assert d["final"] is not None
     assert rc == EXIT_PARTIAL
+
+
+# certified rows' (lower, upper) pairs, in sweep order, that contradict each
+# other or C_4's classical upper bounds on the unit square (both below 0.5)
+CONTRADICTIONS = {
+    "disjoint-rows": [(0.1, 0.2), (0.25, 0.3)],
+    "above-classical": [(0.5, 0.6)],
+}
+
+
+@pytest.mark.parametrize("pairs", CONTRADICTIONS.values(), ids=CONTRADICTIONS)
+def test_soundness_violation_ends_the_run(monkeypatch, capsys, pairs):
+    """A certified lower bound above an upper bound, another row's or a
+    classical one, proves a bug: run_pipeline raises SoundnessViolation, and
+    enclose and reproduce exit 1 with one stderr line and no report."""
+    import sobemb.pipeline
+    from sobemb.errors import SoundnessViolation
+    from sobemb.pipeline import RunConfig, run_pipeline
+
+    def patch():  # each run gets the pairs in order, then repeats the last
+        it = iter(pairs)
+        monkeypatch.setattr(sobemb.pipeline, "enclosure_from_ball",
+                            lambda *args, **kwargs: next(it, pairs[-1]))
+
+    patch()
+    with pytest.raises(SoundnessViolation):
+        run_pipeline(RunConfig(p=3, domain=DomainRect(1.0, 1.0), N=[6, 8]))
+    for argv in (["enclose", "--p", "3", "--N", "6,8"], ["reproduce", "--which", "c4"]):
+        patch()
+        assert main(argv) == EXIT_HARD
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: SoundnessViolation: ") and err.count("\n") == 1
 
 
 def test_cli_import_loads_no_scipy():

@@ -133,8 +133,9 @@ def test_certificate_holds_the_report_row(report_c4):
 
 
 def _set(path, value):
-    def tamper(row):
-        obj = row
+    """Tamper that sets one field of the report's last row."""
+    def tamper(d):
+        obj = d["rows"][-1]
         for key in path[:-1]:
             obj = obj[key]
         obj[path[-1]] = value
@@ -151,32 +152,34 @@ def _set(path, value):
     _set(("K", 1), (1.0).hex()),
     _set(("inverse_bound", "tail"), "not hex"),
     _set(("inverse_bound", "coupling"), None),
-    lambda row: row["inverse_bound"].pop("block_min"),
+    lambda d: d["rows"][-1]["inverse_bound"].pop("block_min"),
     _set(("trial_radius",), (1e-300).hex()),
     _set(("trial_radius",), "0x1.0p"),
-    lambda row: row.pop("trial_radius"),
+    lambda d: d["rows"][-1].pop("trial_radius"),
     _set(("inverse_bound",), None),
     _set(("positiveness",), None),
-    lambda row: row.pop("positiveness"),
+    lambda d: d["rows"][-1].pop("positiveness"),
     _set(("positiveness", "spectral_margin"), (0.0).hex()),
     _set(("positiveness", "positivity_margin"), (-1.0).hex()),
     _set(("positiveness", "positivity_margin"), None),
     _set(("positiveness", "point"), [(0.5).hex()]),
     _set(("lower",), None),
     _set(("upper",), None),
+    lambda d: d.pop("final"),
+    lambda d: d.update(final=None),
 ], ids=["K-zero", "K-negative", "defect_hm1-negative", "defect_l2-negative",
         "r_h1-negative", "r_inf-negative", "K-lo-above-hi", "tail-not-hex",
         "coupling-null", "block_min-missing", "trial_radius-below-r_h1",
         "trial_radius-not-hex", "trial_radius-missing", "inverse_bound-null",
         "positiveness-null", "positiveness-missing", "spectral_margin-zero",
         "positivity_margin-negative", "positivity_margin-null", "point-one-coordinate",
-        "lower-null", "upper-null"])
+        "lower-null", "upper-null", "final-missing", "final-null"])
 def test_validate_report_rejects_tampered_row(report_c4, tamper):
     """Each check of validate_report_dict catches one tampered field of an
     otherwise valid report."""
     d = json.loads(report_c4.to_json())
     validate_report_dict(d)
-    tamper(d["rows"][-1])
+    tamper(d)
     with pytest.raises(SoundnessViolation):
         validate_report_dict(d)
 
@@ -250,7 +253,7 @@ def test_c6_certifies_within_budget():
 
 def test_report_structure_and_validation(report_c4):
     d = json.loads(report_c4.to_json())
-    assert d["format"] == "sobemb-report/3"
+    assert d["format"] == "sobemb-report/4"
     validate_report_dict(d)  # must not raise
     # corrupting a rigorous field must be caught
     bad = json.loads(report_c4.to_json())

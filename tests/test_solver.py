@@ -3,6 +3,10 @@ differences, residual convergence, and exact zeros in the even modes on
 every rectangle (the solver works in the odd-odd modes only)."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +34,34 @@ def test_config_validation():
         SolverConfig(p=3, N=0)
     with pytest.raises(DomainError):
         initial_guess(6, SQ)
+
+
+def test_capacity_error_before_the_solver_allocates():
+    """p=3, N=3000 has 1500^2 odd-odd modes, far above MAX_DENSE_ROWS, and
+    its two 12000 x 1500 extended-precision transforms alone take 576 MB:
+    under a 512 MiB address-space cap newton_solve raises a typed
+    CapacityError within 1 s, before any transform is built."""
+    import sobemb
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
+    # one BLAS thread: per-thread buffers would eat into the address cap
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cap = 512 << 20
+    code = ("import time\n"
+            "from sobemb.errors import CapacityError\n"
+            "from sobemb.series import DomainRect\n"
+            "from sobemb.solver import SolverConfig, initial_guess, newton_solve\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    newton_solve(SolverConfig(p=3, N=3000), initial_guess(3, DomainRect(1.0, 1.0)))\n"
+            "except CapacityError:\n"
+            "    print(time.perf_counter() - t0)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 def test_initial_guess_amplitude_oracle():
