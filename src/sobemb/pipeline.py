@@ -43,7 +43,8 @@ class RunConfig:
         if isinstance(self.N, int):
             self.N = [self.N]
         self.N = [int(n) for n in self.N]
-        if self.p not in (2, 3, 4, 5) or not self.N or min(self.N) < 1:
+        if (type(self.p) is not int or self.p not in (2, 3, 4, 5)
+                or not self.N or min(self.N) < 1):
             raise DomainError("need p in 2..5 and a nonempty sweep of N >= 1, "
                               f"got p={self.p}, N={self.N}")
 
@@ -225,71 +226,70 @@ def report_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise SoundnessViolation(what)
+
+
+def _interval(v, name: str) -> tuple:
+    """(lo, hi) of a [lo, hi] list of two hex floats, lo <= hi."""
+    _require(isinstance(v, list) and len(v) == 2, f"{name} is not a [lo, hi] pair")
+    lo, hi = float.fromhex(v[0]), float.fromhex(v[1])
+    _require(lo <= hi, f"{name} lo > hi")
+    return lo, hi
+
+
+def _check_row(row: dict) -> None:
+    """The checks of `validate_report_dict` on one row."""
+    _require(type(row["N"]) is int and row["N"] >= 1, "N is not an integer >= 1")
+    certified = row["status"] == "certified"
+    for name in ("defect_hm1", "defect_l2", "K", "r_h1", "r_inf"):
+        if row.get(name) is not None:
+            lo, _ = _interval(row[name], name)
+            _require(lo > 0.0 if name == "K" else lo >= 0.0,
+                     "K <= 0" if name == "K" else f"{name} < 0")
+    neg_sup = row.get("neg_sup")
+    _require(neg_sup is None or float.fromhex(neg_sup) >= 0.0, "neg_sup < 0")
+    if row.get("inverse_bound") is not None or certified:
+        for key in ("block_min", "tail", "coupling", "eps_pert"):
+            float.fromhex(row["inverse_bound"][key])
+    if certified:
+        pos = row["positiveness"]
+        point = [float.fromhex(v) for v in pos["point"]]
+        margins = [float.fromhex(pos[k]) for k in ("positivity_margin", "spectral_margin")]
+        _require(len(point) == 2, "positiveness point is not (x, y)")
+        _require(not row["positive"] or min(margins) > 0.0,
+                 "a positive row with a positiveness margin not above 0")
+        _require(float.fromhex(row["trial_radius"]) >= _interval(row["r_h1"], "r_h1")[1],
+                 "trial radius below r_h1")
+    if certified or (row.get("lower"), row.get("upper")) != (None, None):
+        _interval([row["lower"], row["upper"]], "[lower, upper]")
+
+
 def validate_report_dict(d: dict) -> None:
     """Re-validate the rigorous fields of a loaded report (self-check): every
-    interval ordered, K positive, the defects and radii nonnegative, the
-    terms of K readable hex floats, and on certified rows the terms of K and
-    the positiveness record present (a positive row with both margins above
-    0), the trial radius at least r_h1 (g must hold on the certified ball)
-    and the row's enclosure, lower <= upper, present as hex floats, as is
-    the final enclosure of every report."""
-    if d.get("format") != REPORT_FORMAT:
-        raise SoundnessViolation("unknown report format")
-    for row in d["rows"]:
-        for name in ("defect_hm1", "defect_l2", "K", "r_h1", "r_inf"):
-            pair = row.get(name)
-            if pair is not None:
-                lo, hi = float.fromhex(pair[0]), float.fromhex(pair[1])
-                if not lo <= hi:
-                    raise SoundnessViolation(f"row N={row['N']}: {name} lo > hi")
-                if name == "K" and not lo > 0.0:
-                    raise SoundnessViolation(f"row N={row['N']}: K <= 0")
-                if name != "K" and lo < 0.0:
-                    raise SoundnessViolation(f"row N={row['N']}: {name} < 0")
-        inv = row.get("inverse_bound")
-        if inv is not None or row["status"] == "certified":
-            try:
-                for key in ("block_min", "tail", "coupling", "eps_pert"):
-                    float.fromhex(inv[key])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SoundnessViolation(
-                    f"row N={row['N']}: inverse_bound {key} missing or not a hex float"
-                ) from exc
-        if row["status"] == "certified":
-            pos = row.get("positiveness")
-            try:
-                point = [float.fromhex(v) for v in pos["point"]]
-                margins = [float.fromhex(pos[k]) for k in ("positivity_margin", "spectral_margin")]
-                pos_ok = len(point) == 2 and (not row["positive"] or min(margins) > 0.0)
-            except (KeyError, TypeError, ValueError):
-                pos_ok = False
-            if not pos_ok:
-                raise SoundnessViolation(
-                    f"row N={row['N']}: positiveness point or margins missing or not hex "
-                    "floats, or a positive row with a margin not above 0")
-            try:
-                trial_ok = float.fromhex(row["trial_radius"]) >= float.fromhex(row["r_h1"][1])
-            except (KeyError, TypeError, ValueError):
-                trial_ok = False
-            if not trial_ok:
-                raise SoundnessViolation(
-                    f"row N={row['N']}: trial radius below r_h1 or not a hex float")
-        bounds = (row.get("lower"), row.get("upper"))
-        if row["status"] == "certified" or bounds != (None, None):
-            try:
-                ordered = float.fromhex(bounds[0]) <= float.fromhex(bounds[1])
-            except (TypeError, ValueError):
-                ordered = False
-            if not ordered:
-                raise SoundnessViolation(f"row N={row['N']}: lower or upper not a hex float, "
-                                         "or lower > upper")
-    f = d.get("final")
+    row's N an integer >= 1, every interval ordered, K positive, the defects,
+    radii and neg_sup nonnegative, the terms of K readable hex floats, and
+    on certified rows the terms of K and the positiveness record present (a
+    positive row with both margins above 0), the trial radius at least r_h1
+    (g must hold on the certified ball) and the row's enclosure, lower <=
+    upper, present as hex floats, as is the final enclosure of every report.
+    A failed check, and a missing or malformed field, is a SoundnessViolation
+    that names where in the report it is."""
+    where = "report"
     try:
-        ordered = float.fromhex(f["lower"]) <= float.fromhex(f["upper"])
-    except (KeyError, TypeError, ValueError):
-        ordered = False
-    if not ordered:
-        raise SoundnessViolation("final enclosure missing, not hex floats, or lower > upper")
-    for tag, pair in d["classical"]:
-        if float.fromhex(pair[0]) > float.fromhex(pair[1]):
-            raise SoundnessViolation(f"classical bound {tag}: lo > hi")
+        _require(d.get("format") == REPORT_FORMAT, "unknown report format")
+        for i, row in enumerate(d["rows"]):
+            where = f"rows[{i}]"
+            _check_row(row)
+        where = "final"
+        _interval([d["final"]["lower"], d["final"]["upper"]], "[lower, upper]")
+        where = "classical"
+        for i, (_, pair) in enumerate(d["classical"]):
+            where = f"classical[{i}]"
+            _interval(pair, "bound")
+    except SoundnessViolation as exc:
+        raise SoundnessViolation(f"{where}: {exc}") from None
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise SoundnessViolation(
+            f"{where}: missing or malformed field ({type(exc).__name__}: {exc})") from exc

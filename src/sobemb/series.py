@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,14 @@ class DomainRect:
     L2: float
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.L1)
-            and math.isfinite(self.L2)
-            and self.L1 > 0
-            and self.L2 > 0
-        ):
-            raise DomainError(f"invalid rectangle sides ({self.L1}, {self.L2})")
+        try:
+            sides = [float(L) for L in (self.L1, self.L2) if isinstance(L, numbers.Real)]
+        except OverflowError:
+            sides = []
+        if len(sides) != 2 or not all(0 < L < math.inf for L in sides):
+            raise DomainError(f"invalid rectangle sides ({self.L1!r}, {self.L2!r})")
+        object.__setattr__(self, "L1", sides[0])
+        object.__setattr__(self, "L2", sides[1])
 
     def to_dict(self) -> dict:
         return {"L1": self.L1.hex(), "L2": self.L2.hex()}

@@ -82,99 +82,96 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     return SineSeries2D(domain, coeffs)
 
 
-def _sine_matrix(g: int, modes: np.ndarray) -> np.ndarray:
-    """S[k, i] = sin(pi * modes[i] * (k+1) / g), sample points k+1 = 1..g-1."""
-    k = np.arange(1, g, dtype=np.longdouble).reshape(-1, 1)
-    m = modes.astype(np.longdouble).reshape(1, -1)
-    return np.sin(np.pi * k * m / g)
-
-
-def _cos_projector(g: int, modes: np.ndarray, p: int, L: float) -> np.ndarray:
-    """T with Tx^T f Ty the sine coefficients on `modes` of u^p, even p, from
+def _cos_projector(g: int, modes: np.ndarray, p: int) -> np.ndarray:
+    """T with T^T f T the sine coefficients on `modes` of u^p, even p, from
     its samples f at the grid points k+1 = 1..g-1 (g > p * max mode): the
     cosine coefficients (2/g) h_m sum_k f_k cos(pi m (k+1)/g), h_0 = 1/2,
     else 1, are exact (u^p vanishes at both ends), then projected by
-    (2/L) int_0^L sin(i pi x/L) cos(m pi x/L) dx."""
+    (2/L) int_0^L sin(i pi x/L) cos(m pi x/L) dx.  That overlap does not
+    depend on the side L, so T is built at L = 1 and serves both axes."""
     top = p * int(modes.max())
     k = np.arange(1, g, dtype=np.longdouble).reshape(-1, 1)
     m = np.arange(top + 1, dtype=np.longdouble).reshape(1, -1)
     c = np.cos(np.pi * k * m / g)
     c[:, 0] *= 0.5
-    w = _axis_overlap(SIN, int(modes.max()), COS, top + 1, L).mid()[modes - 1]
-    return (2.0 / g) * (2.0 / L) * (c @ w.T.astype(np.longdouble))
+    w = _axis_overlap(SIN, int(modes.max()), COS, top + 1, 1.0).mid()[modes - 1]
+    return (2.0 / g) * 2.0 * (c @ w.T.astype(np.longdouble))
 
 
-def _lambda_grid(domain: DomainRect, mx: np.ndarray, my: np.ndarray, dtype):
-    lx = (mx.astype(dtype) / dtype(domain.L1)) ** 2
-    ly = (my.astype(dtype) / dtype(domain.L2)) ** 2
+def _lambda_grid(domain: DomainRect, modes: np.ndarray, dtype):
+    lx, ly = ((modes.astype(dtype) / dtype(L)) ** 2 for L in (domain.L1, domain.L2))
     return dtype(math.pi) ** 2 * (lx.reshape(-1, 1) + ly.reshape(1, -1))
 
 
 class _Galerkin:
-    """The Galerkin system on the sine modes mx x my, grid order g, with its
-    transforms built once: S samples the modes on the grid, and T takes
-    samples of u^p to sine coefficients (S times (2/g)^2 for odd p, the
-    cosine projector for even p).  The residual lambda a - Tx^T (Sx a Sy^T)^p
-    Ty is in extended precision; the Jacobian is its derivative, binary64.
-    CapacityError before any transform is built if the Jacobian would exceed
-    MAX_DENSE_ROWS rows."""
+    """Newton's Galerkin system: the odd-odd sine modes up to N in each
+    dimension, on the grid of order g = (p+1)N + 1.  Its transforms are
+    built once and serve both axes: S[k, i] = sin(pi modes[i] (k+1) / g)
+    samples the modes at the grid points k+1 = 1..g-1, and T takes samples
+    of u^p to sine coefficients (S times (2/g)^2 for odd p, the cosine
+    projector for even p).  The residual lambda a - T^T (S a S^T)^p T is in
+    extended precision; the Jacobian is its derivative, binary64.
+    CapacityError before any transform is built if the Jacobian would
+    exceed MAX_DENSE_ROWS rows."""
 
-    def __init__(self, p: int, domain: DomainRect, mx: np.ndarray,
-                 my: np.ndarray, g: int):
-        self.p, self.rows = p, len(mx) * len(my)
+    def __init__(self, p: int, domain: DomainRect, N: int):
+        modes = np.arange(1, N + 1, 2)
+        self.p, self.n, self.rows = p, len(modes), len(modes) ** 2
         if self.rows > MAX_DENSE_ROWS:
             raise CapacityError(f"Jacobian of {self.rows} rows > {MAX_DENSE_ROWS}")
-        s = [_sine_matrix(g, mx), _sine_matrix(g, my)]
+        g = (p + 1) * N + 1
+        k = np.arange(1, g, dtype=np.longdouble).reshape(-1, 1)
+        s = np.sin(np.pi * k * modes.astype(np.longdouble) / g)
         if p % 2:
             self.scale, t = (2.0 / g) ** 2, s
         else:
-            self.scale = 1.0
-            t = [_cos_projector(g, mx, p, domain.L1),
-                 _cos_projector(g, my, p, domain.L2)]
-        self.ld = s + t  # Sx, Sy, Tx, Ty
-        self.f64 = [m.astype(np.float64) for m in self.ld]
-        self.lam = _lambda_grid(domain, mx, my, np.longdouble)
-        self.lam64 = _lambda_grid(domain, mx, my, np.float64).reshape(-1)
+            self.scale, t = 1.0, _cos_projector(g, modes, p)
+        self.ld = s, t
+        self.f64 = s.astype(np.float64), t.astype(np.float64)
+        self.lam = _lambda_grid(domain, modes, np.longdouble)
+        self.lam64 = _lambda_grid(domain, modes, np.float64).reshape(-1)
 
-    def residual(self, a: np.ndarray) -> np.ndarray:
-        sx, sy, tx, ty = self.ld
+    def residual(self, a: np.ndarray) -> tuple:
+        """(r, its l2-norm), r = lambda a - T^T (S a S^T)^p T."""
+        s, t = self.ld
         a = a.astype(np.longdouble)
-        return self.lam * a - self.scale * (tx.T @ (sx @ a @ sy.T) ** self.p @ ty)
+        r = self.lam * a - self.scale * (t.T @ (s @ a @ s.T) ** self.p @ t)
+        return r, float(np.sqrt(np.sum(r.astype(np.float64) ** 2)))
 
     def jacobian(self, a: np.ndarray) -> np.ndarray:
         """Dense matrix of the linearization in the mode basis."""
-        sx, sy, tx, ty = self.f64
-        w = self.p * (sx @ a @ sy.T) ** (self.p - 1)
-        # M[(i,j),(k,l)] = sum_{m,n} Tx[m,i] Sx[m,k] W[m,n] Ty[n,j] Sy[n,l]
-        t = np.einsum("mi,mk,mn->ikn", tx, sx, w, optimize=True)
-        m = np.einsum("ikn,nj,nl->ijkl", t, ty, sy, optimize=True)
+        s, t = self.f64
+        w = self.p * (s @ a @ s.T) ** (self.p - 1)
+        # M[(i,j),(k,l)] = sum_{m,n} T[m,i] S[m,k] W[m,n] T[n,j] S[n,l]
+        tsw = np.einsum("mi,mk,mn->ikn", t, s, w, optimize=True)
+        m = np.einsum("ikn,nj,nl->ijkl", tsw, t, s, optimize=True)
         m *= self.scale
         jac = -m.reshape(self.rows, self.rows)
         jac[np.arange(self.rows), np.arange(self.rows)] += self.lam64
         return jac
 
 
-def _residual_array(a: np.ndarray, p: int, domain: DomainRect,
-                    mx: np.ndarray, my: np.ndarray, g: int) -> np.ndarray:
-    """F_ij = lambda_ij a_ij - (sine coefficients of u^p), exact on the grid."""
-    return _Galerkin(p, domain, mx, my, g).residual(a)
-
-
-def _full_system(u: Series2D, p: int) -> _Galerkin:
-    a = u.coeffs.mid()
-    mx = np.arange(1, a.shape[0] + 1)
-    my = np.arange(1, a.shape[1] + 1)
-    return _Galerkin(p, u.domain, mx, my, (p + 1) * max(a.shape) + 1)
+def _system_at(u: Series2D, p: int) -> tuple:
+    """Newton's system at u's order N, and u's odd-odd coefficients;
+    DomainError unless u is square and odd-odd, as `certify` requires."""
+    mag = u.coeffs.mag()
+    if mag.shape[0] != mag.shape[1] or np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0):
+        raise DomainError(
+            f"coefficient array is {mag.shape[0]} x {mag.shape[1]}; the Galerkin "
+            "system of order N takes a square N x N array with zero even modes")
+    return _Galerkin(p, u.domain, mag.shape[0]), u.coeffs.mid()[::2, ::2]
 
 
 def galerkin_residual(u: Series2D, p: int) -> float:
-    """Discrete Galerkin residual l2-norm of a sine-series iterate."""
-    r = _full_system(u, p).residual(u.coeffs.mid())
-    return float(np.sqrt(np.sum(r.astype(np.float64) ** 2)))
+    """Newton's residual l2-norm at u's odd-odd coefficients."""
+    system, a = _system_at(u, p)
+    return system.residual(a)[1]
 
 
 def galerkin_jacobian(u: Series2D, p: int) -> np.ndarray:
-    return _full_system(u, p).jacobian(u.coeffs.mid())
+    """Newton's Jacobian at u's odd-odd coefficients (modes (i, j) row-major)."""
+    system, a = _system_at(u, p)
+    return system.jacobian(a)
 
 
 def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
@@ -183,22 +180,19 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     coefficients are bitwise transpose-symmetric.  Even-mode content of the
     guess is dropped."""
     domain = guess.domain
-    n = cfg.N
-    modes = np.arange(1, n + 1, 2)
-    system = _Galerkin(cfg.p, domain, modes, modes, (cfg.p + 1) * n + 1)
+    system = _Galerkin(cfg.p, domain, cfg.N)
 
     def sym(x):  # fl(x_ij + x_ji) = fl(x_ji + x_ij): the result is symmetric
         return 0.5 * (x + x.T) if domain.is_square() else x
 
-    a = np.zeros((len(modes), len(modes)))
-    src = guess.coeffs.mid()[::2, ::2][: len(modes), : len(modes)]
+    a = np.zeros((system.n, system.n))
+    src = guess.coeffs.mid()[::2, ::2][: system.n, : system.n]
     a[: src.shape[0], : src.shape[1]] = src
     a = sym(a)
     if not np.any(a):
         raise ValueError("newton_solve requires a nonzero initial guess")
 
-    r = system.residual(a)
-    rnorm = float(np.sqrt(np.sum(r.astype(np.float64) ** 2)))
+    r, rnorm = system.residual(a)
     for it in range(MAX_ITER):
         if rnorm <= NEWTON_TOL:
             break
@@ -213,8 +207,7 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         t = 1.0
         for _ in range(40):
             trial = sym(a + t * step)
-            rt = system.residual(trial)
-            rtnorm = float(np.sqrt(np.sum(rt.astype(np.float64) ** 2)))
+            rt, rtnorm = system.residual(trial)
             if rtnorm < rnorm:
                 break
             t *= 0.5
@@ -231,6 +224,6 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     if not np.any(a):
         raise NoConvergence("iteration collapsed to the zero series")
 
-    full = np.zeros((n, n))
+    full = np.zeros((cfg.N, cfg.N))
     full[::2, ::2] = a
     return SineSeries2D(domain, full)

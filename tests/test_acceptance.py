@@ -20,7 +20,7 @@ from sobemb.certify import kantorovich_radius
 from sobemb.intervals import Interval
 from sobemb.pipeline import classical_table
 from sobemb.series import DomainRect, SineSeries2D
-from sobemb.solver import _residual_array, galerkin_jacobian
+from sobemb.solver import _Galerkin, galerkin_jacobian
 from sobemb.symeig import SymMatrix, eig_enclosures
 
 SQ = DomainRect(1.0, 1.0)
@@ -171,21 +171,24 @@ def test_criterion_7_property_suites(_verdict):
             ok = ok and Fraction(out.lo) <= exact <= Fraction(out.hi)
     notes.append("interval containment")
 
-    # Jacobian vs central finite differences, rel err <= 1e-6
-    n, p, g = 3, 3, 13
-    a = rng.normal(size=(n, n))
-    u = SineSeries2D(SQ, a)
-    jac = galerkin_jacobian(u, p)
-    mx = np.arange(1, n + 1)
-    h = 1e-7
-    fd = np.empty_like(jac)
-    for k in range(n * n):
-        e = np.zeros((n, n))
-        e[k // n, k % n] = h
-        rp = _residual_array(a + e, p, SQ, mx, mx, g).astype(np.float64)
-        rm = _residual_array(a - e, p, SQ, mx, mx, g).astype(np.float64)
-        fd[:, k] = ((rp - rm) / (2 * h)).reshape(-1)
-    rel = np.max(np.abs(jac - fd)) / np.max(np.abs(jac))
+    # Newton's Jacobian vs central finite differences of its residual map
+    # at a random odd-odd center, p = 2..5 on 1x1 and 2x1, rel err <= 1e-6
+    n, h, rel = 5, 1e-7, 0.0
+    a = rng.normal(size=(3, 3))
+    full = np.zeros((n, n))
+    full[::2, ::2] = a
+    for dom in (SQ, DomainRect(2.0, 1.0)):
+        for p in (2, 3, 4, 5):
+            jac = galerkin_jacobian(SineSeries2D(dom, full), p)
+            system = _Galerkin(p, dom, n)
+            fd = np.empty_like(jac)
+            for k in range(a.size):
+                e = np.zeros(a.shape)
+                e.flat[k] = h
+                rp = system.residual(a + e)[0].astype(np.float64)
+                rm = system.residual(a - e)[0].astype(np.float64)
+                fd[:, k] = ((rp - rm) / (2 * h)).reshape(-1)
+            rel = max(rel, np.max(np.abs(jac - fd)) / np.max(np.abs(jac)))
     ok = ok and rel <= 1e-6
     notes.append(f"jacobian rel err {rel:.1e}")
 

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from sobemb.certify import _coupled_gap, certify_ball, default_split_order
-from sobemb.errors import SoundnessViolation
+from sobemb.errors import DomainError, SoundnessViolation
 from sobemb.intervals import Interval, iv_sqrt
 from sobemb.pipeline import (
     RunConfig,
@@ -35,6 +35,25 @@ def test_runconfig_roundtrip():
 def test_runconfig_accepts_scalar_sweep():
     cfg = RunConfig(p=3, domain=SQ, N=8)
     assert cfg.N == [8]
+
+
+@pytest.mark.parametrize("p, sides", [(3.0, (1.0, 1.0)), (3, ("1", 1.0)),
+                                      (3, (1.0, None)), (3, (10 ** 400, 1.0))],
+                         ids=["p-float", "side-str", "side-none", "side-overflow"])
+def test_construction_rejects_non_numbers(p, sides):
+    """A library caller's p that is not an int, or a side that is not a
+    finite positive real number, is a DomainError at construction, not a
+    TypeError later in the run."""
+    with pytest.raises(DomainError):
+        RunConfig(p=p, domain=DomainRect(*sides), N=[6])
+
+
+def test_int_sides_serialize():
+    """Sides given as ints are stored as floats, so the report serializes."""
+    assert DomainRect(1, 1) == SQ and type(DomainRect(1, 1).L1) is float
+    d = json.loads(run_pipeline(RunConfig(3, DomainRect(1, 1), [6])).to_json())
+    validate_report_dict(d)
+    assert d["config"]["domain"] == {"L1": "0x1.0000000000000p+0", "L2": "0x1.0000000000000p+0"}
 
 
 def test_pipeline_run_is_deterministic():
@@ -167,13 +186,24 @@ def _set(path, value):
     _set(("upper",), None),
     lambda d: d.pop("final"),
     lambda d: d.update(final=None),
+    lambda d: d["rows"][-1].pop("N"),
+    _set(("N",), 34.0),
+    _set(("neg_sup",), (-1e-300).hex()),
+    _set(("neg_sup",), "not hex"),
+    _set(("K",), [(1.0).hex()]),
+    lambda d: d.pop("rows"),
+    lambda d: d.update(rows=None),
+    lambda d: d["classical"].append("nothex"),
+    lambda d: d["classical"][0].__setitem__(1, ["nothex", (1.0).hex()]),
 ], ids=["K-zero", "K-negative", "defect_hm1-negative", "defect_l2-negative",
         "r_h1-negative", "r_inf-negative", "K-lo-above-hi", "tail-not-hex",
         "coupling-null", "block_min-missing", "trial_radius-below-r_h1",
         "trial_radius-not-hex", "trial_radius-missing", "inverse_bound-null",
         "positiveness-null", "positiveness-missing", "spectral_margin-zero",
         "positivity_margin-negative", "positivity_margin-null", "point-one-coordinate",
-        "lower-null", "upper-null", "final-missing", "final-null"])
+        "lower-null", "upper-null", "final-missing", "final-null", "N-missing",
+        "N-float", "neg_sup-negative", "neg_sup-not-hex", "K-one-element",
+        "rows-missing", "rows-null", "classical-entry-not-pair", "classical-not-hex"])
 def test_validate_report_rejects_tampered_row(report_c4, tamper):
     """Each check of validate_report_dict catches one tampered field of an
     otherwise valid report."""
@@ -182,6 +212,12 @@ def test_validate_report_rejects_tampered_row(report_c4, tamper):
     tamper(d)
     with pytest.raises(SoundnessViolation):
         validate_report_dict(d)
+
+
+@pytest.mark.parametrize("report", [[], None], ids=["list", "null"])
+def test_validate_report_rejects_a_non_object(report):
+    with pytest.raises(SoundnessViolation):
+        validate_report_dict(report)
 
 
 def test_rectangle_run_fails_typed_within_budget():

@@ -17,7 +17,7 @@ from sobemb.ivarray import IArray, imatmul, isum
 from sobemb.series import COS, SIN, DomainRect, SineSeries2D, _axis_overlap, power_expand
 from sobemb.solver import (
     SolverConfig,
-    _residual_array,
+    _Galerkin,
     galerkin_jacobian,
     galerkin_residual,
     initial_guess,
@@ -38,7 +38,7 @@ def test_config_validation():
 
 def test_capacity_error_before_the_solver_allocates():
     """p=3, N=3000 has 1500^2 odd-odd modes, far above MAX_DENSE_ROWS, and
-    its two 12000 x 1500 extended-precision transforms alone take 576 MB:
+    its one 12000 x 1500 extended-precision transform alone takes 288 MB:
     under a 512 MiB address-space cap newton_solve raises a typed
     CapacityError within 1 s, before any transform is built."""
     import sobemb
@@ -85,35 +85,81 @@ def test_initial_guess_satisfies_one_mode_residual():
     u^p differs from the continuous coefficient, so only Newton fixes it.)"""
     for p in (3, 5):
         g = initial_guess(p, SQ)
-        c = g.coeffs.mid()[0, 0]
-        r = _residual_array(g.coeffs.mid(), p, SQ, np.array([1]), np.array([1]),
-                            (p + 1) + 1)
-        assert abs(float(r[0, 0])) < 1e-8 * c
+        assert galerkin_residual(g, p) < 1e-8 * g.coeffs.mid()[0, 0]
+
+
+def _odd_odd_center(rng, dom: DomainRect, n: int) -> SineSeries2D:
+    """A random N x N center with zero even modes."""
+    a = np.zeros((n, n))
+    a[::2, ::2] = rng.normal(size=((n + 1) // 2,) * 2) * 2.0
+    return SineSeries2D(dom, a)
+
+
+def _jacobian_fd_error(p: int, dom: DomainRect) -> float:
+    """Relative error of galerkin_jacobian against central finite
+    differences (step 1e-7) of Newton's own residual map,
+    _Galerkin(p, dom, N).residual, at a random odd-odd center, N = 7."""
+    rng = np.random.default_rng(20240817)
+    u = _odd_odd_center(rng, dom, 7)
+    a = u.coeffs.mid()[::2, ::2]
+    jac = galerkin_jacobian(u, p)
+    system = _Galerkin(p, dom, 7)
+    assert jac.shape == (a.size, a.size) == (16, 16)
+    h = 1e-7
+    fd = np.empty_like(jac)
+    for k in range(a.size):
+        e = np.zeros(a.shape)
+        e.flat[k] = h
+        rp = system.residual(a + e)[0].astype(np.float64)
+        rm = system.residual(a - e)[0].astype(np.float64)
+        fd[:, k] = ((rp - rm) / (2.0 * h)).reshape(-1)
+    return np.max(np.abs(jac - fd)) / np.max(np.abs(jac))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_jacobian_matches_finite_differences(p):
-    """Analytic Galerkin Jacobian versus central finite differences of the
-    residual map, relative error below 1e-6 at step 1e-7.  For even p both
-    test u^p against the sine modes through the same cosine projector (a
+    """Relative error below 1e-6 on the unit square.  For even p both test
+    u^p against the sine modes through the same cosine projector (a
     discrete sine transform on the Jacobian's test side misses by ~5e-5)."""
-    rng = np.random.default_rng(20240817)
-    n = 4
-    a = rng.normal(size=(n, n)) * 2.0
-    u = SineSeries2D(SQ, a)
-    jac = galerkin_jacobian(u, p)
-    mx = np.arange(1, n + 1)
-    g = (p + 1) * n + 1
-    h = 1e-7
-    fd = np.empty_like(jac)
-    for k in range(n * n):
-        e = np.zeros((n, n))
-        e[k // n, k % n] = h
-        rp = _residual_array(a + e, p, SQ, mx, mx, g).astype(np.float64)
-        rm = _residual_array(a - e, p, SQ, mx, mx, g).astype(np.float64)
-        fd[:, k] = ((rp - rm) / (2.0 * h)).reshape(-1)
-    scale = np.max(np.abs(jac))
-    assert np.max(np.abs(jac - fd)) / scale < 1e-6
+    assert _jacobian_fd_error(p, SQ) < 1e-6
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_rectangle_jacobian_matches_finite_differences(p):
+    """Relative error below 1e-6 on 2 x 1, where one side-free cosine
+    projector serves both sides for even p."""
+    assert _jacobian_fd_error(p, DomainRect(2.0, 1.0)) < 1e-6
+
+
+def test_galerkin_helpers_use_newtons_system(monkeypatch):
+    """galerkin_residual of the returned center is Newton's final residual,
+    bitwise, and at p=3 N=88 it raises no CapacityError (all 88^2 modes
+    would be 7744 rows, above MAX_DENSE_ROWS); galerkin_jacobian at p=2
+    N=72 has Newton's 36^2 = 1296 rows."""
+    norms = []
+    residual = _Galerkin.residual
+
+    def recording(self, a):
+        out = residual(self, a)
+        norms.append(out[1])
+        return out
+
+    monkeypatch.setattr(_Galerkin, "residual", recording)
+    u = newton_solve(SolverConfig(p=3, N=88), initial_guess(3, SQ))
+    final = norms[-1]
+    assert galerkin_residual(u, 3) == final <= 1e-13
+    u72 = SineSeries2D(SQ, np.zeros((72, 72)))
+    assert galerkin_jacobian(u72, 2).shape == (1296, 1296)
+
+
+@pytest.mark.parametrize("coeffs", [np.ones((3, 5)), np.eye(4)],
+                         ids=["non-square", "even-mode"])
+def test_galerkin_helpers_reject_non_centers(coeffs):
+    u = SineSeries2D(SQ, coeffs)
+    with pytest.raises(DomainError):
+        galerkin_residual(u, 3)
+    with pytest.raises(DomainError):
+        galerkin_jacobian(u, 3)
 
 
 def test_newton_converges_and_residual_decreases():
