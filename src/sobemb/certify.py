@@ -1,10 +1,10 @@
 """Rigorous certification of approximate extremizers.
 
-Given floating sine coefficients u-hat for -Laplace u = |u|^{p-1} u, this
-module derives, entirely in interval arithmetic:
+Given floating sine coefficients u-hat for -Laplace u = u^p, this module
+derives, entirely in interval arithmetic:
 
-  * defect bounds  delta >= ||Lap u-hat + |u-hat|^{p-1} u-hat||  (H^-1 and L2),
-  * an inverse-linearization bound K >= ||(-Lap - p|u-hat|^{p-1})^{-1}||
+  * defect bounds  delta >= ||Lap u-hat + u-hat^p||  (H^-1 and L2),
+  * an inverse-linearization bound K >= ||(-Lap - p u-hat^{p-1})^{-1}||
     on X, as an operator X^* -> X: X_s, the odd-odd sine modes (functions
     symmetric about both mid-lines, where the extremizer lies), on a
     rectangle, and X_sym, those also symmetric about the diagonal, on a
@@ -12,7 +12,10 @@ module derives, entirely in interval arithmetic:
     and a tail bound, joined through the Schur complement of the
     section-tail coupling,
   * a Lipschitz bound g for the derivative on a trial ball,
-  * a Newton-Kantorovich existence/uniqueness ball in X (radius r_h1),
+  * a Newton-Kantorovich existence/uniqueness ball in X (radius r_h1) for
+    -Lap u = u^p; for even p its solution is nonnegative by the weak
+    maximum principle, so it also solves -Lap u = |u|^{p-1} u
+    (`inverse_bound`),
   * an L-infinity error radius r_inf in closed form,
   * a positiveness certificate: the true solution is provably positive at
     the rectangle's center, and (r_inf + sup u_-)^{p-1} < lambda_1.
@@ -49,6 +52,7 @@ from .series import (
     _axis_overlap,
     lp_norm,
     negative_part_sup,
+    odd_odd_order,
     power_expand,
 )
 from .symeig import SymMatrix, eig_enclosures
@@ -63,7 +67,7 @@ COUPLING_TARGET = 0.02  # largest section-tail coupling c the split order accept
 
 
 def defect_bounds(u: Series2D, p: int) -> tuple:
-    """(delta_hminus1, delta_l2) bounding the defect Lap u + |u|^{p-1} u.
+    """(delta_hminus1, delta_l2) bounding the defect Lap u + u^p.
 
     Odd p: the defect is an exact finite sine series, measured coefficient-
     wise.  Even p: u^p is a cosine-parity series, so f = Lap u + u^p has an
@@ -71,8 +75,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     exact on the sine modes up to M, the length of u^p, and the rest of f
     lies above lambda_tail(M) with L2 mass ||f||^2 - ||P_M f||^2: an
     odd-odd u makes f symmetric about both mid-lines, so its sine modes are
-    odd-odd too (`_check_center`).  |u|^{p-1}u - u^p is absorbed in both
-    norms via the negative-part bound.
+    odd-odd too (`_check_center`).
     """
     if p not in (2, 3, 4, 5):
         raise DomainError(f"exponent p must be in 2..5, got {p}")
@@ -106,9 +109,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
         + Interval(2.0) * isum(lap * s[:sx, :sy]) * quarter
         + _nonneg(isum(v.coeffs.square() * v._l2_weight_grid()))
     )
-    eta = negative_part_sup(u)
-    slack = Interval(2.0) * iv_pow_int(Interval(eta), p) * iv_sqrt(dom.measure())
-    l2 = iv_sqrt(sq) + slack
+    l2 = iv_sqrt(sq)
 
     s[:sx, :sy] = s[:sx, :sy] + lap
     s2 = s.square()
@@ -116,7 +117,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     head_l2 = _nonneg(isum(s2) * quarter)
     head_hm1 = _nonneg(isum(s2 / dom.lambda_grid(modes, modes)) * quarter)
     tail = _nonneg(Interval(sq.hi) - Interval(head_l2.lo)) / _tail_lambda(dom, m)
-    hm1 = iv_sqrt(head_hm1 + tail) + slack / iv_sqrt(dom.lambda1())
+    hm1 = iv_sqrt(head_hm1 + tail)
     return Interval(0.0, hm1.hi), Interval(0.0, l2.hi)
 
 
@@ -239,33 +240,29 @@ def _potential(u: Series2D, p: int) -> Series2D:
 
 
 def _coupling_terms(u: Series2D, p: int) -> tuple:
-    """(Wt, Wt + G/sqrt(lambda_1), H/sqrt(lambda_1) + 2G) as intervals, kept
-    on u: the parts of the coupling bound of `inverse_bound` (iii) that are
-    the same at every split order.  Wt = Wbar.hi/2, plus p eta^{p-1} for even
-    p (eta >= sup u_-), bounds |w - Wbar.hi/2|; G and H bound sup|grad w| and
-    sup|Lap w| of the potential w (`grad_sup_bound`, `lap_sup_bound`)."""
+    """(Wt, H/sqrt(lambda_1) + 2G) as intervals, kept on u: the parts of the
+    coupling bound of `inverse_bound` (iii) that are the same at every split
+    order.  Wt = Wbar.hi/2, plus p eta^{p-1} for even p (eta >= sup u_-),
+    bounds |w - Wbar.hi/2|; G and H bound sup|grad w| and sup|Lap w| of the
+    potential w (`grad_sup_bound`, `lap_sup_bound`)."""
     def compute():
         w = _potential(u, p)
         wt = Interval(_wbar(u, p).hi) * Interval(0.5)
         if p % 2 == 0:
             wt = wt + Interval(float(p)) * iv_pow_int(Interval(negative_part_sup(u)), p - 1)
-        g = w.grad_sup_bound()
         root1 = iv_sqrt(u.domain.lambda1())
-        return wt, wt + g / root1, w.lap_sup_bound() / root1 + Interval(2.0) * g
+        return wt, w.lap_sup_bound() / root1 + Interval(2.0) * w.grad_sup_bound()
 
     return u.fact(("coupling_terms", p), compute)
 
 
 def _coupling(u: Series2D, p: int, nprime: int) -> float:
-    """c = min(c_H1, c_H2) >= ||B_FT|| at the split order nprime, rounded
-    up: c_H1 = (Wt + G/sqrt(lambda_1))/lambda_tail and c_H2 =
-    (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F))/lambda_tail^{3/2}, lambda_F =
-    lambda(n', n') the largest eigenvalue of a section mode (`inverse_bound`
-    (iii))."""
-    wt, h1, h2 = _coupling_terms(u, p)
+    """c = (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F))/lambda_tail^{3/2} >=
+    ||B_FT|| at the split order nprime, rounded up, lambda_F = lambda(n', n')
+    the largest eigenvalue of a section mode (`inverse_bound` (iii))."""
+    wt, h = _coupling_terms(u, p)
     lam = _tail_lambda(u.domain, nprime)
-    c_h2 = (h2 + wt * iv_sqrt(u.domain.lambda_mode(nprime, nprime))) / (lam * iv_sqrt(lam))
-    return min((h1 / lam).hi, c_h2.hi)
+    return ((h + wt * iv_sqrt(u.domain.lambda_mode(nprime, nprime))) / (lam * iv_sqrt(lam))).hi
 
 
 def default_split_order(u: Series2D, p: int) -> int:
@@ -276,22 +273,21 @@ def default_split_order(u: Series2D, p: int) -> int:
 
 def _choose_split_order(u: Series2D, p: int) -> int:
     """The smallest odd n with lambda_tail > Wbar and c <= COUPLING_TARGET,
-    c = min(c_H1, c_H2) of `_coupling` evaluated in floats, scanned over
-    every odd n whose odd-odd block, ceil(n/2)^2 rows, fits in
-    MAX_DENSE_ROWS; CapacityError if none does.  The potential matrix is
-    assembled at those rows before the fold to X_sym on a square, so they,
-    not the folded rows, set the peak memory.  n' is a cost choice and no
-    hypothesis of `inverse_bound`, so a rounding that moves it by a step
-    where c sits on the target moves only the cost.  Both c_H1 and c_H2 fall
-    as n grows, so the first order that passes is the smallest."""
+    c of `_coupling` evaluated in floats, scanned over every odd n whose
+    odd-odd block, ceil(n/2)^2 rows, fits in MAX_DENSE_ROWS; CapacityError
+    if none does.  The potential matrix is assembled at those rows before
+    the fold to X_sym on a square, so they, not the folded rows, set the
+    peak memory.  n' is a cost choice and no hypothesis of `inverse_bound`,
+    so a rounding that moves it by a step where c sits on the target moves
+    only the cost."""
     dom = u.domain
-    wt, h1, h2 = (x.hi for x in _coupling_terms(u, p))
+    wt, h = (x.hi for x in _coupling_terms(u, p))
     n = np.arange(1, 2 * math.isqrt(MAX_DENSE_ROWS), 2, dtype=np.float64)
     ix, iy = 1.0 / (dom.L1 * dom.L1), 1.0 / (dom.L2 * dom.L2)
     k2 = (n + 2.0) ** 2  # the smallest odd index above n, as in `_tail_lambda`
     lam = math.pi ** 2 * np.minimum(k2 * ix + iy, ix + k2 * iy)
     lam_f = math.pi ** 2 * n * n * (ix + iy)
-    c = np.minimum(h1 / lam, (h2 + wt * np.sqrt(lam_f)) / (lam * np.sqrt(lam)))
+    c = (h + wt * np.sqrt(lam_f)) / (lam * np.sqrt(lam))
     ok = (lam > _wbar(u, p).hi) & (c <= COUPLING_TARGET)
     if not ok.any():
         rows = ((int(n[-1]) + 1) // 2) ** 2
@@ -315,20 +311,10 @@ def _coupled_gap(m: float, t: float, c: float) -> Interval:
 
 def _check_center(u: Series2D) -> None:
     """DomainError unless u's coefficient array is square, as the
-    certificate's order N assumes, and odd-odd, as the odd-odd tails assume,
-    and on a square domain also bitwise transpose-symmetric, as the fold of
-    `inverse_bound` assumes."""
-    mag = u.coeffs.mag()
-    if mag.shape[0] != mag.shape[1]:
-        raise DomainError(
-            f"center coefficient array is {mag.shape[0]} x {mag.shape[1]}; "
-            "a certificate of order N takes a square N x N array"
-        )
-    if np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0):
-        raise DomainError(
-            "center has a nonzero even-mode coefficient; the positive "
-            "solution is odd-odd (symmetric about both mid-lines)"
-        )
+    certificate's order N assumes, and odd-odd, as the odd-odd tails assume
+    (`odd_odd_order`), and on a square domain also bitwise
+    transpose-symmetric, as the fold of `inverse_bound` assumes."""
+    odd_odd_order(u)
     c = u.coeffs
     if u.domain.is_square() and not (np.array_equal(c.lo, c.lo.T)
                                      and np.array_equal(c.hi, c.hi.T)):
@@ -389,14 +375,13 @@ def _folded_block(w: Series2D, modes: np.ndarray) -> SymMatrix:
 @dataclass(frozen=True)
 class InverseBound:
     """K and the rigorous terms it comes from (`inverse_bound`): the block
-    minimum m, the tail bound t, the coupling c, the even-p perturbation
-    eps_pert (0 for odd p) and the rows of the folded block."""
+    minimum m, the tail bound t, the coupling c and the rows of the folded
+    block."""
 
     K: Interval
     block_min: float  # m <= min |eig(B_FF)|
     tail: float  # t <= min eig(B_TT)
     coupling: float  # c >= ||B_FT||
-    eps_pert: float
     rows: int
 
     @property
@@ -410,25 +395,38 @@ class InverseBound:
             "block_min": self.block_min.hex(),
             "tail": self.tail.hex(),
             "coupling": self.coupling.hex(),
-            "eps_pert": self.eps_pert.hex(),
             "block_rows": self.rows,
             "binds": self.binds,
         }
 
 
 def inverse_bound(u: Series2D, p: int) -> InverseBound:
-    """K >= norm of (-Lap - p|u|^{p-1})^{-1} on X, as an operator X^* -> X,
+    """K >= norm of (-Lap - p u^{p-1})^{-1} on X, as an operator X^* -> X,
     with the terms it comes from.  On a rectangle X is X_s, the closed span
     in H^1_0 of the odd-odd sine modes: the functions symmetric about both
     mid-lines.  On a square X is X_sym, the functions of X_s that are also
     symmetric about the diagonal x = y, spanned by phi_ii and
     (phi_ij + phi_ji)/sqrt(2), i < j.
 
-    Why X.  For odd-odd u, F(v) = Lap v + |v|^{p-1} v maps X_s into its
-    dual, since the reflections about the mid-lines commute with Lap and
-    with v -> |v|^{p-1} v.  On a square the reflection (x, y) -> (y, x)
-    commutes with both as well, so for a transpose-symmetric u (checked
-    bitwise, `_check_center`) F maps X_sym into its dual.  So
+    The equation.  Newton-Kantorovich proves its ball for F(v) = Lap v + v^p
+    at every p, the equation that the solver, the power expansion and the
+    block work with, and K bounds the inverse of its derivative.  For odd p,
+    v^p = |v|^{p-1} v.  For even p, every solution u~ in H^1_0 of
+    -Lap u~ = u~^p is nonnegative by the weak maximum principle: u~_- =
+    max(-u~, 0) is in H^1_0, with grad u~_- = -grad u~ on {u~ < 0} and 0
+    elsewhere, and testing the equation with it gives ||grad u~_-||^2 =
+    -int u~^p u~_- <= 0, as u~^p >= 0.  So u~_- = 0 and u~ solves
+    -Lap u = |u|^{p-1} u as well.  For even p the uniqueness claim is among
+    the solutions of -Lap u = u^p, a set that holds every nonnegative
+    solution of -Lap u = |u|^{p-1} u, the extremizer among them.  This makes
+    the positiveness certificate implied for even p; it is kept at every p,
+    since skipping it would add a parity fork.
+
+    Why X.  For odd-odd u, F maps X_s into its dual, since the reflections
+    about the mid-lines commute with Lap and with v -> v^p.  On a square
+    the reflection (x, y) -> (y, x) commutes with both as well, so for a
+    transpose-symmetric u (checked bitwise, `_check_center`) F maps X_sym
+    into its dual.  So
     Newton-Kantorovich runs in X with the same defect delta (an H^-1 norm
     bounds the X^* norm) and Lipschitz bound g (valid on all of H^1_0), and
     its ball is a ball of X.  The enclosure's premise (`enclosure_from_ball`),
@@ -475,9 +473,8 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             lambda_tail the smallest eigenvalue of a tail mode (`_tail_lambda`);
             it holds on X_s, and on X_sym since a Rayleigh quotient taken
             over a subspace cannot fall;
-      (iii) c = min(c_H1, c_H2) >= ||B_FT|| (`_coupling`), with
-              c_H1 = (Wt + G/sqrt(lambda_1)) / lambda_tail,
-              c_H2 = (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F)) / lambda_tail^{3/2},
+      (iii) c >= ||B_FT|| (`_coupling`), with
+              c = (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F)) / lambda_tail^{3/2},
             G >= sup|grad w| and H >= sup|Lap w| of the potential
             w = p u^{p-1} (`Series2D.grad_sup_bound`, `lap_sup_bound`),
             lambda_F = lambda(n', n') >= every eigenvalue of a section mode,
@@ -491,24 +488,18 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             h = (w - Wbar/2) f and a_k, g_k the coefficients of h and g on
             the L^2-normalized Dirichlet eigenfunctions phi_k,
             |<B f, g>| = |sum_T a_t g_t|, where sum_T lambda_t g_t^2 = 1 and
-            lambda_t >= lambda_tail on T.
-            H^1 route: h vanishes on the boundary, so h is in H^1_0, and
-              |sum_T a_t g_t| <= (sum_T lambda_t a_t^2)^{1/2} (sum_T g_t^2/lambda_t)^{1/2}
-                              <= ||grad h||_L2 / lambda_tail,
-            with grad h = (w - Wbar/2) grad f + f grad w, ||grad f|| = 1 and
-            ||f||_L2 <= 1/sqrt(lambda_1): ||grad h|| <= Wt + G/sqrt(lambda_1).
-            H^2 route: w is a trigonometric polynomial and f a finite sine
-            sum, so h is in H^2 and H^1_0, and Green's formula twice (both
-            h and phi_k vanish on the boundary of the Lipschitz domain)
-            gives <-Lap h, phi_k> = lambda_k a_k; by Parseval
-            sum_k lambda_k^2 a_k^2 = ||Lap h||^2, so
+            lambda_t >= lambda_tail on T.  w is a trigonometric polynomial
+            and f a finite sine sum, so h is in H^2 and H^1_0, and Green's
+            formula twice (both h and phi_k vanish on the boundary of the
+            Lipschitz domain) gives <-Lap h, phi_k> = lambda_k a_k; by
+            Parseval sum_k lambda_k^2 a_k^2 = ||Lap h||^2, so
               |sum_T a_t g_t| <= (sum_T lambda_t^2 a_t^2)^{1/2} (sum_T g_t^2/lambda_t^2)^{1/2}
                               <= ||Lap h||_L2 / lambda_tail^{3/2},
             with Lap h = f Lap w + 2 grad w . grad f + (w - Wbar/2) Lap f
             and ||Lap f||^2 = sum_F lambda_k^2 f_k^2 <= lambda_F ||grad f||^2:
-            ||Lap h|| <= H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F).
-            Both routes hold, so their minimum does.  Neither needs a
-            bandwidth of w, so it holds for every p (for even p the sine
+            ||Lap h|| <= H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F), with
+            ||f||_L2 <= 1/sqrt(lambda_1) and ||grad f|| = 1.  This needs
+            no bandwidth of w, so it holds for every p (for even p the sine
             potential couples every section mode to the tail), on X_s and
             on X_sym, and on every rectangle.
 
@@ -532,11 +523,9 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     rises with m and t and falls with c, so the lower bounds m, t and the
     upper bound c give a lower bound on s* (`_coupled_gap`).
 
-    For even p the exactly-expanded potential p*u^{p-1} differs from
-    p|u|^{p-1} only on {u < 0}; that perturbation, eps_pert, is absorbed
-    via the negative-part bound, and K = 1/(s* - eps_pert).  The parity
-    structure and the fold need a square odd-odd center, transpose-symmetric
-    on a square domain, so any other center raises DomainError.
+    So K = 1/s* bounds the inverse on X.  The parity structure and the fold
+    need a square odd-odd center, transpose-symmetric on a square domain, so
+    any other center raises DomainError.
     """
     _check_center(u)
     dom = u.domain
@@ -546,36 +535,25 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     block = _folded_block(_potential(u, p), np.arange(1, nprime + 1, 2))
     block_lo = eig_enclosures(block)
     coupling = _coupling(u, p, nprime)
-    eps_pert = 0.0
-    if p % 2 == 0:
-        eta = negative_part_sup(u)
-        eps_pert = (
-            Interval(2.0 * p)
-            * iv_pow_int(Interval(eta), p - 1)
-            / dom.lambda1()
-        ).hi
-
-    gap = _coupled_gap(block_lo, tail_lo, coupling)
-    m = (Interval(gap.lo) - Interval(eps_pert)).lo
+    m = _coupled_gap(block_lo, tail_lo, coupling).lo
     if not m > 0.0:
         raise NotInvertible(
             f"inverse bound denominator {m:.4e} <= 0 at split order {nprime}"
         )
-    return InverseBound(Interval(1.0) / Interval(m), block_lo, tail_lo,
-                        coupling, eps_pert, block.n)
+    return InverseBound(Interval(1.0) / Interval(m), block_lo, tail_lo, coupling, block.n)
 
 
 # -- Newton-Kantorovich ---------------------------------------------------------
 
 
 def lipschitz_bound(u: Series2D, p: int, R: float) -> Interval:
-    """g >= Lipschitz constant of v -> p|v|^{p-1} (H^1_0 -> op-norm) on the
-    ball B of radius R about u:
+    """g >= Lipschitz constant of v -> p v^{p-1}, the derivative of
+    v -> v^p (H^1_0 -> op-norm), on the ball B of radius R about u:
 
         g = p (p-1) C^3 (||u||_{L^{p+1}} + C R)^{p-2},
 
     C >= C_{p+1} the smaller of the two classical upper bounds.  For v, w in
-    B and z_t = w + t (v - w), |p|v|^{p-1} - p|w|^{p-1}| is at most
+    B and z_t = w + t (v - w), |p v^{p-1} - p w^{p-1}| is at most
     p (p-1) int_0^1 |z_t|^{p-2} dt |v - w| pointwise, and the generalized
     Hoelder inequality with exponents ((p+1)/(p-2), p+1, p+1, p+1) gives
 
@@ -676,7 +654,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
     `linf_embedding_constant`, C_2 = 1/sqrt(lambda_1) and C_q, q >= 4, the
     smaller classical upper bound on the L^q embedding constant.
 
-    Lemma.  With g(v) = |v|^{p-1} v, e = u_true - u solves -Lap e =
+    Lemma.  With g(v) = v^p, e = u_true - u solves -Lap e =
     (g(u + e) - g(u)) + (Lap u + g(u)), and the last term has L2 norm at
     most delta_l2.  By the mean-value theorem |g(u + e) - g(u)| <= p (|u| +
     |e|)^{p-1} |e| pointwise, and the binomial expansion bounds this by p
@@ -752,14 +730,19 @@ def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> Positivene
 
 @dataclass(frozen=True)
 class CertifiedBall:
-    """The record of one certified center: a solution of the PDE at exponent
-    p lies within r_h1 of the center in X, the odd-odd sine modes (X_s) on a
+    """The record of one certified center: a solution of -Lap u = u^p lies
+    within r_h1 of the center in X, the odd-odd sine modes (X_s) on a
     rectangle and those of them also symmetric about the diagonal (X_sym) on
-    a square, and it is the only one in X within unique_radius.  It comes
-    from the H^-1 and L2 defect bounds, K (`inverse`, with the terms it comes
-    from, at the split order nprime) and the Lipschitz bound g, which holds
-    on the ball of radius trial_radius.  r_inf bounds its L-infinity
-    distance from the center, and `audit` is the positiveness certificate.
+    a square, and it is the only one in X within unique_radius.  For even p
+    that solution is nonnegative: testing -Lap u = u^p with u_- gives
+    ||grad u_-||^2 = -int u^p u_- <= 0, so it solves -Lap u = |u|^{p-1} u
+    too, and uniqueness is among the solutions of -Lap u = u^p, which hold
+    every nonnegative solution of -Lap u = |u|^{p-1} u (`inverse_bound`).
+    It comes from the H^-1 and L2 defect bounds, K (`inverse`, with the
+    terms it comes from, at the split order nprime) and the Lipschitz bound
+    g, which holds on the ball of radius trial_radius.  r_inf bounds its
+    L-infinity distance from the center, and `audit` is the positiveness
+    certificate.
     The extremizer lies in X by the Gidas-Ni-Nirenberg symmetry theorem
     (`inverse_bound`).
     """
@@ -804,7 +787,7 @@ class CertifiedBall:
         c = self.center
         digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
         return {
-            "format": "sobemb-certificate/3",
+            "format": "sobemb-certificate/4",
             "domain": c.domain.to_dict(),
             "N": c.N,
             "coefficient_digest": digest,

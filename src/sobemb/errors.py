@@ -43,7 +43,7 @@ class ConditionFailure(SobembError):
 
 
 class FixedPointFailure(SobembError):
-    """No valid radius found for the L-infinity bootstrap inequality."""
+    """The closed-form L-infinity radius is negative or above its cap."""
 
 
 class HypothesisFailure(SobembError):

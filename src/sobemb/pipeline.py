@@ -28,23 +28,23 @@ from .errors import DomainError, SobembError, SoundnessViolation
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
-REPORT_FORMAT = "sobemb-report/4"
+REPORT_FORMAT = "sobemb-report/5"
 
 
 @dataclass
 class RunConfig:
-    """A pipeline run: p in 2..5 (C_{p+1} output), rectangle, N sweep."""
+    """A pipeline run: p in 2..5 (C_{p+1} output), rectangle, N sweep (one
+    N or a list or tuple of them); DomainError unless p and every N are
+    ints (not bools), p in 2..5, and the sweep is nonempty with N >= 1."""
 
     p: int
     domain: DomainRect
     N: list = field(default_factory=lambda: [10, 20, 30, 34])
 
     def __post_init__(self):
-        if isinstance(self.N, int):
-            self.N = [self.N]
-        self.N = [int(n) for n in self.N]
-        if (type(self.p) is not int or self.p not in (2, 3, 4, 5)
-                or not self.N or min(self.N) < 1):
+        self.N = list(self.N) if isinstance(self.N, (list, tuple)) else [self.N]
+        if (type(self.p) is not int or self.p not in (2, 3, 4, 5) or not self.N
+                or any(type(n) is not int or n < 1 for n in self.N)):
             raise DomainError("need p in 2..5 and a nonempty sweep of N >= 1, "
                               f"got p={self.p}, N={self.N}")
 
@@ -251,7 +251,7 @@ def _check_row(row: dict) -> None:
     neg_sup = row.get("neg_sup")
     _require(neg_sup is None or float.fromhex(neg_sup) >= 0.0, "neg_sup < 0")
     if row.get("inverse_bound") is not None or certified:
-        for key in ("block_min", "tail", "coupling", "eps_pert"):
+        for key in ("block_min", "tail", "coupling"):
             float.fromhex(row["inverse_bound"][key])
     if certified:
         pos = row["positiveness"]

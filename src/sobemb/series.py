@@ -357,6 +357,20 @@ def SineSeries2D(domain: DomainRect, coeffs) -> Series2D:
     return Series2D(domain, coeffs, SIN, SIN)
 
 
+def odd_odd_order(u: Series2D) -> int:
+    """u's order N; DomainError unless its coefficient array is square,
+    N x N, and odd-odd, with every even-mode coefficient exactly zero, as
+    the positive solution is (symmetric about both mid-lines)."""
+    mag = u.coeffs.mag()
+    if mag.shape[0] != mag.shape[1]:
+        raise DomainError(f"coefficient array is {mag.shape[0]} x {mag.shape[1]}; "
+                          "order N takes a square N x N array")
+    if np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0):
+        raise DomainError("nonzero even-mode coefficient; the positive solution "
+                          "is odd-odd (symmetric about both mid-lines)")
+    return mag.shape[0]
+
+
 # -- rigorous products ------------------------------------------------------------
 
 # machine epsilon of the extended-precision accumulator (binary64's where

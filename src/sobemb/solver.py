@@ -36,6 +36,7 @@ from .series import (
     Series2D,
     SineSeries2D,
     _axis_overlap,
+    odd_odd_order,
 )
 
 log = logging.getLogger("sobemb.solver")
@@ -47,16 +48,17 @@ MAX_ITER = 50  # Newton steps before NoConvergence
 @dataclass(frozen=True)
 class SolverConfig:
     """The Galerkin-Newton problem: exponent p, odd-odd sine modes up to N
-    in each dimension."""
+    in each dimension; DomainError unless both are ints (not bools), p in
+    2..5 and N >= 1."""
 
     p: int
     N: int
 
     def __post_init__(self):
-        if self.p not in (2, 3, 4, 5):
-            raise DomainError(f"exponent p must be in 2..5, got {self.p}")
-        if self.N < 1:
-            raise DomainError(f"truncation order N must be >= 1, got {self.N}")
+        if type(self.p) is not int or self.p not in (2, 3, 4, 5):
+            raise DomainError(f"exponent p must be an int in 2..5, got {self.p!r}")
+        if type(self.N) is not int or self.N < 1:
+            raise DomainError(f"truncation order N must be an int >= 1, got {self.N!r}")
 
 
 # integral of sin^k over one period-half, divided by the length:
@@ -153,13 +155,8 @@ class _Galerkin:
 
 def _system_at(u: Series2D, p: int) -> tuple:
     """Newton's system at u's order N, and u's odd-odd coefficients;
-    DomainError unless u is square and odd-odd, as `certify` requires."""
-    mag = u.coeffs.mag()
-    if mag.shape[0] != mag.shape[1] or np.any(mag[1::2, :] > 0) or np.any(mag[:, 1::2] > 0):
-        raise DomainError(
-            f"coefficient array is {mag.shape[0]} x {mag.shape[1]}; the Galerkin "
-            "system of order N takes a square N x N array with zero even modes")
-    return _Galerkin(p, u.domain, mag.shape[0]), u.coeffs.mid()[::2, ::2]
+    DomainError unless u is square and odd-odd (`odd_odd_order`)."""
+    return _Galerkin(p, u.domain, odd_odd_order(u)), u.coeffs.mid()[::2, ::2]
 
 
 def galerkin_residual(u: Series2D, p: int) -> float:

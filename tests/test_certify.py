@@ -147,11 +147,7 @@ def _all_modes_k(u, p):
     block_lo = min(eig_enclosures(b) for _, _, b in _parity_blocks(u, p, nprime))
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
     coupling = ((wbar + g / iv_sqrt(dom.lambda1())) / lam_tail).hi
-    eps_pert = 0.0
-    if p % 2 == 0:
-        eta = Interval(negative_part_sup(u))
-        eps_pert = (Interval(2.0 * p) * iv_pow_int(eta, p - 1) / dom.lambda1()).hi
-    m = (Interval(_coupled_gap(block_lo, tail_lo, coupling).lo) - Interval(eps_pert)).lo
+    m = _coupled_gap(block_lo, tail_lo, coupling).lo
     assert m > 0.0
     return (Interval(1.0) / Interval(m)).hi
 
@@ -203,7 +199,7 @@ def test_schur_gap_bounds_real_blocks(u_p3_n10):
 
 def test_default_split_order_is_smallest_meeting_the_coupling_target(u_p3_n10, u_p3_n20):
     """The float choice is the smallest odd n' with lambda_tail > Wbar and
-    c = min(c_H1, c_H2) <= COUPLING_TARGET in intervals, checked against
+    c <= COUPLING_TARGET in intervals, checked against
     every odd order below it, on the unit square at p=3 (the same order at
     N=10 and N=20), on 2 x 1 at p=3 and on the unit square at p=4 and p=5."""
     assert default_split_order(u_p3_n20, 3) == 25
@@ -272,7 +268,7 @@ WIDE = DomainRect(2.0, 1.0)
     (SQ, 2), (SQ, 3), (SQ, 4), (SQ, 5), (WIDE, 2), (WIDE, 3), (WIDE, 4), (None, 2),
 ], ids=["1x1-2", "1x1-3", "1x1-4", "1x1-5", "2x1-2", "2x1-3", "2x1-4", "1x1-2-negative"])
 def test_coupling_bounds_section_tail_block(dom, p):
-    """inverse_bound's coupling c = min(c_H1, c_H2) bounds ||B_FT||_2 (float,
+    """inverse_bound's coupling c bounds ||B_FT||_2 (float,
     the tail cut at 5 n'), on both parities of the potential and on a
     rectangle, at N=12 (2 x 1 at p=5 has no center: the solver does not
     converge there); for even p the sine potential couples F to T beyond any
@@ -290,8 +286,8 @@ def test_coupling_bounds_section_tail_block(dom, p):
     (SQ, 2), (SQ, 3), (SQ, 4), (SQ, 5), (WIDE, 2), (WIDE, 3), (WIDE, 4),
 ], ids=["1x1-2", "1x1-3", "1x1-4", "1x1-5", "2x1-2", "2x1-3", "2x1-4"])
 def test_coupling_matches_its_lemma(dom, p):
-    """_coupling encloses min(c_H1, c_H2) of `inverse_bound` (iii),
-    recomputed with 60-digit arithmetic from the same constants: Wt = Wbar/2,
+    """_coupling encloses c of `inverse_bound` (iii), recomputed with
+    60-digit arithmetic from the same constants: Wt = Wbar/2,
     plus p eta^{p-1} for even p, G and H of the potential, lambda_1, lambda_F
     = lambda(n', n') and lambda_tail at the split order n', each at the end
     that makes c largest, on the N=12 centers.  The result lies above the
@@ -308,16 +304,14 @@ def test_coupling_matches_its_lemma(dom, p):
         g, h = mp(w.grad_sup_bound().hi), mp(w.lap_sup_bound().hi)
         root1 = mpmath.sqrt(mp(dom.lambda1().lo))
         lam = mp(_tail_lambda(dom, n).lo)
-        c_h1 = (wt + g / root1) / lam
-        c_h2 = (h / root1 + 2 * g + wt * mpmath.sqrt(mp(dom.lambda_mode(n, n).hi))) / lam ** 1.5
-        exact = min(c_h1, c_h2)
+        exact = (h / root1 + 2 * g + wt * mpmath.sqrt(mp(dom.lambda_mode(n, n).hi))) / lam ** 1.5
         assert exact <= mp(got) <= exact * (1 + mp(10) ** -12)
 
 
 @pytest.mark.parametrize("dom, p", [(SQ, 3), (SQ, 4), (WIDE, 3), (None, 2)],
                          ids=["1x1-3", "1x1-4", "2x1-3", "1x1-2-negative"])
 def test_h2_product_bound_dominates_spectral_laplacian(dom, p):
-    """The H^2 route of the coupling lemma: for h = (w - Wbar/2) f, f a
+    """The bound behind the coupling lemma: for h = (w - Wbar/2) f, f a
     section mode of unit H^1_0 norm, ||Lap h|| <= H ||f|| + 2G + Wt
     sqrt(lambda_f), lambda_f the mode's eigenvalue (<= lambda_F).  ||Lap h||
     is taken from the sine coefficients of h, by a type-1 DST on a 512^2
@@ -799,14 +793,14 @@ def test_defect_even_power_nonnegative(u_p3_n10):
 
 
 def _dst_hm1_estimate(u, p, n=2048):
-    """Floating ||Lap u + |u|^{p-1} u||_{H^-1} on the unit square from the
-    DST-I of its samples on the interior points of the n x n grid."""
+    """Floating ||Lap u + u^p||_{H^-1} on the unit square from the DST-I of
+    its samples on the interior points of the n x n grid."""
     c = u.coeffs.mid()
     modes = np.arange(1, c.shape[0] + 1)
     lam = math.pi ** 2 * (modes[:, None] ** 2 + modes[None, :] ** 2)
     s = np.sin(math.pi * np.arange(1, n)[:, None] * modes[None, :] / n)
     vals = s @ c @ s.T
-    f = s @ (-lam * c) @ s.T + np.abs(vals) ** (p - 1) * vals
+    f = s @ (-lam * c) @ s.T + vals ** p
     coef = dstn(f, type=1) / float(n * n)
     m = np.arange(1, n)
     lam_all = math.pi ** 2 * (m[:, None] ** 2 + m[None, :] ** 2)
@@ -821,6 +815,53 @@ def test_defect_even_p_hm1_between_estimate_and_l2_route(p):
     hm1, l2 = defect_bounds(u, p)
     assert hm1.hi <= l2.hi / math.sqrt(SQ.lambda1().lo)
     assert hm1.hi >= _dst_hm1_estimate(u, p)
+
+
+def _gauss_l2_defect(u, p, n=128):
+    """Float ||Lap u + u^p||_L2 by an n x n Gauss-Legendre product rule: the
+    defect is a trigonometric polynomial of degree at most 3p per axis, so
+    the rule is exact to rounding."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
+    c = u.coeffs.mid()
+    modes = np.arange(1, c.shape[0] + 1)
+    lam = math.pi ** 2 * (modes[:, None] ** 2 + modes[None, :] ** 2)
+    s = np.sin(math.pi * np.outer(x, modes))
+    f = s @ (-lam * c) @ s.T + (s @ c @ s.T) ** p
+    return math.sqrt(w @ (f * f) @ w)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_even_p_defect_and_k_carry_no_negative_part_slack(p):
+    """On `_negative_center(0.5)`, negative near the corners (eta = sup u_-
+    about 1.82), the defect bounds Lap u + u^p with no slack: delta_L2 is a
+    Gauss-Legendre value of ||Lap u + u^p||_L2 to 1e-10 relative, and
+    delta_H^-1 lies between a fine-grid estimate and delta_L2/sqrt(lambda_1).
+    Both defects lie below the older bounds of Lap u + |u|^{p-1} u, which
+    added 2 eta^p sqrt(|Omega|) to delta_L2 and its image over
+    sqrt(lambda_1) to delta_H^-1, and K = 1/s* lies below 1/(s* - eps),
+    eps = 2 p eta^{p-1}/lambda_1, whose denominator is not positive at p=4:
+    there only K = 1/s* exists."""
+    u = _negative_center(0.5)
+    eta = Interval(negative_part_sup(u))
+    assert eta.lo > 1.8
+    hm1, l2 = defect_bounds(u, p)
+    exact = _gauss_l2_defect(u, p)
+    assert exact <= l2.hi <= exact * (1.0 + 1e-10)
+    root1 = iv_sqrt(SQ.lambda1())
+    assert _dst_hm1_estimate(u, p) <= hm1.hi <= (Interval(l2.hi) / root1).hi
+    slack = Interval(2.0) * iv_pow_int(eta, p) * iv_sqrt(SQ.measure())
+    assert l2.hi < (Interval(l2.hi) + slack).lo
+    assert hm1.hi < (Interval(hm1.hi) + slack / root1).lo
+
+    ib = inverse_bound(u, p)
+    s_star = _coupled_gap(ib.block_min, ib.tail, ib.coupling).lo
+    assert ib.K.hi == (Interval(1.0) / Interval(s_star)).hi
+    older = Interval(s_star) - Interval(2.0 * p) * iv_pow_int(eta, p - 1) / SQ.lambda1()
+    if p == 2:
+        assert older.lo > 0.0 and ib.K.hi < (Interval(1.0) / older).lo
+    else:
+        assert older.hi <= 0.0 < s_star
 
 
 def test_defect_rejects_bad_exponent():
@@ -1060,7 +1101,7 @@ def test_certificate_json_roundtrip(ball_p3_n20):
     import json
 
     d = json.loads(ball_p3_n20.to_json())
-    assert d["format"] == "sobemb-certificate/3"
+    assert d["format"] == "sobemb-certificate/4"
     assert d["p"] == 3
     assert len(d["coefficient_digest"]) == 64
     assert float.fromhex(d["r_h1"][1]) == ball_p3_n20.r_h1.hi
@@ -1142,8 +1183,9 @@ def test_capacity_error_before_defect_work(monkeypatch):
 
 
 def test_even_p_negative_part_bound_built_once(monkeypatch):
-    """For even p the defect, the inverse bound and the positiveness audit
-    all use sup u_-; the boundary factorisation behind it runs once."""
+    """For even p the coupling of the inverse bound and the positiveness
+    audit use sup u_-, and the defect does not; the boundary factorisation
+    behind it runs once."""
     u = newton_solve(SolverConfig(p=2, N=6), initial_guess(2, SQ))
     calls = _count_calls(monkeypatch, "factor_boundary")
     defect_bounds(u, 2)

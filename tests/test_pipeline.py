@@ -5,6 +5,7 @@ import json
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sobemb.certify import _coupled_gap, certify_ball, default_split_order
@@ -35,17 +36,23 @@ def test_runconfig_roundtrip():
 def test_runconfig_accepts_scalar_sweep():
     cfg = RunConfig(p=3, domain=SQ, N=8)
     assert cfg.N == [8]
+    assert RunConfig(p=3, domain=SQ, N=(8, 12)).N == [8, 12]
 
 
-@pytest.mark.parametrize("p, sides", [(3.0, (1.0, 1.0)), (3, ("1", 1.0)),
-                                      (3, (1.0, None)), (3, (10 ** 400, 1.0))],
-                         ids=["p-float", "side-str", "side-none", "side-overflow"])
-def test_construction_rejects_non_numbers(p, sides):
-    """A library caller's p that is not an int, or a side that is not a
-    finite positive real number, is a DomainError at construction, not a
-    TypeError later in the run."""
+@pytest.mark.parametrize("p, sides, n", [
+    (3.0, (1.0, 1.0), [6]), (3, ("1", 1.0), [6]), (3, (1.0, None), [6]),
+    (3, (10 ** 400, 1.0), [6]), (3, (1.0, 1.0), [10.7]), (3, (1.0, 1.0), [True]),
+    (3, (1.0, 1.0), 12.9), (3, (1.0, 1.0), True), (3, (1.0, 1.0), [10, "20"]),
+    (3, (1.0, 1.0), [np.int64(10)]),
+], ids=["p-float", "side-str", "side-none", "side-overflow", "N-float-in-list",
+        "N-bool-in-list", "N-float", "N-bool", "N-str-in-list", "N-numpy-int"])
+def test_construction_rejects_non_numbers(p, sides, n):
+    """A library caller's p or N that is not an int (a bool is not one: it
+    is not read as N=1, nor a float truncated to an order), or a side that
+    is not a finite positive real number, is a DomainError at construction,
+    not a TypeError or a different run later."""
     with pytest.raises(DomainError):
-        RunConfig(p=p, domain=DomainRect(*sides), N=[6])
+        RunConfig(p=p, domain=DomainRect(*sides), N=n)
 
 
 def test_int_sides_serialize():
@@ -68,20 +75,19 @@ def test_pipeline_run_is_deterministic():
 
 def test_report_rows_explain_k():
     """Each certified row carries the terms of K as hex floats and ints: the
-    block minimum m, tail t, coupling c, eps_pert (0 for odd p), the rows of
-    the folded block and which of m and t binds; K is 1/(s* - eps_pert) of
-    them, and the canonical JSON with these fields is byte-identical across
-    two runs."""
+    block minimum m, tail t, coupling c, the rows of the folded block and
+    which of m and t binds; K is 1/s* of them, and the canonical JSON with
+    these fields is byte-identical across two runs."""
     a, b = (run_pipeline(RunConfig(p=4, domain=SQ, N=[12])) for _ in range(2))
     assert a.canonical_json() == b.canonical_json()
     row = json.loads(a.canonical_json())["rows"][0]
     ib = row["inverse_bound"]
-    assert set(ib) == {"block_min", "tail", "coupling", "eps_pert", "block_rows", "binds"}
-    m, t, c, eps = (float.fromhex(ib[k]) for k in ("block_min", "tail", "coupling", "eps_pert"))
-    assert 0.0 < m < 1.0 and 0.0 < t < 1.0 and c > 0.0 and eps >= 0.0
+    assert set(ib) == {"block_min", "tail", "coupling", "block_rows", "binds"}
+    m, t, c = (float.fromhex(ib[k]) for k in ("block_min", "tail", "coupling"))
+    assert 0.0 < m < 1.0 and 0.0 < t < 1.0 and c > 0.0
     assert ib["binds"] == ("block" if m <= t else "tail")
-    k = (Interval(1.0) / (Interval(_coupled_gap(m, t, c).lo) - Interval(eps))).hi
-    assert float.fromhex(row["K"][1]) == k
+    k = Interval(1.0) / Interval(_coupled_gap(m, t, c).lo)
+    assert [float.fromhex(x) for x in row["K"]] == [k.lo, k.hi]
     nprime = default_split_order(a.solutions[12], 4)
     half = (nprime + 1) // 2
     assert ib["block_rows"] == half * (half + 1) // 2
@@ -137,7 +143,7 @@ def test_certificate_holds_the_report_row(report_c4):
     row = json.loads(report_c4.canonical_json())["rows"][0]
     assert row["N"] == 10 and row["status"] == "certified"
     cert = certify_ball(report_c4.solutions[10], 3).to_dict()
-    assert cert["format"] == "sobemb-certificate/3"
+    assert cert["format"] == "sobemb-certificate/4"
     rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
     assert {k: cert[k] for k in rigorous} == {k: row[k] for k in rigorous}
     text = {"format", "coefficient_digest", "binds"}
@@ -289,7 +295,7 @@ def test_c6_certifies_within_budget():
 
 def test_report_structure_and_validation(report_c4):
     d = json.loads(report_c4.to_json())
-    assert d["format"] == "sobemb-report/4"
+    assert d["format"] == "sobemb-report/5"
     validate_report_dict(d)  # must not raise
     # corrupting a rigorous field must be caught
     bad = json.loads(report_c4.to_json())

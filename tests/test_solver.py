@@ -32,6 +32,11 @@ def test_config_validation():
         SolverConfig(p=7, N=10)
     with pytest.raises(DomainError):
         SolverConfig(p=3, N=0)
+    for n in (12.5, True, 12.0):  # a float or a bool is no order
+        with pytest.raises(DomainError):
+            SolverConfig(p=3, N=n)
+    with pytest.raises(DomainError):
+        SolverConfig(p=3.0, N=10)
     with pytest.raises(DomainError):
         initial_guess(6, SQ)
 
