@@ -138,23 +138,31 @@ def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray) -> IArray:
 
 
 def _fro(x: np.ndarray) -> float:
-    """Upper bound on the Frobenius norm of the float array x of k entries:
-    the pad 4 gamma_k covers the dot product and the square root, and
-    sqrt(k) 1e-150 the squares lost below the normal range."""
+    """Upper bound on the Frobenius norm of the float array x
+    (`_fro_bound`)."""
     x = x.ravel()
-    return float(_up(math.sqrt(x @ x) * (1.0 + 4.0 * _gamma_fac(x.size))
-                     + math.sqrt(x.size) * 1e-150))
+    return _fro_bound(float(x @ x), x.size)
+
+
+def _fro_bound(sq: float, k: int) -> float:
+    """Upper bound on the Frobenius norm of k float entries from sq, the
+    float sum of their squares in any order: the pad 4 gamma_k covers that
+    sum and the square root, and sqrt(k) 1e-150 the squares lost below the
+    normal range."""
+    return float(_up(math.sqrt(sq) * (1.0 + 4.0 * _gamma_fac(k)) + math.sqrt(k) * 1e-150))
 
 
 def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
-    """(mid, eps), eps >= ||M - mid||_F for the mode-basis matrix
+    """(rows, eps), eps >= ||M - mid||_F for the mode-basis matrix
     M[(i,j),(k,l)] = (4/|Omega|) int W phi_ij phi_kl of every potential W
-    in w on the sine modes mx x my, as X w Y^T per axis.  The rows and
-    columns of w's coefficients that are exactly [0, 0] (every other one,
-    for a potential of one mode parity per axis) add nothing and are left
-    out, which halves the inner dimension k and so gamma_k.  Where both axes
-    have the same parity, length, side and modes, as on a square, the triple
-    overlap of the x-axis serves the y-axis too.
+    in w on the sine modes mx x my, as X w Y^T per axis, and rows yielding
+    mid one mode i of mx at a time: the row slice (i, j), j over my, in
+    order.  Nothing holds mid whole; `_fold` takes the slices as they come.
+    The rows and columns of w's coefficients that are exactly [0, 0] (every
+    other one, for a potential of one mode parity per axis) add nothing and
+    are left out, which halves the inner dimension k and so gamma_k.  Where
+    both axes have the same parity, length, side and modes, as on a square,
+    the triple overlap of the x-axis serves the y-axis too.
 
     Lemma.  With P = X w (`imatmul`), P_m, P_r, Y_m, Y_r the midpoints and
     radii of P and Y, and mid = fl(P_m Y_m^T): P Y^T - mid = (P - P_m) Y^T
@@ -176,11 +184,11 @@ def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
     p = imatmul(px, wc)
     pm, pr, ym, yr = p.mid(), p.rad(), py.mid(), py.rad()
     a, b = len(mx), len(my)
-    mid = np.ascontiguousarray(  # ((i,k),(j,l)) -> ((i,j),(k,l))
-        (pm @ ym.T).reshape(a, a, b, b).transpose(0, 2, 1, 3)).reshape(a * b, -1)
     eps = (_fro(pr) * _fro(_up(np.abs(ym) + yr))
            + _fro(pm) * (_fro(yr) + _gamma_fac(len(ky)) * _fro(ym)) + a * b * len(ky) * _TINY)
-    return mid, float(_up(eps * (1.0 + 2.0 ** -45)))
+    rows = ((pm[i * a:(i + 1) * a] @ ym.T)  # (k, (j,l)) -> (j, (k,l))
+            .reshape(a, b, b).transpose(1, 0, 2).reshape(b, -1) for i in range(a))
+    return rows, float(_up(eps * (1.0 + 2.0 ** -45)))
 
 
 def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None) -> SymMatrix:
@@ -275,11 +283,11 @@ def _choose_split_order(u: Series2D, p: int) -> int:
     """The smallest odd n with lambda_tail > Wbar and c <= COUPLING_TARGET,
     c of `_coupling` evaluated in floats, scanned over every odd n whose
     odd-odd block, ceil(n/2)^2 rows, fits in MAX_DENSE_ROWS; CapacityError
-    if none does.  The potential matrix is assembled at those rows before
-    the fold to X_sym on a square, so they, not the folded rows, set the
-    peak memory.  n' is a cost choice and no hypothesis of `inverse_bound`,
-    so a rounding that moves it by a step where c sits on the target moves
-    only the cost."""
+    if none does.  On a square the potential matrix is folded to X_sym row
+    by row as it is assembled, but its columns only once every row is in, so
+    those rows, not the folded ones, bound the peak memory.  n' is a cost
+    choice and no hypothesis of `inverse_bound`, so a rounding that moves it
+    by a step where c sits on the target moves only the cost."""
     dom = u.domain
     wt, h = (x.hi for x in _coupling_terms(u, p))
     n = np.arange(1, 2 * math.isqrt(MAX_DENSE_ROWS), 2, dtype=np.float64)
@@ -335,12 +343,15 @@ def _orbits(dom: DomainRect, n: int) -> tuple:
     return idx[i, j], idx[j, i]
 
 
-def _fold(m_mid: np.ndarray, m_eps: float, rep: np.ndarray,
-          partner: np.ndarray) -> tuple:
+def _fold(rows, m_eps: float, rep: np.ndarray, partner: np.ndarray) -> tuple:
     """(f_mid, f_eps): f_mid the float sums of m_mid over the distinct
     members of the orbits of rep[r] and rep[s] (1, 2 or 4 entries), and
     f_eps >= ||S (F - f_mid) S||_F for F those sums of every M with
     ||M - m_mid||_F <= m_eps; S = diag(s), s = 1/sqrt(2) on the pairs i < j.
+    The square m_mid comes as `rows`, its consecutive row slices in order,
+    and each row goes into its orbit's row as it comes: the rep row, which
+    precedes its partner (`_orbits`), is copied and the partner added to
+    it.  The columns are folded the same way once every row is in.
 
     Lemma.  With Q the orthonormal orbit basis (columns e_ii and
     (e_ij + e_ji)/sqrt(2)), S F(A) S = Q^T A Q, whose Frobenius norm is at
@@ -350,13 +361,24 @@ def _fold(m_mid: np.ndarray, m_eps: float, rep: np.ndarray,
     2^-45.  On a rectangle every orbit has one member and nothing changes.
     """
     pair = rep != partner
+    orbit = np.empty(len(rep) + np.count_nonzero(pair), dtype=np.intp)
+    orbit[partner] = orbit[rep] = np.arange(len(rep))
+    second = np.zeros(len(orbit), dtype=bool)
+    second[partner[pair]] = True
+    g, sq, top = np.empty((len(rep), len(orbit))), 0.0, 0
+    for x in rows:
+        r = np.arange(top, top + len(x))
+        top += len(x)
+        add = second[r]
+        g[orbit[r[~add]]] = x[~add]
+        g[orbit[r[add]]] += x[add]
+        sq += float(x.ravel() @ x.ravel())
     if not pair.any():
-        return m_mid, m_eps
-    g = m_mid[rep]
-    g[pair] += m_mid[partner[pair]]
+        return g, m_eps
     f = g[:, rep]
     f[:, pair] += g[:, partner[pair]]
-    return f, float(_up((m_eps + 2.0 ** -51 * _fro(m_mid)) * (1.0 + 2.0 ** -45)))
+    m_fro = _fro_bound(sq, len(orbit) ** 2)
+    return f, float(_up((m_eps + 2.0 ** -51 * m_fro) * (1.0 + 2.0 ** -45)))
 
 
 def _folded_block(w: Series2D, modes: np.ndarray) -> SymMatrix:
@@ -624,10 +646,12 @@ def linf_embedding_constant(domain: DomainRect) -> Interval:
     """
     m2 = np.arange(1, LINF_BOX + 1, dtype=np.float64) ** 2  # exact
     qx, qy = m2 / (domain.L1 * domain.L1), m2 / (domain.L2 * domain.L2)
-    q2 = np.square(qx[:, None] + qy[None, :])
-    t = 1.0 / q2
+    t = np.add.outer(qx, qy)  # q, then in place q^2 and t = 1/q^2
+    np.square(t, out=t)
+    q2_min = t.min()
+    np.reciprocal(t, out=t)
     s_fl = float(np.sum(t))
-    if not (min(qx[0], qy[0], q2.min(), t.min()) >= 2.0 ** -1022 and math.isfinite(s_fl)):
+    if not (min(qx[0], qy[0], q2_min, t.min()) >= 2.0 ** -1022 and math.isfinite(s_fl)):
         raise DomainError(f"rectangle {domain.L1!r} x {domain.L2!r} is outside the "
                           "range of the L-infinity embedding constant")
     g = _gamma_fac(t.size + 8)

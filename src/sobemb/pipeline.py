@@ -124,7 +124,10 @@ class RunReport:
                 "sources": f.sources,
             },
             "meta": {
-                "platform": platform.platform(),
+                # not platform.platform(): it reads uname().processor, which
+                # runs `uname -p` in a child process
+                "platform": "-".join((platform.system(), platform.release(),
+                                      platform.machine())),
                 "numpy": np.__version__,
             },
             "timing": self.timing,

@@ -17,6 +17,16 @@ u^p: a discrete sine transform gives the coefficients of u^p exactly for odd
 p, and for even p (a cosine series) a discrete cosine transform does, which
 the exact sine-cosine overlaps project onto the sine modes.  Residuals are
 accumulated in extended precision so Newton can reach tolerances near 1e-13.
+
+Only half of that grid is sampled in each axis.  An odd mode m has
+sin(pi m (G - k)/G) = sin(pi m k/G), and an even cosine mode, the only kind
+that meets an odd sine mode, has cos(pi m (G - k)/G) = cos(pi m k/G), so the
+grid points k and G - k carry the same samples of u, of u^p and of every
+transform row.  The transforms sum over k = 1..floor(G/2) with the weight 2,
+or 1 at the middle point k = G/2, which exists for even G only (even p, odd
+N): a quarter of the grid, with the same sums.  Powers of the samples are
+products (x^4 = (x x)(x x)), not `**`, which numpy hands to libm's powl for
+extended precision at about 50 times the cost of one product.
 """
 
 from __future__ import annotations
@@ -84,15 +94,15 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     return SineSeries2D(domain, coeffs)
 
 
-def _cos_projector(g: int, modes: np.ndarray, p: int) -> np.ndarray:
+def _cos_projector(g: int, k: np.ndarray, modes: np.ndarray, p: int) -> np.ndarray:
     """T with T^T f T the sine coefficients on `modes` of u^p, even p, from
-    its samples f at the grid points k+1 = 1..g-1 (g > p * max mode): the
-    cosine coefficients (2/g) h_m sum_k f_k cos(pi m (k+1)/g), h_0 = 1/2,
-    else 1, are exact (u^p vanishes at both ends), then projected by
-    (2/L) int_0^L sin(i pi x/L) cos(m pi x/L) dx.  That overlap does not
-    depend on the side L, so T is built at L = 1 and serves both axes."""
+    its samples f at the grid points k of 1..g-1 (g > p * max mode), a
+    longdouble column: the cosine coefficients (2/g) h_m sum_k f_k
+    cos(pi m k/g), h_0 = 1/2, else 1, summed over all g - 1 points, are exact
+    (u^p vanishes at both ends), then projected by (2/L) int_0^L
+    sin(i pi x/L) cos(m pi x/L) dx.  That overlap does not depend on the
+    side L, so T is built at L = 1 and serves both axes."""
     top = p * int(modes.max())
-    k = np.arange(1, g, dtype=np.longdouble).reshape(-1, 1)
     m = np.arange(top + 1, dtype=np.longdouble).reshape(1, -1)
     c = np.cos(np.pi * k * m / g)
     c[:, 0] *= 0.5
@@ -105,16 +115,30 @@ def _lambda_grid(domain: DomainRect, modes: np.ndarray, dtype):
     return dtype(math.pi) ** 2 * (lx.reshape(-1, 1) + ly.reshape(1, -1))
 
 
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """x^k, k >= 1, entrywise by products (binary powering)."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
+
+
 class _Galerkin:
     """Newton's Galerkin system: the odd-odd sine modes up to N in each
-    dimension, on the grid of order g = (p+1)N + 1.  Its transforms are
-    built once and serve both axes: S[k, i] = sin(pi modes[i] (k+1) / g)
-    samples the modes at the grid points k+1 = 1..g-1, and T takes samples
-    of u^p to sine coefficients (S times (2/g)^2 for odd p, the cosine
-    projector for even p).  The residual lambda a - T^T (S a S^T)^p T is in
-    extended precision; the Jacobian is its derivative, binary64.
-    CapacityError before any transform is built if the Jacobian would
-    exceed MAX_DENSE_ROWS rows."""
+    dimension, on the grid of order g = (p+1)N + 1, sampled at its mirror
+    half k = 1..floor(g/2) (see the module docstring).  Its transforms are
+    built once and serve both axes: S[k-1, i] = sin(pi modes[i] k / g)
+    samples the modes, and T takes samples of u^p to sine coefficients (S
+    times (2/g)^2 for odd p, the cosine projector for even p), its row k
+    weighted by 2 for the mirror point g - k, or by 1 at the middle point
+    k = g/2.  The residual lambda a - T^T (S a S^T)^p T is in extended
+    precision; the Jacobian is its derivative, binary64.  CapacityError
+    before any transform is built if the Jacobian would exceed
+    MAX_DENSE_ROWS rows."""
 
     def __init__(self, p: int, domain: DomainRect, N: int):
         modes = np.arange(1, N + 1, 2)
@@ -122,12 +146,13 @@ class _Galerkin:
         if self.rows > MAX_DENSE_ROWS:
             raise CapacityError(f"Jacobian of {self.rows} rows > {MAX_DENSE_ROWS}")
         g = (p + 1) * N + 1
-        k = np.arange(1, g, dtype=np.longdouble).reshape(-1, 1)
+        k = np.arange(1, g // 2 + 1, dtype=np.longdouble).reshape(-1, 1)
+        fold = np.where(2 * k < g, 2, 1)
         s = np.sin(np.pi * k * modes.astype(np.longdouble) / g)
         if p % 2:
-            self.scale, t = (2.0 / g) ** 2, s
+            self.scale, t = (2.0 / g) ** 2, fold * s
         else:
-            self.scale, t = 1.0, _cos_projector(g, modes, p)
+            self.scale, t = 1.0, fold * _cos_projector(g, k, modes, p)
         self.ld = s, t
         self.f64 = s.astype(np.float64), t.astype(np.float64)
         self.lam = _lambda_grid(domain, modes, np.longdouble)
@@ -137,13 +162,13 @@ class _Galerkin:
         """(r, its l2-norm), r = lambda a - T^T (S a S^T)^p T."""
         s, t = self.ld
         a = a.astype(np.longdouble)
-        r = self.lam * a - self.scale * (t.T @ (s @ a @ s.T) ** self.p @ t)
+        r = self.lam * a - self.scale * (t.T @ _power(s @ a @ s.T, self.p) @ t)
         return r, float(np.sqrt(np.sum(r.astype(np.float64) ** 2)))
 
     def jacobian(self, a: np.ndarray) -> np.ndarray:
         """Dense matrix of the linearization in the mode basis."""
         s, t = self.f64
-        w = self.p * (s @ a @ s.T) ** (self.p - 1)
+        w = self.p * _power(s @ a @ s.T, self.p - 1)
         # M[(i,j),(k,l)] = sum_{m,n} T[m,i] S[m,k] W[m,n] T[n,j] S[n,l]
         tsw = np.einsum("mi,mk,mn->ikn", t, s, w, optimize=True)
         m = np.einsum("ikn,nj,nl->ijkl", tsw, t, s, optimize=True)

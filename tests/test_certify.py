@@ -111,7 +111,13 @@ def _block(w, mx, my):
     mx x my, assembled as inverse_bound assembles it."""
     lam = w.domain.lambda_grid(mx, my).reshape(-1)
     d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
-    return _b_matrix(*_potential_matrix(w, mx, my), d)
+    return _b_matrix(*_matrix(w, mx, my), d)
+
+
+def _matrix(w, mx, my):
+    """(mid, eps) of `_potential_matrix`, its row slices stacked."""
+    rows, eps = _potential_matrix(w, mx, my)
+    return np.vstack([*rows]), eps
 
 
 def _parity_blocks(u, p, nprime):
@@ -368,8 +374,7 @@ def test_even_p_section_mode_couples_past_the_split(p, n):
     u = _solve(p, n)
     nprime = default_split_order(u, p)
     modes = np.arange(1, nprime + 3, 2)
-    mid, eps = _potential_matrix(power_expand(u, p - 1).scale(Interval(float(p))),
-                                 modes, modes)
+    mid, eps = _matrix(power_expand(u, p - 1).scale(Interval(float(p))), modes, modes)
     entry = mid[0, (len(modes) - 1) * len(modes)]
     if p % 2 == 0:
         assert abs(entry) > eps > 0.0
@@ -480,7 +485,7 @@ def test_fold_encloses_exact_orbit_sums(seed, a, m_eps):
     rng = np.random.default_rng(seed)
     mid = rng.normal(size=(a * a, a * a)) * 2.0 ** rng.integers(-60, 60, size=(a * a, a * a))
     rep, partner = certify._orbits(SQ, a)
-    f_mid, f_eps = certify._fold(mid, m_eps, rep, partner)
+    f_mid, f_eps = certify._fold(np.vsplit(mid, a), m_eps, rep, partner)  # a rows a slice
     size = [len({x, y}) for x, y in zip(rep, partner)]
     e_rand = rng.normal(size=mid.shape)
     e_rand *= m_eps * (1.0 - 1e-9) / np.linalg.norm(e_rand)
@@ -593,7 +598,7 @@ def test_potential_matrix_matches_quadrature():
     sy = _basis("sin", 5, dom.L2, ys)
     for p in (3, 4):
         w = power_expand(u, p - 1)
-        mid, eps = _potential_matrix(w, modes, modes)
+        mid, eps = _matrix(w, modes, modes)
         wv = (_basis(w.parity_x, w.coeffs.shape[0], dom.L1, xs) @ w.coeffs.mid()
               @ _basis(w.parity_y, w.coeffs.shape[1], dom.L2, ys).T)
         q = np.einsum("x,y,xy,xi,yj,xk,yl->ijkl", wx, wy, wv, sx, sy, sx, sy)

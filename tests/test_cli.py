@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import re
 import resource
 import subprocess
@@ -312,6 +313,26 @@ def test_cli_import_loads_no_scipy():
          " if m == 'scipy' or m.startswith('scipy.')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_enclose_starts_no_child_process(tmp_path):
+    """An in-process enclose, report included, runs no child process: a
+    fresh interpreter ends it with subprocess still out of sys.modules
+    (platform.platform() would load it to run `uname -p`)."""
+    import sobemb
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import json, sys\n"
+            "from sobemb.cli import main\n"
+            f"rc = main(['enclose', '--p', '3', '--N', '6', '--out', {str(tmp_path / 'r.json')!r}])\n"
+            "print(json.dumps([rc, 'subprocess' in sys.modules]))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [EXIT_OK, False]
+    meta = json.loads((tmp_path / "r.json").read_text())["meta"]
+    assert meta["platform"] == "-".join((platform.system(), platform.release(),
+                                         platform.machine()))
 
 
 def test_enclose_loads_no_openssl_or_libmpdec(tmp_path):

@@ -17,6 +17,7 @@ from sobemb.ivarray import IArray, imatmul, isum
 from sobemb.series import COS, SIN, DomainRect, SineSeries2D, _axis_overlap, power_expand
 from sobemb.solver import (
     SolverConfig,
+    _cos_projector,
     _Galerkin,
     galerkin_jacobian,
     galerkin_residual,
@@ -91,6 +92,53 @@ def test_initial_guess_satisfies_one_mode_residual():
     for p in (3, 5):
         g = initial_guess(p, SQ)
         assert galerkin_residual(g, p) < 1e-8 * g.coeffs.mid()[0, 0]
+
+
+def _full_grid_operator(p: int, dom: DomainRect, n: int, a: np.ndarray) -> tuple:
+    """(residual, Jacobian) of the Galerkin system on all g - 1 points of
+    the grid of order g = (p+1)N + 1, with no mirror fold and with `**`:
+    r = lambda a - T^T (S a S^T)^p T and its derivative, the reference the
+    half-grid `_Galerkin` must reproduce."""
+    modes = np.arange(1, n + 1, 2)
+    g = (p + 1) * n + 1
+    k = np.arange(1, g, dtype=np.longdouble).reshape(-1, 1)
+    s = np.sin(np.pi * k * modes.astype(np.longdouble) / g)
+    scale, t = ((2.0 / g) ** 2, s) if p % 2 else (1.0, _cos_projector(g, k, modes, p))
+    lam = np.pi ** 2 * ((modes[:, None] / dom.L1) ** 2 + (modes[None, :] / dom.L2) ** 2)
+    r = lam * a - scale * (t.T @ (s @ a.astype(np.longdouble) @ s.T) ** p @ t)
+    s64, t64 = s.astype(np.float64), t.astype(np.float64)
+    w = p * (s64 @ a @ s64.T) ** (p - 1)
+    m = scale * np.einsum("mi,mk,mn,nj,nl->ijkl", t64, s64, w, t64, s64)
+    rows = len(modes) ** 2
+    return r, np.diag(lam.reshape(-1)) - m.reshape(rows, rows)
+
+
+@pytest.mark.parametrize("n", [7, 12])
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+@pytest.mark.parametrize("dom", [SQ, DomainRect(2.0, 1.0), DomainRect(1.5, 1.0)],
+                         ids=["1x1", "2x1", "1.5x1"])
+def test_half_grid_operator_matches_the_full_grid(dom, p, n):
+    """The residual and Jacobian on the mirror half of the grid equal those
+    on the whole grid to 1e-12 relative, at a random odd-odd point; at
+    N = 7 and even p the grid order g = (p+1)N + 1 is even and the half
+    grid ends at the middle point g/2, counted once."""
+    a = np.random.default_rng(20240817).normal(size=((n + 1) // 2,) * 2)
+    system = _Galerkin(p, dom, n)
+    r_full, j_full = _full_grid_operator(p, dom, n, a)
+    r = system.residual(a)[0]
+    assert np.max(np.abs(r - r_full)) <= 1e-12 * np.max(np.abs(r_full))
+    j = system.jacobian(a)
+    assert np.max(np.abs(j - j_full)) <= 1e-12 * np.max(np.abs(j_full))
+
+
+@pytest.mark.parametrize("p,n", [(2, 7), (3, 7), (4, 12), (5, 12)])
+def test_transforms_sample_half_the_grid(p, n):
+    """Both transforms have ceil((g-1)/2) rows, g = (p+1)N + 1, for the
+    g - 1 points of the full grid."""
+    g = (p + 1) * n + 1
+    system = _Galerkin(p, SQ, n)
+    for x in system.ld + system.f64:
+        assert x.shape == (math.ceil((g - 1) / 2), (n + 1) // 2)
 
 
 def _odd_odd_center(rng, dom: DomainRect, n: int) -> SineSeries2D:

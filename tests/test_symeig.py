@@ -233,7 +233,8 @@ def test_bound_on_c4_block_meets_float_spectrum(u_p3_n20):
     w = power_expand(u, 2).scale(Interval(3.0))
     lam = u.domain.lambda_grid(odd, odd).reshape(-1)
     d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
-    b = _b_matrix(*_potential_matrix(w, odd, odd), d)
+    rows, eps = _potential_matrix(w, odd, odd)
+    b = _b_matrix(np.vstack([*rows]), eps, d)
     sym = np.tril(b.mid) + np.tril(b.mid, -1).T
     sigma = float(np.min(np.abs(np.linalg.eigvalsh(sym))))
     bound = eig_enclosures(b)
