@@ -17,8 +17,9 @@ derives, entirely in interval arithmetic:
     maximum principle, so it also solves -Lap u = |u|^{p-1} u
     (`inverse_bound`),
   * an L-infinity error radius r_inf in closed form,
-  * a positiveness certificate: the true solution is provably positive at
-    the rectangle's center, and (r_inf + sup u_-)^{p-1} < lambda_1.
+  * a positiveness certificate, (r_inf + sup u_-)^{p-1} < lambda_1 and
+    r_h1 < ||u-hat||_{H^1_0}: the solution in the ball is then positive by
+    the lemma of `positiveness_certificate`.
 
 Certification is a function of the center and p alone: the split order is
 `default_split_order(u, p)` and nothing else is settable.
@@ -38,7 +39,6 @@ from .errors import (
     CapacityError,
     ConditionFailure,
     DomainError,
-    FixedPointFailure,
     NotInvertible,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_sqrt
@@ -58,7 +58,6 @@ from .series import (
 from .symeig import SymMatrix, eig_enclosures
 
 UNIQUE_RADIUS_CAP = 1e300
-LINF_RHO_MAX = 1e3  # largest L-infinity radius worth reporting
 LINF_BOX = 400  # modes per side summed exactly in the L-infinity constant
 COUPLING_TARGET = 0.02  # largest section-tail coupling c the split order accepts
 
@@ -441,8 +440,8 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     -Lap u = |u|^{p-1} u as well.  For even p the uniqueness claim is among
     the solutions of -Lap u = u^p, a set that holds every nonnegative
     solution of -Lap u = |u|^{p-1} u, the extremizer among them.  This makes
-    the positiveness certificate implied for even p; it is kept at every p,
-    since skipping it would add a parity fork.
+    the spectral margin of `positiveness_certificate` implied for even p; it
+    is checked at every p, since skipping it would add a parity fork.
 
     Why X.  For odd-odd u, F maps X_s into its dual, since the reflections
     about the mid-lines commute with Lap and with v -> v^p.  On a square
@@ -685,9 +684,11 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
     sum_k binom(p-1, k) S^{p-1-k} |e|^{k+1}.  In L2, || |e|^{k+1} || =
     ||e||_{L^{2k+2}}^{k+1} <= (C_{2k+2} ||e||_{H^1_0})^{k+1} with ||e||_{H^1_0}
     <= r, so ||Lap e||_L2 <= r_inf / c_inf and ||e||_inf <= c_inf ||Lap
-    e||_L2 <= r_inf.  FixedPointFailure if r_inf is negative (bad inputs)
-    or above LINF_RHO_MAX.
+    e||_L2 <= r_inf.  ValueError if r_h1 or delta_l2 is negative; r_inf of
+    any size is returned, for the spectral margin of `positiveness_certificate`.
     """
+    if not (r_h1.lo >= 0.0 and delta_l2.lo >= 0.0):
+        raise ValueError("r_h1 and delta_l2 must be nonnegative")
     dom = u.domain
     s = u.sup_abs_bound()
     r = Interval(r_h1.hi)
@@ -696,11 +697,8 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
         c = Interval(1.0) / iv_sqrt(dom.lambda1()) if k == 0 else classical_upper(2 * k + 2, dom)
         nonlinear = nonlinear + (Interval(float(math.comb(p - 1, k))) * iv_pow_int(s, p - 1 - k)
                                  * iv_pow_int(c * r, k + 1))
-    rho = (linf_embedding_constant(dom) * (delta_l2 + Interval(float(p)) * nonlinear)).hi
-    if not 0.0 <= rho <= LINF_RHO_MAX:
-        raise FixedPointFailure(
-            f"L-infinity radius {rho:.4e} is outside [0, {LINF_RHO_MAX:.4e}]")
-    return Interval(0.0, rho)
+    rho = linf_embedding_constant(dom) * (delta_l2 + Interval(float(p)) * nonlinear)
+    return Interval(0.0, rho.hi)
 
 
 # -- positiveness -----------------------------------------------------------------
@@ -708,44 +706,47 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
 
 @dataclass(frozen=True)
 class PositivenessAudit:
-    """Audit record of the positiveness certificate."""
+    """Audit record of the positiveness certificate (`positiveness_certificate`)."""
 
-    point: tuple  # (x, y), the rectangle's center
-    positivity_margin: float  # lower bound on u(point) - r_inf
     neg_sup: float  # sup u_-
     spectral_margin: float  # lower bound on lambda_1 - (r_inf + sup u_-)^{p-1}
+    norm_margin: float  # lower bound on ||u||_{H^1_0} - r_h1
 
     @property
     def verdict(self) -> bool:
-        return self.positivity_margin > 0.0 and self.spectral_margin > 0.0
+        return self.spectral_margin > 0.0 and self.norm_margin > 0.0
 
     def to_dict(self) -> dict:
         return {
-            "point": [x.hex() for x in self.point],
-            "positivity_margin": self.positivity_margin.hex(),
             "spectral_margin": self.spectral_margin.hex(),
+            "norm_margin": self.norm_margin.hex(),
         }
 
 
-def positiveness_certificate(u: Series2D, r_inf: Interval, p: int) -> PositivenessAudit:
-    """Verify the hypotheses forcing positivity of the true solution:
+def positiveness_certificate(u: Series2D, p: int, r_h1: Interval,
+                             r_inf: Interval) -> PositivenessAudit:
+    """The margins that prove the solution in the certified ball positive,
+    both rounded down: the spectral margin lambda_1 - (r_inf + eta)^{p-1},
+    eta >= sup u_-, and the norm margin ||u||_{H^1_0} - r_h1.
 
-    (a) u(x0) - r_inf > 0 rigorously at the rectangle's center x0, and
-    (b) (r_inf + sup u_-)^{p-1} < lambda_1 rigorously and strictly.
-
-    Both margins are rounded down, so each is > 0 exactly when its strict
-    inequality holds.
+    Lemma.  Let u~ in X solve -Lap u = u^p, ||u~ - u||_{H^1_0} <= r_h1 and
+    ||u~ - u||_inf <= r_inf.  If both margins are > 0, u~ > 0 in the
+    rectangle.  Nontrivial: ||u~||_{H^1_0} >= ||u||_{H^1_0} - r_h1 > 0.
+    Nonnegative: u~_- is in X, a subspace of H^1_0, and 0 <= u~_- <= eta +
+    r_inf pointwise; testing the equation with u~_- gives -||grad u~_-||^2 =
+    (-1)^p int u~_-^{p+1}.  For odd p, ||grad u~_-||^2 = int u~_-^{p+1} <=
+    (eta + r_inf)^{p-1} ||u~_-||_L2^2 <= (eta + r_inf)^{p-1} lambda_1^{-1}
+    ||grad u~_-||^2, a factor below 1 by the spectral margin; for even p the
+    left side is <= 0 <= the right (`inverse_bound`).  So u~_- = 0.
+    Positive: u~ >= 0, u~ is not 0 and -Lap u~ = u~^p >= 0, so u~ > 0 by the
+    strong maximum principle.
     """
-    dom = u.domain
-    x0, y0 = 0.5 * dom.L1, 0.5 * dom.L2
-    value = u.values_on_grid(np.array([x0]), np.array([y0])).lo[0, 0]
     eta = negative_part_sup(u)
     neg_power = iv_pow_int(Interval(r_inf.hi) + Interval(eta), p - 1).hi
     return PositivenessAudit(
-        point=(x0, y0),
-        positivity_margin=(Interval(value) - Interval(r_inf.hi)).lo,
         neg_sup=eta,
-        spectral_margin=(dom.lambda1() - Interval(neg_power)).lo,
+        spectral_margin=(u.domain.lambda1() - Interval(neg_power)).lo,
+        norm_margin=(Interval(u.h01_norm().lo) - Interval(r_h1.hi)).lo,
     )
 
 
@@ -758,15 +759,13 @@ class CertifiedBall:
     within r_h1 of the center in X, the odd-odd sine modes (X_s) on a
     rectangle and those of them also symmetric about the diagonal (X_sym) on
     a square, and it is the only one in X within unique_radius.  For even p
-    that solution is nonnegative: testing -Lap u = u^p with u_- gives
-    ||grad u_-||^2 = -int u^p u_- <= 0, so it solves -Lap u = |u|^{p-1} u
-    too, and uniqueness is among the solutions of -Lap u = u^p, which hold
-    every nonnegative solution of -Lap u = |u|^{p-1} u (`inverse_bound`).
+    that solution is nonnegative, so it solves -Lap u = |u|^{p-1} u too
+    (`inverse_bound`).
     It comes from the H^-1 and L2 defect bounds, K (`inverse`, with the
     terms it comes from, at the split order nprime) and the Lipschitz bound
     g, which holds on the ball of radius trial_radius.  r_inf bounds its
-    L-infinity distance from the center, and `audit` is the positiveness
-    certificate.
+    L-infinity distance from the center, and `audit` holds the margins
+    that prove it positive (the lemma of `positiveness_certificate`).
     The extremizer lies in X by the Gidas-Ni-Nirenberg symmetry theorem
     (`inverse_bound`).
     """
@@ -811,7 +810,7 @@ class CertifiedBall:
         c = self.center
         digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
         return {
-            "format": "sobemb-certificate/4",
+            "format": "sobemb-certificate/5",
             "domain": c.domain.to_dict(),
             "N": c.N,
             "coefficient_digest": digest,
@@ -866,5 +865,5 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
         r_h1=r_h1,
         unique_radius=unique,
         r_inf=r_inf,
-        audit=positiveness_certificate(u, r_inf, p),
+        audit=positiveness_certificate(u, p, r_h1, r_inf),
     )

@@ -1,7 +1,8 @@
 """Exception hierarchy for rigorous computations.
 
 Every failure mode is loud: an enclosure that cannot be produced raises,
-it is never silently widened to an infinite or invalid interval.
+it is never silently widened to an infinite or invalid interval.  A ball
+not proved positive is a result, not an error, until an enclosure is asked of it.
 """
 
 
@@ -40,10 +41,6 @@ class NotInvertible(SobembError):
 
 class ConditionFailure(SobembError):
     """Newton-Kantorovich condition 2 K^2 delta g < 1 violated."""
-
-
-class FixedPointFailure(SobembError):
-    """The closed-form L-infinity radius is negative or above its cap."""
 
 
 class HypothesisFailure(SobembError):

@@ -28,7 +28,7 @@ from .errors import DomainError, SobembError, SoundnessViolation
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
-REPORT_FORMAT = "sobemb-report/5"
+REPORT_FORMAT = "sobemb-report/6"
 
 
 @dataclass
@@ -258,9 +258,7 @@ def _check_row(row: dict) -> None:
             float.fromhex(row["inverse_bound"][key])
     if certified:
         pos = row["positiveness"]
-        point = [float.fromhex(v) for v in pos["point"]]
-        margins = [float.fromhex(pos[k]) for k in ("positivity_margin", "spectral_margin")]
-        _require(len(point) == 2, "positiveness point is not (x, y)")
+        margins = [float.fromhex(pos[k]) for k in ("spectral_margin", "norm_margin")]
         _require(not row["positive"] or min(margins) > 0.0,
                  "a positive row with a positiveness margin not above 0")
         _require(float.fromhex(row["trial_radius"]) >= _interval(row["r_h1"], "r_h1")[1],

@@ -119,9 +119,9 @@ class Series2D:
 
     Coefficients are never mutated after construction: every operation
     returns a new instance.  Facts derived from them (exact powers, the
-    potential, the negative-part, sup, gradient and Laplacian bounds, the
-    split order) are therefore computed on first use and kept in ``_facts``
-    for every later caller.
+    potential, the H^1_0 norm, the negative-part, sup, gradient and
+    Laplacian bounds, the split order) are therefore computed on first use
+    and kept in ``_facts`` for every later caller.
     """
 
     __slots__ = ("domain", "parity_x", "parity_y", "coeffs", "_facts")
@@ -225,9 +225,12 @@ class Series2D:
     # -- norms and integrals -----------------------------------------------------
 
     def h01_norm(self) -> Interval:
-        """Exact-orthogonality H^1_0 norm; sine/sine series only."""
+        """Exact-orthogonality H^1_0 norm, kept on u; sine/sine series only."""
         if not self.is_sine:
             raise DomainError("h01_norm requires a sine/sine series")
+        return self.fact("h01", self._h01_norm)
+
+    def _h01_norm(self) -> Interval:
         lam = self.domain.lambda_grid(self.modes_x(), self.modes_y())
         s = isum(self.coeffs.square() * lam)
         quarter_measure = self.domain.measure() * Interval(0.25)

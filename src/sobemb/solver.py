@@ -51,7 +51,7 @@ from .series import (
 
 log = logging.getLogger("sobemb.solver")
 
-NEWTON_TOL = 1e-13  # residual l2-norm at which Newton stops
+NEWTON_TOL = 1e-13  # residual l2-norm at which Newton stops, rescaled to unit area
 MAX_ITER = 50  # Newton steps before NoConvergence
 
 
@@ -214,9 +214,11 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     if not np.any(a):
         raise ValueError("newton_solve requires a nonzero initial guess")
 
+    # rnorm ~ t^{-2p/(p-1)} on t Omega; np.float64 overflows to inf, not OverflowError
+    unit = np.float64(domain.L1 * domain.L2) ** (cfg.p / (cfg.p - 1))
     r, rnorm = system.residual(a)
     for it in range(MAX_ITER):
-        if rnorm <= NEWTON_TOL:
+        if rnorm * unit <= NEWTON_TOL:
             break
         jac = system.jacobian(a)
         try:
@@ -238,9 +240,9 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         a, r, rnorm = trial, rt, rtnorm
         log.info("newton iteration=%d residual=%.6e step_scale=%.3g", it + 1,
                  rnorm, t)
-    if rnorm > NEWTON_TOL:
+    if rnorm * unit > NEWTON_TOL:
         raise NoConvergence(
-            f"residual {rnorm:.3e} above tolerance {NEWTON_TOL:.1e} "
+            f"unit-area residual {rnorm * unit:.3e} above tolerance {NEWTON_TOL:.1e} "
             f"after {MAX_ITER} iterations"
         )
     if not np.any(a):

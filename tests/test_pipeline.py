@@ -10,7 +10,7 @@ import pytest
 
 from sobemb.certify import _coupled_gap, certify_ball, default_split_order
 from sobemb.errors import DomainError, SoundnessViolation
-from sobemb.intervals import Interval, iv_sqrt
+from sobemb.intervals import Interval, iv_pow_real
 from sobemb.pipeline import (
     RunConfig,
     RunRow,
@@ -94,19 +94,17 @@ def test_report_rows_explain_k():
 
 
 def test_report_rows_explain_positiveness():
-    """Each certified row carries the positiveness point, the rectangle's
-    center, and its positivity and spectral margins as hex floats, and the
-    canonical JSON with these fields is byte-identical across two runs."""
+    """Each certified row carries its spectral and norm margins as hex
+    floats, and the canonical JSON with these fields is byte-identical
+    across two runs."""
     a, b = (run_pipeline(RunConfig(p=3, domain=SQ, N=[10])) for _ in range(2))
     assert a.canonical_json() == b.canonical_json()
     row = json.loads(a.canonical_json())["rows"][0]
     assert row["positive"]
     pos = row["positiveness"]
-    assert set(pos) == {"point", "positivity_margin", "spectral_margin"}
-    x, y = (float.fromhex(v) for v in pos["point"])
-    assert (x, y) == (0.5, 0.5)
-    assert float.fromhex(pos["positivity_margin"]) > 0.0
+    assert set(pos) == {"spectral_margin", "norm_margin"}
     assert float.fromhex(pos["spectral_margin"]) > 0.0
+    assert float.fromhex(pos["norm_margin"]) > 0.0
 
 
 def test_report_rows_explain_trial_radius():
@@ -143,7 +141,7 @@ def test_certificate_holds_the_report_row(report_c4):
     row = json.loads(report_c4.canonical_json())["rows"][0]
     assert row["N"] == 10 and row["status"] == "certified"
     cert = certify_ball(report_c4.solutions[10], 3).to_dict()
-    assert cert["format"] == "sobemb-certificate/4"
+    assert cert["format"] == "sobemb-certificate/5"
     rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
     assert {k: cert[k] for k in rigorous} == {k: row[k] for k in rigorous}
     text = {"format", "coefficient_digest", "binds"}
@@ -185,9 +183,8 @@ def _set(path, value):
     _set(("positiveness",), None),
     lambda d: d["rows"][-1].pop("positiveness"),
     _set(("positiveness", "spectral_margin"), (0.0).hex()),
-    _set(("positiveness", "positivity_margin"), (-1.0).hex()),
-    _set(("positiveness", "positivity_margin"), None),
-    _set(("positiveness", "point"), [(0.5).hex()]),
+    _set(("positiveness", "norm_margin"), (-1.0).hex()),
+    _set(("positiveness", "norm_margin"), None),
     _set(("lower",), None),
     _set(("upper",), None),
     lambda d: d.pop("final"),
@@ -206,7 +203,7 @@ def _set(path, value):
         "coupling-null", "block_min-missing", "trial_radius-below-r_h1",
         "trial_radius-not-hex", "trial_radius-missing", "inverse_bound-null",
         "positiveness-null", "positiveness-missing", "spectral_margin-zero",
-        "positivity_margin-negative", "positivity_margin-null", "point-one-coordinate",
+        "norm_margin-negative", "norm_margin-null",
         "lower-null", "upper-null", "final-missing", "final-null", "N-missing",
         "N-float", "neg_sup-negative", "neg_sup-not-hex", "K-one-element",
         "rows-missing", "rows-null", "classical-entry-not-pair", "classical-not-hex"])
@@ -268,15 +265,29 @@ def test_rectangle_certifies_at_default_order_and_transposes():
         assert _final(wide).intersects(_final(tall))
 
 
-def test_square_scaling_law_for_c4():
-    """C_q(t Omega) = t^{2/q} C_q(Omega) in 2-d: C_4 on the 2 x 2 square
-    intersects sqrt(2) times C_4 on the unit square."""
-    big, unit = (
-        run_pipeline(RunConfig(p=3, domain=DomainRect(side, side), N=[10]))
-        for side in (2.0, 1.0)
+@pytest.mark.parametrize("p,t,sweep", [
+    (3, 2.0, [10]), (2, 0.25, [40]), (2, 1e-3, [40]), (3, 1e-3, [20]), (3, 1e3, [20]),
+], ids=["p3-2", "p2-0.25", "p2-1e-3", "p3-1e-3", "p3-1e3"])
+def test_square_scaling_law(p, t, sweep):
+    """C_q(t Omega) = t^{2/q} C_q(Omega) in 2-d, q = p + 1: on the t x t
+    square every row certifies, and the final enclosure intersects
+    t^{2/q} times the unit square's."""
+    scaled, unit = (
+        run_pipeline(RunConfig(p=p, domain=DomainRect(side, side), N=sweep))
+        for side in (t, 1.0)
     )
-    assert big.fully_certified and unit.fully_certified
-    assert _final(big).intersects(iv_sqrt(Interval(2.0)) * _final(unit))
+    assert scaled.fully_certified and unit.fully_certified
+    factor = iv_pow_real(Interval(t), Interval(2.0) / Interval(float(p + 1)))
+    assert _final(scaled).intersects(factor * _final(unit))
+
+
+def test_huge_square_fails_typed():
+    """On a 1e150 x 1e150 square the Newton stop's unit-area factor
+    (L1 L2)^{p/(p-1)} overflows to inf: the row ends in a typed
+    NoConvergence (the residual underflows to 0 and the line search stalls),
+    and the run does not crash."""
+    (row,) = run_pipeline(RunConfig(p=3, domain=DomainRect(1e150, 1e150), N=[10])).rows
+    assert row.status == "NoConvergence"
 
 
 def test_c6_certifies_within_budget():
@@ -295,7 +306,7 @@ def test_c6_certifies_within_budget():
 
 def test_report_structure_and_validation(report_c4):
     d = json.loads(report_c4.to_json())
-    assert d["format"] == "sobemb-report/5"
+    assert d["format"] == "sobemb-report/6"
     validate_report_dict(d)  # must not raise
     # corrupting a rigorous field must be caught
     bad = json.loads(report_c4.to_json())

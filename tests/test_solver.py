@@ -43,10 +43,11 @@ def test_config_validation():
 
 
 def test_capacity_error_before_the_solver_allocates():
-    """p=3, N=3000 has 1500^2 odd-odd modes, far above MAX_DENSE_ROWS, and
-    its one 12000 x 1500 extended-precision transform alone takes 288 MB:
-    under a 512 MiB address-space cap newton_solve raises a typed
-    CapacityError within 1 s, before any transform is built."""
+    """p=3, N=6000 has 3000^2 odd-odd modes, far above MAX_DENSE_ROWS, and
+    its first transform, 12000 x 3000 extended-precision entries on the
+    mirror half of the grid, alone takes 576 MB: under a 512 MiB
+    address-space cap newton_solve raises a typed CapacityError within 1 s,
+    before any transform is built."""
     import sobemb
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
@@ -60,7 +61,7 @@ def test_capacity_error_before_the_solver_allocates():
             "from sobemb.solver import SolverConfig, initial_guess, newton_solve\n"
             "t0 = time.perf_counter()\n"
             "try:\n"
-            "    newton_solve(SolverConfig(p=3, N=3000), initial_guess(3, DomainRect(1.0, 1.0)))\n"
+            "    newton_solve(SolverConfig(p=3, N=6000), initial_guess(3, DomainRect(1.0, 1.0)))\n"
             "except CapacityError:\n"
             "    print(time.perf_counter() - t0)\n")
     proc = subprocess.run(
