@@ -50,6 +50,7 @@ from .series import (
     DomainRect,
     Series2D,
     _axis_overlap,
+    _axis_overlaps,
     lp_norm,
     negative_part_sup,
     odd_odd_order,
@@ -99,8 +100,8 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     # P_M f has the sine coefficients s = (4/|Omega|) Wx v Wy^T plus lap
     lap = -(u.coeffs * lam_u)
     m = v.coeffs.shape[0]
-    wx = _axis_overlap(SIN, m, COS, v.coeffs.shape[0], dom.L1)
-    wy = _axis_overlap(SIN, m, COS, v.coeffs.shape[1], dom.L2)
+    wx, wy = _axis_overlaps((SIN, m, COS, v.coeffs.shape[0], dom.L1),
+                            (SIN, m, COS, v.coeffs.shape[1], dom.L2))
     s = imatmul(imatmul(wx, v.coeffs), wy.T) * IArray._coerce(
         Interval(4.0) / dom.measure())
     sq = _nonneg(
@@ -639,21 +640,25 @@ def linf_embedding_constant(domain: DomainRect) -> Interval:
     pi^-4 s, s the sum of t_ij = q_ij^-2, q_ij = i^2/L1^2 + j^2/L2^2, taken
     in floats: each t_ij carries at most 8 roundings (L^2, the quotient, the
     sum, the square and the reciprocal) and the sum of the n positive terms
-    n - 1 more, so while every intermediate stays normal the float sum is
+    n - 1 more in any order (here 25 rows of the box at a time, then the
+    blocks' sums), so while every intermediate stays normal the float sum is
     s (1 + theta), |theta| <= gamma_{n+7} <= `_gamma_fac`(n + 8), and s
     lies in fl_sum / (1 + [-gamma, gamma]).
     """
     m2 = np.arange(1, LINF_BOX + 1, dtype=np.float64) ** 2  # exact
     qx, qy = m2 / (domain.L1 * domain.L1), m2 / (domain.L2 * domain.L2)
-    t = np.add.outer(qx, qy)  # q, then in place q^2 and t = 1/q^2
-    np.square(t, out=t)
-    q2_min = t.min()
-    np.reciprocal(t, out=t)
-    s_fl = float(np.sum(t))
-    if not (min(qx[0], qy[0], q2_min, t.min()) >= 2.0 ** -1022 and math.isfinite(s_fl)):
+    s_fl, low = 0.0, min(qx[0], qy[0])
+    for rows in np.split(qx, LINF_BOX // 25):  # 80 KB, not the 1.25 MB box
+        t = np.add.outer(rows, qy)  # q, then in place q^2 and t = 1/q^2
+        np.square(t, out=t)
+        low = min(low, t.min())
+        np.reciprocal(t, out=t)
+        s_fl += float(np.sum(t))
+        low = min(low, t.min())
+    if not (low >= 2.0 ** -1022 and math.isfinite(s_fl)):
         raise DomainError(f"rectangle {domain.L1!r} x {domain.L2!r} is outside the "
                           "range of the L-infinity embedding constant")
-    g = _gamma_fac(t.size + 8)
+    g = _gamma_fac(LINF_BOX ** 2 + 8)
     s = Interval(s_fl) / (Interval(1.0) + Interval(-g, g)) / iv_pow_int(PI, 4)
     l1, l2_ = Interval(domain.L1), Interval(domain.L2)
     # tail over {i > LINF_BOX} x {j >= 1} plus the transposed strip

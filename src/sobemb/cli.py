@@ -15,6 +15,7 @@ including a SoundnessViolation.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -233,5 +234,13 @@ def main(argv=None) -> int:
         return EXIT_HARD
 
 
+def entry() -> int:
+    """The process entry point (console script, `python -m sobemb.cli`)."""
+    # the heap built by the imports lives to the end of the process: frozen,
+    # the cyclic GC never walks it again, in the run or at interpreter exit
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -38,14 +38,15 @@ from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
 from .ivarray import _EPS, IArray, _dn, _up, imatmul, isum
 
 MAX_EXPANSION_ORDER = 1024
-# Rows of the largest dense matrix built (the Newton Jacobian, the odd-odd
-# block of the inverse bound); more is a CapacityError before allocation.  The
-# inverse bound peaks at 18 to 20 bytes per unfolded block entry on a square
-# and 34 to 41 on a rectangle (certify_ball's peak RSS raise over rows^2 at
-# 729 to 5041 rows; the Jacobian needs less), so 41 B budgets 2.4 GB.  The
-# block's rows follow the center's sup, gradient and Laplacian bounds, not N
-# (169 at p=3 on the unit square), so there the Jacobian's ceil(N/2)^2 rows
-# set the cap: p=3, N <= 174.
+# Rows of the largest dense matrix built (`galerkin_jacobian`, the odd-odd
+# block of the inverse bound) and of Newton's Galerkin system, whose Krylov
+# steps build no matrix but whose transforms grow with its rows; more is a
+# CapacityError before allocation.  The inverse bound peaks at 18 to 20 bytes
+# per unfolded block entry on a square and 34 to 41 on a rectangle
+# (certify_ball's peak RSS raise over rows^2 at 729 to 5041 rows), so 41 B
+# budgets 2.4 GB.  The block's rows follow the center's sup, gradient and
+# Laplacian bounds, not N (169 at p=3 on the unit square), so there the
+# Galerkin system's ceil(N/2)^2 rows set the cap: p=3, N <= 174.
 MAX_DENSE_ROWS = 7600
 INF_GRID = 128  # cells per side of the one-pass grid behind inf_lower_bound
 _MAX_BASIS_ARG = 2.0 ** 12  # numpy's sin and cos are checked up to this
@@ -693,6 +694,13 @@ def _axis_overlap(pa: str, na: int, pb: str, nb: int, L: float) -> IArray:
     return val
 
 
+def _axis_overlaps(x_args: tuple, y_args: tuple) -> tuple:
+    """(`_axis_overlap`(*x_args), `_axis_overlap`(*y_args)), built once where
+    both axes ask for the same matrix, as on a square."""
+    wx = _axis_overlap(*x_args)
+    return wx, (wx if y_args == x_args else _axis_overlap(*y_args))
+
+
 def _dirichlet_kernel_matrix(n: int) -> np.ndarray:
     """T with sin(i t) = sin(t) * sum_l T[l, i-1] cos(l t) (exact small ints).
 
@@ -792,6 +800,6 @@ def _inner(v: Series2D, w: Series2D) -> Interval:
         a, b = v.coeffs[:n, :m], w.coeffs[:n, :m]
         prod = a.square() if v is w else a * b
         return isum(prod * v._l2_weight_grid()[:n, :m])
-    wx = _axis_overlap(v.parity_x, nv, w.parity_x, nw, dom.L1)
-    wy = _axis_overlap(v.parity_y, mv, w.parity_y, mw, dom.L2)
+    wx, wy = _axis_overlaps((v.parity_x, nv, w.parity_x, nw, dom.L1),
+                            (v.parity_y, mv, w.parity_y, mw, dom.L2))
     return isum(v.coeffs * imatmul(imatmul(wx, w.coeffs), wy.T))

@@ -27,12 +27,23 @@ or 1 at the middle point k = G/2, which exists for even G only (even p, odd
 N): a quarter of the grid, with the same sums.  Powers of the samples are
 products (x^4 = (x x)(x x)), not `**`, which numpy hands to libm's powl for
 extended precision at about 50 times the cost of one product.
+
+Each Newton step is taken matrix-free (Jacobian-free Newton-Krylov, Knoll and
+Keyes, J. Comput. Phys. 193, 2004, with an analytic product): the Jacobian
+J v = lambda v - T^T (w (S v S^T)) T, w = p (S a S^T)^(p-1), is applied to
+vectors and never formed, and J step = -r is solved by GMRES (Saad and
+Schultz 1986) right-preconditioned by lambda^-1.  J is lambda times the
+identity minus a compact term, so the preconditioned operator is the identity
+plus a compact perturbation and GMRES ends within about ten products at the
+relative residual GMRES_RTOL.  Each Krylov vector takes O(rows) memory, where
+a dense Jacobian and its LU took O(rows^2).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +64,8 @@ log = logging.getLogger("sobemb.solver")
 
 NEWTON_TOL = 1e-13  # residual l2-norm at which Newton stops, rescaled to unit area
 MAX_ITER = 50  # Newton steps before NoConvergence
+GMRES_RTOL = 1e-14  # relative residual ||J x + r|| / ||r|| that ends GMRES
+GMRES_MAXITER = 100  # Krylov vectors per Newton step; then the best iterate
 
 
 @dataclass(frozen=True)
@@ -136,9 +149,11 @@ class _Galerkin:
     times (2/g)^2 for odd p, the cosine projector for even p), its row k
     weighted by 2 for the mirror point g - k, or by 1 at the middle point
     k = g/2.  The residual lambda a - T^T (S a S^T)^p T is in extended
-    precision; the Jacobian is its derivative, binary64.  CapacityError
-    before any transform is built if the Jacobian would exceed
-    MAX_DENSE_ROWS rows."""
+    precision; its derivative, the linearization v -> lambda v - T^T (w (S v
+    S^T)) T with w = p (S a S^T)^(p-1), is binary64 and is what Newton's GMRES
+    applies.  `jacobian` is the dense matrix of that same map.  CapacityError
+    before any transform is built if the system has more than MAX_DENSE_ROWS
+    rows."""
 
     def __init__(self, p: int, domain: DomainRect, N: int):
         modes = np.arange(1, N + 1, 2)
@@ -156,7 +171,7 @@ class _Galerkin:
         self.ld = s, t
         self.f64 = s.astype(np.float64), t.astype(np.float64)
         self.lam = _lambda_grid(domain, modes, np.longdouble)
-        self.lam64 = _lambda_grid(domain, modes, np.float64).reshape(-1)
+        self.lam64 = _lambda_grid(domain, modes, np.float64)
 
     def residual(self, a: np.ndarray) -> tuple:
         """(r, its l2-norm), r = lambda a - T^T (S a S^T)^p T."""
@@ -165,16 +180,29 @@ class _Galerkin:
         r = self.lam * a - self.scale * (t.T @ _power(s @ a @ s.T, self.p) @ t)
         return r, float(np.sqrt(np.sum(r.astype(np.float64) ** 2)))
 
-    def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """Dense matrix of the linearization in the mode basis."""
+    def linearization(self, a: np.ndarray):
+        """The Jacobian at a as a map of flat mode vectors (modes (i, j)
+        row-major): v -> lambda v - T^T (w (S v S^T)) T, with the weight
+        w = p (S a S^T)^(p-1) formed once."""
         s, t = self.f64
         w = self.p * _power(s @ a @ s.T, self.p - 1)
-        # M[(i,j),(k,l)] = sum_{m,n} T[m,i] S[m,k] W[m,n] T[n,j] S[n,l]
-        tsw = np.einsum("mi,mk,mn->ikn", t, s, w, optimize=True)
-        m = np.einsum("ikn,nj,nl->ijkl", tsw, t, s, optimize=True)
-        m *= self.scale
-        jac = -m.reshape(self.rows, self.rows)
-        jac[np.arange(self.rows), np.arange(self.rows)] += self.lam64
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            x = v.reshape(self.n, self.n)
+            return (self.lam64 * x - self.scale * (t.T @ (w * (s @ x @ s.T)) @ t)).reshape(-1)
+
+        return apply
+
+    def jacobian(self, a: np.ndarray) -> np.ndarray:
+        """Dense matrix of `linearization(a)`, column k its image of the k-th
+        unit vector."""
+        apply = self.linearization(a)
+        jac = np.empty((self.rows, self.rows))
+        e = np.zeros(self.rows)
+        for k in range(self.rows):
+            e[k] = 1.0
+            jac[:, k] = apply(e)
+            e[k] = 0.0
         return jac
 
 
@@ -196,12 +224,66 @@ def galerkin_jacobian(u: Series2D, p: int) -> np.ndarray:
     return system.jacobian(a)
 
 
+def _gmres(apply, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """x with apply(x) = b to the relative residual GMRES_RTOL, by GMRES from
+    x = 0 right-preconditioned by the diagonal inv: it minimizes ||b -
+    apply(inv y)|| over the Krylov space of v -> apply(inv v) and b, and
+    returns x = inv y.  The basis is orthonormalized by modified Gram-Schmidt,
+    and Givens rotations keep the Hessenberg matrix upper triangular, so the
+    residual norm |g[k+1]| is known at every step and y comes from one back
+    substitution.  A happy breakdown (h[k+1, k] = 0: the space is invariant)
+    ends with the exact Krylov solution; at GMRES_MAXITER vectors the best
+    iterate is returned.  SingularJacobian if b or an image is not finite, or
+    if the operator vanishes on the space."""
+    beta = math.sqrt(b @ b)
+    if not math.isfinite(beta):
+        raise SingularJacobian("non-finite Newton residual")
+    if beta == 0.0:
+        return np.zeros_like(b)
+    m = GMRES_MAXITER
+    h, g = np.zeros((m + 1, m)), np.zeros(m + 1)
+    cs, sn = np.zeros(m), np.zeros(m)
+    g[0] = beta
+    basis = [b / beta]
+    for k in range(m):
+        w = apply(inv * basis[k])
+        if not np.all(np.isfinite(w)):
+            raise SingularJacobian("non-finite Jacobian-vector product")
+        for i, v in enumerate(basis):
+            h[i, k] = v @ w
+            w -= h[i, k] * v
+        below = math.sqrt(w @ w)
+        for i in range(k):
+            h[i, k], h[i + 1, k] = (cs[i] * h[i, k] + sn[i] * h[i + 1, k],
+                                    cs[i] * h[i + 1, k] - sn[i] * h[i, k])
+        rho = math.hypot(h[k, k], below)
+        if rho == 0.0:
+            raise SingularJacobian("the Jacobian vanishes on a Krylov vector")
+        cs[k], sn[k], h[k, k] = h[k, k] / rho, below / rho, rho
+        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+        if abs(g[k + 1]) <= GMRES_RTOL * beta:  # also a happy breakdown: sn[k] = 0
+            break
+        basis.append(w / below)
+    y = np.zeros(k + 1)
+    for i in range(k, -1, -1):
+        y[i] = (g[i] - h[i, i + 1:k + 1] @ y[i + 1:]) / h[i, i]
+    return inv * sum(yi * v for yi, v in zip(y, basis))
+
+
 def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     """Damped Newton iteration on the odd-odd Galerkin system; returns a point
     series whose even modes are exact zeros, and on a square whose
     coefficients are bitwise transpose-symmetric.  Even-mode content of the
-    guess is dropped."""
+    guess is dropped.  Each step solves J step = -r matrix-free (`_gmres` on
+    `_Galerkin.linearization`) and is halved until the residual falls; Newton
+    stops once the residual, rescaled to unit area, is below NEWTON_TOL."""
     domain = guess.domain
+    # rnorm ~ t^{-2p/(p-1)} on t Omega; in Python floats a stop that underflows
+    # is a quiet 0, which no residual is below
+    try:
+        stop = NEWTON_TOL * (domain.L1 * domain.L2) ** (-cfg.p / (cfg.p - 1))
+    except (OverflowError, ZeroDivisionError):
+        raise NoConvergence("the unit-area Newton stop leaves binary64") from None
     system = _Galerkin(cfg.p, domain, cfg.N)
 
     def sym(x):  # fl(x_ij + x_ji) = fl(x_ji + x_ij): the result is symmetric
@@ -214,17 +296,15 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     if not np.any(a):
         raise ValueError("newton_solve requires a nonzero initial guess")
 
-    # rnorm ~ t^{-2p/(p-1)} on t Omega; np.float64 overflows to inf, not OverflowError
-    unit = np.float64(domain.L1 * domain.L2) ** (cfg.p / (cfg.p - 1))
+    if not system.lam64[0, 0] > 1.0 / sys.float_info.max:
+        raise SingularJacobian(f"lambda_11 = {system.lam64[0, 0]:.3e}: its inverse, "
+                               "Newton's preconditioner, leaves binary64")
+    inv = 1.0 / system.lam64.reshape(-1)
     r, rnorm = system.residual(a)
     for it in range(MAX_ITER):
-        if rnorm * unit <= NEWTON_TOL:
+        if rnorm < stop:
             break
-        jac = system.jacobian(a)
-        try:
-            step = np.linalg.solve(jac, -r.astype(np.float64).reshape(-1))
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
+        step = _gmres(system.linearization(a), -r.astype(np.float64).reshape(-1), inv)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
         step = step.reshape(a.shape)
@@ -240,10 +320,10 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         a, r, rnorm = trial, rt, rtnorm
         log.info("newton iteration=%d residual=%.6e step_scale=%.3g", it + 1,
                  rnorm, t)
-    if rnorm * unit > NEWTON_TOL:
+    if not rnorm < stop:
         raise NoConvergence(
-            f"unit-area residual {rnorm * unit:.3e} above tolerance {NEWTON_TOL:.1e} "
-            f"after {MAX_ITER} iterations"
+            f"residual {rnorm:.3e} not below {stop:.3e}, the unit-area tolerance "
+            f"{NEWTON_TOL:.1e}, after {MAX_ITER} iterations"
         )
     if not np.any(a):
         raise NoConvergence("iteration collapsed to the zero series")

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, artifacts, and exit codes."""
 
+import gc
 import json
 import os
 import platform
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sobemb.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, main
+from sobemb.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, entry, main
 from sobemb.series import DomainRect, Series2D, SineSeries2D
 
 
@@ -358,3 +359,19 @@ def test_enclose_loads_no_openssl_or_libmpdec(tmp_path):
     cert = tmp_path / "cert.json"
     assert main(["certify", "--p", "3", "--N", "6", "--out", str(cert)]) == EXIT_OK
     assert re.fullmatch("[0-9a-f]{64}", json.loads(cert.read_text())["coefficient_digest"])
+
+
+def test_entry_freezes_the_import_heap_and_main_does_not(monkeypatch, capsys):
+    """The process entry point (console script, `python -m sobemb.cli`)
+    freezes the heap the imports built, so the cyclic GC does not walk it
+    again, in the run or at interpreter exit; main(argv), which callers use
+    in-process, leaves the collector as it is."""
+    before = gc.get_freeze_count()
+    try:
+        assert main(["classical"]) == EXIT_OK
+        assert gc.get_freeze_count() == before
+        monkeypatch.setattr(sys, "argv", ["sobemb", "classical"])
+        assert entry() == EXIT_OK
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()

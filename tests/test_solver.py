@@ -7,18 +7,22 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sobemb.errors import DomainError
+from sobemb.errors import DomainError, SingularJacobian
 from sobemb.intervals import Interval
 from sobemb.ivarray import IArray, imatmul, isum
 from sobemb.series import COS, SIN, DomainRect, SineSeries2D, _axis_overlap, power_expand
 from sobemb.solver import (
+    MAX_ITER,
+    NEWTON_TOL,
     SolverConfig,
     _cos_projector,
     _Galerkin,
+    _gmres,
     galerkin_jacobian,
     galerkin_residual,
     initial_guess,
@@ -305,3 +309,137 @@ def test_even_p_projection_stays_exact(p, n):
     N=20); a discrete sine sum, which aliases, leaves 3.1e-4 and 3.2e-9."""
     u = newton_solve(SolverConfig(p=p, N=n), initial_guess(p, SQ))
     assert np.linalg.norm(_projected_residual(u, p, n).mid()) <= 1e-12
+
+
+@pytest.mark.parametrize("p,n,dom", [(2, 40, SQ), (3, 20, SQ), (4, 16, SQ),
+                                     (3, 12, DomainRect(2.0, 1.0))],
+                         ids=["c3-N40", "c4-N20", "c5-N16", "2x1-p3-N12"])
+def test_newton_steps_without_a_dense_jacobian(monkeypatch, p, n, dom):
+    """Newton converges with the dense Jacobian and every LU solve made to
+    raise: each step is GMRES on the matrix-free linearization.  Square
+    centers stay bitwise transpose-symmetric."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Jacobian or LU solve in the Newton loop")
+
+    monkeypatch.setattr(_Galerkin, "jacobian", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    u = newton_solve(SolverConfig(p=p, N=n), initial_guess(p, dom))
+    area = dom.L1 * dom.L2
+    assert galerkin_residual(u, p) < NEWTON_TOL * area ** (-p / (p - 1))
+    c = u.coeffs.mid()
+    if dom.is_square():
+        assert np.array_equal(c, c.T)
+
+
+def test_c3_sweep_solve_stays_small():
+    """The c3 sweep's three warm-started solves, N = 40, 56, 72, peak below
+    8 MiB of traced allocations; the dense 1296-row Jacobian at N = 72 took
+    52.7 MiB with its einsum temporaries."""
+    tracemalloc.start()
+    try:
+        u = initial_guess(2, SQ)
+        for n in (40, 56, 72):
+            u = newton_solve(SolverConfig(p=2, N=n), u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def _dominant(n: int, rng) -> np.ndarray:
+    """A nonsymmetric matrix with a diagonal 1..n that dominates its rows."""
+    a = rng.uniform(-1.0, 1.0, size=(n, n)) / n
+    return a + np.diag(np.arange(1.0, n + 1.0))
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_gmres_solves_nonsymmetric_dominant_systems(n):
+    rng = np.random.default_rng(20240817)
+    a = _dominant(n, rng)
+    b = rng.normal(size=n)
+    x = _gmres(lambda v: a @ v, b, 1.0 / np.diag(a))
+    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_gmres_happy_breakdown_on_an_eigenvector(n):
+    """b = 3 e_1 with A e_1 = 2 e_1: the first Krylov vector spans an
+    invariant space, h[1, 0] is exactly 0, and GMRES ends after one product
+    with the exact solution 1.5 e_1."""
+    a = _dominant(n, np.random.default_rng(20240817))
+    a[:, 0] = 0.0
+    a[0, 0] = 2.0
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return a @ v
+
+    b = np.zeros(n)
+    b[0] = 3.0
+    x = _gmres(apply, b, 1.0 / np.diag(a))
+    assert len(calls) == 1
+    assert x[0] == 1.5 and not np.any(x[1:])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_gmres_non_finite_product_is_singular_jacobian(bad):
+    a = _dominant(50, np.random.default_rng(20240817))
+
+    def apply(v):
+        out = a @ v
+        out[7] = bad
+        return out
+
+    with pytest.raises(SingularJacobian):
+        _gmres(apply, np.ones(50), 1.0 / np.diag(a))
+
+
+def _lu_newton(p: int, n: int, guess) -> np.ndarray:
+    """The odd-odd center of Newton's iteration on the unit square with each
+    step solved densely, the dense Jacobian by LU: the reference for the
+    matrix-free steps, with the same start, symmetrization, line search and
+    stop."""
+    system = _Galerkin(p, SQ, n)
+    a = np.zeros((system.n, system.n))
+    src = guess.coeffs.mid()[::2, ::2][: system.n, : system.n]
+    a[: src.shape[0], : src.shape[1]] = src
+    a = 0.5 * (a + a.T)
+    r, rnorm = system.residual(a)
+    for _ in range(MAX_ITER):
+        if rnorm < NEWTON_TOL:
+            return a
+        rhs = -r.astype(np.float64).reshape(-1)
+        step = np.linalg.solve(system.jacobian(a), rhs).reshape(a.shape)
+        t = 1.0
+        while True:
+            x = a + t * step
+            trial = 0.5 * (x + x.T)
+            rt, rtnorm = system.residual(trial)
+            if rtnorm < rnorm:
+                break
+            t *= 0.5
+        a, r, rnorm = trial, rt, rtnorm
+    raise AssertionError("reference LU Newton did not converge")
+
+
+@pytest.mark.parametrize("name", ["report_c3", "report_c4", "report_c5"])
+def test_last_sweep_center_matches_lu_newton(request, name):
+    """The center of each reference sweep's last row, solved matrix-free
+    from the previous row's center, agrees with the dense LU Newton from the
+    same start to 1e-13 relative in max-norm."""
+    report = request.getfixturevalue(name)
+    (*_, prev, last) = sorted(report.solutions)
+    p = report.config.p
+    ref = _lu_newton(p, last, report.solutions[prev])
+    got = report.solutions[last].coeffs.mid()[::2, ::2]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_preconditioner_out_of_range_fails_typed():
+    """On a 1e155 square lambda_11 = 2e-309 is subnormal, and its inverse,
+    the preconditioner of Newton's GMRES, would overflow: the solve raises a
+    typed SingularJacobian, with no RuntimeWarning on the way."""
+    guess = SineSeries2D(DomainRect(1e155, 1e155), np.full((1, 1), 1e-160))
+    with pytest.raises(SingularJacobian, match="preconditioner"):
+        newton_solve(SolverConfig(p=3, N=6), guess)
