@@ -852,8 +852,9 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
 
     # g holds on the ball of radius R, which must contain the certified one:
     # r = 2 K delta / (1 + sqrt(1 - h)) <= 2 K delta, a few ulps at most above
-    # 2 (K delta).hi after outward rounding, so r <= R always
-    trial = max(4.0 * (inv.K * d_hm1).hi, 1e-14)
+    # 2 (K delta).hi after outward rounding, so r <= R always; R scales with
+    # the center, as r does, so it carries no absolute floor
+    trial = 4.0 * (inv.K * d_hm1).hi
     g = lipschitz_bound(u, p, trial)
     r_h1, unique = kantorovich_radius(d_hm1, inv.K, g)
 

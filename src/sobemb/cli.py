@@ -31,7 +31,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .series import DomainRect, Series2D
-from .solver import SolverConfig, initial_guess, newton_solve
+from .solver import SolverConfig, dilate, initial_guess, newton_solve
 
 EXIT_OK = 0
 EXIT_HARD = 1
@@ -148,7 +148,9 @@ def _cmd_enclose(args) -> int:
     if args.plot_grid and report.solutions:
         best_n = max(report.solutions)
         target = (args.out or "sobemb") + ".plot.csv"
-        emit_plot_data(report.solutions[best_n], args.plot_grid, target)
+        # the center lives on the reference rectangle: carry it to the run's
+        u = dilate(report.solutions[best_n], args.p, report.k)
+        emit_plot_data(u, args.plot_grid, target)
     return EXIT_OK if report.fully_certified else EXIT_PARTIAL
 
 

@@ -25,10 +25,11 @@ from .bounds import (
 )
 from .certify import CertifiedBall, certify_ball
 from .errors import DomainError, SobembError, SoundnessViolation
+from .intervals import Interval, iv_pow_real
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
-REPORT_FORMAT = "sobemb-report/6"
+REPORT_FORMAT = "sobemb-report/7"
 
 
 @dataclass
@@ -74,8 +75,8 @@ _NO_BALL = {
 
 @dataclass
 class RunRow:
-    """Per-N result row: the certified ball, if certification finished, and
-    the row's enclosure of C_{p+1}."""
+    """Per-N result row: the certified ball (on the reference rectangle), if
+    certification finished, and the row's enclosure of C_{p+1}."""
 
     N: int
     status: str  # "certified" | the failure class name
@@ -95,13 +96,14 @@ class RunRow:
 
 @dataclass
 class RunReport:
-    """Full record of a pipeline run."""
+    """Full record of a pipeline run, solved and certified on 2^-k Omega."""
 
     config: RunConfig
+    k: int
     rows: list
     classical: list  # (tag, Interval)
     final: EnclosureResult
-    solutions: dict = field(default_factory=dict)  # N -> Series2D
+    solutions: dict = field(default_factory=dict)  # N -> the center on 2^-k Omega
     timing: dict = field(default_factory=dict)
 
     @property
@@ -113,6 +115,7 @@ class RunReport:
         return {
             "format": REPORT_FORMAT,
             "config": self.config.to_dict(),
+            "k": self.k,
             "rows": [r.to_dict() for r in self.rows],
             "classical": [[tag, iv.hex()] for tag, iv in self.classical],
             "final": {
@@ -144,8 +147,12 @@ class RunReport:
 
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
-    """Execute the sweep; failures at one N are recorded, not fatal, but a
-    lower bound above an upper bound is: SoundnessViolation."""
+    """Execute the sweep on the reference rectangle R = 2^-k Omega
+    (`DomainRect.reference`); failures at one N are recorded, not fatal, but
+    a lower bound above an upper bound is: SoundnessViolation.  Each certified
+    row's enclosure of C_q(R) is mapped to Omega by the 2-d scaling law
+    C_q(2^k R) = 2^(2k/q) C_q(R), q = p + 1, rounded outward; the classical
+    bounds are Omega's."""
     t_start = time.perf_counter()
     timing = {}
     (bounds,) = classical_table([cfg.p + 1], cfg.domain)
@@ -153,7 +160,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     rows = []
     solutions = {}
 
-    guess = initial_guess(cfg.p, cfg.domain)
+    k, ref = cfg.domain.reference()
+    guess = initial_guess(cfg.p, ref)
     for n in cfg.N:
         t0 = time.perf_counter()
         row = RunRow(N=n, status="pending")
@@ -162,8 +170,12 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             guess = u  # warm start for the next N
             solutions[n] = u
             row.ball = ball = certify_ball(u, cfg.p)
-            row.lower, row.upper = enclosure_from_ball(u, ball.r_h1, cfg.p,
-                                                       positive=ball.positive)
+            lower, upper = enclosure_from_ball(u, ball.r_h1, cfg.p, positive=ball.positive)
+            if k:
+                c = Interval(lower, upper) * iv_pow_real(
+                    Interval(2.0), Interval(2.0 * k) / Interval(cfg.p + 1.0))
+                lower, upper = c.lo, c.hi
+            row.lower, row.upper = lower, upper
             row.status = "certified"
         except SobembError as exc:
             row.status = type(exc).__name__
@@ -174,7 +186,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     final = best_enclosure([(r.lower, r.upper) for r in rows if r.status == "certified"],
                            classical, cfg.p + 1)
     timing["total"] = time.perf_counter() - t_start
-    return RunReport(config=cfg, rows=rows, classical=classical, final=final,
+    return RunReport(config=cfg, k=k, rows=rows, classical=classical, final=final,
                      solutions=solutions, timing=timing)
 
 
@@ -268,9 +280,9 @@ def _check_row(row: dict) -> None:
 
 
 def validate_report_dict(d: dict) -> None:
-    """Re-validate the rigorous fields of a loaded report (self-check): every
-    row's N an integer >= 1, every interval ordered, K positive, the defects,
-    radii and neg_sup nonnegative, the terms of K readable hex floats, and
+    """Re-validate the rigorous fields of a loaded report (self-check): k and
+    every row's N integers, N >= 1, every interval ordered, K positive, the
+    defects, radii and neg_sup nonnegative, the terms of K readable hex floats, and
     on certified rows the terms of K and the positiveness record present (a
     positive row with both margins above 0), the trial radius at least r_h1
     (g must hold on the certified ball) and the row's enclosure, lower <=
@@ -280,6 +292,7 @@ def validate_report_dict(d: dict) -> None:
     where = "report"
     try:
         _require(d.get("format") == REPORT_FORMAT, "unknown report format")
+        _require(type(d["k"]) is int, "k is not an integer")
         for i, row in enumerate(d["rows"]):
             where = f"rows[{i}]"
             _check_row(row)

@@ -85,6 +85,19 @@ class DomainRect:
     def is_square(self) -> bool:
         return self.L1 == self.L2
 
+    def reference(self) -> tuple:
+        """(k, R): the reference rectangle R = 2^-k times this one, with
+        exact sides and area in [1, 4).  k comes from the area's binary
+        exponent, e1 + e2 - 1 or - 2 for sides mi 2^ei, mi in [1/2, 1), as m1
+        m2 >= 1/2 or not (decided on the integer mantissas): the product of
+        the sides, which overflows above sides of about 1e154, is never
+        formed.  A side of R below the normal range, the one inexact case,
+        puts lambda beyond binary64 anyway."""
+        (m1, e1), (m2, e2) = math.frexp(self.L1), math.frexp(self.L2)
+        half = int(math.ldexp(m1, 53)) * int(math.ldexp(m2, 53)) >= 2 ** 105
+        k = (e1 + e2 - (1 if half else 2)) // 2
+        return k, DomainRect(math.ldexp(self.L1, -k), math.ldexp(self.L2, -k))
+
     def lambda1(self) -> Interval:
         """First Dirichlet eigenvalue pi^2 (1/L1^2 + 1/L2^2) of -Laplace."""
         return self.lambda_mode(1, 1)
@@ -301,8 +314,8 @@ class Series2D:
         ys = hy * (np.arange(INF_GRID) + 0.5)
         vals = self.values_on_grid(xs, ys)
         # half cell diagonal, plus slack covering float placement of the
-        # nominal cell midpoints (a few ulps of the domain size)
-        slack = 1e-12 * (dom.L1 + dom.L2 + 1.0)
+        # nominal cell midpoints (a few ulps of the sides, so relative to them)
+        slack = 1e-12 * (dom.L1 + dom.L2)
         corr = _up(self.grad_sup_bound().hi
                    * (0.5 * math.hypot(hx, hy) * (1.0 + 1e-12) + slack))
         return float(_dn(np.min(vals.lo) - corr))

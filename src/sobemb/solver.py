@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,16 +94,29 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
 
     With u = c sin(pi x/L1) sin(pi y/L2), testing against the same mode gives
     lambda_11 c / 4 = c^p w^2 where w is the mean of sin^(p+1), hence
-    c^(p-1) = lambda_11 / (4 w^2).
+    c^(p-1) = lambda_11 / (4 w^2), on the reference rectangle, then `dilate`d.
     """
     if p not in (2, 3, 4, 5):
         raise DomainError(f"exponent p must be in 2..5, got {p}")
-    lam11 = math.pi ** 2 * (1.0 / domain.L1 ** 2 + 1.0 / domain.L2 ** 2)
+    k, ref = domain.reference()
+    lam11 = math.pi ** 2 * (1.0 / ref.L1 ** 2 + 1.0 / ref.L2 ** 2)
     w = _SINE_POWER_MEAN[p + 1]
     c = (lam11 / (4.0 * w * w)) ** (1.0 / (p - 1))
-    coeffs = np.zeros((1, 1))
-    coeffs[0, 0] = c
-    return SineSeries2D(domain, coeffs)
+    return dilate(SineSeries2D(ref, np.full((1, 1), c)), p, k)
+
+
+def dilate(u: Series2D, p: int, k: int) -> Series2D:
+    """u carried to 2^k times its rectangle by v(x) = 2^(-2k/(p-1)) u(2^-k x),
+    which maps solutions of -Lap u = u^p to solutions in 2-d: exact sides,
+    and the coefficients' midpoints scaled in extended precision and rounded
+    once (the identity at k = 0).  DomainError if one leaves binary64."""
+    d = u.domain
+    domain = DomainRect(math.ldexp(d.L1, k), math.ldexp(d.L2, k))
+    c = u.coeffs.mid() * np.exp2(np.longdouble(-2 * k) / (p - 1))
+    if not np.max(np.abs(c)) <= np.finfo(np.float64).max:
+        raise DomainError(f"the solution on the {domain.L1!r} x {domain.L2!r} rectangle "
+                          "has coefficients beyond binary64")
+    return SineSeries2D(domain, c.astype(np.float64))
 
 
 def _cos_projector(g: int, k: np.ndarray, modes: np.ndarray, p: int) -> np.ndarray:
@@ -153,7 +165,8 @@ class _Galerkin:
     S^T)) T with w = p (S a S^T)^(p-1), is binary64 and is what Newton's GMRES
     applies.  `jacobian` is the dense matrix of that same map.  CapacityError
     before any transform is built if the system has more than MAX_DENSE_ROWS
-    rows."""
+    rows; DomainError, before any float warning, if the extended-precision
+    lambda grid leaves binary64."""
 
     def __init__(self, p: int, domain: DomainRect, N: int):
         modes = np.arange(1, N + 1, 2)
@@ -171,6 +184,9 @@ class _Galerkin:
         self.ld = s, t
         self.f64 = s.astype(np.float64), t.astype(np.float64)
         self.lam = _lambda_grid(domain, modes, np.longdouble)
+        if not self.lam[-1, -1] <= np.finfo(np.float64).max:
+            raise DomainError(f"lambda_NN on the {domain.L1!r} x {domain.L2!r} rectangle "
+                              "leaves binary64 (its aspect ratio)")
         self.lam64 = _lambda_grid(domain, modes, np.float64)
 
     def residual(self, a: np.ndarray) -> tuple:
@@ -274,31 +290,27 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     """Damped Newton iteration on the odd-odd Galerkin system; returns a point
     series whose even modes are exact zeros, and on a square whose
     coefficients are bitwise transpose-symmetric.  Even-mode content of the
-    guess is dropped.  Each step solves J step = -r matrix-free (`_gmres` on
+    guess is dropped.  Newton runs on the guess's reference rectangle R
+    (`DomainRect.reference`), and `dilate` carries the result back.  Each
+    step solves J step = -r matrix-free (`_gmres` on
     `_Galerkin.linearization`) and is halved until the residual falls; Newton
-    stops once the residual, rescaled to unit area, is below NEWTON_TOL."""
-    domain = guess.domain
-    # rnorm ~ t^{-2p/(p-1)} on t Omega; in Python floats a stop that underflows
-    # is a quiet 0, which no residual is below
-    try:
-        stop = NEWTON_TOL * (domain.L1 * domain.L2) ** (-cfg.p / (cfg.p - 1))
-    except (OverflowError, ZeroDivisionError):
-        raise NoConvergence("the unit-area Newton stop leaves binary64") from None
-    system = _Galerkin(cfg.p, domain, cfg.N)
+    stops once the residual, rescaled from R to unit area, is below
+    NEWTON_TOL."""
+    k, ref = guess.domain.reference()
+    # rnorm ~ t^{-2p/(p-1)} on t Omega; on R the factor lies in (1/4^{p/(p-1)}, 1]
+    stop = NEWTON_TOL * (ref.L1 * ref.L2) ** (-cfg.p / (cfg.p - 1))
+    system = _Galerkin(cfg.p, ref, cfg.N)
 
     def sym(x):  # fl(x_ij + x_ji) = fl(x_ji + x_ij): the result is symmetric
-        return 0.5 * (x + x.T) if domain.is_square() else x
+        return 0.5 * (x + x.T) if ref.is_square() else x
 
     a = np.zeros((system.n, system.n))
-    src = guess.coeffs.mid()[::2, ::2][: system.n, : system.n]
+    src = dilate(guess, cfg.p, -k).coeffs.mid()[::2, ::2][: system.n, : system.n]
     a[: src.shape[0], : src.shape[1]] = src
     a = sym(a)
     if not np.any(a):
         raise ValueError("newton_solve requires a nonzero initial guess")
 
-    if not system.lam64[0, 0] > 1.0 / sys.float_info.max:
-        raise SingularJacobian(f"lambda_11 = {system.lam64[0, 0]:.3e}: its inverse, "
-                               "Newton's preconditioner, leaves binary64")
     inv = 1.0 / system.lam64.reshape(-1)
     r, rnorm = system.residual(a)
     for it in range(MAX_ITER):
@@ -330,4 +342,4 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
 
     full = np.zeros((cfg.N, cfg.N))
     full[::2, ::2] = a
-    return SineSeries2D(domain, full)
+    return dilate(SineSeries2D(ref, full), cfg.p, k)

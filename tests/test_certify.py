@@ -1,8 +1,11 @@
 """Certification machinery: inverse-linearization bound, Kantorovich radii,
 L-infinity embedding constant, defect bounds, and positiveness audit."""
 
+import json
 import math
-import time
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -1064,25 +1067,38 @@ def test_linf_radii_of_two_centers_cover_their_distance(name, pair, request):
                          ids=["1x1-N16", "1.5x1-N20"])
 def test_p5_rows_certify_within_budget(domain, n, mib):
     """p=5 rows whose Kantorovich ball certifies also pass positiveness
-    (r_inf 0.206 and 0.184), each within 3 s of this process's CPU time
-    (BLAS threads included; another process on the host cannot inflate it)
-    and its budget of traced allocations.  Measured on a 2-core host: 0.2 s
-    and 14 MiB at split order 57 (1 x 1), 0.9 s and 68 MiB at order 81
-    (1.5 x 1, a 1681-row block); with the H^1-only coupling the orders were
-    89 and 119 and the runs took 1.3 s and 78 MiB, 5.5 s and 396 MiB (a
-    3600-row block)."""
-    tracemalloc.start()
-    try:
-        t0 = time.process_time()
-        report = run_pipeline(RunConfig(p=5, domain=domain, N=[n]))
-        seconds = time.process_time() - t0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (r_inf 0.206 and 0.184), each within 3 s of CPU time and its budget of
+    traced allocations, both measured in a child process with one BLAS
+    thread: process CPU time counts BLAS threads, which spin while they wait
+    for a core, so with more than one another process on the host could
+    inflate it.  Measured on a 2-core host: 0.2 s and 14 MiB at split order
+    57 (1 x 1), 0.9 s and 68 MiB at order 81 (1.5 x 1, a 1681-row block);
+    with the H^1-only coupling the orders were 89 and 119 and the runs took
+    1.3 s and 78 MiB, 5.5 s and 396 MiB (a 3600-row block)."""
+    import sobemb
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = ("import json, time, tracemalloc\n"
+            "from sobemb.pipeline import RunConfig, run_pipeline\n"
+            "from sobemb.series import DomainRect\n"
+            f"domain = DomainRect({domain.L1!r}, {domain.L2!r})\n"
+            "tracemalloc.start()\n"
+            "t0 = time.process_time()\n"
+            f"report = run_pipeline(RunConfig(p=5, domain=domain, N=[{n}]))\n"
+            "seconds = time.process_time() - t0\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "print(json.dumps([seconds, peak, report.fully_certified,\n"
+            "                  report.rows[0].ball.r_inf.hi]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seconds, peak, certified, r_inf = json.loads(proc.stdout)
     assert seconds < 3.0
     assert peak < mib * 2 ** 20
-    assert report.fully_certified
-    assert report.rows[0].ball.r_inf.hi < 0.25
+    assert certified
+    assert r_inf < 0.25
 
 
 # -- positiveness ---------------------------------------------------------------------
@@ -1114,6 +1130,24 @@ def test_certify_ball_structure(ball_p3_n20):
     assert b.unique_radius.lo > b.r_h1.hi
     assert b.positive
     assert b.nprime == 25
+
+
+@pytest.mark.parametrize("side", [1e-30, 1e30])
+def test_certify_ball_on_physical_scale_centers(side, ball_p3_n20):
+    """certify_ball carries no absolute pad: on the p=3, N=20 center of the
+    side x side square itself, solved on its reference rectangle and
+    carried back, the ball is proved positive (sup u_- bound 0, where a
+    1.0 in the grid slack gave 1.43e49 on the 1e-30 square), K is the unit
+    square's 1.65684635096 (a 1e-14 trial-radius floor broke the
+    Kantorovich condition on the 1e30 square) and r_h1 scales as the center,
+    by 1/side."""
+    u = newton_solve(SolverConfig(p=3, N=20), initial_guess(3, DomainRect(side, side)))
+    assert u.domain == DomainRect(side, side)
+    b = certify_ball(u, 3)
+    assert b.positive
+    assert b.audit.neg_sup == 0.0
+    assert b.inverse.K.intersects(Interval(1.65684635096, 1.65684635097))
+    assert b.r_h1.hi * side == pytest.approx(ball_p3_n20.r_h1.hi, rel=1e-6)
 
 
 def test_certificate_json_roundtrip(ball_p3_n20):

@@ -143,7 +143,7 @@ def test_enclose_json_and_csv(tmp_path):
     rc = main(["enclose", "--p", "3", "--N", "8", "--out", out])
     assert rc == EXIT_OK
     d = json.loads(open(out).read())
-    assert d["format"] == "sobemb-report/6"
+    assert d["format"] == "sobemb-report/7"
     assert d["final"] is not None
     csv_out = str(tmp_path / "report.csv")
     rc = main(["enclose", "--p", "3", "--N", "8", "--format", "csv",
@@ -162,6 +162,25 @@ def test_enclose_plot_data(tmp_path):
     assert rc == EXIT_OK
     lines = open(out + ".plot.csv").read().strip().split("\n")
     assert len(lines) == 65
+
+
+def test_enclose_plot_data_on_the_run_rectangle(tmp_path):
+    """The 1/8 x 1/8 square has k = -3: its rows are certified on the unit
+    square, but --plot-grid writes its own coordinates, 1/8 of the unit
+    square's, and values, 8 = 2^(-2k/(p-1)) times the unit square's, both
+    exactly, since every factor is a power of two."""
+    samples = {}
+    for side in ("1", "0.125"):
+        out = str(tmp_path / f"r{side}.json")
+        rc = main(["enclose", "--p", "3", "--domain", f"{side}x{side}", "--N", "8",
+                   "--plot-grid", "8", "--out", out])
+        assert rc == EXIT_OK
+        assert json.loads(open(out).read())["k"] == {"1": 0, "0.125": -3}[side]
+        samples[side] = np.loadtxt(out + ".plot.csv", delimiter=",", skiprows=1)
+    unit, small = samples["1"], samples["0.125"]
+    assert unit.shape == (64, 3)
+    assert np.array_equal(small[:, :2], unit[:, :2] / 8.0)
+    assert np.array_equal(small[:, 2], unit[:, 2] * 8.0)
 
 
 @pytest.mark.parametrize("grid", ["1", "-1", "-8"])

@@ -267,7 +267,10 @@ def test_rectangle_certifies_at_default_order_and_transposes():
 
 @pytest.mark.parametrize("p,t,sweep", [
     (3, 2.0, [10]), (2, 0.25, [40]), (2, 1e-3, [40]), (3, 1e-3, [20]), (3, 1e3, [20]),
-], ids=["p3-2", "p2-0.25", "p2-1e-3", "p3-1e-3", "p3-1e3"])
+    (3, 1e-30, [20]), (3, 1e30, [20]), (3, 1e-150, [20]), (3, 1e150, [20]),
+    (2, 2.0 ** -100, [40]), (2, 2.0 ** 100, [40]), (4, 1e-60, [12]), (5, 1e60, [16]),
+], ids=["p3-2", "p2-0.25", "p2-1e-3", "p3-1e-3", "p3-1e3", "p3-1e-30", "p3-1e30",
+        "p3-1e-150", "p3-1e150", "p2-2^-100", "p2-2^100", "p4-1e-60", "p5-1e60"])
 def test_square_scaling_law(p, t, sweep):
     """C_q(t Omega) = t^{2/q} C_q(Omega) in 2-d, q = p + 1: on the t x t
     square every row certifies, and the final enclosure intersects
@@ -279,15 +282,6 @@ def test_square_scaling_law(p, t, sweep):
     assert scaled.fully_certified and unit.fully_certified
     factor = iv_pow_real(Interval(t), Interval(2.0) / Interval(float(p + 1)))
     assert _final(scaled).intersects(factor * _final(unit))
-
-
-def test_huge_square_fails_typed():
-    """On a 1e150 x 1e150 square the Newton stop's unit-area factor
-    (L1 L2)^{p/(p-1)} overflows to inf: the row ends in a typed
-    NoConvergence (the residual underflows to 0 and the line search stalls),
-    and the run does not crash."""
-    (row,) = run_pipeline(RunConfig(p=3, domain=DomainRect(1e150, 1e150), N=[10])).rows
-    assert row.status == "NoConvergence"
 
 
 def test_c6_certifies_within_budget():
@@ -306,7 +300,7 @@ def test_c6_certifies_within_budget():
 
 def test_report_structure_and_validation(report_c4):
     d = json.loads(report_c4.to_json())
-    assert d["format"] == "sobemb-report/6"
+    assert d["format"] == "sobemb-report/7"
     validate_report_dict(d)  # must not raise
     # corrupting a rigorous field must be caught
     bad = json.loads(report_c4.to_json())

@@ -436,10 +436,13 @@ def test_last_sweep_center_matches_lu_newton(request, name):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_preconditioner_out_of_range_fails_typed():
-    """On a 1e155 square lambda_11 = 2e-309 is subnormal, and its inverse,
-    the preconditioner of Newton's GMRES, would overflow: the solve raises a
-    typed SingularJacobian, with no RuntimeWarning on the way."""
-    guess = SineSeries2D(DomainRect(1e155, 1e155), np.full((1, 1), 1e-160))
-    with pytest.raises(SingularJacobian, match="preconditioner"):
+@pytest.mark.parametrize("domain", [DomainRect(1e-160, 1e160), DomainRect(1e-200, 1e200)],
+                         ids=["1e-160x1e160", "1e-200x1e200"])
+def test_aspect_ratio_beyond_binary64_fails_typed(domain):
+    """Both rectangles have area about 1, so their reference rectangles are
+    as thin (k = 0 or -1), and lambda_11 = pi^2 (1/L1^2 + 1/L2^2) there is
+    about 1e320 and 1e400: the solve raises a typed DomainError before it forms the binary64
+    lambda grid, with no RuntimeWarning on the way (an error in this suite)."""
+    guess = SineSeries2D(domain, np.ones((1, 1)))
+    with pytest.raises(DomainError, match="leaves binary64"):
         newton_solve(SolverConfig(p=3, N=6), guess)
