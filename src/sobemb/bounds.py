@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import CertificateMissing, DomainError, HypothesisFailure, SoundnessViolation
+from .errors import CertificateMissing, DomainError, SoundnessViolation
 from .intervals import PI, Interval, iv_pow_real, iv_sin
-from .series import DomainRect, Series2D, lp_norm
+from .series import DomainRect, lp_norm
 
 
 def talenti_constant(q) -> Interval:
@@ -105,26 +105,18 @@ class EnclosureResult:
     sources: dict
 
 
-def enclosure_from_ball(u: Series2D, r_h1: Interval, p: int, positive: bool) -> tuple:
-    """Two-sided bounds on C_{p+1} from a certified extremizer ball.
-
-    lower = lp.lo / h01.hi and upper = lp.hi / (h01.lo - 2 r_h1.hi); valid
-    when the certified ball contains the (unique) positive extremizer.
+def enclosure_from_ball(ball) -> tuple:
+    """Two-sided bounds on C_{p+1} from a certified ball (`CertifiedBall`):
+    lower = lp.lo / h01.hi and upper = lp.hi / (h01.lo - 2 r_h1.hi), lp and h01
+    the center's L^{p+1} and H^1_0 norms, the denominator the audit's norm
+    margin.  The one premise is the positive verdict: CertificateMissing without.
     """
-    if not positive:
-        raise CertificateMissing(
-            "enclosure requires a verified positiveness certificate"
-        )
-    h01 = u.h01_norm()
-    two_r = 2.0 * r_h1.hi
-    if not h01.lo > two_r:
-        raise HypothesisFailure(
-            f"norm lower bound {h01.lo:.6e} must exceed 2 r_h1 = {two_r:.6e}"
-        )
-    lp = lp_norm(u, float(p + 1))
-    lower = (Interval(lp.lo) / Interval(h01.hi)).lo
-    denom = Interval(h01.lo) - Interval(two_r)
-    upper = (Interval(lp.hi) / denom).hi
+    if not ball.positive:
+        raise CertificateMissing("enclosure requires a verified positiveness certificate")
+    u = ball.center
+    lp = lp_norm(u, float(ball.p + 1))
+    lower = (Interval(lp.lo) / Interval(u.h01_norm().hi)).lo
+    upper = (Interval(lp.hi) / Interval(ball.audit.norm_margin)).hi
     return max(lower, 0.0), upper
 
 

@@ -16,10 +16,10 @@ derives, entirely in interval arithmetic:
     -Lap u = u^p; for even p its solution is nonnegative by the weak
     maximum principle, so it also solves -Lap u = |u|^{p-1} u
     (`inverse_bound`),
-  * an L-infinity error radius r_inf in closed form,
-  * a positiveness certificate, (r_inf + sup u_-)^{p-1} < lambda_1 and
-    r_h1 < ||u-hat||_{H^1_0}: the solution in the ball is then positive by
-    the lemma of `positiveness_certificate`.
+  * an L-infinity error radius r_inf in closed form, which no verdict reads,
+  * a positiveness certificate, C^2 (C r_h1 + sup u_- |Omega|^{1/q})^{p-1} < 1
+    (C >= C_q, q = p + 1) and 2 r_h1 < ||u-hat||_{H^1_0}: the solution in the
+    ball is then positive by the lemma of `positiveness_certificate`.
 
 Certification is a function of the center and p alone: the split order is
 `default_split_order(u, p)` and nothing else is settable.
@@ -41,7 +41,7 @@ from .errors import (
     DomainError,
     NotInvertible,
 )
-from .intervals import PI, Interval, iv_pow_int, iv_sqrt
+from .intervals import PI, Interval, iv_pow_int, iv_pow_real, iv_sqrt
 from .ivarray import _TINY, IArray, _dn, _gamma_fac, _up, imatmul, isum
 from .series import (
     COS,
@@ -440,9 +440,7 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     -int u~^p u~_- <= 0, as u~^p >= 0.  So u~_- = 0 and u~ solves
     -Lap u = |u|^{p-1} u as well.  For even p the uniqueness claim is among
     the solutions of -Lap u = u^p, a set that holds every nonnegative
-    solution of -Lap u = |u|^{p-1} u, the extremizer among them.  This makes
-    the spectral margin of `positiveness_certificate` implied for even p; it
-    is checked at every p, since skipping it would add a parity fork.
+    solution of -Lap u = |u|^{p-1} u, the extremizer among them.
 
     Why X.  For odd-odd u, F maps X_s into its dual, since the reflections
     about the mid-lines commute with Lap and with v -> v^p.  On a square
@@ -690,7 +688,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
     ||e||_{L^{2k+2}}^{k+1} <= (C_{2k+2} ||e||_{H^1_0})^{k+1} with ||e||_{H^1_0}
     <= r, so ||Lap e||_L2 <= r_inf / c_inf and ||e||_inf <= c_inf ||Lap
     e||_L2 <= r_inf.  ValueError if r_h1 or delta_l2 is negative; r_inf of
-    any size is returned, for the spectral margin of `positiveness_certificate`.
+    any size is returned.  It is reported, and no verdict reads it.
     """
     if not (r_h1.lo >= 0.0 and delta_l2.lo >= 0.0):
         raise ValueError("r_h1 and delta_l2 must be nonnegative")
@@ -714,44 +712,46 @@ class PositivenessAudit:
     """Audit record of the positiveness certificate (`positiveness_certificate`)."""
 
     neg_sup: float  # sup u_-
-    spectral_margin: float  # lower bound on lambda_1 - (r_inf + sup u_-)^{p-1}
-    norm_margin: float  # lower bound on ||u||_{H^1_0} - r_h1
+    lq_margin: float  # lower bound on 1 - C^2 (C r_h1 + sup u_- |Omega|^{1/q})^{p-1}
+    norm_margin: float  # lower bound on ||u||_{H^1_0} - 2 r_h1
 
     @property
     def verdict(self) -> bool:
-        return self.spectral_margin > 0.0 and self.norm_margin > 0.0
+        return self.lq_margin > 0.0 and self.norm_margin > 0.0
 
     def to_dict(self) -> dict:
         return {
-            "spectral_margin": self.spectral_margin.hex(),
+            "lq_margin": self.lq_margin.hex(),
             "norm_margin": self.norm_margin.hex(),
         }
 
 
-def positiveness_certificate(u: Series2D, p: int, r_h1: Interval,
-                             r_inf: Interval) -> PositivenessAudit:
+def positiveness_certificate(u: Series2D, p: int, r_h1: Interval) -> PositivenessAudit:
     """The margins that prove the solution in the certified ball positive,
-    both rounded down: the spectral margin lambda_1 - (r_inf + eta)^{p-1},
-    eta >= sup u_-, and the norm margin ||u||_{H^1_0} - r_h1.
+    both rounded down: the L^q margin 1 - C^2 (C r_h1 + eta |Omega|^{1/q})^{p-1},
+    q = p + 1, C = `classical_upper`(q), eta >= sup u_-, and the norm margin
+    ||u||_{H^1_0} - 2 r_h1, the enclosure's denominator.  No L-inf bound enters.
 
-    Lemma.  Let u~ in X solve -Lap u = u^p, ||u~ - u||_{H^1_0} <= r_h1 and
-    ||u~ - u||_inf <= r_inf.  If both margins are > 0, u~ > 0 in the
-    rectangle.  Nontrivial: ||u~||_{H^1_0} >= ||u||_{H^1_0} - r_h1 > 0.
-    Nonnegative: u~_- is in X, a subspace of H^1_0, and 0 <= u~_- <= eta +
-    r_inf pointwise; testing the equation with u~_- gives -||grad u~_-||^2 =
-    (-1)^p int u~_-^{p+1}.  For odd p, ||grad u~_-||^2 = int u~_-^{p+1} <=
-    (eta + r_inf)^{p-1} ||u~_-||_L2^2 <= (eta + r_inf)^{p-1} lambda_1^{-1}
-    ||grad u~_-||^2, a factor below 1 by the spectral margin; for even p the
-    left side is <= 0 <= the right (`inverse_bound`).  So u~_- = 0.
-    Positive: u~ >= 0, u~ is not 0 and -Lap u~ = u~^p >= 0, so u~ > 0 by the
-    strong maximum principle.
+    Lemma.  Let u~ in X solve -Lap u = u^p, ||u~ - u||_{H^1_0} <= r_h1.  If
+    both margins are > 0, u~ > 0 in the rectangle.  Nontrivial:
+    ||u~||_{H^1_0} >= ||u||_{H^1_0} - r_h1 > r_h1.  Nonnegative: v = u~_- is in
+    X, a subspace of H^1_0, and testing the equation with v gives ||grad v||^2
+    = -int u~^p v.  For even p that is <= 0 (`inverse_bound`).  For odd p it
+    is int v^q <= ||v||_q^{p-1} ||v||_q^2 <= C^2 ||v||_q^{p-1} ||grad v||^2
+    (Hoelder with exponents q/(p-1) and q/2), and v <= |u~ - u| + u_- gives
+    ||v||_q <= C r_h1 + eta |Omega|^{1/q}, so the L^q margin (computed at
+    every p: no parity fork) forces ||grad v|| = 0.  So v = 0.  Positive:
+    u~ >= 0, u~ is not 0 and -Lap u~ = u~^p >= 0, so u~ > 0 by the strong
+    maximum principle.
     """
+    c = classical_upper(p + 1, u.domain)
     eta = negative_part_sup(u)
-    neg_power = iv_pow_int(Interval(r_inf.hi) + Interval(eta), p - 1).hi
+    lq = c * Interval(r_h1.hi) + Interval(eta) * iv_pow_real(
+        u.domain.measure(), Interval(1.0) / Interval(p + 1.0))
     return PositivenessAudit(
         neg_sup=eta,
-        spectral_margin=(u.domain.lambda1() - Interval(neg_power)).lo,
-        norm_margin=(Interval(u.h01_norm().lo) - Interval(r_h1.hi)).lo,
+        lq_margin=(Interval(1.0) - c * c * iv_pow_int(lq, p - 1)).lo,
+        norm_margin=(Interval(u.h01_norm().lo) - Interval(2.0 * r_h1.hi)).lo,
     )
 
 
@@ -769,8 +769,8 @@ class CertifiedBall:
     It comes from the H^-1 and L2 defect bounds, K (`inverse`, with the
     terms it comes from, at the split order nprime) and the Lipschitz bound
     g, which holds on the ball of radius trial_radius.  r_inf bounds its
-    L-infinity distance from the center, and `audit` holds the margins
-    that prove it positive (the lemma of `positiveness_certificate`).
+    L-infinity distance from the center, read by no verdict, and `audit`
+    holds the margins that prove it positive (`positiveness_certificate`).
     The extremizer lies in X by the Gidas-Ni-Nirenberg symmetry theorem
     (`inverse_bound`).
     """
@@ -815,7 +815,7 @@ class CertifiedBall:
         c = self.center
         digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
         return {
-            "format": "sobemb-certificate/5",
+            "format": "sobemb-certificate/6",
             "domain": c.domain.to_dict(),
             "N": c.N,
             "coefficient_digest": digest,
@@ -844,6 +844,7 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     a square about the diagonal, by the Gidas-Ni-Nirenberg moving-plane
     theorem (in the Berestycki-Nirenberg form for non-smooth domains, whose
     hypotheses a rectangle meets; see `inverse_bound`), so it lies in X.
+    r_inf is computed and reported, and no verdict reads it.
     """
     _check_center(u)
     nprime = default_split_order(u, p)
@@ -857,8 +858,6 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     trial = 4.0 * (inv.K * d_hm1).hi
     g = lipschitz_bound(u, p, trial)
     r_h1, unique = kantorovich_radius(d_hm1, inv.K, g)
-
-    r_inf = linf_radius(u, p, r_h1, d_l2)
     return CertifiedBall(
         center=u,
         p=p,
@@ -870,6 +869,6 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
         g=g,
         r_h1=r_h1,
         unique_radius=unique,
-        r_inf=r_inf,
-        audit=positiveness_certificate(u, p, r_h1, r_inf),
+        r_inf=linf_radius(u, p, r_h1, d_l2),
+        audit=positiveness_certificate(u, p, r_h1),
     )

@@ -43,10 +43,6 @@ class ConditionFailure(SobembError):
     """Newton-Kantorovich condition 2 K^2 delta g < 1 violated."""
 
 
-class HypothesisFailure(SobembError):
-    """Enclosure hypothesis ||u|| > 2r violated."""
-
-
 class CertificateMissing(SobembError):
     """Enclosure requested without a verified positiveness certificate."""
 

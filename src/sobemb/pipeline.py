@@ -29,7 +29,7 @@ from .intervals import Interval, iv_pow_real
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
-REPORT_FORMAT = "sobemb-report/7"
+REPORT_FORMAT = "sobemb-report/8"
 
 
 @dataclass
@@ -151,8 +151,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     (`DomainRect.reference`); failures at one N are recorded, not fatal, but
     a lower bound above an upper bound is: SoundnessViolation.  Each certified
     row's enclosure of C_q(R) is mapped to Omega by the 2-d scaling law
-    C_q(2^k R) = 2^(2k/q) C_q(R), q = p + 1, rounded outward; the classical
-    bounds are Omega's."""
+    C_q(2^k R) = 2^(2k/q) C_q(R), q = p + 1, rounded outward (`_scaled`), as
+    are the classical bounds (`classical_table`)."""
     t_start = time.perf_counter()
     timing = {}
     (bounds,) = classical_table([cfg.p + 1], cfg.domain)
@@ -170,12 +170,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             guess = u  # warm start for the next N
             solutions[n] = u
             row.ball = ball = certify_ball(u, cfg.p)
-            lower, upper = enclosure_from_ball(u, ball.r_h1, cfg.p, positive=ball.positive)
-            if k:
-                c = Interval(lower, upper) * iv_pow_real(
-                    Interval(2.0), Interval(2.0 * k) / Interval(cfg.p + 1.0))
-                lower, upper = c.lo, c.hi
-            row.lower, row.upper = lower, upper
+            c = _scaled(Interval(*enclosure_from_ball(ball)), k, cfg.p + 1)
+            row.lower, row.upper = c.lo, c.hi
             row.status = "certified"
         except SobembError as exc:
             row.status = type(exc).__name__
@@ -190,14 +186,22 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
                      solutions=solutions, timing=timing)
 
 
+def _scaled(c: Interval, k: int, q) -> Interval:
+    """c, bounds on C_q(R), carried to C_q(2^k R) = 2^(2k/q) C_q(R), rounded
+    outward; c itself at k = 0, where iv_pow_real(2, 0) is not exactly 1."""
+    return c * iv_pow_real(Interval(2.0), Interval(2.0 * k) / Interval(float(q))) if k else c
+
+
 def classical_table(p_list, domain: DomainRect) -> list:
     """Rows [{p, corollary, plum}] of classical upper bounds for C_p on the
-    rectangle; the spectral bound uses its certified lambda_1."""
+    rectangle, taken on its reference rectangle R and carried back
+    (`_scaled`); the spectral bound uses R's certified lambda_1."""
+    k, ref = domain.reference()
     return [
         {
             "p": p,
-            "corollary": corollary_bound(float(p), domain.measure()),
-            "plum": plum_bound(float(p), domain.lambda1()),
+            "corollary": _scaled(corollary_bound(float(p), ref.measure()), k, p),
+            "plum": _scaled(plum_bound(float(p), ref.lambda1()), k, p),
         }
         for p in p_list
     ]
@@ -270,7 +274,7 @@ def _check_row(row: dict) -> None:
             float.fromhex(row["inverse_bound"][key])
     if certified:
         pos = row["positiveness"]
-        margins = [float.fromhex(pos[k]) for k in ("spectral_margin", "norm_margin")]
+        margins = [float.fromhex(pos[k]) for k in ("lq_margin", "norm_margin")]
         _require(not row["positive"] or min(margins) > 0.0,
                  "a positive row with a positiveness margin not above 0")
         _require(float.fromhex(row["trial_radius"]) >= _interval(row["r_h1"], "r_h1")[1],

@@ -95,11 +95,17 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     With u = c sin(pi x/L1) sin(pi y/L2), testing against the same mode gives
     lambda_11 c / 4 = c^p w^2 where w is the mean of sin^(p+1), hence
     c^(p-1) = lambda_11 / (4 w^2), on the reference rectangle, then `dilate`d.
+    DomainError on a rectangle too thin for binary64.
     """
     if p not in (2, 3, 4, 5):
         raise DomainError(f"exponent p must be in 2..5, got {p}")
     k, ref = domain.reference()
-    lam11 = math.pi ** 2 * (1.0 / ref.L1 ** 2 + 1.0 / ref.L2 ** 2)
+    try:
+        lam11 = math.pi ** 2 * (1.0 / ref.L1 ** 2 + 1.0 / ref.L2 ** 2)
+    except (OverflowError, ZeroDivisionError):  # a side's square leaves binary64
+        lam11 = math.inf
+    if lam11 == math.inf:
+        raise DomainError(f"the {domain.L1!r} x {domain.L2!r} rectangle is too thin for binary64")
     w = _SINE_POWER_MEAN[p + 1]
     c = (lam11 / (4.0 * w * w)) ** (1.0 / (p - 1))
     return dilate(SineSeries2D(ref, np.full((1, 1), c)), p, k)

@@ -1,5 +1,6 @@
 """Closed-form upper bounds and the two-sided enclosure combination logic."""
 
+import dataclasses
 import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
@@ -21,7 +22,6 @@ from sobemb.bounds import (
 from sobemb.errors import (
     CertificateMissing,
     DomainError,
-    HypothesisFailure,
     SoundnessViolation,
 )
 from sobemb.intervals import Interval
@@ -111,25 +111,41 @@ def test_corollary_measure_scaling():
 # -- extremal enclosure -------------------------------------------------------------
 
 
-def test_enclosure_from_ball_requires_positiveness(u_p3_n10):
+def test_enclosure_from_ball_requires_positiveness(ball_p3_n20):
+    """A ball whose audit fails either margin has no enclosure."""
+    for margin in ("lq_margin", "norm_margin"):
+        audit = dataclasses.replace(ball_p3_n20.audit, **{margin: 0.0})
+        with pytest.raises(CertificateMissing):
+            enclosure_from_ball(dataclasses.replace(ball_p3_n20, audit=audit))
+
+
+def test_enclosure_from_ball_rejects_large_radius(ball_p3_n20):
+    """The norm margin ||u||_{H^1_0} - 2 r_h1 is the enclosure's premise: a
+    ball of radius 7 about a center of norm about 12.3 fails it, so the
+    ball is not proved positive and has no enclosure."""
+    from sobemb.certify import positiveness_certificate
+
+    r_h1 = Interval(0.0, 7.0)
+    audit = positiveness_certificate(ball_p3_n20.center, 3, r_h1)
+    ball = dataclasses.replace(ball_p3_n20, r_h1=r_h1, audit=audit)
+    assert audit.norm_margin <= 0.0 < audit.lq_margin and not ball.positive
     with pytest.raises(CertificateMissing):
-        enclosure_from_ball(u_p3_n10, Interval(0.0, 1e-8), 3, positive=False)
+        enclosure_from_ball(ball)
 
 
-def test_enclosure_from_ball_rejects_large_radius(u_p3_n10):
-    with pytest.raises(HypothesisFailure):
-        enclosure_from_ball(u_p3_n10, Interval(0.0, 100.0), 3, positive=True)
-
-
-def test_enclosure_from_ball_brackets_ratio(u_p3_n10):
-    lower, upper = enclosure_from_ball(u_p3_n10, Interval(0.0, 1e-9), 3,
-                                       positive=True)
-    assert 0.0 < lower <= upper
-    # the ratio ||u||_{L4} / ||u||_{H^1_0} must lie inside
+def test_enclosure_from_ball_brackets_ratio(ball_p3_n20):
+    """The ratio ||u||_{L4} / ||u||_{H^1_0} of the center lies inside, and
+    the upper end's denominator is the audit's norm margin."""
     from sobemb.series import lp_norm
 
-    ratio = lp_norm(u_p3_n10, 4.0) / u_p3_n10.h01_norm()
+    u = ball_p3_n20.center
+    lower, upper = enclosure_from_ball(ball_p3_n20)
+    assert 0.0 < lower <= upper
+    ratio = lp_norm(u, 4.0) / u.h01_norm()
     assert lower <= ratio.hi and ratio.lo <= upper
+    margin = ball_p3_n20.audit.norm_margin
+    assert margin == (Interval(u.h01_norm().lo) - Interval(2.0 * ball_p3_n20.r_h1.hi)).lo
+    assert upper == (Interval(lp_norm(u, 4.0).hi) / Interval(margin)).hi
 
 
 def test_best_enclosure_picks_smallest_upper():

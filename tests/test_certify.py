@@ -973,16 +973,19 @@ def test_linf_radius_out_of_range_is_typed(u_p3_n10, r_h1, delta_l2):
         linf_radius(u_p3_n10, 3, Interval(r_h1), Interval(delta_l2))
 
 
-def test_large_linf_radius_is_not_positive(u_p3_n10):
-    """A large radius is returned finite, whatever its size: delta_l2 = 1e5
-    gives r_inf of about 1.3e4, and the spectral margin, not an exception,
-    says the ball is not proved positive."""
-    r_h1 = Interval(0.0, 1e-3)
-    r_inf = linf_radius(u_p3_n10, 3, r_h1, Interval(0.0, 1e5))
-    assert 1e3 < r_inf.hi < math.inf
-    audit = positiveness_certificate(u_p3_n10, 3, r_h1, r_inf)
-    assert audit.spectral_margin < 0.0 < audit.norm_margin
-    assert not audit.verdict
+def test_verdict_ignores_linf_radius(monkeypatch):
+    """No verdict reads r_inf: with linf_radius returning 1e6, far above
+    sup|u| (about 6.6), the p=3 N=10 row is still certified and positive,
+    and it reports r_inf = 1e6.  A large radius is returned finite, whatever
+    its size (delta_l2 = 1e5 gives about 1.3e4)."""
+    huge = Interval(0.0, 1e6)
+    monkeypatch.setattr(certify, "linf_radius", lambda *args: huge)
+    (row,) = run_pipeline(RunConfig(p=3, domain=SQ, N=[10])).rows
+    assert row.status == "certified" and row.ball.positive
+    assert row.ball.r_inf.hi == 1e6
+    monkeypatch.undo()
+    u = row.ball.center
+    assert 1e3 < linf_radius(u, 3, Interval(0.0, 1e-3), Interval(0.0, 1e5)).hi < math.inf
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -1105,19 +1108,45 @@ def test_p5_rows_certify_within_budget(domain, n, mib):
 
 
 def test_positiveness_certificate_verdicts(u_p3_n10):
-    """The verdict needs both margins above 0; lambda_1 = 2 pi^2 is about
-    19.7 and ||u||_{H^1_0} about 12.3.  Small radii pass both margins;
-    r_inf = 5 fails the spectral margin alone, (5 + sup u_-)^2 > lambda_1;
-    r_h1 = ||u||_{H^1_0}.hi fails the norm margin alone."""
+    """The verdict needs both margins above 0, and each fails alone.  A
+    small radius passes both on the p=3 N=10 center (||u||_{H^1_0} about
+    12.3, sup u_- bound 0).  r_h1 = 7 fails the norm margin alone (12.3 <
+    2 r_h1), while the L^q margin, 1 - C^4 r_h1^2 with C about 0.32, holds.
+    The center a (phi_11 - phi_33/2) at a = 1, negative near the corners
+    (sup u_- bound about 3.6), fails the L^q margin alone at a small radius."""
     small = Interval(0.0, 1e-3)
-    ok = positiveness_certificate(u_p3_n10, 3, small, small)
-    assert ok.spectral_margin > 0.0 and ok.norm_margin > 0.0 and ok.verdict
-    spectral = positiveness_certificate(u_p3_n10, 3, small, Interval(0.0, 5.0))
-    assert spectral.spectral_margin < 0.0 < spectral.norm_margin
-    assert not spectral.verdict
-    norm = positiveness_certificate(u_p3_n10, 3, Interval(0.0, u_p3_n10.h01_norm().hi), small)
-    assert norm.norm_margin <= 0.0 < norm.spectral_margin
+    ok = positiveness_certificate(u_p3_n10, 3, small)
+    assert ok.lq_margin > 0.0 and ok.norm_margin > 0.0 and ok.verdict
+    norm = positiveness_certificate(u_p3_n10, 3, Interval(0.0, 7.0))
+    assert norm.norm_margin <= 0.0 < norm.lq_margin
     assert not norm.verdict
+    neg = _negative_center(1.0)
+    lq = positiveness_certificate(neg, 3, small)
+    assert 3.0 < lq.neg_sup < 4.0
+    assert lq.lq_margin <= 0.0 < lq.norm_margin
+    assert not lq.verdict
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_lq_margin_matches_its_lemma(p):
+    """lq_margin lies below 1 - C^2 (C r + eta |Omega|^{1/q})^{p-1}, q = p + 1,
+    recomputed with 60-digit arithmetic from the same C, eta and r on a
+    1.5 x 1 rectangle, and within 1e-12 of it; the norm margin likewise
+    encloses ||u||_{H^1_0}.lo - 2 r."""
+    dom = DomainRect(1.5, 1.0)
+    u = SineSeries2D(dom, np.array([[4.0, 0.0, 0.3], [0.0, 0.0, 0.0], [-0.2, 0.0, 1.5]]))
+    r = 0.01
+    audit = positiveness_certificate(u, p, Interval(0.0, r))
+    eta = negative_part_sup(u)
+    assert eta > 0.0
+    with mpmath.workdps(60):
+        mp = mpmath.mpf
+        c = mp(classical_upper(p + 1, dom).hi)
+        lq = c * mp(r) + mp(eta) * (mp(dom.L1) * mp(dom.L2)) ** (mp(1) / (p + 1))
+        exact = 1 - c ** 2 * lq ** (p - 1)
+        assert exact - mp(10) ** -12 <= mp(audit.lq_margin) <= exact
+        exact = mp(u.h01_norm().lo) - 2 * mp(r)
+        assert exact - mp(10) ** -12 <= mp(audit.norm_margin) <= exact
 
 
 # -- full pipeline ---------------------------------------------------------------------
@@ -1154,7 +1183,7 @@ def test_certificate_json_roundtrip(ball_p3_n20):
     import json
 
     d = json.loads(ball_p3_n20.to_json())
-    assert d["format"] == "sobemb-certificate/5"
+    assert d["format"] == "sobemb-certificate/6"
     assert d["p"] == 3
     assert len(d["coefficient_digest"]) == 64
     assert float.fromhex(d["r_h1"][1]) == ball_p3_n20.r_h1.hi
@@ -1194,8 +1223,7 @@ def test_certify_and_enclose_share_powers(u_p3_n10, monkeypatch):
     (u^2, u^3 = u^2 u); the L^4 norm is <u^2, u^2> and builds none."""
     u = _fresh(u_p3_n10)
     calls = _count_calls(monkeypatch, "multiply")
-    ball = certify_ball(u, 3)
-    enclosure_from_ball(u, ball.r_h1, 3, ball.positive)
+    enclosure_from_ball(certify_ball(u, 3))
     assert len(calls) == 2
 
 
@@ -1243,5 +1271,5 @@ def test_even_p_negative_part_bound_built_once(monkeypatch):
     calls = _count_calls(monkeypatch, "factor_boundary")
     defect_bounds(u, 2)
     inverse_bound(u, 2)
-    positiveness_certificate(u, 2, Interval(0.0, 1e-3), Interval(0.0, 1e-3))
+    positiveness_certificate(u, 2, Interval(0.0, 1e-3))
     assert len(calls) == 1

@@ -33,7 +33,7 @@ def test_certify_roundtrip_through_file(tmp_path):
     rc = main(["certify", "--p", "3", "--in", series, "--out", cert])
     assert rc == EXIT_OK
     d = json.loads(open(cert).read())
-    assert d["format"] == "sobemb-certificate/5"
+    assert d["format"] == "sobemb-certificate/6"
     assert d["positive"] is True
     assert float.fromhex(d["r_h1"][1]) < 0.2
 
@@ -143,7 +143,7 @@ def test_enclose_json_and_csv(tmp_path):
     rc = main(["enclose", "--p", "3", "--N", "8", "--out", out])
     assert rc == EXIT_OK
     d = json.loads(open(out).read())
-    assert d["format"] == "sobemb-report/7"
+    assert d["format"] == "sobemb-report/8"
     assert d["final"] is not None
     csv_out = str(tmp_path / "report.csv")
     rc = main(["enclose", "--p", "3", "--N", "8", "--format", "csv",
@@ -233,10 +233,16 @@ def test_removed_options_are_usage_errors(argv):
     ["enclose", "--p", "3", "--N", "0"],
     ["enclose", "--p", "3", "--N", ""],
     ["solve", "--p", "6"],
-], ids=["p7", "N0", "empty-sweep", "solve-p6"])
+    ["solve", "--p", "3", "--domain", "1e-160x1e160", "--N", "6"],
+    ["solve", "--p", "3", "--domain", "1e-200x1e200", "--N", "6"],
+], ids=["p7", "N0", "empty-sweep", "solve-p6", "solve-1e-160x1e160", "solve-1e-200x1e200"])
 def test_invalid_run_inputs_are_typed_errors(argv, capsys):
+    """One `error: DomainError` line and exit 1, with no traceback and no
+    RuntimeWarning (an error in this suite): on the two thin rectangles the
+    initial guess's float lambda_11 overflows or divides by 0."""
     assert main(argv) == EXIT_HARD
-    assert "error: DomainError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError: ") and err.count("\n") == 1
 
 
 def test_capacity_error_before_large_allocation(tmp_path):

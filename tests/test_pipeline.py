@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sobemb.bounds import corollary_bound, plum_bound
 from sobemb.certify import _coupled_gap, certify_ball, default_split_order
 from sobemb.errors import DomainError, SoundnessViolation
 from sobemb.intervals import Interval, iv_pow_real
@@ -94,16 +95,16 @@ def test_report_rows_explain_k():
 
 
 def test_report_rows_explain_positiveness():
-    """Each certified row carries its spectral and norm margins as hex
-    floats, and the canonical JSON with these fields is byte-identical
-    across two runs."""
+    """Each certified row carries its L^q and norm margins as hex floats,
+    and the canonical JSON with these fields is byte-identical across two
+    runs."""
     a, b = (run_pipeline(RunConfig(p=3, domain=SQ, N=[10])) for _ in range(2))
     assert a.canonical_json() == b.canonical_json()
     row = json.loads(a.canonical_json())["rows"][0]
     assert row["positive"]
     pos = row["positiveness"]
-    assert set(pos) == {"spectral_margin", "norm_margin"}
-    assert float.fromhex(pos["spectral_margin"]) > 0.0
+    assert set(pos) == {"lq_margin", "norm_margin"}
+    assert float.fromhex(pos["lq_margin"]) > 0.0
     assert float.fromhex(pos["norm_margin"]) > 0.0
 
 
@@ -141,7 +142,7 @@ def test_certificate_holds_the_report_row(report_c4):
     row = json.loads(report_c4.canonical_json())["rows"][0]
     assert row["N"] == 10 and row["status"] == "certified"
     cert = certify_ball(report_c4.solutions[10], 3).to_dict()
-    assert cert["format"] == "sobemb-certificate/5"
+    assert cert["format"] == "sobemb-certificate/6"
     rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
     assert {k: cert[k] for k in rigorous} == {k: row[k] for k in rigorous}
     text = {"format", "coefficient_digest", "binds"}
@@ -182,7 +183,7 @@ def _set(path, value):
     _set(("inverse_bound",), None),
     _set(("positiveness",), None),
     lambda d: d["rows"][-1].pop("positiveness"),
-    _set(("positiveness", "spectral_margin"), (0.0).hex()),
+    _set(("positiveness", "lq_margin"), (0.0).hex()),
     _set(("positiveness", "norm_margin"), (-1.0).hex()),
     _set(("positiveness", "norm_margin"), None),
     _set(("lower",), None),
@@ -202,7 +203,7 @@ def _set(path, value):
         "r_h1-negative", "r_inf-negative", "K-lo-above-hi", "tail-not-hex",
         "coupling-null", "block_min-missing", "trial_radius-below-r_h1",
         "trial_radius-not-hex", "trial_radius-missing", "inverse_bound-null",
-        "positiveness-null", "positiveness-missing", "spectral_margin-zero",
+        "positiveness-null", "positiveness-missing", "lq_margin-zero",
         "norm_margin-negative", "norm_margin-null",
         "lower-null", "upper-null", "final-missing", "final-null", "N-missing",
         "N-float", "neg_sup-negative", "neg_sup-not-hex", "K-one-element",
@@ -269,8 +270,10 @@ def test_rectangle_certifies_at_default_order_and_transposes():
     (3, 2.0, [10]), (2, 0.25, [40]), (2, 1e-3, [40]), (3, 1e-3, [20]), (3, 1e3, [20]),
     (3, 1e-30, [20]), (3, 1e30, [20]), (3, 1e-150, [20]), (3, 1e150, [20]),
     (2, 2.0 ** -100, [40]), (2, 2.0 ** 100, [40]), (4, 1e-60, [12]), (5, 1e60, [16]),
+    (3, 1e-200, [20]), (3, 1e200, [20]),
 ], ids=["p3-2", "p2-0.25", "p2-1e-3", "p3-1e-3", "p3-1e3", "p3-1e-30", "p3-1e30",
-        "p3-1e-150", "p3-1e150", "p2-2^-100", "p2-2^100", "p4-1e-60", "p5-1e60"])
+        "p3-1e-150", "p3-1e150", "p2-2^-100", "p2-2^100", "p4-1e-60", "p5-1e60",
+        "p3-1e-200", "p3-1e200"])
 def test_square_scaling_law(p, t, sweep):
     """C_q(t Omega) = t^{2/q} C_q(Omega) in 2-d, q = p + 1: on the t x t
     square every row certifies, and the final enclosure intersects
@@ -282,6 +285,26 @@ def test_square_scaling_law(p, t, sweep):
     assert scaled.fully_certified and unit.fully_certified
     factor = iv_pow_real(Interval(t), Interval(2.0) / Interval(float(p + 1)))
     assert _final(scaled).intersects(factor * _final(unit))
+
+
+@pytest.mark.parametrize("t", [2.0 ** -100, 1e-200, 1e200, 1e300],
+                         ids=["2^-100", "1e-200", "1e200", "1e300"])
+def test_classical_table_scaling_law(t):
+    """The classical bounds on the t x t square are the unit square's times
+    t^{2/q}, to within 1e-12 relative, at every q, with no overflow beyond
+    sides of 1e154; on a rectangle that is its own reference rectangle
+    (k = 0) they are the closed forms on it, bit for bit."""
+    scaled, unit = (classical_table([3, 4, 5], DomainRect(side, side)) for side in (t, 1.0))
+    for a, b in zip(scaled, unit):
+        factor = iv_pow_real(Interval(t), Interval(2.0) / Interval(float(a["p"])))
+        for tag in ("corollary", "plum"):
+            ref = factor * b[tag]
+            assert a[tag].intersects(ref)
+            assert abs(a[tag].hi - ref.hi) <= 1e-12 * ref.hi
+    wide = DomainRect(2.0, 1.0)
+    (row,) = classical_table([4], wide)
+    assert row["corollary"] == corollary_bound(4.0, wide.measure())
+    assert row["plum"] == plum_bound(4.0, wide.lambda1())
 
 
 def test_c6_certifies_within_budget():
@@ -300,7 +323,7 @@ def test_c6_certifies_within_budget():
 
 def test_report_structure_and_validation(report_c4):
     d = json.loads(report_c4.to_json())
-    assert d["format"] == "sobemb-report/7"
+    assert d["format"] == "sobemb-report/8"
     validate_report_dict(d)  # must not raise
     # corrupting a rigorous field must be caught
     bad = json.loads(report_c4.to_json())
