@@ -12,8 +12,8 @@ derives, entirely in interval arithmetic:
     and a tail bound, joined through the Schur complement of the
     section-tail coupling,
   * a Lipschitz bound g for the derivative on a trial ball,
-  * a Newton-Kantorovich existence/uniqueness ball in X (radius r_h1) for
-    -Lap u = u^p; for even p its solution is nonnegative by the weak
+  * a Newton-Kantorovich ball in X (radius r_h1) that holds a solution of
+    -Lap u = u^p; for even p that solution is nonnegative by the weak
     maximum principle, so it also solves -Lap u = |u|^{p-1} u
     (`inverse_bound`),
   * an L-infinity error radius r_inf in closed form, which no verdict reads,
@@ -58,7 +58,6 @@ from .series import (
 )
 from .symeig import SymMatrix, eig_enclosures
 
-UNIQUE_RADIUS_CAP = 1e300
 LINF_BOX = 400  # modes per side summed exactly in the L-infinity constant
 COUPLING_TARGET = 0.02  # largest section-tail coupling c the split order accepts
 
@@ -438,9 +437,7 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     max(-u~, 0) is in H^1_0, with grad u~_- = -grad u~ on {u~ < 0} and 0
     elsewhere, and testing the equation with it gives ||grad u~_-||^2 =
     -int u~^p u~_- <= 0, as u~^p >= 0.  So u~_- = 0 and u~ solves
-    -Lap u = |u|^{p-1} u as well.  For even p the uniqueness claim is among
-    the solutions of -Lap u = u^p, a set that holds every nonnegative
-    solution of -Lap u = |u|^{p-1} u, the extremizer among them.
+    -Lap u = |u|^{p-1} u as well.
 
     Why X.  For odd-odd u, F maps X_s into its dual, since the reflections
     about the mid-lines commute with Lap and with v -> v^p.  On a square
@@ -595,16 +592,15 @@ def lipschitz_bound(u: Series2D, p: int, R: float) -> Interval:
     return Interval(max(g.lo, 0.0), g.hi)
 
 
-def kantorovich_radius(delta: Interval, k: Interval, g: Interval) -> tuple:
-    """(r_h1, unique_radius) of the Newton-Kantorovich theorem from the H^-1
-    defect bound delta, the inverse-linearization bound K and the
-    derivative Lipschitz bound g on the trial ball; ValueError unless all
-    three are finite and nonnegative.
+def kantorovich_radius(delta: Interval, k: Interval, g: Interval) -> Interval:
+    """r_h1 of the Newton-Kantorovich theorem from the H^-1 defect bound
+    delta, the inverse-linearization bound K and the derivative Lipschitz
+    bound g on the trial ball; ValueError unless all three are finite and
+    nonnegative.
 
     r = 2 K delta / (1 + sqrt(1 - 2 K^2 delta g))  (the stable form of
-    (1 - sqrt(1-h))/(K g)), requiring h = 2 K^2 delta g < 1.  Uniqueness
-    holds up to (1 + sqrt(1-h))/(K g), capped at a large finite value when
-    g approaches 0 (the linear case is unique on every ball).
+    (1 - sqrt(1-h))/(K g)), requiring h = 2 K^2 delta g < 1; at g = 0 it
+    is K delta.
     """
     for name, iv in (("delta", delta), ("K", k), ("g", g)):
         if not (math.isfinite(iv.hi) and iv.lo >= 0.0):
@@ -617,13 +613,7 @@ def kantorovich_radius(delta: Interval, k: Interval, g: Interval) -> tuple:
     disc = iv_sqrt(Interval(max(0.0, (Interval(1.0) - h).lo),
                             (Interval(1.0) - h).hi))
     r = Interval(2.0) * k * delta / (Interval(1.0) + disc)
-    r = Interval(max(r.lo, 0.0), r.hi)
-    if g.hi <= 0.0:
-        return r, Interval(UNIQUE_RADIUS_CAP)
-    unique_lo = ((Interval(1.0) + Interval(disc.lo)) /
-                 (Interval(k.hi) * Interval(g.hi))).lo
-    unique_lo = min(unique_lo, UNIQUE_RADIUS_CAP)
-    return r, Interval(unique_lo, UNIQUE_RADIUS_CAP)
+    return Interval(max(r.lo, 0.0), r.hi)
 
 
 # -- L-infinity radius ------------------------------------------------------------
@@ -763,9 +753,8 @@ class CertifiedBall:
     """The record of one certified center: a solution of -Lap u = u^p lies
     within r_h1 of the center in X, the odd-odd sine modes (X_s) on a
     rectangle and those of them also symmetric about the diagonal (X_sym) on
-    a square, and it is the only one in X within unique_radius.  For even p
-    that solution is nonnegative, so it solves -Lap u = |u|^{p-1} u too
-    (`inverse_bound`).
+    a square.  For even p that solution is nonnegative, so it solves
+    -Lap u = |u|^{p-1} u too (`inverse_bound`).
     It comes from the H^-1 and L2 defect bounds, K (`inverse`, with the
     terms it comes from, at the split order nprime) and the Lipschitz bound
     g, which holds on the ball of radius trial_radius.  r_inf bounds its
@@ -784,7 +773,6 @@ class CertifiedBall:
     trial_radius: float
     g: Interval
     r_h1: Interval
-    unique_radius: Interval
     r_inf: Interval
     audit: PositivenessAudit
 
@@ -808,20 +796,19 @@ class CertifiedBall:
         }
 
     def to_dict(self) -> dict:
-        """The certificate: a header naming the center, p, the split order,
-        the uniqueness radius and g, plus the report row's rigorous fields."""
+        """The certificate: a header naming the center, p, the split order
+        and g, plus the report row's rigorous fields."""
         import hashlib  # imported here: it loads OpenSSL, which only a certificate needs
 
         c = self.center
         digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
         return {
-            "format": "sobemb-certificate/6",
+            "format": "sobemb-certificate/7",
             "domain": c.domain.to_dict(),
             "N": c.N,
             "coefficient_digest": digest,
             "p": self.p,
             "split_order": self.nprime,
-            "unique_radius": self.unique_radius.hex(),
             "g": self.g.hex(),
             **self.row_fields(),
         }
@@ -838,10 +825,10 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     or block work.
 
     Newton-Kantorovich runs in X, the odd-odd sine modes on a rectangle and
-    those of them symmetric about the diagonal on a square, so K and
-    unique_radius refer to X.  That loses nothing the enclosure uses: the
-    extremizer is positive and hence symmetric about both mid-lines, and on
-    a square about the diagonal, by the Gidas-Ni-Nirenberg moving-plane
+    those of them symmetric about the diagonal on a square, so K and r_h1
+    refer to X.  That loses nothing the enclosure uses: the extremizer is
+    positive and hence symmetric about both mid-lines, and on a square
+    about the diagonal, by the Gidas-Ni-Nirenberg moving-plane
     theorem (in the Berestycki-Nirenberg form for non-smooth domains, whose
     hypotheses a rectangle meets; see `inverse_bound`), so it lies in X.
     r_inf is computed and reported, and no verdict reads it.
@@ -857,7 +844,7 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     # the center, as r does, so it carries no absolute floor
     trial = 4.0 * (inv.K * d_hm1).hi
     g = lipschitz_bound(u, p, trial)
-    r_h1, unique = kantorovich_radius(d_hm1, inv.K, g)
+    r_h1 = kantorovich_radius(d_hm1, inv.K, g)
     return CertifiedBall(
         center=u,
         p=p,
@@ -868,7 +855,6 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
         trial_radius=trial,
         g=g,
         r_h1=r_h1,
-        unique_radius=unique,
         r_inf=linf_radius(u, p, r_h1, d_l2),
         audit=positiveness_certificate(u, p, r_h1),
     )

@@ -23,8 +23,8 @@ class OverflowError_(SobembError):
 
 
 class CapacityError(SobembError):
-    """A series expansion, the Newton Jacobian or the inverse bound's block
-    would exceed its configured maximum order or rows."""
+    """A series expansion, Newton's Galerkin system or the inverse bound's
+    block would exceed its maximum order or rows."""
 
 
 class NoConvergence(SobembError):
@@ -32,7 +32,8 @@ class NoConvergence(SobembError):
 
 
 class SingularJacobian(SobembError):
-    """Linear solve inside the Newton iteration failed."""
+    """A Newton step failed: a non-finite residual, Jacobian-vector product
+    or step, or a Krylov breakdown of its GMRES."""
 
 
 class NotInvertible(SobembError):

@@ -33,14 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import CapacityError, DomainError, OverflowError_
+from .errors import CapacityError, DivisionByZeroInterval, DomainError, OverflowError_
 from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
 from .ivarray import _EPS, IArray, _dn, _up, imatmul, isum
 
 MAX_EXPANSION_ORDER = 1024
 # Rows of the largest dense matrix built (`galerkin_jacobian`, the odd-odd
-# block of the inverse bound) and of Newton's Galerkin system, whose Krylov
-# steps build no matrix but whose transforms grow with its rows; more is a
+# block of the inverse bound) and of Newton's Galerkin system, which builds
+# no matrix but whose transforms grow with its rows; more is a
 # CapacityError before allocation.  The inverse bound peaks at 18 to 20 bytes
 # per unfolded block entry on a square and 34 to 41 on a rectangle
 # (certify_ball's peak RSS raise over rows^2 at 729 to 5041 rows), so 41 B
@@ -91,12 +91,18 @@ class DomainRect:
         exponent, e1 + e2 - 1 or - 2 for sides mi 2^ei, mi in [1/2, 1), as m1
         m2 >= 1/2 or not (decided on the integer mantissas): the product of
         the sides, which overflows above sides of about 1e154, is never
-        formed.  A side of R below the normal range, the one inexact case,
-        puts lambda beyond binary64 anyway."""
+        formed.  DomainError if R's lambda_1 leaves binary64, as it does
+        where a side of R is below the normal range, the one inexact case."""
         (m1, e1), (m2, e2) = math.frexp(self.L1), math.frexp(self.L2)
         half = int(math.ldexp(m1, 53)) * int(math.ldexp(m2, 53)) >= 2 ** 105
         k = (e1 + e2 - (1 if half else 2)) // 2
-        return k, DomainRect(math.ldexp(self.L1, -k), math.ldexp(self.L2, -k))
+        ref = DomainRect(math.ldexp(self.L1, -k), math.ldexp(self.L2, -k))
+        try:
+            ref.lambda1()
+        except (OverflowError_, DivisionByZeroInterval):
+            raise DomainError(f"the {self.L1!r} x {self.L2!r} rectangle is too thin for binary64: "
+                              "lambda_1 of its reference rectangle leaves binary64") from None
+        return k, ref
 
     def lambda1(self) -> Interval:
         """First Dirichlet eigenvalue pi^2 (1/L1^2 + 1/L2^2) of -Laplace."""

@@ -95,17 +95,14 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     With u = c sin(pi x/L1) sin(pi y/L2), testing against the same mode gives
     lambda_11 c / 4 = c^p w^2 where w is the mean of sin^(p+1), hence
     c^(p-1) = lambda_11 / (4 w^2), on the reference rectangle, then `dilate`d.
-    DomainError on a rectangle too thin for binary64.
+    DomainError on a rectangle too thin for binary64 (`DomainRect.reference`).
     """
     if p not in (2, 3, 4, 5):
         raise DomainError(f"exponent p must be in 2..5, got {p}")
     k, ref = domain.reference()
-    try:
-        lam11 = math.pi ** 2 * (1.0 / ref.L1 ** 2 + 1.0 / ref.L2 ** 2)
-    except (OverflowError, ZeroDivisionError):  # a side's square leaves binary64
-        lam11 = math.inf
-    if lam11 == math.inf:
-        raise DomainError(f"the {domain.L1!r} x {domain.L2!r} rectangle is too thin for binary64")
+    # products, not **, which raises OverflowError where the long side's square
+    # leaves binary64 though lambda_11 does not
+    lam11 = math.pi ** 2 * (1.0 / (ref.L1 * ref.L1) + 1.0 / (ref.L2 * ref.L2))
     w = _SINE_POWER_MEAN[p + 1]
     c = (lam11 / (4.0 * w * w)) ** (1.0 / (p - 1))
     return dilate(SineSeries2D(ref, np.full((1, 1), c)), p, k)
@@ -178,7 +175,7 @@ class _Galerkin:
         modes = np.arange(1, N + 1, 2)
         self.p, self.n, self.rows = p, len(modes), len(modes) ** 2
         if self.rows > MAX_DENSE_ROWS:
-            raise CapacityError(f"Jacobian of {self.rows} rows > {MAX_DENSE_ROWS}")
+            raise CapacityError(f"Galerkin system of {self.rows} rows > {MAX_DENSE_ROWS}")
         g = (p + 1) * N + 1
         k = np.arange(1, g // 2 + 1, dtype=np.longdouble).reshape(-1, 1)
         fold = np.where(2 * k < g, 2, 1)

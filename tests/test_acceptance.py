@@ -193,7 +193,7 @@ def test_criterion_7_property_suites(_verdict):
     notes.append(f"jacobian rel err {rel:.1e}")
 
     # Kantorovich closed form: h = 1/2 [DERIVED]
-    r, _ = kantorovich_radius(Interval(0.25), Interval(1.0), Interval(1.0))
+    r = kantorovich_radius(Interval(0.25), Interval(1.0), Interval(1.0))
     ok = ok and r.contains(0.5 / (1.0 + math.sqrt(0.5)))
     notes.append("kantorovich oracle")
 

@@ -33,9 +33,26 @@ def test_certify_roundtrip_through_file(tmp_path):
     rc = main(["certify", "--p", "3", "--in", series, "--out", cert])
     assert rc == EXIT_OK
     d = json.loads(open(cert).read())
-    assert d["format"] == "sobemb-certificate/6"
+    assert d["format"] == "sobemb-certificate/7"
     assert d["positive"] is True
     assert float.fromhex(d["r_h1"][1]) < 0.2
+
+
+@pytest.mark.parametrize("domain", ["1x1", "2x1"])
+def test_certificate_matches_the_enclose_row(tmp_path, domain):
+    """`solve` then `certify --in` writes the same rigorous fields, with the
+    same values, as the row of that center in the `enclose` report, on a
+    square and on a rectangle (both their own reference rectangle)."""
+    series, cert, report = (str(tmp_path / f) for f in ("u.json", "c.json", "r.json"))
+    common = ["--p", "3", "--domain", domain]
+    assert main(["solve", *common, "--N", "12", "--out", series]) == EXIT_OK
+    assert main(["certify", "--p", "3", "--in", series, "--out", cert]) == EXIT_OK
+    assert main(["enclose", *common, "--N", "12", "--out", report]) == EXIT_OK
+    c = json.loads(open(cert).read())
+    (row,) = json.loads(open(report).read())["rows"]
+    rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
+    assert row["status"] == "certified" and row["positive"] is True
+    assert {k: c[k] for k in rigorous} == {k: row[k] for k in rigorous}
 
 
 @pytest.mark.parametrize("extra", [["--domain", "2x1"], ["--N", "30"], ["--domain", "1x1"]],
@@ -235,11 +252,18 @@ def test_removed_options_are_usage_errors(argv):
     ["solve", "--p", "6"],
     ["solve", "--p", "3", "--domain", "1e-160x1e160", "--N", "6"],
     ["solve", "--p", "3", "--domain", "1e-200x1e200", "--N", "6"],
-], ids=["p7", "N0", "empty-sweep", "solve-p6", "solve-1e-160x1e160", "solve-1e-200x1e200"])
+    ["classical", "--domain", "1e-160x1e160"],
+    ["classical", "--domain", "1e-200x1e200"],
+    ["enclose", "--p", "3", "--domain", "1e-160x1e160", "--N", "6"],
+    ["enclose", "--p", "3", "--domain", "1e-200x1e200", "--N", "6"],
+], ids=["p7", "N0", "empty-sweep", "solve-p6", "solve-1e-160x1e160", "solve-1e-200x1e200",
+        "classical-1e-160x1e160", "classical-1e-200x1e200",
+        "enclose-1e-160x1e160", "enclose-1e-200x1e200"])
 def test_invalid_run_inputs_are_typed_errors(argv, capsys):
     """One `error: DomainError` line and exit 1, with no traceback and no
-    RuntimeWarning (an error in this suite): on the two thin rectangles the
-    initial guess's float lambda_11 overflows or divides by 0."""
+    RuntimeWarning (an error in this suite): on the two thin rectangles
+    lambda_1 of the reference rectangle leaves binary64, which
+    `DomainRect.reference` rejects before any solve or classical bound."""
     assert main(argv) == EXIT_HARD
     err = capsys.readouterr().err
     assert err.startswith("error: DomainError: ") and err.count("\n") == 1

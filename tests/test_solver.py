@@ -443,9 +443,10 @@ def test_aspect_ratio_beyond_binary64_fails_typed(domain):
     as thin (k = 0 or -1), and lambda_11 = pi^2 (1/L1^2 + 1/L2^2) there is
     about 1e320 and 1e400: the solve raises a typed DomainError before it forms the binary64
     lambda grid, with no RuntimeWarning on the way (an error in this suite).
-    The initial guess on them raises the same typed error, where its float
-    lambda_11 overflows (1e-160 x 1e160) or divides by a side's square that
-    underflows to 0 (1e-200 x 1e200)."""
+    The initial guess on them raises the same typed error, from
+    `DomainRect.reference`, where the interval lambda_1 overflows
+    (1e-160 x 1e160) or divides by a side's square that underflows to 0
+    (1e-200 x 1e200)."""
     with pytest.raises(DomainError, match="too thin for binary64"):
         initial_guess(3, domain)
     guess = SineSeries2D(domain, np.ones((1, 1)))
