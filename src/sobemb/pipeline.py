@@ -152,7 +152,10 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     a lower bound above an upper bound is: SoundnessViolation.  Each certified
     row's enclosure of C_q(R) is mapped to Omega by the 2-d scaling law
     C_q(2^k R) = 2^(2k/q) C_q(R), q = p + 1, rounded outward (`_scaled`), as
-    are the classical bounds (`classical_table`)."""
+    are the classical bounds (`classical_table`).  Once a row is formed its
+    center's derived facts are dropped (`Series2D.drop_facts`): the report
+    keeps the coefficients and the rigorous scalars, and later rows do not
+    hold an earlier row's power chain, potential and coupling terms."""
     t_start = time.perf_counter()
     timing = {}
     (bounds,) = classical_table([cfg.p + 1], cfg.domain)
@@ -176,6 +179,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         except SobembError as exc:
             row.status = type(exc).__name__
             row.error = str(exc)
+        if n in solutions:  # the row is formed: its center's facts are not read again
+            solutions[n].drop_facts()
         timing[f"N={n}"] = time.perf_counter() - t0
         rows.append(row)
 

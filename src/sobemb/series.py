@@ -31,10 +31,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from .errors import CapacityError, DivisionByZeroInterval, DomainError, OverflowError_
-from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
+from .errors import CapacityError, DomainError, OverflowError_
+from .intervals import PI, PI_HALF, Interval, iv_ldexp, iv_pow_real, iv_sin, iv_sqrt
 from .ivarray import _EPS, IArray, _dn, _up, imatmul, isum
 
 MAX_EXPANSION_ORDER = 1024
@@ -99,7 +99,7 @@ class DomainRect:
         ref = DomainRect(math.ldexp(self.L1, -k), math.ldexp(self.L2, -k))
         try:
             ref.lambda1()
-        except (OverflowError_, DivisionByZeroInterval):
+        except OverflowError_:
             raise DomainError(f"the {self.L1!r} x {self.L2!r} rectangle is too thin for binary64: "
                               "lambda_1 of its reference rectangle leaves binary64") from None
         return k, ref
@@ -109,12 +109,9 @@ class DomainRect:
         return self.lambda_mode(1, 1)
 
     def lambda_mode(self, i: int, j: int) -> Interval:
-        one = Interval(1.0)
-        t = (
-            Interval(float(i * i)) / (one * self.L1 * self.L1)
-            + Interval(float(j * j)) / (one * self.L2 * self.L2)
-        )
-        return PI * PI * t
+        """pi^2 (i^2/L1^2 + j^2/L2^2), the eigenvalue of the (i, j) mode."""
+        return PI * PI * (_over_square(float(i * i), self.L1)
+                          + _over_square(float(j * j), self.L2))
 
     def lambda_grid(self, modes_x: np.ndarray, modes_y: np.ndarray) -> IArray:
         one = Interval(1.0)
@@ -126,6 +123,17 @@ class DomainRect:
         )
         s = ix.reshape(-1, 1) + iy.reshape(1, -1)
         return s * IArray._coerce(PI * PI)
+
+
+def _over_square(n: float, L: float) -> Interval:
+    """n/L^2 for L = m 2^e, m in [1/2, 1), as (n/(m m)) 2^-2e, rounded
+    outward.  It never forms L L, which leaves binary64 for sides beyond
+    about 1e154 or below 1e-154 where n/L^2 need not.  Where L L and the
+    result are normal it has the bits of n/(L L), whose roundings are those
+    of n/(m m) scaled by a power of two; below L L = 2^-900, where
+    `_mul_dir` widens L L both ways, it is up to one ulp narrower."""
+    m, e = math.frexp(L)
+    return iv_ldexp(Interval(n) / (Interval(1.0) * m * m), -2 * e)
 
 
 def _modes(parity: str, length: int) -> np.ndarray:
@@ -141,7 +149,7 @@ class Series2D:
     returns a new instance.  Facts derived from them (exact powers, the
     potential, the H^1_0 norm, the negative-part, sup, gradient and
     Laplacian bounds, the split order) are therefore computed on first use
-    and kept in ``_facts`` for every later caller.
+    and kept in ``_facts`` for every later caller, until `drop_facts`.
     """
 
     __slots__ = ("domain", "parity_x", "parity_y", "coeffs", "_facts")
@@ -162,6 +170,10 @@ class Series2D:
         if key not in self._facts:
             self._facts[key] = compute()
         return self._facts[key]
+
+    def drop_facts(self) -> None:
+        """Forget every derived fact; a later reader computes it again."""
+        self._facts.clear()
 
     @property
     def is_sine(self) -> bool:
@@ -501,17 +513,19 @@ def _toeplitz_gemms(a: np.ndarray, b: np.ndarray, rows, cols, pairs, chunk):
     output rows n whose n - l falls in a.  With a's y axis and the chunk's l
     taken in reverse, a row of the first block is a contiguous run of a and
     a column of the second a contiguous run of b, so both blocks are plain
-    strided copies.  pairs[i] = (range of a's layers, layer of b): out[i][k]
-    is the product of the k-th layer of the range with that layer of b.
+    strided copies of two windows: the x indices of a that the chunk's rows
+    read, and the chunk's rows of b with the columns its output reads, each
+    zero-padded where it runs past its stack.  pairs[i] = (range of a's
+    layers, layer of b): out[i][k] is the product of the k-th layer of the
+    range with that layer of b.
+
+    Memory: the outputs, plus one chunk's two windows, two blocks (about
+    `_CHUNK_FLOATS` floats each) and GEMM product; no padded copy of a whole
+    stack is made.
     """
     (na, nax, nay), (nb, nbx, nby) = a.shape, b.shape
     r0, r1 = rows
     c0, c1 = cols
-    a_pad = np.zeros((na, nax + 2 * (nbx - 1), nay))
-    a_pad[:, nbx - 1:nbx - 1 + nax] = a[:, :, ::-1]
-    b_pad = np.zeros((nb, nbx, nby + 2 * (nay - 1)))
-    b_pad[:, :, nay - 1:nay - 1 + nby] = b
-    b_win = sliding_window_view(b_pad, nay, axis=2)  # [., l, j, q'] = b_pad[., l, j + q']
     out = [np.zeros((len(la), r1 - r0, c1 - c0)) for la, _ in pairs]
     for l0 in range(0, nbx, chunk):
         l1 = min(l0 + chunk, nbx)
@@ -519,12 +533,21 @@ def _toeplitz_gemms(a: np.ndarray, b: np.ndarray, rows, cols, pairs, chunk):
         if n0 >= n1:
             continue
         inner = (l1 - l0) * nay
+        # wa[., x, q'] = a[., x0 + x, nay - 1 - q'] and
+        # wb[., l', y] = b[., l1 - 1 - l', y0 + y], zero outside a and b
+        x0, y0 = n0 - l1 + 1, c0 - nay + 1
+        wa = np.zeros((na, n1 - n0 + l1 - l0 - 1, nay))
+        wa[:, max(0, -x0):min(nax, n1 - l0) - x0] = a[:, max(0, x0):n1 - l0, ::-1]
+        wb = np.zeros((nb, l1 - l0, c1 - c0 + nay - 1))
+        wb[:, :, max(0, -y0):min(nby, c1) - y0] = b[:, l1 - 1:l0 - 1 if l0 else None:-1,
+                                                     max(0, y0):c1]
         # ta[., n, (l', q')] = a[., n - l, nay - 1 - q'] and
         # tb[., j, (l', q')] = b[., l, j - (nay - 1 - q')], both at l = l1 - 1 - l'
-        ta = np.ascontiguousarray(as_strided(a_pad[:, n0 - l1 + nbx:], (na, n1 - n0, inner),
-                                             a_pad.strides))
-        tb = np.ascontiguousarray(b_win[:, l1 - 1:l0 - 1 if l0 else None:-1, c0:c1]
-                                  .transpose(0, 2, 1, 3)).reshape(nb, c1 - c0, inner)
+        ta = np.ascontiguousarray(as_strided(wa, (na, n1 - n0, inner), wa.strides))
+        s0, s1, s2 = wb.strides
+        tb = np.ascontiguousarray(as_strided(wb, (nb, c1 - c0, l1 - l0, nay),
+                                             (s0, s2, s1, s2))).reshape(nb, c1 - c0, inner)
+        del wa, wb
         for acc, (la, lb) in zip(out, pairs):
             blk = ta[la.start:la.stop].reshape(-1, inner) @ tb[lb].T
             acc[:, n0 - r0:n1 - r0] += blk.reshape(len(la), n1 - n0, -1)
@@ -574,6 +597,14 @@ def multiply(u: Series2D, v: Series2D) -> Series2D:
       of two) stays exact in the extended format; each endpoint is formed
       there, stepped one unit outward and rounded once, outward, to binary64.
       4e-290 absorbs every underflow.
+
+    Memory.  No array outlives its last read: the full extensions die once
+    compacted, and each slice stack once it is copied into its layer stack.
+    The peak is at the GEMMs, which hold the two layer stacks (S + 3 and
+    S + 4 layers of the compact factors), the S (S + 1) / 2 + 4 output layers
+    on the kept rows and columns, and one chunk's windows and blocks
+    (`_toeplitz_gemms`).  On the c4 N=34 center u^2 u peaks about 1.7 MB
+    above its entry under tracemalloc.
     """
     if u.domain != v.domain:
         raise DomainError("series domains differ")
@@ -591,22 +622,23 @@ def multiply(u: Series2D, v: Series2D) -> Series2D:
     (hx, ax, bx, rows, ix), (hy, ay, by, cols, iy) = (
         _axis_plan(anz.any(axis=1 - d), bnz.any(axis=1 - d), am.shape[d], bm.shape[d], first)
         for d, first in ((0, ox), (1, oy)))
-    am, ar, anz = am[ax, ay], ar[ax, ay], anz[ax, ay]
-    bm, br, bnz = bm[bx, by], br[bx, by], bnz[bx, by]
+    # compact copies, so the full extensions die here
+    am, ar, anz = (x[ax, ay].copy() for x in (am, ar, anz))
+    bm, br, bnz = (x[bx, by].copy() for x in (bm, br, bnz))
     k = math.prod(min(int(np.count_nonzero(anz.any(axis=1 - d))),
                       int(np.count_nonzero(bnz.any(axis=1 - d)))) for d in (0, 1))
     beta, count = _slice_width(k)
     npair = count * (count + 1) // 2
     g = (npair + 4) * _EPS_LD / (1.0 - (npair + 4) * _EPS_LD)
 
-    slices_a, ea, rest_a = _slices(am, count, beta)
-    slices_b, eb, rest_b = _slices(bm, count, beta)
-    ra, rb = _add_up(ar, rest_a), _add_up(br, rest_b)
-    abs_a, abs_b = np.abs(am), np.abs(bm)
-    layers_a = np.concatenate((slices_a, [abs_a, ra, anz]))
-    layers_b = np.concatenate((slices_b, [rb, _add_up(abs_b, rb), abs_b, bnz]))
+    slices, ea, rest = _slices(am, count, beta)
+    layers_a = np.concatenate((slices, [np.abs(am), _add_up(ar, rest), anz]))
+    slices, eb, rest = _slices(bm, count, beta)
+    rb, abs_b = _add_up(br, rest), np.abs(bm)
+    layers_b = np.concatenate((slices, [rb, _add_up(abs_b, rb), abs_b, bnz]))
+    del am, ar, anz, bm, br, bnz, slices, rest, rb, abs_b  # read only through the layers
     # floats per x index of b in the larger of the two Toeplitz blocks
-    per_index = layers_b.shape[0] * max(rows[1] - rows[0], cols[1] - cols[0]) * am.shape[1]
+    per_index = layers_b.shape[0] * max(rows[1] - rows[0], cols[1] - cols[0]) * layers_a.shape[2]
     chunk = max(1, _CHUNK_FLOATS // per_index)
     # slice t of b with slices 0..S-1-t of a; the radius terms
     # |a| rad(b) and rad(a) (|b| + rad(b)); |a| |b|; the pair count
@@ -614,6 +646,7 @@ def multiply(u: Series2D, v: Series2D) -> Series2D:
     pairs += [(range(count, count + 1), count), (range(count + 1, count + 2), count + 1),
               (range(count, count + 1), count + 2), (range(count + 2, count + 3), count + 3)]
     out = _toeplitz_gemms(layers_a, layers_b, rows, cols, pairs, chunk)
+    del layers_a, layers_b
     rad = out[count][0] + out[count + 1][0] + g * out[count + 2][0]
     n_pairs = out[count + 3][0]
 
@@ -622,6 +655,7 @@ def multiply(u: Series2D, v: Series2D) -> Series2D:
     for d in range(count - 1, -1, -1):
         diag = sum(out[t][d - t].astype(np.longdouble) for t in range(d + 1))
         mid = mid * np.longdouble(2.0 ** -beta) + diag
+    del out
     dst = (slice(ix, ix + hx * (rows[1] - rows[0] - 1) + 1, hx),
            slice(iy, iy + hy * (cols[1] - cols[0] - 1) + 1, hy))
     scale = np.multiply.outer(sx[dst[0]], sy[dst[1]])  # powers of two

@@ -95,7 +95,8 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     With u = c sin(pi x/L1) sin(pi y/L2), testing against the same mode gives
     lambda_11 c / 4 = c^p w^2 where w is the mean of sin^(p+1), hence
     c^(p-1) = lambda_11 / (4 w^2), on the reference rectangle, then `dilate`d.
-    DomainError on a rectangle too thin for binary64 (`DomainRect.reference`).
+    DomainError on a rectangle too thin for binary64: where lambda_1 of the
+    reference rectangle leaves it (`DomainRect.reference`), or c does.
     """
     if p not in (2, 3, 4, 5):
         raise DomainError(f"exponent p must be in 2..5, got {p}")
@@ -105,6 +106,9 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     lam11 = math.pi ** 2 * (1.0 / (ref.L1 * ref.L1) + 1.0 / (ref.L2 * ref.L2))
     w = _SINE_POWER_MEAN[p + 1]
     c = (lam11 / (4.0 * w * w)) ** (1.0 / (p - 1))
+    if not math.isfinite(c):
+        raise DomainError(f"the {domain.L1!r} x {domain.L2!r} rectangle is too thin for "
+                          f"binary64: the one-mode amplitude at p={p} leaves binary64")
     return dilate(SineSeries2D(ref, np.full((1, 1), c)), p, k)
 
 

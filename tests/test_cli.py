@@ -256,14 +256,19 @@ def test_removed_options_are_usage_errors(argv):
     ["classical", "--domain", "1e-200x1e200"],
     ["enclose", "--p", "3", "--domain", "1e-160x1e160", "--N", "6"],
     ["enclose", "--p", "3", "--domain", "1e-200x1e200", "--N", "6"],
+    ["solve", "--p", "3", "--domain", "1.3e154x2.9e-154", "--N", "6"],
+    ["enclose", "--p", "3", "--domain", "1.3e154x2.9e-154", "--N", "6"],
 ], ids=["p7", "N0", "empty-sweep", "solve-p6", "solve-1e-160x1e160", "solve-1e-200x1e200",
         "classical-1e-160x1e160", "classical-1e-200x1e200",
-        "enclose-1e-160x1e160", "enclose-1e-200x1e200"])
+        "enclose-1e-160x1e160", "enclose-1e-200x1e200",
+        "solve-1.3e154x2.9e-154", "enclose-1.3e154x2.9e-154"])
 def test_invalid_run_inputs_are_typed_errors(argv, capsys):
     """One `error: DomainError` line and exit 1, with no traceback and no
-    RuntimeWarning (an error in this suite): on the two thin rectangles
+    RuntimeWarning (an error in this suite): on the two thinnest rectangles
     lambda_1 of the reference rectangle leaves binary64, which
-    `DomainRect.reference` rejects before any solve or classical bound."""
+    `DomainRect.reference` rejects before any solve or classical bound; on
+    1.3e154 x 2.9e-154, lambda_1 (1.17e308) is in range but the initial
+    guess's one-mode amplitude at p=3 is not, and it fails alike."""
     assert main(argv) == EXIT_HARD
     err = capsys.readouterr().err
     assert err.startswith("error: DomainError: ") and err.count("\n") == 1

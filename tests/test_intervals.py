@@ -17,6 +17,7 @@ from sobemb.intervals import (
     _mul_dir,
     iv_cos,
     iv_exp,
+    iv_ldexp,
     iv_ln,
     iv_pow_int,
     iv_pow_real,
@@ -322,3 +323,21 @@ def test_array_products_widen_and_zero_factor_is_exact():
     assert four.lo[2] == four.hi[2] == 0.0
     for zero in (IArray(0.0) * x, x * IArray(np.zeros(4))):
         assert not zero.lo.any() and not zero.hi.any()
+
+
+@given(st.floats(min_value=-1e300, max_value=1e300), st.floats(0, 1e300),
+       st.integers(-2200, 2200))
+def test_ldexp_encloses_and_is_exact_where_normal(lo, w, k):
+    """iv_ldexp(a, k) encloses 2^k a in rationals, has exactly its endpoints
+    where they are normal floats, and leaving binary64 is an OverflowError_."""
+    a = Interval(lo, lo + w if math.isfinite(lo + w) else lo)
+    exact = [Fraction(x) * Fraction(2) ** k for x in (a.lo, a.hi)]
+    try:
+        r = iv_ldexp(a, k)
+    except OverflowError_:
+        assert max(abs(x) for x in exact) > Fraction(np.finfo(np.float64).max)
+        return
+    assert Fraction(r.lo) <= exact[0] and exact[1] <= Fraction(r.hi)
+    for end, want in zip((r.lo, r.hi), exact):
+        if abs(want) >= Fraction(np.finfo(np.float64).tiny):
+            assert Fraction(end) == want

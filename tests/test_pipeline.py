@@ -5,13 +5,14 @@ import json
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from sobemb.bounds import corollary_bound, plum_bound
 from sobemb.certify import _coupled_gap, certify_ball, default_split_order
 from sobemb.errors import DomainError, SoundnessViolation
-from sobemb.intervals import Interval, iv_pow_real
+from sobemb.intervals import PI, Interval, iv_pow_real
 from sobemb.pipeline import (
     RunConfig,
     RunRow,
@@ -21,7 +22,7 @@ from sobemb.pipeline import (
     run_pipeline,
     validate_report_dict,
 )
-from sobemb.series import DomainRect
+from sobemb.series import DomainRect, Series2D, lp_norm
 
 SQ = DomainRect(1.0, 1.0)
 
@@ -72,6 +73,22 @@ def test_pipeline_run_is_deterministic():
     assert a.canonical_json() == b.canonical_json()
     assert a.fully_certified
     assert a.final is not None and a.final.lower > 0.0
+
+
+def test_each_row_releases_its_centers_facts(report_c4, monkeypatch):
+    """After the c4 sweep no center of the report holds a derived fact (the
+    power chain, potential, coupling terms, split order, norms), and the
+    canonical report equals a sweep's that keeps every fact: the release
+    changes what is held, never what is reported.  A later reader gets the
+    fact again, with the same bits."""
+    fresh = run_pipeline(RunConfig(p=3, domain=SQ, N=[10, 20, 30, 34]))
+    assert all(not u._facts for u in fresh.solutions.values())
+    monkeypatch.setattr(Series2D, "drop_facts", lambda self: None)
+    kept = run_pipeline(RunConfig(p=3, domain=SQ, N=[10, 20, 30, 34]))
+    assert all(("power", 3) in u._facts for u in kept.solutions.values())
+    assert fresh.canonical_json() == kept.canonical_json() == report_c4.canonical_json()
+    u, v = fresh.solutions[34], kept.solutions[34]
+    assert lp_norm(u, 4) == lp_norm(v, 4)  # computed again on u, kept on v
 
 
 def test_report_rows_explain_k():
@@ -305,6 +322,28 @@ def test_classical_table_scaling_law(t):
     (row,) = classical_table([4], wide)
     assert row["corollary"] == corollary_bound(4.0, wide.measure())
     assert row["plum"] == plum_bound(4.0, wide.lambda1())
+
+
+def test_classical_table_where_a_sides_square_overflows():
+    """On 1.5e154 x 2.5e-154 (its own reference rectangle) L1^2 leaves
+    binary64 but lambda_1, about 1.58e308, does not: lambda_1 encloses the
+    exact value and the classical bounds are finite.  On a rectangle whose
+    sides' squares are normal, every lambda_mode keeps the bits of
+    i^2/(L1 L1) + j^2/(L2 L2)."""
+    thin = DomainRect(1.5e154, 2.5e-154)
+    lam = thin.lambda1()
+    with mpmath.workprec(200):
+        exact = mpmath.pi ** 2 * (1 / mpmath.mpf(thin.L1) ** 2 + 1 / mpmath.mpf(thin.L2) ** 2)
+        assert lam.lo <= exact <= lam.hi
+    assert thin.reference() == (0, thin)
+    (row,) = classical_table([4], thin)
+    assert all(0.0 < row[tag].lo <= row[tag].hi < float("inf") for tag in ("corollary", "plum"))
+    one = Interval(1.0)
+    for dom in (SQ, DomainRect(2.0, 1.0), DomainRect(1.5, 1.0), DomainRect(3.0, 0.4)):
+        for i, j in ((1, 1), (3, 7), (57, 1)):
+            t = (Interval(float(i * i)) / (one * dom.L1 * dom.L1)
+                 + Interval(float(j * j)) / (one * dom.L2 * dom.L2))
+            assert dom.lambda_mode(i, j) == PI * PI * t
 
 
 def test_c6_certifies_within_budget():

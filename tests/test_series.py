@@ -4,6 +4,7 @@ high-precision mpmath oracles, and dense floating-point sampling."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -634,6 +635,51 @@ def test_multiply_encloses_products_of_tiny_coefficients(shift_u, shift_v):
                 assert lo == hi == 0
             else:
                 assert lo <= exact.get((mx, my), 0) <= hi
+
+
+@pytest.mark.parametrize("pu, pv", [(SIN, SIN), (COS, SIN), (COS, COS)],
+                         ids=["sin-sin", "cos-sin", "cos-cos"])
+def test_multiply_bits_do_not_depend_on_the_chunking(pu, pv, monkeypatch):
+    """The product is bit-identical with one x index of b per chunk, with the
+    default chunks and with one chunk for the whole sum, on factors of each
+    parity pair (on both axes), dense and odd-index only.  The factors are
+    thin and integer-valued, so every GEMM (slice products, |a| |b|, the
+    radius terms and the pair counts) is exact and any chunking must give
+    the same bits: a window or block that reads a wrong index of either
+    factor changes them."""
+    rng = np.random.default_rng(len(pu + pv))
+    dom = DomainRect(2.0, 1.0)
+    for shape_u, shape_v, odd in (((9, 7), (12, 10), False), ((5, 8), (17, 6), False),
+                                  ((11, 11), (13, 9), True)):
+        a = rng.integers(-2 ** 10, 2 ** 10 + 1, size=shape_u).astype(np.float64)
+        b = rng.integers(-2 ** 10, 2 ** 10 + 1, size=shape_v).astype(np.float64)
+        if odd:  # one index parity per axis: the half sub-grid (step 2) of `_axis_plan`
+            a[1::2], a[:, 1::2], b[1::2], b[:, 1::2] = 0.0, 0.0, 0.0, 0.0
+        u, v = Series2D(dom, IArray(a), pu, pu), Series2D(dom, IArray(b), pv, pv)
+        products = []
+        for floats in (1, None, 2 ** 30):
+            if floats is not None:
+                monkeypatch.setattr("sobemb.series._CHUNK_FLOATS", floats)
+            products.append(multiply(u, v).coeffs)
+            monkeypatch.undo()
+        for w in products[1:]:
+            assert np.array_equal(w.lo, products[0].lo) and np.array_equal(w.hi, products[0].hi)
+
+
+def test_product_peak_memory_on_the_c4_center(report_c4):
+    """multiply(u^2, u) on the c4 N=34 center peaks at most 2.4 MB above its
+    entry under tracemalloc (about 1.7 MB): it pads no copy of a whole layer
+    stack and keeps no full extension or slice stack beside the layers."""
+    u = report_c4.solutions[34]
+    u2 = multiply(u, u)  # not power_expand: that would keep u^2 on the shared center
+    multiply(u2, u)  # warm-up
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        multiply(u2, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4e6
 
 
 # -- pointwise bounds --------------------------------------------------------------

@@ -444,9 +444,7 @@ def test_aspect_ratio_beyond_binary64_fails_typed(domain):
     about 1e320 and 1e400: the solve raises a typed DomainError before it forms the binary64
     lambda grid, with no RuntimeWarning on the way (an error in this suite).
     The initial guess on them raises the same typed error, from
-    `DomainRect.reference`, where the interval lambda_1 overflows
-    (1e-160 x 1e160) or divides by a side's square that underflows to 0
-    (1e-200 x 1e200)."""
+    `DomainRect.reference`, where the interval lambda_1 overflows."""
     with pytest.raises(DomainError, match="too thin for binary64"):
         initial_guess(3, domain)
     guess = SineSeries2D(domain, np.ones((1, 1)))
