@@ -92,7 +92,7 @@ def classical_upper(q, domain: DomainRect) -> Interval:
     """C >= C_q(domain) for q > 2: the smaller of the two classical upper
     bounds, as a thin interval at its upper end."""
     return Interval(min(corollary_bound(q, domain.measure()).hi,
-                        plum_bound(q, domain.lambda1()).hi))
+                        plum_bound(q, domain.lambda1).hi))
 
 
 @dataclass(frozen=True)

@@ -230,8 +230,7 @@ def _tail_lambda(dom: DomainRect, nprime: int) -> Interval:
     """Smallest eigenvalue of an odd-odd sine mode with an index above
     nprime: the smallest odd index k > nprime on one axis, 1 on the other."""
     k = nprime + 1 + nprime % 2
-    a = dom.lambda_mode(k, 1)
-    b = dom.lambda_mode(1, k)
+    a, b = dom.lambda_mode(k, 1), dom.lambda_mode(1, k)
     return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
 
 
@@ -257,7 +256,7 @@ def _coupling_terms(u: Series2D, p: int) -> tuple:
         wt = Interval(_wbar(u, p).hi) * Interval(0.5)
         if p % 2 == 0:
             wt = wt + Interval(float(p)) * iv_pow_int(Interval(negative_part_sup(u)), p - 1)
-        root1 = iv_sqrt(u.domain.lambda1())
+        root1 = iv_sqrt(u.domain.lambda1)
         return wt, w.lap_sup_bound() / root1 + Interval(2.0) * w.grad_sup_bound()
 
     return u.fact(("coupling_terms", p), compute)
@@ -290,10 +289,9 @@ def _choose_split_order(u: Series2D, p: int) -> int:
     dom = u.domain
     wt, h = (x.hi for x in _coupling_terms(u, p))
     n = np.arange(1, 2 * math.isqrt(MAX_DENSE_ROWS), 2, dtype=np.float64)
-    ix, iy = 1.0 / (dom.L1 * dom.L1), 1.0 / (dom.L2 * dom.L2)
-    k2 = (n + 2.0) ** 2  # the smallest odd index above n, as in `_tail_lambda`
-    lam = math.pi ** 2 * np.minimum(k2 * ix + iy, ix + k2 * iy)
-    lam_f = math.pi ** 2 * n * n * (ix + iy)
+    k = n + 2.0  # the smallest odd index above n, as in `_tail_lambda`
+    lam = np.minimum(dom.lambda_float(k, 1.0), dom.lambda_float(1.0, k))
+    lam_f = dom.lambda_float(n, n)
     c = (h + wt * np.sqrt(lam_f)) / (lam * np.sqrt(lam))
     ok = (lam > _wbar(u, p).hi) & (c <= COUPLING_TARGET)
     if not ok.any():
@@ -687,7 +685,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
     r = Interval(r_h1.hi)
     nonlinear = Interval(0.0)
     for k in range(p):
-        c = Interval(1.0) / iv_sqrt(dom.lambda1()) if k == 0 else classical_upper(2 * k + 2, dom)
+        c = Interval(1.0) / iv_sqrt(dom.lambda1) if k == 0 else classical_upper(2 * k + 2, dom)
         nonlinear = nonlinear + (Interval(float(math.comb(p - 1, k))) * iv_pow_int(s, p - 1 - k)
                                  * iv_pow_int(c * r, k + 1))
     rho = linf_embedding_constant(dom) * (delta_l2 + Interval(float(p)) * nonlinear)

@@ -343,16 +343,3 @@ def iv_pow_real(a: Interval, y) -> Interval:
     if a.lo <= 0.0:
         raise DomainError(f"pow_real base {a}")
     return iv_exp(Interval._coerce(y) * iv_ln(a))
-
-
-def iv_ldexp(a: Interval, k: int) -> Interval:
-    """a 2^k: exact wherever an endpoint stays a normal float, rounded
-    outward where it becomes subnormal or 0; OverflowError_ where it leaves
-    binary64."""
-    try:
-        lo, hi = math.ldexp(a.lo, k), math.ldexp(a.hi, k)
-    except OverflowError:
-        raise OverflowError_("interval endpoint overflowed") from None
-    # scaling back up is exact, so it shows which way a rounding went
-    return Interval(_dn(lo) if math.ldexp(lo, -k) > a.lo else lo,
-                    _up(hi) if math.ldexp(hi, -k) < a.hi else hi)

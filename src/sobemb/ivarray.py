@@ -185,6 +185,19 @@ class IArray:
     # -- reductions ------------------------------------------------------------
 
 
+def ildexp(a: IArray, k: int) -> IArray:
+    """a 2^k: exact wherever an endpoint stays a normal float, rounded
+    outward where it becomes subnormal or 0; OverflowError_, with no
+    RuntimeWarning, where it leaves binary64."""
+    with np.errstate(over="ignore"):
+        lo, hi = np.ldexp(a.lo, k), np.ldexp(a.hi, k)
+        _chk(lo, hi)
+        # scaling back up is exact, so it shows which way a rounding went
+        lo = np.where(np.ldexp(lo, -k) > a.lo, _dn(lo), lo)
+        hi = np.where(np.ldexp(hi, -k) < a.hi, _up(hi), hi)
+    return IArray(lo, hi, _unsafe=True)
+
+
 def _sum_dir(x: np.ndarray, direction: int) -> float:
     """sum(x) rounded toward -inf (direction < 0) or +inf (direction > 0).
     `math.fsum` rounds the exact sum S to the nearest float s, and the fsum

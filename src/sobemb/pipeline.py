@@ -206,7 +206,7 @@ def classical_table(p_list, domain: DomainRect) -> list:
         {
             "p": p,
             "corollary": _scaled(corollary_bound(float(p), ref.measure()), k, p),
-            "plum": _scaled(plum_bound(float(p), ref.lambda1()), k, p),
+            "plum": _scaled(plum_bound(float(p), ref.lambda1), k, p),
         }
         for p in p_list
     ]

@@ -29,13 +29,14 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import CapacityError, DomainError, OverflowError_
-from .intervals import PI, PI_HALF, Interval, iv_ldexp, iv_pow_real, iv_sin, iv_sqrt
-from .ivarray import _EPS, IArray, _dn, _up, imatmul, isum
+from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
+from .ivarray import _EPS, IArray, _dn, _up, ildexp, imatmul, isum
 
 MAX_EXPANSION_ORDER = 1024
 # Rows of the largest dense matrix built (`galerkin_jacobian`, the odd-odd
@@ -87,53 +88,59 @@ class DomainRect:
 
     def reference(self) -> tuple:
         """(k, R): the reference rectangle R = 2^-k times this one, with
-        exact sides and area in [1, 4).  k comes from the area's binary
-        exponent, e1 + e2 - 1 or - 2 for sides mi 2^ei, mi in [1/2, 1), as m1
-        m2 >= 1/2 or not (decided on the integer mantissas): the product of
-        the sides, which overflows above sides of about 1e154, is never
-        formed.  DomainError if R's lambda_1 leaves binary64, as it does
-        where a side of R is below the normal range, the one inexact case."""
+        exact sides and area in [1, 4), and this one itself at k = 0.  k
+        comes from the area's binary exponent, e1 + e2 - 1 or - 2 for sides
+        mi 2^ei, mi in [1/2, 1), as m1 m2 >= 1/2 or not (decided on the
+        integer mantissas): the product of the sides, which overflows above
+        sides of about 1e154, is never formed.  DomainError if R's lambda_1
+        leaves binary64, as it does where a side of R is below the normal
+        range, the one inexact case."""
         (m1, e1), (m2, e2) = math.frexp(self.L1), math.frexp(self.L2)
         half = int(math.ldexp(m1, 53)) * int(math.ldexp(m2, 53)) >= 2 ** 105
         k = (e1 + e2 - (1 if half else 2)) // 2
-        ref = DomainRect(math.ldexp(self.L1, -k), math.ldexp(self.L2, -k))
+        ref = DomainRect(math.ldexp(self.L1, -k), math.ldexp(self.L2, -k)) if k else self
         try:
-            ref.lambda1()
+            ref.lambda1  # formed and kept here, where it may leave binary64
         except OverflowError_:
             raise DomainError(f"the {self.L1!r} x {self.L2!r} rectangle is too thin for binary64: "
                               "lambda_1 of its reference rectangle leaves binary64") from None
         return k, ref
 
+    @cached_property
     def lambda1(self) -> Interval:
-        """First Dirichlet eigenvalue pi^2 (1/L1^2 + 1/L2^2) of -Laplace."""
+        """First Dirichlet eigenvalue pi^2 (1/L1^2 + 1/L2^2), formed once."""
         return self.lambda_mode(1, 1)
 
     def lambda_mode(self, i: int, j: int) -> Interval:
-        """pi^2 (i^2/L1^2 + j^2/L2^2), the eigenvalue of the (i, j) mode."""
-        return PI * PI * (_over_square(float(i * i), self.L1)
-                          + _over_square(float(j * j), self.L2))
+        """pi^2 (i^2/L1^2 + j^2/L2^2): the (i, j) entry of `lambda_grid`."""
+        g = self.lambda_grid(np.array([i]), np.array([j]))
+        return Interval(g.lo[0, 0], g.hi[0, 0])
 
     def lambda_grid(self, modes_x: np.ndarray, modes_y: np.ndarray) -> IArray:
-        one = Interval(1.0)
-        ix = IArray(modes_x.astype(np.float64) ** 2) / IArray._coerce(
-            one * self.L1 * self.L1
-        )
-        iy = IArray(modes_y.astype(np.float64) ** 2) / IArray._coerce(
-            one * self.L2 * self.L2
-        )
-        s = ix.reshape(-1, 1) + iy.reshape(1, -1)
-        return s * IArray._coerce(PI * PI)
+        """Enclosures of the Dirichlet eigenvalues pi^2 (i^2/L1^2 + j^2/L2^2),
+        i in modes_x (rows), j in modes_y (columns): the only interval formula
+        for them.  Each axis's n^2/L^2 is (n^2/(m m)) 2^-2e for L = m 2^e,
+        m in [1/2, 1), rounded outward (`ildexp`): L L, which leaves binary64
+        beyond sides of about 1e154 or below 1e-154, is never formed; where
+        L L and n^2/L^2 are normal the bits are those of n^2/(L L).  Each
+        operation widens by an ulp both ways.  OverflowError_, with no
+        RuntimeWarning, where an entry leaves binary64."""
+        def over_square(modes, L):
+            m, e = math.frexp(L)
+            n2 = IArray(np.square(np.asarray(modes, dtype=np.float64)))
+            return ildexp(n2 / (Interval(1.0) * m * m), -2 * e)
 
+        with np.errstate(over="ignore"):
+            ix, iy = over_square(modes_x, self.L1), over_square(modes_y, self.L2)
+            return (ix.reshape(-1, 1) + iy.reshape(1, -1)) * (PI * PI)
 
-def _over_square(n: float, L: float) -> Interval:
-    """n/L^2 for L = m 2^e, m in [1/2, 1), as (n/(m m)) 2^-2e, rounded
-    outward.  It never forms L L, which leaves binary64 for sides beyond
-    about 1e154 or below 1e-154 where n/L^2 need not.  Where L L and the
-    result are normal it has the bits of n/(L L), whose roundings are those
-    of n/(m m) scaled by a power of two; below L L = 2^-900, where
-    `_mul_dir` widens L L both ways, it is up to one ulp narrower."""
-    m, e = math.frexp(L)
-    return iv_ldexp(Interval(n) / (Interval(1.0) * m * m), -2 * e)
+    def lambda_float(self, i, j, dtype=np.float64):
+        """pi^2 ((i/L1)^2 + (j/L2)^2) in dtype (float64 or longdouble),
+        broadcast over i and j, with no claim on its rounding: the eigenvalues
+        of the Newton solve, its one-mode guess and the split-order scan.  No
+        side's square is formed."""
+        x, y = (np.asarray(n, dtype=dtype) / dtype(L) for n, L in ((i, self.L1), (j, self.L2)))
+        return dtype(math.pi) ** 2 * (x * x + y * y)
 
 
 def _modes(parity: str, length: int) -> np.ndarray:

@@ -101,9 +101,7 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     if p not in (2, 3, 4, 5):
         raise DomainError(f"exponent p must be in 2..5, got {p}")
     k, ref = domain.reference()
-    # products, not **, which raises OverflowError where the long side's square
-    # leaves binary64 though lambda_11 does not
-    lam11 = math.pi ** 2 * (1.0 / (ref.L1 * ref.L1) + 1.0 / (ref.L2 * ref.L2))
+    lam11 = float(ref.lambda_float(1, 1))
     w = _SINE_POWER_MEAN[p + 1]
     c = (lam11 / (4.0 * w * w)) ** (1.0 / (p - 1))
     if not math.isfinite(c):
@@ -118,7 +116,7 @@ def dilate(u: Series2D, p: int, k: int) -> Series2D:
     and the coefficients' midpoints scaled in extended precision and rounded
     once (the identity at k = 0).  DomainError if one leaves binary64."""
     d = u.domain
-    domain = DomainRect(math.ldexp(d.L1, k), math.ldexp(d.L2, k))
+    domain = DomainRect(math.ldexp(d.L1, k), math.ldexp(d.L2, k)) if k else d
     c = u.coeffs.mid() * np.exp2(np.longdouble(-2 * k) / (p - 1))
     if not np.max(np.abs(c)) <= np.finfo(np.float64).max:
         raise DomainError(f"the solution on the {domain.L1!r} x {domain.L2!r} rectangle "
@@ -140,11 +138,6 @@ def _cos_projector(g: int, k: np.ndarray, modes: np.ndarray, p: int) -> np.ndarr
     c[:, 0] *= 0.5
     w = _axis_overlap(SIN, int(modes.max()), COS, top + 1, 1.0).mid()[modes - 1]
     return (2.0 / g) * 2.0 * (c @ w.T.astype(np.longdouble))
-
-
-def _lambda_grid(domain: DomainRect, modes: np.ndarray, dtype):
-    lx, ly = ((modes.astype(dtype) / dtype(L)) ** 2 for L in (domain.L1, domain.L2))
-    return dtype(math.pi) ** 2 * (lx.reshape(-1, 1) + ly.reshape(1, -1))
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:
@@ -190,11 +183,12 @@ class _Galerkin:
             self.scale, t = 1.0, fold * _cos_projector(g, k, modes, p)
         self.ld = s, t
         self.f64 = s.astype(np.float64), t.astype(np.float64)
-        self.lam = _lambda_grid(domain, modes, np.longdouble)
+        mx, my = modes.reshape(-1, 1), modes.reshape(1, -1)
+        self.lam = domain.lambda_float(mx, my, np.longdouble)
         if not self.lam[-1, -1] <= np.finfo(np.float64).max:
             raise DomainError(f"lambda_NN on the {domain.L1!r} x {domain.L2!r} rectangle "
                               "leaves binary64 (its aspect ratio)")
-        self.lam64 = _lambda_grid(domain, modes, np.float64)
+        self.lam64 = domain.lambda_float(mx, my)
 
     def residual(self, a: np.ndarray) -> tuple:
         """(r, its l2-norm), r = lambda a - T^T (S a S^T)^p T."""

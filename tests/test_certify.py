@@ -154,7 +154,7 @@ def _all_modes_k(u, p):
     assert lam_tail.lo > wbar.hi
     block_lo = min(eig_enclosures(b) for _, _, b in _parity_blocks(u, p, nprime))
     tail_lo = (Interval(1.0) - wbar / lam_tail).lo
-    coupling = ((wbar + g / iv_sqrt(dom.lambda1())) / lam_tail).hi
+    coupling = ((wbar + g / iv_sqrt(dom.lambda1)) / lam_tail).hi
     m = _coupled_gap(block_lo, tail_lo, coupling).lo
     assert m > 0.0
     return (Interval(1.0) / Interval(m)).hi
@@ -310,7 +310,7 @@ def test_coupling_matches_its_lemma(dom, p):
         if p % 2 == 0:
             wt += p * mp(negative_part_sup(u)) ** (p - 1)
         g, h = mp(w.grad_sup_bound().hi), mp(w.lap_sup_bound().hi)
-        root1 = mpmath.sqrt(mp(dom.lambda1().lo))
+        root1 = mpmath.sqrt(mp(dom.lambda1.lo))
         lam = mp(_tail_lambda(dom, n).lo)
         exact = (h / root1 + 2 * g + wt * mpmath.sqrt(mp(dom.lambda_mode(n, n).hi))) / lam ** 1.5
         assert exact <= mp(got) <= exact * (1 + mp(10) ** -12)
@@ -820,7 +820,7 @@ def test_defect_even_p_hm1_between_estimate_and_l2_route(p):
     bounds every H^-1 norm, and never below a fine-grid estimate of it."""
     u = _solve(p, 12)
     hm1, l2 = defect_bounds(u, p)
-    assert hm1.hi <= l2.hi / math.sqrt(SQ.lambda1().lo)
+    assert hm1.hi <= l2.hi / math.sqrt(SQ.lambda1.lo)
     assert hm1.hi >= _dst_hm1_estimate(u, p)
 
 
@@ -855,7 +855,7 @@ def test_even_p_defect_and_k_carry_no_negative_part_slack(p):
     hm1, l2 = defect_bounds(u, p)
     exact = _gauss_l2_defect(u, p)
     assert exact <= l2.hi <= exact * (1.0 + 1e-10)
-    root1 = iv_sqrt(SQ.lambda1())
+    root1 = iv_sqrt(SQ.lambda1)
     assert _dst_hm1_estimate(u, p) <= hm1.hi <= (Interval(l2.hi) / root1).hi
     slack = Interval(2.0) * iv_pow_int(eta, p) * iv_sqrt(SQ.measure())
     assert l2.hi < (Interval(l2.hi) + slack).lo
@@ -864,7 +864,7 @@ def test_even_p_defect_and_k_carry_no_negative_part_slack(p):
     ib = inverse_bound(u, p)
     s_star = _coupled_gap(ib.block_min, ib.tail, ib.coupling).lo
     assert ib.K.hi == (Interval(1.0) / Interval(s_star)).hi
-    older = Interval(s_star) - Interval(2.0 * p) * iv_pow_int(eta, p - 1) / SQ.lambda1()
+    older = Interval(s_star) - Interval(2.0 * p) * iv_pow_int(eta, p - 1) / SQ.lambda1
     if p == 2:
         assert older.lo > 0.0 and ib.K.hi < (Interval(1.0) / older).lo
     else:
@@ -885,7 +885,7 @@ def test_lipschitz_bound_hand_formula(u_p3_n10):
     u, p, R = u_p3_n10, 3, 0.5
     g = lipschitz_bound(u, p, R)
     c = min(corollary_bound(p + 1, SQ.measure()).hi,
-            plum_bound(p + 1, SQ.lambda1()).hi)
+            plum_bound(p + 1, SQ.lambda1).hi)
     base = lp_norm(u, p + 1).hi + c * R
     hand = p * (p - 1) * c ** 3 * base ** (p - 2)
     assert g.lo * (1.0 - 1e-12) <= hand <= g.hi * (1.0 + 1e-12)
@@ -999,7 +999,7 @@ def test_linf_radius_matches_its_lemma(p):
     with mpmath.workdps(60):
         mp = mpmath.mpf
         s = mp(u.sup_abs_bound().hi)
-        consts = [1 / mpmath.sqrt(mp(dom.lambda1().lo))] + [
+        consts = [1 / mpmath.sqrt(mp(dom.lambda1.lo))] + [
             mp(classical_upper(2 * k + 2, dom).hi) for k in range(1, p)]
         total = sum(math.comb(p - 1, k) * s ** (p - 1 - k) * (consts[k] * mp(r)) ** (k + 1)
                     for k in range(p))
@@ -1018,7 +1018,7 @@ def _seeded_linf(u, p, r_h1, delta_l2):
         corollary_bound(2 * p, dom.measure()), p) * iv_pow_int(base, p - 1) * r)).hi
     sup_u = Interval(0.0, u.sup_abs_bound().hi)
     step = (c_inf * (delta_l2 + Interval(float(p)) * iv_pow_int(
-        sup_u + Interval(0.0, seed), p - 1) * r / iv_sqrt(dom.lambda1()))).hi
+        sup_u + Interval(0.0, seed), p - 1) * r / iv_sqrt(dom.lambda1))).hi
     return min(seed, step)
 
 

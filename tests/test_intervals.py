@@ -2,6 +2,7 @@
 exhaustive containment sampling against exact rational arithmetic."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,14 +18,13 @@ from sobemb.intervals import (
     _mul_dir,
     iv_cos,
     iv_exp,
-    iv_ldexp,
     iv_ln,
     iv_pow_int,
     iv_pow_real,
     iv_sin,
     iv_sqrt,
 )
-from sobemb.ivarray import IArray, isum
+from sobemb.ivarray import IArray, ildexp, isum
 
 
 def test_point_interval_and_ordering():
@@ -327,17 +327,22 @@ def test_array_products_widen_and_zero_factor_is_exact():
 
 @given(st.floats(min_value=-1e300, max_value=1e300), st.floats(0, 1e300),
        st.integers(-2200, 2200))
-def test_ldexp_encloses_and_is_exact_where_normal(lo, w, k):
-    """iv_ldexp(a, k) encloses 2^k a in rationals, has exactly its endpoints
-    where they are normal floats, and leaving binary64 is an OverflowError_."""
-    a = Interval(lo, lo + w if math.isfinite(lo + w) else lo)
-    exact = [Fraction(x) * Fraction(2) ** k for x in (a.lo, a.hi)]
-    try:
-        r = iv_ldexp(a, k)
-    except OverflowError_:
-        assert max(abs(x) for x in exact) > Fraction(np.finfo(np.float64).max)
-        return
-    assert Fraction(r.lo) <= exact[0] and exact[1] <= Fraction(r.hi)
-    for end, want in zip((r.lo, r.hi), exact):
-        if abs(want) >= Fraction(np.finfo(np.float64).tiny):
-            assert Fraction(end) == want
+def test_ildexp_encloses_and_is_exact_where_normal(lo, w, k):
+    """ildexp(a, k) encloses 2^k a in rationals, entry by entry, has exactly
+    its endpoints where they are normal floats, and leaving binary64 is an
+    OverflowError_ with no RuntimeWarning."""
+    hi = lo + w if math.isfinite(lo + w) else lo
+    a = IArray([lo, -hi], [hi, -lo])
+    exact = [Fraction(x) * Fraction(2) ** k for x in (lo, hi)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = ildexp(a, k)
+        except OverflowError_:
+            assert max(abs(x) for x in exact) > Fraction(np.finfo(np.float64).max)
+            return
+    for ends, want in zip(zip(r.lo, r.hi), (exact, [-exact[1], -exact[0]])):
+        assert Fraction(ends[0]) <= want[0] and want[1] <= Fraction(ends[1])
+        for end, x in zip(ends, want):
+            if abs(x) >= Fraction(np.finfo(np.float64).tiny):
+                assert Fraction(end) == x

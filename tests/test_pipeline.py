@@ -1,6 +1,7 @@
 """Pipeline orchestration: deterministic reports, serialization round trips,
 CSV projections, and report self-validation."""
 
+import itertools
 import json
 import time
 import tracemalloc
@@ -13,6 +14,7 @@ from sobemb.bounds import corollary_bound, plum_bound
 from sobemb.certify import _coupled_gap, certify_ball, default_split_order
 from sobemb.errors import DomainError, SoundnessViolation
 from sobemb.intervals import PI, Interval, iv_pow_real
+from sobemb.ivarray import IArray
 from sobemb.pipeline import (
     RunConfig,
     RunRow,
@@ -321,17 +323,18 @@ def test_classical_table_scaling_law(t):
     wide = DomainRect(2.0, 1.0)
     (row,) = classical_table([4], wide)
     assert row["corollary"] == corollary_bound(4.0, wide.measure())
-    assert row["plum"] == plum_bound(4.0, wide.lambda1())
+    assert row["plum"] == plum_bound(4.0, wide.lambda1)
 
 
 def test_classical_table_where_a_sides_square_overflows():
     """On 1.5e154 x 2.5e-154 (its own reference rectangle) L1^2 leaves
     binary64 but lambda_1, about 1.58e308, does not: lambda_1 encloses the
     exact value and the classical bounds are finite.  On a rectangle whose
-    sides' squares are normal, every lambda_mode keeps the bits of
-    i^2/(L1 L1) + j^2/(L2 L2)."""
+    sides' squares are normal, lambda_grid keeps the bits of the interval
+    arrays PI^2 (i^2/(L1 L1) + j^2/(L2 L2)) for every mode up to 101, and
+    lambda_mode is its entry."""
     thin = DomainRect(1.5e154, 2.5e-154)
-    lam = thin.lambda1()
+    lam = thin.lambda1
     with mpmath.workprec(200):
         exact = mpmath.pi ** 2 * (1 / mpmath.mpf(thin.L1) ** 2 + 1 / mpmath.mpf(thin.L2) ** 2)
         assert lam.lo <= exact <= lam.hi
@@ -339,11 +342,16 @@ def test_classical_table_where_a_sides_square_overflows():
     (row,) = classical_table([4], thin)
     assert all(0.0 < row[tag].lo <= row[tag].hi < float("inf") for tag in ("corollary", "plum"))
     one = Interval(1.0)
+    modes = np.arange(1, 102)
+    n2 = IArray(modes.astype(np.float64) ** 2)
     for dom in (SQ, DomainRect(2.0, 1.0), DomainRect(1.5, 1.0), DomainRect(3.0, 0.4)):
-        for i, j in ((1, 1), (3, 7), (57, 1)):
-            t = (Interval(float(i * i)) / (one * dom.L1 * dom.L1)
-                 + Interval(float(j * j)) / (one * dom.L2 * dom.L2))
-            assert dom.lambda_mode(i, j) == PI * PI * t
+        ix = n2 / IArray._coerce(one * dom.L1 * dom.L1)
+        iy = n2 / IArray._coerce(one * dom.L2 * dom.L2)
+        want = (ix.reshape(-1, 1) + iy.reshape(1, -1)) * IArray._coerce(PI * PI)
+        lam = dom.lambda_grid(modes, modes)
+        assert np.array_equal(lam.lo, want.lo) and np.array_equal(lam.hi, want.hi)
+        for i, j in itertools.product((1, 2, 3, 57, 100, 101), repeat=2):
+            assert dom.lambda_mode(i, j) == Interval(lam.lo[i - 1, j - 1], lam.hi[i - 1, j - 1])
 
 
 def test_c6_certifies_within_budget():

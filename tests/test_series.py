@@ -5,6 +5,7 @@ high-precision mpmath oracles, and dense floating-point sampling."""
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sobemb.errors import CapacityError, DomainError
+from sobemb.errors import CapacityError, DomainError, OverflowError_
 from sobemb.intervals import Interval, iv_pow_int
 from sobemb.ivarray import IArray, _dn, _gamma_fac, _up
 from sobemb.series import (
@@ -55,6 +56,48 @@ def _seeded_series(n, seed, scale=1.0, domain=SQ):
     return SineSeries2D(domain, c)
 
 
+# -- Dirichlet eigenvalues -------------------------------------------------------
+
+_RECTS = {"square": SQ, "2x1": DomainRect(2.0, 1.0), "1.5x1": DomainRect(1.5, 1.0),
+          "3x0.4": DomainRect(3.0, 0.4), "1e-150 ref": DomainRect(1e-150, 1e-150).reference()[1]}
+
+
+def test_lambda_grid_where_a_sides_square_overflows():
+    """On 1.5e154 x 2.5e-154, L1 L1 leaves binary64 and L2 L2 is subnormal,
+    but lambda_i1, about 1.58e308, does not: lambda_grid encloses it for
+    i = 1..3, on the rectangle and on its transpose.  lambda_i2, about
+    6.3e308, leaves binary64: OverflowError_, with no RuntimeWarning."""
+    thin = DomainRect(1.5e154, 2.5e-154)
+    modes, one = np.arange(1, 4), np.arange(1, 2)
+    columns = (thin.lambda_grid(modes, one)[:, 0],
+               DomainRect(thin.L2, thin.L1).lambda_grid(one, modes)[0])
+    with mpmath.workprec(200):
+        for i in modes:
+            exact = mpmath.pi ** 2 * (int(i) ** 2 / mpmath.mpf(thin.L1) ** 2
+                                      + 1 / mpmath.mpf(thin.L2) ** 2)
+            for lam in columns:
+                assert mpmath.mpf(lam.lo[i - 1]) <= exact <= mpmath.mpf(lam.hi[i - 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError_):
+            thin.lambda_grid(modes, modes)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+@pytest.mark.parametrize("dom", list(_RECTS.values()), ids=list(_RECTS))
+def test_lambda_float_lies_in_lambda_grid(dom, dtype):
+    """The float eigenvalues of the solver and the split-order scan lie
+    within 4 ulps of the interval ones, for every mode up to 101."""
+    modes = np.arange(1, 102)
+    lam = dom.lambda_grid(modes, modes)
+    lo, hi = lam.lo, lam.hi
+    for _ in range(4):
+        lo, hi = _dn(lo), _up(hi)
+    f = dom.lambda_float(modes.reshape(-1, 1), modes.reshape(1, -1), dtype)
+    assert f.dtype == dtype and f.shape == lam.shape
+    assert np.all(lo <= f) and np.all(f <= hi)
+
+
 # -- norms (closed-form oracles) -------------------------------------------------
 
 
@@ -83,7 +126,7 @@ def test_h01_dominates_l2_poincare():
         u = _seeded_series(6, seed)
         lhs = u.l2_norm()
         rhs = u.h01_norm()
-        lam1 = math.sqrt(SQ.lambda1().lo)
+        lam1 = math.sqrt(SQ.lambda1.lo)
         assert lhs.hi <= rhs.hi / lam1 * (1.0 + 1e-12)
 
 
