@@ -115,7 +115,8 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     modes = np.arange(1, m + 1)
     head_l2 = _nonneg(isum(s2) * quarter)
     head_hm1 = _nonneg(isum(s2 / dom.lambda_grid(modes, modes)) * quarter)
-    tail = _nonneg(Interval(sq.hi) - Interval(head_l2.lo)) / _tail_lambda(dom, m)
+    lam_tail = _tail_lambda(dom, m)
+    tail = _nonneg(Interval(sq.hi) - Interval(head_l2.lo)) / Interval(lam_tail.lo, lam_tail.hi)
     hm1 = iv_sqrt(head_hm1 + tail)
     return Interval(0.0, hm1.hi), Interval(0.0, l2.hi)
 
@@ -226,12 +227,13 @@ def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None) -> SymMatri
     return SymMatrix(mid, float(_up(eps * (1.0 + 2.0 ** -45))))
 
 
-def _tail_lambda(dom: DomainRect, nprime: int) -> Interval:
-    """Smallest eigenvalue of an odd-odd sine mode with an index above
-    nprime: the smallest odd index k > nprime on one axis, 1 on the other."""
-    k = nprime + 1 + nprime % 2
-    a, b = dom.lambda_mode(k, 1), dom.lambda_mode(1, k)
-    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+def _tail_lambda(dom: DomainRect, orders) -> IArray:
+    """Smallest eigenvalue of an odd-odd sine mode with an index above n,
+    for each n in orders (an int or an int array, whose shape the result
+    takes): the smallest odd index k > n on one axis, 1 on the other."""
+    k = np.ravel(orders) + 1 + np.ravel(orders) % 2
+    a, b = dom.lambda_grid(k, [1]), dom.lambda_grid([1], k).T
+    return IArray(np.minimum(a.lo, b.lo), np.minimum(a.hi, b.hi)).reshape(np.shape(orders))
 
 
 def _wbar(u: Series2D, p: int) -> Interval:
@@ -262,44 +264,38 @@ def _coupling_terms(u: Series2D, p: int) -> tuple:
     return u.fact(("coupling_terms", p), compute)
 
 
-def _coupling(u: Series2D, p: int, nprime: int) -> float:
-    """c = (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F))/lambda_tail^{3/2} >=
-    ||B_FT|| at the split order nprime, rounded up, lambda_F = lambda(n', n')
-    the largest eigenvalue of a section mode (`inverse_bound` (iii))."""
-    wt, h = _coupling_terms(u, p)
-    lam = _tail_lambda(u.domain, nprime)
-    return ((h + wt * iv_sqrt(u.domain.lambda_mode(nprime, nprime))) / (lam * iv_sqrt(lam))).hi
-
-
 def default_split_order(u: Series2D, p: int) -> int:
-    """The split order n' of `inverse_bound`, kept on u
-    (`_choose_split_order`)."""
-    return u.fact(("split_order", p), lambda: _choose_split_order(u, p))
+    """The split order n' of `inverse_bound` (`_section`)."""
+    return _section(u, p)[0]
 
 
-def _choose_split_order(u: Series2D, p: int) -> int:
-    """The smallest odd n with lambda_tail > Wbar and c <= COUPLING_TARGET,
-    c of `_coupling` evaluated in floats, scanned over every odd n whose
-    odd-odd block, ceil(n/2)^2 rows, fits in MAX_DENSE_ROWS; CapacityError
-    if none does.  On a square the potential matrix is folded to X_sym row
-    by row as it is assembled, but its columns only once every row is in, so
-    those rows, not the folded ones, bound the peak memory.  n' is a cost
-    choice and no hypothesis of `inverse_bound`, so a rounding that moves it
-    by a step where c sits on the target moves only the cost."""
-    dom = u.domain
-    wt, h = (x.hi for x in _coupling_terms(u, p))
-    n = np.arange(1, 2 * math.isqrt(MAX_DENSE_ROWS), 2, dtype=np.float64)
-    k = n + 2.0  # the smallest odd index above n, as in `_tail_lambda`
-    lam = np.minimum(dom.lambda_float(k, 1.0), dom.lambda_float(1.0, k))
-    lam_f = dom.lambda_float(n, n)
-    c = (h + wt * np.sqrt(lam_f)) / (lam * np.sqrt(lam))
-    ok = (lam > _wbar(u, p).hi) & (c <= COUPLING_TARGET)
-    if not ok.any():
-        rows = ((int(n[-1]) + 1) // 2) ** 2
-        raise CapacityError(f"coupling {c[-1]:.4e} > {COUPLING_TARGET} at split order "
-                            f"{int(n[-1])}, the largest whose block of {rows} rows fits "
+def _section(u: Series2D, p: int) -> tuple:
+    """(n', t, c), kept on u: the split order of `inverse_bound`, the
+    smallest odd n with t = (1 - Wbar/lambda_tail).lo > 0 (ii) and c =
+    (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda(n, n)))/lambda_tail^{3/2} <=
+    COUPLING_TARGET (iii), rounded up, with t and c there: scanned in
+    intervals over every odd n whose odd-odd block, ceil(n/2)^2 rows, fits
+    in MAX_DENSE_ROWS; CapacityError if none does.  On a square the
+    potential matrix is folded to X_sym row by row as it is assembled, but
+    its columns only once every row is in, so those rows, not the folded
+    ones, bound the peak memory."""
+    def scan():
+        wbar, (wt, h) = _wbar(u, p), _coupling_terms(u, p)
+        n = np.arange(1, 2 * math.isqrt(MAX_DENSE_ROWS), 2)
+        tail, top = _tail_lambda(u.domain, n), u.domain.lambda_grid(n, n)
+        for i, nprime in enumerate(n.tolist()):
+            lam = Interval(tail.lo[i], tail.hi[i])
+            t = (Interval(1.0) - wbar / lam).lo
+            c = ((h + wt * iv_sqrt(Interval(top.lo[i, i], top.hi[i, i])))
+                 / (lam * iv_sqrt(lam))).hi
+            if t > 0.0 and c <= COUPLING_TARGET:
+                return nprime, t, c
+        rows = ((nprime + 1) // 2) ** 2
+        raise CapacityError(f"coupling {c:.4e} > {COUPLING_TARGET} at split order "
+                            f"{nprime}, the largest whose block of {rows} rows fits "
                             f"in {MAX_DENSE_ROWS}")
-    return int(n[np.argmax(ok)])
+
+    return u.fact(("split_order", p), scan)
 
 
 def _coupled_gap(m: float, t: float, c: float) -> Interval:
@@ -488,7 +484,7 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             lambda_tail the smallest eigenvalue of a tail mode (`_tail_lambda`);
             it holds on X_s, and on X_sym since a Rayleigh quotient taken
             over a subspace cannot fall;
-      (iii) c >= ||B_FT|| (`_coupling`), with
+      (iii) c >= ||B_FT||, with
               c = (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F)) / lambda_tail^{3/2},
             G >= sup|grad w| and H >= sup|Lap w| of the potential
             w = p u^{p-1} (`Series2D.grad_sup_bound`, `lap_sup_bound`),
@@ -519,11 +515,10 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             on X_sym, and on every rectangle.
 
     (ii), (iii) and the lemma below hold at every n', so n' is a cost choice
-    and not a hypothesis: the smallest odd order with lambda_tail > Wbar
-    whose c, tested in floats, is at most COUPLING_TARGET
-    (`_choose_split_order`).  It depends on the center through Wt, G and H
-    only, not on N.  At an n' with lambda_tail <= Wbar, t <= 0, so s* <= 0
-    and NotInvertible is raised.
+    and not a hypothesis: the smallest odd order with t > 0 and c at most
+    COUPLING_TARGET, chosen in intervals together with its t and c
+    (`_section`).  It depends on the center through Wbar, Wt, G and H only,
+    not on N.  A section with t <= 0 gives s* <= 0, and NotInvertible.
 
     Lemma: every eigenvalue mu of B on X satisfies |mu| >= s*, the smaller
     root of (m - s)(t - s) = c^2.  Proof: the spectrum of B outside {1}
@@ -543,13 +538,9 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     any other center raises DomainError.
     """
     _check_center(u)
-    dom = u.domain
-    nprime = default_split_order(u, p)
-    lam_tail = _tail_lambda(dom, nprime)
-    tail_lo = (Interval(1.0) - _wbar(u, p) / lam_tail).lo
+    nprime, tail_lo, coupling = _section(u, p)
     block = _folded_block(_potential(u, p), np.arange(1, nprime + 1, 2))
     block_lo = eig_enclosures(block)
-    coupling = _coupling(u, p, nprime)
     m = _coupled_gap(block_lo, tail_lo, coupling).lo
     if not m > 0.0:
         raise NotInvertible(
@@ -793,16 +784,19 @@ class CertifiedBall:
             "positive": self.positive,
         }
 
-    def to_dict(self) -> dict:
+    def to_dict(self, k: int = 0) -> dict:
         """The certificate: a header naming the center, p, the split order
-        and g, plus the report row's rigorous fields."""
+        and g, plus the report row's rigorous fields.  The center's rectangle
+        is the reference rectangle 2^-k Omega of the rectangle Omega asked for
+        (`DomainRect.reference`)."""
         import hashlib  # imported here: it loads OpenSSL, which only a certificate needs
 
         c = self.center
         digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
         return {
-            "format": "sobemb-certificate/7",
+            "format": "sobemb-certificate/8",
             "domain": c.domain.to_dict(),
+            "k": k,
             "N": c.N,
             "coefficient_digest": digest,
             "p": self.p,
@@ -811,8 +805,8 @@ class CertifiedBall:
             **self.row_fields(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+    def to_json(self, k: int = 0) -> str:
+        return json.dumps(self.to_dict(k))
 
 
 def certify_ball(u: Series2D, p: int) -> CertifiedBall:

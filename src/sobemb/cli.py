@@ -130,14 +130,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    # certified on the reference rectangle 2^-k Omega, as `run_pipeline` does
     if args.infile:
         with open(args.infile) as f:
             u = Series2D.from_json(f.read())
+        k = u.domain.reference()[0]
+        u = dilate(u, args.p, -k)
     else:
-        cfg = SolverConfig(p=args.p, N=20 if args.N is None else args.N)
-        u = newton_solve(cfg, initial_guess(args.p, args.domain or DomainRect(1.0, 1.0)))
+        k, ref = (args.domain or DomainRect(1.0, 1.0)).reference()
+        u = newton_solve(SolverConfig(p=args.p, N=20 if args.N is None else args.N),
+                         initial_guess(args.p, ref))
     ball = certify_ball(u, args.p)
-    _emit(ball.to_json(), args.out)
+    _emit(ball.to_json(k), args.out)
     return EXIT_OK if ball.positive else EXIT_PARTIAL
 
 

@@ -3,7 +3,13 @@
 Every operation returns an interval containing the exact mathematical image
 of its inputs.  Directed rounding is realized by nextafter-widening around
 the round-to-nearest result (error <= 0.5 ulp for +,-,*,/ and sqrt, so one
-nextafter step in each direction is sufficient).  Library elementary
+nextafter step is sufficient), taken only where the result is inexact: a
+sum's rounding error is found exactly by TwoSum (`_add_dir`) and a
+product's by TwoProduct (`_mul_dir`, within its safe range; outside it
+both sides widen), so an exact result stays exact and an inexact one
+widens by one step on the side where the exact value lies.  `iv_sqrt`
+keeps an exact root.  Only a quotient (`_div_dir`) always widens by one
+step each way.  Library elementary
 functions (exp, log, sin) are assumed accurate to <= 1 ulp (glibc libm
 documents < 0.6 ulp for these on binary64); their endpoint values are
 widened by 2 ulps.  numpy's vectorized sin and cos of float64 arrays, which

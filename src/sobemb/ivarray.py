@@ -2,15 +2,17 @@
 
 Elementwise operations widen the round-to-nearest result by one ulp in each
 direction, which contains the exact result since round-to-nearest error is
-at most 0.5 ulp.  Sums are exact: `isum` rounds the exact sum of each
-endpoint array to the nearest float below (above) it, with `math.fsum`.
-Matrix products keep a-priori floating point error bounds of the classical
-(k u / (1 - k u)) * sum|x| form instead of per-step widening, so they stay
-BLAS-fast.
+at most 0.5 ulp; an endpoint that leaves binary64 raises OverflowError_,
+with no RuntimeWarning (`_checked`).  Sums are exact: `isum` rounds the
+exact sum of each endpoint array to the nearest float below (above) it,
+with `math.fsum`.  Matrix products keep a-priori floating point error
+bounds of the classical (k u / (1 - k u)) * sum|x| form instead of per-step
+widening, so they stay BLAS-fast.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -36,6 +38,16 @@ def _chk(*arrays):
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise OverflowError_("interval array endpoint overflowed")
+
+
+def _checked(op):
+    """op with numpy's overflow and invalid warnings off: an endpoint that
+    leaves binary64 (inf, or nan from inf - inf) reaches `_chk` instead."""
+    @functools.wraps(op)
+    def run(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return op(*args)
+    return run
 
 
 class IArray:
@@ -127,6 +139,7 @@ class IArray:
     def __abs__(self):
         return IArray(self.mig(), self.mag(), _unsafe=True)
 
+    @_checked
     def __add__(self, other):
         b = IArray._coerce(other)
         lo, hi = _dn(self.lo + b.lo), _up(self.hi + b.hi)
@@ -141,6 +154,7 @@ class IArray:
     def __rsub__(self, other):
         return IArray._coerce(other) + (-self)
 
+    @_checked
     def __mul__(self, other):
         b = IArray._coerce(other)
         c1 = self.lo * b.lo
@@ -158,6 +172,7 @@ class IArray:
 
     __rmul__ = __mul__
 
+    @_checked
     def __truediv__(self, other):
         b = IArray._coerce(other)
         if np.any((b.lo <= 0.0) & (b.hi >= 0.0)):
@@ -173,6 +188,7 @@ class IArray:
         _chk(lo, hi)
         return IArray(lo, hi, _unsafe=True)
 
+    @_checked
     def square(self):
         lo2 = self.lo * self.lo
         hi2 = self.hi * self.hi
@@ -185,16 +201,16 @@ class IArray:
     # -- reductions ------------------------------------------------------------
 
 
+@_checked
 def ildexp(a: IArray, k: int) -> IArray:
     """a 2^k: exact wherever an endpoint stays a normal float, rounded
-    outward where it becomes subnormal or 0; OverflowError_, with no
-    RuntimeWarning, where it leaves binary64."""
-    with np.errstate(over="ignore"):
-        lo, hi = np.ldexp(a.lo, k), np.ldexp(a.hi, k)
-        _chk(lo, hi)
-        # scaling back up is exact, so it shows which way a rounding went
-        lo = np.where(np.ldexp(lo, -k) > a.lo, _dn(lo), lo)
-        hi = np.where(np.ldexp(hi, -k) < a.hi, _up(hi), hi)
+    outward where it becomes subnormal or 0; OverflowError_ where it leaves
+    binary64."""
+    lo, hi = np.ldexp(a.lo, k), np.ldexp(a.hi, k)
+    _chk(lo, hi)
+    # scaling back up is exact, so it shows which way a rounding went
+    lo = np.where(np.ldexp(lo, -k) > a.lo, _dn(lo), lo)
+    hi = np.where(np.ldexp(hi, -k) < a.hi, _up(hi), hi)
     return IArray(lo, hi, _unsafe=True)
 
 
@@ -225,6 +241,7 @@ def _gamma_fac(k: int) -> float:
     return g / (1.0 - g)
 
 
+@_checked
 def imatmul(a: IArray, b: IArray) -> IArray:
     """Rigorous interval matrix product from the midpoint-radius bound
     |A B - mid| <= rad for all A in a, B in b (Rump's scheme).

@@ -123,22 +123,21 @@ class DomainRect:
         m in [1/2, 1), rounded outward (`ildexp`): L L, which leaves binary64
         beyond sides of about 1e154 or below 1e-154, is never formed; where
         L L and n^2/L^2 are normal the bits are those of n^2/(L L).  Each
-        operation widens by an ulp both ways.  OverflowError_, with no
-        RuntimeWarning, where an entry leaves binary64."""
+        operation widens by an ulp both ways.  OverflowError_ where an entry
+        leaves binary64."""
         def over_square(modes, L):
             m, e = math.frexp(L)
             n2 = IArray(np.square(np.asarray(modes, dtype=np.float64)))
             return ildexp(n2 / (Interval(1.0) * m * m), -2 * e)
 
-        with np.errstate(over="ignore"):
-            ix, iy = over_square(modes_x, self.L1), over_square(modes_y, self.L2)
-            return (ix.reshape(-1, 1) + iy.reshape(1, -1)) * (PI * PI)
+        ix, iy = over_square(modes_x, self.L1), over_square(modes_y, self.L2)
+        return (ix.reshape(-1, 1) + iy.reshape(1, -1)) * (PI * PI)
 
     def lambda_float(self, i, j, dtype=np.float64):
         """pi^2 ((i/L1)^2 + (j/L2)^2) in dtype (float64 or longdouble),
         broadcast over i and j, with no claim on its rounding: the eigenvalues
-        of the Newton solve, its one-mode guess and the split-order scan.  No
-        side's square is formed."""
+        of the Newton solve and its one-mode guess.  No side's square is
+        formed."""
         x, y = (np.asarray(n, dtype=dtype) / dtype(L) for n, L in ((i, self.L1), (j, self.L2)))
         return dtype(math.pi) ** 2 * (x * x + y * y)
 

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, NoConvergence, SingularJacobian
+from .ivarray import IArray
 from .series import (
     COS,
     MAX_DENSE_ROWS,
@@ -112,16 +113,18 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
 
 def dilate(u: Series2D, p: int, k: int) -> Series2D:
     """u carried to 2^k times its rectangle by v(x) = 2^(-2k/(p-1)) u(2^-k x),
-    which maps solutions of -Lap u = u^p to solutions in 2-d: exact sides,
-    and the coefficients' midpoints scaled in extended precision and rounded
-    once (the identity at k = 0).  DomainError if one leaves binary64."""
-    d = u.domain
-    domain = DomainRect(math.ldexp(d.L1, k), math.ldexp(d.L2, k)) if k else d
+    which maps solutions of -Lap u = u^p to solutions in 2-d: exact sides, the
+    same basis, and the coefficients' midpoints scaled in extended precision
+    and rounded once; u itself at k = 0.  DomainError if one leaves
+    binary64."""
+    if not k:
+        return u
+    domain = DomainRect(math.ldexp(u.domain.L1, k), math.ldexp(u.domain.L2, k))
     c = u.coeffs.mid() * np.exp2(np.longdouble(-2 * k) / (p - 1))
     if not np.max(np.abs(c)) <= np.finfo(np.float64).max:
         raise DomainError(f"the solution on the {domain.L1!r} x {domain.L2!r} rectangle "
                           "has coefficients beyond binary64")
-    return SineSeries2D(domain, c.astype(np.float64))
+    return Series2D(domain, IArray(c.astype(np.float64)), u.parity_x, u.parity_y)
 
 
 def _cos_projector(g: int, k: np.ndarray, modes: np.ndarray, p: int) -> np.ndarray:

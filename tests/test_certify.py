@@ -82,9 +82,11 @@ def test_inverse_bound_not_invertible_at_tiny_split(monkeypatch):
     u = _one_mode(10.0)
     assert default_split_order(u, 3) > 3
     u = _one_mode(10.0)
-    monkeypatch.setattr(certify, "_choose_split_order", lambda u, p: 3)
+    section = _section_at(u, 3, 3)
+    monkeypatch.setattr(certify, "_section", lambda u, p: section)
     assert default_split_order(u, 3) == 3
     assert not _tail_lambda(SQ, 3).lo > certify._wbar(u, 3).hi
+    assert not section[1] > 0.0
     with pytest.raises(NotInvertible):
         inverse_bound(u, 3)
 
@@ -206,10 +208,10 @@ def test_schur_gap_bounds_real_blocks(u_p3_n10):
 
 
 def test_default_split_order_is_smallest_meeting_the_coupling_target(u_p3_n10, u_p3_n20):
-    """The float choice is the smallest odd n' with lambda_tail > Wbar and
-    c <= COUPLING_TARGET in intervals, checked against
-    every odd order below it, on the unit square at p=3 (the same order at
-    N=10 and N=20), on 2 x 1 at p=3 and on the unit square at p=4 and p=5."""
+    """The section is the smallest odd n' with t > 0 and c <= COUPLING_TARGET
+    in intervals, with its t and c bit for bit, checked against every odd
+    order below it, on the unit square at p=3 (the same order at N=10 and
+    N=20), on 2 x 1 at p=3 and on the unit square at p=4 and p=5."""
     assert default_split_order(u_p3_n20, 3) == 25
     wide = DomainRect(2.0, 1.0)
     for u, p, expected in (
@@ -219,13 +221,27 @@ def test_default_split_order_is_smallest_meeting_the_coupling_target(u_p3_n10, u
         (newton_solve(SolverConfig(p=5, N=16), initial_guess(5, SQ)), 5, 57),
     ):
         assert default_split_order(u, p) == expected
-        wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
+        assert certify._section(u, p) == _section_at(u, p, expected)
 
         def ok(k):
-            lam = _tail_lambda(u.domain, k)
-            return lam.lo > wbar.hi and certify._coupling(u, p, k) <= certify.COUPLING_TARGET
+            _, t, c = _section_at(u, p, k)
+            return t > 0.0 and c <= certify.COUPLING_TARGET
 
         assert ok(expected) and not any(ok(k) for k in range(1, expected, 2))
+
+
+def _section_at(u, p, n):
+    """(n, t, c) of `inverse_bound` (ii) and (iii) at the odd split order n,
+    recomputed in intervals: lambda_tail the smaller of lambda(n + 2, 1) and
+    lambda(1, n + 2), t = (1 - Wbar/lambda_tail).lo and c = (H/sqrt(lambda_1)
+    + 2G + Wt sqrt(lambda(n, n)))/lambda_tail^{3/2}, rounded up."""
+    dom = u.domain
+    a, b = dom.lambda_mode(n + 2, 1), dom.lambda_mode(1, n + 2)
+    lam = Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+    wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
+    wt, h = certify._coupling_terms(u, p)
+    c = (h + wt * iv_sqrt(dom.lambda_mode(n, n))) / (lam * iv_sqrt(lam))
+    return n, (Interval(1.0) - wbar / lam).lo, c.hi
 
 
 def _section_tail_norm(u, p, nprime):
@@ -285,8 +301,9 @@ def test_coupling_bounds_section_tail_block(dom, p):
     u = _coupling_center(dom, p)
     assert (negative_part_sup(u) > 0.0) == (dom is None)
     ib = inverse_bound(u, p)
-    assert ib.coupling == certify._coupling(u, p, default_split_order(u, p))
-    norm = _section_tail_norm(u, p, default_split_order(u, p))
+    n = default_split_order(u, p)
+    assert (n, ib.tail, ib.coupling) == _section_at(u, p, n)
+    norm = _section_tail_norm(u, p, n)
     assert 0.0 < norm <= ib.coupling * (1.0 + 1e-9)
 
 
@@ -294,15 +311,14 @@ def test_coupling_bounds_section_tail_block(dom, p):
     (SQ, 2), (SQ, 3), (SQ, 4), (SQ, 5), (WIDE, 2), (WIDE, 3), (WIDE, 4),
 ], ids=["1x1-2", "1x1-3", "1x1-4", "1x1-5", "2x1-2", "2x1-3", "2x1-4"])
 def test_coupling_matches_its_lemma(dom, p):
-    """_coupling encloses c of `inverse_bound` (iii), recomputed with
+    """The section's c encloses that of `inverse_bound` (iii), recomputed with
     60-digit arithmetic from the same constants: Wt = Wbar/2,
     plus p eta^{p-1} for even p, G and H of the potential, lambda_1, lambda_F
     = lambda(n', n') and lambda_tail at the split order n', each at the end
     that makes c largest, on the N=12 centers.  The result lies above the
     exact value and within 1e-12 relative of it."""
     u = _coupling_center(dom, p)
-    n = default_split_order(u, p)
-    got = certify._coupling(u, p, n)
+    n, _, got = certify._section(u, p)
     w = certify._potential(u, p)
     with mpmath.workdps(60):
         mp = mpmath.mpf
@@ -311,7 +327,7 @@ def test_coupling_matches_its_lemma(dom, p):
             wt += p * mp(negative_part_sup(u)) ** (p - 1)
         g, h = mp(w.grad_sup_bound().hi), mp(w.lap_sup_bound().hi)
         root1 = mpmath.sqrt(mp(dom.lambda1.lo))
-        lam = mp(_tail_lambda(dom, n).lo)
+        lam = mp(float(_tail_lambda(dom, n).lo))
         exact = (h / root1 + 2 * g + wt * mpmath.sqrt(mp(dom.lambda_mode(n, n).hi))) / lam ** 1.5
         assert exact <= mp(got) <= exact * (1 + mp(10) ** -12)
 
@@ -1179,7 +1195,8 @@ def test_certificate_json_roundtrip(ball_p3_n20):
     import json
 
     d = json.loads(ball_p3_n20.to_json())
-    assert d["format"] == "sobemb-certificate/7"
+    assert d["format"] == "sobemb-certificate/8"
+    assert d["k"] == 0
     assert d["p"] == 3
     assert len(d["coefficient_digest"]) == 64
     assert float.fromhex(d["r_h1"][1]) == ball_p3_n20.r_h1.hi
@@ -1224,14 +1241,28 @@ def test_certify_and_enclose_share_powers(u_p3_n10, monkeypatch):
 
 
 def test_split_order_scanned_once_per_certification(u_p3_n10, monkeypatch):
-    """inverse_bound and the certificate's nprime read one split order,
-    chosen once and kept on the center."""
+    """inverse_bound and the certificate's nprime read one section, chosen
+    once and kept on the center: at odd p only the scan of `_section` reads
+    `_tail_lambda`."""
     u = _fresh(u_p3_n10)
-    calls = _count_calls(monkeypatch, "_choose_split_order", certify)
+    calls = _count_calls(monkeypatch, "_tail_lambda", certify)
     ball = certify_ball(u, 3)
     assert len(calls) == 1
     assert ball.nprime == default_split_order(u, 3) == 25
     assert len(calls) == 1
+
+
+def test_certifier_reads_no_float_eigenvalue(u_p3_n10, monkeypatch):
+    """Every eigenvalue the certifier reads is an interval: with the float
+    formula `DomainRect.lambda_float` made to raise, certify_ball on the c4
+    N=10 center gives the same ball, bit for bit."""
+    want = certify_ball(_fresh(u_p3_n10), 3).to_dict()
+
+    def no_float(*args):
+        raise AssertionError("the certifier read a float eigenvalue")
+
+    monkeypatch.setattr(DomainRect, "lambda_float", no_float)
+    assert certify_ball(_fresh(u_p3_n10), 3).to_dict() == want
 
 
 def test_certify_ball_checks_center_before_defect_work(monkeypatch):

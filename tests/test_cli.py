@@ -1,6 +1,7 @@
 """Command line interface: subcommands, artifacts, and exit codes."""
 
 import gc
+import hashlib
 import json
 import os
 import platform
@@ -33,26 +34,36 @@ def test_certify_roundtrip_through_file(tmp_path):
     rc = main(["certify", "--p", "3", "--in", series, "--out", cert])
     assert rc == EXIT_OK
     d = json.loads(open(cert).read())
-    assert d["format"] == "sobemb-certificate/7"
+    assert d["format"] == "sobemb-certificate/8"
     assert d["positive"] is True
     assert float.fromhex(d["r_h1"][1]) < 0.2
 
 
-@pytest.mark.parametrize("domain", ["1x1", "2x1"])
-def test_certificate_matches_the_enclose_row(tmp_path, domain):
+@pytest.mark.parametrize("domain, n", [("1x1", "12"), ("2x1", "12"), ("1e-150x1e-150", "20"),
+                                       ("1e150x1e150", "20")],
+                         ids=["1x1", "2x1", "1e-150x1e-150", "1e150x1e150"])
+def test_certificate_matches_the_enclose_row(tmp_path, domain, n):
     """`solve` then `certify --in` writes the same rigorous fields, with the
-    same values, as the row of that center in the `enclose` report, on a
-    square and on a rectangle (both their own reference rectangle)."""
+    same values, as the row of that center in the `enclose` report: both
+    certify on the reference rectangle 2^-k Omega and record k.  A square
+    and a rectangle that are their own reference rectangle (k = 0) certify
+    the loaded center itself, bit for bit; the 1e-150 and 1e150 squares,
+    far from theirs, certify too."""
     series, cert, report = (str(tmp_path / f) for f in ("u.json", "c.json", "r.json"))
     common = ["--p", "3", "--domain", domain]
-    assert main(["solve", *common, "--N", "12", "--out", series]) == EXIT_OK
+    assert main(["solve", *common, "--N", n, "--out", series]) == EXIT_OK
     assert main(["certify", "--p", "3", "--in", series, "--out", cert]) == EXIT_OK
-    assert main(["enclose", *common, "--N", "12", "--out", report]) == EXIT_OK
-    c = json.loads(open(cert).read())
-    (row,) = json.loads(open(report).read())["rows"]
+    assert main(["enclose", *common, "--N", n, "--out", report]) == EXIT_OK
+    c, r = (json.loads(open(f).read()) for f in (cert, report))
+    (row,) = r["rows"]
     rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
     assert row["status"] == "certified" and row["positive"] is True
     assert {k: c[k] for k in rigorous} == {k: row[k] for k in rigorous}
+    assert c["k"] == r["k"] and (c["k"] == 0) == (domain in ("1x1", "2x1"))
+    if c["k"] == 0:
+        u = Series2D.from_json(open(series).read())
+        digest = hashlib.sha256(u.coeffs.lo.tobytes() + u.coeffs.hi.tobytes()).hexdigest()
+        assert (c["coefficient_digest"], DomainRect.from_dict(c["domain"])) == (digest, u.domain)
 
 
 @pytest.mark.parametrize("extra", [["--domain", "2x1"], ["--N", "30"], ["--domain", "1x1"]],
@@ -86,6 +97,21 @@ def test_certify_rejects_center_with_even_mode(tmp_path, capsys):
     c[1, 0] = 1e-3
     with open(series, "w") as f:
         f.write(SineSeries2D(u.domain, c).to_json())
+    assert main(["certify", "--p", "3", "--in", series]) == EXIT_HARD
+    assert "error: DomainError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain", ["1x1", "1e-150x1e-150"])
+def test_certify_rejects_cosine_series(tmp_path, capsys, domain):
+    """A center is a sine series: a loaded series of the cosine basis is a
+    DomainError, exit code 1, also where it is carried to its reference
+    rectangle first, which keeps its basis (`dilate`)."""
+    series = str(tmp_path / "u.json")
+    assert main(["solve", "--p", "3", "--domain", domain, "--N", "6", "--out", series]) == EXIT_OK
+    d = json.loads(open(series).read())
+    d["parity"] = ["cos", "cos"]
+    with open(series, "w") as f:
+        json.dump(d, f)
     assert main(["certify", "--p", "3", "--in", series]) == EXIT_HARD
     assert "error: DomainError" in capsys.readouterr().err
 

@@ -24,7 +24,7 @@ from sobemb.intervals import (
     iv_sin,
     iv_sqrt,
 )
-from sobemb.ivarray import IArray, ildexp, isum
+from sobemb.ivarray import IArray, ildexp, imatmul, isum
 
 
 def test_point_interval_and_ordering():
@@ -307,6 +307,25 @@ def test_isum_overflow_is_typed(xs):
     later terms would bring the sum back."""
     with pytest.raises(OverflowError_):
         isum(IArray(np.array(xs)))
+
+
+_HUGE = IArray(np.array([1e308, -1e308]))
+
+
+@pytest.mark.parametrize("op", [
+    lambda: _HUGE + _HUGE,
+    lambda: _HUGE * _HUGE,
+    lambda: _HUGE / IArray(1e-300),
+    lambda: _HUGE.square(),
+    lambda: imatmul(IArray(np.full((2, 2), 1e300)), IArray(np.array([[1e300], [-1e300]]))),
+    lambda: ildexp(_HUGE, 100),
+], ids=["add", "mul", "truediv", "square", "imatmul", "ildexp"])
+def test_array_overflow_is_typed(op):
+    """An IArray endpoint that leaves binary64 is an OverflowError_, not a
+    numpy RuntimeWarning (an error in this suite), for every operation that
+    can overflow; in the matrix product inf - inf gives nan, caught too."""
+    with pytest.raises(OverflowError_):
+        op()
 
 
 def test_array_products_widen_and_zero_factor_is_exact():

@@ -161,7 +161,7 @@ def test_certificate_holds_the_report_row(report_c4):
     row = json.loads(report_c4.canonical_json())["rows"][0]
     assert row["N"] == 10 and row["status"] == "certified"
     cert = certify_ball(report_c4.solutions[10], 3).to_dict()
-    assert cert["format"] == "sobemb-certificate/7"
+    assert cert["format"] == "sobemb-certificate/8"
     rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
     assert {k: cert[k] for k in rigorous} == {k: row[k] for k in rigorous}
     text = {"format", "coefficient_digest", "binds"}
