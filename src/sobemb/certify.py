@@ -40,6 +40,7 @@ from .errors import (
     ConditionFailure,
     DomainError,
     NotInvertible,
+    check_exponent,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_pow_real, iv_sqrt
 from .ivarray import _TINY, IArray, _dn, _gamma_fac, _up, imatmul, isum
@@ -76,8 +77,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     odd-odd u makes f symmetric about both mid-lines, so its sine modes are
     odd-odd too (`_check_center`).
     """
-    if p not in (2, 3, 4, 5):
-        raise DomainError(f"exponent p must be in 2..5, got {p}")
+    check_exponent(p)
     _check_center(u)
     dom = u.domain
     quarter = dom.measure() * Interval(0.25)
@@ -535,8 +535,10 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
 
     So K = 1/s* bounds the inverse on X.  The parity structure and the fold
     need a square odd-odd center, transpose-symmetric on a square domain, so
-    any other center raises DomainError.
+    any other center raises DomainError, as does a p outside 2..5, before
+    any work.
     """
+    check_exponent(p)
     _check_center(u)
     nprime, tail_lo, coupling = _section(u, p)
     block = _folded_block(_potential(u, p), np.arange(1, nprime + 1, 2))
@@ -823,8 +825,11 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     about the diagonal, by the Gidas-Ni-Nirenberg moving-plane
     theorem (in the Berestycki-Nirenberg form for non-smooth domains, whose
     hypotheses a rectangle meets; see `inverse_bound`), so it lies in X.
-    r_inf is computed and reported, and no verdict reads it.
+    r_inf is computed and reported, and no verdict reads it.  A p outside
+    2..5 and a center `inverse_bound` cannot take are a DomainError before
+    any work.
     """
+    check_exponent(p)
     _check_center(u)
     nprime = default_split_order(u, p)
     d_hm1, d_l2 = defect_bounds(u, p)

@@ -2,7 +2,7 @@
 
 Subcommands:
   solve      run the Galerkin-Newton solver, emit the sine series as JSON
-  certify    solve (or load) a series and emit the certification record
+  certify    certify the series in a file written by solve; emit its certificate
   enclose    full pipeline: solve -> certify -> two-sided enclosure report
   classical  closed-form upper-bound table for a list of exponents
   reproduce  canned configurations for the reference enclosures and table
@@ -59,12 +59,13 @@ def _parse_plot_grid(text: str) -> int:
     return m
 
 
-def _add_common(sub, exponent=True):
+def _add_common(sub, exponent=True, domain=True):
     if exponent:
         sub.add_argument("--p", type=int, default=3,
                          help="PDE exponent p (the enclosure targets C_{p+1})")
-    sub.add_argument("--domain", type=_parse_domain,
-                     default=DomainRect(1.0, 1.0), help="rectangle sides LxW")
+    if domain:
+        sub.add_argument("--domain", type=_parse_domain,
+                         default=DomainRect(1.0, 1.0), help="rectangle sides LxW")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -86,13 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--N", type=int, default=20, help="truncation order")
 
-    s = add_parser("certify", help="certify an approximate solution")
-    _add_common(s)
-    s.add_argument("--N", type=int, help="truncation order of a re-solve (default 20)")
-    s.add_argument("--in", dest="infile", default=None,
-                   help="series JSON produced by 'solve', which fixes the domain "
-                        "and N (otherwise re-solve)")
-    s.set_defaults(domain=None)  # None: not given, as --in requires
+    s = add_parser("certify", help="certify an approximate solution from a file")
+    _add_common(s, domain=False)
+    s.add_argument("--in", dest="infile", required=True,
+                   help="series JSON written by 'solve'; it fixes the domain and N")
 
     s = add_parser("enclose", help="full pipeline with an N sweep")
     _add_common(s)
@@ -130,17 +128,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    with open(args.infile) as f:
+        u = Series2D.from_json(f.read())
     # certified on the reference rectangle 2^-k Omega, as `run_pipeline` does
-    if args.infile:
-        with open(args.infile) as f:
-            u = Series2D.from_json(f.read())
-        k = u.domain.reference()[0]
-        u = dilate(u, args.p, -k)
-    else:
-        k, ref = (args.domain or DomainRect(1.0, 1.0)).reference()
-        u = newton_solve(SolverConfig(p=args.p, N=20 if args.N is None else args.N),
-                         initial_guess(args.p, ref))
-    ball = certify_ball(u, args.p)
+    k = u.domain.reference()[0]
+    ball = certify_ball(dilate(u, args.p, -k), args.p)
     _emit(ball.to_json(k), args.out)
     return EXIT_OK if ball.positive else EXIT_PARTIAL
 
@@ -218,10 +210,6 @@ def _cmd_reproduce(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "certify" and args.infile and (
-            args.domain is not None or args.N is not None):
-        ap.error("certify --in takes the domain and N from the file; "
-                 "--domain and --N go with a re-solve only")
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s %(message)s",

@@ -50,3 +50,10 @@ class CertificateMissing(SobembError):
 
 class SoundnessViolation(SobembError):
     """Cross-check failed: a rigorous lower bound exceeded a rigorous upper bound."""
+
+
+def check_exponent(p) -> None:
+    """DomainError unless p is an int (not a bool) in 2..5, the exponents of
+    -Lap u = u^p that the solver and the certifier support."""
+    if type(p) is not int or p not in (2, 3, 4, 5):
+        raise DomainError(f"exponent p must be an int in 2..5, got {p!r}")

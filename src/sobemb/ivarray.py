@@ -41,12 +41,13 @@ def _chk(*arrays):
 
 
 def _checked(op):
-    """op with numpy's overflow and invalid warnings off: an endpoint that
-    leaves binary64 (inf, or nan from inf - inf) reaches `_chk` instead."""
+    """op with numpy's overflow and invalid warnings off: a value that
+    leaves binary64 (inf, or nan from inf - inf) reaches a finiteness check
+    instead, `_chk` here and Newton's in the solver."""
     @functools.wraps(op)
-    def run(*args):
+    def run(*args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore"):
-            return op(*args)
+            return op(*args, **kwargs)
     return run
 
 

@@ -24,7 +24,7 @@ from .bounds import (
     plum_bound,
 )
 from .certify import CertifiedBall, certify_ball
-from .errors import DomainError, SobembError, SoundnessViolation
+from .errors import DomainError, SobembError, SoundnessViolation, check_exponent
 from .intervals import Interval, iv_pow_real
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
@@ -36,18 +36,19 @@ REPORT_FORMAT = "sobemb-report/8"
 class RunConfig:
     """A pipeline run: p in 2..5 (C_{p+1} output), rectangle, N sweep (one
     N or a list or tuple of them); DomainError unless p and every N are
-    ints (not bools), p in 2..5, and the sweep is nonempty with N >= 1."""
+    ints (not bools), p in 2..5 (`check_exponent`), and the sweep is
+    nonempty, of distinct N >= 1."""
 
     p: int
     domain: DomainRect
     N: list = field(default_factory=lambda: [10, 20, 30, 34])
 
     def __post_init__(self):
+        check_exponent(self.p)
         self.N = list(self.N) if isinstance(self.N, (list, tuple)) else [self.N]
-        if (type(self.p) is not int or self.p not in (2, 3, 4, 5) or not self.N
-                or any(type(n) is not int or n < 1 for n in self.N)):
-            raise DomainError("need p in 2..5 and a nonempty sweep of N >= 1, "
-                              f"got p={self.p}, N={self.N}")
+        if (not self.N or any(type(n) is not int or n < 1 for n in self.N)
+                or len(set(self.N)) < len(self.N)):
+            raise DomainError(f"need a nonempty sweep of distinct N >= 1, got N={self.N}")
 
     def to_dict(self) -> dict:
         return {
@@ -55,14 +56,6 @@ class RunConfig:
             "domain": self.domain.to_dict(),
             "N": self.N,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        return RunConfig(
-            p=d["p"],
-            domain=DomainRect.from_dict(d["domain"]),
-            N=d["N"],
-        )
 
 
 # the rigorous fields of a row whose certification did not finish

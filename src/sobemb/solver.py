@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NoConvergence, SingularJacobian
-from .ivarray import IArray
+from .errors import CapacityError, DomainError, NoConvergence, SingularJacobian, check_exponent
+from .ivarray import IArray, _checked
 from .series import (
     COS,
     MAX_DENSE_ROWS,
@@ -72,14 +72,13 @@ GMRES_MAXITER = 100  # Krylov vectors per Newton step; then the best iterate
 class SolverConfig:
     """The Galerkin-Newton problem: exponent p, odd-odd sine modes up to N
     in each dimension; DomainError unless both are ints (not bools), p in
-    2..5 and N >= 1."""
+    2..5 (`check_exponent`) and N >= 1."""
 
     p: int
     N: int
 
     def __post_init__(self):
-        if type(self.p) is not int or self.p not in (2, 3, 4, 5):
-            raise DomainError(f"exponent p must be an int in 2..5, got {self.p!r}")
+        check_exponent(self.p)
         if type(self.N) is not int or self.N < 1:
             raise DomainError(f"truncation order N must be an int >= 1, got {self.N!r}")
 
@@ -96,11 +95,11 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
     With u = c sin(pi x/L1) sin(pi y/L2), testing against the same mode gives
     lambda_11 c / 4 = c^p w^2 where w is the mean of sin^(p+1), hence
     c^(p-1) = lambda_11 / (4 w^2), on the reference rectangle, then `dilate`d.
-    DomainError on a rectangle too thin for binary64: where lambda_1 of the
-    reference rectangle leaves it (`DomainRect.reference`), or c does.
+    DomainError for p outside 2..5 (`check_exponent`), and on a rectangle
+    too thin for binary64: where lambda_1 of the reference rectangle leaves
+    it (`DomainRect.reference`), or c does.
     """
-    if p not in (2, 3, 4, 5):
-        raise DomainError(f"exponent p must be in 2..5, got {p}")
+    check_exponent(p)
     k, ref = domain.reference()
     lam11 = float(ref.lambda_float(1, 1))
     w = _SINE_POWER_MEAN[p + 1]
@@ -115,8 +114,9 @@ def dilate(u: Series2D, p: int, k: int) -> Series2D:
     """u carried to 2^k times its rectangle by v(x) = 2^(-2k/(p-1)) u(2^-k x),
     which maps solutions of -Lap u = u^p to solutions in 2-d: exact sides, the
     same basis, and the coefficients' midpoints scaled in extended precision
-    and rounded once; u itself at k = 0.  DomainError if one leaves
-    binary64."""
+    and rounded once; u itself at k = 0.  DomainError for p outside 2..5
+    (`check_exponent`), and if a coefficient leaves binary64."""
+    check_exponent(p)
     if not k:
         return u
     domain = DomainRect(math.ldexp(u.domain.L1, k), math.ldexp(u.domain.L2, k))
@@ -232,12 +232,14 @@ def _system_at(u: Series2D, p: int) -> tuple:
     return _Galerkin(p, u.domain, odd_odd_order(u)), u.coeffs.mid()[::2, ::2]
 
 
+@_checked
 def galerkin_residual(u: Series2D, p: int) -> float:
     """Newton's residual l2-norm at u's odd-odd coefficients."""
     system, a = _system_at(u, p)
     return system.residual(a)[1]
 
 
+@_checked
 def galerkin_jacobian(u: Series2D, p: int) -> np.ndarray:
     """Newton's Jacobian at u's odd-odd coefficients (modes (i, j) row-major)."""
     system, a = _system_at(u, p)
@@ -290,6 +292,7 @@ def _gmres(apply, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return inv * sum(yi * v for yi, v in zip(y, basis))
 
 
+@_checked
 def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     """Damped Newton iteration on the odd-odd Galerkin system; returns a point
     series whose even modes are exact zeros, and on a square whose
@@ -299,7 +302,10 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     step solves J step = -r matrix-free (`_gmres` on
     `_Galerkin.linearization`) and is halved until the residual falls; Newton
     stops once the residual, rescaled from R to unit area, is below
-    NEWTON_TOL."""
+    NEWTON_TOL.  The float work runs under the overflow policy of the
+    interval arrays (`ivarray._checked`): a value that leaves binary64 gives
+    no RuntimeWarning and reaches the finiteness checks, which end the solve
+    in SingularJacobian (or the line search's NoConvergence)."""
     k, ref = guess.domain.reference()
     # rnorm ~ t^{-2p/(p-1)} on t Omega; on R the factor lies in (1/4^{p/(p-1)}, 1]
     stop = NEWTON_TOL * (ref.L1 * ref.L2) ** (-cfg.p / (cfg.p - 1))

@@ -892,6 +892,21 @@ def test_defect_rejects_bad_exponent():
         defect_bounds(_one_mode(1.0), 6)
 
 
+@pytest.mark.parametrize("fn, p", [(certify_ball, 3.0), (certify_ball, 1), (inverse_bound, 7),
+                                   (inverse_bound, 3.0)],
+                         ids=["certify_ball-3.0", "certify_ball-1", "inverse_bound-7",
+                              "inverse_bound-3.0"])
+def test_bad_exponent_fails_before_the_section(monkeypatch, u_p3_n10, fn, p):
+    """p is checked first, as an int in 2..5: a float p or one outside
+    2..5 is a DomainError naming p, and no section is chosen."""
+    def no_section(u, p):
+        raise AssertionError("section work before the exponent check")
+
+    monkeypatch.setattr(certify, "_section", no_section)
+    with pytest.raises(DomainError, match=f"exponent p .* got {p!r}"):
+        fn(u_p3_n10, p)
+
+
 # -- Lipschitz and Kantorovich -------------------------------------------------------
 
 

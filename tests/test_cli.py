@@ -69,22 +69,35 @@ def test_certificate_matches_the_enclose_row(tmp_path, domain, n):
 @pytest.mark.parametrize("extra", [["--domain", "2x1"], ["--N", "30"], ["--domain", "1x1"]],
                          ids=["domain", "N", "domain-default-value"])
 def test_certify_in_takes_domain_and_N_from_the_file(tmp_path, extra):
-    """--in fixes the domain and N, so --domain or --N beside it is a usage
-    error (exit 2), raised before the file is read: here it does not exist."""
-    with pytest.raises(SystemExit) as exc:
-        main(["certify", "--p", "3", *extra, "--in", str(tmp_path / "absent.json")])
-    assert exc.value.code == 2
+    """certify takes its center, domain and N from --in, which it requires:
+    --domain or --N, beside --in or in place of it, is a usage error (exit
+    2) before any file is read or any solve runs.  Here the file does not
+    exist."""
+    for argv in (extra, [*extra, "--in", str(tmp_path / "absent.json")]):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--p", "3", *argv])
+        assert exc.value.code == 2
 
 
-def test_certify_without_in_solves_at_N(tmp_path):
-    """Without --in, certify solves on --domain at --N, by default the unit
-    square at N = 20."""
-    cert = tmp_path / "cert.json"
-    for extra, dom, n in (([], DomainRect(1.0, 1.0), 20),
-                          (["--N", "12", "--domain", "2x1"], DomainRect(2.0, 1.0), 12)):
-        assert main(["certify", "--p", "3", *extra, "--out", str(cert)]) == EXIT_OK
-        d = json.loads(cert.read_text())
-        assert (DomainRect.from_dict(d["domain"]), d["N"]) == (dom, n)
+@pytest.mark.parametrize("domain", ["1x1", "1e-150x1e-150"])
+@pytest.mark.parametrize("p", ["0", "1", "6", "7"])
+def test_certify_bad_exponent_is_one_error_line(tmp_path, capsys, monkeypatch, domain, p):
+    """A p outside 2..5 is one `error: DomainError` line naming p, exit 1,
+    before any section work, also where the file's center is first carried
+    to its reference rectangle, whose scaling divides by p - 1."""
+    from sobemb import certify
+
+    def no_section(u, p):
+        raise AssertionError("section work before the exponent check")
+
+    series = str(tmp_path / "u.json")
+    assert main(["solve", "--p", "3", "--domain", domain, "--N", "6", "--out", series]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(certify, "_section", no_section)
+    assert main(["certify", "--p", p, "--in", series]) == EXIT_HARD
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError: exponent p ") and err.count("\n") == 1
+    assert f"got {p}" in err
 
 
 def test_certify_rejects_center_with_even_mode(tmp_path, capsys):
@@ -260,21 +273,26 @@ def test_classical_table_command(capsys):
     ["classical", "--rho", "1000"],
     ["classical", "--rho", "1000", "--unchecked-rho"],
     ["classical", "--unchecked-rho"],
+    ["certify", "--p", "3", "--in", "u.json", "--N", "12"],
+    ["certify", "--p", "3", "--in", "u.json", "--domain", "2x1"],
 ], ids=["solve-tol", "classical-p", "classical-n", "classical-rho",
-        "classical-rho-unchecked", "classical-unchecked"])
-def test_removed_options_are_usage_errors(argv):
+        "classical-rho-unchecked", "classical-unchecked", "certify-N", "certify-domain"])
+def test_removed_options_are_usage_errors(argv, capsys):
     """A run is a function of p, the rectangle and the N sweep: no solver
-    tolerance, no dimension other than 2, no user-supplied lambda_1 bound.
+    tolerance, no dimension other than 2, no user-supplied lambda_1 bound,
+    and certify takes its center, rectangle and N from its file only.
     Options match exactly, so `classical --p` is no prefix of --p-list."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     ["enclose", "--p", "7", "--N", "4"],
     ["enclose", "--p", "3", "--N", "0"],
     ["enclose", "--p", "3", "--N", ""],
+    ["enclose", "--p", "3", "--N", "10,10"],
     ["solve", "--p", "6"],
     ["solve", "--p", "3", "--domain", "1e-160x1e160", "--N", "6"],
     ["solve", "--p", "3", "--domain", "1e-200x1e200", "--N", "6"],
@@ -284,14 +302,16 @@ def test_removed_options_are_usage_errors(argv):
     ["enclose", "--p", "3", "--domain", "1e-200x1e200", "--N", "6"],
     ["solve", "--p", "3", "--domain", "1.3e154x2.9e-154", "--N", "6"],
     ["enclose", "--p", "3", "--domain", "1.3e154x2.9e-154", "--N", "6"],
-], ids=["p7", "N0", "empty-sweep", "solve-p6", "solve-1e-160x1e160", "solve-1e-200x1e200",
+], ids=["p7", "N0", "empty-sweep", "repeated-N", "solve-p6", "solve-1e-160x1e160",
+        "solve-1e-200x1e200",
         "classical-1e-160x1e160", "classical-1e-200x1e200",
         "enclose-1e-160x1e160", "enclose-1e-200x1e200",
         "solve-1.3e154x2.9e-154", "enclose-1.3e154x2.9e-154"])
 def test_invalid_run_inputs_are_typed_errors(argv, capsys):
     """One `error: DomainError` line and exit 1, with no traceback and no
-    RuntimeWarning (an error in this suite): on the two thinnest rectangles
-    lambda_1 of the reference rectangle leaves binary64, which
+    RuntimeWarning (an error in this suite): for p outside 2..5, an N below
+    1, and a sweep that is empty or repeats an N; on the two thinnest
+    rectangles lambda_1 of the reference rectangle leaves binary64, which
     `DomainRect.reference` rejects before any solve or classical bound; on
     1.3e154 x 2.9e-154, lambda_1 (1.17e308) is in range but the initial
     guess's one-mode amplitude at p=3 is not, and it fails alike."""
@@ -436,8 +456,9 @@ def test_enclose_loads_no_openssl_or_libmpdec(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == [EXIT_OK, []]
-    cert = tmp_path / "cert.json"
-    assert main(["certify", "--p", "3", "--N", "6", "--out", str(cert)]) == EXIT_OK
+    series, cert = tmp_path / "u.json", tmp_path / "cert.json"
+    assert main(["solve", "--p", "3", "--N", "6", "--out", str(series)]) == EXIT_OK
+    assert main(["certify", "--p", "3", "--in", str(series), "--out", str(cert)]) == EXIT_OK
     assert re.fullmatch("[0-9a-f]{64}", json.loads(cert.read_text())["coefficient_digest"])
 
 

@@ -15,6 +15,7 @@ import pytest
 from sobemb.errors import DomainError, SingularJacobian
 from sobemb.intervals import Interval
 from sobemb.ivarray import IArray, imatmul, isum
+from sobemb.pipeline import RunConfig, run_pipeline
 from sobemb.series import COS, SIN, DomainRect, SineSeries2D, _axis_overlap, power_expand
 from sobemb.solver import (
     MAX_ITER,
@@ -434,6 +435,20 @@ def test_last_sweep_center_matches_lu_newton(request, name):
     ref = _lu_newton(p, last, report.solutions[prev])
     got = report.solutions[last].coeffs.mid()[::2, ::2]
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("sides", [(1e-100, 1e100), (1e-60, 1e60)],
+                         ids=["1e-100x1e100", "1e-60x1e60"])
+def test_newton_overflow_ends_the_row_typed(sides):
+    """On these thin rectangles the binary64 lambda grid is finite but
+    Newton's residual leaves binary64.  The solve runs under the interval
+    arrays' overflow policy, so the row ends in SingularJacobian from the
+    finiteness checks, with no RuntimeWarning (an error in this suite),
+    whether the solve's arguments are passed by position or by name."""
+    (row,) = run_pipeline(RunConfig(p=3, domain=DomainRect(*sides), N=[20])).rows
+    assert row.status == "SingularJacobian"
+    with pytest.raises(SingularJacobian):
+        newton_solve(cfg=SolverConfig(p=3, N=20), guess=initial_guess(3, DomainRect(*sides)))
 
 
 @pytest.mark.parametrize("domain", [DomainRect(1e-160, 1e160), DomainRect(1e-200, 1e200)],
