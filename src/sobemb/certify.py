@@ -265,7 +265,9 @@ def _coupling_terms(u: Series2D, p: int) -> tuple:
 
 
 def default_split_order(u: Series2D, p: int) -> int:
-    """The split order n' of `inverse_bound` (`_section`)."""
+    """The split order n' of `inverse_bound` (`_section`); DomainError for
+    p outside 2..5 (`check_exponent`) before any work."""
+    check_exponent(p)
     return _section(u, p)[0]
 
 
@@ -570,7 +572,9 @@ def lipschitz_bound(u: Series2D, p: int, R: float) -> Interval:
 
     in H^1_0 norms.  B is convex, so ||z_t||_{L^{p+1}}
     <= ||u||_{L^{p+1}} + C ||z_t - u|| <= ||u||_{L^{p+1}} + C R.
+    DomainError for p outside 2..5 (`check_exponent`) before any work.
     """
+    check_exponent(p)
     if R < 0.0:
         raise ValueError("trial radius must be nonnegative")
     c = classical_upper(p + 1, u.domain)
@@ -670,7 +674,9 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
     <= r, so ||Lap e||_L2 <= r_inf / c_inf and ||e||_inf <= c_inf ||Lap
     e||_L2 <= r_inf.  ValueError if r_h1 or delta_l2 is negative; r_inf of
     any size is returned.  It is reported, and no verdict reads it.
+    DomainError for p outside 2..5 (`check_exponent`) before any work.
     """
+    check_exponent(p)
     if not (r_h1.lo >= 0.0 and delta_l2.lo >= 0.0):
         raise ValueError("r_h1 and delta_l2 must be nonnegative")
     dom = u.domain
@@ -723,8 +729,10 @@ def positiveness_certificate(u: Series2D, p: int, r_h1: Interval) -> Positivenes
     ||v||_q <= C r_h1 + eta |Omega|^{1/q}, so the L^q margin (computed at
     every p: no parity fork) forces ||grad v|| = 0.  So v = 0.  Positive:
     u~ >= 0, u~ is not 0 and -Lap u~ = u~^p >= 0, so u~ > 0 by the strong
-    maximum principle.
+    maximum principle.  DomainError for p outside 2..5 (`check_exponent`)
+    before any work.
     """
+    check_exponent(p)
     c = classical_upper(p + 1, u.domain)
     eta = negative_part_sup(u)
     lq = c * Interval(r_h1.hi) + Interval(eta) * iv_pow_real(

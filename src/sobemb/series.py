@@ -88,22 +88,18 @@ class DomainRect:
 
     def reference(self) -> tuple:
         """(k, R): the reference rectangle R = 2^-k times this one, with
-        exact sides and area in [1, 4), and this one itself at k = 0.  k
-        comes from the area's binary exponent, e1 + e2 - 1 or - 2 for sides
-        mi 2^ei, mi in [1/2, 1), as m1 m2 >= 1/2 or not (decided on the
-        integer mantissas): the product of the sides, which overflows above
-        sides of about 1e154, is never formed.  DomainError if R's lambda_1
-        leaves binary64, as it does where a side of R is below the normal
-        range, the one inexact case."""
-        (m1, e1), (m2, e2) = math.frexp(self.L1), math.frexp(self.L2)
-        half = int(math.ldexp(m1, 53)) * int(math.ldexp(m2, 53)) >= 2 ** 105
-        k = (e1 + e2 - (1 if half else 2)) // 2
-        ref = DomainRect(math.ldexp(self.L1, -k), math.ldexp(self.L2, -k)) if k else self
+        exact sides and the short side in [1, 2), and this one itself at
+        k = 0.  k is the short side's binary exponent, e - 1 for m 2^e, m in
+        [1/2, 1), so R's lambda_1 lies in (pi^2/4, 2 pi^2] and the scaling
+        is exact.  DomainError where a side or the interval area of R leaves
+        binary64."""
+        k = math.frexp(min(self.L1, self.L2))[1] - 1
         try:
-            ref.lambda1  # formed and kept here, where it may leave binary64
-        except OverflowError_:
+            ref = DomainRect(math.ldexp(self.L1, -k), math.ldexp(self.L2, -k)) if k else self
+            ref.measure()
+        except (OverflowError, OverflowError_):
             raise DomainError(f"the {self.L1!r} x {self.L2!r} rectangle is too thin for binary64: "
-                              "lambda_1 of its reference rectangle leaves binary64") from None
+                              "a side or the area of its reference rectangle leaves binary64") from None
         return k, ref
 
     @cached_property

@@ -16,7 +16,8 @@ sine grid with G = (p+1)N + 1 points per dimension, above the degree pN of
 u^p: a discrete sine transform gives the coefficients of u^p exactly for odd
 p, and for even p (a cosine series) a discrete cosine transform does, which
 the exact sine-cosine overlaps project onto the sine modes.  Residuals are
-accumulated in extended precision so Newton can reach tolerances near 1e-13.
+accumulated in extended precision so Newton can reach relative residuals
+near 1e-16.
 
 Only half of that grid is sampled in each axis.  An odd mode m has
 sin(pi m (G - k)/G) = sin(pi m k/G), and an even cosine mode, the only kind
@@ -62,7 +63,7 @@ from .series import (
 
 log = logging.getLogger("sobemb.solver")
 
-NEWTON_TOL = 1e-13  # residual l2-norm at which Newton stops, rescaled to unit area
+NEWTON_RTOL = 1e-15  # ||r|| / ||lambda a|| at which Newton stops
 MAX_ITER = 50  # Newton steps before NoConvergence
 GMRES_RTOL = 1e-14  # relative residual ||J x + r|| / ||r|| that ends GMRES
 GMRES_MAXITER = 100  # Krylov vectors per Newton step; then the best iterate
@@ -94,19 +95,16 @@ def initial_guess(p: int, domain: DomainRect) -> Series2D:
 
     With u = c sin(pi x/L1) sin(pi y/L2), testing against the same mode gives
     lambda_11 c / 4 = c^p w^2 where w is the mean of sin^(p+1), hence
-    c^(p-1) = lambda_11 / (4 w^2), on the reference rectangle, then `dilate`d.
-    DomainError for p outside 2..5 (`check_exponent`), and on a rectangle
-    too thin for binary64: where lambda_1 of the reference rectangle leaves
-    it (`DomainRect.reference`), or c does.
+    c^(p-1) = lambda_11 / (4 w^2), on the reference rectangle, where
+    lambda_11 <= 2 pi^2 bounds c by 28, then `dilate`d.  DomainError for p
+    outside 2..5 (`check_exponent`), on a rectangle too thin for binary64
+    (`DomainRect.reference`), and where `dilate` leaves binary64.
     """
     check_exponent(p)
     k, ref = domain.reference()
     lam11 = float(ref.lambda_float(1, 1))
     w = _SINE_POWER_MEAN[p + 1]
     c = (lam11 / (4.0 * w * w)) ** (1.0 / (p - 1))
-    if not math.isfinite(c):
-        raise DomainError(f"the {domain.L1!r} x {domain.L2!r} rectangle is too thin for "
-                          f"binary64: the one-mode amplitude at p={p} leaves binary64")
     return dilate(SineSeries2D(ref, np.full((1, 1), c)), p, k)
 
 
@@ -301,14 +299,14 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     (`DomainRect.reference`), and `dilate` carries the result back.  Each
     step solves J step = -r matrix-free (`_gmres` on
     `_Galerkin.linearization`) and is halved until the residual falls; Newton
-    stops once the residual, rescaled from R to unit area, is below
-    NEWTON_TOL.  The float work runs under the overflow policy of the
-    interval arrays (`ivarray._checked`): a value that leaves binary64 gives
-    no RuntimeWarning and reaches the finiteness checks, which end the solve
-    in SingularJacobian (or the line search's NoConvergence)."""
+    stops once ||r|| < NEWTON_RTOL ||lambda a||: both sides scale alike
+    under dilation, so the stop does not depend on the rectangle's size, and
+    a zero iterate never passes it.  The float work runs under the overflow
+    policy of the interval arrays (`ivarray._checked`): a value that leaves
+    binary64 gives no RuntimeWarning and reaches the finiteness checks,
+    which end the solve in SingularJacobian (or the line search's
+    NoConvergence)."""
     k, ref = guess.domain.reference()
-    # rnorm ~ t^{-2p/(p-1)} on t Omega; on R the factor lies in (1/4^{p/(p-1)}, 1]
-    stop = NEWTON_TOL * (ref.L1 * ref.L2) ** (-cfg.p / (cfg.p - 1))
     system = _Galerkin(cfg.p, ref, cfg.N)
 
     def sym(x):  # fl(x_ij + x_ji) = fl(x_ji + x_ij): the result is symmetric
@@ -323,9 +321,13 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
 
     inv = 1.0 / system.lam64.reshape(-1)
     r, rnorm = system.residual(a)
-    for it in range(MAX_ITER):
-        if rnorm < stop:
+    for it in range(MAX_ITER + 1):
+        scale = math.sqrt(np.sum(np.square(system.lam64 * a)))
+        if rnorm < NEWTON_RTOL * scale:
             break
+        if it == MAX_ITER:
+            raise NoConvergence(f"residual {rnorm:.3e} not below {NEWTON_RTOL:.0e} "
+                                f"||lambda a|| = {scale:.3e} after {MAX_ITER} iterations")
         step = _gmres(system.linearization(a), -r.astype(np.float64).reshape(-1), inv)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
@@ -342,13 +344,6 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         a, r, rnorm = trial, rt, rtnorm
         log.info("newton iteration=%d residual=%.6e step_scale=%.3g", it + 1,
                  rnorm, t)
-    if not rnorm < stop:
-        raise NoConvergence(
-            f"residual {rnorm:.3e} not below {stop:.3e}, the unit-area tolerance "
-            f"{NEWTON_TOL:.1e}, after {MAX_ITER} iterations"
-        )
-    if not np.any(a):
-        raise NoConvergence("iteration collapsed to the zero series")
 
     full = np.zeros((cfg.N, cfg.N))
     full[::2, ::2] = a

@@ -892,17 +892,36 @@ def test_defect_rejects_bad_exponent():
         defect_bounds(_one_mode(1.0), 6)
 
 
-@pytest.mark.parametrize("fn, p", [(certify_ball, 3.0), (certify_ball, 1), (inverse_bound, 7),
-                                   (inverse_bound, 3.0)],
-                         ids=["certify_ball-3.0", "certify_ball-1", "inverse_bound-7",
-                              "inverse_bound-3.0"])
-def test_bad_exponent_fails_before_the_section(monkeypatch, u_p3_n10, fn, p):
-    """p is checked first, as an int in 2..5: a float p or one outside
-    2..5 is a DomainError naming p, and no section is chosen."""
-    def no_section(u, p):
-        raise AssertionError("section work before the exponent check")
+def _positiveness(u, p):
+    return positiveness_certificate(u, p, Interval(1e-6))
 
-    monkeypatch.setattr(certify, "_section", no_section)
+
+def _linf(u, p):
+    return linf_radius(u, p, Interval(1e-6), Interval(1e-6))
+
+
+def _lipschitz(u, p):
+    return lipschitz_bound(u, p, 0.5)
+
+
+@pytest.mark.parametrize("fn, p", [(certify_ball, 3.0), (certify_ball, 1), (inverse_bound, 7),
+                                   (inverse_bound, 3.0), (_positiveness, 3.0), (_positiveness, 7),
+                                   (_linf, 7), (_linf, 3.0), (default_split_order, 7),
+                                   (default_split_order, 1), (_lipschitz, 3.0), (_lipschitz, 6)],
+                         ids=["certify_ball-3.0", "certify_ball-1", "inverse_bound-7",
+                              "inverse_bound-3.0", "positiveness-3.0", "positiveness-7",
+                              "linf_radius-7", "linf_radius-3.0", "default_split_order-7",
+                              "default_split_order-1", "lipschitz_bound-3.0",
+                              "lipschitz_bound-6"])
+def test_bad_exponent_fails_before_the_section(monkeypatch, u_p3_n10, fn, p):
+    """Every public certifier function that takes p checks it first, as an
+    int in 2..5: a float p or one outside 2..5 is a DomainError naming p,
+    and no section, sup u_-, classical constant or L^q norm is computed."""
+    def forbidden(*args):
+        raise AssertionError("certifier work before the exponent check")
+
+    for name in ("_section", "negative_part_sup", "classical_upper", "lp_norm"):
+        monkeypatch.setattr(certify, name, forbidden)
     with pytest.raises(DomainError, match=f"exponent p .* got {p!r}"):
         fn(u_p3_n10, p)
 

@@ -211,6 +211,18 @@ def test_enclose_json_and_csv(tmp_path):
     assert exc.value.code == 2
 
 
+def test_enclose_certifies_the_elongated_3x1_rectangle_at_p2(tmp_path):
+    """Every row of p=2 on 3 x 1 at N = 24, 28, 40 certifies: Newton's stop is
+    relative, ||r|| < NEWTON_RTOL ||lambda a||.  A stop scaled to unit area
+    stalled at N = 28 with a residual of 1.148e-14 against 1.111e-14, a
+    relative residual of 7.0e-17."""
+    out = tmp_path / "r.json"
+    assert main(["enclose", "--p", "2", "--domain", "3x1", "--N", "24,28,40",
+                 "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["N"], r["status"]) for r in rows] == [(n, "certified") for n in (24, 28, 40)]
+
+
 def test_enclose_plot_data(tmp_path):
     out = str(tmp_path / "r.json")
     rc = main(["enclose", "--p", "3", "--N", "8", "--plot-grid", "8",
@@ -300,21 +312,26 @@ def test_removed_options_are_usage_errors(argv, capsys):
     ["classical", "--domain", "1e-200x1e200"],
     ["enclose", "--p", "3", "--domain", "1e-160x1e160", "--N", "6"],
     ["enclose", "--p", "3", "--domain", "1e-200x1e200", "--N", "6"],
-    ["solve", "--p", "3", "--domain", "1.3e154x2.9e-154", "--N", "6"],
-    ["enclose", "--p", "3", "--domain", "1.3e154x2.9e-154", "--N", "6"],
+    ["solve", "--p", "3", "--domain", "5e-324x1", "--N", "6"],
+    ["enclose", "--p", "3", "--domain", "5e-324x1", "--N", "6"],
+    ["classical", "--domain", "5e-324x1"],
+    ["solve", "--p", "3", "--domain", "1.7e308x1.5", "--N", "6"],
+    ["enclose", "--p", "3", "--domain", "1.7e308x1.5", "--N", "6"],
+    ["classical", "--domain", "1.7e308x1.5"],
 ], ids=["p7", "N0", "empty-sweep", "repeated-N", "solve-p6", "solve-1e-160x1e160",
         "solve-1e-200x1e200",
         "classical-1e-160x1e160", "classical-1e-200x1e200",
         "enclose-1e-160x1e160", "enclose-1e-200x1e200",
-        "solve-1.3e154x2.9e-154", "enclose-1.3e154x2.9e-154"])
+        "solve-5e-324x1", "enclose-5e-324x1", "classical-5e-324x1",
+        "solve-1.7e308x1.5", "enclose-1.7e308x1.5", "classical-1.7e308x1.5"])
 def test_invalid_run_inputs_are_typed_errors(argv, capsys):
     """One `error: DomainError` line and exit 1, with no traceback and no
     RuntimeWarning (an error in this suite): for p outside 2..5, an N below
-    1, and a sweep that is empty or repeats an N; on the two thinnest
-    rectangles lambda_1 of the reference rectangle leaves binary64, which
-    `DomainRect.reference` rejects before any solve or classical bound; on
-    1.3e154 x 2.9e-154, lambda_1 (1.17e308) is in range but the initial
-    guess's one-mode amplitude at p=3 is not, and it fails alike."""
+    1, and a sweep that is empty or repeats an N; and on rectangles whose
+    reference rectangle (short side in [1, 2)) has a side beyond binary64
+    (1e-160 x 1e160, 1e-200 x 1e200, 5e-324 x 1) or an area beyond it
+    (1.7e308 x 1.5, its own reference rectangle), which
+    `DomainRect.reference` rejects before any solve or classical bound."""
     assert main(argv) == EXIT_HARD
     err = capsys.readouterr().err
     assert err.startswith("error: DomainError: ") and err.count("\n") == 1

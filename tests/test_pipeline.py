@@ -326,18 +326,18 @@ def test_classical_table_scaling_law(t):
 
 
 def test_classical_table_where_a_sides_square_overflows():
-    """On 1.5e154 x 2.5e-154 (its own reference rectangle) L1^2 leaves
-    binary64 but lambda_1, about 1.58e308, does not: lambda_1 encloses the
-    exact value and the classical bounds are finite.  On a rectangle whose
-    sides' squares are normal, lambda_grid keeps the bits of the interval
-    arrays PI^2 (i^2/(L1 L1) + j^2/(L2 L2)) for every mode up to 101, and
-    lambda_mode is its entry."""
+    """On 1.5e154 x 2.5e-154 L1^2 leaves binary64 but lambda_1, about
+    1.58e308, does not: lambda_1 encloses the exact value, the reference
+    rectangle is 2^511 times it, and the classical bounds are finite.  On a
+    rectangle whose sides' squares are normal, lambda_grid keeps the bits of
+    the interval arrays PI^2 (i^2/(L1 L1) + j^2/(L2 L2)) for every mode up
+    to 101, and lambda_mode is its entry."""
     thin = DomainRect(1.5e154, 2.5e-154)
     lam = thin.lambda1
     with mpmath.workprec(200):
         exact = mpmath.pi ** 2 * (1 / mpmath.mpf(thin.L1) ** 2 + 1 / mpmath.mpf(thin.L2) ** 2)
         assert lam.lo <= exact <= lam.hi
-    assert thin.reference() == (0, thin)
+    assert thin.reference() == (-511, DomainRect(1.0055855947456949e308, 1.6759759912428247))
     (row,) = classical_table([4], thin)
     assert all(0.0 < row[tag].lo <= row[tag].hi < float("inf") for tag in ("corollary", "plum"))
     one = Interval(1.0)

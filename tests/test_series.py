@@ -62,6 +62,20 @@ _RECTS = {"square": SQ, "2x1": DomainRect(2.0, 1.0), "1.5x1": DomainRect(1.5, 1.
           "3x0.4": DomainRect(3.0, 0.4), "1e-150 ref": DomainRect(1e-150, 1e-150).reference()[1]}
 
 
+@pytest.mark.parametrize("sides", [
+    *((L, L) for L in (5e-324, 1e-310, 2.0 ** -1022, 1e-200, 1e-150, 1e-3, 1.0, 1.5, 2.0,
+                       1e150, 1e200, 1.7e308)),
+    (4.0, 1.0), (1.0, 4.0), (3.0, 1.0), (1.3e154, 2.9e-154)])
+def test_reference_rectangle_has_its_short_side_in_1_2(sides):
+    """R = 2^-k Omega has its short side in [1, 2), so lambda_1(R) lies in
+    (pi^2/4, 2 pi^2], and 2^k R is Omega exactly."""
+    dom = DomainRect(*sides)
+    k, ref = dom.reference()
+    assert 1.0 <= min(ref.L1, ref.L2) < 2.0
+    assert DomainRect(math.ldexp(ref.L1, k), math.ldexp(ref.L2, k)) == dom
+    assert math.pi ** 2 / 4 < ref.lambda1.lo <= ref.lambda1.hi <= 2 * math.pi ** 2 * (1 + 1e-15)
+
+
 def test_lambda_grid_where_a_sides_square_overflows():
     """On 1.5e154 x 2.5e-154, L1 L1 leaves binary64 and L2 L2 is subnormal,
     but lambda_i1, about 1.58e308, does not: lambda_grid encloses it for
