@@ -22,7 +22,8 @@ from .ivarray import _EPS, _TINY, _dn, _gamma_fac, _up
 @dataclass
 class SymMatrix:
     """Every symmetric A with ||A - B~||_2 <= eps, where B~ is mid with its
-    lower triangle mirrored; mid need not be symmetric."""
+    lower triangle mirrored; mid need not be symmetric, and
+    `eig_enclosures` mirrors it in place."""
 
     mid: np.ndarray
     eps: float
@@ -74,9 +75,10 @@ def eig_enclosures(m: SymMatrix) -> float:
     factorization fails, there is no retry: NotInvertible.
     """
     n = m.n
-    # n x n arrays are dropped once read: how many are alive sets the peak
-    b = np.tril(m.mid)
-    b += np.tril(m.mid, -1).T
+    # n x n arrays are dropped once read: how many are alive sets the peak.
+    # m.mid becomes B~ in place, so besides it at most two are alive at
+    # once: eigvalsh's copy, then |B~|, then B~^2 and its Cholesky factor
+    b = _mirror_lower(m.mid)
     sig = float(np.min(np.abs(np.linalg.eigvalsh(b))))
     g = _gamma_fac(n + 1)
     absb = np.abs(b)
@@ -104,6 +106,21 @@ def eig_enclosures(m: SymMatrix) -> float:
     err = g * (e_sq + e_chol) + _EPS * a_diag + n * _TINY
     lam = _dn(s - _up(err * (1.0 + 2.0 ** -45)))
     return float(_dn(_dn(math.sqrt(max(lam, 0.0))) - m.eps))
+
+
+def _mirror_lower(a: np.ndarray, rows: int = 64) -> np.ndarray:
+    """a with its lower triangle mirrored into its upper one, in place, a
+    block of rows at a time so that no copy of a is made, and -0.0 made
+    +0.0, as the sum of np.tril(a) and the transpose of np.tril(a, -1) has
+    it."""
+    for r in range(0, a.shape[0], rows):
+        s = slice(r, r + rows)
+        a[s, r + rows:] = a[r + rows:, s].T
+        block = a[s, s]
+        iu = np.triu_indices(len(block), 1)
+        block[iu] = block.T[iu]
+    a += 0.0
+    return a
 
 
 def _up_nonneg(x: np.ndarray, g: float) -> np.ndarray:
