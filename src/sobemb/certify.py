@@ -21,8 +21,8 @@ derives, entirely in interval arithmetic:
     (C >= C_q, q = p + 1) and 2 r_h1 < ||u-hat||_{H^1_0}: the solution in the
     ball is then positive by the lemma of `positiveness_certificate`.
 
-Certification is a function of the center and p alone: the split order is
-`default_split_order(u, p)` and nothing else is settable.
+Certification is a function of the center and p alone: the inverse bound's
+section is `_section(u, p)` and nothing else is settable.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .series import (
 from .symeig import SymMatrix, eig_enclosures
 
 LINF_BOX = 400  # modes per side summed exactly in the L-infinity constant
-COUPLING_TARGET = 0.02  # largest section-tail coupling c the split order accepts
+COUPLING_TARGET = 0.02  # largest section-tail coupling c the section accepts
 
 
 # -- defect ---------------------------------------------------------------------
@@ -115,8 +115,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     modes = np.arange(1, m + 1)
     head_l2 = _nonneg(isum(s2) * quarter)
     head_hm1 = _nonneg(isum(s2 / dom.lambda_grid(modes, modes)) * quarter)
-    lam_tail = _tail_lambda(dom, m)
-    tail = _nonneg(Interval(sq.hi) - Interval(head_l2.lo)) / Interval(lam_tail.lo, lam_tail.hi)
+    tail = _nonneg(Interval(sq.hi) - Interval(head_l2.lo)) / _tail_lambda(dom, m)
     hm1 = iv_sqrt(head_hm1 + tail)
     return Interval(0.0, hm1.hi), Interval(0.0, l2.hi)
 
@@ -243,13 +242,18 @@ def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None) -> SymMatri
     return SymMatrix(mid, float(_up(eps * (1.0 + 2.0 ** -45))))
 
 
-def _tail_lambda(dom: DomainRect, orders) -> IArray:
-    """Smallest eigenvalue of an odd-odd sine mode with an index above n,
-    for each n in orders (an int or an int array, whose shape the result
-    takes): the smallest odd index k > n on one axis, 1 on the other."""
-    k = np.ravel(orders) + 1 + np.ravel(orders) % 2
-    a, b = dom.lambda_grid(k, [1]), dom.lambda_grid([1], k).T
-    return IArray(np.minimum(a.lo, b.lo), np.minimum(a.hi, b.hi)).reshape(np.shape(orders))
+def _tail_lambda(dom: DomainRect, n: int) -> Interval:
+    """Smallest eigenvalue of an odd-odd sine mode with an index above n:
+    the smallest odd index k > n on one axis, 1 on the other."""
+    k = n + 1 + n % 2
+    g = dom.lambda_grid([k, 1], [1, k])
+    return Interval(min(g.lo[0, 0], g.lo[1, 1]), min(g.hi[0, 0], g.hi[1, 1]))
+
+
+def _sqrt(x: IArray) -> IArray:
+    """Enclosure of the square root of a nonnegative x: numpy's sqrt is
+    correctly rounded, so one step outward covers it."""
+    return IArray(_dn(np.sqrt(x.lo)), _up(np.sqrt(x.hi)), _unsafe=True)
 
 
 def _wbar(u: Series2D, p: int) -> Interval:
@@ -265,8 +269,8 @@ def _potential(u: Series2D, p: int) -> Series2D:
 
 def _coupling_terms(u: Series2D, p: int) -> tuple:
     """(Wt, H/sqrt(lambda_1) + 2G) as intervals, kept on u: the parts of the
-    coupling bound of `inverse_bound` (iii) that are the same at every split
-    order.  Wt = Wbar.hi/2, plus p eta^{p-1} for even p (eta >= sup u_-),
+    coupling bound of `inverse_bound` (iii) that are the same for every
+    section.  Wt = Wbar.hi/2, plus p eta^{p-1} for even p (eta >= sup u_-),
     bounds |w - Wbar.hi/2|; G and H bound sup|grad w| and sup|Lap w| of the
     potential w (`grad_sup_bound`, `lap_sup_bound`)."""
     def compute():
@@ -281,39 +285,69 @@ def _coupling_terms(u: Series2D, p: int) -> tuple:
 
 
 def default_split_order(u: Series2D, p: int) -> int:
-    """The split order n' of `inverse_bound` (`_section`); DomainError for
-    p outside 2..5 (`check_exponent`) before any work."""
+    """The larger odd order of the box of `inverse_bound`'s section
+    (`_section`), the ball's nprime; DomainError for p outside 2..5
+    (`check_exponent`) before any work."""
     check_exponent(p)
-    return _section(u, p)[0]
+    return max(_section(u, p)[1:3])
+
+
+def _scan_box(dom: DomainRect) -> tuple:
+    """(mx, my): the odd modes per axis of the box the section is chosen
+    in, at most MAX_DENSE_ROWS modes with sides in about the ratio L1 : L2,
+    the shape of the box around an eigenvalue level set, and one odd mode
+    more per axis, whose eigenvalues bound those beyond the box."""
+    ratio = min(max(dom.L1 / dom.L2, 1.0 / MAX_DENSE_ROWS), float(MAX_DENSE_ROWS))
+    ax = max(1, math.isqrt(int(MAX_DENSE_ROWS * ratio)))
+    return np.arange(1, 2 * ax + 2, 2), np.arange(1, 2 * (MAX_DENSE_ROWS // ax) + 2, 2)
 
 
 def _section(u: Series2D, p: int) -> tuple:
-    """(n', t, c), kept on u: the split order of `inverse_bound`, the
-    smallest odd n with t = (1 - Wbar/lambda_tail).lo > 0 (ii) and c =
-    (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda(n, n)))/lambda_tail^{3/2} <=
-    COUPLING_TARGET (iii), rounded up, with t and c there: scanned in
-    intervals over every odd n whose odd-odd block, ceil(n/2)^2 rows, fits
-    in MAX_DENSE_ROWS; CapacityError if none does.  On a square the
-    potential matrix is folded to X_sym row by row as it is assembled, but
-    its columns only once every row is in, so those rows, not the folded
-    ones, bound the peak memory."""
-    def scan():
-        wbar, (wt, h) = _wbar(u, p), _coupling_terms(u, p)
-        n = np.arange(1, 2 * math.isqrt(MAX_DENSE_ROWS), 2)
-        tail, top = _tail_lambda(u.domain, n), u.domain.lambda_grid(n, n)
-        for i, nprime in enumerate(n.tolist()):
-            lam = Interval(tail.lo[i], tail.hi[i])
-            t = (Interval(1.0) - wbar / lam).lo
-            c = ((h + wt * iv_sqrt(Interval(top.lo[i, i], top.hi[i, i])))
-                 / (lam * iv_sqrt(lam))).hi
-            if t > 0.0 and c <= COUPLING_TARGET:
-                return nprime, t, c
-        rows = ((nprime + 1) // 2) ** 2
-        raise CapacityError(f"coupling {c:.4e} > {COUPLING_TARGET} at split order "
-                            f"{nprime}, the largest whose block of {rows} rows fits "
-                            f"in {MAX_DENSE_ROWS}")
+    """(Lambda, nx, ny, t, c), kept on u: the section F of `inverse_bound`,
+    the odd-odd modes (i, j) with lambda_ij.lo < Lambda, nx and ny the
+    largest odd i and j in F (its box), and t = (1 - Wbar/lambda_tail).lo
+    (ii) and c = (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F))/lambda_tail^{3/2}
+    (iii), rounded up, there.  lambda_F is the interval maximum over F and
+    lambda_tail the interval minimum over every other odd-odd mode.
 
-    return u.fact(("split_order", p), scan)
+    One interval scan chooses Lambda: the modes of the `_scan_box` sorted by
+    the lower ends of their eigenvalues, every rise of that lower end is a
+    level, the modes below it are F and the rest of the box, with the modes
+    beyond it, the tail.  Every mode beyond the box lies above (kx, 1) or
+    (1, ky), kx and ky the box's extra odd modes.  Lambda is the first level
+    with t > 0 and c <= COUPLING_TARGET; CapacityError if none has.  On a
+    square lambda_ij = lambda_ji bit for bit, so F is swap-invariant."""
+    def scan():
+        dom = u.domain
+        wbar, (wt, h) = _wbar(u, p), _coupling_terms(u, p)
+        mx, my = _scan_box(dom)
+        lam = dom.lambda_grid(mx, my)
+        beyond = IArray(min(lam.lo[-1, 0], lam.lo[0, -1]), min(lam.hi[-1, 0], lam.hi[0, -1]))
+        lo, hi = lam.lo[:-1, :-1].ravel(), lam.hi[:-1, :-1].ravel()
+        del lam  # arrays are dropped once read: how many are alive sets the peak
+        mx, my = mx[:-1], my[:-1]
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+        k = np.flatnonzero(lo[1:] > lo[:-1]) + 1  # F = the first k modes
+        level = lo[k]
+        tail = IArray(np.minimum(level, beyond.lo),
+                      np.minimum(np.minimum.accumulate(hi[::-1])[::-1][k], beyond.hi), _unsafe=True)
+        top = IArray(lo[k - 1], np.maximum.accumulate(hi)[k - 1], _unsafe=True)
+        del lo, hi
+        t = (IArray(1.0) - IArray._coerce(wbar) / tail).lo
+        c = ((IArray._coerce(h) + IArray._coerce(wt) * _sqrt(top)) / (tail * _sqrt(tail))).hi
+        ok = np.flatnonzero((t > 0.0) & (c <= COUPLING_TARGET))
+        if not len(ok):
+            last = f": t = {t[-1]:.4e}, c = {c[-1]:.4e} at the last" if len(k) else ""
+            raise CapacityError(f"no eigenvalue level of the {len(mx)} x {len(my)} odd-mode box, "
+                                f"at most {MAX_DENSE_ROWS} rows, gives t > 0 and coupling <= "
+                                f"{COUPLING_TARGET}{last}")
+        i = ok[0]
+        f = order[:k[i]]
+        return (float(level[i]), int(mx[f // len(my)].max()), int(my[f % len(my)].max()),
+                float(t[i]), float(c[i]))
+
+    return u.fact(("section", p), scan)
 
 
 def _coupled_gap(m: float, t: float, c: float) -> Interval:
@@ -343,65 +377,73 @@ def _check_center(u: Series2D) -> None:
         )
 
 
-def _orbits(dom: DomainRect, n: int) -> tuple:
-    """(rep, partner): row indices of (i, j) and (j, i), i <= j, in the
-    n x n mode grid for each orbit of the swap (i, j) -> (j, i) on a square;
-    on a rectangle every mode is its own orbit and both are the identity."""
-    idx = np.arange(n * n).reshape(n, n)
+def _orbits(dom: DomainRect, keep: np.ndarray) -> tuple:
+    """(rep, partner): indices, in the row-major grid of the boolean box
+    keep, of (i, j) and (j, i), i <= j, for each orbit of the swap
+    (i, j) -> (j, i) on a square among the modes where keep holds (a
+    swap-invariant set); on a rectangle every kept mode is its own orbit and
+    both are its index."""
+    idx = np.arange(keep.size).reshape(keep.shape)
     if not dom.is_square():
-        return idx.reshape(-1), idx.reshape(-1)
-    i, j = np.triu_indices(n)
-    return idx[i, j], idx[j, i]
+        return idx[keep], idx[keep]
+    i, j = np.triu_indices(len(keep))
+    sel = keep[i, j]
+    return idx[i, j][sel], idx[j, i][sel]
 
 
-def _fold(rows, m_eps: float, rep: np.ndarray, partner: np.ndarray) -> tuple:
+def _fold(rows, m_eps: float, rep: np.ndarray, partner: np.ndarray, n: int) -> tuple:
     """(f_mid, f_eps): f_mid the float sums of m_mid over the distinct
     members of the orbits of rep[r] and rep[s] (1, 2 or 4 entries), and
     f_eps >= ||S (F - f_mid) S||_F for F those sums of every M with
     ||M - m_mid||_F <= m_eps; S = diag(s), s = 1/sqrt(2) on the pairs i < j.
-    The square m_mid comes as `rows`, its consecutive row slices in order,
-    and each row goes into its orbit's row as it comes: the rep row, which
-    precedes its partner (`_orbits`), is copied and the partner added to
-    it.  The columns are folded the same way once every row is in.
+    The n x n m_mid comes as `rows`, its consecutive row slices in order;
+    only the rows and columns of the orbits are kept, a principal submatrix,
+    whose distance from that of M is at most m_eps.  Each kept row goes into
+    its orbit's row as it comes: the rep row, which precedes its partner
+    (`_orbits`), is copied and the partner added to it.  The columns are
+    folded the same way once every row is in.
 
     Lemma.  With Q the orthonormal orbit basis (columns e_ii and
     (e_ij + e_ji)/sqrt(2)), S F(A) S = Q^T A Q, whose Frobenius norm is at
     most that of A.  An entry of f_mid adds its terms in at most two rounds
     (a row fold, then a column fold), so |f_mid - F(m_mid)| <= gamma_2
     F(|m_mid|) entrywise, and f_eps = m_eps + 4u ||m_mid||_F, padded by
-    2^-45.  On a rectangle every orbit has one member and nothing changes.
+    2^-45.  On a rectangle every orbit has one member and only the rows and
+    columns are chosen.
     """
     pair = rep != partner
-    orbit = np.empty(len(rep) + np.count_nonzero(pair), dtype=np.intp)
+    orbit = np.full(n, -1, dtype=np.intp)
     orbit[partner] = orbit[rep] = np.arange(len(rep))
-    second = np.zeros(len(orbit), dtype=bool)
+    second = np.zeros(n, dtype=bool)
     second[partner[pair]] = True
-    g, sq, top = np.empty((len(rep), len(orbit))), 0.0, 0
+    g, sq, top = np.empty((len(rep), n)), 0.0, 0
     for x in rows:
-        r = np.arange(top, top + len(x))
+        o, add = orbit[top:top + len(x)], second[top:top + len(x)]
         top += len(x)
-        add = second[r]
-        g[orbit[r[~add]]] = x[~add]
-        g[orbit[r[add]]] += x[add]
+        first = (o >= 0) & ~add
+        g[o[first]] = x[first]
+        g[o[add]] += x[add]
         sq += float(x.ravel() @ x.ravel())
-    if not pair.any():
-        return g, m_eps
     f = g[:, rep]
+    if not pair.any():
+        return f, m_eps
     f[:, pair] += g[:, partner[pair]]
-    m_fro = _fro_bound(sq, len(orbit) ** 2)
+    m_fro = _fro_bound(sq, n * n)
     return f, float(_up((m_eps + 2.0 ** -51 * m_fro) * (1.0 + 2.0 ** -45)))
 
 
-def _folded_block(w: Series2D, modes: np.ndarray) -> SymMatrix:
-    """B = I - D' F D' of the potential w on the sine modes `modes` x `modes`
-    in the orthonormal basis of its swap orbits: F = `_fold` of the Galerkin
-    matrix and d' = s Lam^{-1/2}, s = 1/sqrt(2) on the pairs i < j and 1
-    elsewhere; on a rectangle, the block on all those modes."""
+def _folded_block(w: Series2D, mx: np.ndarray, my: np.ndarray, level: float) -> SymMatrix:
+    """B = I - D' F D' of the potential w on the section, the sine modes
+    (i, j) of the box mx x my with lambda_ij.lo < level (swap-invariant on a
+    square), in the orthonormal basis of its swap orbits: F = `_fold` of the
+    Galerkin matrix assembled on the box and d' = s Lam^{-1/2}, s = 1/sqrt(2)
+    on the pairs i < j and 1 elsewhere; on a rectangle, the block on the
+    section's modes."""
     dom = w.domain
-    rep, partner = _orbits(dom, len(modes))
-    lam = dom.lambda_grid(modes, modes).reshape(-1)[rep]
-    d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
-    f_mid, f_eps = _fold(*_potential_matrix(w, modes, modes), rep, partner)
+    lam = dom.lambda_grid(mx, my)
+    rep, partner = _orbits(dom, lam.lo < level)
+    d = IArray(1.0) / _sqrt(lam.reshape(-1)[rep])
+    f_mid, f_eps = _fold(*_potential_matrix(w, mx, my), rep, partner, lam.size)
     return _b_matrix(f_mid, f_eps, d, rep != partner)
 
 
@@ -409,13 +451,16 @@ def _folded_block(w: Series2D, modes: np.ndarray) -> SymMatrix:
 class InverseBound:
     """K and the rigorous terms it comes from (`inverse_bound`): the block
     minimum m, the tail bound t, the coupling c and the rows of the folded
-    block."""
+    block, on the section of level Lambda in the box of odd orders
+    (nx, ny) (`_section`)."""
 
     K: Interval
     block_min: float  # m <= min |eig(B_FF)|
     tail: float  # t <= min eig(B_TT)
     coupling: float  # c >= ||B_FT||
     rows: int
+    level: float  # Lambda
+    box: tuple  # (nx, ny)
 
     @property
     def binds(self) -> str:
@@ -490,23 +535,28 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     I - D' F D', F[(ij),(kl)] the sum of M over the swap orbits of (i,j) and
     (k,l) (`_fold`), d' = s Lam^{-1/2}, s = 1/sqrt(2) on the pairs i < j and
     1 on i = j.  On a rectangle every orbit is one mode and the fold is the
-    identity.  Split X at n' = default_split_order(u, p) into the finite
-    section F (both indices <= n', which the swap keeps) and the tail T:
+    identity.  Split X into the finite section F, the odd-odd modes (i, j)
+    with lambda_ij.lo < Lambda (`_section`), which the swap keeps on a square,
+    and the tail T, every other odd-odd mode:
 
       (i)   m <= min |eig(B_FF)|, from the folded block held as a float
             midpoint and a 2-norm bound eps, by one Cholesky factorization
             of its shifted squared midpoint and Weyl's inequality
-            (`eig_enclosures`): k^2 rows on a rectangle, k(k+1)/2 on a
-            square, k = ceil(n'/2);
+            (`eig_enclosures`): a row per mode of F on a rectangle and per
+            swap orbit on a square.  The Galerkin matrix is assembled on F's
+            box and only F's rows and columns are kept: a principal
+            submatrix, within the box's Frobenius bound;
       (ii)  t = 1 - Wbar/lambda_tail <= min eig(B_TT), Wbar >= p sup|u|^{p-1},
-            lambda_tail the smallest eigenvalue of a tail mode (`_tail_lambda`);
+            lambda_tail <= the smallest eigenvalue of a tail mode, the
+            interval minimum over the tail;
             it holds on X_s, and on X_sym since a Rayleigh quotient taken
             over a subspace cannot fall;
       (iii) c >= ||B_FT||, with
               c = (H/sqrt(lambda_1) + 2G + Wt sqrt(lambda_F)) / lambda_tail^{3/2},
             G >= sup|grad w| and H >= sup|Lap w| of the potential
             w = p u^{p-1} (`Series2D.grad_sup_bound`, `lap_sup_bound`),
-            lambda_F = lambda(n', n') >= every eigenvalue of a section mode,
+            lambda_F >= every eigenvalue of a section mode, the interval
+            maximum over F,
             and Wt = Wbar/2, plus p eta^{p-1} for even p (eta >= sup u_-,
             `negative_part_sup`), Wbar read as its upper end.
             Shift: take f in F and g in T, each of unit H^1_0 norm.  F and
@@ -532,9 +582,9 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             potential couples every section mode to the tail), on X_s and
             on X_sym, and on every rectangle.
 
-    (ii), (iii) and the lemma below hold at every n', so n' is a cost choice
-    and not a hypothesis: the smallest odd order with t > 0 and c at most
-    COUPLING_TARGET, chosen in intervals together with its t and c
+    (ii), (iii) and the lemma below hold for every F, so F is a cost choice
+    and not a hypothesis: the first eigenvalue level Lambda with t > 0 and c
+    at most COUPLING_TARGET, chosen in intervals together with its t and c
     (`_section`).  It depends on the center through Wbar, Wt, G and H only,
     not on N.  A section with t <= 0 gives s* <= 0, and NotInvertible.
 
@@ -558,15 +608,17 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     """
     check_exponent(p)
     _check_center(u)
-    nprime, tail_lo, coupling = _section(u, p)
-    block = _folded_block(_potential(u, p), np.arange(1, nprime + 1, 2))
+    level, nx, ny, tail_lo, coupling = _section(u, p)
+    block = _folded_block(_potential(u, p), np.arange(1, nx + 1, 2), np.arange(1, ny + 1, 2),
+                          level)
     block_lo = eig_enclosures(block)
     m = _coupled_gap(block_lo, tail_lo, coupling).lo
     if not m > 0.0:
         raise NotInvertible(
-            f"inverse bound denominator {m:.4e} <= 0 at split order {nprime}"
+            f"inverse bound denominator {m:.4e} <= 0 on the section of {block.n} rows"
         )
-    return InverseBound(Interval(1.0) / Interval(m), block_lo, tail_lo, coupling, block.n)
+    return InverseBound(Interval(1.0) / Interval(m), block_lo, tail_lo, coupling, block.n,
+                        level, (nx, ny))
 
 
 # -- Newton-Kantorovich ---------------------------------------------------------
@@ -771,7 +823,7 @@ class CertifiedBall:
     a square.  For even p that solution is nonnegative, so it solves
     -Lap u = |u|^{p-1} u too (`inverse_bound`).
     It comes from the H^-1 and L2 defect bounds, K (`inverse`, with the
-    terms it comes from, at the split order nprime) and the Lipschitz bound
+    terms it comes from and its section) and the Lipschitz bound
     g, which holds on the ball of radius trial_radius.  r_inf bounds its
     L-infinity distance from the center, read by no verdict, and `audit`
     holds the margins that prove it positive (`positiveness_certificate`).
@@ -781,7 +833,6 @@ class CertifiedBall:
 
     center: Series2D
     p: int
-    nprime: int
     delta_hm1: Interval
     delta_l2: Interval
     inverse: InverseBound
@@ -794,6 +845,11 @@ class CertifiedBall:
     @property
     def positive(self) -> bool:
         return self.audit.verdict
+
+    @property
+    def nprime(self) -> int:
+        """The larger odd order of the section's box (`default_split_order`)."""
+        return max(self.inverse.box)
 
     def row_fields(self) -> dict:
         """The rigorous fields of a report row, every float as a hex string."""
@@ -811,22 +867,23 @@ class CertifiedBall:
         }
 
     def to_dict(self, k: int = 0) -> dict:
-        """The certificate: a header naming the center, p, the split order
-        and g, plus the report row's rigorous fields.  The center's rectangle
-        is the reference rectangle 2^-k Omega of the rectangle Omega asked for
-        (`DomainRect.reference`)."""
+        """The certificate: a header naming the center, p, the section's
+        level Lambda and box (`_section`) and g, plus the report row's
+        rigorous fields.  The center's rectangle is the reference rectangle
+        2^-k Omega of the rectangle Omega asked for (`DomainRect.reference`)."""
         import hashlib  # imported here: it loads OpenSSL, which only a certificate needs
 
         c = self.center
         digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
         return {
-            "format": "sobemb-certificate/8",
+            "format": "sobemb-certificate/9",
             "domain": c.domain.to_dict(),
             "k": k,
             "N": c.N,
             "coefficient_digest": digest,
             "p": self.p,
-            "split_order": self.nprime,
+            "section_level": self.inverse.level.hex(),
+            "section_box": list(self.inverse.box),
             "g": self.g.hex(),
             **self.row_fields(),
         }
@@ -837,7 +894,7 @@ class CertifiedBall:
 
 def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     """Full certification pipeline for one approximate solution, returned as
-    its one record (`CertifiedBall`).  The split order comes first: it needs
+    its one record (`CertifiedBall`).  The section comes first: it needs
     the potential's gradient and Laplacian bounds (and sup u_- for even p),
     so a CapacityError comes after the u^{p-1} chain but before any defect
     or block work.
@@ -855,7 +912,7 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     """
     check_exponent(p)
     _check_center(u)
-    nprime = default_split_order(u, p)
+    _section(u, p)
     d_hm1, d_l2 = defect_bounds(u, p)
     inv = inverse_bound(u, p)
 
@@ -869,7 +926,6 @@ def certify_ball(u: Series2D, p: int) -> CertifiedBall:
     return CertifiedBall(
         center=u,
         p=p,
-        nprime=nprime,
         delta_hm1=d_hm1,
         delta_l2=d_l2,
         inverse=inv,

@@ -54,6 +54,7 @@ from sobemb.solver import SolverConfig, initial_guess, newton_solve
 from sobemb.symeig import SymMatrix, eig_enclosures
 
 SQ = DomainRect(1.0, 1.0)
+WIDE = DomainRect(2.0, 1.0)
 
 
 def _one_mode(a):
@@ -74,19 +75,19 @@ def test_inverse_bound_near_laplacian():
 
 
 def test_inverse_bound_not_invertible_at_tiny_split(monkeypatch):
-    """The split order is a cost choice and no hypothesis, so a split order
-    of 3 set by hand is a valid premise that fails: there the tail
-    eigenvalue lambda(5,1) = 26 pi^2 ~ 256.6, at the smallest odd index
-    above 3, is below the potential bound 3 * 10^2 = 300, so t <= 0, s* <= 0
-    and the bound ends in NotInvertible."""
+    """The section is a cost choice and no hypothesis, so the section
+    {(1, 1)} set by hand is a valid premise that fails: there the tail
+    eigenvalue lambda(3,1) = 10 pi^2 ~ 98.7, at the smallest odd index above
+    1, is below the potential bound 3 * 10^2 = 300, so t <= 0, s* <= 0 and
+    the bound ends in NotInvertible."""
     u = _one_mode(10.0)
-    assert default_split_order(u, 3) > 3
+    assert default_split_order(u, 3) > 1
     u = _one_mode(10.0)
-    section = _section_at(u, 3, 3)
+    section = _section_at(u, 3, SQ.lambda_mode(1, 3).lo)
     monkeypatch.setattr(certify, "_section", lambda u, p: section)
-    assert default_split_order(u, 3) == 3
-    assert not _tail_lambda(SQ, 3).lo > certify._wbar(u, 3).hi
-    assert not section[1] > 0.0
+    assert default_split_order(u, 3) == 1
+    assert not _tail_lambda(SQ, 1).lo > certify._wbar(u, 3).hi
+    assert not section[3] > 0.0
     with pytest.raises(NotInvertible):
         inverse_bound(u, 3)
 
@@ -185,17 +186,18 @@ def test_tail_lambda_at_smallest_odd_index_above_cut():
 
 def test_schur_gap_bounds_real_blocks(u_p3_n10):
     """The lemma behind inverse_bound on the float midpoints of the four
-    parity blocks of u_p3_n10 at twice the default order, each split at the
-    default order: min |eig(B)| >= s*(min |eig(B_FF)|, min eig(B_TT),
+    parity blocks of u_p3_n10 on all modes up to twice the section's box,
+    each split at the section's level Lambda into the modes below it and
+    the rest: min |eig(B)| >= s*(min |eig(B_FF)|, min eig(B_TT),
     ||B_FT||_2)."""
     u = u_p3_n10
-    split = default_split_order(u, 3)
-    assert split == 25
-    blocks = _parity_blocks(u, 3, 2 * split)
+    level, nx, ny, _, _ = certify._section(u, 3)
+    assert (nx, ny) == (23, 23)
+    blocks = _parity_blocks(u, 3, 2 * nx)
     assert len(blocks) == 4
     for mx, my, block in blocks:
         full = block.mid
-        head = ((mx[:, None] <= split) & (my[None, :] <= split)).reshape(-1)
+        head = (u.domain.lambda_grid(mx, my).lo < level).reshape(-1)
         bff = full[np.ix_(head, head)]
         btt = full[np.ix_(~head, ~head)]
         bft = full[np.ix_(head, ~head)]
@@ -208,63 +210,139 @@ def test_schur_gap_bounds_real_blocks(u_p3_n10):
 
 
 def test_default_split_order_is_smallest_meeting_the_coupling_target(u_p3_n10, u_p3_n20):
-    """The section is the smallest odd n' with t > 0 and c <= COUPLING_TARGET
-    in intervals, with its t and c bit for bit, checked against every odd
-    order below it, on the unit square at p=3 (the same order at N=10 and
-    N=20), on 2 x 1 at p=3 and on the unit square at p=4 and p=5."""
-    assert default_split_order(u_p3_n20, 3) == 25
+    """The section is the first eigenvalue level Lambda with t > 0 and c <=
+    COUPLING_TARGET in intervals, with its box, t and c, checked against the
+    mode-by-mode recomputation at every lower level, on the unit square at
+    p=3 (the same section at N=10 and N=20), on 2 x 1 at p=3 and on the
+    unit square at p=4 and p=5.  The block rows are those of the
+    eigenvalue-ordered section, well below the square index set's."""
+    assert certify._section(u_p3_n20, 3)[:3] == certify._section(u_p3_n10, 3)[:3]
     wide = DomainRect(2.0, 1.0)
-    for u, p, expected in (
-        (u_p3_n10, 3, 25),
-        (newton_solve(SolverConfig(p=3, N=12), initial_guess(3, wide)), 3, 49),
-        (newton_solve(SolverConfig(p=4, N=16), initial_guess(4, SQ)), 4, 39),
-        (newton_solve(SolverConfig(p=5, N=16), initial_guess(5, SQ)), 5, 57),
+    for u, p, box, rows in (
+        (u_p3_n10, 3, (23, 23), 65),
+        (newton_solve(SolverConfig(p=3, N=12), initial_guess(3, wide)), 3, (41, 19), 166),
+        (newton_solve(SolverConfig(p=4, N=16), initial_guess(4, SQ)), 4, (37, 37), 147),
+        (newton_solve(SolverConfig(p=5, N=16), initial_guess(5, SQ)), 5, (55, 55), 312),
     ):
-        assert default_split_order(u, p) == expected
-        assert certify._section(u, p) == _section_at(u, p, expected)
+        level, nx, ny = certify._section(u, p)[:3]
+        assert (nx, ny) == box and default_split_order(u, p) == max(box)
+        assert inverse_bound(u, p).rows == rows
+        grid = _mode_grid(u.domain, level)
+        _assert_section_matches(certify._section(u, p), _section_at(u, p, level, grid))
+        levels = np.unique(grid[2][grid[2] < level])
 
-        def ok(k):
-            _, t, c = _section_at(u, p, k)
+        def ok(x):
+            _, _, _, t, c = _section_at(u, p, x, grid)
             return t > 0.0 and c <= certify.COUPLING_TARGET
 
-        assert ok(expected) and not any(ok(k) for k in range(1, expected, 2))
+        assert not any(ok(x) for x in levels[1:])
 
 
-def _section_at(u, p, n):
-    """(n, t, c) of `inverse_bound` (ii) and (iii) at the odd split order n,
-    recomputed in intervals: lambda_tail the smaller of lambda(n + 2, 1) and
-    lambda(1, n + 2), t = (1 - Wbar/lambda_tail).lo and c = (H/sqrt(lambda_1)
-    + 2G + Wt sqrt(lambda(n, n)))/lambda_tail^{3/2}, rounded up."""
-    dom = u.domain
-    a, b = dom.lambda_mode(n + 2, 1), dom.lambda_mode(1, n + 2)
-    lam = Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+def _mode_grid(dom, level):
+    """(i, j, lo, hi) over the odd-odd modes up to orders whose eigenvalues
+    along the axes pass 2 level: every mode below a level <= `level` and
+    the smallest eigenvalues of every other mode, as flat arrays."""
+    n = [1, 1]
+    for axis in (0, 1):
+        while dom.lambda_mode(*[n[axis] if a == axis else 1 for a in (0, 1)]).lo < 2.0 * level:
+            n[axis] += 2
+    mx, my = np.arange(1, n[0] + 1, 2), np.arange(1, n[1] + 1, 2)
+    lam = dom.lambda_grid(mx, my)
+    i, j = np.meshgrid(mx, my, indexing="ij")
+    return i.ravel(), j.ravel(), lam.lo.ravel(), lam.hi.ravel()
+
+
+def _section_at(u, p, level, grid=None):
+    """(Lambda, nx, ny, t, c) of `inverse_bound` (ii) and (iii) at the
+    eigenvalue level Lambda, recomputed in intervals from the modes of
+    `_mode_grid`: F the odd-odd modes (i, j) with lambda_ij.lo < Lambda,
+    nx and ny its largest i and j, lambda_F the interval maximum over F,
+    lambda_tail the interval minimum over every other mode,
+    t = (1 - Wbar/lambda_tail).lo and c = (H/sqrt(lambda_1) + 2G +
+    Wt sqrt(lambda_F))/lambda_tail^{3/2}, rounded up."""
+    i, j, lo, hi = _mode_grid(u.domain, level) if grid is None else grid
+    f = lo < level
+    lam_f = Interval(lo[f].max(), hi[f].max())
+    lam = Interval(lo[~f].min(), hi[~f].min())
     wbar = Interval(float(p)) * iv_pow_int(u.sup_abs_bound(), p - 1)
     wt, h = certify._coupling_terms(u, p)
-    c = (h + wt * iv_sqrt(dom.lambda_mode(n, n))) / (lam * iv_sqrt(lam))
-    return n, (Interval(1.0) - wbar / lam).lo, c.hi
+    c = (h + wt * iv_sqrt(lam_f)) / (lam * iv_sqrt(lam))
+    return level, int(i[f].max()), int(j[f].max()), (Interval(1.0) - wbar / lam).lo, c.hi
 
 
-def _section_tail_norm(u, p, nprime):
+def _assert_section_matches(got, want):
+    """The scan's section has the level and box of the mode-by-mode one,
+    and t and c no better than its interval values, by a few ulps at most
+    (the vectorized interval operations always round outward)."""
+    assert got[:3] == want[:3]
+    (t, c), (t_want, c_want) = got[3:], want[3:]
+    assert t_want - 8 * math.ulp(t_want) <= t <= t_want
+    assert c_want <= c <= c_want + 8 * math.ulp(c_want)
+
+
+def test_section_is_swap_invariant_on_a_square():
+    """On a square lambda_ij = lambda_ji bit for bit, so every level set of
+    the scan box, and the section chosen among them, is swap-invariant: the
+    fold onto X_sym needs that.  Checked at every level of the unit square's
+    scan box and at the sections of the c4 and c5 centers, whose box is
+    square."""
+    mx, my = certify._scan_box(SQ)
+    assert np.array_equal(mx, my)
+    lam = SQ.lambda_grid(mx, my)
+    assert np.array_equal(lam.lo, lam.lo.T) and np.array_equal(lam.hi, lam.hi.T)
+    for level in np.unique(lam.lo):
+        keep = lam.lo < level
+        assert np.array_equal(keep, keep.T)
+    for p, n in ((3, 20), (4, 16)):
+        level, nx, ny, _, _ = certify._section(_solve(p, n), p)
+        odd = np.arange(1, nx + 1, 2)
+        keep = SQ.lambda_grid(odd, odd).lo < level
+        assert nx == ny and np.array_equal(keep, keep.T) and keep[-1].any()
+
+
+@pytest.mark.parametrize("dom, p, n", [(SQ, 3, 10), (SQ, 4, 12), (WIDE, 4, 16)],
+                         ids=["c4-N10", "c5-N12", "2x1-p4-N16"])
+def test_section_tail_is_the_minimum_over_its_complement(dom, p, n):
+    """lambda_tail is the interval minimum over every odd-odd mode outside
+    F, which lies at the level Lambda itself, inside F's box: t and c
+    are those of that minimum (mode by mode, `_section_at`), while the
+    eigenvalues at the corners of F's box, or of the scan box, lie far
+    above it and would overstate t and understate c."""
+    u = newton_solve(SolverConfig(p=p, N=n), initial_guess(p, dom))
+    got = certify._section(u, p)
+    level, nx, ny = got[:3]
+    want = _section_at(u, p, level)
+    _assert_section_matches(got, want)
+    for corner in (dom.lambda_mode(nx, ny), dom.lambda_mode(nx + 2, ny + 2)):
+        assert corner.lo > 1.5 * level
+        t_corner = (Interval(1.0) - certify._wbar(u, p) / corner).lo
+        assert t_corner > got[3] + 1e-3
+
+
+def _section_tail_norm(u, p, level, nprime):
     """Float ||B_FT||_2, B_FT = -D_F M_FT D_T on X_s: F the odd-odd modes
-    with both indices <= nprime, T those up to 5 nprime with one index above
-    nprime, M the Galerkin matrix of w = p u^{p-1} from the triple overlaps
-    of `_potential_matrix`, D = Lam^{-1/2}.  The Gram matrix B_FT B_FT^T is
-    summed over the tail's x-index k, so only one k of M is held at once."""
+    with lambda_ij.lo < level, T the other odd-odd modes up to 5 nprime on
+    both axes, M the Galerkin matrix of w = p u^{p-1} from the triple
+    overlaps of `_potential_matrix`, D = Lam^{-1/2}.  The Gram matrix
+    B_FT B_FT^T is summed over the tail's x-index k, so only one k of M is
+    held at once."""
     dom = u.domain
     w = power_expand(u, p - 1).scale(Interval(float(p)))
     modes = np.arange(1, 5 * nprime + 1, 2)
-    a, kf = len(modes), (nprime + 1) // 2
-    x, y = (certify._triple_overlap(par, n, L, modes).mid().reshape(a, a, n)[:kf]
+    a = len(modes)
+    x, y = (certify._triple_overlap(par, n, L, modes).mid().reshape(a, a, n)
             for par, n, L in ((w.parity_x, w.coeffs.shape[0], dom.L1),
                               (w.parity_y, w.coeffs.shape[1], dom.L2)))
-    wy = np.einsum("ab,jlb->ajl", w.coeffs.mid(), y) * (4.0 / (dom.L1 * dom.L2))
-    lam = dom.lambda_grid(modes, modes).mid()
-    d_f = 1.0 / np.sqrt(lam[:kf, :kf])
-    gram = np.zeros((kf * kf, kf * kf))
+    lam = dom.lambda_grid(modes, modes)
+    head = lam.lo < level
+    fi, fj = np.nonzero(head)
+    d = 1.0 / np.sqrt(lam.mid())
+    wy = np.einsum("ab,flb->fal", w.coeffs.mid(), y[fj]) * (4.0 / (dom.L1 * dom.L2))
+    gram = np.zeros((len(fi), len(fi)))
     for k in range(a):
-        cols = np.arange(a) if k >= kf else np.arange(kf, a)  # (k, l) in T
-        m = np.einsum("ia,ajl->ijl", x[:, k], wy[:, :, cols])
-        b = (d_f[:, :, None] * m / np.sqrt(lam[k, cols])).reshape(kf * kf, -1)
+        cols = ~head[k]  # (k, l) in T
+        m = np.einsum("fa,fal->fl", x[fi, k], wy[:, :, cols])
+        b = d[fi, fj][:, None] * m * d[k, cols]
         gram += b @ b.T
     return math.sqrt(np.max(np.linalg.eigvalsh(gram)))
 
@@ -285,9 +363,6 @@ def _coupling_center(dom, p):
     return newton_solve(SolverConfig(p=p, N=12), initial_guess(p, dom))
 
 
-WIDE = DomainRect(2.0, 1.0)
-
-
 @pytest.mark.parametrize("dom, p", [
     (SQ, 2), (SQ, 3), (SQ, 4), (SQ, 5), (WIDE, 2), (WIDE, 3), (WIDE, 4), (None, 2),
 ], ids=["1x1-2", "1x1-3", "1x1-4", "1x1-5", "2x1-2", "2x1-3", "2x1-4", "1x1-2-negative"])
@@ -301,9 +376,10 @@ def test_coupling_bounds_section_tail_block(dom, p):
     u = _coupling_center(dom, p)
     assert (negative_part_sup(u) > 0.0) == (dom is None)
     ib = inverse_bound(u, p)
-    n = default_split_order(u, p)
-    assert (n, ib.tail, ib.coupling) == _section_at(u, p, n)
-    norm = _section_tail_norm(u, p, n)
+    section = certify._section(u, p)
+    assert (ib.level, ib.box, ib.tail, ib.coupling) == (section[0], section[1:3], *section[3:])
+    _assert_section_matches(section, _section_at(u, p, ib.level))
+    norm = _section_tail_norm(u, p, ib.level, max(ib.box))
     assert 0.0 < norm <= ib.coupling * (1.0 + 1e-9)
 
 
@@ -313,12 +389,14 @@ def test_coupling_bounds_section_tail_block(dom, p):
 def test_coupling_matches_its_lemma(dom, p):
     """The section's c encloses that of `inverse_bound` (iii), recomputed with
     60-digit arithmetic from the same constants: Wt = Wbar/2,
-    plus p eta^{p-1} for even p, G and H of the potential, lambda_1, lambda_F
-    = lambda(n', n') and lambda_tail at the split order n', each at the end
-    that makes c largest, on the N=12 centers.  The result lies above the
-    exact value and within 1e-12 relative of it."""
+    plus p eta^{p-1} for even p, G and H of the potential, lambda_1, and
+    lambda_F and lambda_tail, the maximum over the section and the minimum
+    over the other modes, mode by mode, each at the end that makes c
+    largest, on the N=12 centers.  The result lies above the exact value
+    and within 1e-12 relative of it."""
     u = _coupling_center(dom, p)
-    n, _, got = certify._section(u, p)
+    level, got = certify._section(u, p)[0], certify._section(u, p)[4]
+    _, _, lo, hi = _mode_grid(dom, level)
     w = certify._potential(u, p)
     with mpmath.workdps(60):
         mp = mpmath.mpf
@@ -327,8 +405,8 @@ def test_coupling_matches_its_lemma(dom, p):
             wt += p * mp(negative_part_sup(u)) ** (p - 1)
         g, h = mp(w.grad_sup_bound().hi), mp(w.lap_sup_bound().hi)
         root1 = mpmath.sqrt(mp(dom.lambda1.lo))
-        lam = mp(float(_tail_lambda(dom, n).lo))
-        exact = (h / root1 + 2 * g + wt * mpmath.sqrt(mp(dom.lambda_mode(n, n).hi))) / lam ** 1.5
+        lam, lam_f = mp(float(lo[lo >= level].min())), mp(float(hi[lo < level].max()))
+        exact = (h / root1 + 2 * g + wt * mpmath.sqrt(lam_f)) / lam ** 1.5
         assert exact <= mp(got) <= exact * (1 + mp(10) ** -12)
 
 
@@ -337,10 +415,11 @@ def test_coupling_matches_its_lemma(dom, p):
 def test_h2_product_bound_dominates_spectral_laplacian(dom, p):
     """The bound behind the coupling lemma: for h = (w - Wbar/2) f, f a
     section mode of unit H^1_0 norm, ||Lap h|| <= H ||f|| + 2G + Wt
-    sqrt(lambda_f), lambda_f the mode's eigenvalue (<= lambda_F).  ||Lap h||
-    is taken from the sine coefficients of h, by a type-1 DST on a 512^2
-    grid that resolves every mode of h, at the corner, the top and a mixed
-    section mode (measured ratios 0.15 to 0.76)."""
+    sqrt(lambda_f), lambda_f the mode's eigenvalue (<= lambda_F for a
+    section mode; the bound holds for every mode).  ||Lap h|| is taken from
+    the sine coefficients of h, by a type-1 DST on a 512^2 grid that
+    resolves every mode of h, at (1, 1), at the corner (n, n) of the
+    section's box and at (1, n) (measured ratios 0.15 to 0.76)."""
     u = _coupling_center(dom, p)
     dom = u.domain
     n = default_split_order(u, p)
@@ -476,9 +555,12 @@ def test_even_p_blocks_split_the_unsplit_spectrum(p):
 def test_rectangle_center_splits_into_parity_blocks(monkeypatch):
     """On 2 x 1 the solver's center is odd-odd, so the finite section splits
     into parity blocks, and inverse_bound encloses the spectrum of one of
-    them: the (odd, odd) block of ceil(nprime/2)^2 rows."""
+    them: the (odd, odd) block, one row per odd-odd mode below the section's
+    level, fewer than the rows of its box."""
     u = newton_solve(SolverConfig(p=3, N=8), initial_guess(3, DomainRect(2.0, 1.0)))
-    nprime = default_split_order(u, 3)
+    level, nx, ny, _, _ = certify._section(u, 3)
+    mx, my = np.arange(1, nx + 1, 2), np.arange(1, ny + 1, 2)
+    modes = int(np.count_nonzero(u.domain.lambda_grid(mx, my).lo < level))
     rows = []
     orig = symeig.eig_enclosures
 
@@ -488,7 +570,7 @@ def test_rectangle_center_splits_into_parity_blocks(monkeypatch):
 
     monkeypatch.setattr(certify, "eig_enclosures", recorded)
     inverse_bound(u, 3)
-    assert rows == [math.ceil(nprime / 2) ** 2]
+    assert rows == [modes] and modes < len(mx) * len(my)
 
 
 @settings(max_examples=50, deadline=None)
@@ -499,11 +581,16 @@ def test_fold_encloses_exact_orbit_sums(seed, a, m_eps):
     lie within f_eps of the float fold in the orbit-normalized Frobenius
     norm ||S (F - f_mid) S||_F, for M = mid (entries of mixed magnitudes,
     whose float sums round) and for M = mid + E with ||E||_F <= m_eps,
-    E random or concentrated on one orbit block."""
+    E random or concentrated on one orbit block.  The orbits kept are those
+    of a random swap-invariant set of modes, a section, so f_mid folds a
+    principal submatrix."""
     rng = np.random.default_rng(seed)
     mid = rng.normal(size=(a * a, a * a)) * 2.0 ** rng.integers(-60, 60, size=(a * a, a * a))
-    rep, partner = certify._orbits(SQ, a)
-    f_mid, f_eps = certify._fold(np.vsplit(mid, a), m_eps, rep, partner)  # a rows a slice
+    keep = rng.random((a, a)) < 0.7
+    keep |= keep.T
+    keep[0, 0] = True
+    rep, partner = certify._orbits(SQ, keep)
+    f_mid, f_eps = certify._fold(np.vsplit(mid, a), m_eps, rep, partner, a * a)  # a rows a slice
     size = [len({x, y}) for x, y in zip(rep, partner)]
     e_rand = rng.normal(size=mid.shape)
     e_rand *= m_eps * (1.0 - 1e-9) / np.linalg.norm(e_rand)
@@ -549,7 +636,7 @@ def test_folded_block_matches_odd_odd_block(p, n):
     u = _solve(p, n)
     odd = np.arange(1, default_split_order(u, p) + 1, 2)
     w = power_expand(u, p - 1).scale(Interval(float(p)))
-    full, folded = _block(w, odd, odd), certify._folded_block(w, odd)
+    full, folded = _block(w, odd, odd), certify._folded_block(w, odd, odd, math.inf)
     k = len(odd)
     assert (full.n, folded.n) == (k * k, k * (k + 1) // 2)
     m_full = eig_enclosures(full)
@@ -563,16 +650,21 @@ def test_folded_block_matches_odd_odd_block(p, n):
 
 def test_rectangle_fold_is_the_identity():
     """On 2 x 1 (p=3, N=20) every mode is its own swap orbit: the folded
-    block is the odd-odd block bit for bit, and K is the one its verified
-    minimum gives, bit for bit."""
+    block on the whole box is the odd-odd block bit for bit, the section's
+    is its principal submatrix on the modes below the level, bit for bit,
+    and K is the one the section's verified minimum gives, bit for bit."""
     u = newton_solve(SolverConfig(p=3, N=20), initial_guess(3, DomainRect(2.0, 1.0)))
-    odd = np.arange(1, default_split_order(u, 3) + 1, 2)
+    level, nx, ny, _, _ = certify._section(u, 3)
+    mx, my = np.arange(1, nx + 1, 2), np.arange(1, ny + 1, 2)
     w = power_expand(u, 2).scale(Interval(3.0))
-    full, folded = _block(w, odd, odd), certify._folded_block(w, odd)
-    assert np.array_equal(full.mid, folded.mid) and full.eps == folded.eps
+    full, whole = _block(w, mx, my), certify._folded_block(w, mx, my, math.inf)
+    assert np.array_equal(full.mid, whole.mid) and full.eps == whole.eps
+    head = (u.domain.lambda_grid(mx, my).lo < level).reshape(-1)
+    section = certify._folded_block(w, mx, my, level)
+    assert np.array_equal(full.mid[np.ix_(head, head)], section.mid)
     ib = inverse_bound(u, 3)
-    m = eig_enclosures(full)
-    assert ib.block_min == m and ib.rows == len(odd) ** 2
+    m = eig_enclosures(section)
+    assert ib.block_min == m and ib.rows == np.count_nonzero(head) < len(head)
     k = Interval(1.0) / Interval(_coupled_gap(m, ib.tail, ib.coupling).lo)
     assert (ib.K.lo, ib.K.hi) == (k.lo, k.hi)
 
@@ -596,6 +688,23 @@ def _basis(parity, n, L, x):
     if parity == "sin":
         return np.sin(np.pi * np.outer(x, np.arange(1, n + 1)) / L)
     return np.cos(np.pi * np.outer(x, np.arange(n)) / L)
+
+
+@pytest.mark.parametrize("parity, n, L, top", [
+    ("cos", 24, 1.0, 13), ("sin", 36, 1.5, 9), ("cos", 7, 2.0 ** -3, 40), ("sin", 5, 3.0, 1),
+])
+def test_triple_overlap_matches_interval_expression(parity, n, L, top):
+    """The triple overlap, formed in place from gathers of the cosine
+    overlaps, is bit for bit the interval expression it replaces:
+    (w[|i - k|] - w[i + k]) * [0.5, 0.5] in IArray arithmetic, on odd
+    modes up to `top`, cosine and sine bases and dyadic and non-dyadic
+    sides."""
+    modes = np.arange(1, top + 1, 2)
+    w = series._axis_overlap(series.COS, 2 * int(modes.max()) + 1, parity, n, L)
+    ref = ((w[np.abs(modes[:, None] - modes[None, :])] - w[modes[:, None] + modes[None, :]])
+           * IArray._coerce(Interval(0.5))).reshape(len(modes) ** 2, n)
+    got = certify._triple_overlap(parity, n, L, modes)
+    assert np.array_equal(got.lo, ref.lo) and np.array_equal(got.hi, ref.hi)
 
 
 def test_potential_matrix_matches_quadrature():
@@ -661,8 +770,9 @@ def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides, zx, zy, odd, wide
     exactly 0, as in a power of u, so the assembly leaves those rows and
     columns out.  On the square the coefficients are made
     transpose-symmetric, and for odd modes the block folded onto the swap
-    orbits, P^T B P with P the orthonormal orbit basis in mpmath, lies
-    within the folded block's eps of its B~ too."""
+    orbits of a section, the modes below a random eigenvalue level, P^T B P
+    with P the orthonormal basis of those orbits in mpmath, lies within the
+    folded block's eps of its B~ too."""
     rng = np.random.default_rng(seed)
     dom = DomainRect(*sides)
     coeffs = rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-3, 2, size=(k, k))
@@ -682,7 +792,9 @@ def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides, zx, zy, odd, wide
     with mpmath.workdps(50):
         _assert_within_eps(b, _mp_block(coeffs, dom, mx, my))
         if dom.is_square() and odd:
-            rep, partner = certify._orbits(dom, ax)
+            lam = dom.lambda_grid(mx, mx).lo
+            level = np.nextafter(lam.ravel()[rng.integers(lam.size)], np.inf)
+            rep, partner = certify._orbits(dom, lam < level)
             exact = _mp_block(coeffs, dom, mx, mx)
             orbit = [sorted({a, c}) for a, c in zip(rep, partner)]
             scale = [1 / mpmath.sqrt(len(o)) for o in orbit]
@@ -690,7 +802,7 @@ def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides, zx, zy, odd, wide
             for r, (orb_r, s_r) in enumerate(zip(orbit, scale)):
                 for s, (orb_s, s_s) in enumerate(zip(orbit, scale)):
                     folded[r, s] = s_r * s_s * sum(exact[a, c] for a in orb_r for c in orb_s)
-            _assert_within_eps(certify._folded_block(w, mx), folded)
+            _assert_within_eps(certify._folded_block(w, mx, mx, level), folded)
 
 
 def _assert_within_eps(b, exact):
@@ -750,7 +862,8 @@ def test_block_matches_interval_assembly(p, n):
 def test_inverse_bound_has_no_elementwise_interval_op_on_the_block(monkeypatch, u_p3_n20):
     """The block is built in float midpoint-radius form: no elementwise
     IArray operation inside inverse_bound sees an operand of n^2 or more
-    entries, n the rows of the block."""
+    entries, n the rows of the section's box (the section's scan works on
+    at most MAX_DENSE_ROWS eigenvalues, whatever the block)."""
     sizes = []
     for name in ("__mul__", "__add__", "__sub__", "__truediv__"):
         orig = getattr(IArray, name)
@@ -761,12 +874,13 @@ def test_inverse_bound_has_no_elementwise_interval_op_on_the_block(monkeypatch, 
 
         monkeypatch.setattr(IArray, name, recorded)
     n = ((default_split_order(u_p3_n20, 3) + 1) // 2) ** 2
+    assert n * n > series.MAX_DENSE_ROWS
     inverse_bound(u_p3_n20, 3)
     assert sizes and max(sizes) < n * n
 
 
 def test_inverse_bound_factors_without_eigh_within_45_mib(monkeypatch):
-    """On the c4 N=34 center (a 91-row folded block) the spectrum step
+    """On the c4 N=34 center (a 65-row folded block) the spectrum step
     calls no np.linalg.eigh, and inverse_bound, power chain included, peaks
     at no more than 45 MiB of traced allocations (68.3 MiB with the
     entrywise radius, eigh and Gershgorin discs at 666 rows; 2.5 MiB
@@ -783,8 +897,26 @@ def test_inverse_bound_factors_without_eigh_within_45_mib(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ib.rows == 91
+    assert ib.rows == 65
     assert peak <= 45 * 2 ** 20
+
+
+def test_inverse_bound_on_2x1_p4_within_16_mib():
+    """On the 2 x 1 p=4 N=16 center the eigenvalue-ordered section keeps
+    402 of the 512 modes of its 63 x 31 box, and inverse_bound, power chain
+    included, peaks at no more than 16 MiB of traced allocations (3.8 MiB
+    measured).  The square index set it replaces had 1521 rows, whose
+    block, squared block and Cholesky factor alone held 3 x 1521^2 x 8 B,
+    about 53 MiB (55.3 MiB measured)."""
+    u = newton_solve(SolverConfig(p=4, N=16), initial_guess(4, WIDE))
+    tracemalloc.start()
+    try:
+        ib = inverse_bound(u, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ib.rows, ib.box) == (402, (63, 31))
+    assert peak <= 16 * 2 ** 20
 
 
 # -- defect bounds ------------------------------------------------------------------
@@ -1204,7 +1336,7 @@ def test_certify_ball_structure(ball_p3_n20):
     assert 0.0 < b.r_h1.hi < 1e-4
     assert 0.0 <= b.r_inf.hi < 1e-3
     assert b.positive
-    assert b.nprime == 25
+    assert b.nprime == 23
 
 
 @pytest.mark.parametrize("side", [1e-30, 1e30])
@@ -1213,7 +1345,7 @@ def test_certify_ball_on_physical_scale_centers(side, ball_p3_n20):
     side x side square itself, solved on its reference rectangle and
     carried back, the ball is proved positive (sup u_- bound 0, where a
     1.0 in the grid slack gave 1.43e49 on the 1e-30 square), K is the unit
-    square's 1.65684635096 (a 1e-14 trial-radius floor broke the
+    square's 1.65698416962 (a 1e-14 trial-radius floor broke the
     Kantorovich condition on the 1e30 square) and r_h1 scales as the center,
     by 1/side."""
     u = newton_solve(SolverConfig(p=3, N=20), initial_guess(3, DomainRect(side, side)))
@@ -1221,7 +1353,7 @@ def test_certify_ball_on_physical_scale_centers(side, ball_p3_n20):
     b = certify_ball(u, 3)
     assert b.positive
     assert b.audit.neg_sup == 0.0
-    assert b.inverse.K.intersects(Interval(1.65684635096, 1.65684635097))
+    assert b.inverse.K.intersects(Interval(1.65698416961, 1.65698416962))
     assert b.r_h1.hi * side == pytest.approx(ball_p3_n20.r_h1.hi, rel=1e-6)
 
 
@@ -1229,7 +1361,9 @@ def test_certificate_json_roundtrip(ball_p3_n20):
     import json
 
     d = json.loads(ball_p3_n20.to_json())
-    assert d["format"] == "sobemb-certificate/8"
+    assert d["format"] == "sobemb-certificate/9"
+    assert "split_order" not in d and d["section_box"] == [23, 23]
+    assert float.fromhex(d["section_level"]) == certify._section(ball_p3_n20.center, 3)[0]
     assert d["k"] == 0
     assert d["p"] == 3
     assert len(d["coefficient_digest"]) == 64
@@ -1275,14 +1409,15 @@ def test_certify_and_enclose_share_powers(u_p3_n10, monkeypatch):
 
 
 def test_split_order_scanned_once_per_certification(u_p3_n10, monkeypatch):
-    """inverse_bound and the certificate's nprime read one section, chosen
-    once and kept on the center: at odd p only the scan of `_section` reads
-    `_tail_lambda`."""
+    """inverse_bound and the certificate's section and nprime read one
+    section, chosen once and kept on the center: `_section`'s scan builds
+    its box of eigenvalue levels (`_scan_box`) once."""
     u = _fresh(u_p3_n10)
-    calls = _count_calls(monkeypatch, "_tail_lambda", certify)
+    calls = _count_calls(monkeypatch, "_scan_box", certify)
     ball = certify_ball(u, 3)
     assert len(calls) == 1
-    assert ball.nprime == default_split_order(u, 3) == 25
+    assert ball.nprime == default_split_order(u, 3) == 23
+    assert (ball.inverse.level, *ball.inverse.box) == certify._section(u, 3)[:3]
     assert len(calls) == 1
 
 

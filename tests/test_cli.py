@@ -34,7 +34,7 @@ def test_certify_roundtrip_through_file(tmp_path):
     rc = main(["certify", "--p", "3", "--in", series, "--out", cert])
     assert rc == EXIT_OK
     d = json.loads(open(cert).read())
-    assert d["format"] == "sobemb-certificate/8"
+    assert d["format"] == "sobemb-certificate/9"
     assert d["positive"] is True
     assert float.fromhex(d["r_h1"][1]) < 0.2
 

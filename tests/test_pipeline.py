@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sobemb.bounds import corollary_bound, plum_bound
+from sobemb import certify
 from sobemb.certify import _coupled_gap, certify_ball, default_split_order
 from sobemb.errors import DomainError, SoundnessViolation
 from sobemb.intervals import PI, Interval, iv_pow_real
@@ -107,9 +108,10 @@ def test_report_rows_explain_k():
     assert ib["binds"] == ("block" if m <= t else "tail")
     k = Interval(1.0) / Interval(_coupled_gap(m, t, c).lo)
     assert [float.fromhex(x) for x in row["K"]] == [k.lo, k.hi]
-    nprime = default_split_order(a.solutions[12], 4)
-    half = (nprime + 1) // 2
-    assert ib["block_rows"] == half * (half + 1) // 2
+    level, nx, _, _, _ = certify._section(a.solutions[12], 4)
+    odd = np.arange(1, nx + 1, 2)
+    below = DomainRect(1.0, 1.0).lambda_grid(odd, odd).lo < level
+    assert ib["block_rows"] == np.count_nonzero(np.triu(below)) == 147
 
 
 def test_report_rows_explain_positiveness():
@@ -160,7 +162,7 @@ def test_certificate_holds_the_report_row(report_c4):
     row = json.loads(report_c4.canonical_json())["rows"][0]
     assert row["N"] == 10 and row["status"] == "certified"
     cert = certify_ball(report_c4.solutions[10], 3).to_dict()
-    assert cert["format"] == "sobemb-certificate/8"
+    assert cert["format"] == "sobemb-certificate/9"
     rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
     assert {k: cert[k] for k in rigorous} == {k: row[k] for k in rigorous}
     text = {"format", "coefficient_digest", "binds"}
@@ -244,8 +246,8 @@ def test_validate_report_rejects_a_non_object(report):
 
 def test_rectangle_run_fails_typed_within_budget():
     """Budget: 30 s wall and 1 GiB of traced allocations.  On 2 x 1 at p=3,
-    N=8 the Kantorovich condition fails (2 K^2 delta g = 1.09 at the
-    default split order 49, with K = 1.98 on the odd-odd modes); the run
+    N=8 the Kantorovich condition fails (2 K^2 delta g = 1.09 on the
+    default section, with K = 1.98 on the odd-odd modes); the run
     must report that as a typed status from the odd-odd mode space (about
     0.1 s on a 2-core host), not from an all-modes inverse block (about
     51 s and 3.6 GB peak RSS)."""
@@ -260,7 +262,7 @@ def test_rectangle_run_fails_typed_within_budget():
     assert seconds < 30.0
     assert peak < 2 ** 30
     assert [row.status for row in report.rows] == ["ConditionFailure"]
-    assert "1.0856e+00" in report.rows[0].error
+    assert "1.0858e+00" in report.rows[0].error
 
 
 def _final(report) -> Interval:
@@ -268,10 +270,11 @@ def _final(report) -> Interval:
 
 
 def test_rectangle_certifies_at_default_order_and_transposes():
-    """2 x 1, p=3 certifies at N=12 and N=20, at the default split orders
-    49 and 51 (about 0.3 s on a 2-core host; budget 30 s), and at each N
-    the 1 x 2 run, its transpose, gives an intersecting final enclosure."""
-    for n, split in ((12, 49), (20, 51)):
+    """2 x 1, p=3 certifies at N=12 and N=20, on default sections whose
+    boxes reach the odd order 41 (about 0.3 s on a 2-core host; budget
+    30 s), and at each N the 1 x 2 run, its transpose, gives an
+    intersecting final enclosure."""
+    for n, split in ((12, 41), (20, 41)):
         t0 = time.perf_counter()
         wide = run_pipeline(RunConfig(p=3, domain=DomainRect(2.0, 1.0), N=[n]))
         assert time.perf_counter() - t0 < 30.0

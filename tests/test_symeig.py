@@ -242,6 +242,19 @@ def test_bound_on_c4_block_meets_float_spectrum(u_p3_n20):
     assert sigma * (1.0 - 1e-9) - b.eps <= bound <= sigma - b.eps
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_mirror_is_the_tril_sum(n):
+    """eig_enclosures mirrors the midpoint's lower triangle in place, in
+    blocks of 64 rows; the result is bit for bit, signs of zero included,
+    np.tril(a) + np.tril(a, -1).T, the B~ a SymMatrix stands for."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    a[rng.random((n, n)) < 0.2] = -0.0
+    want = np.tril(a) + np.tril(a, -1).T
+    got = symeig._mirror_lower(a.copy())
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_eig_enclosures_issues_no_interval_product(monkeypatch):
     """The spectrum step is float products and one factorization; an O(n^3)
     interval product inside it would show up here."""
