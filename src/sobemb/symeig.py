@@ -108,11 +108,11 @@ def eig_enclosures(m: SymMatrix) -> float:
     return float(_dn(_dn(math.sqrt(max(lam, 0.0))) - m.eps))
 
 
-def _mirror_lower(a: np.ndarray, rows: int = 64) -> np.ndarray:
-    """a with its lower triangle mirrored into its upper one, in place, a
-    block of rows at a time so that no copy of a is made, and -0.0 made
-    +0.0, as the sum of np.tril(a) and the transpose of np.tril(a, -1) has
-    it."""
+def _mirror_lower(a: np.ndarray) -> np.ndarray:
+    """a with its lower triangle mirrored into its upper one, in place, 64
+    rows at a time so that no copy of a is made, and -0.0 made +0.0, as the
+    sum of np.tril(a) and the transpose of np.tril(a, -1) has it."""
+    rows = 64
     for r in range(0, a.shape[0], rows):
         s = slice(r, r + rows)
         a[s, r + rows:] = a[r + rows:, s].T
