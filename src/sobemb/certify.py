@@ -43,7 +43,7 @@ from .errors import (
     check_exponent,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_pow_real, iv_sqrt
-from .ivarray import _TINY, IArray, _dn, _gamma_fac, _up, imatmul, isum
+from .ivarray import _TINY, IArray, _checked, _chk, _dn, _gamma_fac, _up, imatmul, isum
 from .series import (
     COS,
     MAX_DENSE_ROWS,
@@ -127,13 +127,27 @@ def _nonneg(iv: Interval) -> Interval:
 # -- inverse-linearization bound --------------------------------------------------
 
 
+@_checked
 def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray) -> IArray:
     """X[(i,k), a] = int_0^L b_a sin_i sin_k over one side, for the first n
     basis functions b_a of the given parity, by sin i sin k = (cos|i-k| -
-    cos(i+k))/2 and the exact cosine overlaps of b_a."""
+    cos(i+k))/2 and the exact cosine overlaps of b_a.  Each endpoint is
+    formed in place from two gathers of w's endpoints, with the outward
+    steps of IArray's difference and halving, so it has their bits and no
+    3-d interval temporaries."""
     w = _axis_overlap(COS, 2 * int(modes.max()) + 1, parity, n, L)
-    x = w[np.abs(modes[:, None] - modes[None, :])] - w[modes[:, None] + modes[None, :]]
-    return (x * IArray._coerce(Interval(0.5))).reshape(len(modes) ** 2, n)
+    diff = np.abs(modes[:, None] - modes[None, :]).ravel()
+    both = (modes[:, None] + modes[None, :]).ravel()
+    ends = []
+    for near, far, way in ((w.lo, w.hi, -np.inf), (w.hi, w.lo, np.inf)):
+        x = near[diff]
+        x -= far[both]
+        np.nextafter(x, way, out=x)
+        x *= 0.5
+        np.nextafter(x, way, out=x)
+        ends.append(x)
+    _chk(*ends)
+    return IArray(*ends, _unsafe=True)
 
 
 def _fro(x: np.ndarray) -> float:

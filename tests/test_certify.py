@@ -681,6 +681,23 @@ def _basis(parity, n, L, x):
     return np.cos(np.pi * np.outer(x, np.arange(n)) / L)
 
 
+@pytest.mark.parametrize("parity, n, L, top", [
+    ("cos", 24, 1.0, 13), ("sin", 36, 1.5, 9), ("cos", 7, 2.0 ** -3, 40), ("sin", 5, 3.0, 1),
+])
+def test_triple_overlap_matches_interval_expression(parity, n, L, top):
+    """The triple overlap, formed in place from gathers of the cosine
+    overlaps, is bit for bit the interval expression it replaces:
+    (w[|i - k|] - w[i + k]) * [0.5, 0.5] in IArray arithmetic, on odd
+    modes up to `top`, cosine and sine bases and dyadic and non-dyadic
+    sides."""
+    modes = np.arange(1, top + 1, 2)
+    w = series._axis_overlap(series.COS, 2 * int(modes.max()) + 1, parity, n, L)
+    ref = ((w[np.abs(modes[:, None] - modes[None, :])] - w[modes[:, None] + modes[None, :]])
+           * IArray._coerce(Interval(0.5))).reshape(len(modes) ** 2, n)
+    got = certify._triple_overlap(parity, n, L, modes)
+    assert np.array_equal(got.lo, ref.lo) and np.array_equal(got.hi, ref.hi)
+
+
 def test_potential_matrix_matches_quadrature():
     """The Galerkin matrix (4/|Omega|) int W phi_ij phi_kl of the
     cosine-parity W = u^2 (p=3) and the sine-parity W = u^3 (p=4) lies
