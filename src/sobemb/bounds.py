@@ -109,10 +109,14 @@ def enclosure_from_ball(ball) -> tuple:
     """Two-sided bounds on C_{p+1} from a certified ball (`CertifiedBall`):
     lower = lp.lo / h01.hi and upper = lp.hi / (h01.lo - 2 r_h1.hi), lp and h01
     the center's L^{p+1} and H^1_0 norms, the denominator the audit's norm
-    margin.  The one premise is the positive verdict: CertificateMissing without.
+    margin.  The premises are the positive verdict and a Morse index of 1 on
+    X, the extremizer's (`inverse_bound`): CertificateMissing without.
     """
     if not ball.positive:
         raise CertificateMissing("enclosure requires a verified positiveness certificate")
+    if ball.inverse.morse_index != 1:
+        raise CertificateMissing(f"enclosure requires Morse index 1 on X, the extremizer's; "
+                                 f"the ball's is {ball.inverse.morse_index}")
     u = ball.center
     lp = lp_norm(u, float(ball.p + 1))
     lower = (Interval(lp.lo) / Interval(u.h01_norm().hi)).lo

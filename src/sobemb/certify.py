@@ -43,7 +43,19 @@ from .errors import (
     check_exponent,
 )
 from .intervals import PI, Interval, iv_pow_int, iv_pow_real, iv_sqrt
-from .ivarray import _TINY, IArray, _checked, _chk, _dn, _gamma_fac, _up, imatmul, isum
+from .ivarray import (
+    _TINY,
+    IArray,
+    _checked,
+    _chk,
+    _dn,
+    _fro,
+    _fro_bound,
+    _gamma_fac,
+    _up,
+    imatmul,
+    isum,
+)
 from .series import (
     COS,
     MAX_DENSE_ROWS,
@@ -150,21 +162,6 @@ def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray) -> IArray:
     return IArray(*ends, _unsafe=True)
 
 
-def _fro(x: np.ndarray) -> float:
-    """Upper bound on the Frobenius norm of the float array x
-    (`_fro_bound`)."""
-    x = x.ravel()
-    return _fro_bound(float(x @ x), x.size)
-
-
-def _fro_bound(sq: float, k: int) -> float:
-    """Upper bound on the Frobenius norm of k float entries from sq, the
-    float sum of their squares in any order: the pad 4 gamma_k covers that
-    sum and the square root, and sqrt(k) 1e-150 the squares lost below the
-    normal range."""
-    return float(_up(math.sqrt(sq) * (1.0 + 4.0 * _gamma_fac(k)) + math.sqrt(k) * 1e-150))
-
-
 def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
     """(rows, eps), eps >= ||M - mid||_F for the mode-basis matrix
     M[(i,j),(k,l)] = (4/|Omega|) int W phi_ij phi_kl of every potential W
@@ -204,10 +201,12 @@ def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
     return rows, float(_up(eps * (1.0 + 2.0 ** -45)))
 
 
-def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None) -> SymMatrix:
+def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None, coef=None) -> SymMatrix:
     """B = I - D' F D' as the SymMatrix `eig_enclosures` reads, for every d
     in d and every symmetric F with ||S (F - f_mid) S||_F <= f_eps; D' =
     S diag(d), S = diag(s), s = 1/sqrt(2) on the rows in `pair`, else 1.
+    Its negative direction is coef / mid(d'), coef a function's
+    coefficients per row, where coef is given.
 
     Lemma.  Let d' = s d (an enclosure), d_m = mid(d'), kappa >=
     max_i |d'_i - d_m,i| / d'.lo_i, u = 2^-53, P~ = fl(fl(f_mid,ij d_m,i)
@@ -237,7 +236,7 @@ def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None) -> SymMatri
     diag = np.diag_indices_from(mid)
     mid[diag] += 1.0
     eps = _up(math.sqrt(2.0)) * e + 2.0 ** -52 * float(np.max(np.abs(mid[diag])))
-    return SymMatrix(mid, float(_up(eps * (1.0 + 2.0 ** -45))))
+    return SymMatrix(mid, float(_up(eps * (1.0 + 2.0 ** -45))), None if coef is None else coef / dm)
 
 
 def _tail_lambda(dom: DomainRect, n: int) -> Interval:
@@ -308,42 +307,66 @@ def _section(u: Series2D, p: int) -> tuple:
     (iii), rounded up, there.  lambda_F is the interval maximum over F and
     lambda_tail the interval minimum over every other odd-odd mode.
 
-    One interval scan chooses Lambda: the modes of the `_scan_box` sorted by
-    the lower ends of their eigenvalues, every rise of that lower end is a
-    level, the modes below it are F and the rest of the box, with the modes
-    beyond it, the tail.  Every mode beyond the box lies above (kx, 1) or
-    (1, ky), kx and ky the box's extra odd modes.  Lambda is the first level
-    with t > 0 and c <= COUPLING_TARGET; CapacityError if none has.  On a
+    One interval scan chooses Lambda.  Every lower end of an eigenvalue of
+    the `_scan_box` above the least is a level; the modes below it are F,
+    and the rest of the box, with the modes beyond it, the tail.  Every mode
+    beyond the box lies above (kx, 1) or (1, ky), kx and ky the box's extra
+    odd modes.  Lambda is the first level with t > 0 and c <=
+    COUPLING_TARGET; CapacityError if none has.  t reads lambda_tail only
+    through its lower end, min(Lambda, that of (kx, 1) and (1, ky)), and c
+    reads that and the upper end of lambda_F, so each is carried as that
+    end.  No sort is needed: both ends of lambda_ij rise along every row and
+    column of the box, so the modes below a level fill a prefix of each row,
+    and the upper end of lambda_F is the largest last entry of those
+    prefixes (`np.searchsorted` per row).  Levels at about 2^j times the
+    least, each the first level at or above it, are tried first, and only
+    the levels up to the first of them that passes are scanned.  On a
     square lambda_ij = lambda_ji bit for bit, so F is swap-invariant."""
     def scan():
         dom = u.domain
         wbar, (wt, h) = _wbar(u, p), _coupling_terms(u, p)
         mx, my = _scan_box(dom)
         lam = dom.lambda_grid(mx, my)
-        beyond = IArray(min(lam.lo[-1, 0], lam.lo[0, -1]), min(lam.hi[-1, 0], lam.hi[0, -1]))
-        lo, hi = lam.lo[:-1, :-1].ravel(), lam.hi[:-1, :-1].ravel()
-        del lam  # arrays are dropped once read: how many are alive sets the peak
+        beyond = min(lam.lo[-1, 0], lam.lo[0, -1])
+        lo, hi = lam.lo[:-1, :-1], lam.hi[:-1, :-1]
         mx, my = mx[:-1], my[:-1]
-        order = np.argsort(lo, kind="stable")
-        lo, hi = lo[order], hi[order]
-        k = np.flatnonzero(lo[1:] > lo[:-1]) + 1  # F = the first k modes
-        level = lo[k]
-        tail = IArray(np.minimum(level, beyond.lo),
-                      np.minimum(np.minimum.accumulate(hi[::-1])[::-1][k], beyond.hi), _unsafe=True)
-        top = IArray(lo[k - 1], np.maximum.accumulate(hi)[k - 1], _unsafe=True)
-        del lo, hi
-        t = (IArray(1.0) - IArray._coerce(wbar) / tail).lo
-        c = ((IArray._coerce(h) + IArray._coerce(wt) * _sqrt(top)) / (tail * _sqrt(tail))).hi
-        ok = np.flatnonzero((t > 0.0) & (c <= COUPLING_TARGET))
-        if not len(ok):
-            last = f": t = {t[-1]:.4e}, c = {c[-1]:.4e} at the last" if len(k) else ""
+
+        def passes(levels, top):
+            """(t, c, pass) at each level, F the modes below it and top
+            the upper end of lambda_F."""
+            tail = IArray(np.minimum(levels, beyond))
+            t = (IArray(1.0) - IArray._coerce(wbar) / tail).lo
+            c = ((IArray._coerce(h) + IArray._coerce(wt) * _sqrt(IArray(top)))
+                 / (tail * _sqrt(tail))).hi
+            return t, c, (t > 0.0) & (c <= COUPLING_TARGET)
+
+        probes, x = [], lo[0, 0]
+        while x < lo[-1, -1]:
+            x = min(2.0 * x, lo[-1, -1])
+            below = lo < x
+            probes.append((lo[~below].min(), hi[below].max()))
+        last = lo[-1, -1]
+        if probes:
+            levels, top = np.array(probes).T
+            ok = passes(levels, top)[2]
+            last = levels[np.argmax(ok)] if ok.any() else last
+        levels = lo[(lo > lo[0, 0]) & (lo <= last)]
+        top = np.full(len(levels), -np.inf)
+        for i in range(np.searchsorted(lo[:, 0], last)):
+            k = np.searchsorted(lo[i], levels)  # the modes of row i below each level
+            np.maximum(top, np.where(k > 0, hi[i][k - 1], -np.inf), out=top)
+        t, c, ok = passes(levels, top)
+        if not ok.any():
+            end = np.argmax(levels) if len(levels) else None
+            at = "" if end is None else f": t = {t[end]:.4e}, c = {c[end]:.4e} at the last"
             raise CapacityError(f"no eigenvalue level of the {len(mx)} x {len(my)} odd-mode box, "
                                 f"at most {MAX_DENSE_ROWS} rows, gives t > 0 and coupling <= "
-                                f"{COUPLING_TARGET}{last}")
-        i = ok[0]
-        f = order[:k[i]]
-        return (float(level[i]), int(mx[f // len(my)].max()), int(my[f % len(my)].max()),
-                float(t[i]), float(c[i]))
+                                f"{COUPLING_TARGET}{at}")
+        i = np.argmin(np.where(ok, levels, np.inf))
+        level = levels[i]
+        nx = mx[np.searchsorted(lo[:, 0], level) - 1]
+        ny = my[np.searchsorted(lo[0], level) - 1]
+        return float(level), int(nx), int(ny), float(t[i]), float(c[i])
 
     return u.fact(("section", p), scan)
 
@@ -430,19 +453,29 @@ def _fold(rows, m_eps: float, rep: np.ndarray, partner: np.ndarray, n: int) -> t
     return f, float(_up((m_eps + 2.0 ** -51 * m_fro) * (1.0 + 2.0 ** -45)))
 
 
-def _folded_block(w: Series2D, mx: np.ndarray, my: np.ndarray, level: float) -> SymMatrix:
+def _folded_block(w: Series2D, mx: np.ndarray, my: np.ndarray, level: float,
+                  center: Series2D | None = None) -> SymMatrix:
     """B = I - D' F D' of the potential w on the section, the sine modes
     (i, j) of the box mx x my with lambda_ij.lo < level (swap-invariant on a
     square), in the orthonormal basis of its swap orbits: F = `_fold` of the
     Galerkin matrix assembled on the box and d' = s Lam^{-1/2}, s = 1/sqrt(2)
     on the pairs i < j and 1 elsewhere; on a rectangle, the block on the
-    section's modes."""
+    section's modes.  Given the center, its negative direction is the
+    center in that basis, Lam^{1/2} u-hat on the section, folded: u-hat's
+    coefficient of a row's rep mode over d'."""
     dom = w.domain
     lam = dom.lambda_grid(mx, my)
     rep, partner = _orbits(dom, lam.lo < level)
     d = IArray(1.0) / _sqrt(lam.reshape(-1)[rep])
     f_mid, f_eps = _fold(*_potential_matrix(w, mx, my), rep, partner, lam.size)
-    return _b_matrix(f_mid, f_eps, d, rep != partner)
+    coef = None
+    if center is not None:
+        c = center.coeffs.mid()
+        ix, iy = mx[mx <= c.shape[0]] - 1, my[my <= c.shape[1]] - 1
+        box = np.zeros((len(mx), len(my)))
+        box[:len(ix), :len(iy)] = c[np.ix_(ix, iy)]
+        coef = box.reshape(-1)[rep]
+    return _b_matrix(f_mid, f_eps, d, rep != partner, coef)
 
 
 @dataclass(frozen=True)
@@ -459,6 +492,7 @@ class InverseBound:
     rows: int
     level: float  # Lambda
     box: tuple  # (nx, ny)
+    morse_index: int  # negative eigenvalues of B on X
 
     @property
     def binds(self) -> str:
@@ -473,6 +507,7 @@ class InverseBound:
             "coupling": self.coupling.hex(),
             "block_rows": self.rows,
             "binds": self.binds,
+            "morse_index": self.morse_index,
         }
 
 
@@ -537,13 +572,18 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     with lambda_ij.lo < Lambda (`_section`), which the swap keeps on a square,
     and the tail T, every other odd-odd mode:
 
-      (i)   m <= min |eig(B_FF)|, from the folded block held as a float
-            midpoint and a 2-norm bound eps, by one Cholesky factorization
-            of its shifted squared midpoint and Weyl's inequality
-            (`eig_enclosures`): a row per mode of F on a rectangle and per
-            swap orbit on a square.  The Galerkin matrix is assembled on F's
-            box and only F's rows and columns are kept: a principal
-            submatrix, within the box's Frobenius bound;
+      (i)   m <= min |eig(B_FF)|, with exactly one eigenvalue of B_FF below
+            0, from the folded block held as a float midpoint and a 2-norm
+            bound eps (`eig_enclosures`): an outward-rounded Rayleigh
+            quotient of v = Lam^{1/2} u-hat on F, folded, the center in this
+            basis, proves one eigenvalue below -m, and one Cholesky
+            factorization of the midpoint plus tau v v^T, shifted, proves the
+            rest above m, by interlacing and Weyl's inequality.  Galerkin
+            gives B v ~ (1 - p) v, so v is close to the negative
+            eigenvector and deflating it loses little.  A row per mode of F
+            on a rectangle and per swap orbit on a square.  The Galerkin
+            matrix is assembled on F's box and only F's rows and columns are
+            kept: a principal submatrix, within the box's Frobenius bound;
       (ii)  t = 1 - Wbar/lambda_tail <= min eig(B_TT), Wbar >= p sup|u|^{p-1},
             lambda_tail <= the smallest eigenvalue of a tail mode, the
             interval minimum over the tail;
@@ -599,7 +639,23 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     rises with m and t and falls with c, so the lower bounds m, t and the
     upper bound c give a lower bound on s* (`_coupled_gap`).
 
-    So K = 1/s* bounds the inverse on X.  The parity structure and the fold
+    So K = 1/s* bounds the inverse on X.
+
+    Morse index: B has exactly one negative eigenvalue on X, the index
+    (i) proves for B_FF.  Scale the coupling by e in [0, 1], B(e) = [[B_FF,
+    e B_FT], [e B_TF, B_TT]]: the lemma holds for B(e) with the coupling
+    bound e c, and s* only grows as the coupling falls, so every B(e) has
+    |mu| >= s* > 0.  B(e) depends continuously on e, so no eigenvalue
+    crosses 0 and the count of negative ones is that of B(0), one in B_FF
+    and none in B_TT >= t > 0.  The index carries to the linearization at
+    the solution u~ of the ball: along the segment from u-hat the
+    linearization moves by at most g r_h1, and K g r_h1 <= 2 K^2 delta g < 1,
+    so no eigenvalue crosses 0 there either.  The extremizer u* has index 1
+    on X, since X is in H^1_0, where its index is 1, and J''(u*)[u*, u*] =
+    (1 - p) ||grad u*||^2 < 0 with u* in X, so a certified ball of any
+    other index would not hold u* (`enclosure_from_ball` asks for 1).
+
+    The parity structure and the fold
     need a square odd-odd center, transpose-symmetric on a square domain, so
     any other center raises DomainError, as does a p outside 2..5, before
     any work.
@@ -608,7 +664,7 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
     _check_center(u)
     level, nx, ny, tail_lo, coupling = _section(u, p)
     block = _folded_block(_potential(u, p), np.arange(1, nx + 1, 2), np.arange(1, ny + 1, 2),
-                          level)
+                          level, u)
     block_lo = eig_enclosures(block)
     m = _coupled_gap(block_lo, tail_lo, coupling).lo
     if not m > 0.0:
@@ -616,7 +672,7 @@ def inverse_bound(u: Series2D, p: int) -> InverseBound:
             f"inverse bound denominator {m:.4e} <= 0 on the section of {block.n} rows"
         )
     return InverseBound(Interval(1.0) / Interval(m), block_lo, tail_lo, coupling, block.n,
-                        level, (nx, ny))
+                        level, (nx, ny), block.index)
 
 
 # -- Newton-Kantorovich ---------------------------------------------------------
@@ -874,7 +930,7 @@ class CertifiedBall:
         c = self.center
         digest = hashlib.sha256(c.coeffs.lo.tobytes() + c.coeffs.hi.tobytes()).hexdigest()
         return {
-            "format": "sobemb-certificate/9",
+            "format": "sobemb-certificate/10",
             "domain": c.domain.to_dict(),
             "k": k,
             "N": c.N,

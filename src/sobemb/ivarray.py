@@ -242,6 +242,21 @@ def _gamma_fac(k: int) -> float:
     return g / (1.0 - g)
 
 
+def _fro(x: np.ndarray) -> float:
+    """Upper bound on the Frobenius norm of the float array x
+    (`_fro_bound`)."""
+    x = x.ravel()
+    return _fro_bound(float(x @ x), x.size)
+
+
+def _fro_bound(sq: float, k: int) -> float:
+    """Upper bound on the Frobenius norm of k float entries from sq, the
+    float sum of their squares in any order: the pad 4 gamma_k covers that
+    sum and the square root, and sqrt(k) 1e-150 the squares lost below the
+    normal range."""
+    return float(_up(math.sqrt(sq) * (1.0 + 4.0 * _gamma_fac(k)) + math.sqrt(k) * 1e-150))
+
+
 @_checked
 def imatmul(a: IArray, b: IArray) -> IArray:
     """Rigorous interval matrix product from the midpoint-radius bound

@@ -29,7 +29,7 @@ from .intervals import Interval, iv_pow_real
 from .series import DomainRect, Series2D
 from .solver import SolverConfig, initial_guess, newton_solve
 
-REPORT_FORMAT = "sobemb-report/8"
+REPORT_FORMAT = "sobemb-report/9"
 
 
 @dataclass
@@ -271,6 +271,8 @@ def _check_row(row: dict) -> None:
         for key in ("block_min", "tail", "coupling"):
             float.fromhex(row["inverse_bound"][key])
     if certified:
+        index = row["inverse_bound"]["morse_index"]
+        _require(type(index) is int and index == 1, "a certified row whose Morse index is not 1")
         pos = row["positiveness"]
         margins = [float.fromhex(pos[k]) for k in ("lq_margin", "norm_margin")]
         _require(not row["positive"] or min(margins) > 0.0,
@@ -285,8 +287,9 @@ def validate_report_dict(d: dict) -> None:
     """Re-validate the rigorous fields of a loaded report (self-check): k and
     every row's N integers, N >= 1, every interval ordered, K positive, the
     defects, radii and neg_sup nonnegative, the terms of K readable hex floats, and
-    on certified rows the terms of K and the positiveness record present (a
-    positive row with both margins above 0), the trial radius at least r_h1
+    on certified rows the terms of K present with a Morse index of 1, the
+    positiveness record present (a positive row with both margins above 0),
+    the trial radius at least r_h1
     (g must hold on the certified ball) and the row's enclosure, lower <=
     upper, present as hex floats, as is the final enclosure of every report.
     A failed check, and a missing or malformed field, is a SoundnessViolation

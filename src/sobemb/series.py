@@ -39,14 +39,14 @@ from .intervals import PI, PI_HALF, Interval, iv_pow_real, iv_sin, iv_sqrt
 from .ivarray import _EPS, IArray, _dn, _up, ildexp, imatmul, isum
 
 MAX_EXPANSION_ORDER = 1024
-# Rows of the largest dense matrix built (`galerkin_jacobian`) and of
-# Newton's Galerkin system, which builds no matrix but whose transforms grow
-# with its rows, and modes of the box the inverse bound's section is chosen
-# in, which holds the box it is assembled on and its block; more is a
-# CapacityError before allocation.  The inverse bound peaks at 28 to 31
+# Rows of Newton's Galerkin system, which builds no matrix but whose
+# transforms grow with its rows, and modes of the box the inverse bound's
+# section is chosen in, which holds the box it is assembled on and its
+# block, the largest dense matrices certification builds; more is a
+# CapacityError before allocation.  The inverse bound peaks at 19 to 21
 # bytes per entry of its assembly box, box modes^2 (certify_ball's peak RSS
 # raise on 2 x 1 p=4 N=16 and 1.5 x 1 p=5 N=20: boxes of 512 and 864 modes
-# whose sections keep 402 and 694 rows), so 31 B budgets 1.8 GB.  The
+# whose sections keep 402 and 694 rows), so 21 B budgets 1.2 GB.  The
 # section follows the center's sup, gradient and Laplacian bounds, not N
 # (144 box modes at p=3 on the unit square), so there the Galerkin system's
 # ceil(N/2)^2 rows set the cap: p=3, N <= 174.

@@ -119,6 +119,16 @@ def test_enclosure_from_ball_requires_positiveness(ball_p3_n20):
             enclosure_from_ball(dataclasses.replace(ball_p3_n20, audit=audit))
 
 
+def test_enclosure_from_ball_requires_morse_index_one(ball_p3_n20):
+    """A ball whose inverse bound records a Morse index other than the
+    extremizer's 1 on X has no enclosure, though it is proved positive."""
+    assert ball_p3_n20.positive and ball_p3_n20.inverse.morse_index == 1
+    for index in (0, 2):
+        inverse = dataclasses.replace(ball_p3_n20.inverse, morse_index=index)
+        with pytest.raises(CertificateMissing):
+            enclosure_from_ball(dataclasses.replace(ball_p3_n20, inverse=inverse))
+
+
 def test_enclosure_from_ball_rejects_large_radius(ball_p3_n20):
     """The norm margin ||u||_{H^1_0} - 2 r_h1 is the enclosure's premise: a
     ball of radius 7 about a center of norm about 12.3 fails it, so the

@@ -651,7 +651,7 @@ def test_rectangle_fold_is_the_identity():
     full, whole = _block(w, mx, my), certify._folded_block(w, mx, my, math.inf)
     assert np.array_equal(full.mid, whole.mid) and full.eps == whole.eps
     head = (u.domain.lambda_grid(mx, my).lo < level).reshape(-1)
-    section = certify._folded_block(w, mx, my, level)
+    section = certify._folded_block(w, mx, my, level, u)
     assert np.array_equal(full.mid[np.ix_(head, head)], section.mid)
     ib = inverse_bound(u, 3)
     m = eig_enclosures(section)
@@ -908,6 +908,42 @@ def test_inverse_bound_on_2x1_p4_within_16_mib():
         tracemalloc.stop()
     assert (ib.rows, ib.box) == (402, (63, 31))
     assert peak <= 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("p, n", [(3, 10), (4, 12)], ids=["c4-N10", "c5-N12"])
+def test_sweep_row_certifies_without_an_eigensolver(monkeypatch, p, n):
+    """The c4 N=10 and c5 N=12 rows certify, with Morse index 1, while
+    np.linalg.eigvalsh and eigh raise: the block bound takes its negative
+    direction from the center and its shift from Lanczos, not from LAPACK's
+    eigensolvers."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    (row,) = run_pipeline(RunConfig(p=p, domain=SQ, N=[n])).rows
+    assert row.status == "certified" and row.ball.inverse.morse_index == 1
+
+
+def test_block_with_two_negative_eigenvalues_ends_the_row_typed(monkeypatch):
+    """The c4 N=10 block minus 3 w w^T, w its second float eigenvector
+    (eigenvalue about 0.6), has two negative eigenvalues: deflating the
+    center's direction leaves one, so the block is not proved and the row
+    ends in NotInvertible, with no enclosure."""
+    orig = certify._folded_block
+
+    def two_negative(*args):
+        block = orig(*args)
+        sym = np.tril(block.mid) + np.tril(block.mid, -1).T
+        lam, vec = np.linalg.eigh(sym)
+        assert lam[0] < 0.0 < lam[1]
+        block.mid -= 3.0 * np.outer(vec[:, 1], vec[:, 1])
+        return block
+
+    monkeypatch.setattr(certify, "_folded_block", two_negative)
+    (row,) = run_pipeline(RunConfig(p=3, domain=SQ, N=[10])).rows
+    assert row.status == "NotInvertible"
+    assert row.upper is None and row.lower is None
 
 
 # -- defect bounds ------------------------------------------------------------------
@@ -1352,7 +1388,7 @@ def test_certificate_json_roundtrip(ball_p3_n20):
     import json
 
     d = json.loads(ball_p3_n20.to_json())
-    assert d["format"] == "sobemb-certificate/9"
+    assert d["format"] == "sobemb-certificate/10"
     assert "split_order" not in d and d["section_box"] == [23, 23]
     assert float.fromhex(d["section_level"]) == certify._section(ball_p3_n20.center, 3)[0]
     assert d["k"] == 0

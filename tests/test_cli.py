@@ -34,7 +34,7 @@ def test_certify_roundtrip_through_file(tmp_path):
     rc = main(["certify", "--p", "3", "--in", series, "--out", cert])
     assert rc == EXIT_OK
     d = json.loads(open(cert).read())
-    assert d["format"] == "sobemb-certificate/9"
+    assert d["format"] == "sobemb-certificate/10"
     assert d["positive"] is True
     assert float.fromhex(d["r_h1"][1]) < 0.2
 
@@ -199,7 +199,7 @@ def test_enclose_json_and_csv(tmp_path):
     rc = main(["enclose", "--p", "3", "--N", "8", "--out", out])
     assert rc == EXIT_OK
     d = json.loads(open(out).read())
-    assert d["format"] == "sobemb-report/8"
+    assert d["format"] == "sobemb-report/9"
     assert d["final"] is not None
     csv_out = str(tmp_path / "report.csv")
     rc = main(["enclose", "--p", "3", "--N", "8", "--format", "csv",

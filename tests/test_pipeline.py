@@ -96,13 +96,14 @@ def test_each_row_releases_its_centers_facts(report_c4, monkeypatch):
 def test_report_rows_explain_k():
     """Each certified row carries the terms of K as hex floats and ints: the
     block minimum m, tail t, coupling c, the rows of the folded block and
-    which of m and t binds; K is 1/s* of them, and the canonical JSON with
+    which of m and t binds, and the Morse index 1; K is 1/s* of them, and the canonical JSON with
     these fields is byte-identical across two runs."""
     a, b = (run_pipeline(RunConfig(p=4, domain=SQ, N=[12])) for _ in range(2))
     assert a.canonical_json() == b.canonical_json()
     row = json.loads(a.canonical_json())["rows"][0]
     ib = row["inverse_bound"]
-    assert set(ib) == {"block_min", "tail", "coupling", "block_rows", "binds"}
+    assert set(ib) == {"block_min", "tail", "coupling", "block_rows", "binds", "morse_index"}
+    assert ib["morse_index"] == 1
     m, t, c = (float.fromhex(ib[k]) for k in ("block_min", "tail", "coupling"))
     assert 0.0 < m < 1.0 and 0.0 < t < 1.0 and c > 0.0
     assert ib["binds"] == ("block" if m <= t else "tail")
@@ -162,7 +163,7 @@ def test_certificate_holds_the_report_row(report_c4):
     row = json.loads(report_c4.canonical_json())["rows"][0]
     assert row["N"] == 10 and row["status"] == "certified"
     cert = certify_ball(report_c4.solutions[10], 3).to_dict()
-    assert cert["format"] == "sobemb-certificate/9"
+    assert cert["format"] == "sobemb-certificate/10"
     rigorous = set(row) - {"N", "status", "lower", "upper", "error"}
     assert {k: cert[k] for k in rigorous} == {k: row[k] for k in rigorous}
     text = {"format", "coefficient_digest", "binds"}
@@ -197,6 +198,9 @@ def _set(path, value):
     _set(("inverse_bound", "tail"), "not hex"),
     _set(("inverse_bound", "coupling"), None),
     lambda d: d["rows"][-1]["inverse_bound"].pop("block_min"),
+    _set(("inverse_bound", "morse_index"), 2),
+    _set(("inverse_bound", "morse_index"), True),
+    lambda d: d["rows"][-1]["inverse_bound"].pop("morse_index"),
     _set(("trial_radius",), (1e-300).hex()),
     _set(("trial_radius",), "0x1.0p"),
     lambda d: d["rows"][-1].pop("trial_radius"),
@@ -221,7 +225,8 @@ def _set(path, value):
     lambda d: d["classical"][0].__setitem__(1, ["nothex", (1.0).hex()]),
 ], ids=["K-zero", "K-negative", "defect_hm1-negative", "defect_l2-negative",
         "r_h1-negative", "r_inf-negative", "K-lo-above-hi", "tail-not-hex",
-        "coupling-null", "block_min-missing", "trial_radius-below-r_h1",
+        "coupling-null", "block_min-missing", "morse_index-two", "morse_index-bool",
+        "morse_index-missing", "trial_radius-below-r_h1",
         "trial_radius-not-hex", "trial_radius-missing", "inverse_bound-null",
         "positiveness-null", "positiveness-missing", "lq_margin-zero",
         "norm_margin-negative", "norm_margin-null",
@@ -262,7 +267,7 @@ def test_rectangle_run_fails_typed_within_budget():
     assert seconds < 30.0
     assert peak < 2 ** 30
     assert [row.status for row in report.rows] == ["ConditionFailure"]
-    assert "1.0858e+00" in report.rows[0].error
+    assert "1.0861e+00" in report.rows[0].error
 
 
 def _final(report) -> Interval:
@@ -372,7 +377,7 @@ def test_c6_certifies_within_budget():
 
 def test_report_structure_and_validation(report_c4):
     d = json.loads(report_c4.to_json())
-    assert d["format"] == "sobemb-report/8"
+    assert d["format"] == "sobemb-report/9"
     validate_report_dict(d)  # must not raise
     # corrupting a rigorous field must be caught
     bad = json.loads(report_c4.to_json())

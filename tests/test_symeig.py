@@ -1,8 +1,10 @@
-"""The lower bound on min |eigenvalue| of a symmetric family (mid, eps),
-checked against an independent exact-inertia bisection oracle in rational
-arithmetic (equivalent to root bracketing of the characteristic polynomial,
-but unconditionally sound) and against mpmath spectra of sampled members;
-and the platform assumption behind it, checked exactly on this BLAS."""
+"""The lower bound on min |eigenvalue| of a symmetric family (mid, eps) and
+its count of negative eigenvalues, checked against an independent
+exact-inertia bisection oracle in rational arithmetic (equivalent to root
+bracketing of the characteristic polynomial, but unconditionally sound) and
+against mpmath spectra of sampled members; each side of its lemma
+recomputed exactly; and the platform assumption behind it, checked exactly
+on this BLAS."""
 
 from fractions import Fraction
 
@@ -272,24 +274,51 @@ def test_eig_enclosures_issues_no_interval_product(monkeypatch):
     assert calls == []
 
 
+def _index_one(n, seed, lo=0.2, hi=2.0):
+    """(a, v): a mirrored float B~ = Q diag(lam) Q^T with one eigenvalue in
+    [-hi, -lo] and n - 1 in [lo, hi], and v its float eigenvector q_1."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = rng.uniform(lo, hi, size=n)
+    lam[0] = -lam[0]
+    a = (q * lam) @ q.T
+    return np.tril(a) + np.tril(a, -1).T, q[:, 0].copy()
+
+
+def _exact(a):
+    return [[Fraction(float(x)) for x in row] for row in a]
+
+
+def _row_sum_bound(x, y):
+    """max_i ((|x| |y|) 1)_i, exactly."""
+    col = [sum(abs(Fraction(float(v))) for v in row) for row in y]
+    return max(sum(abs(Fraction(float(v))) * c for v, c in zip(row, col)) for row in x)
+
+
 def test_cholesky_term_meets_its_lemma_exactly(monkeypatch):
-    """The lemma of `eig_enclosures`, recomputed in exact rationals from the
-    float factor L that the function itself computed (captured from
-    np.linalg.cholesky), on an indefinite block whose factor has entries of
-    both signs.  With S~ = fl(B~ B~), A = L L^T + dA the shifted matrix that
-    was factored, the diagonal S~ - A = s I - D_A taken exactly and g =
-    `_gamma_fac(n + 1)`, which is at least gamma_{n+1} >= gamma_n,
+    """(b) of the lemma of `eig_enclosures`, recomputed in exact rationals
+    from the float factor L that `_deflated_floor` itself computed (captured
+    from np.linalg.cholesky).  B~ = C - tau0 v v^T is C, positive definite,
+    less a rank-one term 2^20 times larger, and tau = tau0 cancels it: the
+    rounding of tau v v^T then outweighs every other error, so dropping the
+    rank-one formation error fails here.  With A the symmetric matrix from
+    the lower triangle that was factored and F = ||(B~ + tau v v^T - s I) -
+    A||_inf taken exactly, the floor must be at most
 
-        lambda_min(B~^2) >= min_i (S~ - A)_ii - g ||(|B~| |B~|) 1||_inf
-                            - g ||(|L| |L^T|) 1||_inf - n _TINY,
+        s - F - g ||(|L| |L^T|) 1||_inf - n _TINY,    g = `_gamma_fac(n + 1)`,
 
-    and the square of the returned bound is at most that.  Taking L signed
-    in the third term lets its entries cancel, which this catches."""
-    n = 12
+    and no eigenvalue of the exact B~ + tau v v^T lies below it; B~ is put
+    back bit for bit."""
+    n = 10
     rng = np.random.default_rng(n)
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    b = (q * (np.linspace(0.05, 2.0, n) * np.resize([1.0, -1.0], n))) @ q.T
+    c = (q * np.linspace(0.5, 2.0, n)) @ q.T
+    v = rng.normal(size=(n, 1))
+    v /= np.linalg.norm(v)
+    tau = 2.0 ** 20
+    b = c - tau * (v @ v.T)
     b = np.tril(b) + np.tril(b, -1).T
+    before = b.copy()
     seen = []
     cholesky = np.linalg.cholesky
 
@@ -299,23 +328,77 @@ def test_cholesky_term_meets_its_lemma_exactly(monkeypatch):
         return low
 
     monkeypatch.setattr(np.linalg, "cholesky", spy)
-    bound = eig_enclosures(SymMatrix.from_point(b))
+    g = _gamma_fac(n + 1)
+    s = 0.25
+    floor = symeig._deflated_floor(b, v, tau, [s], g)
     ((a, low),) = seen
-    assert (low < 0.0).any() and bound > 0.0
-    g = Fraction(_gamma_fac(n + 1))
-    k = (n + 1) * Fraction(1, 2 ** 53)
-    assert g >= k / (1 - k)
+    assert np.array_equal(b, before)
+    a = np.tril(a) + np.tril(a, -1).T
+    vf = [Fraction(float(x)) for x in v[:, 0]]
+    exact = [[Fraction(float(x)) + Fraction(tau) * vf[i] * vf[j] - (Fraction(s) if i == j else 0)
+              for j, x in enumerate(row)] for i, row in enumerate(b)]
+    f = max(sum(abs(x - Fraction(float(y))) for x, y in zip(er, ar)) for er, ar in zip(exact, a))
+    assert f > 1e-12  # the rank-one rounding dominates
+    bound = Fraction(s) - f - Fraction(g) * _row_sum_bound(low, low.T) - n * Fraction(_TINY)
+    assert 0 < Fraction(floor) <= bound
+    shifted = [[x + (Fraction(s) if i == j else 0) for j, x in enumerate(row)]
+               for i, row in enumerate(exact)]
+    assert _count_below(shifted, Fraction(floor)) == 0
 
-    def row_sum_bound(x, y):
-        """max_i ((|x| |y|) 1)_i, exactly."""
-        col = [sum(abs(Fraction(float(v))) for v in row) for row in y]
-        return max(sum(abs(Fraction(float(v))) * c for v, c in zip(row, col)) for row in x)
 
-    diag = min(Fraction(float(s)) - Fraction(float(x))
-               for s, x in zip(np.diag(b @ b), np.diag(a)))
-    exact = (diag - g * (row_sum_bound(b, b) + row_sum_bound(low, low.T))
-             - n * Fraction(_TINY))
-    assert Fraction(bound) ** 2 <= exact
+@pytest.mark.parametrize("k", [1, 2])
+def test_rayleigh_side_meets_its_lemma_exactly(k):
+    """(a) of the lemma of `eig_enclosures` in exact rationals: on index-k
+    blocks with perturbed eigenvectors V (not Rayleigh-quotient exact), the
+    returned mu makes V^T B~ V + mu V^T V negative definite, that is
+    every Rayleigh quotient on span V lies strictly below -mu; for k = 1,
+    mu is below minus the exact quotient v^T B~ v / v^T v.  A quotient
+    rounded to nearest lands above it on about half of these seeds."""
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n = 9
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = rng.uniform(0.2, 2.0, size=n) * 10.0 ** rng.uniform(-3, 3)
+        lam[:k] = -lam[:k]
+        b = (q * lam) @ q.T
+        b = np.tril(b) + np.tril(b, -1).T
+        v = q[:, :k] + 1e-3 * rng.normal(size=(n, k))
+        v /= np.linalg.norm(v, axis=0)
+        mu, _, keep = symeig._negative_side(b, v, _gamma_fac(n + 1))
+        assert keep.all() and mu > 0.0
+        bf, vf = _exact(b), _exact(v)
+        compressed = [[sum(vf[r][i] * bf[r][c] * vf[c][j] for r in range(n) for c in range(n))
+                       + Fraction(mu) * sum(vf[r][i] * vf[r][j] for r in range(n))
+                       for j in range(k)] for i in range(k)]
+        assert _count_below(compressed, Fraction(0)) == k  # negative definite
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_deflated_bound_against_exact_inertia(n):
+    """On random index-1 matrices, with v the float eigenvector of the
+    negative eigenvalue and with v perturbed by 1e-2, the bound lies below
+    the exact-inertia oracle's bracket of min |eig|, exactly one eigenvalue
+    lies below -bound and none in [-bound, bound), so the index is 1; with
+    the float eigenvector the bound is within 1e-9 of the bracket, and
+    neither calls np.linalg.eigh.  The positive eigenvector in its place is
+    dropped as not negative, and the block is then not proved."""
+    for seed in range(3):
+        a, v = _index_one(n, 1000 * n + seed)
+        rng = np.random.default_rng(seed)
+        lo, hi = _oracle(a)
+        frac = _exact(a)
+        for w, tight in ((v, True), (v + 1e-2 * rng.normal(size=n), False)):
+            m = SymMatrix(a.copy(), 0.0, w)
+            bound = eig_enclosures(m)
+            assert m.index == 1
+            assert 0 < Fraction(bound) <= lo
+            assert _count_below(frac, -Fraction(bound)) == 1
+            assert _count_below(frac, Fraction(bound)) == 1
+            if tight:
+                assert hi - Fraction(bound) <= Fraction(1, 10 ** 9) * hi
+        lam, vec = np.linalg.eigh(a)
+        with pytest.raises(NotInvertible):
+            eig_enclosures(SymMatrix(a.copy(), 0.0, vec[:, -1]))
 
 
 # -- the platform assumption: classical inner products in BLAS and LAPACK -------
@@ -350,8 +433,15 @@ def _spd(n, seed, kind):
     if kind == "gram":
         x = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-2, 2, size=n)
         return x @ x.T / n + 1e-6 * np.eye(n)
-    # the shifted square eig_enclosures factors: B^2 - s I, s just below
-    # the smallest eigenvalue of B^2
+    if kind == "deflated":
+        # what eig_enclosures factors: an index-1 B~ plus tau v v^T, shifted
+        # to just below its smallest eigenvalue
+        b, v = _index_one(n, seed)
+        a = b + 4.0 * np.outer(v, v)
+        a[np.diag_indices(n)] -= float(np.linalg.eigvalsh(a)[0]) * (1.0 - 1e-6)
+        return a
+    # a shifted square B^2 - s I, s just below the smallest eigenvalue of
+    # B^2: positive definite with a factor of entries of both signs
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     lam = rng.uniform(0.1, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     b = (q * lam) @ q.T
@@ -362,7 +452,8 @@ def _spd(n, seed, kind):
 
 
 @pytest.mark.parametrize("n, kind", [(5, "gram"), (40, "square"), (64, "gram"),
-                                     (300, "gram"), (300, "square")])
+                                     (300, "gram"), (300, "square"), (40, "deflated"),
+                                     (300, "deflated")])
 def test_cholesky_backward_error_holds_exactly(n, kind):
     """Higham's Theorem 10.3, which `eig_enclosures` rests on: the factor L
     of np.linalg.cholesky(A) satisfies |L L^T - A| <= gamma_{n+1} |L| |L^T|
@@ -382,7 +473,9 @@ def test_cholesky_backward_error_holds_exactly(n, kind):
 @pytest.mark.parametrize("n", [7, 300])
 def test_gemm_error_bound_holds_exactly(n):
     """|fl(B B) - B B| <= gamma_n |B| |B| entrywise for np.matmul, the bound
-    on S~ = fl(B~ B~) in `eig_enclosures`, checked in exact integers."""
+    behind every float matrix product of the certifier (the potential
+    matrix's rows, the block bound's rank-k update), checked in exact
+    integers."""
     rng = np.random.default_rng(n)
     b = _seeded_symmetric(n, n) * 10.0 ** rng.uniform(-3, 3, size=n)
     b = np.tril(b) + np.tril(b, -1).T
@@ -393,3 +486,25 @@ def test_gemm_error_bound_holds_exactly(n):
         mag = sum(abs(x * y) for x, y in zip(bi[i], bi[j]))
         diff = abs(prod - (si[i][j] << -e))
         assert diff * (2 ** 53 - n) <= n * mag, (i, j)
+
+
+@pytest.mark.parametrize("n", [7, 300])
+def test_gemv_error_bound_holds_exactly(n):
+    """The products of the Rayleigh quotient in `eig_enclosures`, Y~ =
+    fl(B~ v) and H~ = fl(v^T Y~), with v one column as there: |Y~ - B~ v|
+    <= gamma_n |B~| |v| and |H~ - v^T Y~| <= gamma_n |v|^T |Y~|, checked in
+    exact integers."""
+    rng = np.random.default_rng(n)
+    b = _seeded_symmetric(n, n + 1) * 10.0 ** rng.uniform(-3, 3, size=n)
+    b = np.tril(b) + np.tril(b, -1).T
+    v = rng.normal(size=(n, 1)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    y = b @ v
+    h = v.T @ y
+    (bi, vi, yi, hi), e = _scaled_ints([b, v.T, y.T, h])
+    for i in range(n):
+        prod = sum(x * z for x, z in zip(bi[i], vi[0]))
+        mag = sum(abs(x * z) for x, z in zip(bi[i], vi[0]))
+        assert abs(prod - (yi[0][i] << -e)) * (2 ** 53 - n) <= n * mag, i
+    prod = sum(x * z for x, z in zip(vi[0], yi[0]))
+    mag = sum(abs(x * z) for x, z in zip(vi[0], yi[0]))
+    assert abs(prod - (hi[0][0] << -e)) * (2 ** 53 - n) <= n * mag
