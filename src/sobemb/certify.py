@@ -140,14 +140,16 @@ def _nonneg(iv: Interval) -> Interval:
 
 
 @_checked
-def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray) -> IArray:
-    """X[(i,k), a] = int_0^L b_a sin_i sin_k over one side, for the first n
-    basis functions b_a of the given parity, by sin i sin k = (cos|i-k| -
-    cos(i+k))/2 and the exact cosine overlaps of b_a.  Each endpoint is
-    formed in place from two gathers of w's endpoints, with the outward
-    steps of IArray's difference and halving, so it has their bits and no
-    3-d interval temporaries."""
-    w = _axis_overlap(COS, 2 * int(modes.max()) + 1, parity, n, L)
+def _triple_overlap(parity: str, n: int, L: float, modes: np.ndarray,
+                    cols: np.ndarray) -> IArray:
+    """X[(i,k), a] = int_0^L b_a sin_i sin_k over one side, for the basis
+    functions b_a, a in cols, of the first n of the given parity, by
+    sin i sin k = (cos|i-k| - cos(i+k))/2 and the exact cosine overlaps of
+    b_a.  w's columns are gathered first, so no column outside cols is
+    formed.  Each endpoint is formed in place from two gathers of w's
+    endpoints, with the outward steps of IArray's difference and halving, so
+    it has their bits and no 3-d interval temporaries."""
+    w = _axis_overlap(COS, 2 * int(modes.max()) + 1, parity, n, L)[:, cols]
     diff = np.abs(modes[:, None] - modes[None, :]).ravel()
     both = (modes[:, None] + modes[None, :]).ravel()
     ends = []
@@ -170,9 +172,10 @@ def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
     order.  Nothing holds mid whole; `_fold` takes the slices as they come.
     The rows and columns of w's coefficients that are exactly [0, 0] (every
     other one, for a potential of one mode parity per axis) add nothing and
-    are left out, which halves the inner dimension k and so gamma_k.  Where
-    both axes have the same parity, length, side and modes, as on a square,
-    the triple overlap of the x-axis serves the y-axis too.
+    are left out, of w and of the triple overlaps alike, which halves the
+    inner dimension k and so gamma_k.  Where both axes have the same
+    parity, length, side, modes and columns, as on a square, the triple
+    overlap of the x-axis serves the y-axis too.
 
     Lemma.  With P = X w (`imatmul`), P_m, P_r, Y_m, Y_r the midpoints and
     radii of P and Y, and mid = fl(P_m Y_m^T): P Y^T - mid = (P - P_m) Y^T
@@ -185,11 +188,10 @@ def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
     dom = w.domain
     mag = w.coeffs.mag()
     kx, ky = np.flatnonzero(mag.any(axis=1)), np.flatnonzero(mag.any(axis=0))
-    ox = _triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)
+    px = _triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx, kx)
     same = ((w.parity_x, w.coeffs.shape[0], dom.L1) == (w.parity_y, w.coeffs.shape[1], dom.L2)
-            and np.array_equal(mx, my))
-    oy = ox if same else _triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)
-    px, py = ox[:, kx], oy[:, ky]
+            and np.array_equal(mx, my) and np.array_equal(kx, ky))
+    py = px if same else _triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my, ky)
     wc = w.coeffs[np.ix_(kx, ky)] * IArray._coerce(Interval(4.0) / dom.measure())
     p = imatmul(px, wc)
     pm, pr, ym, yr = p.mid(), p.rad(), py.mid(), py.rad()

@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import sys
 
+from . import solver
 from .bounds import outward_decimal
 from .certify import certify_ball
 from .errors import SobembError
@@ -210,10 +210,7 @@ def _cmd_reproduce(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(name)s %(message)s",
-    )
+    solver.VERBOSE = args.verbose
     handler = {
         "solve": _cmd_solve,
         "certify": _cmd_certify,

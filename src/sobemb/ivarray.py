@@ -272,26 +272,45 @@ def imatmul(a: IArray, b: IArray) -> IArray:
     # (larger) radius, and it keeps BLAS off its orders-of-magnitude slower
     # subnormal arithmetic paths -- the floor is high enough that products
     # with small partner entries stay normal too
-    ar = np.where((ar != 0.0) & (ar < _RAD_FLOOR), _RAD_FLOOR, ar)
-    br = np.where((br != 0.0) & (br < _RAD_FLOOR), _RAD_FLOOR, br)
+    ar[(ar != 0.0) & (ar < _RAD_FLOOR)] = _RAD_FLOOR
+    br[(br != 0.0) & (br < _RAD_FLOOR)] = _RAD_FLOOR
     k = am.shape[-1]
     g = _gamma_fac(k)
 
+    # am and bm turn into |am| and |bm| in place once cm is formed, and the
+    # radius is summed in place in the order of the expression
+    # ar @ (|bm| + br) + |am| @ br + g p, so it has that expression's bits
     cm = am @ bm
-    abs_am = np.abs(am)
-    abs_bm = np.abs(bm)
-    p = abs_am @ abs_bm  # bounds |am||bm| up to factor (1-g)
+    np.abs(am, out=am)
+    np.abs(bm, out=bm)
+    gp = am @ bm  # bounds |am||bm| up to factor (1-g)
+    gp *= g
     a_thin = not ar.any()
     b_thin = not br.any()
     if a_thin and b_thin:
-        rad = g * p
-    elif b_thin:
-        rad = ar @ abs_bm + g * p
-    elif a_thin:
-        rad = abs_am @ br + g * p
+        rad = gp.copy()
     else:
-        rad = ar @ (abs_bm + br) + abs_am @ br + g * p
-    rad = _up(rad * (1.0 + 6.0 * g) + g * p * g + 4.0 * _TINY)
+        if b_thin:
+            rad = ar @ bm
+        elif a_thin:
+            rad = am @ br
+        else:
+            bm += br
+            rad = ar @ bm
+            rad += am @ br
+        rad += gp
+    del am, ar, bm, br  # freed now, the checks and endpoints below can reuse them
+    rad *= 1.0 + 6.0 * g
+    gp *= g
+    rad += gp
+    del gp
+    rad += 4.0 * _TINY
+    np.nextafter(rad, np.inf, out=rad)
     _chk(cm, rad)
-    return IArray(_dn(cm - rad), _up(cm + rad))
+    lo = cm - rad
+    np.nextafter(lo, -np.inf, out=lo)
+    cm += rad
+    del rad
+    np.nextafter(cm, np.inf, out=cm)
+    return IArray(lo, cm)
 

@@ -9,6 +9,7 @@ artifacts apart from an isolated timing block.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -125,6 +126,9 @@ class RunReport:
                 "platform": "-".join((platform.system(), platform.release(),
                                       platform.machine())),
                 "numpy": np.__version__,
+                # the BLAS sums in another order on another thread count
+                "blas_threads": {v: os.environ.get(v)
+                                 for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
             },
             "timing": self.timing,
         }

@@ -42,8 +42,8 @@ a dense Jacobian and its LU took O(rows^2).
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +61,7 @@ from .series import (
     odd_odd_order,
 )
 
-log = logging.getLogger("sobemb.solver")
-
+VERBOSE = False  # Newton writes one line per step to stderr (`cli.main` sets it from -v)
 NEWTON_RTOL = 1e-15  # ||r|| / ||lambda a|| at which Newton stops
 MAX_ITER = 50  # Newton steps before NoConvergence
 GMRES_RTOL = 1e-14  # relative residual ||J x + r|| / ||r|| that ends GMRES
@@ -342,8 +341,9 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
         else:
             raise NoConvergence(f"line search stalled at residual {rnorm:.3e}")
         a, r, rnorm = trial, rt, rtnorm
-        log.info("newton iteration=%d residual=%.6e step_scale=%.3g", it + 1,
-                 rnorm, t)
+        if VERBOSE:
+            print("sobemb.solver newton iteration=%d residual=%.6e step_scale=%.3g"
+                  % (it + 1, rnorm, t), file=sys.stderr)
 
     full = np.zeros((cfg.N, cfg.N))
     full[::2, ::2] = a

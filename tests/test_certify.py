@@ -322,7 +322,7 @@ def _section_tail_norm(u, p, level, nprime):
     w = power_expand(u, p - 1).scale(Interval(float(p)))
     modes = np.arange(1, 5 * nprime + 1, 2)
     a = len(modes)
-    x, y = (certify._triple_overlap(par, n, L, modes).mid().reshape(a, a, n)
+    x, y = (certify._triple_overlap(par, n, L, modes, np.arange(n)).mid().reshape(a, a, n)
             for par, n, L in ((w.parity_x, w.coeffs.shape[0], dom.L1),
                               (w.parity_y, w.coeffs.shape[1], dom.L2)))
     lam = dom.lambda_grid(modes, modes)
@@ -681,20 +681,28 @@ def _basis(parity, n, L, x):
     return np.cos(np.pi * np.outer(x, np.arange(n)) / L)
 
 
-@pytest.mark.parametrize("parity, n, L, top", [
-    ("cos", 24, 1.0, 13), ("sin", 36, 1.5, 9), ("cos", 7, 2.0 ** -3, 40), ("sin", 5, 3.0, 1),
+_OVERLAP_CASES = [("cos", 24, 1.0, 13), ("sin", 36, 1.5, 9), ("cos", 7, 2.0 ** -3, 40),
+                  ("sin", 5, 3.0, 1)]
+
+
+@pytest.mark.parametrize("parity, n, L, top, step", [
+    *(pytest.param(*case, 1, id="-".join(map(str, case))) for case in _OVERLAP_CASES),
+    *(pytest.param(*case, 2, id="-".join(map(str, case)) + "-every-other-column")
+      for case in _OVERLAP_CASES),
 ])
-def test_triple_overlap_matches_interval_expression(parity, n, L, top):
+def test_triple_overlap_matches_interval_expression(parity, n, L, top, step):
     """The triple overlap, formed in place from gathers of the cosine
     overlaps, is bit for bit the interval expression it replaces:
     (w[|i - k|] - w[i + k]) * [0.5, 0.5] in IArray arithmetic, on odd
     modes up to `top`, cosine and sine bases and dyadic and non-dyadic
-    sides."""
+    sides, on every column or every other one (a potential's nonzero
+    columns), gathered from the whole expression's."""
     modes = np.arange(1, top + 1, 2)
+    cols = np.arange(0, n, step)
     w = series._axis_overlap(series.COS, 2 * int(modes.max()) + 1, parity, n, L)
     ref = ((w[np.abs(modes[:, None] - modes[None, :])] - w[modes[:, None] + modes[None, :]])
-           * IArray._coerce(Interval(0.5))).reshape(len(modes) ** 2, n)
-    got = certify._triple_overlap(parity, n, L, modes)
+           * IArray._coerce(Interval(0.5))).reshape(len(modes) ** 2, n)[:, cols]
+    got = certify._triple_overlap(parity, n, L, modes, cols)
     assert np.array_equal(got.lo, ref.lo) and np.array_equal(got.hi, ref.hi)
 
 
@@ -815,8 +823,9 @@ def _interval_block(w, mx, my):
     interval products, B = I - D M D in interval arithmetic and the hull
     with its transpose.  Returns its midpoint and entrywise radius."""
     dom = w.domain
-    px = certify._triple_overlap(w.parity_x, w.coeffs.shape[0], dom.L1, mx)
-    py = certify._triple_overlap(w.parity_y, w.coeffs.shape[1], dom.L2, my)
+    nx, ny = w.coeffs.shape
+    px = certify._triple_overlap(w.parity_x, nx, dom.L1, mx, np.arange(nx))
+    py = certify._triple_overlap(w.parity_y, ny, dom.L2, my, np.arange(ny))
     t = imatmul(imatmul(px, w.coeffs), py.T)
     a, b = len(mx), len(my)
     lo, hi = (np.ascontiguousarray(x.reshape(a, a, b, b).transpose(0, 2, 1, 3)).reshape(a * b, -1)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from sobemb import solver
 from sobemb.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, entry, main
 from sobemb.series import DomainRect, Series2D, SineSeries2D
 
@@ -436,11 +437,13 @@ def test_cli_import_loads_no_scipy():
 def test_enclose_starts_no_child_process(tmp_path):
     """An in-process enclose, report included, runs no child process: a
     fresh interpreter ends it with subprocess still out of sys.modules
-    (platform.platform() would load it to run `uname -p`)."""
+    (platform.platform() would load it to run `uname -p`).  The report's
+    meta.blas_threads holds the BLAS thread settings the run was given, null
+    where unset."""
     import sobemb
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     code = ("import json, sys\n"
             "from sobemb.cli import main\n"
             f"rc = main(['enclose', '--p', '3', '--N', '6', '--out', {str(tmp_path / 'r.json')!r}])\n"
@@ -451,20 +454,24 @@ def test_enclose_starts_no_child_process(tmp_path):
     meta = json.loads((tmp_path / "r.json").read_text())["meta"]
     assert meta["platform"] == "-".join((platform.system(), platform.release(),
                                          platform.machine()))
+    assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                    "OMP_NUM_THREADS": env.get("OMP_NUM_THREADS")}
 
 
 def test_enclose_loads_no_openssl_or_libmpdec(tmp_path):
     """enclose computes with none of hashlib (its _hashlib loads OpenSSL's
-    libcrypto), decimal (libmpdec) or fractions (which imports decimal): a
-    run in a fresh interpreter adds none of them to sys.modules beyond what
-    `import numpy` loads, which is none of them with numpy 2 (numpy 1
-    imports numpy.random, whose seeding imports hashlib).  certify, which
-    needs hashlib for the coefficient digest, still writes it."""
+    libcrypto), decimal (libmpdec), fractions (which imports decimal) or
+    logging (about 0.6 MB of a numpy process's peak RSS, for one line per
+    Newton step that `-v` writes to stderr without it): a run in a fresh
+    interpreter adds none of them to sys.modules beyond what `import numpy`
+    loads, which is none of them with numpy 2 (numpy 1 imports
+    numpy.random, whose seeding imports hashlib).  certify, which needs
+    hashlib for the coefficient digest, still writes it."""
     import sobemb
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    heavy = ("_hashlib", "hashlib", "_decimal", "decimal", "fractions")
+    heavy = ("_hashlib", "hashlib", "_decimal", "decimal", "fractions", "logging")
     code = ("import json, sys, numpy\n"
             f"base = [m for m in {heavy!r} if m in sys.modules]\n"
             "from sobemb.cli import main\n"
@@ -477,6 +484,33 @@ def test_enclose_loads_no_openssl_or_libmpdec(tmp_path):
     assert main(["solve", "--p", "3", "--N", "6", "--out", str(series)]) == EXIT_OK
     assert main(["certify", "--p", "3", "--in", str(series), "--out", str(cert)]) == EXIT_OK
     assert re.fullmatch("[0-9a-f]{64}", json.loads(cert.read_text())["coefficient_digest"])
+
+
+def test_verbose_writes_each_newton_step_to_stderr(tmp_path, monkeypatch, capsys):
+    """-v writes one `sobemb.solver newton ...` line to stderr per Newton
+    step (counted as the GMRES solves, one a step), with the iterations
+    numbered from 1 and the residual falling; without -v nothing is written,
+    as main sets the solver's switch on every call."""
+    monkeypatch.setattr(solver, "VERBOSE", False)
+    steps, gmres = [], solver._gmres
+
+    def counted(*args):
+        steps.append(len(steps) + 1)
+        return gmres(*args)
+
+    monkeypatch.setattr(solver, "_gmres", counted)
+    out = str(tmp_path / "r.json")
+    assert main(["-v", "enclose", "--p", "3", "--N", "6", "--out", out]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    pattern = r"sobemb\.solver newton iteration=(\d+) residual=(\S+) step_scale=(\S+)"
+    found = [re.fullmatch(pattern, line) for line in lines]
+    assert all(found) and len(found) == len(steps) > 0
+    assert [int(m[1]) for m in found] == steps
+    residuals = [float(m[2]) for m in found]
+    assert residuals == sorted(residuals, reverse=True)
+    assert all(0.0 < float(m[3]) <= 1.0 for m in found)
+    assert main(["enclose", "--p", "3", "--N", "6", "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err == "" and not solver.VERBOSE
 
 
 def test_entry_freezes_the_import_heap_and_main_does_not(monkeypatch, capsys):

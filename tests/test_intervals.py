@@ -1,6 +1,7 @@
 """Scalar interval arithmetic: outward rounding, elementary functions, and
 exhaustive containment sampling against exact rational arithmetic."""
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -24,7 +25,7 @@ from sobemb.intervals import (
     iv_sin,
     iv_sqrt,
 )
-from sobemb.ivarray import IArray, ildexp, imatmul, isum
+from sobemb.ivarray import _RAD_FLOOR, _TINY, IArray, _dn, _gamma_fac, _up, ildexp, imatmul, isum
 
 
 def test_point_interval_and_ordering():
@@ -326,6 +327,74 @@ def test_array_overflow_is_typed(op):
     can overflow; in the matrix product inf - inf gives nan, caught too."""
     with pytest.raises(OverflowError_):
         op()
+
+
+def _imatmul_expression(a, b):
+    """imatmul as one expression with a fresh array per step: the oracle for
+    the in-place version."""
+    am, ar = a.mid(), a.rad()
+    bm, br = b.mid(), b.rad()
+    ar = np.where((ar != 0.0) & (ar < _RAD_FLOOR), _RAD_FLOOR, ar)
+    br = np.where((br != 0.0) & (br < _RAD_FLOOR), _RAD_FLOOR, br)
+    g = _gamma_fac(am.shape[-1])
+    cm = am @ bm
+    abs_am, abs_bm = np.abs(am), np.abs(bm)
+    p = abs_am @ abs_bm
+    a_thin, b_thin = not ar.any(), not br.any()
+    if a_thin and b_thin:
+        rad = g * p
+    elif b_thin:
+        rad = ar @ abs_bm + g * p
+    elif a_thin:
+        rad = abs_am @ br + g * p
+    else:
+        rad = ar @ (abs_bm + br) + abs_am @ br + g * p
+    rad = _up(rad * (1.0 + 6.0 * g) + g * p * g + 4.0 * _TINY)
+    return IArray(_dn(cm - rad), _up(cm + rad))
+
+
+def _operand(rng, shape, kind, order):
+    """A random interval matrix of magnitudes 2^-30..2^30: thin; thick, with
+    relative radii of 2^-52..2^-30 (about gamma_k, so no radius term
+    swamps the others) on every other row and of an ulp on the rest; or
+    that thick matrix with entries of about 1e-230, radii below _RAD_FLOOR,
+    on a third of the rows and a third of the columns, so that some rows and
+    columns of a product are theirs."""
+    m = rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 30, shape)
+    lo, hi = m.copy(), m.copy()
+    if kind != "thin":
+        r = np.abs(m) * 2.0 ** rng.integers(-52, -30, shape) * rng.random(shape)
+        r[::2] = 0.0
+        lo, hi = _dn(m - r), _up(m + r)
+    if kind == "tiny":
+        tiny = (rng.random((shape[0], 1)) < 1.0 / 3.0) | (rng.random(shape[1]) < 1.0 / 3.0)
+        lo[tiny] = 1e-230 * rng.random(np.count_nonzero(tiny))
+        hi[tiny] = lo[tiny] * 3.0
+    return IArray(np.asarray(lo, order=order), np.asarray(hi, order=order))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("ka, kb", [(x, y) for x in ("thin", "thick", "tiny")
+                                    for y in ("thin", "thick", "tiny")])
+def test_imatmul_matches_its_expression(ka, kb, order):
+    """imatmul, which takes magnitudes and sums the radius in place, gives
+    bit for bit the endpoints of the expression it replaces, on thin and
+    thick operands, radii below _RAD_FLOOR, C- and F-ordered operands and a
+    product whose midpoint cancels, and leaves its operands as they were."""
+    rng = np.random.default_rng(7)
+    for shape_a, shape_b in (((7, 5), (5, 4)), ((1, 9), (9, 1)), ((40, 30), (30, 20))):
+        a, b = _operand(rng, shape_a, ka, order), _operand(rng, shape_b, kb, order)
+        assert a.rad().any() == (ka != "thin") and b.rad().any() == (kb != "thin")
+        # [A, -A] [B; B] has midpoint about 0, so its endpoints show every bit
+        # of the radius, which cm +- rad rounds away elsewhere
+        stack = functools.partial(np.asarray, order=order)
+        zero = (IArray(stack(np.hstack([a.lo, -a.hi])), stack(np.hstack([a.hi, -a.lo]))),
+                IArray(stack(np.vstack([b.lo, b.lo])), stack(np.vstack([b.hi, b.hi]))))
+        for x, y in ((a, b), zero):
+            before = [v.copy() for v in (x.lo, x.hi, y.lo, y.hi)]
+            got, ref = imatmul(x, y), _imatmul_expression(x, y)
+            assert np.array_equal(got.lo, ref.lo) and np.array_equal(got.hi, ref.hi)
+            assert all(np.array_equal(v, w) for v, w in zip(before, (x.lo, x.hi, y.lo, y.hi)))
 
 
 def test_array_products_widen_and_zero_factor_is_exact():
