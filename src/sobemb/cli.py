@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands:
-  solve      run the Galerkin-Newton solver, emit the sine series as JSON
-  certify    certify the series in a file written by solve; emit its certificate
+  solve      run the Galerkin-Newton solver, emit its center on 2^-k Omega with k
+  certify    certify the center in a file written by solve, as read
   enclose    full pipeline: solve -> certify -> two-sided enclosure report
   classical  closed-form upper-bound table for a list of exponents
   reproduce  canned configurations for the reference enclosures and table
@@ -121,18 +121,15 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_solve(args) -> int:
-    cfg = SolverConfig(p=args.p, N=args.N)
-    u = newton_solve(cfg, initial_guess(args.p, args.domain))
-    _emit(u.to_json(), args.out)
+    u = newton_solve(SolverConfig(p=args.p, N=args.N), initial_guess(args.p, args.domain))
+    _emit(u.to_json(args.domain.reference()[0]), args.out)
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
     with open(args.infile) as f:
-        u = Series2D.from_json(f.read())
-    # certified on the reference rectangle 2^-k Omega, as `run_pipeline` does
-    k = u.domain.reference()[0]
-    ball = certify_ball(dilate(u, args.p, -k), args.p)
+        k, u = Series2D.from_json(f.read())
+    ball = certify_ball(u, args.p)
     _emit(ball.to_json(k), args.out)
     return EXIT_OK if ball.positive else EXIT_PARTIAL
 

@@ -344,49 +344,50 @@ class Series2D:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "format": "sobemb-series/1",
+    def to_json(self, k: int) -> str:
+        """The center file `sobemb-series/2`: this series on R and k, where R
+        is the reference rectangle of 2^k R (`DomainRect.reference`)."""
+        return json.dumps({
+            "format": "sobemb-series/2",
             "domain": self.domain.to_dict(),
+            "k": k,
             "parity": [self.parity_x, self.parity_y],
             "shape": list(self.coeffs.shape),
-            "coeffs": [
-                [self.coeffs.lo[i, j].hex(), self.coeffs.hi[i, j].hex()]
-                for i in range(self.coeffs.shape[0])
-                for j in range(self.coeffs.shape[1])
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+            "coeffs": [[a.hex(), b.hex()]
+                       for a, b in zip(self.coeffs.lo.flat, self.coeffs.hi.flat)],
+        })
 
     @staticmethod
-    def from_dict(d: dict) -> "Series2D":
-        """The series of a `to_dict` record; DomainError on anything else."""
+    def from_json(s: str) -> tuple:
+        """(k, the series) of a `to_json` text, as written; DomainError on
+        anything else, such as an R that is not the reference rectangle of 2^k R."""
         try:
-            if d.get("format") != "sobemb-series/1":
-                raise DomainError(f"unknown series format {d.get('format')!r}")
-            dom = DomainRect.from_dict(d["domain"])
+            d = json.loads(s)
+            if d.get("format") != "sobemb-series/2":  # /1 held the center carried to 2^k R
+                raise DomainError(f"series format {d.get('format')!r} is not sobemb-series/2; "
+                                  "run `sobemb solve` again")
+            k, dom = d["k"], DomainRect.from_dict(d["domain"])
+            if type(k) is not int:
+                raise DomainError(f"k must be an int, got {k!r}")
+            try:
+                omega = DomainRect(math.ldexp(dom.L1, k), math.ldexp(dom.L2, k))
+                ok = omega.reference() == (k, dom)  # 2^k R exact, with R its reference
+            except (OverflowError, DomainError):  # 2^k R beyond binary64
+                ok = False
+            if not ok:
+                raise DomainError(f"the {dom.L1!r} x {dom.L2!r} domain is not the reference "
+                                  f"rectangle of a binary64 rectangle 2^{k} times it")
             nx, ny = d["shape"]
-            for pair in d["coeffs"]:
-                if not (isinstance(pair, list) and len(pair) == 2
-                        and all(isinstance(v, str) for v in pair)):
-                    raise DomainError(f"coefficient {pair!r} is not a [lo, hi] pair of strings")
+            if not all(isinstance(pair, list) for pair in d["coeffs"]):
+                raise DomainError("a coefficient is not a [lo, hi] list")
             pairs = np.array([[float.fromhex(v) for v in pair] for pair in d["coeffs"]])
             if pairs.shape != (nx * ny, 2):
                 raise DomainError(f"shape {nx} x {ny} but {len(pairs)} coefficient pairs")
-            return Series2D(dom, IArray(pairs[:, 0].reshape(nx, ny), pairs[:, 1].reshape(nx, ny)),
-                            d["parity"][0], d["parity"][1])
-        except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError_) as exc:
+            lo, hi = pairs.T.reshape(2, nx, ny)
+            return k, Series2D(dom, IArray(lo, hi), d["parity"][0], d["parity"][1])
+        except (AttributeError, LookupError, TypeError, ValueError, OverflowError,
+                OverflowError_) as exc:
             raise DomainError(f"malformed series record: {type(exc).__name__}: {exc}") from exc
-
-    @staticmethod
-    def from_json(s: str) -> "Series2D":
-        try:
-            d = json.loads(s)
-        except ValueError as exc:
-            raise DomainError(f"series is not JSON: {exc}") from exc
-        return Series2D.from_dict(d)
 
 
 def SineSeries2D(domain: DomainRect, coeffs) -> Series2D:

@@ -90,29 +90,29 @@ _SINE_POWER_MEAN = {2: 0.5, 3: 4.0 / (3.0 * math.pi), 4: 3.0 / 8.0,
 
 
 def initial_guess(p: int, domain: DomainRect) -> Series2D:
-    """One-mode series solving the single-mode Galerkin balance.
+    """One-mode series solving the single-mode Galerkin balance, on the
+    reference rectangle R of `domain` (`DomainRect.reference`).
 
     With u = c sin(pi x/L1) sin(pi y/L2), testing against the same mode gives
     lambda_11 c / 4 = c^p w^2 where w is the mean of sin^(p+1), hence
-    c^(p-1) = lambda_11 / (4 w^2), on the reference rectangle, where
-    lambda_11 <= 2 pi^2 bounds c by 28, then `dilate`d.  DomainError for p
-    outside 2..5 (`check_exponent`), on a rectangle too thin for binary64
-    (`DomainRect.reference`), and where `dilate` leaves binary64.
-    """
+    c^(p-1) = lambda_11 / (4 w^2), where lambda_11(R) <= 2 pi^2 bounds c by
+    28.  DomainError for p outside 2..5 (`check_exponent`) and on a rectangle
+    too thin for binary64 (`DomainRect.reference`)."""
     check_exponent(p)
-    k, ref = domain.reference()
+    ref = domain.reference()[1]
     lam11 = float(ref.lambda_float(1, 1))
     w = _SINE_POWER_MEAN[p + 1]
     c = (lam11 / (4.0 * w * w)) ** (1.0 / (p - 1))
-    return dilate(SineSeries2D(ref, np.full((1, 1), c)), p, k)
+    return SineSeries2D(ref, np.full((1, 1), c))
 
 
 def dilate(u: Series2D, p: int, k: int) -> Series2D:
     """u carried to 2^k times its rectangle by v(x) = 2^(-2k/(p-1)) u(2^-k x),
-    which maps solutions of -Lap u = u^p to solutions in 2-d: exact sides, the
-    same basis, and the coefficients' midpoints scaled in extended precision
-    and rounded once; u itself at k = 0.  DomainError for p outside 2..5
-    (`check_exponent`), and if a coefficient leaves binary64."""
+    which maps solutions of -Lap u = u^p to solutions in 2-d, for plotting
+    (not rigorous): exact sides, the same basis, and the coefficients'
+    midpoints scaled in extended precision and rounded once; u itself at
+    k = 0.  DomainError for p outside 2..5 (`check_exponent`), and if a
+    coefficient leaves binary64."""
     check_exponent(p)
     if not k:
         return u
@@ -294,25 +294,26 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
     """Damped Newton iteration on the odd-odd Galerkin system; returns a point
     series whose even modes are exact zeros, and on a square whose
     coefficients are bitwise transpose-symmetric.  Even-mode content of the
-    guess is dropped.  Newton runs on the guess's reference rectangle R
-    (`DomainRect.reference`), and `dilate` carries the result back.  Each
-    step solves J step = -r matrix-free (`_gmres` on
-    `_Galerkin.linearization`) and is halved until the residual falls; Newton
-    stops once ||r|| < NEWTON_RTOL ||lambda a||: both sides scale alike
-    under dilation, so the stop does not depend on the rectangle's size, and
-    a zero iterate never passes it.  The float work runs under the overflow
+    guess is dropped.  Newton solves on the guess's rectangle, which must be
+    its own reference rectangle R (`DomainRect.reference`), else a
+    DomainError, and returns the center on R.  Each step solves J step = -r
+    matrix-free (`_gmres` on `_Galerkin.linearization`) and is halved until
+    the residual falls; Newton stops once ||r|| < NEWTON_RTOL ||lambda a||,
+    which a zero iterate never passes.  The float work runs under the overflow
     policy of the interval arrays (`ivarray._checked`): a value that leaves
     binary64 gives no RuntimeWarning and reaches the finiteness checks,
     which end the solve in SingularJacobian (or the line search's
     NoConvergence)."""
-    k, ref = guess.domain.reference()
-    system = _Galerkin(cfg.p, ref, cfg.N)
+    dom = guess.domain
+    if dom.reference()[0]:
+        raise DomainError(f"the guess is not on its own reference rectangle: {dom}")
+    system = _Galerkin(cfg.p, dom, cfg.N)
 
     def sym(x):  # fl(x_ij + x_ji) = fl(x_ji + x_ij): the result is symmetric
-        return 0.5 * (x + x.T) if ref.is_square() else x
+        return 0.5 * (x + x.T) if dom.is_square() else x
 
     a = np.zeros((system.n, system.n))
-    src = dilate(guess, cfg.p, -k).coeffs.mid()[::2, ::2][: system.n, : system.n]
+    src = guess.coeffs.mid()[::2, ::2][: system.n, : system.n]
     a[: src.shape[0], : src.shape[1]] = src
     a = sym(a)
     if not np.any(a):
@@ -347,4 +348,4 @@ def newton_solve(cfg: SolverConfig, guess: Series2D) -> Series2D:
 
     full = np.zeros((cfg.N, cfg.N))
     full[::2, ::2] = a
-    return dilate(SineSeries2D(ref, full), cfg.p, k)
+    return SineSeries2D(dom, full)

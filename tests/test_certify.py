@@ -50,7 +50,7 @@ from sobemb.series import (
     negative_part_sup,
     power_expand,
 )
-from sobemb.solver import SolverConfig, initial_guess, newton_solve
+from sobemb.solver import SolverConfig, dilate, initial_guess, newton_solve
 from sobemb.symeig import SymMatrix, eig_enclosures
 
 SQ = DomainRect(1.0, 1.0)
@@ -1384,8 +1384,9 @@ def test_certify_ball_on_physical_scale_centers(side, ball_p3_n20):
     square's 1.65698416962 (a 1e-14 trial-radius floor broke the
     Kantorovich condition on the 1e30 square) and r_h1 scales as the center,
     by 1/side."""
-    u = newton_solve(SolverConfig(p=3, N=20), initial_guess(3, DomainRect(side, side)))
-    assert u.domain == DomainRect(side, side)
+    dom = DomainRect(side, side)
+    u = dilate(newton_solve(SolverConfig(p=3, N=20), initial_guess(3, dom)), 3, dom.reference()[0])
+    assert u.domain == dom
     b = certify_ball(u, 3)
     assert b.positive
     assert b.audit.neg_sup == 0.0

@@ -23,8 +23,8 @@ def test_solve_emits_loadable_series(tmp_path):
     out = str(tmp_path / "u.json")
     rc = main(["solve", "--p", "3", "--N", "6", "--out", out])
     assert rc == EXIT_OK
-    u = Series2D.from_json(open(out).read())
-    assert u.N == 6
+    k, u = Series2D.from_json(open(out).read())
+    assert (k, u.N) == (0, 6)
     assert abs(u.coeffs.mid()[0, 0]) > 1.0
 
 
@@ -40,20 +40,24 @@ def test_certify_roundtrip_through_file(tmp_path):
     assert float.fromhex(d["r_h1"][1]) < 0.2
 
 
-@pytest.mark.parametrize("domain, n", [("1x1", "12"), ("2x1", "12"), ("1e-150x1e-150", "20"),
-                                       ("1e150x1e150", "20")],
-                         ids=["1x1", "2x1", "1e-150x1e-150", "1e150x1e150"])
-def test_certificate_matches_the_enclose_row(tmp_path, domain, n):
+@pytest.mark.parametrize("domain, p, n", [
+    ("1x1", "3", "12"), ("2x1", "3", "12"), ("1e-150x1e-150", "3", "20"),
+    ("1e150x1e150", "3", "20"), ("3x3", "4", "16"), ("3x3", "5", "20"),
+    ("1e-200x1e-200", "2", "20"),
+], ids=["1x1", "2x1", "1e-150x1e-150", "1e150x1e150", "3x3-p4", "3x3-p5", "1e-200x1e-200-p2"])
+def test_certificate_matches_the_enclose_row(tmp_path, domain, p, n):
     """`solve` then `certify --in` writes the same rigorous fields, with the
     same values, as the row of that center in the `enclose` report: both
-    certify on the reference rectangle 2^-k Omega and record k.  A square
-    and a rectangle that are their own reference rectangle (k = 0) certify
-    the loaded center itself, bit for bit; the 1e-150 and 1e150 squares,
-    far from theirs, certify too."""
+    solve and certify on the reference rectangle R = 2^-k Omega, and the
+    file holds the center on R with k, which certify takes as read (the
+    certificate's digest is the file's).  So they agree at k = 0, far from
+    it (the 1e-150, 1e150 and 1e-200 squares, whose Omega coefficients
+    would leave binary64 at p=2), and on 3 x 3 (k = 1) at p = 4 and 5, where
+    carrying the center to Omega and back, by 2^(-2k/(p-1)), rounds."""
     series, cert, report = (str(tmp_path / f) for f in ("u.json", "c.json", "r.json"))
-    common = ["--p", "3", "--domain", domain]
+    common = ["--p", p, "--domain", domain]
     assert main(["solve", *common, "--N", n, "--out", series]) == EXIT_OK
-    assert main(["certify", "--p", "3", "--in", series, "--out", cert]) == EXIT_OK
+    assert main(["certify", "--p", p, "--in", series, "--out", cert]) == EXIT_OK
     assert main(["enclose", *common, "--N", n, "--out", report]) == EXIT_OK
     c, r = (json.loads(open(f).read()) for f in (cert, report))
     (row,) = r["rows"]
@@ -61,10 +65,10 @@ def test_certificate_matches_the_enclose_row(tmp_path, domain, n):
     assert row["status"] == "certified" and row["positive"] is True
     assert {k: c[k] for k in rigorous} == {k: row[k] for k in rigorous}
     assert c["k"] == r["k"] and (c["k"] == 0) == (domain in ("1x1", "2x1"))
-    if c["k"] == 0:
-        u = Series2D.from_json(open(series).read())
-        digest = hashlib.sha256(u.coeffs.lo.tobytes() + u.coeffs.hi.tobytes()).hexdigest()
-        assert (c["coefficient_digest"], DomainRect.from_dict(c["domain"])) == (digest, u.domain)
+    k, u = Series2D.from_json(open(series).read())
+    digest = hashlib.sha256(u.coeffs.lo.tobytes() + u.coeffs.hi.tobytes()).hexdigest()
+    assert (c["coefficient_digest"], DomainRect.from_dict(c["domain"]), c["k"]) == (
+        digest, u.domain, k)
 
 
 @pytest.mark.parametrize("extra", [["--domain", "2x1"], ["--N", "30"], ["--domain", "1x1"]],
@@ -84,8 +88,7 @@ def test_certify_in_takes_domain_and_N_from_the_file(tmp_path, extra):
 @pytest.mark.parametrize("p", ["0", "1", "6", "7"])
 def test_certify_bad_exponent_is_one_error_line(tmp_path, capsys, monkeypatch, domain, p):
     """A p outside 2..5 is one `error: DomainError` line naming p, exit 1,
-    before any section work, also where the file's center is first carried
-    to its reference rectangle, whose scaling divides by p - 1."""
+    before any section work, also for a center whose file records k != 0."""
     from sobemb import certify
 
     def no_section(u, p):
@@ -106,11 +109,11 @@ def test_certify_rejects_center_with_even_mode(tmp_path, capsys):
     nonzero even-mode coefficient is a DomainError, exit code 1."""
     series = str(tmp_path / "u.json")
     assert main(["solve", "--p", "3", "--N", "6", "--out", series]) == EXIT_OK
-    u = Series2D.from_json(open(series).read())
+    k, u = Series2D.from_json(open(series).read())
     c = u.coeffs.mid()
     c[1, 0] = 1e-3
     with open(series, "w") as f:
-        f.write(SineSeries2D(u.domain, c).to_json())
+        f.write(SineSeries2D(u.domain, c).to_json(k))
     assert main(["certify", "--p", "3", "--in", series]) == EXIT_HARD
     assert "error: DomainError" in capsys.readouterr().err
 
@@ -118,8 +121,7 @@ def test_certify_rejects_center_with_even_mode(tmp_path, capsys):
 @pytest.mark.parametrize("domain", ["1x1", "1e-150x1e-150"])
 def test_certify_rejects_cosine_series(tmp_path, capsys, domain):
     """A center is a sine series: a loaded series of the cosine basis is a
-    DomainError, exit code 1, also where it is carried to its reference
-    rectangle first, which keeps its basis (`dilate`)."""
+    DomainError, exit code 1, also in a file that records k != 0."""
     series = str(tmp_path / "u.json")
     assert main(["solve", "--p", "3", "--domain", domain, "--N", "6", "--out", series]) == EXIT_OK
     d = json.loads(open(series).read())
@@ -135,12 +137,12 @@ def test_certify_rejects_asymmetric_square_center(tmp_path, capsys):
     a loaded unit-square center with c_13 != c_31 is a DomainError, exit 1."""
     series = str(tmp_path / "u.json")
     assert main(["solve", "--p", "3", "--N", "6", "--out", series]) == EXIT_OK
-    u = Series2D.from_json(open(series).read())
+    k, u = Series2D.from_json(open(series).read())
     c = u.coeffs.mid()
     assert c[0, 2] == c[2, 0] != 0.0
     c[0, 2] *= 1.0 + 1e-12
     with open(series, "w") as f:
-        f.write(SineSeries2D(u.domain, c).to_json())
+        f.write(SineSeries2D(u.domain, c).to_json(k))
     assert main(["certify", "--p", "3", "--in", series]) == EXIT_HARD
     assert "error: DomainError" in capsys.readouterr().err
 
@@ -152,40 +154,60 @@ def test_certify_rejects_non_square_center(tmp_path, capsys):
     c[::2, ::2] = [[4.0, 0.1, 0.01], [0.1, 0.01, 0.001]]
     series = str(tmp_path / "u.json")
     with open(series, "w") as f:
-        f.write(SineSeries2D(DomainRect(1.0, 1.0), c).to_json())
+        f.write(SineSeries2D(DomainRect(1.0, 1.0), c).to_json(0))
     assert main(["certify", "--p", "3", "--in", series]) == EXIT_HARD
     assert "error: DomainError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, error", [
-    (None, "FileNotFoundError"),
-    ("not json", "DomainError"),
-    ('["sobemb-series/1"]', "DomainError"),
-    ('{"format": "sobemb-series/0"}', "DomainError"),
-    ('{"format": "sobemb-series/1"}', "DomainError"),
+_UNIT = '"domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, "k": 0, "parity": ["sin", "sin"], '
+_ONE = '"shape": [1, 1], "coeffs": [["0x1.0p+2", "0x1.0p+2"]]}'
+
+
+@pytest.mark.parametrize("text, error, says", [
+    (None, "FileNotFoundError", ""),
+    ("not json", "DomainError", ""),
+    ('["sobemb-series/2"]', "DomainError", ""),
+    ('{"format": "sobemb-series/0"}', "DomainError", ""),
+    ('{"format": "sobemb-series/2"}', "DomainError", ""),
+    ('{"format": "sobemb-series/2", ' + _UNIT
+     + '"shape": [2, 2], "coeffs": [["0x1.0p+0", "0x1.0p+0"]]}', "DomainError", ""),
+    ('{"format": "sobemb-series/2", ' + _UNIT + '"shape": [1, 1], "coeffs": [["inf", "inf"]]}',
+     "DomainError", ""),
+    ('{"format": "sobemb-series/2", ' + _UNIT + '"shape": [1, 1], "coeffs": ["12"]}',
+     "DomainError", ""),
+    ('{"format": "sobemb-series/2", ' + _UNIT + '"shape": [1, 1], "coeffs": [["0x1p+5000", '
+     '"0x1p+5000"]]}', "DomainError", "OverflowError"),
+    ('{"format": "sobemb-series/2", ' + _UNIT
+     + '"shape": [1, 1], "coeffs": [["0x1p+0", "0x1p+0", "0x1p+0"]]}', "DomainError", ""),
     ('{"format": "sobemb-series/1", "domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, '
-     '"parity": ["sin", "sin"], "shape": [2, 2], "coeffs": [["0x1.0p+0", "0x1.0p+0"]]}',
-     "DomainError"),
-    ('{"format": "sobemb-series/1", "domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, '
-     '"parity": ["sin", "sin"], "shape": [1, 1], "coeffs": [["inf", "inf"]]}',
-     "DomainError"),
-    ('{"format": "sobemb-series/1", "domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, '
-     '"parity": ["sin", "sin"], "shape": [1, 1], "coeffs": ["12"]}',
-     "DomainError"),
-    ('{"format": "sobemb-series/1", "domain": {"L1": "0x1.0p+0", "L2": "0x1.0p+0"}, '
-     '"parity": ["sin", "sin"], "shape": [1, 1], "coeffs": [["0x1p+0", "0x1p+0", "0x1p+0"]]}',
-     "DomainError"),
+     '"parity": ["sin", "sin"], ' + _ONE, "DomainError",
+     "'sobemb-series/1' is not sobemb-series/2; run `sobemb solve` again"),
+    ('{"format": "sobemb-series/2", ' + _UNIT.replace('"k": 0', '"k": false') + _ONE,
+     "DomainError", "k must be an int, got False"),
+    ('{"format": "sobemb-series/2", ' + _UNIT.replace("0x1.0p+0", "0x1.0p+1") + _ONE,
+     "DomainError", "is not the reference rectangle of a binary64 rectangle 2^0 times it"),
+    ('{"format": "sobemb-series/2", ' + _UNIT.replace('"k": 0', '"k": 1024') + _ONE,
+     "DomainError", "binary64 rectangle 2^1024 times it"),
+    ('{"format": "sobemb-series/2", ' + _UNIT.replace("0x1.0p+0", "0x1.8p+0").replace(
+        '"k": 0', '"k": -1074') + _ONE, "DomainError", "binary64 rectangle 2^-1074 times it"),
 ], ids=["missing", "not-json", "not-an-object", "unknown-format", "no-domain",
-        "too-few-coeffs", "infinite-coeff", "string-coeff", "three-endpoints"])
-def test_certify_bad_input_file_is_one_error_line(tmp_path, capsys, text, error):
+        "too-few-coeffs", "infinite-coeff", "string-coeff", "hex-beyond-binary64", "three-endpoints",
+        "series-1", "k-bool", "domain-not-reference", "omega-beyond-binary64", "omega-rounded"])
+def test_certify_bad_input_file_is_one_error_line(tmp_path, capsys, text, error, says):
     """A missing, non-JSON or malformed --in file ends in one `error:` line
-    on stderr and exit 1, not a traceback."""
+    on stderr and exit 1, not a traceback.  The file is input from outside
+    the program, so each of its facts is checked: a `sobemb-series/1` file,
+    which holds the center carried to Omega, is refused by name, and so are
+    a hex coefficient beyond binary64, a k that is not an int, a domain that
+    is not its own reference rectangle R, and a 2^k R beyond binary64 or
+    rounded in it (1.5 x 2^-1074 is no binary64 float)."""
     series = tmp_path / "u.json"
     if text is not None:
         series.write_text(text)
     assert main(["certify", "--p", "3", "--in", str(series)]) == EXIT_HARD
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+    assert says in err
 
 
 def test_unwritable_out_is_one_error_line(tmp_path, capsys):

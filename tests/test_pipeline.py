@@ -21,6 +21,7 @@ from sobemb.pipeline import (
     RunRow,
     classical_table,
     emit_plot_data,
+    _scaled,
     report_csv,
     run_pipeline,
     validate_report_dict,
@@ -419,3 +420,33 @@ def test_emit_plot_data(tmp_path, u_p3_n10):
     assert len(lines) == 1 + 64
     with pytest.raises(ValueError):
         emit_plot_data(u_p3_n10, 1, path)
+
+
+# -- metamorphic whole runs ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_doubled_square_is_the_unit_square_scaled(p):
+    """2 x 2 is 2^1 times its reference rectangle, the unit square, so its
+    run certifies the unit square's center: at N=12 its row's rigorous
+    fields are the 1 x 1 row's, and its bounds are the 1 x 1 row's carried
+    by the scaling law C_q(2 Omega) = 2^(2/q) C_q(Omega), q = p + 1
+    (`_scaled`), bit for bit."""
+    (small,), (big,) = (run_pipeline(RunConfig(p, DomainRect(s, s), [12])).rows
+                        for s in (1.0, 2.0))
+    assert small.status == big.status == "certified"
+    rigorous = set(small.to_dict()) - {"lower", "upper"}
+    assert {f: small.to_dict()[f] for f in rigorous} == {f: big.to_dict()[f] for f in rigorous}
+    c = _scaled(Interval(small.lower, small.upper), 1, p + 1)
+    assert (big.lower, big.upper) == (c.lo, c.hi)
+
+
+def test_transposed_rectangle_encloses_the_same_constant():
+    """C_q is invariant under swapping the sides, so the final enclosures of
+    2 x 1 and 1 x 2 at p=3, N=12 intersect; they are not equal, as their
+    centers are transposes only to the solver's tolerance (upper
+    0x1.3f931ec8ef371p-2 against ...ef378p-2)."""
+    wide, tall = (run_pipeline(RunConfig(3, DomainRect(*sides), [12])).final
+                  for sides in ((2.0, 1.0), (1.0, 2.0)))
+    assert Interval(wide.lower, wide.upper).intersects(Interval(tall.lower, tall.upper))
+

@@ -917,7 +917,9 @@ def test_axis_overlap_sin_cos_contains_exact_value():
 
 def test_series_json_roundtrip_is_exact():
     u = _seeded_series(4, 23)
-    v = Series2D.from_json(u.to_json())
+    for k in (0, -5):
+        assert Series2D.from_json(u.to_json(k))[0] == k
+    v = Series2D.from_json(u.to_json(0))[1]
     assert v.domain == u.domain
     assert np.array_equal(v.coeffs.lo, u.coeffs.lo)
     assert np.array_equal(v.coeffs.hi, u.coeffs.hi)

@@ -266,6 +266,18 @@ def test_rectangle_domain_solves():
     assert u.domain == dom
 
 
+def test_solve_lives_on_the_reference_rectangle():
+    """The guess and Newton's center lie on the reference rectangle R of the
+    rectangle asked for, the unit square for 4 x 4; a guess on a rectangle
+    that is not its own reference rectangle is a DomainError."""
+    guess = initial_guess(3, DomainRect(4.0, 4.0))
+    assert guess.domain == SQ
+    assert np.array_equal(guess.coeffs.mid(), initial_guess(3, SQ).coeffs.mid())
+    assert newton_solve(SolverConfig(p=3, N=6), guess).domain == SQ
+    with pytest.raises(DomainError, match="not on its own reference rectangle"):
+        newton_solve(SolverConfig(p=3, N=6), SineSeries2D(DomainRect(4.0, 4.0), np.ones((1, 1))))
+
+
 def test_zero_guess_rejected():
     z = SineSeries2D(SQ, np.zeros((3, 3)))
     with pytest.raises(ValueError):
