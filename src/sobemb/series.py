@@ -524,37 +524,62 @@ def _toeplitz_gemms(a: np.ndarray, b: np.ndarray, rows, cols, pairs, chunk):
     layers, layer of b): out[i][k] is the product of the k-th layer of the
     range with that layer of b.
 
-    Memory: the outputs, plus one chunk's two windows, two blocks (about
-    `_CHUNK_FLOATS` floats each) and GEMM product; no padded copy of a whole
-    stack is made.
+    Memory: the outputs, plus one workspace for the whole call: the two
+    windows, the two blocks (about `_CHUNK_FLOATS` floats each) and the GEMM
+    product, each allocated once, at its largest size over the chunks.
+    Every chunk fills contiguous views of them in place (its windows'
+    padding zeroed anew), so the chunk loop allocates no array, and no
+    padded copy of a whole stack is made.  The workspace holds about the
+    bytes of one chunk; it spares the heap the churn of fresh arrays on
+    every chunk (338 of up to 240 KB in the 26 chunks of the c4 N=34
+    center's u^2 u), which raises the process's peak RSS though it adds no
+    live bytes.  That u^2 u peaks about 1.64 MB above its entry under
+    tracemalloc.
     """
     (na, nax, nay), (nb, nbx, nby) = a.shape, b.shape
     r0, r1 = rows
     c0, c1 = cols
     out = [np.zeros((len(la), r1 - r0, c1 - c0)) for la, _ in pairs]
+    spans = []  # (l0, l1, n0, n1) of each chunk that reaches an output row
     for l0 in range(0, nbx, chunk):
         l1 = min(l0 + chunk, nbx)
         n0, n1 = max(r0, l0), min(r1, l1 + nax - 1)
-        if n0 >= n1:
-            continue
+        if n0 < n1:
+            spans.append((l0, l1, n0, n1))
+    # the workspace, each buffer at its largest size over the chunks
+    la_max = max(len(la) for la, _ in pairs)
+    sizes = [(na * (n1 - n0 + l1 - l0 - 1) * nay, nb * (l1 - l0) * (c1 - c0 + nay - 1),
+              na * (n1 - n0) * (l1 - l0) * nay, nb * (c1 - c0) * (l1 - l0) * nay,
+              la_max * (n1 - n0) * (c1 - c0)) for l0, l1, n0, n1 in spans]
+    work = [np.empty(n) for n in map(max, zip(*sizes))]
+
+    def view(buf, *shape):  # a contiguous array of that shape at the start of buf
+        return buf[:math.prod(shape)].reshape(shape)
+
+    for l0, l1, n0, n1 in spans:
         inner = (l1 - l0) * nay
         # wa[., x, q'] = a[., x0 + x, nay - 1 - q'] and
         # wb[., l', y] = b[., l1 - 1 - l', y0 + y], zero outside a and b
         x0, y0 = n0 - l1 + 1, c0 - nay + 1
-        wa = np.zeros((na, n1 - n0 + l1 - l0 - 1, nay))
-        wa[:, max(0, -x0):min(nax, n1 - l0) - x0] = a[:, max(0, x0):n1 - l0, ::-1]
-        wb = np.zeros((nb, l1 - l0, c1 - c0 + nay - 1))
-        wb[:, :, max(0, -y0):min(nby, c1) - y0] = b[:, l1 - 1:l0 - 1 if l0 else None:-1,
-                                                     max(0, y0):c1]
+        wa = view(work[0], na, n1 - n0 + l1 - l0 - 1, nay)
+        xa, xb = max(0, -x0), min(nax, n1 - l0) - x0
+        wa[:, :xa] = wa[:, xb:] = 0.0
+        np.copyto(wa[:, xa:xb], a[:, max(0, x0):n1 - l0, ::-1])
+        wb = view(work[1], nb, l1 - l0, c1 - c0 + nay - 1)
+        ya, yb = max(0, -y0), min(nby, c1) - y0
+        wb[:, :, :ya] = wb[:, :, yb:] = 0.0
+        np.copyto(wb[:, :, ya:yb], b[:, l1 - 1:l0 - 1 if l0 else None:-1, max(0, y0):c1])
         # ta[., n, (l', q')] = a[., n - l, nay - 1 - q'] and
         # tb[., j, (l', q')] = b[., l, j - (nay - 1 - q')], both at l = l1 - 1 - l'
-        ta = np.ascontiguousarray(as_strided(wa, (na, n1 - n0, inner), wa.strides))
+        ta = view(work[2], na, n1 - n0, inner)
+        np.copyto(ta, as_strided(wa, (na, n1 - n0, inner), wa.strides))
+        tb = view(work[3], nb, c1 - c0, l1 - l0, nay)
         s0, s1, s2 = wb.strides
-        tb = np.ascontiguousarray(as_strided(wb, (nb, c1 - c0, l1 - l0, nay),
-                                             (s0, s2, s1, s2))).reshape(nb, c1 - c0, inner)
-        del wa, wb
+        np.copyto(tb, as_strided(wb, tb.shape, (s0, s2, s1, s2)))
+        tb = tb.reshape(nb, c1 - c0, inner)
         for acc, (la, lb) in zip(out, pairs):
-            blk = ta[la.start:la.stop].reshape(-1, inner) @ tb[lb].T
+            blk = view(work[4], len(la) * (n1 - n0), c1 - c0)
+            np.matmul(ta[la.start:la.stop].reshape(-1, inner), tb[lb].T, out=blk)
             acc[:, n0 - r0:n1 - r0] += blk.reshape(len(la), n1 - n0, -1)
     return out
 
@@ -607,9 +632,10 @@ def multiply(u: Series2D, v: Series2D) -> Series2D:
     compacted, and each slice stack once it is copied into its layer stack.
     The peak is at the GEMMs, which hold the two layer stacks (S + 3 and
     S + 4 layers of the compact factors), the S (S + 1) / 2 + 4 output layers
-    on the kept rows and columns, and one chunk's windows and blocks
-    (`_toeplitz_gemms`).  On the c4 N=34 center u^2 u peaks about 1.7 MB
-    above its entry under tracemalloc.
+    on the kept rows and columns, and one workspace for the chunks' windows,
+    blocks and GEMM product, allocated once per call at the largest chunk's
+    size (`_toeplitz_gemms`).  On the c4 N=34 center u^2 u peaks about
+    1.64 MB above its entry under tracemalloc.
     """
     if u.domain != v.domain:
         raise DomainError("series domains differ")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sobemb import series
 from sobemb.errors import CapacityError, DomainError, OverflowError_
 from sobemb.intervals import Interval, iv_pow_int
 from sobemb.ivarray import IArray, _dn, _gamma_fac, _up
@@ -698,14 +699,19 @@ def test_multiply_encloses_products_of_tiny_coefficients(shift_u, shift_v):
                          ids=["sin-sin", "cos-sin", "cos-cos"])
 def test_multiply_bits_do_not_depend_on_the_chunking(pu, pv, monkeypatch):
     """The product is bit-identical with one x index of b per chunk, with the
-    default chunks and with one chunk for the whole sum, on factors of each
-    parity pair (on both axes), dense and odd-index only.  The factors are
-    thin and integer-valued, so every GEMM (slice products, |a| |b|, the
-    radius terms and the pair counts) is exact and any chunking must give
-    the same bits: a window or block that reads a wrong index of either
-    factor changes them."""
+    default chunks, with one chunk for the whole sum and with 2 and 3 x
+    indices per chunk, on factors of each parity pair (on both axes), dense
+    and odd-index only.  The factors are thin and integer-valued, so every
+    GEMM (slice products, |a| |b|, the radius terms and the pair counts) is
+    exact and any chunking must give the same bits: a window or block that
+    reads a wrong index of either factor changes them.  Each of the 2 and 3
+    index budgets ends some product with a shorter chunk, which reads the
+    workspace after a longer one, so padding left over from that one would
+    change the bits too."""
+    gemms = series._toeplitz_gemms
     rng = np.random.default_rng(len(pu + pv))
     dom = DomainRect(2.0, 1.0)
+    short = {2: False, 3: False}  # whether a product ended with a shorter chunk
     for shape_u, shape_v, odd in (((9, 7), (12, 10), False), ((5, 8), (17, 6), False),
                                   ((11, 11), (13, 9), True)):
         a = rng.integers(-2 ** 10, 2 ** 10 + 1, size=shape_u).astype(np.float64)
@@ -719,14 +725,23 @@ def test_multiply_bits_do_not_depend_on_the_chunking(pu, pv, monkeypatch):
                 monkeypatch.setattr("sobemb.series._CHUNK_FLOATS", floats)
             products.append(multiply(u, v).coeffs)
             monkeypatch.undo()
+        for chunk in short:
+            def chunked(a, b, rows, cols, pairs, _, chunk=chunk):
+                short[chunk] |= b.shape[1] % chunk != 0  # b's last chunk is always reached
+                return gemms(a, b, rows, cols, pairs, chunk)
+            monkeypatch.setattr("sobemb.series._toeplitz_gemms", chunked)
+            products.append(multiply(u, v).coeffs)
+            monkeypatch.undo()
         for w in products[1:]:
             assert np.array_equal(w.lo, products[0].lo) and np.array_equal(w.hi, products[0].hi)
+    assert all(short.values())
 
 
 def test_product_peak_memory_on_the_c4_center(report_c4):
     """multiply(u^2, u) on the c4 N=34 center peaks at most 2.4 MB above its
-    entry under tracemalloc (about 1.7 MB): it pads no copy of a whole layer
-    stack and keeps no full extension or slice stack beside the layers."""
+    entry under tracemalloc (about 1.64 MB): it pads no copy of a whole layer
+    stack, keeps no full extension or slice stack beside the layers and
+    holds one workspace for all of its chunks."""
     u = report_c4.solutions[34]
     u2 = multiply(u, u)  # not power_expand: that would keep u^2 on the shared center
     multiply(u2, u)  # warm-up
