@@ -8,7 +8,23 @@ Layers:
   certify                        Newton-Kantorovich + positiveness proofs
   bounds                         closed-form constants and the enclosure
   pipeline / cli                 orchestration and reporting
+
+Importing the package before numpy pins BLAS to one thread.  OpenBLAS reads
+its thread count once, when numpy loads it, and its sums run in an order that
+depends on that count; on one thread the rigorous bits depend on (p, Omega,
+N), the numpy and BLAS build and the CPU kernel, not on the thread setting.
+A caller that loaded numpy first keeps its own setting.  The report's meta
+records the setting as given and whether the pin took.
 """
+
+import os as _os
+import sys as _sys
+
+_BLAS_GIVEN = {v: _os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+_BLAS_PINNED = "numpy" not in _sys.modules
+if _BLAS_PINNED:
+    _os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS"), "1"))
 
 from .bounds import (
     EnclosureResult,

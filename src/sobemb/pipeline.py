@@ -9,13 +9,13 @@ artifacts apart from an isolated timing block.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _BLAS_GIVEN, _BLAS_PINNED
 from .bounds import (
     EnclosureResult,
     best_enclosure,
@@ -126,9 +126,9 @@ class RunReport:
                 "platform": "-".join((platform.system(), platform.release(),
                                       platform.machine())),
                 "numpy": np.__version__,
-                # the BLAS sums in another order on another thread count
-                "blas_threads": {v: os.environ.get(v)
-                                 for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+                # the thread settings as given, before the pin in __init__
+                "blas_threads": dict(_BLAS_GIVEN),
+                "blas_pinned": _BLAS_PINNED,
             },
             "timing": self.timing,
         }

@@ -368,9 +368,9 @@ def test_capacity_error_before_large_allocation(tmp_path):
     import sobemb
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
-    # one BLAS thread: per-thread buffers would eat into the address cap
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    # the CLI pins one BLAS thread: per-thread buffers would eat into the
+    # address cap
+    env = dict(os.environ, PYTHONPATH=src)
     cap = 2 << 30
     out = tmp_path / "r.json"
     t0 = time.perf_counter()
@@ -456,28 +456,75 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
 def test_enclose_starts_no_child_process(tmp_path):
     """An in-process enclose, report included, runs no child process: a
     fresh interpreter ends it with subprocess still out of sys.modules
-    (platform.platform() would load it to run `uname -p`).  The report's
+    (platform.platform() would load it to run `uname -p`).  Importing sobemb
+    before numpy pins BLAS to one thread whatever OPENBLAS_NUM_THREADS says:
+    given 2, the process has one thread after a 300 x 300 GEMM.  The report's
     meta.blas_threads holds the BLAS thread settings the run was given, null
-    where unset."""
+    where unset, and meta.blas_pinned says whether the pin took; it does not
+    when numpy was imported first."""
     import sobemb
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    code = ("import json, sys\n"
-            "from sobemb.cli import main\n"
-            f"rc = main(['enclose', '--p', '3', '--N', '6', '--out', {str(tmp_path / 'r.json')!r}])\n"
-            "print(json.dumps([rc, 'subprocess' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    enclose = ("from sobemb.cli import main\n"
+               "rc = main(['enclose', '--p', '3', '--N', '6', '--out', {!r}])\n")
+    code = ("import json, os, sys\n"
+            + enclose.format(str(tmp_path / "r.json"))
+            + "import numpy\n"
+            "a = numpy.ones((300, 300))\n"
+            "a @ a\n"
+            "print(json.dumps([rc, 'subprocess' in sys.modules,"
+            " len(os.listdir('/proc/self/task'))]))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == [EXIT_OK, False]
+    assert json.loads(out.stdout.splitlines()[-1]) == [EXIT_OK, False, 1]
     meta = json.loads((tmp_path / "r.json").read_text())["meta"]
     assert meta["platform"] == "-".join((platform.system(), platform.release(),
                                          platform.machine()))
-    assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+    assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "2",
                                     "OMP_NUM_THREADS": env.get("OMP_NUM_THREADS")}
+    assert meta["blas_pinned"] is True
+
+    code = "import numpy\n" + enclose.format(str(tmp_path / "n.json"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    meta = json.loads((tmp_path / "n.json").read_text())["meta"]
+    assert meta["blas_threads"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert meta["blas_pinned"] is False
+
+
+# (p, domain, N): the 3x1 sweep's H^-1 defect moved in its last bits with the
+# BLAS thread count before sobemb pinned one thread
+THREAD_SWEEPS = ((4, (1.0, 1.0), [12, 16, 20]), (4, (2.0, 1.0), [16]),
+                 (3, (2.0, 1.0), [12, 20]), (2, (3.0, 1.0), [24, 28, 40]))
+
+
+def test_canonical_json_does_not_depend_on_blas_threads():
+    """Fresh interpreters that differ only in OPENBLAS_NUM_THREADS (and
+    OMP_NUM_THREADS alike) = 1, 2 or unset give byte-identical canonical JSON
+    on c5, 2x1 p=4 and p=3 and 3x1 p=2."""
+    import sobemb
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sobemb.__file__)))
+    code = ("from sobemb.pipeline import RunConfig, run_pipeline\n"
+            "from sobemb.series import DomainRect\n"
+            f"for p, sides, N in {THREAD_SWEEPS!r}:\n"
+            "    cfg = RunConfig(p=p, domain=DomainRect(*sides), N=N)\n"
+            "    print(run_pipeline(cfg).canonical_json())\n")
+    outs = []
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = src
+        if threads:
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert len(outs[0].splitlines()) == len(THREAD_SWEEPS)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_enclose_loads_no_openssl_or_libmpdec(tmp_path):
