@@ -12,7 +12,7 @@ certified approximate extremizer with its certified error radius.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificateMissing, DomainError, SoundnessViolation
 from .intervals import PI, Interval, iv_pow_real, iv_sin
@@ -95,8 +95,7 @@ def classical_upper(q, domain: DomainRect) -> Interval:
                         plum_bound(q, domain.lambda1).hi))
 
 
-@dataclass(frozen=True)
-class EnclosureResult:
+class EnclosureResult(NamedTuple):
     """Two-sided enclosure of the best embedding constant."""
 
     p: int  # the Lebesgue exponent of the embedding H^1_0 -> L^p

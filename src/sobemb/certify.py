@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -480,8 +480,7 @@ def _folded_block(w: Series2D, mx: np.ndarray, my: np.ndarray, level: float,
     return _b_matrix(f_mid, f_eps, d, rep != partner, coef)
 
 
-@dataclass(frozen=True)
-class InverseBound:
+class InverseBound(NamedTuple):
     """K and the rigorous terms it comes from (`inverse_bound`): the block
     minimum m, the tail bound t, the coupling c and the rows of the folded
     block, on the section of level Lambda in the box of odd orders
@@ -818,8 +817,7 @@ def linf_radius(u: Series2D, p: int, r_h1: Interval,
 # -- positiveness -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivenessAudit:
+class PositivenessAudit(NamedTuple):
     """Audit record of the positiveness certificate (`positiveness_certificate`)."""
 
     neg_sup: float  # sup u_-
@@ -871,8 +869,7 @@ def positiveness_certificate(u: Series2D, p: int, r_h1: Interval) -> Positivenes
 # -- orchestration ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertifiedBall:
+class CertifiedBall(NamedTuple):
     """The record of one certified center: a solution of -Lap u = u^p lies
     within r_h1 of the center in X, the odd-odd sine modes (X_s) on a
     rectangle and those of them also symmetric about the diagonal (X_sym) on

@@ -136,14 +136,13 @@ def _cmd_certify(args) -> int:
 
 def _cmd_enclose(args) -> int:
     report = run_pipeline(RunConfig(p=args.p, domain=args.domain, N=args.N))
-    text = report.to_json() if args.format == "json" else report_csv(report)
-    _emit(text, args.out)
-    if args.plot_grid and report.solutions:
-        best_n = max(report.solutions)
-        target = (args.out or "sobemb") + ".plot.csv"
-        # the center lives on the reference rectangle: carry it to the run's
-        u = dilate(report.solutions[best_n], args.p, report.k)
-        emit_plot_data(u, args.plot_grid, target)
+    # the center lives on the reference rectangle: carry it to the run's
+    # before anything is written, so that a DomainError there writes no file
+    plot = (dilate(report.solutions[max(report.solutions)], args.p, report.k)
+            if args.plot_grid and report.solutions else None)
+    _emit(report.to_json() if args.format == "json" else report_csv(report), args.out)
+    if plot is not None:
+        emit_plot_data(plot, args.plot_grid, (args.out or "sobemb") + ".plot.csv")
     return EXIT_OK if report.fully_certified else EXIT_PARTIAL
 
 

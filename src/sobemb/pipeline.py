@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,20 +32,18 @@ from .solver import SolverConfig, initial_guess, newton_solve
 REPORT_FORMAT = "sobemb-report/9"
 
 
-@dataclass
 class RunConfig:
     """A pipeline run: p in 2..5 (C_{p+1} output), rectangle, N sweep (one
     N or a list or tuple of them); DomainError unless p and every N are
     ints (not bools), p in 2..5 (`check_exponent`), and the sweep is
     nonempty, of distinct N >= 1."""
 
-    p: int
-    domain: DomainRect
-    N: list = field(default_factory=lambda: [10, 20, 30, 34])
+    __slots__ = ("p", "domain", "N")
 
-    def __post_init__(self):
-        check_exponent(self.p)
-        self.N = list(self.N) if isinstance(self.N, (list, tuple)) else [self.N]
+    def __init__(self, p: int, domain: DomainRect, N=(10, 20, 30, 34)):
+        check_exponent(p)
+        self.p, self.domain = p, domain
+        self.N = list(N) if isinstance(N, (list, tuple)) else [N]
         if (not self.N or any(type(n) is not int or n < 1 for n in self.N)
                 or len(set(self.N)) < len(self.N)):
             raise DomainError(f"need a nonempty sweep of distinct N >= 1, got N={self.N}")
@@ -67,17 +64,16 @@ _NO_BALL = {
 }
 
 
-@dataclass
 class RunRow:
     """Per-N result row: the certified ball (on the reference rectangle), if
     certification finished, and the row's enclosure of C_{p+1}."""
 
-    N: int
-    status: str  # "certified" | the failure class name
-    ball: CertifiedBall | None = None
-    lower: float | None = None
-    upper: float | None = None
-    error: str | None = None
+    __slots__ = ("N", "status", "ball", "lower", "upper", "error")
+
+    def __init__(self, N: int, status: str, ball: CertifiedBall | None = None,
+                 lower: float | None = None, upper: float | None = None, error: str | None = None):
+        self.N, self.status = N, status  # status: "certified" | the failure class name
+        self.ball, self.lower, self.upper, self.error = ball, lower, upper, error
 
     def to_dict(self) -> dict:
         d = {"N": self.N, "status": self.status}
@@ -88,17 +84,18 @@ class RunRow:
         return d
 
 
-@dataclass
 class RunReport:
     """Full record of a pipeline run, solved and certified on 2^-k Omega."""
 
-    config: RunConfig
-    k: int
-    rows: list
-    classical: list  # (tag, Interval)
-    final: EnclosureResult
-    solutions: dict = field(default_factory=dict)  # N -> the center on 2^-k Omega
-    timing: dict = field(default_factory=dict)
+    __slots__ = ("config", "k", "rows", "classical", "final", "solutions", "timing")
+
+    def __init__(self, config: RunConfig, k: int, rows: list, classical: list,
+                 final: EnclosureResult, solutions: dict | None = None,
+                 timing: dict | None = None):
+        self.config, self.k, self.rows, self.final = config, k, rows, final
+        self.classical = classical  # (tag, Interval)
+        self.solutions = {} if solutions is None else solutions  # N -> the center on 2^-k Omega
+        self.timing = {} if timing is None else timing
 
     @property
     def fully_certified(self) -> bool:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,22 +57,33 @@ SIN = "sin"
 COS = "cos"
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, value=None):  # __setattr__ and __delattr__ of a set-once record
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+
+
 class DomainRect:
-    """Axis-aligned rectangle (0, L1) x (0, L2); side lengths are exact floats."""
+    """Axis-aligned rectangle (0, L1) x (0, L2); side lengths are exact floats.
+    Read-only, equal and hashed by its sides: it keys caches."""
 
-    L1: float
-    L2: float
-
-    def __post_init__(self):
+    def __init__(self, L1: float, L2: float):
         try:
-            sides = [float(L) for L in (self.L1, self.L2) if isinstance(L, numbers.Real)]
+            sides = [float(L) for L in (L1, L2) if isinstance(L, numbers.Real)]
         except OverflowError:
             sides = []
         if len(sides) != 2 or not all(0 < L < math.inf for L in sides):
-            raise DomainError(f"invalid rectangle sides ({self.L1!r}, {self.L2!r})")
-        object.__setattr__(self, "L1", sides[0])
-        object.__setattr__(self, "L2", sides[1])
+            raise DomainError(f"invalid rectangle sides ({L1!r}, {L2!r})")
+        self.__dict__.update(L1=sides[0], L2=sides[1])
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        return type(other) is DomainRect and (self.L1, self.L2) == (other.L1, other.L2)
+
+    def __hash__(self):
+        return hash((self.L1, self.L2))
+
+    def __repr__(self):
+        return f"DomainRect(L1={self.L1!r}, L2={self.L2!r})"
 
     def to_dict(self) -> dict:
         return {"L1": self.L1.hex(), "L2": self.L2.hex()}

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +57,7 @@ from .series import (
     Series2D,
     SineSeries2D,
     _axis_overlap,
+    _read_only,
     odd_odd_order,
 )
 
@@ -68,19 +68,21 @@ GMRES_RTOL = 1e-14  # relative residual ||J x + r|| / ||r|| that ends GMRES
 GMRES_MAXITER = 100  # Krylov vectors per Newton step; then the best iterate
 
 
-@dataclass(frozen=True)
 class SolverConfig:
     """The Galerkin-Newton problem: exponent p, odd-odd sine modes up to N
     in each dimension; DomainError unless both are ints (not bools), p in
-    2..5 (`check_exponent`) and N >= 1."""
+    2..5 (`check_exponent`) and N >= 1.  Read-only."""
 
-    p: int
-    N: int
+    __slots__ = ("p", "N")
 
-    def __post_init__(self):
-        check_exponent(self.p)
-        if type(self.N) is not int or self.N < 1:
-            raise DomainError(f"truncation order N must be an int >= 1, got {self.N!r}")
+    def __init__(self, p: int, N: int):
+        check_exponent(p)
+        if type(N) is not int or N < 1:
+            raise DomainError(f"truncation order N must be an int >= 1, got {N!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "N", N)
+
+    __setattr__ = __delattr__ = _read_only
 
 
 # integral of sin^k over one period-half, divided by the length:

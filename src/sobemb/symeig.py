@@ -17,7 +17,6 @@ carries both bounds from the midpoint to every member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ _TRIES = 4  # Cholesky factorizations at most, the shift's margin 2^10 wider aft
 _ROWS = 64  # rows per block of the in-place loops
 
 
-@dataclass
 class SymMatrix:
     """Every symmetric A with ||A - B~||_2 <= eps, where B~ is mid with its
     lower triangle mirrored; mid need not be symmetric, and
@@ -39,20 +37,18 @@ class SymMatrix:
     eigenvectors of negative eigenvalues (np.linalg.eigh).  They choose
     what is proved, and no bound assumes anything of them."""
 
-    mid: np.ndarray
-    eps: float
-    neg: np.ndarray | None = None
+    __slots__ = ("mid", "eps", "neg")
 
-    def __post_init__(self):
-        m = self.mid
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    def __init__(self, mid: np.ndarray, eps: float, neg: np.ndarray | None = None):
+        self.mid, self.eps, self.neg = mid, eps, neg
+        if mid.ndim != 2 or mid.shape[0] != mid.shape[1]:
             raise ValueError("SymMatrix needs a square 2-d mid")
-        if not (np.ndim(self.eps) == 0 and 0.0 <= self.eps < math.inf):
+        if not (np.ndim(eps) == 0 and 0.0 <= eps < math.inf):
             raise ValueError("SymMatrix needs a finite scalar eps >= 0")
-        if self.neg is not None:
-            v = np.asarray(self.neg, dtype=np.float64)
+        if neg is not None:
+            v = np.asarray(neg, dtype=np.float64)
             v = v.reshape(len(v), -1) if v.ndim == 1 else v
-            if (v.ndim != 2 or len(v) != m.shape[0] or not np.all(np.isfinite(v))
+            if (v.ndim != 2 or len(v) != mid.shape[0] or not np.all(np.isfinite(v))
                     or not np.all(np.any(v != 0.0, axis=0))):
                 raise ValueError("SymMatrix needs neg of n rows, finite, with no zero column")
             self.neg = v

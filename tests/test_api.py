@@ -1,6 +1,6 @@
 """The package's public names: the export list and the star import agree,
-every name the benchmark's span recorder wraps resolves, and every error
-class is raised somewhere."""
+every name the benchmark's span recorder wraps resolves, every error
+class is raised somewhere, and the read-only records refuse assignment."""
 
 import importlib
 import importlib.util
@@ -8,8 +8,14 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import sobemb
 from sobemb import errors
+from sobemb.bounds import best_enclosure
+from sobemb.intervals import Interval
+from sobemb.series import DomainRect
+from sobemb.solver import SolverConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -58,3 +64,28 @@ def test_every_error_class_has_a_raise_site():
     source = "\n".join(path.read_text() for path in (ROOT / "src" / "sobemb").rglob("*.py"))
     assert len(classes) >= 10
     assert [name for name in classes if not re.search(rf"\braise\s+{name}\b", source)] == []
+
+
+def test_read_only_records(ball_p3_n20):
+    """DomainRect, SolverConfig and the NamedTuple records (the certified
+    ball, its inverse bound and positiveness audit, the final enclosure)
+    refuse assignment to a field and to a new name; DomainRect and
+    SolverConfig refuse deletion too.  DomainRect keys caches, so it is
+    equal and hashed by its sides as floats, and its repr, which DomainError
+    messages print, names them; its lambda1 is formed once."""
+    rect, cfg = DomainRect(1, 2), SolverConfig(3, 8)
+    final = best_enclosure([], [("plum", Interval(1.0))], 4)
+    for record, name in ((rect, "L1"), (cfg, "N"), (ball_p3_n20, "r_h1"),
+                         (ball_p3_n20.inverse, "K"), (ball_p3_n20.audit, "norm_margin"),
+                         (final, "upper")):
+        for attr in (name, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, 0.0)
+    for record, name in ((rect, "L1"), (cfg, "N")):
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert (rect.L1, rect.L2, cfg.p, cfg.N, final.upper) == (1.0, 2.0, 3, 8, 1.0)
+    assert rect == DomainRect(1.0, 2.0) and hash(rect) == hash(DomainRect(1.0, 2.0))
+    assert rect != DomainRect(2, 1) and DomainRect(1.0, 2.0) != DomainRect(2, 1)
+    assert repr(rect) == "DomainRect(L1=1.0, L2=2.0)"
+    assert rect.lambda1 is rect.lambda1

@@ -1,6 +1,5 @@
 """Closed-form upper bounds and the two-sided enclosure combination logic."""
 
-import dataclasses
 import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
@@ -114,9 +113,9 @@ def test_corollary_measure_scaling():
 def test_enclosure_from_ball_requires_positiveness(ball_p3_n20):
     """A ball whose audit fails either margin has no enclosure."""
     for margin in ("lq_margin", "norm_margin"):
-        audit = dataclasses.replace(ball_p3_n20.audit, **{margin: 0.0})
+        audit = ball_p3_n20.audit._replace(**{margin: 0.0})
         with pytest.raises(CertificateMissing):
-            enclosure_from_ball(dataclasses.replace(ball_p3_n20, audit=audit))
+            enclosure_from_ball(ball_p3_n20._replace(audit=audit))
 
 
 def test_enclosure_from_ball_requires_morse_index_one(ball_p3_n20):
@@ -124,9 +123,9 @@ def test_enclosure_from_ball_requires_morse_index_one(ball_p3_n20):
     extremizer's 1 on X has no enclosure, though it is proved positive."""
     assert ball_p3_n20.positive and ball_p3_n20.inverse.morse_index == 1
     for index in (0, 2):
-        inverse = dataclasses.replace(ball_p3_n20.inverse, morse_index=index)
+        inverse = ball_p3_n20.inverse._replace(morse_index=index)
         with pytest.raises(CertificateMissing):
-            enclosure_from_ball(dataclasses.replace(ball_p3_n20, inverse=inverse))
+            enclosure_from_ball(ball_p3_n20._replace(inverse=inverse))
 
 
 def test_enclosure_from_ball_rejects_large_radius(ball_p3_n20):
@@ -137,7 +136,7 @@ def test_enclosure_from_ball_rejects_large_radius(ball_p3_n20):
 
     r_h1 = Interval(0.0, 7.0)
     audit = positiveness_certificate(ball_p3_n20.center, 3, r_h1)
-    ball = dataclasses.replace(ball_p3_n20, r_h1=r_h1, audit=audit)
+    ball = ball_p3_n20._replace(r_h1=r_h1, audit=audit)
     assert audit.norm_margin <= 0.0 < audit.lq_margin and not ball.positive
     with pytest.raises(CertificateMissing):
         enclosure_from_ball(ball)
