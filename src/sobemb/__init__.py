@@ -56,13 +56,7 @@ from .series import (
     lp_norm,
     power_expand,
 )
-from .solver import (
-    SolverConfig,
-    galerkin_jacobian,
-    galerkin_residual,
-    initial_guess,
-    newton_solve,
-)
+from .solver import SolverConfig, initial_guess, newton_solve
 from .symeig import SymMatrix
 
 __version__ = "0.1.0"
@@ -78,6 +72,5 @@ __all__ = [
     "run_pipeline",
     "DomainRect", "Series2D", "SineSeries2D", "lp_norm",
     "power_expand",
-    "SolverConfig", "galerkin_jacobian", "galerkin_residual", "initial_guess",
-    "newton_solve", "SymMatrix",
+    "SolverConfig", "initial_guess", "newton_solve", "SymMatrix",
 ]

@@ -94,7 +94,7 @@ def defect_bounds(u: Series2D, p: int) -> tuple:
     dom = u.domain
     quarter = dom.measure() * Interval(0.25)
     v = power_expand(u, p)
-    lam_u = dom.lambda_grid(u.modes_x(), u.modes_y())
+    lam_u = u.lambdas()
     sx, sy = u.coeffs.shape
 
     if p % 2 == 1:
@@ -203,12 +203,13 @@ def _potential_matrix(w: Series2D, mx: np.ndarray, my: np.ndarray) -> tuple:
     return rows, float(_up(eps * (1.0 + 2.0 ** -45)))
 
 
-def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None, coef=None) -> SymMatrix:
+def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair: np.ndarray,
+              coef: np.ndarray) -> SymMatrix:
     """B = I - D' F D' as the SymMatrix `eig_enclosures` reads, for every d
     in d and every symmetric F with ||S (F - f_mid) S||_F <= f_eps; D' =
-    S diag(d), S = diag(s), s = 1/sqrt(2) on the rows in `pair`, else 1.
+    S diag(d), S = diag(s), s = 1/sqrt(2) on the rows `pair` marks, else 1.
     Its negative direction is coef / mid(d'), coef a function's
-    coefficients per row, where coef is given.
+    coefficients per row.
 
     Lemma.  Let d' = s d (an enclosure), d_m = mid(d'), kappa >=
     max_i |d'_i - d_m,i| / d'.lo_i, u = 2^-53, P~ = fl(fl(f_mid,ij d_m,i)
@@ -225,9 +226,8 @@ def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None, coef=None) 
     sum of the Frobenius bounds.  The pad 2^-45 covers their roundings.
     """
     dmax = float(np.max(d.hi))
-    if pair is not None:
-        d = d.copy()
-        d[pair] = d[pair] * IArray._coerce(iv_sqrt(Interval(0.5)))
+    d = d.copy()
+    d[pair] = d[pair] * IArray._coerce(iv_sqrt(Interval(0.5)))
     dm = d.mid()
     kappa = float(np.max(_up(np.maximum(d.hi - dm, dm - d.lo) / d.lo)))
     mid = f_mid * dm[:, None]
@@ -238,7 +238,7 @@ def _b_matrix(f_mid: np.ndarray, f_eps: float, d: IArray, pair=None, coef=None) 
     diag = np.diag_indices_from(mid)
     mid[diag] += 1.0
     eps = _up(math.sqrt(2.0)) * e + 2.0 ** -52 * float(np.max(np.abs(mid[diag])))
-    return SymMatrix(mid, float(_up(eps * (1.0 + 2.0 ** -45))), None if coef is None else coef / dm)
+    return SymMatrix(mid, float(_up(eps * (1.0 + 2.0 ** -45))), coef / dm)
 
 
 def _tail_lambda(dom: DomainRect, n: int) -> Interval:
@@ -281,14 +281,6 @@ def _coupling_terms(u: Series2D, p: int) -> tuple:
         return wt, w.lap_sup_bound() / root1 + Interval(2.0) * w.grad_sup_bound()
 
     return u.fact(("coupling_terms", p), compute)
-
-
-def default_split_order(u: Series2D, p: int) -> int:
-    """The larger odd order of the box of `inverse_bound`'s section
-    (`_section`), the ball's nprime; DomainError for p outside 2..5
-    (`check_exponent`) before any work."""
-    check_exponent(p)
-    return max(_section(u, p)[1:3])
 
 
 def _scan_box(dom: DomainRect) -> tuple:
@@ -456,28 +448,25 @@ def _fold(rows, m_eps: float, rep: np.ndarray, partner: np.ndarray, n: int) -> t
 
 
 def _folded_block(w: Series2D, mx: np.ndarray, my: np.ndarray, level: float,
-                  center: Series2D | None = None) -> SymMatrix:
+                  center: Series2D) -> SymMatrix:
     """B = I - D' F D' of the potential w on the section, the sine modes
     (i, j) of the box mx x my with lambda_ij.lo < level (swap-invariant on a
     square), in the orthonormal basis of its swap orbits: F = `_fold` of the
     Galerkin matrix assembled on the box and d' = s Lam^{-1/2}, s = 1/sqrt(2)
     on the pairs i < j and 1 elsewhere; on a rectangle, the block on the
-    section's modes.  Given the center, its negative direction is the
-    center in that basis, Lam^{1/2} u-hat on the section, folded: u-hat's
-    coefficient of a row's rep mode over d'."""
+    section's modes.  Its negative direction is the center in that basis,
+    Lam^{1/2} u-hat on the section, folded: u-hat's coefficient of a row's
+    rep mode over d'."""
     dom = w.domain
     lam = dom.lambda_grid(mx, my)
     rep, partner = _orbits(dom, lam.lo < level)
     d = IArray(1.0) / _sqrt(lam.reshape(-1)[rep])
     f_mid, f_eps = _fold(*_potential_matrix(w, mx, my), rep, partner, lam.size)
-    coef = None
-    if center is not None:
-        c = center.coeffs.mid()
-        ix, iy = mx[mx <= c.shape[0]] - 1, my[my <= c.shape[1]] - 1
-        box = np.zeros((len(mx), len(my)))
-        box[:len(ix), :len(iy)] = c[np.ix_(ix, iy)]
-        coef = box.reshape(-1)[rep]
-    return _b_matrix(f_mid, f_eps, d, rep != partner, coef)
+    c = center.coeffs.mid()
+    ix, iy = mx[mx <= c.shape[0]] - 1, my[my <= c.shape[1]] - 1
+    box = np.zeros((len(mx), len(my)))
+    box[:len(ix), :len(iy)] = c[np.ix_(ix, iy)]
+    return _b_matrix(f_mid, f_eps, d, rep != partner, box.reshape(-1)[rep])
 
 
 class InverseBound(NamedTuple):
@@ -901,7 +890,7 @@ class CertifiedBall(NamedTuple):
 
     @property
     def nprime(self) -> int:
-        """The larger odd order of the section's box (`default_split_order`)."""
+        """The larger odd order of the section's box (`_section`)."""
         return max(self.inverse.box)
 
     def row_fields(self) -> dict:

@@ -80,9 +80,6 @@ class Interval:
             return self.lo <= x.lo and x.hi <= self.hi
         return self.lo <= float(x) <= self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
@@ -315,10 +312,6 @@ def iv_sin(a: Interval) -> Interval:
         if cmin.hi >= a.lo and cmin.lo <= a.hi:
             lo = -1.0
     return Interval(max(lo, -1.0), min(hi, 1.0))
-
-
-def iv_cos(a: Interval) -> Interval:
-    return iv_sin(a + PI_HALF)
 
 
 def iv_pow_int(a: Interval, k: int) -> Interval:

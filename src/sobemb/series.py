@@ -161,9 +161,10 @@ class Series2D:
 
     Coefficients are never mutated after construction: every operation
     returns a new instance.  Facts derived from them (exact powers, the
-    potential, the H^1_0 norm, the negative-part, sup, gradient and
-    Laplacian bounds, the split order) are therefore computed on first use
-    and kept in ``_facts`` for every later caller, until `drop_facts`.
+    potential, the eigenvalue grid, the H^1_0 norm, the negative-part, sup,
+    gradient and Laplacian bounds, the section) are therefore computed on
+    first use and kept in ``_facts`` for every later caller, until
+    `drop_facts`.
     """
 
     __slots__ = ("domain", "parity_x", "parity_y", "coeffs", "_facts")
@@ -202,6 +203,12 @@ class Series2D:
 
     def modes_y(self) -> np.ndarray:
         return _modes(self.parity_y, self.coeffs.shape[1])
+
+    def lambdas(self) -> IArray:
+        """The eigenvalue of -Lap of each of u's modes, the grid
+        `DomainRect.lambda_grid` of `modes_x` and `modes_y`, kept on u."""
+        return self.fact("lambdas",
+                         lambda: self.domain.lambda_grid(self.modes_x(), self.modes_y()))
 
     def scale(self, c) -> "Series2D":
         return Series2D(self.domain, self.coeffs * IArray._coerce(c),
@@ -277,8 +284,7 @@ class Series2D:
         return self.fact("h01", self._h01_norm)
 
     def _h01_norm(self) -> Interval:
-        lam = self.domain.lambda_grid(self.modes_x(), self.modes_y())
-        s = isum(self.coeffs.square() * lam)
+        s = isum(self.coeffs.square() * self.lambdas())
         quarter_measure = self.domain.measure() * Interval(0.25)
         return iv_sqrt(Interval(max(0.0, s.lo), s.hi) * quarter_measure)
 
@@ -333,8 +339,8 @@ class Series2D:
         eigenfunction of -Lap with eigenvalue lambda_ab = pi^2 (a^2/L1^2 +
         b^2/L2^2) (0 for the constant) and is bounded by 1 in absolute value,
         so H = sum |c_ab| lambda_ab."""
-        return self.fact("lap_sup", lambda: Interval(0.0, isum(
-            abs(self.coeffs) * self.domain.lambda_grid(self.modes_x(), self.modes_y())).hi))
+        return self.fact("lap_sup",
+                         lambda: Interval(0.0, isum(abs(self.coeffs) * self.lambdas()).hi))
 
     def inf_lower_bound(self) -> float:
         """Lower bound on inf u over the rectangle, in one pass: the lower

@@ -58,7 +58,6 @@ from .series import (
     SineSeries2D,
     _axis_overlap,
     _read_only,
-    odd_odd_order,
 )
 
 VERBOSE = False  # Newton writes one line per step to stderr (`cli.main` sets it from -v)
@@ -165,10 +164,9 @@ class _Galerkin:
     k = g/2.  The residual lambda a - T^T (S a S^T)^p T is in extended
     precision; its derivative, the linearization v -> lambda v - T^T (w (S v
     S^T)) T with w = p (S a S^T)^(p-1), is binary64 and is what Newton's GMRES
-    applies.  `jacobian` is the dense matrix of that same map.  CapacityError
-    before any transform is built if the system has more than MAX_DENSE_ROWS
-    rows; DomainError, before any float warning, if the extended-precision
-    lambda grid leaves binary64."""
+    applies.  CapacityError before any transform is built if the system has
+    more than MAX_DENSE_ROWS rows; DomainError, before any float warning, if
+    the extended-precision lambda grid leaves binary64."""
 
     def __init__(self, p: int, domain: DomainRect, N: int):
         modes = np.arange(1, N + 1, 2)
@@ -211,38 +209,6 @@ class _Galerkin:
             return (self.lam64 * x - self.scale * (t.T @ (w * (s @ x @ s.T)) @ t)).reshape(-1)
 
         return apply
-
-    def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """Dense matrix of `linearization(a)`, column k its image of the k-th
-        unit vector."""
-        apply = self.linearization(a)
-        jac = np.empty((self.rows, self.rows))
-        e = np.zeros(self.rows)
-        for k in range(self.rows):
-            e[k] = 1.0
-            jac[:, k] = apply(e)
-            e[k] = 0.0
-        return jac
-
-
-def _system_at(u: Series2D, p: int) -> tuple:
-    """Newton's system at u's order N, and u's odd-odd coefficients;
-    DomainError unless u is square and odd-odd (`odd_odd_order`)."""
-    return _Galerkin(p, u.domain, odd_odd_order(u)), u.coeffs.mid()[::2, ::2]
-
-
-@_checked
-def galerkin_residual(u: Series2D, p: int) -> float:
-    """Newton's residual l2-norm at u's odd-odd coefficients."""
-    system, a = _system_at(u, p)
-    return system.residual(a)[1]
-
-
-@_checked
-def galerkin_jacobian(u: Series2D, p: int) -> np.ndarray:
-    """Newton's Jacobian at u's odd-odd coefficients (modes (i, j) row-major)."""
-    system, a = _system_at(u, p)
-    return system.jacobian(a)
 
 
 def _gmres(apply, b: np.ndarray, inv: np.ndarray) -> np.ndarray:

@@ -33,25 +33,23 @@ class SymMatrix:
     lower triangle mirrored; mid need not be symmetric, and
     `eig_enclosures` mirrors it in place.  neg holds, as columns, float
     directions of the negative eigenspace B~ is expected to have (a vector
-    is one column); where it is None, `eig_enclosures` takes B~'s float
-    eigenvectors of negative eigenvalues (np.linalg.eigh).  They choose
-    what is proved, and no bound assumes anything of them."""
+    is one column, an n x 0 array none); the caller gives them, and no
+    eigensolver runs.  They choose what is proved, and no bound assumes
+    anything of them."""
 
     __slots__ = ("mid", "eps", "neg")
 
-    def __init__(self, mid: np.ndarray, eps: float, neg: np.ndarray | None = None):
-        self.mid, self.eps, self.neg = mid, eps, neg
+    def __init__(self, mid: np.ndarray, eps: float, neg: np.ndarray):
         if mid.ndim != 2 or mid.shape[0] != mid.shape[1]:
             raise ValueError("SymMatrix needs a square 2-d mid")
         if not (np.ndim(eps) == 0 and 0.0 <= eps < math.inf):
             raise ValueError("SymMatrix needs a finite scalar eps >= 0")
-        if neg is not None:
-            v = np.asarray(neg, dtype=np.float64)
-            v = v.reshape(len(v), -1) if v.ndim == 1 else v
-            if (v.ndim != 2 or len(v) != mid.shape[0] or not np.all(np.isfinite(v))
-                    or not np.all(np.any(v != 0.0, axis=0))):
-                raise ValueError("SymMatrix needs neg of n rows, finite, with no zero column")
-            self.neg = v
+        v = np.asarray(neg, dtype=np.float64)
+        v = v.reshape(len(v), -1) if v.ndim == 1 else v
+        if (v.ndim != 2 or len(v) != mid.shape[0] or not np.all(np.isfinite(v))
+                or not np.all(np.any(v != 0.0, axis=0))):
+            raise ValueError("SymMatrix needs neg of n rows, finite, with no zero column")
+        self.mid, self.eps, self.neg = mid, eps, v
 
     @property
     def n(self) -> int:
@@ -62,10 +60,6 @@ class SymMatrix:
         """The number of directions in neg: once `eig_enclosures` has
         returned, the number of negative eigenvalues of every member."""
         return self.neg.shape[1]
-
-    @staticmethod
-    def from_point(m: np.ndarray) -> "SymMatrix":
-        return SymMatrix(np.asarray(m, dtype=np.float64), 0.0)
 
 
 def eig_enclosures(m: SymMatrix) -> float:
@@ -131,9 +125,6 @@ def eig_enclosures(m: SymMatrix) -> float:
     """
     n = m.n
     b = _mirror_lower(m.mid)
-    if m.neg is None:
-        lam, vec = np.linalg.eigh(b)
-        m.neg = vec[:, lam < 0.0]
     v = m.neg / np.sqrt((m.neg * m.neg).sum(axis=0))
     g = _gamma_fac(n + 1)
     mu, r, keep = _negative_side(b, v, g)

@@ -20,8 +20,10 @@ from sobemb.certify import kantorovich_radius
 from sobemb.intervals import Interval
 from sobemb.pipeline import classical_table
 from sobemb.series import DomainRect, SineSeries2D
-from sobemb.solver import _Galerkin, galerkin_jacobian
-from sobemb.symeig import SymMatrix, eig_enclosures
+from sobemb.solver import _Galerkin
+from sobemb.symeig import eig_enclosures
+
+from _oracles import galerkin_jacobian, point_matrix
 
 SQ = DomainRect(1.0, 1.0)
 LAMBDA1 = 2.0 * math.pi ** 2
@@ -201,7 +203,7 @@ def test_criterion_7_property_suites(_verdict):
     # exact inertia (Fractions), and b within 1e-9 of numpy's value
     m = rng.normal(size=(5, 5))
     m = 0.5 * (m + m.T)
-    bound = eig_enclosures(SymMatrix.from_point(m))
+    bound = eig_enclosures(point_matrix(m))
     inside = _count_below(m, Fraction(bound)) - _count_below(m, -Fraction(bound))
     ok = ok and inside == 0
     ok = ok and bound >= float(np.min(np.abs(np.linalg.eigvalsh(m)))) * (1.0 - 1e-9)

@@ -1,13 +1,16 @@
 """The package's public names: the export list and the star import agree,
 every name the benchmark's span recorder wraps resolves, every error
-class is raised somewhere, and the read-only records refuse assignment."""
+class is raised somewhere, the test oracles stay out of the package, and
+the read-only records refuse assignment."""
 
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sobemb
@@ -16,9 +19,13 @@ from sobemb.bounds import best_enclosure
 from sobemb.intervals import Interval
 from sobemb.series import DomainRect
 from sobemb.solver import SolverConfig
+from sobemb.symeig import SymMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+# names that only the tests read, kept in tests/_oracles.py
+ORACLES = ("galerkin_jacobian", "galerkin_residual", "_system_at", "jacobian",
+           "default_split_order", "iv_cos", "intersects", "from_point")
 
 
 def test_every_exported_name_resolves():
@@ -64,6 +71,21 @@ def test_every_error_class_has_a_raise_site():
     source = "\n".join(path.read_text() for path in (ROOT / "src" / "sobemb").rglob("*.py"))
     assert len(classes) >= 10
     assert [name for name in classes if not re.search(rf"\braise\s+{name}\b", source)] == []
+
+
+def test_test_oracles_are_not_in_the_package():
+    """No oracle name is an attribute of sobemb, of a module of it or of a
+    class defined there, and SymMatrix takes its negative directions only
+    from its caller: leaving them out is a TypeError."""
+    modules = [sobemb, *(importlib.import_module(f"sobemb.{m.name}")
+                         for m in pkgutil.iter_modules(sobemb.__path__))]
+    owners = modules + [obj for mod in modules for obj in vars(mod).values()
+                        if inspect.isclass(obj) and obj.__module__ == mod.__name__]
+    found = [f"{getattr(o, '__qualname__', o.__name__)}.{name}"
+             for o in owners for name in ORACLES if hasattr(o, name)]
+    assert found == []
+    with pytest.raises(TypeError):
+        SymMatrix(np.eye(2), 0.0)
 
 
 def test_read_only_records(ball_p3_n20):

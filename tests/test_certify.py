@@ -17,12 +17,10 @@ from hypothesis import strategies as st
 from scipy.fft import dstn
 
 from sobemb.certify import (
-    _b_matrix,
     _coupled_gap,
     _potential_matrix,
     _tail_lambda,
     certify_ball,
-    default_split_order,
     defect_bounds,
     inverse_bound,
     kantorovich_radius,
@@ -52,6 +50,8 @@ from sobemb.series import (
 )
 from sobemb.solver import SolverConfig, dilate, initial_guess, newton_solve
 from sobemb.symeig import SymMatrix, eig_enclosures
+
+from _oracles import b_matrix, default_split_order, eigh_block, eigh_directions, intersects
 
 SQ = DomainRect(1.0, 1.0)
 WIDE = DomainRect(2.0, 1.0)
@@ -116,7 +116,7 @@ def _block(w, mx, my):
     mx x my, assembled as inverse_bound assembles it."""
     lam = w.domain.lambda_grid(mx, my).reshape(-1)
     d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
-    return _b_matrix(*_matrix(w, mx, my), d)
+    return b_matrix(*_matrix(w, mx, my), d)
 
 
 def _matrix(w, mx, my):
@@ -627,7 +627,7 @@ def test_folded_block_matches_odd_odd_block(p, n):
     u = _solve(p, n)
     odd = np.arange(1, default_split_order(u, p) + 1, 2)
     w = power_expand(u, p - 1).scale(Interval(float(p)))
-    full, folded = _block(w, odd, odd), certify._folded_block(w, odd, odd, math.inf)
+    full, folded = _block(w, odd, odd), eigh_block(certify._folded_block(w, odd, odd, math.inf, u))
     k = len(odd)
     assert (full.n, folded.n) == (k * k, k * (k + 1) // 2)
     m_full = eig_enclosures(full)
@@ -648,7 +648,7 @@ def test_rectangle_fold_is_the_identity():
     level, nx, ny, _, _ = certify._section(u, 3)
     mx, my = np.arange(1, nx + 1, 2), np.arange(1, ny + 1, 2)
     w = power_expand(u, 2).scale(Interval(3.0))
-    full, whole = _block(w, mx, my), certify._folded_block(w, mx, my, math.inf)
+    full, whole = _block(w, mx, my), certify._folded_block(w, mx, my, math.inf, u)
     assert np.array_equal(full.mid, whole.mid) and full.eps == whole.eps
     head = (u.domain.lambda_grid(mx, my).lo < level).reshape(-1)
     section = certify._folded_block(w, mx, my, level, u)
@@ -671,7 +671,7 @@ def test_transposed_rectangle_gives_transposed_solution():
     np.testing.assert_allclose(tall.coeffs.mid(), wide.coeffs.mid().T,
                                rtol=0.0, atol=1e-12)
     for a, b in zip(defect_bounds(wide, 3), defect_bounds(tall, 3)):
-        assert a.intersects(b)
+        assert intersects(a, b)
 
 
 def _basis(parity, n, L, x):
@@ -801,7 +801,7 @@ def test_block_encloses_mpmath_entries(seed, ax, ay, k, sides, zx, zy, odd, wide
             for r, (orb_r, s_r) in enumerate(zip(orbit, scale)):
                 for s, (orb_s, s_s) in enumerate(zip(orbit, scale)):
                     folded[r, s] = s_r * s_s * sum(exact[a, c] for a in orb_r for c in orb_s)
-            _assert_within_eps(certify._folded_block(w, mx, mx, level), folded)
+            _assert_within_eps(certify._folded_block(w, mx, mx, level, _one_mode(1.0)), folded)
 
 
 def _assert_within_eps(b, exact):
@@ -855,7 +855,7 @@ def test_block_matches_interval_assembly(p, n):
     sym = np.tril(new.mid) + np.tril(new.mid, -1).T
     assert np.linalg.norm(ref_mid - sym, 2) <= new.eps + ref_eps
     m_new = eig_enclosures(new)
-    m_old = eig_enclosures(SymMatrix(ref_mid, ref_eps))
+    m_old = eig_enclosures(SymMatrix(ref_mid, ref_eps, eigh_directions(ref_mid)))
     assert m_new >= m_old * (1.0 - 1e-9)
 
 
@@ -1389,7 +1389,7 @@ def test_certify_ball_on_physical_scale_centers(side, ball_p3_n20):
     b = certify_ball(u, 3)
     assert b.positive
     assert b.audit.neg_sup == 0.0
-    assert b.inverse.K.intersects(Interval(1.65698416961, 1.65698416962))
+    assert intersects(b.inverse.K, Interval(1.65698416961, 1.65698416962))
     assert b.r_h1.hi * side == pytest.approx(ball_p3_n20.r_h1.hi, rel=1e-6)
 
 

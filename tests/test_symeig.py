@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobemb import ivarray, symeig
-from sobemb.certify import _b_matrix, _potential_matrix, default_split_order
+from sobemb.certify import _potential_matrix
 from sobemb.errors import NotInvertible
 from sobemb.intervals import Interval
 from sobemb.ivarray import _TINY, IArray, _dn, _gamma_fac, _up
 from sobemb.series import power_expand
 from sobemb.symeig import SymMatrix, eig_enclosures
+
+from _oracles import b_matrix, default_split_order, eigh_directions, point_matrix
 
 
 def _eigs_below(m, t: Fraction):
@@ -94,7 +96,7 @@ def test_min_eig_against_charpoly_oracle():
     # [DERIVED] brute-force exact-inertia bisection oracle
     a = _seeded_symmetric(5, 20240817)
     lo, hi = _oracle(a)
-    bound = eig_enclosures(SymMatrix.from_point(a))
+    bound = eig_enclosures(point_matrix(a))
     assert Fraction(bound) <= lo
     assert hi - Fraction(bound) <= Fraction(1, 10 ** 9) * hi  # tight for a point matrix
 
@@ -103,14 +105,14 @@ def test_min_eig_oracle_more_seeds():
     for seed in (1, 7, 99):
         a = _seeded_symmetric(5, seed, scale=3.0)
         lo, hi = _oracle(a)
-        bound = eig_enclosures(SymMatrix.from_point(a))
+        bound = eig_enclosures(point_matrix(a))
         assert Fraction(bound) <= lo
         assert hi - Fraction(bound) <= Fraction(1, 10 ** 9) * hi
 
 
 def test_diagonal_matrix_exact():
     d = np.diag([3.0, -1.5, 7.0])
-    bound = eig_enclosures(SymMatrix.from_point(d))
+    bound = eig_enclosures(point_matrix(d))
     assert 1.5 * (1.0 - 1e-12) <= bound <= 1.5
 
 
@@ -118,15 +120,15 @@ def test_interval_matrix_widens():
     """The bound falls by eps exactly (up to the last rounding): Weyl."""
     a = _seeded_symmetric(4, 5)
     w = 1e-6
-    point = eig_enclosures(SymMatrix.from_point(a))
-    wide = eig_enclosures(SymMatrix(a, w))
+    point = eig_enclosures(point_matrix(a))
+    wide = eig_enclosures(SymMatrix(a, w, eigh_directions(a)))
     assert wide < point and abs(wide - (point - w)) <= 1e-15
 
 
 def test_min_abs_eig_lower_straddling_disc_is_zero():
     # a matrix with an eigenvalue near zero gives no bound above it
     a = np.diag([1e-14, 2.0, 3.0])
-    bound = _bound_or_none(SymMatrix.from_point(a))
+    bound = _bound_or_none(point_matrix(a))
     assert bound is None or bound <= 1e-14
 
 
@@ -139,7 +141,7 @@ def test_min_abs_eig_lower_straddling_disc_is_zero():
 ], ids=["radius-shape", "not-square", "not-2d", "negative-eps", "infinite-eps"])
 def test_mismatched_shapes_raise(mid, eps):
     with pytest.raises(ValueError):
-        SymMatrix(mid, eps)
+        SymMatrix(mid, eps, np.ones(len(mid)))
 
 
 def _mp_min_abs_eig(mid_lower, e):
@@ -176,7 +178,7 @@ def test_bound_is_below_sampled_members(n, seed, eps, clustered):
         sym = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
     sym = 0.5 * (sym + sym.T)
     mid = sym + np.triu(rng.normal(size=(n, n)), 1)
-    bound = _bound_or_none(SymMatrix(mid, eps))
+    bound = _bound_or_none(SymMatrix(mid, eps, eigh_directions(mid)))
     if bound is None:
         return
     lam, vec = np.linalg.eigh(sym)
@@ -201,7 +203,7 @@ def test_bound_is_tight_on_well_conditioned_seeds(n):
         a = (q * lam) @ q.T
         a = np.tril(a) + np.tril(a, -1).T
         exact = _mp_min_abs_eig(a, np.zeros((n, n)))
-        bound = eig_enclosures(SymMatrix.from_point(a))
+        bound = eig_enclosures(point_matrix(a))
         assert mpmath.mpf(bound) <= exact
         assert exact - mpmath.mpf(bound) <= 1e-9
 
@@ -219,11 +221,12 @@ def test_family_with_eigenvalue_near_zero_is_not_certified(delta):
     a = 0.5 * (a + a.T)
     lam_min = float(np.min(np.abs(np.linalg.eigvalsh(a))))
     for eps in (lam_min + 1e-12, 2.0 * lam_min + 1e-12):
-        bound = _bound_or_none(SymMatrix(a, eps))
+        bound = _bound_or_none(SymMatrix(a, eps, eigh_directions(a)))
         assert bound is None or bound <= 0.0
-    bound = _bound_or_none(SymMatrix.from_point(a))
+    bound = _bound_or_none(point_matrix(a))
     assert bound is None or bound <= delta + 1e-15
-    assert _bound_or_none(SymMatrix(np.zeros((3, 3)), 1.0)) in (None, -1.0)
+    zero = np.zeros((3, 3))
+    assert _bound_or_none(SymMatrix(zero, 1.0, eigh_directions(zero))) in (None, -1.0)
 
 
 def test_bound_on_c4_block_meets_float_spectrum(u_p3_n20):
@@ -236,7 +239,7 @@ def test_bound_on_c4_block_meets_float_spectrum(u_p3_n20):
     lam = u.domain.lambda_grid(odd, odd).reshape(-1)
     d = IArray(1.0) / IArray(_dn(np.sqrt(lam.lo)), _up(np.sqrt(lam.hi)), _unsafe=True)
     rows, eps = _potential_matrix(w, odd, odd)
-    b = _b_matrix(np.vstack([*rows]), eps, d)
+    b = b_matrix(np.vstack([*rows]), eps, d)
     sym = np.tril(b.mid) + np.tril(b.mid, -1).T
     sigma = float(np.min(np.abs(np.linalg.eigvalsh(sym))))
     bound = eig_enclosures(b)
@@ -270,7 +273,7 @@ def test_eig_enclosures_issues_no_interval_product(monkeypatch):
     monkeypatch.setattr(ivarray, "imatmul", counted)
     monkeypatch.setattr(symeig, "imatmul", counted, raising=False)
     a = _seeded_symmetric(12, 3)
-    eig_enclosures(SymMatrix(a, 1e-9))
+    eig_enclosures(SymMatrix(a, 1e-9, eigh_directions(a)))
     assert calls == []
 
 
