@@ -414,9 +414,13 @@ def _fold(rows, m_eps: float, rep: np.ndarray, partner: np.ndarray, n: int) -> t
     The n x n m_mid comes as `rows`, its consecutive row slices in order;
     only the rows and columns of the orbits are kept, a principal submatrix,
     whose distance from that of M is at most m_eps.  Each kept row goes into
-    its orbit's row as it comes: the rep row, which precedes its partner
-    (`_orbits`), is copied and the partner added to it.  The columns are
-    folded the same way once every row is in.
+    its orbit's row as it comes, read at the rep columns into f_mid and at
+    the paired partner columns into h: the rep row, which precedes its
+    partner (`_orbits`), is copied and the partner added to it.  The columns
+    are folded once every row is in, h added to f_mid's paired columns, so
+    nothing box-wide is held.  f_mid is Fortran-ordered, as a column gather
+    of the row-folded box would be: `eig_enclosures`' BLAS calls read it, and
+    their bits depend on the order.
 
     Lemma.  With Q the orthonormal orbit basis (columns e_ii and
     (e_ij + e_ji)/sqrt(2)), S F(A) S = Q^T A Q, whose Frobenius norm is at
@@ -429,20 +433,22 @@ def _fold(rows, m_eps: float, rep: np.ndarray, partner: np.ndarray, n: int) -> t
     pair = rep != partner
     orbit = np.full(n, -1, dtype=np.intp)
     orbit[partner] = orbit[rep] = np.arange(len(rep))
+    cols = partner[pair]
     second = np.zeros(n, dtype=bool)
-    second[partner[pair]] = True
-    g, sq, top = np.empty((len(rep), n)), 0.0, 0
+    second[cols] = True
+    f, h = np.empty((len(rep), len(rep)), order="F"), np.empty((len(rep), len(cols)))
+    sq, top = 0.0, 0
     for x in rows:
         o, add = orbit[top:top + len(x)], second[top:top + len(x)]
         top += len(x)
         first = (o >= 0) & ~add
-        g[o[first]] = x[first]
-        g[o[add]] += x[add]
+        f[o[first]], h[o[first]] = x[np.ix_(first, rep)], x[np.ix_(first, cols)]
+        f[o[add]] += x[np.ix_(add, rep)]
+        h[o[add]] += x[np.ix_(add, cols)]
         sq += float(x.ravel() @ x.ravel())
-    f = g[:, rep]
     if not pair.any():
         return f, m_eps
-    f[:, pair] += g[:, partner[pair]]
+    f[:, pair] += h
     m_fro = _fro_bound(sq, n * n)
     return f, float(_up((m_eps + 2.0 ** -51 * m_fro) * (1.0 + 2.0 ** -45)))
 

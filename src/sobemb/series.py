@@ -551,6 +551,14 @@ def _toeplitz_gemms(a: np.ndarray, b: np.ndarray, rows, cols, pairs, chunk):
     center's u^2 u), which raises the process's peak RSS though it adds no
     live bytes.  That u^2 u peaks about 1.64 MB above its entry under
     tracemalloc.
+
+    Bits: each output adds its chunks' GEMM products in chunk order.  The
+    slice products and pair counts are exact integers in any order, but the
+    float radius GEMMs of real factors round, so the sum chunk by chunk
+    makes a product's last bits depend on `_CHUNK_FLOATS`: u^2 u on the c4
+    N=34 center differs in 90 lower and 93 upper ends of its 10404 between
+    budgets of 2^15 and 2^17 floats, while the c5 N=20 center's product
+    does not.  The bound of `multiply` holds in any order.
     """
     (na, nax, nay), (nb, nbx, nby) = a.shape, b.shape
     r0, r1 = rows

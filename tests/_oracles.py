@@ -20,6 +20,9 @@ code it checks; `sobemb` itself carries only what a certificate runs.
   the float eigenvectors of B~'s negative eigenvalues from np.linalg.eigh,
   B~ the midpoint mirrored from its lower triangle, as `eig_enclosures`
   once did where it was given none.
+- `gather_fold` checks `certify._fold` bit for bit: the fold that row-folds
+  the whole box into one rep x box buffer and gathers the rep columns from
+  it, Fortran-ordered as numpy's column gather returns them.
 """
 
 import numpy as np
@@ -27,7 +30,7 @@ import numpy as np
 from sobemb import certify
 from sobemb.errors import check_exponent
 from sobemb.intervals import PI_HALF, Interval, iv_sin
-from sobemb.ivarray import _checked
+from sobemb.ivarray import _checked, _fro_bound, _up
 from sobemb.series import Series2D, odd_odd_order
 from sobemb.solver import _Galerkin
 from sobemb.symeig import SymMatrix, _mirror_lower
@@ -104,3 +107,29 @@ def b_matrix(f_mid: np.ndarray, f_eps: float, d) -> SymMatrix:
     """`certify._b_matrix` with no paired row, with `eigh_directions`."""
     n = len(f_mid)
     return eigh_block(certify._b_matrix(f_mid, f_eps, d, np.zeros(n, dtype=bool), np.ones(n)))
+
+
+def gather_fold(rows, m_eps: float, rep: np.ndarray, partner: np.ndarray, n: int) -> tuple:
+    """`certify._fold` by way of a len(rep) x n buffer g: each kept row is
+    copied (rep) or added (partner) into its orbit's row of g, then f =
+    g[:, rep] and the partner columns g[:, partner[pair]] are added to f's
+    paired columns."""
+    pair = rep != partner
+    orbit = np.full(n, -1, dtype=np.intp)
+    orbit[partner] = orbit[rep] = np.arange(len(rep))
+    second = np.zeros(n, dtype=bool)
+    second[partner[pair]] = True
+    g, sq, top = np.empty((len(rep), n)), 0.0, 0
+    for x in rows:
+        o, add = orbit[top:top + len(x)], second[top:top + len(x)]
+        top += len(x)
+        first = (o >= 0) & ~add
+        g[o[first]] = x[first]
+        g[o[add]] += x[add]
+        sq += float(x.ravel() @ x.ravel())
+    f = g[:, rep]
+    if not pair.any():
+        return f, m_eps
+    f[:, pair] += g[:, partner[pair]]
+    m_fro = _fro_bound(sq, n * n)
+    return f, float(_up((m_eps + 2.0 ** -51 * m_fro) * (1.0 + 2.0 ** -45)))

@@ -51,7 +51,14 @@ from sobemb.series import (
 from sobemb.solver import SolverConfig, dilate, initial_guess, newton_solve
 from sobemb.symeig import SymMatrix, eig_enclosures
 
-from _oracles import b_matrix, default_split_order, eigh_block, eigh_directions, intersects
+from _oracles import (
+    b_matrix,
+    default_split_order,
+    eigh_block,
+    eigh_directions,
+    gather_fold,
+    intersects,
+)
 
 SQ = DomainRect(1.0, 1.0)
 WIDE = DomainRect(2.0, 1.0)
@@ -574,7 +581,7 @@ def test_fold_encloses_exact_orbit_sums(seed, a, m_eps):
     whose float sums round) and for M = mid + E with ||E||_F <= m_eps,
     E random or concentrated on one orbit block.  The orbits kept are those
     of a random swap-invariant set of modes, a section, so f_mid folds a
-    principal submatrix."""
+    principal submatrix.  f_mid and f_eps are `gather_fold`'s to the bit."""
     rng = np.random.default_rng(seed)
     mid = rng.normal(size=(a * a, a * a)) * 2.0 ** rng.integers(-60, 60, size=(a * a, a * a))
     keep = rng.random((a, a)) < 0.7
@@ -582,6 +589,7 @@ def test_fold_encloses_exact_orbit_sums(seed, a, m_eps):
     keep[0, 0] = True
     rep, partner = certify._orbits(SQ, keep)
     f_mid, f_eps = certify._fold(np.vsplit(mid, a), m_eps, rep, partner, a * a)  # a rows a slice
+    _assert_fold_matches_gather(np.vsplit(mid, a), m_eps, rep, partner, a * a)
     size = [len({x, y}) for x, y in zip(rep, partner)]
     e_rand = rng.normal(size=mid.shape)
     e_rand *= m_eps * (1.0 - 1e-9) / np.linalg.norm(e_rand)
@@ -598,6 +606,63 @@ def test_fold_encloses_exact_orbit_sums(seed, a, m_eps):
                 exact = sum(Fraction(mid[x, y]) + Fraction(e[x, y]) for x, y in terms)
                 total += (exact - Fraction(f_mid[r, c])) ** 2 / (size[r] * size[c])
         assert total <= Fraction(f_eps) ** 2
+
+
+def _assert_fold_matches_gather(rows, m_eps, rep, partner, n):
+    """`_fold` equals `gather_fold` bit for bit, the memory order of f_mid
+    included: `eig_enclosures`' BLAS calls read f_mid, and their bits
+    depend on it."""
+    f_mid, f_eps = certify._fold(rows, m_eps, rep, partner, n)
+    g_mid, g_eps = gather_fold(rows, m_eps, rep, partner, n)
+    assert f_mid.tobytes(order="A") == g_mid.tobytes(order="A") and f_eps == g_eps
+    assert (f_mid.flags.f_contiguous, f_mid.flags.c_contiguous) == (
+        g_mid.flags.f_contiguous, g_mid.flags.c_contiguous)
+
+
+def _fold_inputs(u, p):
+    """(rows, m_eps, rep, partner, n) of `inverse_bound`'s fold on u's
+    section, the potential matrix's row slices kept in a list."""
+    level, nx, ny = certify._section(u, p)[:3]
+    mx, my = np.arange(1, nx + 1, 2), np.arange(1, ny + 1, 2)
+    lam = u.domain.lambda_grid(mx, my)
+    rows, m_eps = _potential_matrix(certify._potential(u, p), mx, my)
+    return (list(rows), m_eps, *certify._orbits(u.domain, lam.lo < level), lam.size)
+
+
+def test_fold_matches_the_gather_reference_on_the_c5_center(report_c5):
+    """On the c5 N=12 center's section (147 orbits, 134 of them pairs),
+    `_fold` gives `gather_fold`'s f_mid and f_eps to the bit, in its memory
+    order."""
+    rows, m_eps, rep, partner, n = _fold_inputs(report_c5.solutions[12], 4)
+    assert (len(rep), int(np.count_nonzero(rep != partner))) == (147, 134)
+    _assert_fold_matches_gather(rows, m_eps, rep, partner, n)
+
+
+def test_fold_matches_the_gather_reference_on_a_rectangle():
+    """On the 2 x 1 p=3 N=12 center's section, where every orbit has one
+    member and no column is folded, `_fold` gives `gather_fold`'s f_mid and
+    f_eps to the bit, in its memory order."""
+    u = newton_solve(SolverConfig(p=3, N=12), initial_guess(3, WIDE))
+    rows, m_eps, rep, partner, n = _fold_inputs(u, 3)
+    assert len(rep) > 1 and np.array_equal(rep, partner)
+    _assert_fold_matches_gather(rows, m_eps, rep, partner, n)
+
+
+def test_fold_peak_memory_on_the_c5_center(report_c5):
+    """`_fold` of the c5 N=16 center's section peaks at most 0.75e6 bytes
+    under tracemalloc (about 0.63 MB), its potential matrix's rows already
+    formed: it fills the rep x rep f_mid and the rep x pairs partner columns
+    straight from each row slice, and holds no rep x box buffer (147 x 361
+    floats) or gathered copy of one (0.92 MB when it did)."""
+    rows, m_eps, rep, partner, n = _fold_inputs(report_c5.solutions[16], 4)
+    certify._fold(rows, m_eps, rep, partner, n)  # warm-up
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        certify._fold(rows, m_eps, rep, partner, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75e6
 
 
 def _orbit_bases(a):

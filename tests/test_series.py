@@ -706,7 +706,10 @@ def test_multiply_bits_do_not_depend_on_the_chunking(pu, pv, monkeypatch):
     and odd-index only.  The factors are thin and integer-valued, so every
     GEMM (slice products, |a| |b|, the radius terms and the pair counts) is
     exact and any chunking must give the same bits: a window or block that
-    reads a wrong index of either factor changes them.  Each of the 2 and 3
+    reads a wrong index of either factor changes them.  The bit identity
+    relies on these thin integer factors: on real factors the float radius
+    GEMMs round, and their sum chunk by chunk depends on the chunking
+    (`_toeplitz_gemms`).  Each of the 2 and 3
     index budgets ends some product with a shorter chunk, which reads the
     workspace after a longer one, so padding left over from that one would
     change the bits too."""
