@@ -9,7 +9,9 @@ product's by TwoProduct (`_mul_dir`, within its safe range; outside it
 both sides widen), so an exact result stays exact and an inexact one
 widens by one step on the side where the exact value lies.  `iv_sqrt`
 keeps an exact root.  Only a quotient (`_div_dir`) always widens by one
-step each way.  Library elementary
+step each way.  An interval product (quotient) is the min of the four
+endpoint products' (quotients') lower ends and the max of their upper
+ends.  Library elementary
 functions (exp, log, sin) are assumed accurate to <= 1 ulp (glibc libm
 documents < 0.6 ulp for these on binary64); their endpoint values are
 widened by 2 ulps.  numpy's vectorized sin and cos of float64 arrays, which
@@ -134,22 +136,9 @@ class Interval:
         return Interval._coerce(other) - self
 
     def __mul__(self, other):
-        # only the endpoint products that decide the result, by sign case;
-        # directed rounding is monotone, so the bits are the four-product ones
         x, y = self, Interval._coerce(other)
-        if y.lo < 0.0 < y.hi:
-            if x.lo < 0.0 < x.hi:  # both straddle 0
-                lo = min(_mul_dir(x.lo, y.hi)[0], _mul_dir(x.hi, y.lo)[0])
-                hi = max(_mul_dir(x.lo, y.lo)[1], _mul_dir(x.hi, y.hi)[1])
-                return Interval(lo, hi)
-            x, y = y, x
-        if y.lo >= 0.0:  # x y rises with x
-            lo = _mul_dir(x.lo, y.lo if x.lo >= 0.0 else y.hi)[0]
-            hi = _mul_dir(x.hi, y.hi if x.hi >= 0.0 else y.lo)[1]
-        else:  # y <= 0: x y falls with x
-            lo = _mul_dir(x.hi, y.lo if x.hi >= 0.0 else y.hi)[0]
-            hi = _mul_dir(x.lo, y.hi if x.lo >= 0.0 else y.lo)[1]
-        return Interval(lo, hi)
+        ends = [_mul_dir(s, t) for s in (x.lo, x.hi) for t in (y.lo, y.hi)]
+        return Interval(min(e[0] for e in ends), max(e[1] for e in ends))
 
     __rmul__ = __mul__
 
@@ -157,13 +146,8 @@ class Interval:
         x, y = self, Interval._coerce(other)
         if y.lo <= 0.0 <= y.hi:
             raise DivisionByZeroInterval(f"denominator {y} contains 0")
-        if y.lo > 0.0:  # x / y rises with x
-            lo = _div_dir(x.lo, y.hi if x.lo >= 0.0 else y.lo)[0]
-            hi = _div_dir(x.hi, y.lo if x.hi >= 0.0 else y.hi)[1]
-        else:  # y < 0: x / y falls with x
-            lo = _div_dir(x.hi, y.hi if x.hi >= 0.0 else y.lo)[0]
-            hi = _div_dir(x.lo, y.lo if x.lo >= 0.0 else y.hi)[1]
-        return Interval(lo, hi)
+        ends = [_div_dir(s, t) for s in (x.lo, x.hi) for t in (y.lo, y.hi)]
+        return Interval(min(e[0] for e in ends), max(e[1] for e in ends))
 
     def __rtruediv__(self, other):
         return Interval._coerce(other) / self

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import OverflowError_
+from .errors import DivisionByZeroInterval, OverflowError_
 from .intervals import Interval
 
 _EPS = 2.0 ** -52
@@ -177,8 +177,6 @@ class IArray:
     def __truediv__(self, other):
         b = IArray._coerce(other)
         if np.any((b.lo <= 0.0) & (b.hi >= 0.0)):
-            from .errors import DivisionByZeroInterval
-
             raise DivisionByZeroInterval("array denominator contains 0")
         c1 = self.lo / b.lo
         c2 = self.lo / b.hi
@@ -279,26 +277,17 @@ def imatmul(a: IArray, b: IArray) -> IArray:
 
     # am and bm turn into |am| and |bm| in place once cm is formed, and the
     # radius is summed in place in the order of the expression
-    # ar @ (|bm| + br) + |am| @ br + g p, so it has that expression's bits
+    # ar @ (|bm| + br) + |am| @ br + g p, so it has that expression's bits;
+    # a thin operand's zero radius adds only exact zeros while |bm| + br is finite
     cm = am @ bm
     np.abs(am, out=am)
     np.abs(bm, out=bm)
     gp = am @ bm  # bounds |am||bm| up to factor (1-g)
     gp *= g
-    a_thin = not ar.any()
-    b_thin = not br.any()
-    if a_thin and b_thin:
-        rad = gp.copy()
-    else:
-        if b_thin:
-            rad = ar @ bm
-        elif a_thin:
-            rad = am @ br
-        else:
-            bm += br
-            rad = ar @ bm
-            rad += am @ br
-        rad += gp
+    bm += br
+    rad = ar @ bm
+    rad += am @ br
+    rad += gp
     del am, ar, bm, br  # freed now, the checks and endpoints below can reuse them
     rad *= 1.0 + 6.0 * g
     gp *= g

@@ -275,7 +275,7 @@ class Series2D:
             out.append(iv_sin(arg))
         return out
 
-    # -- norms and integrals -----------------------------------------------------
+    # -- norms -------------------------------------------------------------------
 
     def h01_norm(self) -> Interval:
         """Exact-orthogonality H^1_0 norm, kept on u; sine/sine series only."""
@@ -305,11 +305,6 @@ class Series2D:
         if parity == COS:
             w[modes == 0] = L
         return IArray(w)  # L/2 and L are exact scalings of the exact float L
-
-    def integral(self) -> Interval:
-        """Enclosure of the integral of u over the rectangle: <u, 1>."""
-        one = Series2D(self.domain, IArray(np.ones((1, 1))), COS, COS)
-        return _inner(self, one)
 
     # -- pointwise bounds ----------------------------------------------------------
 

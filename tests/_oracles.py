@@ -20,6 +20,10 @@ code it checks; `sobemb` itself carries only what a certificate runs.
   the float eigenvectors of B~'s negative eigenvalues from np.linalg.eigh,
   B~ the midpoint mirrored from its lower triangle, as `eig_enclosures`
   once did where it was given none.
+- `integral` is <v, 1>, the integral of v over its rectangle, as
+  `series._inner` with the one-mode cosine series: it checks a squared
+  mode against its closed-form integral, and it is the full-expansion
+  reference that `lp_norm`'s inner products are checked against.
 - `gather_fold` checks `certify._fold` bit for bit: the fold that row-folds
   the whole box into one rep x box buffer and gathers the rep columns from
   it, Fortran-ordered as numpy's column gather returns them.
@@ -30,8 +34,8 @@ import numpy as np
 from sobemb import certify
 from sobemb.errors import check_exponent
 from sobemb.intervals import PI_HALF, Interval, iv_sin
-from sobemb.ivarray import _checked, _fro_bound, _up
-from sobemb.series import Series2D, odd_odd_order
+from sobemb.ivarray import IArray, _checked, _fro_bound, _up
+from sobemb.series import COS, Series2D, _inner, odd_odd_order
 from sobemb.solver import _Galerkin
 from sobemb.symeig import SymMatrix, _mirror_lower
 
@@ -107,6 +111,11 @@ def b_matrix(f_mid: np.ndarray, f_eps: float, d) -> SymMatrix:
     """`certify._b_matrix` with no paired row, with `eigh_directions`."""
     n = len(f_mid)
     return eigh_block(certify._b_matrix(f_mid, f_eps, d, np.zeros(n, dtype=bool), np.ones(n)))
+
+
+def integral(v: Series2D) -> Interval:
+    """Enclosure of the integral of v over its rectangle: <v, 1>."""
+    return _inner(v, Series2D(v.domain, IArray(np.ones((1, 1))), COS, COS))
 
 
 def gather_fold(rows, m_eps: float, rep: np.ndarray, partner: np.ndarray, n: int) -> tuple:

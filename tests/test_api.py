@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 # names that only the tests read, kept in tests/_oracles.py
 ORACLES = ("galerkin_jacobian", "galerkin_residual", "_system_at", "jacobian",
-           "default_split_order", "iv_cos", "intersects", "from_point")
+           "default_split_order", "iv_cos", "intersects", "from_point", "integral")
 
 
 def test_every_exported_name_resolves():

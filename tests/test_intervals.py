@@ -216,11 +216,11 @@ _endpoint = st.one_of(
 @settings(max_examples=2000, deadline=None)
 @given(_endpoint, _endpoint, _endpoint, _endpoint, st.booleans(), st.booleans())
 def test_sign_cases_give_the_four_product_bits(a, b, c, d, thin_x, thin_y):
-    """Interval * and / form only the endpoint products (quotients) that
-    decide the result, by the signs of the endpoints; directed rounding is
-    monotone, so both ends equal those of the min and max over all four, on
-    thin, zero, signed-zero and zero-straddling intervals alike, and so do
-    the raised errors."""
+    """Interval * and / give the min of the four directed endpoint products'
+    (quotients') lower ends and the max of their upper ends, and the same
+    raised errors, on thin, zero, signed-zero, subnormal and zero-straddling
+    intervals alike: a pin against any future fast path that forms fewer of
+    them by sign case."""
     x = Interval(*sorted((a, a if thin_x else b)))
     y = Interval(*sorted((c, c if thin_y else d)))
     for op, f in ((lambda s, t: s * t, _mul_dir), (lambda s, t: s / t, _div_dir)):
@@ -332,7 +332,9 @@ def test_array_overflow_is_typed(op):
 
 def _imatmul_expression(a, b):
     """imatmul as one expression with a fresh array per step: the oracle for
-    the in-place version."""
+    the in-place version.  Its thin-operand branches, which form only the
+    radius products that are not exactly zero, are the bit-for-bit reference
+    for imatmul's single path, where a zero radius adds exact zeros."""
     am, ar = a.mid(), a.rad()
     bm, br = b.mid(), b.rad()
     ar = np.where((ar != 0.0) & (ar < _RAD_FLOOR), _RAD_FLOOR, ar)
