@@ -309,58 +309,38 @@ def _section(u: Series2D, p: int) -> tuple:
     COUPLING_TARGET; CapacityError if none has.  t reads lambda_tail only
     through its lower end, min(Lambda, that of (kx, 1) and (1, ky)), and c
     reads that and the upper end of lambda_F, so each is carried as that
-    end.  No sort is needed: both ends of lambda_ij rise along every row and
-    column of the box, so the modes below a level fill a prefix of each row,
-    and the upper end of lambda_F is the largest last entry of those
-    prefixes (`np.searchsorted` per row).  Levels at about 2^j times the
-    least, each the first level at or above it, are tried first, and only
-    the levels up to the first of them that passes are scanned.  On a
+    end.  One sort of the box by lower end makes F at every level a prefix
+    of that order: the upper end of lambda_F is the running maximum of the
+    upper ends over it, and nx and ny the largest i and j in it.  On a
     square lambda_ij = lambda_ji bit for bit, so F is swap-invariant."""
     def scan():
-        dom = u.domain
         wbar, (wt, h) = _wbar(u, p), _coupling_terms(u, p)
-        mx, my = _scan_box(dom)
-        lam = dom.lambda_grid(mx, my)
+        mx, my = _scan_box(u.domain)
+        lam = u.domain.lambda_grid(mx, my)
         beyond = min(lam.lo[-1, 0], lam.lo[0, -1])
-        lo, hi = lam.lo[:-1, :-1], lam.hi[:-1, :-1]
-        mx, my = mx[:-1], my[:-1]
-
-        def passes(levels, top):
-            """(t, c, pass) at each level, F the modes below it and top
-            the upper end of lambda_F."""
-            tail = IArray(np.minimum(levels, beyond))
-            t = (IArray(1.0) - IArray._coerce(wbar) / tail).lo
-            c = ((IArray._coerce(h) + IArray._coerce(wt) * _sqrt(IArray(top)))
-                 / (tail * _sqrt(tail))).hi
-            return t, c, (t > 0.0) & (c <= COUPLING_TARGET)
-
-        probes, x = [], lo[0, 0]
-        while x < lo[-1, -1]:
-            x = min(2.0 * x, lo[-1, -1])
-            below = lo < x
-            probes.append((lo[~below].min(), hi[below].max()))
-        last = lo[-1, -1]
-        if probes:
-            levels, top = np.array(probes).T
-            ok = passes(levels, top)[2]
-            last = levels[np.argmax(ok)] if ok.any() else last
-        levels = lo[(lo > lo[0, 0]) & (lo <= last)]
-        top = np.full(len(levels), -np.inf)
-        for i in range(np.searchsorted(lo[:, 0], last)):
-            k = np.searchsorted(lo[i], levels)  # the modes of row i below each level
-            np.maximum(top, np.where(k > 0, hi[i][k - 1], -np.inf), out=top)
-        t, c, ok = passes(levels, top)
+        lo = lam.lo[:-1, :-1]
+        order = np.argsort(lo, axis=None, kind="stable")  # maps less of numpy's code than quicksort
+        los = lo.flat[order]
+        first = np.flatnonzero(los[1:] != los[:-1])
+        top = lam.hi[:-1, :-1].flat[order]
+        np.maximum.accumulate(top, out=top)
+        top = top[first]  # the upper end of lambda_F at each level
+        first += 1  # where each level starts
+        levels = los[first]
+        del lam, los  # freed before the interval temporaries below
+        tail = IArray(np.minimum(levels, beyond))
+        t = (IArray(1.0) - IArray._coerce(wbar) / tail).lo
+        c = ((IArray._coerce(h) + IArray._coerce(wt) * _sqrt(IArray(top)))
+             / (tail * _sqrt(tail))).hi
+        ok = (t > 0.0) & (c <= COUPLING_TARGET)
         if not ok.any():
-            end = np.argmax(levels) if len(levels) else None
-            at = "" if end is None else f": t = {t[end]:.4e}, c = {c[end]:.4e} at the last"
-            raise CapacityError(f"no eigenvalue level of the {len(mx)} x {len(my)} odd-mode box, "
-                                f"at most {MAX_DENSE_ROWS} rows, gives t > 0 and coupling <= "
-                                f"{COUPLING_TARGET}{at}")
-        i = np.argmin(np.where(ok, levels, np.inf))
-        level = levels[i]
-        nx = mx[np.searchsorted(lo[:, 0], level) - 1]
-        ny = my[np.searchsorted(lo[0], level) - 1]
-        return float(level), int(nx), int(ny), float(t[i]), float(c[i])
+            at = f": t = {t[-1]:.4e}, c = {c[-1]:.4e} at the last" if len(levels) else ""
+            raise CapacityError(f"no eigenvalue level of the {lo.shape[0]} x {lo.shape[1]} "
+                                f"odd-mode box, at most {MAX_DENSE_ROWS} rows, gives t > 0 "
+                                f"and coupling <= {COUPLING_TARGET}{at}")
+        k = np.flatnonzero(ok)[0]  # the first level that passes; argmax maps more numpy code
+        i, j = np.divmod(order[:first[k]], lo.shape[1])  # rows and columns of F
+        return float(levels[k]), int(mx[i.max()]), int(my[j.max()]), float(t[k]), float(c[k])
 
     return u.fact(("section", p), scan)
 

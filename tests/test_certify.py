@@ -300,8 +300,9 @@ def test_section_is_swap_invariant_on_a_square():
         assert nx == ny and np.array_equal(keep, keep.T) and keep[-1].any()
 
 
-@pytest.mark.parametrize("dom, p, n", [(SQ, 3, 10), (SQ, 4, 12), (WIDE, 4, 16)],
-                         ids=["c4-N10", "c5-N12", "2x1-p4-N16"])
+@pytest.mark.parametrize("dom, p, n", [(SQ, 3, 10), (SQ, 4, 12), (WIDE, 4, 16),
+                                       (DomainRect(3.0, 1.0), 2, 24)],
+                         ids=["c4-N10", "c5-N12", "2x1-p4-N16", "3x1-p2-N24"])
 def test_section_tail_is_the_minimum_over_its_complement(dom, p, n):
     """lambda_tail is the interval minimum over every odd-odd mode outside
     F, which lies at the level Lambda itself, inside F's box: t and c
@@ -1555,7 +1556,8 @@ def test_capacity_error_before_defect_work(monkeypatch):
     calls = _count_calls(monkeypatch, "multiply")
     later = [_count_calls(monkeypatch, name, certify)
              for name in ("defect_bounds", "_potential_matrix")]
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"87 x 87 odd-mode box.*"
+                       r"t = 1\.0675e-01, c = 6\.4967e-01 at the last"):
         certify_ball(SineSeries2D(SQ, c), 3)
     assert calls == ["multiply"] and later == [[], []]
 

@@ -404,6 +404,47 @@ def test_deflated_bound_against_exact_inertia(n):
             eig_enclosures(SymMatrix(a.copy(), 0.0, vec[:, -1]))
 
 
+@pytest.mark.parametrize("bump", [1e-9, 1e-3])
+def test_deflated_floor_retries_below_an_estimate_too_high(monkeypatch, bump):
+    """The Lanczos estimate, raised by `bump` above the least eigenvalue 0.3
+    of the deflated B~ + tau v v^T (n = 40, spectrum -0.7 and 0.3 ... 2, v
+    the float eigenvector of -0.7), puts the first shifts above it, so
+    their factorizations fail and the margin widens 2^10-fold each time.
+    By 1e-9 the third shift lies below 0.3 and factors, and the bound lies
+    below the exact min |eig| (exact inertia); by 1e-3 all _TRIES shifts
+    fail and the block is NotInvertible.  Either way B~ is put back bit for
+    bit."""
+    n = 40
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.concatenate([[-0.7], np.linspace(0.3, 2.0, n - 1)])) @ q.T
+    a = np.tril(a) + np.tril(a, -1).T
+    lanczos, cholesky, tries = symeig._lanczos_min, np.linalg.cholesky, []
+
+    def bumped(b, v, tau):
+        theta, radius = lanczos(b, v, tau)
+        return theta + bump, radius
+
+    def counted(x):
+        tries.append(None)
+        return cholesky(x)
+
+    monkeypatch.setattr(symeig, "_lanczos_min", bumped)
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    m = SymMatrix(a.copy(), 0.0, q[:, 0])
+    if bump > 1e-6:
+        with pytest.raises(NotInvertible):
+            eig_enclosures(m)
+        assert len(tries) == symeig._TRIES
+    else:
+        bound = eig_enclosures(m)
+        frac = _exact(a)
+        assert len(tries) > 1 and m.index == 1 and 0.0 < bound < 0.3
+        assert _count_below(frac, -Fraction(bound)) == 1
+        assert _count_below(frac, Fraction(bound)) == 1
+    assert np.array_equal(m.mid, a)
+
+
 # -- the platform assumption: classical inner products in BLAS and LAPACK -------
 
 
